@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .netmodel import AttackerModel, Network
 
@@ -69,9 +70,6 @@ class SpatialFootprint:
     phi: dict[int, frozenset[int]]
     D_km: float
     distance_mode: str = "haversine"
-
-    def candidates(self, line_id: int) -> frozenset[int]:
-        return self.phi[line_id]
 
 
 def compute_phi(net: Network, D_km: float, distance_mode: str = "haversine") -> SpatialFootprint:
@@ -125,12 +123,17 @@ class MasterEncoding:
     def num_vars(self) -> int:
         return len(self.lb)
 
-    def x_col(self, line_id: int) -> int:
-        return int(self.blocks["x"][self.line_order.index(line_id)])
-
     def add_row(self, cols, vals, lo: float, hi: float) -> None:
         self.rows.append((np.asarray(cols, dtype=int), np.asarray(vals, dtype=float),
                           float(lo), float(hi)))
+
+    def row_block(self) -> tuple[sparse.coo_array, np.ndarray, np.ndarray]:
+        """All rows as one sparse block with per-row ``lo``/``hi``, for ``Model.add_rows``."""
+        cols, vals, lo, hi = zip(*self.rows)
+        owner = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+        mat = sparse.coo_array((np.concatenate(vals), (owner, np.concatenate(cols))),
+                               shape=(len(cols), self.num_vars))
+        return mat, np.array(lo), np.array(hi)
 
 
 def _base_encoding(net: Network, model: AttackerModel) -> MasterEncoding:
@@ -205,9 +208,7 @@ def encode_feasible_set(net: Network, model: AttackerModel,
 
     enc.add_row(x, np.ones(m), k, k)                   # exactly k lines
     enc.add_row(kx, np.ones(n), 1.0, 1.0)              # one super-node edge
-    bus_row = {bid: i for i, bid in enumerate(enc.bus_order)}
-    for e, line in enumerate(net.lines):
-        i, j = bus_row[line.from_bus], bus_row[line.to_bus]
+    for e, (i, j) in enumerate(zip(*net.endpoint_positions())):
         enc.add_row([x[e], y[i]], [1.0, -1.0], -np.inf, 0.0)
         enc.add_row([x[e], y[j]], [1.0, -1.0], -np.inf, 0.0)
         enc.add_row([fwd[e], x[e]], [1.0, -k], -np.inf, 0.0)
@@ -216,18 +217,12 @@ def encode_feasible_set(net: Network, model: AttackerModel,
         enc.add_row([kflow[i], kx[i]], [1.0, -(k + 1.0)], -np.inf, 0.0)
     # Virtual-flow balance: net inflow equals 1 for marked buses, with the
     # super-node edge supplying its bus.
-    for i, bid in enumerate(enc.bus_order):
-        cols = [y[i], kflow[i]]
-        vals = [-1.0, 1.0]
-        out_ids, in_ids = net.adjacency[bid]
-        for lid in out_ids:
-            e = net.line_pos[lid]
-            cols.extend([rev[e], fwd[e]])
-            vals.extend([1.0, -1.0])
-        for lid in in_ids:
-            e = net.line_pos[lid]
-            cols.extend([fwd[e], rev[e]])
-            vals.extend([1.0, -1.0])
+    inc = net.incidence.tocsr()
+    for i in range(n):
+        on = slice(inc.indptr[i], inc.indptr[i + 1])
+        lines, sign = inc.indices[on], inc.data[on]
+        cols = np.concatenate([[y[i], kflow[i]], fwd[lines], rev[lines]])
+        vals = np.concatenate([[-1.0, 1.0], sign, -sign])
         enc.add_row(cols, vals, 0.0, 0.0)
     return enc
 
@@ -236,22 +231,10 @@ def _connected(net: Network, lines: frozenset[int]) -> bool:
     """Edge-induced subgraph of the chosen lines is a single component."""
     if not lines:
         return True
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for lid in lines:
-        line = net.lines[net.line_pos[lid]]
-        for v in (line.from_bus, line.to_bus):
-            parent.setdefault(v, v)
-        ra, rb = find(line.from_bus), find(line.to_bus)
-        parent[ra] = rb
-    roots = {find(net.lines[net.line_pos[lid]].from_bus) for lid in lines}
-    return len(roots) == 1
+    chosen = np.zeros(len(net.lines), dtype=bool)
+    chosen[[net.line_pos[lid] for lid in lines]] = True
+    island = net.islands(chosen)
+    return len(set(island[net.endpoint_positions()[0][chosen]])) == 1
 
 
 def is_feasible_attack(net: Network, model: AttackerModel,

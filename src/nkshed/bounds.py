@@ -29,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .attackers import MasterEncoding
 from .backend import Model
+from .inner import InnerSolution, add_dc_network, line_pairs
 from .netmodel import Network, total_load
 
 __all__ = ["DualBounds", "heuristic_bounds", "valid_bounds"]
@@ -46,39 +48,38 @@ FLOW_DEAD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DualBounds:
-    """Per-line penalty rates: coupling pair (always zero) and thermal pair."""
+    """Per-line penalty rates for the interdicted thermal pair ``(pi1, pi2)``.
+
+    The flow/angle coupling rows of an interdicted line carry zero duals
+    once big-M is large enough, so they need no rate.
+    """
 
     pi1: dict[int, float]
     pi2: dict[int, float]
-    mu1: dict[int, float]
-    mu2: dict[int, float]
     mode: str
     # Directional flow extremes (max reverse, max forward) from the valid-mode
     # relaxation LPs; empty in heuristic mode. Diagnostic only.
     flow_range: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, entries in (("pi1", self.pi1), ("pi2", self.pi2),
-                              ("mu1", self.mu1), ("mu2", self.mu2)):
+        for name, entries in (("pi1", self.pi1), ("pi2", self.pi2)):
             for lid, v in entries.items():
                 if v < 0:
                     raise ValueError(f"{name}[{lid}] must be >= 0, got {v}")
-        for entries in (self.mu1, self.mu2):
-            if any(v != 0.0 for v in entries.values()):
-                raise ValueError("coupling-row bounds are fixed to zero")
 
-    def line(self, line_id: int) -> tuple[float, float, float, float]:
-        return (self.mu1[line_id], self.mu2[line_id],
-                self.pi1[line_id], self.pi2[line_id])
+    def line(self, line_id: int) -> tuple[float, float]:
+        return self.pi1[line_id], self.pi2[line_id]
+
+    def price(self, sol: InnerSolution, line_id: int) -> float:
+        """The line's flow in ``sol``, its negative part at pi1 and positive part at pi2."""
+        pi1, pi2 = self.line(line_id)
+        return pi1 * sol.flow_neg(line_id) + pi2 * sol.flow_pos(line_id)
 
 
 def heuristic_bounds(net: Network) -> DualBounds:
     """Unit rates for every line; fast, not guaranteed, certify afterwards."""
-    ids = net.line_ids()
-    one = {lid: 1.0 for lid in ids}
-    zero = {lid: 0.0 for lid in ids}
-    return DualBounds(pi1=dict(one), pi2=dict(one), mu1=dict(zero), mu2=dict(zero),
-                      mode=HEURISTIC)
+    one = {lid: 1.0 for lid in net.line_ids()}
+    return DualBounds(pi1=dict(one), pi2=dict(one), mode=HEURISTIC)
 
 
 def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
@@ -91,58 +92,29 @@ def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
     relaxed to the +-M band, so the extreme covers both its surviving and
     interdicted operating ranges.
     """
-    n, m = len(net.buses), len(net.lines)
-    demand = net.demand_vector()
-    b = net.susceptance_vector()
+    m = len(net.lines)
     t = net.thermal_vector()
-    fr, to = net.endpoint_positions()
     big_m = net.big_M
 
     mdl = Model(f"flow-extreme-{net.lines[line_pos].id}")
     # Feasible-set columns first (binaries relaxed), mirroring encoding order.
     mdl.add_vars(encoding.num_vars, lb=encoding.lb, ub=encoding.ub)
-    for cols, vals, lo, hi in encoding.rows:
-        if lo == hi:
-            mdl.add_eq(cols, vals, lo)
-        else:
-            if np.isfinite(lo):
-                mdl.add_ge(cols, vals, lo)
-            if np.isfinite(hi):
-                mdl.add_le(cols, vals, hi)
-    x = encoding.blocks["x"]
+    mdl.add_rows(*encoding.row_block())
+    dc = add_dc_network(mdl, net, 0.0)
 
-    v_shed = mdl.add_vars(n, lb=0.0, ub=1.0)
-    v_gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
-    v_ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    v_flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
+    # Coupling relaxes and thermal shrinks as a line's x grows, except on the
+    # probed line, which keeps the fixed +-M band and its full rating.
+    others = np.flatnonzero(np.arange(m) != line_pos)
+    x_coef = np.column_stack([np.full(m, big_m), np.full(m, big_m), -t, -t])
+    rows = (4 * others[:, None] + np.arange(4)).ravel()
+    relax = sparse.coo_array(
+        (x_coef[others].ravel(), (rows, np.repeat(encoding.blocks["x"][others], 4))),
+        shape=(4 * m, mdl.num_vars))
+    lo = np.column_stack([np.zeros(m), np.zeros(m), -t, -t])
+    lo[line_pos, :2] = -big_m
+    mdl.add_rows(line_pairs(dc) + relax, lo.ravel(), np.inf)
 
-    for i in range(n):
-        cols = [v_gen[i], v_shed[i]]
-        vals = [1.0, demand[i]]
-        for lid in net.adjacency[net.buses[i].id][0]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(-1.0)
-        for lid in net.adjacency[net.buses[i].id][1]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(1.0)
-        mdl.add_eq(cols, vals, demand[i])
-
-    for e in range(m):
-        couple_cols = [v_flow[e], v_ang[fr[e]], v_ang[to[e]]]
-        couple_vals = [1.0, b[e], -b[e]]
-        if e == line_pos:
-            mdl.add_ge(couple_cols, couple_vals, -big_m)
-            mdl.add_ge(couple_cols, [-v for v in couple_vals], -big_m)
-            mdl.add_ge([v_flow[e]], [1.0], -t[e])
-            mdl.add_ge([v_flow[e]], [-1.0], -t[e])
-        else:
-            # Coupling relaxes and thermal shrinks as the line's x grows.
-            mdl.add_ge(couple_cols + [x[e]], couple_vals + [big_m], 0.0)
-            mdl.add_ge(couple_cols + [x[e]], [-v for v in couple_vals] + [big_m], 0.0)
-            mdl.add_ge([v_flow[e], x[e]], [1.0, -t[e]], -t[e])
-            mdl.add_ge([v_flow[e], x[e]], [-1.0, -t[e]], -t[e])
-
-    mdl.set_objective_coef(int(v_flow[line_pos]), -sign)  # min -sign*p == max sign*p
+    mdl.set_objective_coef(int(dc.flow[line_pos]), -sign)  # min -sign*p == max sign*p
     sol = mdl.solve_lp()
     return float(-sol.objective)
 
@@ -167,6 +139,4 @@ def valid_bounds(net: Network, encoding: MasterEncoding) -> DualBounds:
         dead = fwd <= FLOW_DEAD_TOL and rev <= FLOW_DEAD_TOL
         pi1[line.id] = 0.0 if dead else load
         pi2[line.id] = 0.0 if dead else load
-    zero = {lid: 0.0 for lid in net.line_ids()}
-    return DualBounds(pi1=pi1, pi2=pi2, mu1=dict(zero), mu2=dict(zero),
-                      mode=VALID, flow_range=rng)
+    return DualBounds(pi1=pi1, pi2=pi2, mode=VALID, flow_range=rng)

@@ -33,7 +33,6 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
     p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic")
     p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--distance", choices=["haversine", "planar"], default="haversine")
 
 
@@ -56,8 +55,7 @@ def _build_model(args) -> AttackerModel:
 
 def _config(args) -> SolveConfig:
     return SolveConfig(epsilon=args.eps, max_iters=args.max_iters,
-                       bounds_mode=args.bounds, distance_mode=args.distance,
-                       seed=args.seed)
+                       bounds_mode=args.bounds, distance_mode=args.distance)
 
 
 def _cmd_run(args) -> int:

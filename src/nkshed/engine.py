@@ -5,9 +5,9 @@ shed-estimate variable, and exact inner load-shed solves. Each iteration the
 master proposes the attack with the highest estimate consistent with all
 cuts collected so far; the inner LP prices that attack exactly; a new cut
 caps the estimate of every attack by the priced flows of this one, and an
-exclusion cut retires the proposal. The master objective is a certified
-upper bound (given valid penalty rates) and the best inner value a lower
-bound, so the loop stops once they meet within the requested tolerance.
+exclusion cut retires the proposal. The master's MILP dual bound is a
+certified upper bound (given valid penalty rates) and the best inner value a
+lower bound, so the loop stops once they meet within the requested tolerance.
 
 Every returned incumbent is re-verified with one final independent inner
 solve; with heuristic penalty rates that re-solve is the certified lower
@@ -48,7 +48,6 @@ class SolveConfig:
     bounds_mode: str = HEURISTIC
     distance_mode: str = "haversine"
     big_m: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -84,21 +83,13 @@ def gap(state: MasterState, config: SolveConfig) -> float:
 
 
 def _build_master(net: Network, encoding: MasterEncoding, state: MasterState,
-                  load_cap: float) -> tuple[Model, np.ndarray]:
+                  load_cap: float) -> Model:
     mdl = Model("interdiction-master")
     mdl.add_var(lb=0.0, ub=load_cap, obj=-1.0)  # maximize the shed estimate
     off = 1
     mdl.add_vars(encoding.num_vars, lb=encoding.lb, ub=encoding.ub,
                  integer=encoding.integrality)
-    for cols, vals, lo, hi in encoding.rows:
-        shifted = np.asarray(cols) + off
-        if lo == hi:
-            mdl.add_eq(shifted, vals, lo)
-        else:
-            if np.isfinite(lo):
-                mdl.add_ge(shifted, vals, lo)
-            if np.isfinite(hi):
-                mdl.add_le(shifted, vals, hi)
+    mdl.add_rows(*encoding.row_block(), col_offset=off)
 
     x_cols = encoding.blocks["x"] + off
     col_of = {lid: int(x_cols[i]) for i, lid in enumerate(encoding.line_order)}
@@ -118,7 +109,7 @@ def _build_master(net: Network, encoding: MasterEncoding, state: MasterState,
             others = [c for c in all_cols if c not in hit]
             mdl.add_le(hit + others, [1.0] * len(hit) + [-1.0] * len(others),
                        len(visited) - 1)
-    return mdl, x_cols
+    return mdl
 
 
 def _extract_plan(net: Network, model: AttackerModel, encoding: MasterEncoding,
@@ -165,8 +156,7 @@ def solve_interdiction(
     seen: set[frozenset[int]] = set()
 
     while state.iterations < config.max_iters:
-        mdl, _ = _build_master(net, encoding, state, load_cap)
-        master = mdl.solve_milp(require_optimal=False)
+        master = _build_master(net, encoding, state, load_cap).solve_milp(require_optimal=False)
         if master.status == INFEASIBLE:
             if state.iterations == 0:
                 raise NoFeasibleAttackError(
@@ -179,7 +169,9 @@ def solve_interdiction(
         if not master.optimal:
             raise RuntimeError(
                 f"master solve failed at iteration {state.iterations + 1}: {master.status}")
-        master_obj = -master.objective
+        # HiGHS stops within its MIP gap of the master optimum; its dual bound,
+        # not the incumbent objective, is what bounds every remaining attack.
+        master_bound = -master.dual_bound
 
         plan = _extract_plan(net, model, encoding, master.x)
         if plan.lines in seen:
@@ -201,7 +193,7 @@ def solve_interdiction(
         # The master bounds only the attacks its exclusion cuts have not yet
         # retired, so the global upper bound is the larger of that and the
         # incumbent (and never increases).
-        state.eta_up = min(state.eta_up, max(master_obj, state.eta_star))
+        state.eta_up = min(state.eta_up, max(master_bound, state.eta_star))
         state.history.append({
             "iteration": state.iterations,
             "attack": list(plan.sorted_lines()),
@@ -214,12 +206,7 @@ def solve_interdiction(
             state.status = CONVERGED
             break
 
-        coefs = {}
-        for line in net.lines:
-            _, _, pi1, pi2 = bounds.line(line.id)
-            c = pi1 * inner.flow_neg(line.id) + pi2 * inner.flow_pos(line.id)
-            if c > 0.0:
-                coefs[line.id] = c
+        coefs = {lid: c for lid in net.line_ids() if (c := bounds.price(inner, lid)) > 0.0}
         state.cuts.append((inner.eta, coefs))
         state.nogood.append(plan.lines)
     else:

@@ -8,6 +8,12 @@ charged in the objective instead, at per-line penalty rates taken from a
 duals the two values coincide, which is the property the cutting-plane
 master relies on.
 
+Both LPs, and the flow-extreme relaxations in :mod:`nkshed.bounds`, are
+built by ``add_dc_network``: it adds the network's columns and flow-balance
+rows as sparse blocks from the cached incidence matrix and returns the
+per-line coupling block. Each caller then adds only its own bounds,
+right-hand sides and extra columns.
+
 Sign conventions: every line constraint is kept in ``>=`` canonical form so
 all four dual families (two for the flow/angle coupling, two for the thermal
 pair) are nonnegative at the optimum.
@@ -17,11 +23,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-from .backend import Model, BackendError
+from .backend import BackendError, Model
 from .netmodel import AttackerModel, Network
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,24 +110,6 @@ def _check_attack_lines(net: Network, attack: AttackPlan) -> np.ndarray:
     return x
 
 
-def _surviving_islands(net: Network, x: np.ndarray) -> np.ndarray:
-    """Island label per bus position under the surviving lines."""
-    n = len(net.buses)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    fr, to = net.endpoint_positions()
-    for e in range(len(net.lines)):
-        if x[e] < 0.5:
-            parent[find(fr[e])] = find(to[e])
-    return np.array([find(i) for i in range(n)])
-
-
 def _canonicalize_angles(net: Network, x: np.ndarray, flow: np.ndarray,
                          ang: np.ndarray, big_m: float) -> np.ndarray:
     """Exploit the per-island angle freedom to slacken interdicted couplings.
@@ -132,69 +121,83 @@ def _canonicalize_angles(net: Network, x: np.ndarray, flow: np.ndarray,
     Without this, a vertex solution routinely parks such rows exactly on the
     +-M bound and the slack diagnostic would cry wolf.
     """
-    island = _surviving_islands(net, x)
+    island = net.islands(x < 0.5)
     fr, to = net.endpoint_positions()
-    b = net.susceptance_vector()
-    inter = [e for e in range(len(net.lines))
-             if x[e] > 0.5 and island[fr[e]] != island[to[e]]]
-    if not inter:
+    inter = np.flatnonzero((x > 0.5) & (island[fr] != island[to]))
+    if not len(inter):
         return ang
-    roots = sorted({island[fr[e]] for e in inter} | {island[to[e]] for e in inter})
-    col = {r: i for i, r in enumerate(roots)}
+    k = len(inter)
+    roots, side = np.unique(np.concatenate([island[fr[inter]], island[to[inter]]]),
+                            return_inverse=True)
+    b = net.susceptance_vector()[inter]
+    base = flow[inter] + b * (ang[fr[inter]] - ang[to[inter]])
     mdl = Model("angle-canonicalization")
     c = mdl.add_vars(len(roots), lb=-np.inf, ub=np.inf)
-    u = mdl.add_vars(len(inter), lb=0.0, ub=big_m, obj=1.0)
-    for slot, e in enumerate(inter):
-        base = flow[e] + b[e] * (ang[fr[e]] - ang[to[e]])
-        cu, cv = c[col[island[fr[e]]]], c[col[island[to[e]]]]
-        # -u <= base + b*(c_u - c_v) <= u
-        mdl.add_ge([u[slot], cu, cv], [1.0, b[e], -b[e]], -base)
-        mdl.add_ge([u[slot], cu, cv], [1.0, -b[e], b[e]], base)
+    u = mdl.add_vars(k, lb=0.0, ub=big_m, obj=1.0)
+    # -u <= base + b*(c_u - c_v) <= u, as the >= rows u +- b*(c_u - c_v) >= -+base.
+    sgn = np.tile([1.0, -1.0], k)
+    bs = np.repeat(b, 2) * sgn
+    cols = np.column_stack([u, c[side[:k]], c[side[k:]]]).repeat(2, axis=0)
+    rows = sparse.coo_array(
+        (np.column_stack([np.ones(2 * k), bs, -bs]).ravel(),
+         (np.repeat(np.arange(2 * k), 3), cols.ravel())),
+        shape=(2 * k, mdl.num_vars))
+    mdl.add_rows(rows, -sgn * np.repeat(base, 2), np.inf)
     sol = mdl.solve_lp()
-    shift = np.zeros(len(net.buses))
-    for r, i in col.items():
-        shift[island == r] = sol.x[c[i]]
-    return ang + shift
+    offset = np.zeros(island.max() + 1)
+    offset[roots] = sol.x[c]
+    return ang + offset[island]
 
 
-def _build_inner_lp(net: Network, x: np.ndarray, big_m: float) -> tuple[Model, dict]:
+class DCColumns(NamedTuple):
+    """Model columns of one DC network, and its per-line coupling block.
+
+    ``coupling`` is ``[b * (e_fr - e_to) on angles | I on flow]`` in model
+    columns: row e reads ``flow_e + b_e * (ang_fr - ang_to)``.
+    """
+
+    shed: np.ndarray
+    gen: np.ndarray
+    ang: np.ndarray
+    flow: np.ndarray
+    coupling: sparse.coo_array
+
+
+def add_dc_network(mdl: Model, net: Network, shed_cost, flow_cap=np.inf) -> DCColumns:
+    """Append the DC network's columns and flow-balance rows to ``mdl``.
+
+    Columns come in the order shed fraction, generation, angle, flow, one
+    block each. The balance rows ``[diag(demand) | I | 0 | incidence]`` equal
+    the demand at every bus. The coupling block is returned unbounded, for
+    the caller to pin, relax or split per line.
+    """
     n, m = len(net.buses), len(net.lines)
     demand = net.demand_vector()
-    cap = net.gen_cap_vector()
-    b = net.susceptance_vector()
-    t = net.thermal_vector()
-    fr, to = net.endpoint_positions()
+    shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=shed_cost)
+    gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
+    ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
+    flow = mdl.add_vars(m, lb=-flow_cap, ub=flow_cap)
+    bus, line, inc = np.arange(n), np.arange(m), net.incidence
+    balance = sparse.coo_array(
+        (np.concatenate([demand, np.ones(n), inc.data]),
+         (np.concatenate([bus, bus, inc.row]), np.concatenate([shed, gen, flow[inc.col]]))),
+        shape=(n, mdl.num_vars))
+    mdl.add_rows(balance, demand, demand)
+    coupling = sparse.coo_array(
+        (np.concatenate([np.ones(m), -net.susceptance_vector()[inc.col] * inc.data]),
+         (np.concatenate([line, inc.col]), np.concatenate([flow, ang[inc.row]]))),
+        shape=(m, mdl.num_vars))
+    return DCColumns(shed, gen, ang, flow, coupling)
 
-    mdl = Model("load-shed")
-    v_shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=demand)
-    v_gen = mdl.add_vars(n, lb=0.0, ub=cap)
-    v_ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    v_flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
 
-    # Flow balance: gen + demand*shed - outflow + inflow = demand.
-    for i in range(n):
-        cols = [v_gen[i], v_shed[i]]
-        vals = [1.0, demand[i]]
-        for lid in net.adjacency[net.buses[i].id][0]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(-1.0)
-        for lid in net.adjacency[net.buses[i].id][1]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(1.0)
-        mdl.add_eq(cols, vals, demand[i])
-
-    rows = {"mu1": [], "mu2": [], "pi1": [], "pi2": []}
-    for e in range(m):
-        couple_cols = [v_flow[e], v_ang[fr[e]], v_ang[to[e]]]
-        couple_vals = [1.0, b[e], -b[e]]
-        rows["mu1"].append(mdl.add_ge(couple_cols, couple_vals, -big_m * x[e]))
-        rows["mu2"].append(mdl.add_ge(couple_cols, [-v for v in couple_vals], -big_m * x[e]))
-        cap_e = t[e] * (1.0 - x[e])
-        rows["pi1"].append(mdl.add_ge([v_flow[e]], [1.0], -cap_e))
-        rows["pi2"].append(mdl.add_ge([v_flow[e]], [-1.0], -cap_e))
-
-    layout = {"shed": v_shed, "gen": v_gen, "ang": v_ang, "flow": v_flow, "rows": rows}
-    return mdl, layout
+def line_pairs(dc: DCColumns) -> sparse.coo_array:
+    """Per line the rows coupling, -coupling, flow and -flow, in model columns."""
+    cpl, line = dc.coupling, np.arange(len(dc.flow))
+    return sparse.coo_array(
+        (np.concatenate([cpl.data, -cpl.data, np.ones(len(line)), -np.ones(len(line))]),
+         (np.concatenate([4 * cpl.row, 4 * cpl.row + 1, 4 * line + 2, 4 * line + 3]),
+          np.concatenate([cpl.col, cpl.col, dc.flow, dc.flow]))),
+        shape=(4 * len(line), cpl.shape[1]))
 
 
 def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) -> InnerSolution:
@@ -208,23 +211,25 @@ def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) ->
     """
     x = _check_attack_lines(net, attack)
     m_val = float(big_m if big_m is not None else net.big_M)
-    interdicted = [e for e in range(len(net.lines)) if x[e] > 0.5]
+    b = net.susceptance_vector()
+    fr, to = net.endpoint_positions()
+    cap = net.thermal_vector() * (1.0 - x)
 
     for attempt in range(_MAX_M_DOUBLINGS + 1):
-        mdl, layout = _build_inner_lp(net, x, m_val)
+        mdl = Model("load-shed")
+        dc = add_dc_network(mdl, net, net.demand_vector())
+        # The >= rows mu1, mu2, pi1, pi2 of each line in turn.
+        relax = -m_val * x
+        rows = mdl.add_rows(line_pairs(dc), np.column_stack([relax, relax, -cap, -cap]).ravel(),
+                            np.inf)
         try:
             sol = mdl.solve_lp()
         except BackendError as err:
             raise BackendError(f"inner solve failed for attack {sorted(attack.lines)}: {err}") from err
-        b = net.susceptance_vector()
-        fr, to = net.endpoint_positions()
-        flow = sol.x[layout["flow"]]
-        ang = _canonicalize_angles(net, x, flow, sol.x[layout["ang"]], m_val)
+        flow = sol.x[dc.flow]
+        ang = _canonicalize_angles(net, x, flow, sol.x[dc.ang], m_val)
         couple = flow + b * (ang[fr] - ang[to])
-        ok = all(
-            couple[e] + m_val >= BIG_M_SLACK_MIN and m_val - couple[e] >= BIG_M_SLACK_MIN
-            for e in interdicted
-        )
+        ok = bool(np.all(m_val - np.abs(couple[x > 0.5]) >= BIG_M_SLACK_MIN))
         if ok or attempt == _MAX_M_DOUBLINGS:
             if not ok:
                 warnings.warn(
@@ -235,25 +240,20 @@ def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) ->
             break
         m_val *= 2.0
 
-    shed = sol.x[layout["shed"]]
-    rows = layout["rows"]
-    duals_mu = {}
-    duals_pi = {}
-    for e, line in enumerate(net.lines):
-        duals_mu[line.id] = (float(sol.dual_ge[rows["mu1"][e]]), float(sol.dual_ge[rows["mu2"][e]]))
-        duals_pi[line.id] = (float(sol.dual_ge[rows["pi1"][e]]), float(sol.dual_ge[rows["pi2"][e]]))
+    bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
+    duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2).tolist()
     return InnerSolution(
         eta=float(sol.objective),
-        shed={bus.id: float(shed[i]) for i, bus in enumerate(net.buses)},
-        flow={line.id: float(flow[e]) for e, line in enumerate(net.lines)},
-        gen={bus.id: float(sol.x[layout["gen"][i]]) for i, bus in enumerate(net.buses)},
-        angle={bus.id: float(ang[i]) for i, bus in enumerate(net.buses)},
-        duals_mu=duals_mu,
-        duals_pi=duals_pi,
+        shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
+        flow=dict(zip(line_ids, flow.tolist())),
+        gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
+        angle=dict(zip(bus_ids, ang.tolist())),
+        duals_mu={lid: tuple(d[0]) for lid, d in zip(line_ids, duals)},
+        duals_pi={lid: tuple(d[1]) for lid, d in zip(line_ids, duals)},
         status=sol.status,
         attack=attack,
         big_m_used=m_val,
-        big_m_ok=bool(ok),
+        big_m_ok=ok,
     )
 
 
@@ -273,43 +273,26 @@ def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds"
         for rate in bounds.line(lid):
             if not np.isfinite(rate) or rate < 0:
                 raise ValueError(f"penalty rate for line {lid} must be finite and >= 0")
-
-    n, m = len(net.buses), len(net.lines)
-    demand = net.demand_vector()
-    b = net.susceptance_vector()
-    t = net.thermal_vector()
-    fr, to = net.endpoint_positions()
     m_val = float(big_m if big_m is not None else net.big_M)
 
     mdl = Model("load-shed-penalized")
-    v_shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=demand)
-    v_gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
-    v_ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    v_flow = mdl.add_vars(m, lb=-t, ub=t)
-
-    for i in range(n):
-        cols = [v_gen[i], v_shed[i]]
-        vals = [1.0, demand[i]]
-        for lid in net.adjacency[net.buses[i].id][0]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(-1.0)
-        for lid in net.adjacency[net.buses[i].id][1]:
-            cols.append(v_flow[net.line_pos[lid]])
-            vals.append(1.0)
-        mdl.add_eq(cols, vals, demand[i])
-
-    for e, line in enumerate(net.lines):
-        couple_cols = [v_flow[e], v_ang[fr[e]], v_ang[to[e]]]
-        couple_vals = [1.0, b[e], -b[e]]
-        if x[e] > 0.5:
-            mdl.add_ge(couple_cols, couple_vals, -m_val)
-            mdl.add_ge(couple_cols, [-v for v in couple_vals], -m_val)
-            pi1, pi2 = bounds.line(line.id)[2], bounds.line(line.id)[3]
-            s_pos = mdl.add_var(lb=0.0, obj=pi2)
-            s_neg = mdl.add_var(lb=0.0, obj=pi1)
-            mdl.add_eq([v_flow[e], s_pos, s_neg], [1.0, -1.0, 1.0], 0.0)
-        else:
-            mdl.add_eq(couple_cols, couple_vals, 0.0)
+    dc = add_dc_network(mdl, net, net.demand_vector(), net.thermal_vector())
+    cut = x > 0.5
+    inter = np.flatnonzero(cut)
+    k = len(inter)
+    rates = np.array([bounds.line(net.lines[e].id) for e in inter]).reshape(k, 2)
+    # Per interdicted line: s+ priced at pi2, then s- priced at pi1.
+    split = mdl.add_vars(2 * k, lb=0.0, obj=rates[:, ::-1].ravel())
+    # Surviving lines: coupling == 0. Interdicted lines: flow - s+ + s- == 0.
+    cpl = dc.coupling
+    keep = ~cut[cpl.row] | (cpl.col == dc.flow[cpl.row])
+    per_line = sparse.coo_array(
+        (np.concatenate([cpl.data[keep], np.tile([-1.0, 1.0], k)]),
+         (np.concatenate([cpl.row[keep], np.repeat(inter, 2)]),
+          np.concatenate([cpl.col[keep], split]))),
+        shape=(len(net.lines), mdl.num_vars))
+    mdl.add_rows(per_line, 0.0, 0.0)
+    mdl.add_rows(cpl.tocsr()[inter], -m_val, m_val)
 
     sol = mdl.solve_lp()
     return float(sol.objective)
@@ -322,8 +305,4 @@ def cut_rhs(sol: InnerSolution, bounds: "DualBounds", candidate: AttackPlan) -> 
     negative part priced at the line's first thermal-dual bound and positive
     part at the second.
     """
-    value = sol.eta
-    for lid in candidate.lines:
-        _, _, pi1, pi2 = bounds.line(lid)
-        value += pi1 * sol.flow_neg(lid) + pi2 * sol.flow_pos(lid)
-    return float(value)
+    return float(sum((bounds.price(sol, lid) for lid in candidate.lines), sol.eta))

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Bus",
@@ -97,8 +99,10 @@ class Network:
 
     ``adjacency`` maps each bus id to ``(out_line_ids, in_line_ids)`` where a
     line (i, j) appears once in bus i's out list and once in bus j's in list.
-    ``big_M`` relaxes the flow/angle coupling on interdicted lines; by default
-    it is the total system demand.
+    ``incidence`` is the same map as a sparse bus-by-line matrix in position
+    order: -1 at a line's from bus, +1 at its to bus. ``big_M`` relaxes the
+    flow/angle coupling on interdicted lines; by default it is the total
+    system demand.
     """
 
     buses: tuple[Bus, ...]
@@ -109,6 +113,9 @@ class Network:
     # Derived index arrays, filled in __post_init__ (positional, solver-facing).
     bus_pos: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     line_pos: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    # Solver-facing arrays, read-only, also filled in __post_init__.
+    incidence: sparse.coo_array = field(init=False, repr=False, compare=False)
+    _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bus_ids = [b.id for b in self.buses]
@@ -121,6 +128,23 @@ class Network:
         for line in self.lines:
             if line.from_bus not in self.bus_pos or line.to_bus not in self.bus_pos:
                 raise ValueError(f"line {line.id} references unknown bus")
+        arrays = {
+            "demand": np.array([b.demand for b in self.buses], dtype=float),
+            "gen_cap": np.array([b.gen_cap for b in self.buses], dtype=float),
+            "susceptance": np.array([l.susceptance for l in self.lines], dtype=float),
+            "thermal": np.array([l.thermal for l in self.lines], dtype=float),
+            "fr": np.array([self.bus_pos[l.from_bus] for l in self.lines], dtype=int),
+            "to": np.array([self.bus_pos[l.to_bus] for l in self.lines], dtype=int),
+        }
+        for a in arrays.values():
+            a.flags.writeable = False
+        m = len(self.lines)
+        incidence = sparse.coo_array(
+            (np.repeat([-1.0, 1.0], m),
+             (np.concatenate([arrays["fr"], arrays["to"]]), np.tile(np.arange(m), 2))),
+            shape=(len(self.buses), m))
+        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "incidence", incidence)
 
     @staticmethod
     def build(buses: list[Bus] | tuple[Bus, ...],
@@ -142,43 +166,36 @@ class Network:
     # -- solver-facing array views ------------------------------------------------
 
     def demand_vector(self) -> np.ndarray:
-        return np.array([b.demand for b in self.buses], dtype=float)
+        return self._arrays["demand"]
 
     def gen_cap_vector(self) -> np.ndarray:
-        return np.array([b.gen_cap for b in self.buses], dtype=float)
+        return self._arrays["gen_cap"]
 
     def susceptance_vector(self) -> np.ndarray:
-        return np.array([l.susceptance for l in self.lines], dtype=float)
+        return self._arrays["susceptance"]
 
     def thermal_vector(self) -> np.ndarray:
-        return np.array([l.thermal for l in self.lines], dtype=float)
+        return self._arrays["thermal"]
 
     def endpoint_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        fr = np.array([self.bus_pos[l.from_bus] for l in self.lines], dtype=int)
-        to = np.array([self.bus_pos[l.to_bus] for l in self.lines], dtype=int)
-        return fr, to
+        return self._arrays["fr"], self._arrays["to"]
 
     def line_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.lines)
 
-    def neighbors(self, bus_id: int) -> set[int]:
-        """Buses joined to ``bus_id`` by at least one line."""
-        out, inc = self.adjacency[bus_id]
-        n: set[int] = set()
-        for lid in out:
-            n.add(self.lines[self.line_pos[lid]].to_bus)
-        for lid in inc:
-            n.add(self.lines[self.line_pos[lid]].from_bus)
-        return n
+    def islands(self, in_service: np.ndarray) -> np.ndarray:
+        """Island label per bus position, joined only by the lines where ``in_service``."""
+        fr, to = self.endpoint_positions()
+        n = len(self.buses)
+        links = sparse.coo_array((np.ones(in_service.sum()), (fr[in_service], to[in_service])),
+                                 shape=(n, n))
+        return connected_components(links, directed=False)[1]
 
     def with_buses(self, buses: tuple[Bus, ...]) -> "Network":
         """Copy of this network with replaced bus records (same ids required)."""
         if tuple(b.id for b in buses) != tuple(b.id for b in self.buses):
             raise ValueError("bus id set must be unchanged")
         return Network(buses, self.lines, self.adjacency, self.big_M)
-
-    def all_geolocated(self) -> bool:
-        return all(b.has_geo for b in self.buses)
 
 
 def total_load(net: Network) -> float:

@@ -16,20 +16,18 @@ def test_heuristic_all_ones(mesh8):
     hb = heuristic_bounds(mesh8)
     assert hb.mode == "heuristic"
     for lid in mesh8.line_ids():
-        assert hb.line(lid) == (0.0, 0.0, 1.0, 1.0)
+        assert hb.line(lid) == (1.0, 1.0)
 
 
 def test_heuristic_empty_line_set():
     net = Network.build([Bus(1, 1.0, 1.0)], [])
     hb = heuristic_bounds(net)
-    assert hb.pi1 == {} and hb.pi2 == {} and hb.mu1 == {} and hb.mu2 == {}
+    assert hb.pi1 == {} and hb.pi2 == {}
 
 
-def test_bounds_reject_negative_or_nonzero_mu():
+def test_bounds_reject_negative_rate():
     with pytest.raises(ValueError, match=">= 0"):
-        DualBounds(pi1={1: -1.0}, pi2={1: 1.0}, mu1={1: 0.0}, mu2={1: 0.0}, mode="valid")
-    with pytest.raises(ValueError, match="fixed to zero"):
-        DualBounds(pi1={1: 1.0}, pi2={1: 1.0}, mu1={1: 0.5}, mu2={1: 0.0}, mode="valid")
+        DualBounds(pi1={1: -1.0}, pi2={1: 1.0}, mode="valid")
 
 
 def test_valid_bounds_two_bus_fallback(two_bus):
@@ -40,7 +38,6 @@ def test_valid_bounds_two_bus_fallback(two_bus):
     assert fwd == pytest.approx(two_bus.lines[0].thermal, abs=1e-6)
     assert vb.pi1[1] == pytest.approx(1.0)  # total load
     assert vb.pi2[1] == pytest.approx(1.0)
-    assert vb.mu1[1] == 0.0 and vb.mu2[1] == 0.0
     assert vb.mode == "valid"
 
 

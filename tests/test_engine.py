@@ -1,9 +1,13 @@
 """Constraint-generation engine: convergence, bounds discipline, edge paths."""
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from nkshed import backend
 from nkshed import fixtures as fx
 from nkshed.attackers import compute_phi
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
@@ -160,3 +164,51 @@ def test_config_validation():
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolveConfig(bounds_mode="magic")
+
+
+def _tiny_milp() -> backend.Solution:
+    mdl = backend.Model("tiny")
+    x = mdl.add_vars(2, ub=1.0, obj=-1.0, integer=True)
+    mdl.add_le(x, [1.0, 1.0], 1.0)
+    return mdl.solve_milp()
+
+
+def _noisy_milp(monkeypatch):
+    # HiGHS's MIP solver writes some diagnostics straight to file descriptor 1.
+    real_milp = backend.milp
+
+    def noisy_milp(*args, **kwargs):
+        os.write(1, b"solver noise on fd 1\n")
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "milp", noisy_milp)
+
+
+def test_milp_solver_output_goes_to_stderr(monkeypatch, capfd):
+    _noisy_milp(monkeypatch)
+    sol = _tiny_milp()
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "solver noise on fd 1" in err
+    assert sol.objective == pytest.approx(-1.0)
+    assert sol.dual_bound <= sol.objective + 1e-9
+
+
+def test_concurrent_milp_solves_restore_stdout(monkeypatch, capfd):
+    # Threads share one fd-1 redirection; a lost update to its user count
+    # would leave fd 1 pointing at stderr after every solve has returned.
+    _noisy_milp(monkeypatch)
+    workers, solves = (os.cpu_count() or 1) + 2, 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_tiny_milp) for _ in range(workers * solves)]
+            for f in futures:
+                assert f.result(timeout=60).objective == pytest.approx(-1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    os.write(1, b"after\n")
+    out, err = capfd.readouterr()
+    assert out == "after\n"
+    assert err.count("solver noise on fd 1") == workers * solves

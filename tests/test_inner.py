@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
 from nkshed.attackers import encode_feasible_set
-from nkshed.bounds import heuristic_bounds, valid_bounds
+from nkshed.bounds import DualBounds, heuristic_bounds, valid_bounds
 from nkshed.inner import AttackPlan, cut_rhs, solve_inner, solve_penalized_inner
-from nkshed.netmodel import AttackerModel, total_load
+from nkshed.netmodel import AttackerModel, Network, total_load
 from reference_lp import reference_eta
 
 TOL = 1e-6
@@ -109,6 +110,36 @@ def test_penalized_equals_exact_with_valid_bounds(name):
         eta = solve_inner(net, AttackPlan.of(attack)).eta
         eta_r = solve_penalized_inner(net, AttackPlan.of(attack), vb)
         assert eta_r == pytest.approx(eta, abs=TOL), attack
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_reversed_relabelled_lines_give_same_eta(name):
+    # The new ids are not positions + 1 and fall as positions rise, and the
+    # second rate set differs per line, so an id-for-position mix-up in the
+    # LP builders changes an answer.
+    net = fx.FIXTURES[name]()
+    relabel = {l.id: 10 * l.id + 3 for l in net.lines}
+    other = Network.build(list(net.buses),
+                          [replace(l, id=relabel[l.id]) for l in reversed(net.lines)])
+    ids = [l.id for l in net.lines]
+    k = min(2, len(ids))
+    pi1 = {lid: 0.1 * (i + 1) for i, lid in enumerate(ids)}
+    pi2 = {lid: 0.3 / (i + 1) for i, lid in enumerate(ids)}
+    rate_pairs = [
+        (valid_bounds(net, encode_feasible_set(net, AttackerModel.traditional(k))),
+         valid_bounds(other, encode_feasible_set(other, AttackerModel.traditional(k)))),
+        (DualBounds(pi1, pi2, mode="heuristic"),
+         DualBounds({relabel[l]: v for l, v in pi1.items()},
+                    {relabel[l]: v for l, v in pi2.items()}, mode="heuristic")),
+    ]
+    rng = random.Random(5)
+    for attack in [[]] + [rng.sample(ids, rng.randint(1, k)) for _ in range(6)]:
+        plan, moved = AttackPlan.of(attack), AttackPlan.of(relabel[lid] for lid in attack)
+        eta = solve_inner(net, plan).eta
+        assert solve_inner(other, moved).eta == pytest.approx(eta, abs=TOL), attack
+        for rates, rates_other in rate_pairs:
+            assert solve_penalized_inner(other, moved, rates_other) == pytest.approx(
+                solve_penalized_inner(net, plan, rates), abs=TOL), attack
 
 
 def test_penalized_two_bus_with_total_load_constants(two_bus):

@@ -1,5 +1,6 @@
 """Case parsing, geolocation ingestion, and network invariants."""
 
+import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
@@ -128,15 +129,20 @@ def test_serialize_round_trip(name):
 def test_adjacency_partitions_incidence(name):
     net = fx.FIXTURES[name]()
     seen_out, seen_in = [], []
+    expected = np.zeros((len(net.buses), len(net.lines)))
     for bus_id, (out, inc) in net.adjacency.items():
         for lid in out:
             assert net.lines[net.line_pos[lid]].from_bus == bus_id
             seen_out.append(lid)
+            expected[net.bus_pos[bus_id], net.line_pos[lid]] -= 1.0
         for lid in inc:
             assert net.lines[net.line_pos[lid]].to_bus == bus_id
             seen_in.append(lid)
+            expected[net.bus_pos[bus_id], net.line_pos[lid]] += 1.0
     assert sorted(seen_out) == sorted(l.id for l in net.lines)
     assert sorted(seen_in) == sorted(l.id for l in net.lines)
+    # The cached sparse incidence is the same map in position order.
+    assert np.array_equal(net.incidence.toarray(), expected)
 
 
 def test_geo_parse_and_errors(two_bus):
