@@ -47,7 +47,6 @@ class SolveConfig:
     max_iters: int = 10000
     bounds_mode: str = HEURISTIC
     distance_mode: str = "haversine"
-    big_m: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -180,7 +179,7 @@ def solve_interdiction(
         seen.add(plan.lines)
 
         try:
-            inner = solve_inner(net, plan, big_m=config.big_m)
+            inner = solve_inner(net, plan)
         except Exception as err:
             raise RuntimeError(
                 f"inner solve failed at iteration {state.iterations + 1} "
@@ -215,6 +214,6 @@ def solve_interdiction(
     if state.incumbent_x is None:  # pragma: no cover - master infeasible handled above
         raise NoFeasibleAttackError("no attack was evaluated")
 
-    recheck = solve_inner(net, state.incumbent_x, big_m=config.big_m)
+    recheck = solve_inner(net, state.incumbent_x)
     state.eta_star_recheck = recheck.eta
     return state.incumbent_x, state.eta_star, state

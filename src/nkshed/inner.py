@@ -1,9 +1,11 @@
 """Defender response: minimum load shed under DC power flow for a fixed attack.
 
-``solve_inner`` solves the load-shed LP exactly. ``solve_penalized_inner``
-solves the penalty reformulation in which the flow/angle coupling and the
-thermal pinning of interdicted lines are dropped from the constraints and
-charged in the objective instead, at per-line penalty rates taken from a
+``solve_inner`` solves the load-shed LP exactly. It relaxes each interdicted
+line's flow/angle coupling to a +-M band, certifies M by that band's duals,
+and references angles per island. ``solve_penalized_inner`` solves the
+penalty reformulation in which the flow/angle coupling and the thermal
+pinning of interdicted lines are dropped from the constraints and charged in
+the objective instead, at per-line penalty rates taken from a
 :class:`~nkshed.bounds.DualBounds`. With rates that dominate the optimal
 duals the two values coincide, which is the property the cutting-plane
 master relies on.
@@ -36,9 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "solve_penalized_inner", "cut_rhs"]
 
-# Interdicted-line coupling rows must be slack by at least this much for the
-# zero-dual property of those rows to be trusted.
-BIG_M_SLACK_MIN = 1e-4
+# The +-M band of an interdicted line's coupling is accepted once both its
+# duals are at most this; otherwise M is doubled, at most this many times.
+_BAND_DUAL_TOL = 1e-8
 _MAX_M_DOUBLINGS = 10
 
 
@@ -110,45 +112,6 @@ def _check_attack_lines(net: Network, attack: AttackPlan) -> np.ndarray:
     return x
 
 
-def _canonicalize_angles(net: Network, x: np.ndarray, flow: np.ndarray,
-                         ang: np.ndarray, big_m: float) -> np.ndarray:
-    """Exploit the per-island angle freedom to slacken interdicted couplings.
-
-    Angles are only determined up to a constant per island of the surviving
-    network. Shifting those constants leaves every surviving line's coupling
-    untouched and rescales nothing else, so we pick the shifts that minimize
-    the coupling magnitudes of interdicted lines that straddle islands.
-    Without this, a vertex solution routinely parks such rows exactly on the
-    +-M bound and the slack diagnostic would cry wolf.
-    """
-    island = net.islands(x < 0.5)
-    fr, to = net.endpoint_positions()
-    inter = np.flatnonzero((x > 0.5) & (island[fr] != island[to]))
-    if not len(inter):
-        return ang
-    k = len(inter)
-    roots, side = np.unique(np.concatenate([island[fr[inter]], island[to[inter]]]),
-                            return_inverse=True)
-    b = net.susceptance_vector()[inter]
-    base = flow[inter] + b * (ang[fr[inter]] - ang[to[inter]])
-    mdl = Model("angle-canonicalization")
-    c = mdl.add_vars(len(roots), lb=-np.inf, ub=np.inf)
-    u = mdl.add_vars(k, lb=0.0, ub=big_m, obj=1.0)
-    # -u <= base + b*(c_u - c_v) <= u, as the >= rows u +- b*(c_u - c_v) >= -+base.
-    sgn = np.tile([1.0, -1.0], k)
-    bs = np.repeat(b, 2) * sgn
-    cols = np.column_stack([u, c[side[:k]], c[side[k:]]]).repeat(2, axis=0)
-    rows = sparse.coo_array(
-        (np.column_stack([np.ones(2 * k), bs, -bs]).ravel(),
-         (np.repeat(np.arange(2 * k), 3), cols.ravel())),
-        shape=(2 * k, mdl.num_vars))
-    mdl.add_rows(rows, -sgn * np.repeat(base, 2), np.inf)
-    sol = mdl.solve_lp()
-    offset = np.zeros(island.max() + 1)
-    offset[roots] = sol.x[c]
-    return ang + offset[island]
-
-
 class DCColumns(NamedTuple):
     """Model columns of one DC network, and its per-line coupling block.
 
@@ -200,19 +163,23 @@ def line_pairs(dc: DCColumns) -> sparse.coo_array:
         shape=(4 * len(line), cpl.shape[1]))
 
 
-def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) -> InnerSolution:
+def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     """Minimum load shed with the attacked lines removed.
 
     Always feasible (the operator can shed everything), so the result is
-    optimal or an exception is raised. After solving, the relaxed coupling
-    rows of every interdicted line are checked for slack; if any is within
-    ``BIG_M_SLACK_MIN`` of binding, the big-M is doubled and the LP re-solved
-    (at most 10 doublings) so the zero-dual property of those rows holds.
+    optimal or an exception is raised. The coupling of each interdicted line
+    is relaxed to a +-M band, starting at ``net.big_M``. A solve is accepted
+    once both band duals of every interdicted line are at most 1e-8: an
+    optimum whose band duals vanish is optimal for the LP without the bands,
+    so eta is the shed of the removed lines. Otherwise M is doubled and the
+    LP re-solved, at most 10 times. ``big_m_used`` is the M of the accepted
+    solve and ``big_m_ok`` whether its band duals vanished. Angles are
+    reported relative to the first bus of each island of the surviving
+    network.
     """
     x = _check_attack_lines(net, attack)
-    m_val = float(big_m if big_m is not None else net.big_M)
-    b = net.susceptance_vector()
-    fr, to = net.endpoint_positions()
+    cut = x > 0.5
+    m_val = float(net.big_M)
     cap = net.thermal_vector() * (1.0 - x)
 
     for attempt in range(_MAX_M_DOUBLINGS + 1):
@@ -226,26 +193,28 @@ def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) ->
             sol = mdl.solve_lp()
         except BackendError as err:
             raise BackendError(f"inner solve failed for attack {sorted(attack.lines)}: {err}") from err
-        flow = sol.x[dc.flow]
-        ang = _canonicalize_angles(net, x, flow, sol.x[dc.ang], m_val)
-        couple = flow + b * (ang[fr] - ang[to])
-        ok = bool(np.all(m_val - np.abs(couple[x > 0.5]) >= BIG_M_SLACK_MIN))
+        duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2)
+        ok = bool(np.all(np.abs(duals[cut, 0]) <= _BAND_DUAL_TOL))
         if ok or attempt == _MAX_M_DOUBLINGS:
             if not ok:
                 warnings.warn(
-                    f"big-M slack below {BIG_M_SLACK_MIN} after {_MAX_M_DOUBLINGS} doublings; "
-                    "interdicted-line duals may be unreliable",
+                    f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
+                    f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
                     RuntimeWarning,
                 )
             break
         m_val *= 2.0
 
+    # Angles are fixed up to one constant per island: zero each island's first bus.
+    island = net.islands(~cut)
+    ang = sol.x[dc.ang]
+    ang = ang - ang[np.unique(island, return_index=True)[1]][island]
     bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
-    duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2).tolist()
+    duals = duals.tolist()
     return InnerSolution(
         eta=float(sol.objective),
         shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
-        flow=dict(zip(line_ids, flow.tolist())),
+        flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
         gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
         angle=dict(zip(bus_ids, ang.tolist())),
         duals_mu={lid: tuple(d[0]) for lid, d in zip(line_ids, duals)},
@@ -257,8 +226,7 @@ def solve_inner(net: Network, attack: AttackPlan, big_m: float | None = None) ->
     )
 
 
-def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds",
-                          big_m: float | None = None) -> float:
+def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds") -> float:
     """Optimal value of the penalty reformulation of the load-shed LP.
 
     Surviving lines keep their flow/angle coupling as a hard equality and
@@ -273,7 +241,6 @@ def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds"
         for rate in bounds.line(lid):
             if not np.isfinite(rate) or rate < 0:
                 raise ValueError(f"penalty rate for line {lid} must be finite and >= 0")
-    m_val = float(big_m if big_m is not None else net.big_M)
 
     mdl = Model("load-shed-penalized")
     dc = add_dc_network(mdl, net, net.demand_vector(), net.thermal_vector())
@@ -292,7 +259,7 @@ def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds"
           np.concatenate([cpl.col[keep], split]))),
         shape=(len(net.lines), mdl.num_vars))
     mdl.add_rows(per_line, 0.0, 0.0)
-    mdl.add_rows(cpl.tocsr()[inter], -m_val, m_val)
+    mdl.add_rows(cpl.tocsr()[inter], -net.big_M, net.big_M)
 
     sol = mdl.solve_lp()
     return float(sol.objective)

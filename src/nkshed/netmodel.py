@@ -100,9 +100,9 @@ class Network:
     ``adjacency`` maps each bus id to ``(out_line_ids, in_line_ids)`` where a
     line (i, j) appears once in bus i's out list and once in bus j's in list.
     ``incidence`` is the same map as a sparse bus-by-line matrix in position
-    order: -1 at a line's from bus, +1 at its to bus. ``big_M`` relaxes the
-    flow/angle coupling on interdicted lines; by default it is the total
-    system demand.
+    order: -1 at a line's from bus, +1 at its to bus. ``big_M`` is the first
+    band on the flow/angle coupling of interdicted lines; by default it is
+    the total system demand.
     """
 
     buses: tuple[Bus, ...]

@@ -53,7 +53,6 @@ def solve_exhaustive(
     footprint: SpatialFootprint | None = None,
     budget: int = 200_000,
     keep_ranking: bool = False,
-    big_m: float | None = None,
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
 
@@ -80,7 +79,7 @@ def solve_exhaustive(
             allowed = spatial_centers(net, footprint, subset)
             center = model.center_bus if model.center_bus is not None else min(allowed)
         plan = AttackPlan(frozenset(subset), center, model)
-        eta = solve_inner(net, plan, big_m=big_m).eta
+        eta = solve_inner(net, plan).eta
         evaluated += 1
         key = (eta, tuple(sorted(subset)))
         if keep_ranking:

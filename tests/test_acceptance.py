@@ -99,25 +99,18 @@ def test_criterion_2_penalized_equivalence():
 
 
 def test_criterion_3_interdicted_coupling_duals_vanish():
-    """Interdicted-line coupling duals are numerically zero once M has slack."""
+    """Interdicted-line coupling duals are numerically zero on every sampled attack."""
     rng = random.Random(5150)
-    passing = 0
-    attempts = 0
-    while passing < 50 and attempts < 400:
-        attempts += 1
+    for _ in range(50):
         name = rng.choice(FIXTURE_NAMES)
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
         sol = solve_inner(net, AttackPlan.of(attack))
-        if not sol.big_m_ok:
-            continue
+        assert sol.big_m_ok, (name, attack)
         for lid in attack:
             mu1, mu2 = sol.duals_mu[lid]
             assert abs(mu1) <= 1e-8 and abs(mu2) <= 1e-8, (name, attack, lid)
-        passing += 1
-    assert passing >= 50
-    print(f"\n[criterion 3] PASS zero coupling duals on {passing} diagnosed attacks "
-          f"({attempts} sampled)")
+    print("\n[criterion 3] PASS zero coupling duals on 50 sampled attacks")
 
 
 def test_criterion_4_cut_validity():

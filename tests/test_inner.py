@@ -1,6 +1,7 @@
 """Inner load-shed LP: examples, duals, penalized equivalence, cut pricing."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
 from nkshed.attackers import encode_feasible_set
+from nkshed.backend import Model
 from nkshed.bounds import DualBounds, heuristic_bounds, valid_bounds
 from nkshed.inner import AttackPlan, cut_rhs, solve_inner, solve_penalized_inner
 from nkshed.netmodel import AttackerModel, Network, total_load
@@ -91,10 +93,46 @@ def test_duals_nonnegative_and_interdicted_mu_zero(mesh8):
         sol = solve_inner(mesh8, AttackPlan.of(attack))
         for pair in list(sol.duals_mu.values()) + list(sol.duals_pi.values()):
             assert pair[0] >= -TOL and pair[1] >= -TOL
-        if sol.big_m_ok:
-            for lid in attack:
-                assert abs(sol.duals_mu[lid][0]) <= 1e-8
-                assert abs(sol.duals_mu[lid][1]) <= 1e-8
+        assert sol.big_m_ok, attack
+        for lid in attack:
+            assert abs(sol.duals_mu[lid][0]) <= 1e-8
+            assert abs(sol.duals_mu[lid][1]) <= 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_each_extra_lp_doubles_big_m_and_eta_is_band_free(name, monkeypatch):
+    # Every LP after the first must be a big-M doubling, and the certified eta
+    # must equal the shed of an effectively band-free reference LP.
+    net = fx.FIXTURES[name]()
+    calls = []
+    solve_lp = Model.solve_lp
+    monkeypatch.setattr(Model, "solve_lp", lambda self: calls.append(self) or solve_lp(self))
+    ids = [l.id for l in net.lines]
+    for attack in itertools.chain.from_iterable(
+            itertools.combinations(ids, k) for k in range(4)):
+        calls.clear()
+        sol = solve_inner(net, AttackPlan.of(attack))
+        assert len(calls) == 1 + math.log2(sol.big_m_used / net.big_M), attack
+        assert sol.big_m_ok, attack
+        ref = reference_eta(net, list(attack), big_m=1e4 * net.big_M)
+        assert sol.eta == pytest.approx(ref, abs=1e-9), attack
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_angles_zero_at_first_bus_of_each_island(name):
+    net = fx.FIXTURES[name]()
+    ids = [l.id for l in net.lines]
+    for attack in itertools.chain.from_iterable(
+            itertools.combinations(ids, k) for k in range(3)):
+        sol = solve_inner(net, AttackPlan.of(attack))
+        island = net.islands(np.array([l.id not in attack for l in net.lines]))
+        for label in set(island.tolist()):
+            first = net.buses[int(np.flatnonzero(island == label)[0])]
+            assert sol.angle[first.id] == 0.0, (attack, first.id)
+        for line in net.lines:
+            if line.id not in attack:
+                theta = sol.angle[line.from_bus] - sol.angle[line.to_bus]
+                assert abs(sol.flow[line.id] + line.susceptance * theta) <= 1e-9, attack
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
