@@ -1,13 +1,22 @@
-"""Thin LP/MILP layer over scipy's HiGHS interface.
+"""Thin LP/MILP layer over HiGHS, as shipped with scipy.
 
 Rows enter a :class:`Model` as sparse blocks ``lo <= A x <= hi`` and reach
 HiGHS in one of two canonical senses: a row with ``lo == hi`` is an
 equality, and every other finite side is one greater-or-equal row, an upper
 side negated. For a minimization LP the dual of a ``>=`` row is then
 nonnegative, which is the convention the load-shed duals and their upper
-bounds are stated in. HiGHS receives the equalities, then the ``>=`` rows,
-each in the order they were added. HiGHS is simplex-based, so LP duals are
-exact basic solutions, and runs are deterministic for fixed inputs.
+bounds are stated in.
+
+LPs go through the HiGHS binding vendored in scipy
+(``scipy.optimize._highspy._core``). The first ``solve_lp`` passes HiGHS the
+LP ``linprog(method="highs")`` would: the ``>=`` rows negated into ``<=``
+form, then the equalities, each in the order they were added, with presolve
+on and the dual simplex. The HiGHS model then lives with the :class:`Model`;
+``set_row_bounds`` edits its row bounds in place, and every solve clears
+HiGHS's solver state first, so each one is a cold solve of exactly the LP a
+fresh :class:`Model` would pass. MILPs go through the public ``milp``, which
+receives the equalities, then the ``>=`` rows. HiGHS is simplex-based, so LP
+duals are exact basic solutions, and runs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs
 
 __all__ = ["Model", "Solution", "BackendError", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
 
@@ -30,7 +40,13 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 FAILED = "failed"
 
-_LP_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_MILP_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_LP_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+              highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+              highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+# The options linprog(method="highs") sets: presolve on, dual simplex, quiet.
+_LP_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
+               "simplex_strategy": 1, "highs_debug_level": 0}
 
 _fflush = ctypes.CDLL(None).fflush
 _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
@@ -100,6 +116,8 @@ class Model:
         self._rows = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0),
                        np.zeros(0), np.zeros(0))]
         self.num_rows = 0
+        # The live HiGHS LP, built by the first solve_lp; see _pass_lp.
+        self._lp = None
 
     # -- variables ---------------------------------------------------------------
 
@@ -114,6 +132,7 @@ class Model:
     def add_vars(self, n: int, lb=0.0, ub=np.inf, obj=0.0, integer=False) -> np.ndarray:
         """Append a block of n variables; scalar or per-variable bounds/costs."""
         start = len(self._obj)
+        self._lp = None
         self._obj.extend(np.broadcast_to(obj, n).astype(float))
         self._lb.extend(np.broadcast_to(lb, n).astype(float))
         self._ub.extend(np.broadcast_to(ub, n).astype(float))
@@ -121,6 +140,7 @@ class Model:
         return np.arange(start, start + n)
 
     def set_objective_coef(self, col: int, coef: float) -> None:
+        self._lp = None
         self._obj[col] = coef
 
     # -- rows --------------------------------------------------------------------
@@ -144,10 +164,46 @@ class Model:
 
     def _append(self, n: int, ri, ci, vals, lo, hi) -> range:
         start = self.num_rows
+        self._lp = None
         self._rows.append((ri + start, ci, vals, np.broadcast_to(np.asarray(lo, dtype=float), n),
                            np.broadcast_to(np.asarray(hi, dtype=float), n)))
         self.num_rows += n
         return range(start, self.num_rows)
+
+    def set_row_bounds(self, rows, lo, hi) -> None:
+        """Set ``lo <= row <= hi`` on rows already added.
+
+        ``lo`` and ``hi`` are scalars or one value per row. Each row keeps
+        which of its sides are finite and whether it is an equality; a change
+        to either raises ``ValueError``. A live HiGHS LP receives only the
+        sides whose value changed.
+        """
+        rows = np.asarray(rows, dtype=int)
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), rows.shape)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), rows.shape)
+        if len(self._rows) > 1:
+            self._rows = [tuple(np.concatenate(p) for p in zip(*self._rows))]
+        row_lo, row_hi = self._rows[0][3:]
+
+        def shape(l, h):
+            return np.isfinite(l), np.isfinite(h), l == h
+
+        if any(np.any(a != b) for a, b in zip(shape(lo, hi), shape(row_lo[rows], row_hi[rows]))):
+            raise ValueError("set_row_bounds cannot change which sides of a row are finite "
+                             "or whether it is an equality")
+        if self._lp is not None:
+            lp, at, is_ge = self._lp
+            new, old = (np.column_stack([l, -h]).ravel()
+                        for l, h in ((lo, hi), (row_lo[rows], row_hi[rows])))
+            side = (2 * rows[:, None] + np.arange(2)).ravel()
+            # Compare bits, not values: -0.0 must reach HiGHS as a fresh LP would.
+            changed = (at[side] >= 0) & ((new != old) | (np.signbit(new) != np.signbit(old)))
+            for cand, v in zip(side[changed].tolist(), new[changed].tolist()):
+                if is_ge[cand]:
+                    lp.changeRowBounds(int(at[cand]), -np.inf, -v)
+                else:
+                    lp.changeRowBounds(int(at[cand]), v, v)
+        row_lo[rows], row_hi[rows] = lo, hi
 
     def add_eq(self, cols, vals, rhs: float) -> int:
         return self._add_row(cols, vals, rhs, rhs)
@@ -159,7 +215,7 @@ class Model:
         return self._add_row(cols, vals, -np.inf, rhs)
 
     def _stack(self):
-        """The rows as HiGHS receives them: equalities, then ``>=`` rows.
+        """The rows in canonical form: equalities, then ``>=`` rows.
 
         Row r yields candidate rows 2r, its equality or lower side, and
         2r + 1, its upper side negated; ``is_eq`` and ``is_ge`` mark the
@@ -184,34 +240,68 @@ class Model:
 
     # -- solves ------------------------------------------------------------------
 
+    def _pass_lp(self):
+        """Pass HiGHS the LP ``linprog(method="highs")`` would receive.
+
+        Rows are the ``>=`` rows negated into ``<=`` form, then the
+        equalities. Returns the HiGHS model, the HiGHS row of each candidate
+        row of ``_stack`` (-1 where it does not exist), and ``is_ge``.
+        """
+        a_eq, b_eq, a_ge, b_ge, is_eq, is_ge = self._stack()
+        mat = sparse.vstack([-a_ge, a_eq]).tocsc()
+        cost, lb, ub = np.asarray(self._obj), np.asarray(self._lb), np.asarray(self._ub)
+        # HiGHS may not return on NaN input, so check what linprog checked.
+        if (not np.isfinite(cost).all() or not np.isfinite(mat.data).all()
+                or np.isnan(lb).any() or np.isnan(ub).any()):
+            raise ValueError(f"LP {self.name or '(unnamed)'}: costs and coefficients must be "
+                             "finite and column bounds not NaN")
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = mat.shape[1], mat.shape[0]
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = mat.shape[1], mat.shape[0]
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_ = mat.indptr, mat.indices
+        lp.a_matrix_.value_ = mat.data
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
+        lp.row_lower_ = np.concatenate([np.full(len(b_ge), -np.inf), b_eq])
+        lp.row_upper_ = np.concatenate([-b_ge, b_eq])
+        solver = highs._Highs()
+        for key, value in _LP_OPTIONS.items():
+            solver.setOptionValue(key, value)
+        if solver.passModel(lp) == highs.HighsStatus.kError:
+            raise BackendError(f"LP {self.name or '(unnamed)'}: HiGHS rejected the model")
+        at = np.where(is_ge, np.cumsum(is_ge) - 1,
+                      np.where(is_eq, len(b_ge) + np.cumsum(is_eq) - 1, -1))
+        return solver, at, is_ge
+
     def solve_lp(self, require_optimal: bool = True) -> Solution:
         """Solve the continuous relaxation; integer markers are ignored.
 
-        ``dual[r]`` is d(objective)/d(active side of row r): for a
-        minimization it is >= 0 on a ``>=`` row, <= 0 on a ``<=`` row and
-        free on an equality.
+        The first solve passes the LP to HiGHS; later solves re-solve it from
+        scratch, after any ``set_row_bounds``. ``dual[r]`` is
+        d(objective)/d(active side of row r): for a minimization it is >= 0
+        on a ``>=`` row, <= 0 on a ``<=`` row and free on an equality.
         """
-        a_eq, b_eq, a_ge, b_ge, is_eq, is_ge = self._stack()
-        res = linprog(
-            c=np.asarray(self._obj),
-            A_ub=-a_ge if len(b_ge) else None,
-            b_ub=-b_ge if len(b_ge) else None,
-            A_eq=a_eq if len(b_eq) else None,
-            b_eq=b_eq if len(b_eq) else None,
-            bounds=np.column_stack([self._lb, self._ub]),
-            method="highs",
-        )
-        status = _LP_STATUS.get(res.status, FAILED)
+        if self._lp is None:
+            self._lp = self._pass_lp()
+        lp, at, is_ge = self._lp
+        lp.clearSolver()
+        lp.run()
+        model_status = lp.getModelStatus()
+        status = _LP_STATUS.get(model_status, FAILED)
         if status != OPTIMAL:
             if require_optimal:
-                raise BackendError(f"LP {self.name or '(unnamed)'}: {status} ({res.message})")
+                raise BackendError(f"LP {self.name or '(unnamed)'}: {status} "
+                                   f"({lp.modelStatusToString(model_status)})")
             return Solution(status, np.nan, np.zeros(self.num_vars))
-        side = np.zeros(2 * self.num_rows)
-        side[is_eq] = res.eqlin.marginals
-        # ge rows were negated into <= form, so the canonical dual is -marginal.
-        side[is_ge] = -res.ineqlin.marginals
+        res = lp.getSolution()
+        live = at >= 0
+        side = np.zeros(len(at))
+        side[live] = np.asarray(res.row_dual)[at[live]]
+        # ge rows were negated into <= form, so the canonical dual is -row_dual.
+        side[is_ge] = -side[is_ge]
         dual = side[0::2] - side[1::2]
-        return Solution(OPTIMAL, float(res.fun), np.asarray(res.x), dual)
+        return Solution(OPTIMAL, float(lp.getInfo().objective_function_value),
+                        np.asarray(res.col_value), dual)
 
     def solve_milp(self, require_optimal: bool = True) -> Solution:
         a_eq, b_eq, a_ge, b_ge, _, _ = self._stack()
@@ -226,7 +316,7 @@ class Model:
                 integrality=np.asarray(self._integer, dtype=int),
                 bounds=Bounds(np.asarray(self._lb), np.asarray(self._ub)),
             )
-        status = _LP_STATUS.get(res.status, FAILED)
+        status = _MILP_STATUS.get(res.status, FAILED)
         if status != OPTIMAL:
             if require_optimal:
                 raise BackendError(f"MILP {self.name or '(unnamed)'}: {status} ({res.message})")

@@ -23,7 +23,9 @@ pair) are nonnegative at the optimum.
 
 from __future__ import annotations
 
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -163,6 +165,81 @@ def line_pairs(dc: DCColumns) -> sparse.coo_array:
         shape=(4 * len(line), cpl.shape[1]))
 
 
+class _Models(dict):
+    """One thread's kept load-shed models, keyed by ``id(net)``. A dict
+    subclass, so a network's finalizer can hold it weakly and a finished
+    thread's models are not kept alive."""
+
+
+_local = threading.local()
+
+
+def _forget(models_ref, key) -> None:
+    models = models_ref()
+    if models is not None:
+        models.pop(key, None)
+
+
+def _load_shed_model(net: Network) -> tuple[Model, DCColumns, range]:
+    """This thread's load-shed model of ``net``, built once with no attack.
+
+    Returns the model, its columns and its 4m line rows: mu1, mu2, pi1, pi2
+    of each line in turn, all ``>=`` rows. An attack changes only their
+    lower sides. Models are per thread because one HiGHS model must not be
+    solved by two threads at once. The entry is dropped when ``net`` is
+    garbage collected.
+    """
+    models = getattr(_local, "models", None)
+    if models is None:
+        models = _local.models = _Models()
+    entry = models.get(id(net))
+    if entry is None:
+        mdl = Model("load-shed")
+        dc = add_dc_network(mdl, net, net.demand_vector())
+        rows = mdl.add_rows(line_pairs(dc), _line_row_lo(net, np.zeros(len(net.lines)), 0.0),
+                            np.inf)
+        entry = models[id(net)] = (mdl, dc, rows)
+        weakref.finalize(net, _forget, weakref.ref(models), id(net))
+    return entry
+
+
+def _line_row_lo(net: Network, x: np.ndarray, m_val: float) -> np.ndarray:
+    """Lower sides of the line rows: the +-M band on interdicted couplings
+    and the thermal pair, zero on interdicted lines."""
+    relax, cap = -m_val * x, net.thermal_vector() * (1.0 - x)
+    return np.column_stack([relax, relax, -cap, -cap]).ravel()
+
+
+def _solve_banded(mdl: Model, set_band, band, m_val: float, attack: AttackPlan):
+    """Solve ``mdl`` with its +-M band at ``m_val``, doubling M until certified.
+
+    ``set_band(m)`` puts the band at m, and ``band`` indexes the band rows in
+    ``Solution.dual``. A solve is accepted once every band dual is at most
+    ``_BAND_DUAL_TOL``: an optimum whose band duals vanish is optimal for the
+    LP without the band. Otherwise M is doubled, at most ``_MAX_M_DOUBLINGS``
+    times, with a warning when that runs out. Returns the solution, its M and
+    whether its band duals vanished.
+    """
+    for attempt in range(_MAX_M_DOUBLINGS + 1):
+        set_band(m_val)
+        try:
+            sol = mdl.solve_lp()
+        except BackendError as err:
+            raise BackendError(
+                f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
+        ok = bool(np.all(np.abs(sol.dual[band]) <= _BAND_DUAL_TOL))
+        if ok or attempt == _MAX_M_DOUBLINGS:
+            break
+        m_val *= 2.0
+    if not ok:
+        warnings.warn(
+            f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
+            f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
+            RuntimeWarning,
+        )
+    return sol, m_val, ok
+
+
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     """Minimum load shed with the attacked lines removed.
 
@@ -176,41 +253,25 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     solve and ``big_m_ok`` whether its band duals vanished. Angles are
     reported relative to the first bus of each island of the surviving
     network.
+
+    Each thread keeps one model per network; an attack, or a doubling of M,
+    only changes its line rows' bounds, and every solve starts cold.
     """
     x = _check_attack_lines(net, attack)
     cut = x > 0.5
-    m_val = float(net.big_M)
-    cap = net.thermal_vector() * (1.0 - x)
-
-    for attempt in range(_MAX_M_DOUBLINGS + 1):
-        mdl = Model("load-shed")
-        dc = add_dc_network(mdl, net, net.demand_vector())
-        # The >= rows mu1, mu2, pi1, pi2 of each line in turn.
-        relax = -m_val * x
-        rows = mdl.add_rows(line_pairs(dc), np.column_stack([relax, relax, -cap, -cap]).ravel(),
-                            np.inf)
-        try:
-            sol = mdl.solve_lp()
-        except BackendError as err:
-            raise BackendError(f"inner solve failed for attack {sorted(attack.lines)}: {err}") from err
-        duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2)
-        ok = bool(np.all(np.abs(duals[cut, 0]) <= _BAND_DUAL_TOL))
-        if ok or attempt == _MAX_M_DOUBLINGS:
-            if not ok:
-                warnings.warn(
-                    f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
-                    f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
-                    RuntimeWarning,
-                )
-            break
-        m_val *= 2.0
+    mdl, dc, rows = _load_shed_model(net)
+    # The band is mu1 and mu2 of each interdicted line.
+    band = rows.start + 4 * np.flatnonzero(cut)[:, None] + np.arange(2)
+    sol, m_val, ok = _solve_banded(
+        mdl, lambda m: mdl.set_row_bounds(rows, _line_row_lo(net, x, m), np.inf),
+        band, float(net.big_M), attack)
 
     # Angles are fixed up to one constant per island: zero each island's first bus.
     island = net.islands(~cut)
     ang = sol.x[dc.ang]
     ang = ang - ang[np.unique(island, return_index=True)[1]][island]
     bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
-    duals = duals.tolist()
+    duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2).tolist()
     return InnerSolution(
         eta=float(sol.objective),
         shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
@@ -231,10 +292,11 @@ def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds"
 
     Surviving lines keep their flow/angle coupling as a hard equality and
     their thermal limit as a hard range. For interdicted lines the coupling
-    is relaxed to a +-M band (their coupling penalty rate is zero: those
-    rows carry zero duals once M is large enough) and the flow, split into
-    nonnegative positive/negative parts, is charged in the objective at the
-    line's thermal-dual upper bounds instead of being pinned to zero.
+    is relaxed to a +-M band (their coupling penalty rate is zero) and the
+    flow, split into nonnegative positive/negative parts, is charged in the
+    objective at the line's thermal-dual upper bounds instead of being
+    pinned to zero. The band starts at ``net.big_M`` and is certified by its
+    duals exactly as in ``solve_inner``.
     """
     x = _check_attack_lines(net, attack)
     for lid in attack.lines:
@@ -259,9 +321,11 @@ def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds"
           np.concatenate([cpl.col[keep], split]))),
         shape=(len(net.lines), mdl.num_vars))
     mdl.add_rows(per_line, 0.0, 0.0)
-    mdl.add_rows(cpl.tocsr()[inter], -net.big_M, net.big_M)
+    m_val = float(net.big_M)
+    band = mdl.add_rows(cpl.tocsr()[inter], -m_val, m_val)
 
-    sol = mdl.solve_lp()
+    sol, _, _ = _solve_banded(mdl, lambda m: mdl.set_row_bounds(band, -m, m),
+                              np.arange(band.start, band.stop), m_val, attack)
     return float(sol.objective)
 
 

@@ -1,15 +1,18 @@
 """Inner load-shed LP: examples, duals, penalized equivalence, cut pricing."""
 
+import gc
 import itertools
 import math
 import random
-from dataclasses import replace
+import weakref
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
+from nkshed import inner
 from nkshed.attackers import encode_feasible_set
 from nkshed.backend import Model
 from nkshed.bounds import DualBounds, heuristic_bounds, valid_bounds
@@ -116,6 +119,54 @@ def test_each_extra_lp_doubles_big_m_and_eta_is_band_free(name, monkeypatch):
         assert sol.big_m_ok, attack
         ref = reference_eta(net, list(attack), big_m=1e4 * net.big_M)
         assert sol.eta == pytest.approx(ref, abs=1e-9), attack
+
+
+def _attacks(net, k_max):
+    ids = [l.id for l in net.lines]
+    return [AttackPlan.of(a) for a in itertools.chain.from_iterable(
+        itertools.combinations(ids, k) for k in range(k_max + 1))]
+
+
+def _bits(sol):
+    # repr round-trips every float and tells -0.0 from 0.0.
+    return repr(astuple(sol))
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_kept_model_answers_do_not_depend_on_solve_order(name):
+    # Each network's load-shed model is kept and re-solved; nothing of one
+    # attack's solve may reach the next.
+    net, other = fx.FIXTURES[name](), fx.mesh8()
+    attacks = _attacks(net, 2)
+    forward = [_bits(solve_inner(net, a)) for a in attacks]
+    backward = [_bits(solve_inner(net, a)) for a in reversed(attacks)][::-1]
+    mixed = []
+    for a, b in zip(attacks, itertools.cycle(reversed(_attacks(other, 2)))):
+        mixed.append(_bits(solve_inner(net, a)))
+        solve_inner(other, b)
+    assert forward == backward == mixed
+
+
+def test_kept_model_does_not_keep_the_network_alive():
+    net = fx.mesh8()
+    solve_inner(net, AttackPlan.of([1]))
+    key, ref = id(net), weakref.ref(net)
+    assert key in inner._local.models
+    del net
+    gc.collect()
+    assert ref() is None
+    assert key not in inner._local.models
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_penalized_band_is_certified_by_its_duals(name):
+    # A band far too narrow to start with must end where a wide one does.
+    net = fx.FIXTURES[name]()
+    narrow, wide = replace(net, big_M=0.1 * net.big_M), replace(net, big_M=1e4 * net.big_M)
+    rates = heuristic_bounds(net)
+    for attack in _attacks(net, 2):
+        assert solve_penalized_inner(narrow, attack, rates) == pytest.approx(
+            solve_penalized_inner(wide, attack, rates), abs=1e-9), attack
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))

@@ -69,6 +69,15 @@ def test_single_point_sweep_equals_run(triangle):
     assert row["interdicted_lines"] == ";".join(str(l) for l in run.interdicted_lines)
 
 
+def test_threaded_sweep_matches_serial_sweep(mesh8):
+    # Each worker thread keeps its own load-shed model of the network.
+    keys = ("status", "eta_star", "interdicted_lines", "iterations")
+    serial = sweep(mesh8, "traditional", [1, 2, 3], jobs=1)
+    threaded = sweep(mesh8, "traditional", [1, 2, 3], jobs=3)
+    assert [[r[k] for k in keys] for r in threaded] == [[r[k] for k in keys] for r in serial]
+    assert all(r["error"] == "" for r in serial)
+
+
 def test_empty_sweep_grid(triangle):
     with pytest.raises(ValueError, match="empty sweep grid"):
         sweep(triangle, "traditional", [], None)
