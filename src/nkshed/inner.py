@@ -23,9 +23,7 @@ pair) are nonnegative at the optimum.
 
 from __future__ import annotations
 
-import threading
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -165,41 +163,22 @@ def line_pairs(dc: DCColumns) -> sparse.coo_array:
         shape=(4 * len(line), cpl.shape[1]))
 
 
-class _Models(dict):
-    """One thread's kept load-shed models, keyed by ``id(net)``. A dict
-    subclass, so a network's finalizer can hold it weakly and a finished
-    thread's models are not kept alive."""
-
-
-_local = threading.local()
-
-
-def _forget(models_ref, key) -> None:
-    models = models_ref()
-    if models is not None:
-        models.pop(key, None)
-
-
 def _load_shed_model(net: Network) -> tuple[Model, DCColumns, range]:
     """This thread's load-shed model of ``net``, built once with no attack.
 
     Returns the model, its columns and its 4m line rows: mu1, mu2, pi1, pi2
     of each line in turn, all ``>=`` rows. An attack changes only their
-    lower sides. Models are per thread because one HiGHS model must not be
-    solved by two threads at once. The entry is dropped when ``net`` is
-    garbage collected.
+    lower sides. The model lives in ``net.thread_cache``, so it is per
+    thread, because one HiGHS model must not be solved by two threads at
+    once, and it goes with the network.
     """
-    models = getattr(_local, "models", None)
-    if models is None:
-        models = _local.models = _Models()
-    entry = models.get(id(net))
+    entry = getattr(net.thread_cache, "load_shed", None)
     if entry is None:
         mdl = Model("load-shed")
         dc = add_dc_network(mdl, net, net.demand_vector())
         rows = mdl.add_rows(line_pairs(dc), _line_row_lo(net, np.zeros(len(net.lines)), 0.0),
                             np.inf)
-        entry = models[id(net)] = (mdl, dc, rows)
-        weakref.finalize(net, _forget, weakref.ref(models), id(net))
+        entry = net.thread_cache.load_shed = (mdl, dc, rows)
     return entry
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import re
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,7 +103,10 @@ class Network:
     ``incidence`` is the same map as a sparse bus-by-line matrix in position
     order: -1 at a line's from bus, +1 at its to bus. ``big_M`` is the first
     band on the flow/angle coupling of interdicted lines; by default it is
-    the total system demand.
+    the total system demand. ``thread_cache`` is a ``threading.local`` in
+    which solvers keep per-thread state built from the network, such as the
+    kept load-shed model of :mod:`nkshed.inner`; every new Network, including
+    one made by ``dataclasses.replace``, starts with an empty one.
     """
 
     buses: tuple[Bus, ...]
@@ -116,6 +120,7 @@ class Network:
     # Solver-facing arrays, read-only, also filled in __post_init__.
     incidence: sparse.coo_array = field(init=False, repr=False, compare=False)
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    thread_cache: threading.local = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bus_ids = [b.id for b in self.buses]
@@ -145,6 +150,7 @@ class Network:
             shape=(len(self.buses), m))
         object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "thread_cache", threading.local())
 
     @staticmethod
     def build(buses: list[Bus] | tuple[Bus, ...],

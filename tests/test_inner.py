@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import threading
 import weakref
 from dataclasses import astuple, replace
 
@@ -12,7 +13,6 @@ import pytest
 from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
-from nkshed import inner
 from nkshed.attackers import encode_feasible_set
 from nkshed.backend import Model
 from nkshed.bounds import DualBounds, heuristic_bounds, valid_bounds
@@ -150,12 +150,18 @@ def test_kept_model_answers_do_not_depend_on_solve_order(name):
 def test_kept_model_does_not_keep_the_network_alive():
     net = fx.mesh8()
     solve_inner(net, AttackPlan.of([1]))
-    key, ref = id(net), weakref.ref(net)
-    assert key in inner._local.models
+    ref = weakref.ref(net)
+    assert hasattr(net.thread_cache, "load_shed")
+    assert not hasattr(replace(net).thread_cache, "load_shed")
+    other_thread = []
+    worker = threading.Thread(
+        target=lambda: other_thread.append(hasattr(net.thread_cache, "load_shed")))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and other_thread == [False]
     del net
     gc.collect()
     assert ref() is None
-    assert key not in inner._local.models
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
