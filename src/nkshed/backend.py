@@ -1,23 +1,21 @@
 """Thin LP/MILP layer over HiGHS, as shipped with scipy.
 
 Rows enter a :class:`Model` as sparse blocks ``lo <= A x <= hi`` and reach
-HiGHS in one of two canonical senses: a row with ``lo == hi`` is an
-equality, and every other finite side is one greater-or-equal row, an upper
-side negated. For a minimization LP the dual of a ``>=`` row is then
-nonnegative, which is the convention the load-shed duals and their upper
-bounds are stated in.
+HiGHS as they are, one ranged row per model row: ``lo == hi`` is an
+equality and an infinite side is no constraint. ``Solution.dual[r]`` is
+d(objective)/d(active side of row r), so for a minimization it is
+nonnegative on a row held at its lower side, which is the convention the
+load-shed duals and their upper bounds are stated in.
 
 LPs go through the HiGHS binding vendored in scipy
-(``scipy.optimize._highspy._core``). The first ``solve_lp`` passes HiGHS the
-LP ``linprog(method="highs")`` would: the ``>=`` rows negated into ``<=``
-form, then the equalities, each in the order they were added, with presolve
-on and the dual simplex. The HiGHS model then lives with the :class:`Model`;
-``set_row_bounds`` edits its row bounds in place, and every solve clears
-HiGHS's solver state first (``linprog``, named after the scipy function it
-replaced), so each one is a cold solve of exactly the LP a fresh
-:class:`Model` would pass. MILPs go through the public ``milp``, which
-receives the equalities, then the ``>=`` rows. HiGHS is simplex-based, so LP
-duals are exact basic solutions, and runs are deterministic for fixed inputs.
+(``scipy.optimize._highspy._core``), with presolve on and the dual simplex.
+The first ``solve_lp`` passes the LP to HiGHS; the HiGHS model then lives
+with the :class:`Model`, ``set_row_bounds`` edits its row bounds in place,
+and every solve clears HiGHS's solver state first (``linprog``, named after
+the scipy function it replaced), so each one is a cold solve of exactly the
+LP a fresh :class:`Model` would pass. MILPs go through the public ``milp``.
+HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -89,6 +87,13 @@ def linprog(lp) -> None:
     """
     lp.clearSolver()
     lp.run()
+
+
+def _check_sides(name: str, lo, hi) -> None:
+    """Reject sides that bound no row: NaN, ``lo = +inf`` or ``hi = -inf``."""
+    if np.isnan(lo).any() or np.isnan(hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
+        raise ValueError(f"{name or '(unnamed)'}: row sides must be finite, or -inf below "
+                         "and +inf above")
 
 
 class BackendError(RuntimeError):
@@ -185,35 +190,25 @@ class Model:
     def set_row_bounds(self, rows, lo, hi) -> None:
         """Set ``lo <= row <= hi`` on rows already added.
 
-        ``lo`` and ``hi`` are scalars or one value per row. Each row keeps
-        which of its sides are finite and whether it is an equality; a change
-        to either raises ``ValueError``. A live HiGHS LP receives only the
-        finite sides whose value changed.
+        ``lo`` and ``hi`` are scalars or one value per row. A row cannot
+        become or cease to be an equality: that raises ``ValueError``. A live
+        HiGHS LP receives the rows whose sides changed.
         """
         rows = np.asarray(rows, dtype=int)
         lo = np.broadcast_to(np.asarray(lo, dtype=float), rows.shape)
         hi = np.broadcast_to(np.asarray(hi, dtype=float), rows.shape)
+        _check_sides(self.name, lo, hi)
         if len(self._rows) > 1:
             self._rows = [tuple(np.concatenate(p) for p in zip(*self._rows))]
         row_lo, row_hi = self._rows[0][3:]
-
-        def shape(l, h):
-            return np.isfinite(l), np.isfinite(h), l == h
-
-        if any(np.any(a != b) for a, b in zip(shape(lo, hi), shape(row_lo[rows], row_hi[rows]))):
-            raise ValueError("set_row_bounds cannot change which sides of a row are finite "
-                             "or whether it is an equality")
+        if np.any((lo == hi) != (row_lo[rows] == row_hi[rows])):
+            raise ValueError("set_row_bounds cannot change whether a row is an equality")
         if self._lp is not None:
-            lp, at, is_ge = self._lp
-            new, old = (np.column_stack([l, -h]).ravel()
-                        for l, h in ((lo, hi), (row_lo[rows], row_hi[rows])))
-            side = (2 * rows[:, None] + np.arange(2)).ravel()
-            changed = (at[side] >= 0) & (new != old)
-            for cand, v in zip(side[changed].tolist(), new[changed].tolist()):
-                if is_ge[cand]:
-                    lp.changeRowBounds(int(at[cand]), -np.inf, -v)
-                else:
-                    lp.changeRowBounds(int(at[cand]), v, v)
+            lp, at = self._lp
+            changed = (lo != row_lo[rows]) | (hi != row_hi[rows])
+            for r, l, h in zip(at[rows[changed]].tolist(), lo[changed].tolist(),
+                               hi[changed].tolist()):
+                lp.changeRowBounds(r, l, h)
         row_lo[rows], row_hi[rows] = lo, hi
 
     def add_eq(self, cols, vals, rhs: float) -> int:
@@ -225,47 +220,37 @@ class Model:
     def add_le(self, cols, vals, rhs: float) -> int:
         return self._add_row(cols, vals, -np.inf, rhs)
 
-    def _stack(self):
-        """The rows in canonical form: equalities, then ``>=`` rows.
+    def _block(self, eq_first: bool):
+        """The rows as one CSR block ``lo <= mat @ x <= hi``.
 
-        Row r yields candidate rows 2r, its equality or lower side, and
-        2r + 1, its upper side negated; ``is_eq`` and ``is_ge`` mark the
-        candidates that exist. Returns both blocks with their right-hand sides.
+        The equalities and the other rows each keep model order, the
+        equalities first if ``eq_first``. Returns the block, its sides and
+        the block row of each model row. Raises ``ValueError`` on input that
+        HiGHS may not return on or may drop silently.
         """
         ri, ci, vals, lo, hi = (np.concatenate(p) for p in zip(*self._rows))
+        if (not np.isfinite(self._obj).all() or not np.isfinite(vals).all()
+                or np.isnan(self._lb).any() or np.isnan(self._ub).any()):
+            raise ValueError(f"{self.name or '(unnamed)'}: costs and coefficients must be "
+                             "finite and column bounds not NaN")
+        _check_sides(self.name, lo, hi)
         eq = lo == hi
-        live = np.column_stack([np.isfinite(lo), ~eq & np.isfinite(hi)]).ravel()
-        is_eq = np.column_stack([eq, np.zeros_like(eq)]).ravel() & live
-        is_ge = live & ~is_eq
-        rhs = np.column_stack([lo, -hi]).ravel()
-        at = np.where(is_eq, np.cumsum(is_eq), np.cumsum(is_ge)) - 1
-        cand = np.concatenate([2 * ri, 2 * ri + 1])
-        col, data = np.tile(ci, 2), np.concatenate([vals, -vals])
-
-        def csr(sense):
-            on = sense[cand]
-            return sparse.csr_array((data[on], (at[cand[on]], col[on])),
-                                    shape=(int(sense.sum()), self.num_vars))
-
-        return csr(is_eq), rhs[is_eq], csr(is_ge), rhs[is_ge], is_eq, is_ge
+        order = np.argsort(~eq if eq_first else eq, kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        mat = sparse.csr_array((vals, (at[ri], ci)), shape=(self.num_rows, self.num_vars))
+        return mat, lo[order], hi[order], at
 
     # -- solves ------------------------------------------------------------------
 
     def _pass_lp(self):
-        """Pass HiGHS the LP ``linprog(method="highs")`` would receive.
-
-        Rows are the ``>=`` rows negated into ``<=`` form, then the
-        equalities. Returns the HiGHS model, the HiGHS row of each candidate
-        row of ``_stack`` (-1 where it does not exist), and ``is_ge``.
-        """
-        a_eq, b_eq, a_ge, b_ge, is_eq, is_ge = self._stack()
-        mat = sparse.vstack([-a_ge, a_eq]).tocsc()
+        """Pass the LP to HiGHS; returns the HiGHS model and the HiGHS row of
+        each model row."""
+        # Row order picks HiGHS's vertex among optima, and so the cuts: LPs put
+        # the inequalities first, MILPs the equalities.
+        mat, lo, hi, at = self._block(eq_first=False)
+        mat = mat.tocsc()
         cost, lb, ub = np.asarray(self._obj), np.asarray(self._lb), np.asarray(self._ub)
-        # HiGHS may not return on NaN input, so check what linprog checked.
-        if (not np.isfinite(cost).all() or not np.isfinite(mat.data).all()
-                or np.isnan(lb).any() or np.isnan(ub).any()):
-            raise ValueError(f"LP {self.name or '(unnamed)'}: costs and coefficients must be "
-                             "finite and column bounds not NaN")
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = mat.shape[1], mat.shape[0]
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = mat.shape[1], mat.shape[0]
@@ -273,16 +258,13 @@ class Model:
         lp.a_matrix_.start_, lp.a_matrix_.index_ = mat.indptr, mat.indices
         lp.a_matrix_.value_ = mat.data
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
-        lp.row_lower_ = np.concatenate([np.full(len(b_ge), -np.inf), b_eq])
-        lp.row_upper_ = np.concatenate([-b_ge, b_eq])
+        lp.row_lower_, lp.row_upper_ = lo, hi
         solver = highs._Highs()
         for key, value in _LP_OPTIONS.items():
             solver.setOptionValue(key, value)
         if solver.passModel(lp) == highs.HighsStatus.kError:
             raise BackendError(f"LP {self.name or '(unnamed)'}: HiGHS rejected the model")
-        at = np.where(is_ge, np.cumsum(is_ge) - 1,
-                      np.where(is_eq, len(b_ge) + np.cumsum(is_eq) - 1, -1))
-        return solver, at, is_ge
+        return solver, at
 
     def solve_lp(self, require_optimal: bool = True) -> Solution:
         """Solve the continuous relaxation; integer markers are ignored.
@@ -294,7 +276,7 @@ class Model:
         """
         if self._lp is None:
             self._lp = self._pass_lp()
-        lp, at, is_ge = self._lp
+        lp, at = self._lp
         linprog(lp)
         model_status = lp.getModelStatus()
         status = _LP_STATUS.get(model_status, FAILED)
@@ -304,20 +286,11 @@ class Model:
                                    f"({lp.modelStatusToString(model_status)})")
             return Solution(status, np.nan, np.zeros(self.num_vars))
         res = lp.getSolution()
-        live = at >= 0
-        side = np.zeros(len(at))
-        side[live] = np.asarray(res.row_dual)[at[live]]
-        # ge rows were negated into <= form, so the canonical dual is -row_dual.
-        side[is_ge] = -side[is_ge]
-        dual = side[0::2] - side[1::2]
         return Solution(OPTIMAL, float(lp.getInfo().objective_function_value),
-                        np.asarray(res.col_value), dual)
+                        np.asarray(res.col_value), np.asarray(res.row_dual)[at])
 
     def solve_milp(self, require_optimal: bool = True) -> Solution:
-        a_eq, b_eq, a_ge, b_ge, _, _ = self._stack()
-        mat = sparse.vstack([a_eq, a_ge], format="csr")
-        lo = np.concatenate([b_eq, b_ge])
-        hi = np.concatenate([b_eq, np.full(len(b_ge), np.inf)])
+        mat, lo, hi, _ = self._block(eq_first=True)
         constraints = [LinearConstraint(mat, lo, hi)] if len(lo) else []
         with _stdout_to_stderr():
             res = milp(

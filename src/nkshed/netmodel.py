@@ -54,6 +54,8 @@ class Bus:
     has_geo: bool = False
 
     def __post_init__(self):
+        if not np.isfinite([self.demand, self.gen_cap]).all():
+            raise ValueError(f"bus {self.id}: demand and gen_cap must be finite")
         if self.demand < 0:
             raise ValueError(f"bus {self.id}: demand must be >= 0, got {self.demand}")
         if self.gen_cap < 0:
@@ -79,6 +81,9 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValueError(f"line {self.id}: from_bus == to_bus ({self.from_bus})")
+        if not np.isfinite([self.reactance, self.susceptance, self.thermal]).all():
+            raise ValueError(f"line {self.id}: reactance, susceptance and thermal limit "
+                             "must be finite")
         if self.reactance <= 0:
             raise ValueError(f"line {self.id}: non-positive reactance {self.reactance}")
         if self.thermal <= 0:
@@ -96,14 +101,13 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable network with per-bus incidence maps precomputed.
+    """Immutable network with its bus-by-line incidence precomputed.
 
-    ``adjacency`` maps each bus id to ``(out_line_ids, in_line_ids)`` where a
-    line (i, j) appears once in bus i's out list and once in bus j's in list.
-    ``incidence`` is the same map as a sparse bus-by-line matrix in position
-    order: -1 at a line's from bus, +1 at its to bus. ``big_M`` is the first
-    band on the flow/angle coupling of interdicted lines; by default it is
-    the total system demand. ``thread_cache`` is a ``threading.local`` in
+    ``bus_pos`` and ``line_pos`` map ids to positions. ``incidence`` is a
+    sparse bus-by-line matrix in position order: -1 at a line's from bus,
+    +1 at its to bus. ``big_M`` is the first band on the flow/angle coupling
+    of interdicted lines; ``Network.build`` defaults it to the total system
+    demand, or 1 when that is zero. ``thread_cache`` is a ``threading.local`` in
     which solvers keep per-thread state built from the network, such as the
     kept load-shed model of :mod:`nkshed.inner`; every new Network, including
     one made by ``dataclasses.replace``, starts with an empty one.
@@ -111,12 +115,11 @@ class Network:
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
-    adjacency: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = field(repr=False)
-    big_M: float = 0.0
+    big_M: float
 
-    # Derived index arrays, filled in __post_init__ (positional, solver-facing).
-    bus_pos: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
-    line_pos: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
+    # Derived index maps, filled in __post_init__ (positional, solver-facing).
+    bus_pos: dict[int, int] = field(init=False, repr=False, compare=False)
+    line_pos: dict[int, int] = field(init=False, repr=False, compare=False)
     # Solver-facing arrays, read-only, also filled in __post_init__.
     incidence: sparse.coo_array = field(init=False, repr=False, compare=False)
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
@@ -126,8 +129,8 @@ class Network:
         bus_ids = [b.id for b in self.buses]
         if len(set(bus_ids)) != len(bus_ids):
             raise ValueError("duplicate bus id")
-        if self.big_M <= 0:
-            raise ValueError(f"big_M must be > 0, got {self.big_M}")
+        if not 0 < self.big_M < np.inf:
+            raise ValueError(f"big_M must be finite and > 0, got {self.big_M}")
         object.__setattr__(self, "bus_pos", {b.id: i for i, b in enumerate(self.buses)})
         object.__setattr__(self, "line_pos", {l.id: e for e, l in enumerate(self.lines)})
         for line in self.lines:
@@ -156,18 +159,9 @@ class Network:
     def build(buses: list[Bus] | tuple[Bus, ...],
               lines: list[Line] | tuple[Line, ...],
               big_M: float | None = None) -> "Network":
-        """Assemble a network, computing adjacency and the default big-M."""
-        adjacency: dict[int, tuple[list[int], list[int]]] = {b.id: ([], []) for b in buses}
-        for line in lines:
-            if line.from_bus not in adjacency or line.to_bus not in adjacency:
-                raise ValueError(f"line {line.id} references unknown bus")
-            adjacency[line.from_bus][0].append(line.id)
-            adjacency[line.to_bus][1].append(line.id)
-        frozen = {i: (tuple(out), tuple(inc)) for i, (out, inc) in adjacency.items()}
-        if big_M is None:
-            total = sum(b.demand for b in buses)
-            big_M = total if total > 0 else 1.0
-        return Network(tuple(buses), tuple(lines), frozen, big_M)
+        """Assemble a network, with the default big-M unless one is given."""
+        return Network(tuple(buses), tuple(lines),
+                       _default_big_M(buses) if big_M is None else big_M)
 
     # -- solver-facing array views ------------------------------------------------
 
@@ -201,11 +195,17 @@ class Network:
         """Copy of this network with replaced bus records (same ids required)."""
         if tuple(b.id for b in buses) != tuple(b.id for b in self.buses):
             raise ValueError("bus id set must be unchanged")
-        return Network(buses, self.lines, self.adjacency, self.big_M)
+        return Network(buses, self.lines, self.big_M)
+
+
+def _default_big_M(buses) -> float:
+    """Total demand, or 1 when it is zero."""
+    total = sum(b.demand for b in buses)
+    return total if total > 0 else 1.0
 
 
 def total_load(net: Network) -> float:
-    """Total active demand, the default big-M and the trivial dual bound."""
+    """Total active demand, the trivial dual bound."""
     return float(sum(b.demand for b in net.buses))
 
 
@@ -283,6 +283,13 @@ def _parse_row(raw: str, lineno: int, table: str, min_cols: int) -> list[float]:
     return values
 
 
+def _finite(row: list[float], col: int, lineno: int, table: str) -> float:
+    if not np.isfinite(row[col]):
+        raise CaseFormatError(f"line {lineno}: {table} field {col + 1} must be finite, "
+                              f"got {row[col]}")
+    return row[col]
+
+
 def _scan_blocks(case_text: str) -> tuple[dict[str, float], dict[str, list[tuple[int, list[float]]]]]:
     """Split the .m text into scalar assignments and matrix blocks with line numbers."""
     scalars: dict[str, float] = {}
@@ -350,29 +357,28 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
     if "branch" not in tables:
         raise CaseFormatError("case has no branch table")
     base = float(scalars.get("baseMVA", 100.0))
-    if base <= 0:
-        raise CaseFormatError(f"baseMVA must be > 0, got {base}")
+    if not (np.isfinite(base) and base > 0):
+        raise CaseFormatError(f"baseMVA must be finite and > 0, got {base}")
 
     demands: dict[int, float] = {}
     for lineno, row in tables["bus"]:
         bus_id = int(round(row[0]))
         if bus_id in demands:
             raise CaseFormatError(f"line {lineno}: duplicate bus id {bus_id}")
-        demands[bus_id] = row[2] / base
+        demands[bus_id] = _finite(row, 2, lineno, "bus") / base
 
     gen_cap: dict[int, float] = {b: 0.0 for b in demands}
     for lineno, row in tables.get("gen", []):
         bus_id = int(round(row[0]))
         if bus_id not in demands:
             raise CaseFormatError(f"line {lineno}: generator references unknown bus {bus_id}")
-        gen_cap[bus_id] += row[8] / base
+        gen_cap[bus_id] += _finite(row, 8, lineno, "gen") / base
 
     buses = [
         Bus(bus_id, demand=max(demands[bus_id], 0.0), gen_cap=gen_cap[bus_id])
         for bus_id in demands
     ]
-    total = sum(b.demand for b in buses)
-    big_M = total if total > 0 else 1.0
+    big_M = _default_big_M(buses)
 
     lines: list[Line] = []
     next_id = 1
@@ -384,10 +390,10 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         for end in (f_bus, t_bus):
             if end not in demands:
                 raise CaseFormatError(f"line {lineno}: branch references unknown bus {end}")
-        x_mag = abs(row[3])  # reactance magnitude; series-compensated branches carry x < 0
+        x_mag = abs(_finite(row, 3, lineno, "branch"))  # reactance magnitude; series-compensated branches carry x < 0
         if x_mag <= 0:
             raise CaseFormatError(f"line {lineno}: non-positive reactance {row[3]}")
-        rate_a = row[5] / base
+        rate_a = _finite(row, 5, lineno, "branch") / base
         thermal = rate_a if rate_a > 0 else big_M
         lines.append(Line.of(next_id, f_bus, t_bus, x_mag, thermal))
         next_id += 1

@@ -1,4 +1,7 @@
-"""LP backend: a kept HiGHS model re-solves exactly like a fresh one."""
+"""LP/MILP backend: ranged rows, duals by finite differences, MILPs by
+enumeration, and a kept HiGHS model re-solving exactly like a fresh one."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +14,12 @@ BOUNDS = [
     ([4.0, -1.0, -np.inf, -2.0], [4.0, np.inf, 6.0, 3.0]),
     ([2.0, 0.0, -np.inf, -1.0], [2.0, np.inf, 2.0, 1.5]),
     ([1.5, -0.0, -np.inf, 0.0], [1.5, np.inf, 9.0, 0.5]),
+]
+# Updates of BOUNDS[0] that change which sides of a row are finite.
+FINITE_SIDE_CHANGES = [
+    (1, -1.0, 7.0),       # >= row gains an upper side
+    (2, 0.0, 6.0),        # <= row gains a lower side
+    (3, -np.inf, 3.0),    # range loses its lower side
 ]
 
 
@@ -27,7 +36,12 @@ def _bits(sol):
 def test_set_row_bounds_resolves_like_a_fresh_model():
     kept, rows = _small_lp(*BOUNDS[0])
     kept.solve_lp()
-    for lo, hi in BOUNDS[1:] + BOUNDS:
+    steps = BOUNDS[1:] + BOUNDS
+    lo, hi = (np.array(b) for b in BOUNDS[0])
+    for row, l, h in FINITE_SIDE_CHANGES:
+        lo[row], hi[row] = l, h
+        steps.append((lo.copy(), hi.copy()))
+    for lo, hi in steps:
         kept.set_row_bounds(rows, lo, hi)
         assert _bits(kept.solve_lp()) == _bits(_small_lp(lo, hi)[0].solve_lp()), (lo, hi)
 
@@ -54,12 +68,19 @@ def test_rows_and_columns_added_after_a_solve_reach_highs():
 
 @pytest.mark.parametrize("row, lo, hi", [
     (0, 4.0, 5.0),        # equality -> range
-    (1, -1.0, 7.0),       # >= row gains an upper side
-    (2, 0.0, 6.0),        # <= row gains a lower side
-    (3, -np.inf, 3.0),    # range loses its lower side
     (3, 1.0, 1.0),        # range -> equality
 ])
 def test_set_row_bounds_rejects_a_change_of_sense(row, lo, hi):
+    mdl, _ = _small_lp(*BOUNDS[0])
+    before = _bits(mdl.solve_lp())
+    with pytest.raises(ValueError, match="equality"):
+        mdl.set_row_bounds([row], lo, hi)
+    assert _bits(mdl.solve_lp()) == before
+
+
+@pytest.mark.parametrize("row, lo, hi", [(1, np.nan, np.inf), (1, np.inf, np.inf),
+                                         (2, -np.inf, -np.inf), (3, 0.0, np.nan)])
+def test_set_row_bounds_rejects_nan_or_an_infinity_inside_the_row(row, lo, hi):
     mdl, _ = _small_lp(*BOUNDS[0])
     before = _bits(mdl.solve_lp())
     with pytest.raises(ValueError, match="finite"):
@@ -78,10 +99,76 @@ def test_infeasible_lp_reports_status_or_raises():
     assert _bits(mdl.solve_lp()) == _bits(_small_lp(*BOUNDS[0])[0].solve_lp())
 
 
+# Row cases: a >= row at +inf or NaN, a <= row at -inf or NaN, a NaN range side.
 @pytest.mark.parametrize("col, value, field", [(0, np.nan, "obj"), (1, np.inf, "obj"),
-                                                (2, np.nan, "lb"), (0, np.nan, "ub")])
+                                                (2, np.nan, "lb"), (0, np.nan, "ub"),
+                                                (1, np.inf, "lo"), (1, np.nan, "lo"),
+                                                (2, -np.inf, "hi"), (2, np.nan, "hi"),
+                                                (3, np.nan, "lo")])
 def test_nan_or_infinite_input_is_rejected_before_highs(col, value, field):
-    mdl, _ = _small_lp(*BOUNDS[0])
-    getattr(mdl, f"_{field}")[col] = value
+    sides = {"lo": np.array(BOUNDS[0][0]), "hi": np.array(BOUNDS[0][1])}
+    if field in sides:
+        sides[field][col] = value
+    mdl, _ = _small_lp(sides["lo"], sides["hi"])
+    if field not in sides:
+        getattr(mdl, f"_{field}")[col] = value
     with pytest.raises(ValueError, match="finite"):
         mdl.solve_lp(require_optimal=False)
+    with pytest.raises(ValueError, match="finite"):
+        mdl.solve_milp(require_optimal=False)
+
+
+# One block per row kind: two columns and one row, in this order. Per block:
+# costs, lo, hi, and which side is active at the optimum.
+DUAL_BLOCKS = [
+    ([1.0, 3.0], 2.0, np.inf, "lo"),       # >= row
+    ([-2.0, 1.0], 3.0, 3.0, "lo"),         # equality
+    ([-3.0, -1.0], -np.inf, 4.0, "hi"),    # <= row
+    ([4.0, 5.0], 1.0, 5.0, "lo"),          # range at its lower side
+    ([-5.0, -6.0], 1.0, 5.0, "hi"),        # range at its upper side
+]
+
+
+def _dual_lp(lo, hi) -> Model:
+    mdl = Model("duals")
+    for costs, *_ in DUAL_BLOCKS:
+        mdl.add_vars(2, lb=0.0, ub=10.0, obj=costs)
+    k = len(DUAL_BLOCKS)
+    mdl.add_rows(np.kron(np.eye(k), [[2.0, 1.0]]), lo, hi)
+    return mdl
+
+
+def test_row_duals_are_finite_differences_of_the_objective():
+    lo = np.array([b[1] for b in DUAL_BLOCKS])
+    hi = np.array([b[2] for b in DUAL_BLOCKS])
+    sol = _dual_lp(lo, hi).solve_lp()
+    h = 1e-3
+    for r, (_, _, _, active) in enumerate(DUAL_BLOCKS):
+        obj = []
+        for step in (-h, h):
+            sides = {"lo": lo.copy(), "hi": hi.copy()}
+            for side in ("lo", "hi") if lo[r] == hi[r] else (active,):
+                sides[side][r] += step
+            obj.append(_dual_lp(sides["lo"], sides["hi"]).solve_lp().objective)
+        assert sol.dual[r] != 0.0
+        assert sol.dual[r] == pytest.approx((obj[1] - obj[0]) / (2 * h), abs=1e-9), r
+
+
+@pytest.mark.parametrize("bounds", BOUNDS)
+@pytest.mark.parametrize("costs", [[1.0, 2.0, -1.0], [-1.0, 1.0, 2.0], [-3.0, -1.0, 1.0]])
+def test_milp_over_every_row_kind_matches_enumeration(bounds, costs):
+    box = [(0, 4), (-3, 4), (0, 3)]
+    mdl = Model("small-milp")
+    mdl.add_vars(3, lb=[b[0] for b in box], ub=[b[1] for b in box], obj=costs, integer=True)
+    lo, hi = bounds
+    mdl.add_rows(ROWS, lo, hi)
+    points = np.array(list(itertools.product(*(range(a, b + 1) for a, b in box))), dtype=float)
+    act = points @ ROWS.T
+    feasible = points[np.all((act >= np.array(lo) - 1e-9) & (act <= np.array(hi) + 1e-9), axis=1)]
+    sol = mdl.solve_milp(require_optimal=False)
+    if len(feasible) == 0:
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.optimal
+    assert sol.objective == pytest.approx((feasible @ costs).min(), abs=1e-9)
+    assert any(np.allclose(sol.x, p) for p in feasible)

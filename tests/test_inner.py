@@ -26,10 +26,10 @@ TOL = 1e-6
 def residuals(net, sol):
     """Max violation of flow balance / limits at the returned point."""
     worst = 0.0
-    for bus in net.buses:
-        out_ids, in_ids = net.adjacency[bus.id]
-        balance = (sol.gen[bus.id] - (1.0 - sol.shed[bus.id]) * bus.demand
-                   - sum(sol.flow[l] for l in out_ids) + sum(sol.flow[l] for l in in_ids))
+    # The incidence is -1 at a line's from bus and +1 at its to bus.
+    inflow = net.incidence @ np.array([sol.flow[l] for l in net.line_ids()])
+    for bus, into in zip(net.buses, inflow):
+        balance = sol.gen[bus.id] - (1.0 - sol.shed[bus.id]) * bus.demand + into
         worst = max(worst, abs(balance))
     for line in net.lines:
         cap = line.thermal * (0.0 if line.id in sol.attack.lines else 1.0)
@@ -173,6 +173,19 @@ def test_penalized_band_is_certified_by_its_duals(name):
     for attack in _attacks(net, 2):
         assert solve_penalized_inner(narrow, attack, rates) == pytest.approx(
             solve_penalized_inner(wide, attack, rates), abs=1e-9), attack
+
+
+def test_band_that_is_never_certified_warns_and_says_so(triangle):
+    # Ten doublings of a 1e-30 band leave it far too narrow for every line.
+    net = replace(triangle, big_M=1e-30)
+    for line in net.lines:
+        with pytest.warns(RuntimeWarning, match="big-M doublings"):
+            sol = solve_inner(net, AttackPlan.of([line.id]))
+        assert sol.big_m_ok is False
+        assert sol.big_m_used == 1e-30 * 2**10
+    # The penalized LP's band gives up too, here on line 1.
+    with pytest.warns(RuntimeWarning, match="big-M doublings"):
+        solve_penalized_inner(net, AttackPlan.of([1]), heuristic_bounds(net))
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))

@@ -1,5 +1,7 @@
 """Case parsing, geolocation ingestion, and network invariants."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ def test_malformed_row_reports_line_and_field():
     bad = TWO_BUS_CASE.replace("2 1 100 5", "2 1 oops 5")
     with pytest.raises(CaseFormatError, match=r"line 6.*field 3"):
         parse_case(bad)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2 1 100 5", "2 1 nan 5"),
+    ("100 1 100 0;", "100 1 inf 0;"),
+    ("1 2 0.01 0.1 0 100", "1 2 0.01 0.1 0 nan"),
+    ("1 2 0.01 0.1", "1 2 0.01 inf"),
+    ("baseMVA = 100", "baseMVA = nan"),
+], ids=["Pd", "Pmax", "rateA", "x", "baseMVA"])
+def test_non_finite_case_values_rejected(old, new):
+    assert old in TWO_BUS_CASE
+    with pytest.raises(CaseFormatError, match="finite"):
+        parse_case(TWO_BUS_CASE.replace(old, new))
 
 
 def test_branch_unknown_bus_rejected():
@@ -128,20 +143,12 @@ def test_serialize_round_trip(name):
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_adjacency_partitions_incidence(name):
     net = fx.FIXTURES[name]()
-    seen_out, seen_in = [], []
+    # Each line leaves its from bus and enters its to bus, in position order.
     expected = np.zeros((len(net.buses), len(net.lines)))
-    for bus_id, (out, inc) in net.adjacency.items():
-        for lid in out:
-            assert net.lines[net.line_pos[lid]].from_bus == bus_id
-            seen_out.append(lid)
-            expected[net.bus_pos[bus_id], net.line_pos[lid]] -= 1.0
-        for lid in inc:
-            assert net.lines[net.line_pos[lid]].to_bus == bus_id
-            seen_in.append(lid)
-            expected[net.bus_pos[bus_id], net.line_pos[lid]] += 1.0
-    assert sorted(seen_out) == sorted(l.id for l in net.lines)
-    assert sorted(seen_in) == sorted(l.id for l in net.lines)
-    # The cached sparse incidence is the same map in position order.
+    for e, line in enumerate(net.lines):
+        assert net.line_pos[line.id] == e
+        expected[net.bus_pos[line.from_bus], e] -= 1.0
+        expected[net.bus_pos[line.to_bus], e] += 1.0
     assert np.array_equal(net.incidence.toarray(), expected)
 
 
@@ -175,6 +182,33 @@ def test_bus_and_line_invariants():
         Line(1, 1, 2, 0.1, 9.0, 1.0)  # susceptance inconsistent with reactance
     with pytest.raises(ValueError, match="unknown bus"):
         Network.build([Bus(1, 1.0)], [Line.of(1, 1, 2, 0.1, 1.0)])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Bus(1, demand=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Bus(1, gen_cap=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Line.of(1, 1, 2, 0.1, bad)
+        with pytest.raises(ValueError, match="finite"):
+            Line(1, 1, 2, 0.1, bad, 1.0)
+
+
+def test_infinite_rating_is_rejected_not_priced_as_zero():
+    # With an infinite rating an attack used to price the line's thermal row
+    # at inf * 0 = NaN, which was dropped: the removed line kept its flow.
+    with pytest.raises(ValueError, match="finite"):
+        Network.build([Bus(1, 0.0, 2.0), Bus(2, 1.0)], [Line.of(1, 1, 2, 0.1, np.inf)])
+
+
+def test_network_takes_only_buses_lines_and_big_m():
+    net = fx.two_bus()
+    assert [f.name for f in fields(Network) if f.init] == ["buses", "lines", "big_M"]
+    with pytest.raises(TypeError):
+        Network(net.buses, net.lines)
+    assert Network(net.buses, net.lines, net.big_M) == net
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="big_M"):
+            Network(net.buses, net.lines, bad)
 
 
 def test_attacker_model_invariants():
