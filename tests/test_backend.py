@@ -46,6 +46,16 @@ def test_set_row_bounds_resolves_like_a_fresh_model():
         assert _bits(kept.solve_lp()) == _bits(_small_lp(lo, hi)[0].solve_lp()), (lo, hi)
 
 
+@pytest.mark.parametrize("row, lo, hi", FINITE_SIDE_CHANGES)
+def test_set_row_bounds_changing_finite_sides_resolves_like_a_fresh_model(row, lo, hi):
+    kept, rows = _small_lp(*BOUNDS[0])
+    kept.solve_lp()
+    kept.set_row_bounds([row], lo, hi)
+    new_lo, new_hi = np.array(BOUNDS[0])
+    new_lo[row], new_hi[row] = lo, hi
+    assert _bits(kept.solve_lp()) == _bits(_small_lp(new_lo, new_hi)[0].solve_lp())
+
+
 def test_set_row_bounds_on_some_rows_keeps_the_others():
     kept, rows = _small_lp(*BOUNDS[0])
     kept.solve_lp()
