@@ -3,8 +3,9 @@
 The package solves the bilevel problem "which k lines, removed together,
 force the most load shed" on a DC power-flow model, for three attacker
 budgets (any k lines; k lines inside a geographic disk; k lines forming a
-connected subgraph), using a cutting-plane loop certified against a
-brute-force oracle at desk scale.
+connected subgraph), using a cutting-plane loop whose master is an
+enumeration with feasible-response bounds up to a subset budget and a MILP
+past it, cross-checked against a brute-force oracle at desk scale.
 """
 
 from .attackers import (SpatialFootprint, SpatiallyInfeasibleError, compute_phi,

@@ -29,14 +29,20 @@ __all__ = [
     "SpatialFootprint",
     "MasterEncoding",
     "SpatiallyInfeasibleError",
+    "NoFeasibleAttackError",
     "haversine_km",
     "planar_km",
     "compute_phi",
+    "check_budget",
     "encode_feasible_set",
     "is_feasible_attack",
 ]
 
 EARTH_RADIUS_KM = 6371.0
+
+
+class NoFeasibleAttackError(RuntimeError):
+    """The attacker feasible set is empty."""
 
 
 class SpatiallyInfeasibleError(ValueError):
@@ -160,26 +166,42 @@ def _extend(enc: MasterEncoding, name: str, count: int, lb=0.0, ub=1.0,
     return idx
 
 
+def check_budget(net: Network, model: AttackerModel,
+                 footprint: SpatialFootprint | None = None) -> None:
+    """Raise ``ValueError`` if ``model`` cannot be posed on ``net``.
+
+    That is: k above the line count of an exact-k budget, or a spatial
+    budget without a footprint or with a pinned center bus the network
+    lacks. A footprint that gives no line a candidate center raises
+    :class:`SpatiallyInfeasibleError`.
+    """
+    if model.variant != "spatial":
+        if model.k > len(net.lines):
+            raise ValueError(f"infeasible: k = {model.k} exceeds {len(net.lines)} lines")
+        return
+    if footprint is None:
+        raise ValueError("spatial encoding requires a footprint")
+    if all(len(footprint.phi[lid]) == 0 for lid in net.line_ids()):
+        raise SpatiallyInfeasibleError(
+            f"spatially infeasible: no line within D/2 = {footprint.D_km / 2} km "
+            "of any candidate center")
+    if model.center_bus is not None and model.center_bus not in net.bus_pos:
+        raise ValueError(f"pinned center bus {model.center_bus} not in network")
+
+
 def encode_feasible_set(net: Network, model: AttackerModel,
                         footprint: SpatialFootprint | None = None) -> MasterEncoding:
     """Constraint system whose 0/1 solutions project onto the feasible attacks."""
+    check_budget(net, model, footprint)
     m, n = len(net.lines), len(net.buses)
     enc = _base_encoding(net, model)
     x = enc.blocks["x"]
 
     if model.variant == "traditional":
-        if model.k > m:
-            raise ValueError(f"infeasible: k = {model.k} exceeds {m} lines")
         enc.add_row(x, np.ones(m), model.k, model.k)
         return enc
 
     if model.variant == "spatial":
-        if footprint is None:
-            raise ValueError("spatial encoding requires a footprint")
-        if all(len(footprint.phi[lid]) == 0 for lid in net.line_ids()):
-            raise SpatiallyInfeasibleError(
-                f"spatially infeasible: no line within D/2 = {footprint.D_km / 2} km "
-                "of any candidate center")
         c = _extend(enc, "center", n)
         enc.add_row(x, np.ones(m), -np.inf, model.k)   # at most k lines
         enc.add_row(c, np.ones(n), 1.0, 1.0)           # exactly one center
@@ -190,15 +212,10 @@ def encode_feasible_set(net: Network, model: AttackerModel,
             vals = [1.0] + [-1.0] * len(cand)
             enc.add_row(cols, vals, -np.inf, 0.0)      # x_e <= sum of its candidate centers
         if model.center_bus is not None:
-            if model.center_bus not in bus_col:
-                raise ValueError(f"pinned center bus {model.center_bus} not in network")
-            col = bus_col[model.center_bus]
-            enc.lb[col] = 1.0                          # known event location
+            enc.lb[bus_col[model.center_bus]] = 1.0    # known event location
         return enc
 
     # topological
-    if model.k > m:
-        raise ValueError(f"infeasible: k = {model.k} exceeds {m} lines")
     y = _extend(enc, "y", n)
     kx = _extend(enc, "kappa_edge", n)
     fwd = _extend(enc, "flow_fwd", m, lb=0.0, ub=np.inf, integer=False)
@@ -229,12 +246,17 @@ def encode_feasible_set(net: Network, model: AttackerModel,
 
 def _connected(net: Network, lines: frozenset[int]) -> bool:
     """Edge-induced subgraph of the chosen lines is a single component."""
-    if not lines:
-        return True
-    chosen = np.zeros(len(net.lines), dtype=bool)
-    chosen[[net.line_pos[lid] for lid in lines]] = True
-    island = net.islands(chosen)
-    return len(set(island[net.endpoint_positions()[0][chosen]])) == 1
+    fr, to = net.endpoint_positions()
+    ends = [{fr[net.line_pos[lid]], to[net.line_pos[lid]]} for lid in lines]
+    reached = ends.pop() if ends else set()
+    while ends:
+        touching = [e for e in ends if e & reached]
+        if not touching:
+            return False
+        for e in touching:
+            reached |= e
+            ends.remove(e)
+    return True
 
 
 def is_feasible_attack(net: Network, model: AttackerModel,

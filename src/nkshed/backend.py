@@ -289,7 +289,7 @@ class Model:
         return Solution(OPTIMAL, float(lp.getInfo().objective_function_value),
                         np.asarray(res.col_value), np.asarray(res.row_dual)[at])
 
-    def solve_milp(self, require_optimal: bool = True) -> Solution:
+    def solve_milp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
         mat, lo, hi, _ = self._block(eq_first=True)
         constraints = [LinearConstraint(mat, lo, hi)] if len(lo) else []
         with _stdout_to_stderr():
@@ -298,6 +298,7 @@ class Model:
                 constraints=constraints,
                 integrality=np.asarray(self._integer, dtype=int),
                 bounds=Bounds(np.asarray(self._lb), np.asarray(self._ub)),
+                options={"presolve": presolve},
             )
         status = _MILP_STATUS.get(res.status, FAILED)
         if status != OPTIMAL:

@@ -10,7 +10,7 @@ from pathlib import Path
 from .attackers import SpatiallyInfeasibleError
 from .engine import ITERATION_LIMIT, NoFeasibleAttackError, SolveConfig
 from .netmodel import AttackerModel, CaseFormatError, GeoFormatError, parse_case, parse_geo
-from .oracle import BudgetExceededError
+from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .runner import (build_geojson, certify, parse_range, report_json,
                      solve_to_report, sweep, write_sweep_csv)
 
@@ -31,7 +31,9 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
         p.add_argument("--k", type=int, required=True, help="number of lines to remove")
         p.add_argument("--D", type=float, help="spatial disk diameter in km")
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
-    p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic")
+    p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic",
+                   help="penalty rates of the MILP master, used only past the enumeration "
+                        "budget")
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--distance", choices=["haversine", "planar"], default="haversine")
 
@@ -69,7 +71,8 @@ def _cmd_run(args) -> int:
         overlay = build_geojson(net, report)
         (out_dir / "overlay.geojson").write_text(json.dumps(overlay, indent=2) + "\n")
     print(f"{model.variant} k={model.k}: eta_star={report.eta_star:.6g} p.u., "
-          f"{report.iterations} iterations, gap {report.rel_gap_pct:.2f}%, "
+          f"{report.iterations} iterations, gap {report.rel_gap_pct:.2f}%"
+          f"{'' if report.bound_certified else ' (not certified)'}, "
           f"lines {report.interdicted_lines} -> {out_dir / 'report.json'}")
     return EXIT_NOT_CONVERGED if report.status == ITERATION_LIMIT else EXIT_OK
 
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
 
     p_cert = sub.add_parser("certify", help="cross-check the solver against enumeration")
     _add_common(p_cert)
-    p_cert.add_argument("--budget", type=int, default=200_000,
+    p_cert.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max subsets the oracle may enumerate")
     p_cert.add_argument("--out", help="write the certification JSON here too")
     p_cert.set_defaults(func=_cmd_certify)

@@ -1,17 +1,35 @@
 """Constraint-generation solve of the max-min interdiction problem.
 
-The loop alternates between a master MILP over the attack binaries plus a
-shed-estimate variable, and exact inner load-shed solves. Each iteration the
-master proposes the attack with the highest estimate consistent with all
-cuts collected so far; the inner LP prices that attack exactly; a new cut
-caps the estimate of every attack by the priced flows of this one, and an
-exclusion cut retires the proposal. The master's MILP dual bound is a
-certified upper bound (given valid penalty rates) and the best inner value a
-lower bound, so the loop stops once they meet within the requested tolerance.
+The loop alternates between a master that proposes an attack and an exact
+inner load-shed solve that prices it. The master takes one of two forms.
 
-Every returned incumbent is re-verified with one final independent inner
-solve; with heuristic penalty rates that re-solve is the certified lower
-bound that stands even if the rates were optimistic.
+**Enumerated master**, used whenever the attacker's candidate-subset count
+fits ``ENUMERATION_BUDGET`` (the oracle's default budget, 200 000). The
+feasible attacks are enumerated once, by the oracle's enumerator, and each
+keeps an upper bound on its shed. The intact network's dispatch seeds every
+bound (one inner solve, not counted as an iteration). The master proposes
+the unpriced attack with the largest bound, the first in enumeration order
+on ties. Each priced dispatch then tightens the bound of every unpriced
+attack still above the stopping threshold: the dispatch, balanced per
+island, routed by DC power flow on that attack's surviving lines and scaled
+into the line ratings, is a feasible defender response, so its shed bounds
+that attack's (``inner.response_shed``). The largest unpriced bound is thus
+a proof, and a run that stops on it reports ``bound_certified``. No penalty
+rates are computed on this path.
+
+**MILP master**, past the budget. A MILP over the attack binaries and a
+shed-estimate variable proposes the attack with the highest estimate
+consistent with the cuts so far; each priced attack adds a cut that caps the
+estimate of every attack by its priced line flows at per-line penalty rates
+(``SolveConfig.bounds_mode``), and an exclusion cut that retires it. The
+master's MILP dual bound is an upper bound only if the rates dominate the
+inner duals, which no rate mode can certify, so this path never reports
+``bound_certified``. A master that HiGHS fails to solve is retried once with
+presolve off.
+
+Both paths stop once the upper bound and the best priced shed meet within
+the requested tolerance. Every returned incumbent is re-verified with one
+final independent inner solve.
 """
 
 from __future__ import annotations
@@ -21,26 +39,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attackers import MasterEncoding, SpatialFootprint, compute_phi, encode_feasible_set
-from .backend import INFEASIBLE, Model
+from .attackers import (MasterEncoding, NoFeasibleAttackError, SpatialFootprint, check_budget,
+                        compute_phi, encode_feasible_set)
+from .backend import INFEASIBLE, OPTIMAL, Model
 from .bounds import DualBounds, HEURISTIC, VALID, heuristic_bounds, valid_bounds
-from .inner import AttackPlan, InnerSolution, solve_inner
+from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
 from .netmodel import AttackerModel, Network, total_load
+from .oracle import DEFAULT_BUDGET, attack_plan, feasible_attacks, subset_count
 
-__all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap"]
+__all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap",
+           "ENUMERATION_BUDGET"]
 
 CONVERGED = "converged"
 EXHAUSTED = "exhausted"
 ITERATION_LIMIT = "iteration_limit"
 
+# Candidate-subset count up to which the master is enumerated rather than a MILP.
+ENUMERATION_BUDGET = DEFAULT_BUDGET
 
-class NoFeasibleAttackError(RuntimeError):
-    """The attacker feasible set is empty."""
+# A recheck within this of eta_star confirms the incumbent's shed.
+RECHECK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs. Defaults: 1% relative tolerance, heuristic penalty rates."""
+    """Solver knobs. Defaults: 1% relative tolerance, heuristic penalty rates.
+
+    ``epsilon`` is the relative gap at which the loop stops (floored by
+    ``abs_floor`` near zero shed) and ``max_iters`` caps the attacks priced.
+    ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
+    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs); it
+    has no effect while the attacker's candidate subsets fit
+    ``ENUMERATION_BUDGET``, where the enumerated master needs no rates.
+    ``distance_mode`` is the spatial budget's distance metric.
+    """
 
     epsilon: float = 0.01
     abs_floor: float = 1e-6
@@ -59,7 +91,17 @@ class SolveConfig:
 
 @dataclass
 class MasterState:
-    """Mutable record of one constraint-generation run."""
+    """Mutable record of one constraint-generation run.
+
+    ``bound_certified`` is true when ``eta_up`` is a proof: the enumerated
+    master stopped converged or exhausted and the final recheck confirmed
+    ``eta_star`` within 1e-7. ``bounds`` holds the MILP master's penalty
+    rates, and ``cuts`` and ``nogood`` its rows; the enumerated master
+    leaves them empty. Each ``history`` record holds the iteration, the
+    attack, its exact shed ``eta_hat``, ``eta_up`` and ``live``: how many
+    unpriced attacks still have a bound above the stopping level (None on
+    the MILP path).
+    """
 
     cuts: list[tuple[float, dict[int, float]]] = field(default_factory=list)
     nogood: list[frozenset[int]] = field(default_factory=list)
@@ -72,6 +114,7 @@ class MasterState:
     status: str = ""
     bounds: DualBounds | None = None
     eta_star_recheck: float | None = None
+    bound_certified: bool = False
 
 
 def gap(state: MasterState, config: SolveConfig) -> float:
@@ -125,26 +168,97 @@ def _extract_plan(net: Network, model: AttackerModel, encoding: MasterEncoding,
     return AttackPlan(lines, center, model)
 
 
-def solve_interdiction(
-    net: Network,
-    model: AttackerModel,
-    config: SolveConfig | None = None,
-    footprint: SpatialFootprint | None = None,
-    bounds: DualBounds | None = None,
-) -> tuple[AttackPlan, float, MasterState]:
-    """Find an epsilon-optimal worst-case attack for the given attacker budget.
+def _enumerate(net: Network, model: AttackerModel,
+               footprint: SpatialFootprint | None) -> list[np.ndarray]:
+    """The feasible attacks as line positions, one array per attack size.
 
-    Returns ``(plan, eta_star, state)`` where ``eta_star`` is the exact shed
-    of the returned plan. Raises :class:`NoFeasibleAttackError` when the
-    feasible set is empty (possible for tight spatial budgets). When the
-    iteration cap is hit first, the incumbent is returned with
-    ``state.status == 'iteration_limit'`` and the achieved gap on record.
+    Sizes ascend, so the arrays' rows, taken in turn, follow the
+    enumeration order.
     """
-    if not net.buses:
-        raise ValueError("empty network")
-    config = config or SolveConfig()
-    if model.variant == "spatial" and footprint is None:
-        footprint = compute_phi(net, model.D_km, config.distance_mode)
+    by_size: dict[int, list[list[int]]] = {}
+    for subset in feasible_attacks(net, model, footprint):
+        by_size.setdefault(len(subset), []).append([net.line_pos[lid] for lid in subset])
+    return [np.array(rows, dtype=np.intp).reshape(len(rows), size)
+            for size, rows in by_size.items()]
+
+
+def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, np.ndarray]],
+             starts: np.ndarray, bound: np.ndarray, rows: np.ndarray) -> None:
+    """Lower ``bound`` on the attacks flagged in ``rows`` to the shed of the
+    feasible response built from ``inner``'s dispatch."""
+    n = len(net.buses)
+    gen = np.fromiter(inner.gen.values(), float, n)
+    served = net.demand_vector() * (1.0 - np.fromiter(inner.shed.values(), float, n))
+    for (cuts, split), start in zip(groups, starts):
+        pick = np.flatnonzero(rows[start:start + len(cuts)])
+        if len(pick):
+            at = start + pick
+            bound[at] = np.minimum(bound[at],
+                                   response_shed(net, gen, served, cuts[pick], split[pick]))
+
+
+def _price(net: Network, plan: AttackPlan, state: MasterState) -> InnerSolution:
+    """Solve the inner LP of ``plan``, count the iteration, keep the incumbent."""
+    try:
+        inner = solve_inner(net, plan)
+    except Exception as err:
+        raise RuntimeError(
+            f"inner solve failed at iteration {state.iterations + 1} "
+            f"for attack {sorted(plan.lines)}") from err
+    state.iterations += 1
+    if inner.eta > state.eta_star:
+        state.eta_star = inner.eta
+        state.incumbent_x = plan
+        state.incumbent_inner = inner
+    return inner
+
+
+def _stop_level(state: MasterState, config: SolveConfig) -> float:
+    """The upper bound at or below which the incumbent is epsilon-optimal."""
+    return state.eta_star + config.epsilon * max(state.eta_star, config.abs_floor)
+
+
+def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
+                     footprint: SpatialFootprint | None) -> MasterState:
+    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in _enumerate(net, model, footprint)]
+    starts = np.cumsum([0] + [len(cuts) for cuts, _ in groups])
+    if starts[-1] == 0:
+        raise NoFeasibleAttackError(
+            f"no feasible attack for the {model.variant} budget (k = {model.k})")
+    state = MasterState()
+    bound = np.full(starts[-1], np.inf)
+    priced = np.zeros(starts[-1], dtype=bool)
+    _tighten(net, solve_inner(net, AttackPlan(frozenset())), groups, starts, bound, ~priced)
+
+    while state.iterations < config.max_iters:
+        # argmax takes the first maximum: ties go to enumeration order.
+        i = int(np.argmax(np.where(priced, -np.inf, bound)))
+        g = int(np.searchsorted(starts, i, side="right")) - 1
+        lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
+        plan = attack_plan(net, model, footprint, lines)
+        inner = _price(net, plan, state)
+        priced[i] = True
+        level = _stop_level(state, config)
+        _tighten(net, inner, groups, starts, bound, ~priced & (bound > level))
+        unpriced = bound[~priced]
+        state.eta_up = min(state.eta_up, max(unpriced.max(initial=-np.inf), state.eta_star))
+        state.history.append({
+            "iteration": state.iterations,
+            "attack": list(plan.sorted_lines()),
+            "eta_hat": inner.eta,
+            "eta_up": state.eta_up,
+            "live": int(np.count_nonzero(unpriced > level)),
+        })
+        if state.eta_up <= level:
+            state.status = CONVERGED
+            break
+    else:
+        state.status = ITERATION_LIMIT
+    return state
+
+
+def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
+               footprint: SpatialFootprint | None, bounds: DualBounds | None) -> MasterState:
     encoding = encode_feasible_set(net, model, footprint)
     if bounds is None:
         bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC \
@@ -155,7 +269,10 @@ def solve_interdiction(
     seen: set[frozenset[int]] = set()
 
     while state.iterations < config.max_iters:
-        master = _build_master(net, encoding, state, load_cap).solve_milp(require_optimal=False)
+        mdl = _build_master(net, encoding, state, load_cap)
+        master = mdl.solve_milp(require_optimal=False)
+        if master.status not in (OPTIMAL, INFEASIBLE):
+            master = mdl.solve_milp(require_optimal=False, presolve=False)
         if master.status == INFEASIBLE:
             if state.iterations == 0:
                 raise NoFeasibleAttackError(
@@ -178,17 +295,7 @@ def solve_interdiction(
                 f"master re-proposed attack {sorted(plan.lines)} despite its exclusion cut")
         seen.add(plan.lines)
 
-        try:
-            inner = solve_inner(net, plan)
-        except Exception as err:
-            raise RuntimeError(
-                f"inner solve failed at iteration {state.iterations + 1} "
-                f"for attack {sorted(plan.lines)}") from err
-        state.iterations += 1
-        if inner.eta > state.eta_star:
-            state.eta_star = inner.eta
-            state.incumbent_x = plan
-            state.incumbent_inner = inner
+        inner = _price(net, plan, state)
         # The master bounds only the attacks its exclusion cuts have not yet
         # retired, so the global upper bound is the larger of that and the
         # incumbent (and never increases).
@@ -198,10 +305,10 @@ def solve_interdiction(
             "attack": list(plan.sorted_lines()),
             "eta_hat": inner.eta,
             "eta_up": state.eta_up,
+            "live": None,
         })
 
-        if state.eta_up - state.eta_star <= config.epsilon * max(state.eta_star,
-                                                                 config.abs_floor):
+        if state.eta_up <= _stop_level(state, config):
             state.status = CONVERGED
             break
 
@@ -210,10 +317,44 @@ def solve_interdiction(
         state.nogood.append(plan.lines)
     else:
         state.status = ITERATION_LIMIT
+    return state
 
-    if state.incumbent_x is None:  # pragma: no cover - master infeasible handled above
+
+def solve_interdiction(
+    net: Network,
+    model: AttackerModel,
+    config: SolveConfig | None = None,
+    footprint: SpatialFootprint | None = None,
+    bounds: DualBounds | None = None,
+) -> tuple[AttackPlan, float, MasterState]:
+    """Find an epsilon-optimal worst-case attack for the given attacker budget.
+
+    Returns ``(plan, eta_star, state)`` where ``eta_star`` is the exact shed
+    of the returned plan. The master is enumerated when the candidate-subset
+    count fits ``ENUMERATION_BUDGET`` and a MILP otherwise; ``bounds``, the
+    MILP master's penalty rates, default to ``config.bounds_mode``'s. Raises
+    :class:`NoFeasibleAttackError` when the feasible set is empty (possible
+    for tight spatial budgets). When the iteration cap is hit first, the
+    incumbent is returned with ``state.status == 'iteration_limit'`` and the
+    achieved gap on record.
+    """
+    if not net.buses:
+        raise ValueError("empty network")
+    config = config or SolveConfig()
+    if model.variant == "spatial" and footprint is None:
+        footprint = compute_phi(net, model.D_km, config.distance_mode)
+    enumerated = subset_count(len(net.lines), model) <= ENUMERATION_BUDGET
+    if enumerated:
+        check_budget(net, model, footprint)
+        state = _enumerated_loop(net, model, config, footprint)
+    else:
+        state = _milp_loop(net, model, config, footprint, bounds)
+
+    if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
         raise NoFeasibleAttackError("no attack was evaluated")
 
     recheck = solve_inner(net, state.incumbent_x)
     state.eta_star_recheck = recheck.eta
+    state.bound_certified = (enumerated and state.status in (CONVERGED, EXHAUSTED)
+                             and abs(recheck.eta - state.eta_star) <= RECHECK_TOL)
     return state.incumbent_x, state.eta_star, state

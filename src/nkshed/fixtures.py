@@ -5,13 +5,19 @@ fraction-of-a-degree grid) so the spatial budget is meaningful, and sized so
 exhaustive enumeration stays instant. ``SPATIAL_D`` suggests a disk diameter
 per fixture that makes the spatial budget genuinely constraining: some line
 pairs share a candidate center, others do not.
+
+``random_mesh(seed)`` draws small seeded networks without coordinates. Their
+total load is often below 1 p.u., which no fixture in the zoo has, and many
+of their attacks split the network into islands.
 """
 
 from __future__ import annotations
 
+import random
+
 from .netmodel import Bus, Line, Network, serialize_case
 
-__all__ = ["two_bus", "triangle", "braess4", "star5", "ring6", "mesh8",
+__all__ = ["two_bus", "triangle", "braess4", "star5", "ring6", "mesh8", "random_mesh",
            "FIXTURES", "SPATIAL_D", "write_case", "write_geo"]
 
 
@@ -115,6 +121,28 @@ def mesh8() -> Network:
          (11, 3, 6, 0.15, 0.5),
          (12, 4, 8, 0.20, 0.4)],
     )
+
+
+def random_mesh(seed: int) -> Network:
+    """Seeded 4-7 bus mesh: a random spanning tree plus 1..n random chords.
+
+    Drawn from ``random.Random(seed)`` in this order: the bus count n; per
+    bus in id order, bus 1 always and any other with probability 0.35 a
+    generator of capacity U(0.5, 3), else a load of U(0.2, 1); a tree parent
+    for each of buses 2..n; the chord count and each chord's two distinct
+    buses; then per line in order its reactance U(0.05, 0.3) and rating
+    U(0.1, 1.5). Chords may parallel other lines.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    buses = [Bus(i, 0.0, rng.uniform(0.5, 3.0)) if i == 1 or rng.random() < 0.35
+             else Bus(i, rng.uniform(0.2, 1.0), 0.0)
+             for i in range(1, n + 1)]
+    edges = [(rng.randint(1, i - 1), i) for i in range(2, n + 1)]
+    edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, n))]
+    lines = [Line.of(e + 1, a, b, rng.uniform(0.05, 0.3), rng.uniform(0.1, 1.5))
+             for e, (a, b) in enumerate(edges)]
+    return Network.build(buses, lines)
 
 
 FIXTURES = {

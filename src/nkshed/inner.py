@@ -10,6 +10,10 @@ the objective instead, at per-line penalty rates taken from a
 duals the two values coincide, which is the property the cutting-plane
 master relies on.
 
+``response_shed`` bounds the exact shed of many attacks at once without an
+LP: it turns one dispatch into a feasible defender response to each attack
+(see its docstring), the bound the engine's enumerated master keeps.
+
 Both LPs, and the flow-extreme relaxations in :mod:`nkshed.bounds`, are
 built by ``add_dc_network``: it adds the network's columns and flow-balance
 rows as sparse blocks from the cached incidence matrix and returns the
@@ -31,12 +35,13 @@ import numpy as np
 from scipy import sparse
 
 from .backend import BackendError, Model
-from .netmodel import AttackerModel, Network
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bounds import DualBounds
 
-__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "solve_penalized_inner", "cut_rhs"]
+__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "solve_penalized_inner", "cut_rhs",
+           "response_shed"]
 
 # The +-M band of an interdicted line's coupling is accepted once both its
 # duals are at most this; otherwise M is doubled, at most this many times.
@@ -264,6 +269,46 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         big_m_used=m_val,
         big_m_ok=ok,
     )
+
+
+def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,
+                  split: np.ndarray | None = None) -> np.ndarray:
+    """Shed of a feasible defender response to each attack, built from one dispatch.
+
+    ``gen`` and ``served`` are per-bus generation and served load, such as
+    the optimal dispatch of another attack; each row of ``cuts`` holds the
+    line positions one attack removes. Per attack, the dispatch is balanced
+    on every island of the surviving network (surplus generation or the
+    served-load deficit scaled down pro rata), routed by DC power flow, and
+    scaled on each island by the largest alpha <= 1 that keeps every line
+    within its rating. That response is feasible for the attack's load-shed
+    LP, so its shed bounds the attack's eta from above; for the attack that
+    gave the dispatch it equals that attack's eta. ``split``, which
+    ``net.power_flow.splits(cuts)`` returns, spares a search for the
+    islands of attacks that leave every island whole.
+    """
+    demand = net.demand_vector()
+    gen = np.clip(gen, 0.0, net.gen_cap_vector())
+    served = np.clip(served, 0.0, demand)
+    pf, rating = net.power_flow, net.thermal_vector()
+    shed = np.empty(len(cuts))
+    step = max(1, BATCH_ENTRIES // ((cuts.shape[1] + 1) * max(len(gen), len(rating))))
+    for lo in range(0, len(cuts), step):
+        part = cuts[lo:lo + step]
+        comp, torn = pf.islands(part, None if split is None else split[lo:lo + step])
+        keys, size = comp.ravel(), comp.max() + 1
+        g_sum = np.bincount(keys, np.tile(gen, len(part)), size)
+        s_sum = np.bincount(keys, np.tile(served, len(part)), size)
+        g_scale = np.divide(s_sum, g_sum, out=np.ones(size), where=g_sum > s_sum)
+        s_scale = np.divide(g_sum, s_sum, out=np.ones(size), where=s_sum > g_sum)
+        g, s = gen * g_scale[comp], served * s_scale[comp]
+        flow = np.abs(pf.flows(g - s, part, comp, torn))
+        alpha = np.ones(size)
+        np.minimum.at(alpha, comp[:, pf.fr].ravel(),
+                      np.divide(rating, flow, out=np.full(flow.shape, np.inf),
+                                where=flow > 0).ravel())
+        shed[lo:lo + step] = demand.sum() - (alpha[comp] * s).sum(axis=1)
+    return shed
 
 
 def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds") -> float:

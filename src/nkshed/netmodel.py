@@ -12,6 +12,7 @@ import io
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -21,6 +22,7 @@ __all__ = [
     "Bus",
     "Line",
     "Network",
+    "PowerFlow",
     "AttackerModel",
     "CaseFormatError",
     "GeoFormatError",
@@ -32,6 +34,10 @@ __all__ = [
 
 # Relative tolerance for the susceptance/reactance consistency invariant.
 _B_X_RTOL = 1e-12
+
+# Batched outage computations work in chunks of rows whose temporary arrays
+# hold about this many entries each.
+BATCH_ENTRIES = 1 << 18
 
 
 class CaseFormatError(ValueError):
@@ -111,6 +117,7 @@ class Network:
     which solvers keep per-thread state built from the network, such as the
     kept load-shed model of :mod:`nkshed.inner`; every new Network, including
     one made by ``dataclasses.replace``, starts with an empty one.
+    ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
     """
 
     buses: tuple[Bus, ...]
@@ -191,11 +198,121 @@ class Network:
                                  shape=(n, n))
         return connected_components(links, directed=False)[1]
 
+    @cached_property
+    def power_flow(self) -> "PowerFlow":
+        return PowerFlow(self)
+
     def with_buses(self, buses: tuple[Bus, ...]) -> "Network":
         """Copy of this network with replaced bus records (same ids required)."""
         if tuple(b.id for b in buses) != tuple(b.id for b in self.buses):
             raise ValueError("bus id set must be unchanged")
         return Network(buses, self.lines, self.big_M)
+
+
+class PowerFlow:
+    """Position-indexed DC power flow of one network, batched over line outages.
+
+    Signs follow the load-shed LP: ``flow = b * (ang_to - ang_fr)`` and a
+    bus's net injection ``p = gen - served`` leaves it, so
+    ``incidence @ flow = -p``. Each batch call takes ``cuts``, an integer
+    array with one row of removed line positions per outage.
+
+    ``ptdf`` maps injections balanced on every island of the intact network
+    to line flows. ``sens`` is the symmetric line-by-line matrix
+    ``A' L^+ A`` of the incidence A and the island-grounded Laplacian L, so
+    ``b_l * sens[l, e]`` is the flow line l takes over per unit of flow
+    moved off line e. An outage that leaves every island whole gets its
+    flows from the intact ones by one k-by-k solve (line outage
+    distribution factors); one that splits an island gets a direct solve
+    of its own grounded Laplacian.
+    """
+
+    def __init__(self, net: Network):
+        self.fr, self.to = net.endpoint_positions()
+        self.b = net.susceptance_vector()
+        inc = net.incidence.toarray()
+        self.laplacian = (inc * self.b) @ inc.T
+        self.island = net.islands(np.ones(len(net.lines), dtype=bool))
+        self.num_islands = self.island.max() + 1
+        grounded = self.laplacian.copy()
+        roots = np.unique(self.island, return_index=True)[1]
+        grounded[roots, roots] += 1.0
+        lap_inc = np.linalg.solve(grounded, inc)
+        self.ptdf = -(self.b[:, None] * lap_inc.T)
+        self.sens = inc.T @ lap_inc
+
+    def islands(self, cuts: np.ndarray,
+                split: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Islands left by each outage.
+
+        Returns a component key per bus of each row, unique across rows,
+        and whether each row splits an island of the intact network. Rows
+        that ``split`` (as ``splits`` returned it) marks False keep the
+        intact islands; the others are searched in one graph holding a copy
+        of the network per row.
+        """
+        count, n, m = len(cuts), len(self.island), len(self.fr)
+        comp = np.arange(count)[:, None] * n + self.island
+        search = np.arange(count) if split is None else np.flatnonzero(split)
+        torn = np.zeros(count, dtype=bool)
+        if not len(search):
+            return comp, torn
+        keep = np.ones((len(search), m), dtype=bool)
+        keep[np.arange(len(search))[:, None], cuts[search]] = False
+        row, line = np.nonzero(keep)
+        ends = (row * n + self.fr[line], row * n + self.to[line])
+        graph = sparse.coo_array((np.ones(len(line)), ends), shape=(len(search) * n,) * 2)
+        found = connected_components(graph, directed=False)[1]
+        first = np.unique(found, return_index=True)[1]
+        torn[search] = np.bincount(first // n, minlength=len(search)) > self.num_islands
+        comp[search] = count * n + found.reshape(len(search), n)
+        return comp, torn
+
+    def splits(self, cuts: np.ndarray) -> np.ndarray:
+        """Whether each outage splits an island of the intact network."""
+        step = max(1, BATCH_ENTRIES // max(len(self.island), len(self.fr)))
+        return np.concatenate([self.islands(cuts[lo:lo + step])[1]
+                               for lo in range(0, len(cuts), step)])
+
+    def flows(self, inj: np.ndarray, cuts: np.ndarray, comp: np.ndarray,
+              split: np.ndarray) -> np.ndarray:
+        """Line flows of per-row injections ``inj`` with each row's lines removed.
+
+        ``comp`` and ``split`` are what ``islands(cuts)`` returned, and each
+        row of ``inj`` must balance on each of its islands. Removed lines
+        carry zero flow.
+        """
+        count, k = cuts.shape
+        flow = inj @ self.ptdf.T
+        whole = np.flatnonzero(~split)
+        if k and len(whole):
+            c = cuts[whole]
+            block = np.eye(k) - self.b[c][:, :, None] * self.sens[c[:, :, None], c[:, None, :]]
+            lost = np.take_along_axis(flow[whole], c, axis=1)[:, :, None]
+            moved = np.linalg.solve(block, lost).transpose(0, 2, 1) @ self.sens[c]
+            flow[whole] += self.b * moved[:, 0]
+        torn = np.flatnonzero(split)
+        if len(torn):
+            flow[torn] = self._island_flows(inj[torn], cuts[torn], comp[torn])
+        flow[np.arange(count)[:, None], cuts] = 0.0
+        return flow
+
+    def _island_flows(self, inj, cuts, comp) -> np.ndarray:
+        """Flows by a direct solve of each row's Laplacian, grounded at one bus per island."""
+        count, n = inj.shape
+        step = max(1, BATCH_ENTRIES // (n * n))
+        ang = np.empty_like(inj)
+        for lo in range(0, count, step):
+            part = cuts[lo:lo + step]
+            lap = np.repeat(self.laplacian[None], len(part), axis=0)
+            row = np.repeat(np.arange(len(part)), part.shape[1])
+            fr, to, b = self.fr[part].ravel(), self.to[part].ravel(), self.b[part].ravel()
+            for i, j, sign in ((fr, fr, -1.0), (to, to, -1.0), (fr, to, 1.0), (to, fr, 1.0)):
+                np.add.at(lap, (row, i, j), sign * b)
+            roots = np.unique(comp[lo:lo + step], return_index=True)[1]
+            lap[roots // n, roots % n, roots % n] += 1.0
+            ang[lo:lo + step] = np.linalg.solve(lap, -inj[lo:lo + step, :, None])[:, :, 0]
+        return self.b * (ang[:, self.to] - ang[:, self.fr])
 
 
 def _default_big_M(buses) -> float:

@@ -4,6 +4,10 @@ Only intended for desk-scale instances; the subset count is checked against
 an explicit budget before any solving starts. Ties between equally damaging
 attacks break toward the lexicographically smallest sorted line-id tuple so
 results (and golden files) are stable across runs.
+
+``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
+feasible set; the engine's enumerated master walks the same attacks in the
+same order.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .attackers import SpatialFootprint, is_feasible_attack, spatial_centers
-from .engine import NoFeasibleAttackError
+from .attackers import (NoFeasibleAttackError, SpatialFootprint, is_feasible_attack,
+                        spatial_centers)
 from .inner import AttackPlan, solve_inner
 from .netmodel import AttackerModel, Network
 
-__all__ = ["OracleResult", "BudgetExceededError", "solve_exhaustive", "write_ranking_csv"]
+__all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_count",
+           "feasible_attacks", "attack_plan", "solve_exhaustive", "write_ranking_csv"]
+
+# Candidate subsets the oracle enumerates unless told otherwise.
+DEFAULT_BUDGET = 200_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -33,7 +41,8 @@ class OracleResult:
     ranking: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
 
-def _subset_count(m: int, model: AttackerModel) -> int:
+def subset_count(m: int, model: AttackerModel) -> int:
+    """Candidate subsets of m lines the enumeration walks for ``model``."""
     if model.variant == "spatial":
         return sum(comb(m, j) for j in range(model.k + 1))
     return comb(m, model.k)
@@ -47,11 +56,34 @@ def _candidates(line_ids: tuple[int, ...], model: AttackerModel):
         yield from combinations(line_ids, model.k)
 
 
+def feasible_attacks(net: Network, model: AttackerModel,
+                     footprint: SpatialFootprint | None = None):
+    """Yield the sorted line-id tuple of every feasible attack.
+
+    Smaller attacks come first (only the spatial budget mixes sizes), then
+    lexicographic order.
+    """
+    for subset in _candidates(tuple(sorted(net.line_ids())), model):
+        if is_feasible_attack(net, model, footprint, subset):
+            yield subset
+
+
+def attack_plan(net: Network, model: AttackerModel, footprint: SpatialFootprint | None,
+                subset) -> AttackPlan:
+    """The plan of a feasible attack: a spatial one is centred on the pinned
+    bus, or else on the smallest bus that can centre all its lines."""
+    center = None
+    if model.variant == "spatial":
+        center = (model.center_bus if model.center_bus is not None
+                  else min(spatial_centers(net, footprint, subset)))
+    return AttackPlan(frozenset(subset), center, model)
+
+
 def solve_exhaustive(
     net: Network,
     model: AttackerModel,
     footprint: SpatialFootprint | None = None,
-    budget: int = 200_000,
+    budget: int = DEFAULT_BUDGET,
     keep_ranking: bool = False,
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
@@ -61,8 +93,7 @@ def solve_exhaustive(
     exceeds ``budget``, and :class:`NoFeasibleAttackError` when nothing in
     the enumeration passes the feasibility predicate.
     """
-    line_ids = tuple(sorted(net.line_ids()))
-    planned = _subset_count(len(line_ids), model)
+    planned = subset_count(len(net.lines), model)
     if planned > budget:
         raise BudgetExceededError(
             f"{planned} candidate subsets exceed the oracle budget of {budget}")
@@ -71,14 +102,8 @@ def solve_exhaustive(
     best_plan: AttackPlan | None = None
     ranking: list[tuple[tuple[int, ...], float]] = []
     evaluated = 0
-    for subset in _candidates(line_ids, model):
-        if not is_feasible_attack(net, model, footprint, subset):
-            continue
-        center = None
-        if model.variant == "spatial":
-            allowed = spatial_centers(net, footprint, subset)
-            center = model.center_bus if model.center_bus is not None else min(allowed)
-        plan = AttackPlan(frozenset(subset), center, model)
+    for subset in feasible_attacks(net, model, footprint):
+        plan = attack_plan(net, model, footprint, subset)
         eta = solve_inner(net, plan).eta
         evaluated += 1
         key = (eta, tuple(sorted(subset)))

@@ -17,17 +17,21 @@ from dataclasses import asdict, dataclass, field
 from .attackers import compute_phi, is_feasible_attack
 from .engine import NoFeasibleAttackError, SolveConfig, solve_interdiction
 from .netmodel import AttackerModel, Network, total_load
-from .oracle import solve_exhaustive
+from .oracle import DEFAULT_BUDGET, solve_exhaustive
 
 __all__ = ["RunReport", "solve_to_report", "sweep", "certify", "parse_range",
            "report_json", "build_geojson", "write_sweep_csv"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class RunReport:
-    """Machine-readable outcome of one interdiction solve."""
+    """Machine-readable outcome of one interdiction solve.
+
+    ``bound_certified`` says whether the gap is a proof (see
+    ``MasterState.bound_certified``); it was added in schema 2.
+    """
 
     model: str
     k: int
@@ -42,6 +46,7 @@ class RunReport:
     bounds_mode: str
     eps: float
     total_load: float
+    bound_certified: bool
     D_km: float | None = None
     center_bus: int | None = None
     schema: int = SCHEMA_VERSION
@@ -75,6 +80,7 @@ def solve_to_report(net: Network, model: AttackerModel,
         bounds_mode=config.bounds_mode,
         eps=config.epsilon,
         total_load=total_load(net),
+        bound_certified=state.bound_certified,
     )
 
 
@@ -139,8 +145,9 @@ def sweep(net: Network, variant: str, k_values, D_values=None,
 
 
 SWEEP_COLUMNS = ["schema", "model", "k", "D_km", "eta_star", "iterations",
-                 "rel_gap_pct", "status", "wall_time_s", "interdicted_lines",
-                 "center_bus", "bounds_mode", "eps", "total_load", "error"]
+                 "rel_gap_pct", "status", "bound_certified", "wall_time_s",
+                 "interdicted_lines", "center_bus", "bounds_mode", "eps", "total_load",
+                 "error"]
 
 
 def write_sweep_csv(rows: list[dict], out) -> None:
@@ -157,7 +164,7 @@ def write_sweep_csv(rows: list[dict], out) -> None:
 
 
 def certify(net: Network, model: AttackerModel, config: SolveConfig | None = None,
-            budget: int = 200_000) -> dict:
+            budget: int = DEFAULT_BUDGET) -> dict:
     """Run solver and brute-force oracle, and report whether they agree.
 
     Agreement means the solver's exact shed is within its epsilon (relative,

@@ -5,11 +5,12 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from nkshed import backend
+from nkshed import backend, engine
 from nkshed import fixtures as fx
-from nkshed.attackers import compute_phi
+from nkshed.attackers import SpatiallyInfeasibleError, compute_phi
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
                            NoFeasibleAttackError, SolveConfig, gap, solve_interdiction)
 from nkshed.inner import solve_inner
@@ -43,6 +44,128 @@ def test_engine_matches_oracle(name, variant, k, bounds_mode):
     oracle = solve_exhaustive(net, model, footprint)
     assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
     assert state.status in (CONVERGED, EXHAUSTED)
+
+
+@pytest.fixture
+def milp_master(monkeypatch):
+    """Send every solve down the MILP master path."""
+    monkeypatch.setattr(engine, "ENUMERATION_BUDGET", 0)
+
+
+@pytest.mark.parametrize("bounds_mode", ["heuristic", "valid"])
+@pytest.mark.parametrize("name,variant,k", [
+    ("triangle", "traditional", 2),
+    ("braess4", "traditional", 2),
+    ("ring6", "topological", 2),
+    ("mesh8", "spatial", 2),
+])
+def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
+    net = fx.FIXTURES[name]()
+    model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
+             else AttackerModel(variant, k))
+    footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
+    plan, eta, state = solve_interdiction(net, model, SolveConfig(bounds_mode=bounds_mode),
+                                          footprint=footprint)
+    oracle = solve_exhaustive(net, model, footprint)
+    assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
+    assert state.status in (CONVERGED, EXHAUSTED)
+    assert state.bounds.mode == bounds_mode
+    assert not state.bound_certified
+    assert all(h["live"] is None for h in state.history)
+
+
+RANDOM_CELLS = ([(seed, k) for seed in range(60) for k in (1, 2)]
+                + [(227, 2), (252, 2), (56, 1), (263, 2)])
+
+
+@pytest.mark.parametrize("seed,k", RANDOM_CELLS)
+def test_enumerated_master_matches_oracle_on_random_meshes(seed, k):
+    # (227, 2), (252, 2) and (56, 1) fooled the penalty-rate cuts; the MILP
+    # master crashed on (263, 2) in valid mode.
+    net = fx.random_mesh(seed)
+    model = AttackerModel.traditional(k)
+    config = SolveConfig()
+    plan, eta, state = solve_interdiction(net, model, config)
+    oracle = solve_exhaustive(net, model)
+    assert state.bound_certified
+    assert state.status == CONVERGED
+    assert oracle.best_eta - eta <= config.epsilon * max(eta, config.abs_floor) + 1e-9
+    assert state.eta_up >= oracle.best_eta - 1e-9
+    assert state.history[-1]["live"] == 0
+    assert eta == pytest.approx(solve_inner(net, plan).eta, abs=1e-9)
+
+
+def test_certified_bound_implies_oracle_agreement_on_fixture_zoo():
+    certified = 0
+    for name, make in fx.FIXTURES.items():
+        net = make()
+        for variant in ("traditional", "spatial", "topological"):
+            footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
+            for k in (1, 2, 3):
+                model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
+                         else AttackerModel(variant, k))
+                try:
+                    _, eta, state = solve_interdiction(net, model, footprint=footprint)
+                except (NoFeasibleAttackError, SpatiallyInfeasibleError, ValueError):
+                    continue
+                if not state.bound_certified:
+                    continue
+                certified += 1
+                oracle = solve_exhaustive(net, model, footprint)
+                assert oracle.best_eta - eta <= 0.01 * max(eta, 1e-6) + 1e-9, (name, variant, k)
+                assert state.eta_up >= oracle.best_eta - 1e-9, (name, variant, k)
+    assert certified >= 40
+
+
+def test_enumerated_master_needs_no_penalty_rates(monkeypatch, braess4):
+    def no_rates(*args, **kwargs):
+        raise AssertionError("the enumerated master computed penalty rates")
+
+    monkeypatch.setattr(engine, "valid_bounds", no_rates)
+    monkeypatch.setattr(engine, "heuristic_bounds", no_rates)
+    runs = [solve_interdiction(braess4, AttackerModel.traditional(2), SolveConfig(bounds_mode=m))
+            for m in ("heuristic", "valid")]
+    assert runs[0][2].history == runs[1][2].history
+    assert runs[0][2].bounds is None and runs[0][2].cuts == []
+
+
+def test_enumerated_master_ties_go_to_enumeration_order(star5):
+    # All six leaf pairs strand 1.2 p.u. and every bound starts at that value.
+    _, eta, state = solve_interdiction(star5, AttackerModel.traditional(2))
+    assert eta == pytest.approx(1.2, abs=1e-9)
+    assert state.history[0]["attack"] == [1, 2]
+    assert state.iterations == 1 and state.bound_certified
+
+
+def _failing(times):
+    """A ``Model.solve_milp`` whose first ``times`` calls fail; records presolve flags."""
+    real, calls = backend.Model.solve_milp, []
+
+    def solve_milp(self, require_optimal=True, presolve=True):
+        calls.append(presolve)
+        if len(calls) <= times:
+            return backend.Solution("failed", np.nan, np.zeros(self.num_vars))
+        return real(self, require_optimal=require_optimal, presolve=presolve)
+
+    return solve_milp, calls
+
+
+def test_milp_master_retries_a_failed_solve_without_presolve(milp_master, monkeypatch, mesh8):
+    model = AttackerModel.traditional(2)
+    solve_milp, calls = _failing(1)
+    monkeypatch.setattr(backend.Model, "solve_milp", solve_milp)
+    _, eta, state = solve_interdiction(mesh8, model)
+    assert calls[:3] == [True, False, True]
+    assert state.status in (CONVERGED, EXHAUSTED)
+    assert eta == pytest.approx(solve_exhaustive(mesh8, model).best_eta, rel=0.011)
+
+
+def test_milp_master_failing_twice_raises(milp_master, monkeypatch, triangle):
+    solve_milp, calls = _failing(2)
+    monkeypatch.setattr(backend.Model, "solve_milp", solve_milp)
+    with pytest.raises(RuntimeError, match="master solve failed at iteration 1: failed"):
+        solve_interdiction(triangle, AttackerModel.traditional(1))
+    assert calls == [True, False]
 
 
 def test_bound_monotonicity_along_history(mesh8):

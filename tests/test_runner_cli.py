@@ -15,7 +15,8 @@ from nkshed.runner import (build_geojson, certify, report_json, solve_to_report,
 
 def test_report_fields_and_gap_discipline(triangle):
     report = solve_to_report(triangle, AttackerModel.traditional(2))
-    assert report.schema == 1
+    assert report.schema == 2
+    assert report.bound_certified is True
     assert report.model == "traditional" and report.k == 2
     assert report.eta_star == pytest.approx(2.0, abs=1e-6)
     assert report.status == "converged"
@@ -96,6 +97,7 @@ def test_sweep_csv_writer(tmp_path, triangle):
     write_sweep_csv(rows, str(out))
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("schema,model,k,D_km,eta_star")
+    assert "bound_certified" in lines[0].split(",")
     assert len(lines) == 3
 
 
@@ -142,7 +144,8 @@ def test_cli_run_two_bus(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["eta_star"] == pytest.approx(1.0, abs=1e-6)
     assert report["interdicted_lines"] == [1]
-    assert report["schema"] == 1
+    assert report["schema"] == 2
+    assert report["bound_certified"] is True
     overlay = json.loads((out_dir / "overlay.geojson").read_text())
     assert overlay["type"] == "FeatureCollection"
     assert "eta_star=1" in capsys.readouterr().out
