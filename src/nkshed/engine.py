@@ -4,12 +4,13 @@ The loop alternates between a master that proposes an attack and an exact
 inner load-shed solve that prices it. The master takes one of two forms.
 
 **Enumerated master**, used whenever the attacker's candidate-subset count
-fits ``ENUMERATION_BUDGET`` (the oracle's default budget, 200 000). The
-feasible attacks are enumerated once, by the oracle's enumerator, and each
-keeps an upper bound on its shed. The intact network's dispatch seeds every
-bound (one inner solve, not counted as an iteration). The master proposes
-the unpriced attack with the largest bound, the first in enumeration order
-on ties. Each priced dispatch then tightens the bound of every unpriced
+fits ``ENUMERATION_BUDGET`` (the oracle's default budget, 200 000) and the
+network's buses times lines fit ``NETWORK_BUDGET``. The feasible attacks
+are enumerated once, by the oracle's enumerator, and each keeps an upper
+bound on its shed. The intact network's dispatch seeds every bound (one
+inner solve, not counted as an iteration). The master proposes the
+unpriced attack with the largest bound, the first in enumeration order on
+ties. Each priced dispatch then tightens the bound of every unpriced
 attack still above the stopping threshold: the dispatch, balanced per
 island, routed by DC power flow on that attack's surviving lines and scaled
 into the line ratings, is a feasible defender response, so its shed bounds
@@ -17,7 +18,7 @@ that attack's (``inner.response_shed``). The largest unpriced bound is thus
 a proof, and a run that stops on it reports ``bound_certified``. No penalty
 rates are computed on this path.
 
-**MILP master**, past the budget. A MILP over the attack binaries and a
+**MILP master**, past either budget. A MILP over the attack binaries and a
 shed-estimate variable proposes the attack with the highest estimate
 consistent with the cuts so far; each priced attack adds a cut that caps the
 estimate of every attack by its priced line flows at per-line penalty rates
@@ -48,14 +49,20 @@ from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, attack_plan, feasible_attacks, subset_count
 
 __all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap",
-           "ENUMERATION_BUDGET"]
+           "ENUMERATION_BUDGET", "NETWORK_BUDGET"]
 
 CONVERGED = "converged"
 EXHAUSTED = "exhausted"
 ITERATION_LIMIT = "iteration_limit"
 
-# Candidate-subset count up to which the master is enumerated rather than a MILP.
+# The master is enumerated rather than a MILP while the candidate-subset
+# count fits the first budget and buses times lines the second. The
+# enumerated master prices more attacks as islands grow, because one line
+# over its rating scales a whole island's response down. At k = 1 on the
+# seeded lattices it beat the MILP master up to 144 buses and 264 lines
+# (38 016) and lost to it from 196 buses and 364 lines (71 344) on.
 ENUMERATION_BUDGET = DEFAULT_BUDGET
+NETWORK_BUDGET = 1 << 16
 
 # A recheck within this of eta_star confirms the incumbent's shed.
 RECHECK_TOL = 1e-7
@@ -69,8 +76,8 @@ class SolveConfig:
     ``abs_floor`` near zero shed) and ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
     ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs); it
-    has no effect while the attacker's candidate subsets fit
-    ``ENUMERATION_BUDGET``, where the enumerated master needs no rates.
+    has no effect on the enumerated master, which needs no rates (see
+    ``ENUMERATION_BUDGET`` and ``NETWORK_BUDGET``).
     ``distance_mode`` is the spatial budget's distance metric.
     """
 
@@ -94,10 +101,10 @@ class MasterState:
     """Mutable record of one constraint-generation run.
 
     ``bound_certified`` is true when ``eta_up`` is a proof: the enumerated
-    master stopped converged or exhausted and the final recheck confirmed
-    ``eta_star`` within 1e-7. ``bounds`` holds the MILP master's penalty
-    rates, and ``cuts`` and ``nogood`` its rows; the enumerated master
-    leaves them empty. Each ``history`` record holds the iteration, the
+    master stopped converged and the final recheck confirmed ``eta_star``
+    within 1e-7. ``bounds`` holds the MILP master's penalty rates, and
+    ``cuts`` and ``nogood`` its rows; the enumerated master leaves them
+    empty. Each ``history`` record holds the iteration, the
     attack, its exact shed ``eta_hat``, ``eta_up`` and ``live``: how many
     unpriced attacks still have a bound above the stopping level (None on
     the MILP path).
@@ -331,8 +338,9 @@ def solve_interdiction(
 
     Returns ``(plan, eta_star, state)`` where ``eta_star`` is the exact shed
     of the returned plan. The master is enumerated when the candidate-subset
-    count fits ``ENUMERATION_BUDGET`` and a MILP otherwise; ``bounds``, the
-    MILP master's penalty rates, default to ``config.bounds_mode``'s. Raises
+    count fits ``ENUMERATION_BUDGET`` and buses times lines fit
+    ``NETWORK_BUDGET``, and a MILP otherwise; ``bounds``, the MILP master's
+    penalty rates, default to ``config.bounds_mode``'s. Raises
     :class:`NoFeasibleAttackError` when the feasible set is empty (possible
     for tight spatial budgets). When the iteration cap is hit first, the
     incumbent is returned with ``state.status == 'iteration_limit'`` and the
@@ -343,7 +351,9 @@ def solve_interdiction(
     config = config or SolveConfig()
     if model.variant == "spatial" and footprint is None:
         footprint = compute_phi(net, model.D_km, config.distance_mode)
-    enumerated = subset_count(len(net.lines), model) <= ENUMERATION_BUDGET
+    m = len(net.lines)
+    enumerated = (subset_count(m, model) <= ENUMERATION_BUDGET
+                  and len(net.buses) * m <= NETWORK_BUDGET)
     if enumerated:
         check_budget(net, model, footprint)
         state = _enumerated_loop(net, model, config, footprint)
@@ -355,6 +365,6 @@ def solve_interdiction(
 
     recheck = solve_inner(net, state.incumbent_x)
     state.eta_star_recheck = recheck.eta
-    state.bound_certified = (enumerated and state.status in (CONVERGED, EXHAUSTED)
+    state.bound_certified = (enumerated and state.status == CONVERGED
                              and abs(recheck.eta - state.eta_star) <= RECHECK_TOL)
     return state.incumbent_x, state.eta_star, state

@@ -292,6 +292,7 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
     served = np.clip(served, 0.0, demand)
     pf, rating = net.power_flow, net.thermal_vector()
     shed = np.empty(len(cuts))
+    gen_flow, served_flow = gen @ pf.ptdf_t, served @ pf.ptdf_t
     step = max(1, BATCH_ENTRIES // ((cuts.shape[1] + 1) * max(len(gen), len(rating))))
     for lo in range(0, len(cuts), step):
         part = cuts[lo:lo + step]
@@ -302,7 +303,14 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
         g_scale = np.divide(s_sum, g_sum, out=np.ones(size), where=g_sum > s_sum)
         s_scale = np.divide(g_sum, s_sum, out=np.ones(size), where=s_sum > g_sum)
         g, s = gen * g_scale[comp], served * s_scale[comp]
-        flow = np.abs(pf.flows(g - s, part, comp, torn))
+        # Each row's injection equals gen and served at the scales of its
+        # largest island except off that island, so only that rest needs
+        # its own pass through the PTDF.
+        big = comp[np.arange(len(part)), np.argmax(np.bincount(keys, minlength=size)[comp], 1)]
+        a, c = g_scale[big][:, None], s_scale[big][:, None]
+        rest = sparse.csr_array(g - s - (a * gen - c * served))
+        base = a * gen_flow - c * served_flow + rest @ pf.ptdf_t
+        flow = np.abs(pf.flows(base, part, torn))
         alpha = np.ones(size)
         np.minimum.at(alpha, comp[:, pf.fr].ravel(),
                       np.divide(rating, flow, out=np.full(flow.shape, np.inf),

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "Bus",
@@ -217,29 +218,35 @@ class PowerFlow:
     ``incidence @ flow = -p``. Each batch call takes ``cuts``, an integer
     array with one row of removed line positions per outage.
 
-    ``ptdf`` maps injections balanced on every island of the intact network
-    to line flows. ``sens`` is the symmetric line-by-line matrix
-    ``A' L^+ A`` of the incidence A and the island-grounded Laplacian L, so
-    ``b_l * sens[l, e]`` is the flow line l takes over per unit of flow
-    moved off line e. An outage that leaves every island whole gets its
-    flows from the intact ones by one k-by-k solve (line outage
-    distribution factors); one that splits an island gets a direct solve
-    of its own grounded Laplacian.
+    ``ptdf_t`` (buses by lines) is the transposed PTDF: ``inj @ ptdf_t``
+    gives the intact network's flows for injections balanced on each of
+    its islands. It comes from one sparse LU of the Laplacian, grounded at
+    one bus per island, and is the only dense array kept. The difference
+    of its rows at line e's endpoints, ``ptdf @ incidence[:, e]``, is the
+    flow each line takes over per unit moved off line e, so an outage
+    of k lines gets its flows from the intact ones by one k-by-k solve
+    (line outage distribution factors). The k-by-k system is singular
+    exactly when the outage splits an island; it is then still consistent
+    for injections balanced on the new islands, and every solution gives
+    the same flows, so such outages take its least-squares solution.
     """
+
+    # An outage that splits an island drops the singular values of its
+    # k-by-k system up to this. The system is the identity minus a matrix
+    # similar to a symmetric one with eigenvalues in [0, 1], so its scale is 1.
+    _SINGULAR = 1e-10
 
     def __init__(self, net: Network):
         self.fr, self.to = net.endpoint_positions()
-        self.b = net.susceptance_vector()
-        inc = net.incidence.toarray()
-        self.laplacian = (inc * self.b) @ inc.T
-        self.island = net.islands(np.ones(len(net.lines), dtype=bool))
+        n, m = len(net.buses), len(net.lines)
+        self.island = net.islands(np.ones(m, dtype=bool))
         self.num_islands = self.island.max() + 1
-        grounded = self.laplacian.copy()
+        inc = net.incidence.tocsc()
         roots = np.unique(self.island, return_index=True)[1]
-        grounded[roots, roots] += 1.0
-        lap_inc = np.linalg.solve(grounded, inc)
-        self.ptdf = -(self.b[:, None] * lap_inc.T)
-        self.sens = inc.T @ lap_inc
+        grounded = (inc * net.susceptance_vector()) @ inc.T + sparse.csc_array(
+            (np.ones(len(roots)), (roots, roots)), shape=(n, n))
+        self.ptdf_t = splu(sparse.csc_array(grounded)).solve(inc.toarray())
+        self.ptdf_t *= -net.susceptance_vector()
 
     def islands(self, cuts: np.ndarray,
                 split: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -274,45 +281,33 @@ class PowerFlow:
         return np.concatenate([self.islands(cuts[lo:lo + step])[1]
                                for lo in range(0, len(cuts), step)])
 
-    def flows(self, inj: np.ndarray, cuts: np.ndarray, comp: np.ndarray,
-              split: np.ndarray) -> np.ndarray:
-        """Line flows of per-row injections ``inj`` with each row's lines removed.
+    def flows(self, base: np.ndarray, cuts: np.ndarray, split: np.ndarray) -> np.ndarray:
+        """Line flows with each row's lines removed.
 
-        ``comp`` and ``split`` are what ``islands(cuts)`` returned, and each
-        row of ``inj`` must balance on each of its islands. Removed lines
-        carry zero flow.
+        ``base`` holds, per row, the intact network's flows of injections
+        that balance on each island the row's outage leaves; ``split`` marks
+        the rows whose outage splits an island, as ``islands`` returns it.
+        Removed lines carry zero flow.
         """
         count, k = cuts.shape
-        flow = inj @ self.ptdf.T
-        whole = np.flatnonzero(~split)
-        if k and len(whole):
-            c = cuts[whole]
-            block = np.eye(k) - self.b[c][:, :, None] * self.sens[c[:, :, None], c[:, None, :]]
-            lost = np.take_along_axis(flow[whole], c, axis=1)[:, :, None]
-            moved = np.linalg.solve(block, lost).transpose(0, 2, 1) @ self.sens[c]
-            flow[whole] += self.b * moved[:, 0]
-        torn = np.flatnonzero(split)
-        if len(torn):
-            flow[torn] = self._island_flows(inj[torn], cuts[torn], comp[torn])
+        flow = np.array(base, dtype=float)
+        if k:
+            shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
+            at = np.broadcast_to(cuts[:, None, :], (count, k, k))
+            block = np.eye(k) + np.take_along_axis(shift, at, axis=2).transpose(0, 2, 1)
+            lost = np.take_along_axis(flow, cuts, axis=1)[:, :, None]
+            moved = np.empty_like(lost)
+            whole = ~split
+            moved[whole] = np.linalg.solve(block[whole], lost[whole])
+            if split.any():
+                u, sv, vt = np.linalg.svd(block[split])
+                keep = sv > self._SINGULAR
+                part = (u.transpose(0, 2, 1) @ lost[split])[:, :, 0]
+                part = np.divide(part, sv, out=np.zeros_like(part), where=keep)
+                moved[split] = vt.transpose(0, 2, 1) @ part[:, :, None]
+            flow -= np.einsum("rj,rjm->rm", moved[:, :, 0], shift)
         flow[np.arange(count)[:, None], cuts] = 0.0
         return flow
-
-    def _island_flows(self, inj, cuts, comp) -> np.ndarray:
-        """Flows by a direct solve of each row's Laplacian, grounded at one bus per island."""
-        count, n = inj.shape
-        step = max(1, BATCH_ENTRIES // (n * n))
-        ang = np.empty_like(inj)
-        for lo in range(0, count, step):
-            part = cuts[lo:lo + step]
-            lap = np.repeat(self.laplacian[None], len(part), axis=0)
-            row = np.repeat(np.arange(len(part)), part.shape[1])
-            fr, to, b = self.fr[part].ravel(), self.to[part].ravel(), self.b[part].ravel()
-            for i, j, sign in ((fr, fr, -1.0), (to, to, -1.0), (fr, to, 1.0), (to, fr, 1.0)):
-                np.add.at(lap, (row, i, j), sign * b)
-            roots = np.unique(comp[lo:lo + step], return_index=True)[1]
-            lap[roots // n, roots % n, roots % n] += 1.0
-            ang[lo:lo + step] = np.linalg.solve(lap, -inj[lo:lo + step, :, None])[:, :, 0]
-        return self.b * (ang[:, self.to] - ang[:, self.fr])
 
 
 def _default_big_M(buses) -> float:

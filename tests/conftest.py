@@ -5,7 +5,25 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from nkshed import engine  # noqa: E402
 from nkshed import fixtures as fx  # noqa: E402
+
+
+@pytest.fixture
+def milp_master(monkeypatch):
+    """Send every solve down the MILP master path."""
+    monkeypatch.setattr(engine, "ENUMERATION_BUDGET", 0)
+
+
+@pytest.fixture
+def master_paths(monkeypatch):
+    """Iterate to run a test body on each master path: enumerated, then MILP."""
+    def each():
+        yield "enumerated"
+        monkeypatch.setattr(engine, "ENUMERATION_BUDGET", 0)
+        yield "milp"
+
+    return each()
 
 
 @pytest.fixture

@@ -36,38 +36,40 @@ def _tolerant_equal(achieved, reference):
     return abs(achieved - reference) <= EPS * max(achieved, 1e-6) + 1e-9
 
 
-def test_criterion_1_oracle_equivalence():
+def test_criterion_1_oracle_equivalence(master_paths):
     """Engine matches brute force on every fixture x model x k cell."""
-    cells = checked = 0
-    for name in FIXTURE_NAMES:
-        net = fx.FIXTURES[name]()
-        for variant in ("traditional", "spatial", "topological"):
-            footprint = (compute_phi(net, fx.SPATIAL_D[name])
-                         if variant == "spatial" else None)
-            for k in (1, 2, 3):
-                cells += 1
-                model = _model_for(variant, k, name)
-                try:
-                    plan, eta, state = solve_interdiction(
-                        net, model, SolveConfig(epsilon=EPS), footprint=footprint)
-                    engine_infeasible = False
-                except INFEASIBLE_ERRORS:
-                    engine_infeasible = True
-                try:
-                    oracle = solve_exhaustive(net, model, footprint)
-                    oracle_infeasible = False
-                except INFEASIBLE_ERRORS:
-                    oracle_infeasible = True
-                assert engine_infeasible == oracle_infeasible, (name, variant, k)
-                if engine_infeasible:
-                    continue
-                checked += 1
-                assert _tolerant_equal(eta, oracle.best_eta), (name, variant, k, eta,
-                                                               oracle.best_eta)
-                assert is_feasible_attack(net, model, footprint, plan.lines), \
-                    (name, variant, k)
-    assert checked >= 5 * 3 * 3 - 10  # nearly every cell is feasible
-    print(f"\n[criterion 1] PASS oracle equivalence on {checked}/{cells} feasible cells")
+    for path in master_paths:
+        cells = checked = 0
+        for name in FIXTURE_NAMES:
+            net = fx.FIXTURES[name]()
+            for variant in ("traditional", "spatial", "topological"):
+                footprint = (compute_phi(net, fx.SPATIAL_D[name])
+                             if variant == "spatial" else None)
+                for k in (1, 2, 3):
+                    cells += 1
+                    model = _model_for(variant, k, name)
+                    try:
+                        plan, eta, state = solve_interdiction(
+                            net, model, SolveConfig(epsilon=EPS), footprint=footprint)
+                        engine_infeasible = False
+                    except INFEASIBLE_ERRORS:
+                        engine_infeasible = True
+                    try:
+                        oracle = solve_exhaustive(net, model, footprint)
+                        oracle_infeasible = False
+                    except INFEASIBLE_ERRORS:
+                        oracle_infeasible = True
+                    assert engine_infeasible == oracle_infeasible, (name, variant, k)
+                    if engine_infeasible:
+                        continue
+                    checked += 1
+                    assert _tolerant_equal(eta, oracle.best_eta), (name, variant, k, eta,
+                                                                   oracle.best_eta)
+                    assert is_feasible_attack(net, model, footprint, plan.lines), \
+                        (name, variant, k)
+        assert checked >= 5 * 3 * 3 - 10  # nearly every cell is feasible
+        print(f"\n[criterion 1] PASS ({path} master) oracle equivalence on "
+              f"{checked}/{cells} feasible cells")
 
 
 def _random_attacks(rng, net, count, k_max=3):
@@ -181,58 +183,62 @@ def test_criterion_6_wecc240_spot_checks():
     print("\n[criterion 6] PASS WECC 240 spot checks")
 
 
-def test_criterion_7_structural_invariants():
+def test_criterion_7_structural_invariants(master_paths):
     """Bound monotonicity, finite termination, footprint nesting, model order."""
-    # Bound discipline along every recorded history.
-    for name in ("braess4", "ring6", "mesh8"):
-        net = fx.FIXTURES[name]()
-        _, _, state = solve_interdiction(net, AttackerModel.traditional(2),
-                                         SolveConfig(epsilon=1e-9, bounds_mode="valid"))
-        ups = [h["eta_up"] for h in state.history]
-        assert all(b <= a + 1e-9 for a, b in zip(ups, ups[1:]))
-        incumbents = list(itertools.accumulate((h["eta_hat"] for h in state.history), max))
-        assert all(b >= a - 1e-12 for a, b in zip(incumbents, incumbents[1:]))
-        assert state.eta_up >= state.eta_star - 1e-9
+    for path in master_paths:
+        # Bound discipline along every recorded history.
+        for name in ("braess4", "ring6", "mesh8"):
+            net = fx.FIXTURES[name]()
+            _, _, state = solve_interdiction(net, AttackerModel.traditional(2),
+                                             SolveConfig(epsilon=1e-9, bounds_mode="valid"))
+            ups = [h["eta_up"] for h in state.history]
+            assert all(b <= a + 1e-9 for a, b in zip(ups, ups[1:]))
+            incumbents = list(itertools.accumulate((h["eta_hat"] for h in state.history), max))
+            assert all(b >= a - 1e-12 for a, b in zip(incumbents, incumbents[1:]))
+            assert state.eta_up >= state.eta_star - 1e-9
 
-    # Finite termination: exhaustion cannot outrun the feasible set.
-    net = fx.triangle()
-    model = AttackerModel.traditional(1)
-    _, _, state = solve_interdiction(net, model,
-                                     SolveConfig(epsilon=1e-12, bounds_mode="valid"))
-    assert state.iterations <= solve_exhaustive(net, model).evaluated
-    assert state.status in (CONVERGED, EXHAUSTED)
+        # Finite termination: exhaustion cannot outrun the feasible set.
+        net = fx.triangle()
+        model = AttackerModel.traditional(1)
+        _, _, state = solve_interdiction(net, model,
+                                         SolveConfig(epsilon=1e-12, bounds_mode="valid"))
+        assert state.iterations <= solve_exhaustive(net, model).evaluated
+        assert state.status in (CONVERGED, EXHAUSTED)
 
-    # Footprint nesting and induced monotonicity of the spatial optimum in D.
-    mesh = fx.mesh8()
-    grid = [60.0, 90.0, 150.0, 400.0]
-    footprints = [compute_phi(mesh, d) for d in grid]
-    for small, large in zip(footprints, footprints[1:]):
-        for lid in mesh.line_ids():
-            assert small.phi[lid] <= large.phi[lid]
-    etas = []
-    for d, fp in zip(grid, footprints):
-        _, eta, _ = solve_interdiction(mesh, AttackerModel.spatial(2, d),
-                                       SolveConfig(epsilon=1e-6), footprint=fp)
-        etas.append(eta)
-    assert all(b >= a - 1e-6 for a, b in zip(etas, etas[1:]))
+        # Footprint nesting and induced monotonicity of the spatial optimum in D.
+        mesh = fx.mesh8()
+        grid = [60.0, 90.0, 150.0, 400.0]
+        footprints = [compute_phi(mesh, d) for d in grid]
+        for small, large in zip(footprints, footprints[1:]):
+            for lid in mesh.line_ids():
+                assert small.phi[lid] <= large.phi[lid]
+        etas = []
+        for d, fp in zip(grid, footprints):
+            _, eta, _ = solve_interdiction(mesh, AttackerModel.spatial(2, d),
+                                           SolveConfig(epsilon=1e-6), footprint=fp)
+            etas.append(eta)
+        assert all(b >= a - 1e-6 for a, b in zip(etas, etas[1:]))
 
-    # A connectivity-constrained attacker never beats the unconstrained one.
-    for name in FIXTURE_NAMES:
-        net = fx.FIXTURES[name]()
-        for k in (1, 2):
-            if k > len(net.lines):
-                continue
-            try:
-                _, eta_top, _ = solve_interdiction(net, AttackerModel.topological(k))
-            except INFEASIBLE_ERRORS:
-                continue
-            _, eta_trad, _ = solve_interdiction(net, AttackerModel.traditional(k))
-            assert eta_top <= eta_trad + EPS * max(eta_trad, 1e-6) + 1e-9
-    print("\n[criterion 7] PASS structural invariants")
+        # A connectivity-constrained attacker never beats the unconstrained one.
+        for name in FIXTURE_NAMES:
+            net = fx.FIXTURES[name]()
+            for k in (1, 2):
+                if k > len(net.lines):
+                    continue
+                try:
+                    _, eta_top, _ = solve_interdiction(net, AttackerModel.topological(k))
+                except INFEASIBLE_ERRORS:
+                    continue
+                _, eta_trad, _ = solve_interdiction(net, AttackerModel.traditional(k))
+                assert eta_top <= eta_trad + EPS * max(eta_trad, 1e-6) + 1e-9
+        print(f"\n[criterion 7] PASS ({path} master) structural invariants")
 
 
-def test_criterion_8_heuristic_vs_valid_bounds():
-    """Unit rates find the same optimum at no extra iterations."""
+def test_criterion_8_heuristic_vs_valid_bounds(milp_master):
+    """Unit rates find the same optimum at no extra iterations.
+
+    Rates only shape the MILP master's cuts, so the solves take that path.
+    """
     agree = 0
     for name in FIXTURE_NAMES:
         net = fx.FIXTURES[name]()

@@ -46,12 +46,6 @@ def test_engine_matches_oracle(name, variant, k, bounds_mode):
     assert state.status in (CONVERGED, EXHAUSTED)
 
 
-@pytest.fixture
-def milp_master(monkeypatch):
-    """Send every solve down the MILP master path."""
-    monkeypatch.setattr(engine, "ENUMERATION_BUDGET", 0)
-
-
 @pytest.mark.parametrize("bounds_mode", ["heuristic", "valid"])
 @pytest.mark.parametrize("name,variant,k", [
     ("triangle", "traditional", 2),
@@ -137,6 +131,17 @@ def test_enumerated_master_ties_go_to_enumeration_order(star5):
     assert state.iterations == 1 and state.bound_certified
 
 
+def test_master_path_follows_both_budgets(monkeypatch, mesh8):
+    model = AttackerModel.traditional(2)
+    subsets, size = math.comb(len(mesh8.lines), 2), len(mesh8.buses) * len(mesh8.lines)
+    for budget, cap, enumerated in [(subsets, size, True), (subsets - 1, size, False),
+                                     (subsets, size - 1, False)]:
+        monkeypatch.setattr(engine, "ENUMERATION_BUDGET", budget)
+        monkeypatch.setattr(engine, "NETWORK_BUDGET", cap)
+        _, _, state = solve_interdiction(mesh8, model)
+        assert (state.bounds is None) == enumerated == state.bound_certified
+
+
 def _failing(times):
     """A ``Model.solve_milp`` whose first ``times`` calls fail; records presolve flags."""
     real, calls = backend.Model.solve_milp, []
@@ -168,71 +173,79 @@ def test_milp_master_failing_twice_raises(milp_master, monkeypatch, triangle):
     assert calls == [True, False]
 
 
-def test_bound_monotonicity_along_history(mesh8):
-    _, _, state = solve_interdiction(mesh8, AttackerModel.traditional(2),
-                                     SolveConfig(bounds_mode="valid", epsilon=1e-6))
-    ups = [h["eta_up"] for h in state.history]
-    assert all(b <= a + 1e-9 for a, b in zip(ups, ups[1:]))
-    best = -math.inf
-    for h in state.history:
-        best = max(best, h["eta_hat"])
-    assert best == pytest.approx(state.eta_star)
-    assert state.eta_up >= state.eta_star - 1e-9
+def test_bound_monotonicity_along_history(master_paths, mesh8):
+    for path in master_paths:
+        _, _, state = solve_interdiction(mesh8, AttackerModel.traditional(2),
+                                         SolveConfig(bounds_mode="valid", epsilon=1e-6))
+        ups = [h["eta_up"] for h in state.history]
+        assert all(b <= a + 1e-9 for a, b in zip(ups, ups[1:])), path
+        best = -math.inf
+        for h in state.history:
+            best = max(best, h["eta_hat"])
+        assert best == pytest.approx(state.eta_star), path
+        assert state.eta_up >= state.eta_star - 1e-9, path
+        assert (state.bounds is None) == (path == "enumerated")
 
 
-def test_exhaustion_returns_exact_optimum(triangle):
+def test_exhaustion_returns_exact_optimum(master_paths, triangle):
     # An impossible tolerance forces the loop to retire the whole feasible set.
     config = SolveConfig(epsilon=1e-12, bounds_mode="valid")
-    plan, eta, state = solve_interdiction(triangle, AttackerModel.traditional(1), config)
     oracle = solve_exhaustive(triangle, AttackerModel.traditional(1))
-    assert state.status in (EXHAUSTED, CONVERGED)
-    if state.status == EXHAUSTED:
-        assert state.eta_up == pytest.approx(state.eta_star)
-        assert gap(state, config) == pytest.approx(0.0, abs=1e-12)
-    assert eta == pytest.approx(oracle.best_eta, abs=1e-6)
-    assert state.iterations <= 3  # |X| = 3: finite termination bound
+    for path in master_paths:
+        plan, eta, state = solve_interdiction(triangle, AttackerModel.traditional(1), config)
+        assert state.status in (EXHAUSTED, CONVERGED), path
+        if state.status == EXHAUSTED:
+            assert state.eta_up == pytest.approx(state.eta_star)
+            assert gap(state, config) == pytest.approx(0.0, abs=1e-12)
+        assert eta == pytest.approx(oracle.best_eta, abs=1e-6), path
+        assert state.iterations <= 3, path  # |X| = 3: finite termination bound
 
 
 @pytest.mark.parametrize("name,k", [("triangle", 1), ("star5", 2), ("ring6", 1)])
-def test_finite_termination_within_feasible_set_size(name, k):
+def test_finite_termination_within_feasible_set_size(master_paths, name, k):
     net = fx.FIXTURES[name]()
     model = AttackerModel.traditional(k)
     config = SolveConfig(epsilon=1e-12, bounds_mode="valid")
-    _, _, state = solve_interdiction(net, model, config)
     size = solve_exhaustive(net, model).evaluated
-    assert state.iterations <= size
+    for path in master_paths:
+        _, _, state = solve_interdiction(net, model, config)
+        assert state.iterations <= size, path
 
 
-def test_iteration_limit_reports_incumbent(mesh8):
+def test_iteration_limit_reports_incumbent(master_paths, mesh8):
     config = SolveConfig(max_iters=1, bounds_mode="valid", epsilon=1e-9)
-    plan, eta, state = solve_interdiction(mesh8, AttackerModel.traditional(2), config)
-    assert state.status == ITERATION_LIMIT
-    assert state.iterations == 1
-    assert eta == pytest.approx(solve_inner(mesh8, plan).eta, abs=1e-9)
-    assert state.eta_up >= eta - 1e-9
+    for path in master_paths:
+        plan, eta, state = solve_interdiction(mesh8, AttackerModel.traditional(2), config)
+        assert state.status == ITERATION_LIMIT, path
+        assert state.iterations == 1, path
+        assert eta == pytest.approx(solve_inner(mesh8, plan).eta, abs=1e-9), path
+        assert state.eta_up >= eta - 1e-9, path
+        assert not state.bound_certified, path
 
 
-def test_upper_bound_soundness_with_valid_bounds(braess4):
+def test_upper_bound_soundness_with_valid_bounds(master_paths, braess4):
     model = AttackerModel.traditional(2)
     oracle = solve_exhaustive(braess4, model)
-    _, _, state = solve_interdiction(braess4, model, SolveConfig(bounds_mode="valid"))
-    for h in state.history:
-        assert h["eta_up"] >= oracle.best_eta - 1e-6
+    for path in master_paths:
+        _, _, state = solve_interdiction(braess4, model, SolveConfig(bounds_mode="valid"))
+        for h in state.history:
+            assert h["eta_up"] >= oracle.best_eta - 1e-6, path
 
 
-def test_spatial_sub_k_optimum_and_exact_point_exclusion(two_bus):
+def test_spatial_sub_k_optimum_and_exact_point_exclusion(master_paths, two_bus):
     # Only one line exists, so a k = 2 spatial budget peaks at a 1-line attack;
     # the exclusion cut for it must not outlaw supersets that do not exist or
     # the empty plan that was likely visited first.
     model = AttackerModel.spatial(2, 200.0)
-    plan, eta, state = solve_interdiction(two_bus, model)
-    assert eta == pytest.approx(1.0, abs=1e-6)
-    assert sorted(plan.lines) == [1]
-    assert plan.center_bus in {1, 2}
-    assert state.status in (CONVERGED, EXHAUSTED)
+    for path in master_paths:
+        plan, eta, state = solve_interdiction(two_bus, model)
+        assert eta == pytest.approx(1.0, abs=1e-6), path
+        assert sorted(plan.lines) == [1], path
+        assert plan.center_bus in {1, 2}, path
+        assert state.status in (CONVERGED, EXHAUSTED), path
 
 
-def test_spatial_superset_reachable_after_subset_visit(ring6):
+def test_spatial_superset_reachable_after_subset_visit(master_paths, ring6):
     # Drive the loop to exhaustion on a spatial instance whose optimum has
     # fewer candidates than the budget allows; the best plan must match the
     # oracle even though subsets of it are visited and excluded along the way.
@@ -240,17 +253,19 @@ def test_spatial_superset_reachable_after_subset_visit(ring6):
     model = AttackerModel.spatial(3, d)
     footprint = compute_phi(ring6, d)
     config = SolveConfig(epsilon=1e-12, bounds_mode="valid", max_iters=500)
-    plan, eta, state = solve_interdiction(ring6, model, config, footprint=footprint)
     oracle = solve_exhaustive(ring6, model, footprint)
-    assert eta == pytest.approx(oracle.best_eta, abs=1e-6)
+    for path in master_paths:
+        plan, eta, state = solve_interdiction(ring6, model, config, footprint=footprint)
+        assert eta == pytest.approx(oracle.best_eta, abs=1e-6), path
 
 
-def test_no_feasible_attack_topological_disconnected_pair():
+def test_no_feasible_attack_topological_disconnected_pair(master_paths):
     buses = [Bus(1, 0.0, 1.0), Bus(2, 0.5), Bus(3, 0.0, 1.0), Bus(4, 0.5)]
     lines = [Line.of(1, 1, 2, 0.1, 1.0), Line.of(2, 3, 4, 0.1, 1.0)]
     net = Network.build(buses, lines)
-    with pytest.raises(NoFeasibleAttackError, match="no feasible attack"):
-        solve_interdiction(net, AttackerModel.topological(2))
+    for path in master_paths:
+        with pytest.raises(NoFeasibleAttackError, match="no feasible attack"):
+            solve_interdiction(net, AttackerModel.topological(2))
 
 
 def test_gap_examples():
@@ -264,20 +279,22 @@ def test_gap_examples():
         gap(fresh, config)
 
 
-def test_topological_never_exceeds_traditional():
-    for name in ("triangle", "ring6", "mesh8"):
-        net = fx.FIXTURES[name]()
-        for k in (1, 2):
-            _, eta_top, _ = solve_interdiction(net, AttackerModel.topological(k))
-            _, eta_trad, _ = solve_interdiction(net, AttackerModel.traditional(k))
-            assert eta_top <= eta_trad + max(0.011 * eta_trad, 1e-6)
+def test_topological_never_exceeds_traditional(master_paths):
+    for path in master_paths:
+        for name in ("triangle", "ring6", "mesh8"):
+            net = fx.FIXTURES[name]()
+            for k in (1, 2):
+                _, eta_top, _ = solve_interdiction(net, AttackerModel.topological(k))
+                _, eta_trad, _ = solve_interdiction(net, AttackerModel.traditional(k))
+                assert eta_top <= eta_trad + max(0.011 * eta_trad, 1e-6), (path, name, k)
 
 
-def test_deterministic_history(mesh8):
-    runs = [solve_interdiction(mesh8, AttackerModel.traditional(2), SolveConfig())
-            for _ in range(2)]
-    assert runs[0][2].history == runs[1][2].history
-    assert runs[0][0].lines == runs[1][0].lines
+def test_deterministic_history(master_paths, mesh8):
+    for path in master_paths:
+        runs = [solve_interdiction(mesh8, AttackerModel.traditional(2), SolveConfig())
+                for _ in range(2)]
+        assert runs[0][2].history == runs[1][2].history, path
+        assert runs[0][0].lines == runs[1][0].lines, path
 
 
 def test_config_validation():

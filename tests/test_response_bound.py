@@ -94,22 +94,40 @@ def test_bound_catches_the_reroute_a_flow_cut_misses():
     assert response_shed(net, gen, served, cuts)[0] >= eta - 1e-9
 
 
-@pytest.mark.parametrize("name", ["mesh8", "ring6", "braess4"])
+def _direct_flows(net, inj, cut):
+    """Flows of ``inj`` with the lines at positions ``cut`` removed, by a
+    least-squares solve of that outage's own Laplacian."""
+    keep = np.ones(len(net.lines), dtype=bool)
+    keep[list(cut)] = False
+    inc = net.incidence.toarray()[:, keep]
+    b = net.susceptance_vector()[keep]
+    ang = np.linalg.lstsq((inc * b) @ inc.T, -inj, rcond=None)[0]
+    flow = np.zeros(len(net.lines))
+    flow[keep] = b * (inc.T @ ang)
+    return flow
+
+
+@pytest.mark.parametrize("name", ["mesh8", "ring6", "braess4", "star5"])
 def test_outage_factor_flows_match_direct_solves(name):
+    # Islanding outages included: each row's injection balances on each of
+    # the islands its outage leaves.
     net = fx.FIXTURES[name]()
     pf = net.power_flow
     rng = np.random.default_rng(7)
-    inj = rng.uniform(-1.0, 1.0, len(net.buses))
-    inj -= inj.mean()
+    splits = 0
     for k in (1, 2, 3):
         cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)))
         comp, split = pf.islands(cuts)
-        whole = cuts[~split]
-        rows = np.tile(inj, (len(whole), 1))
-        lodf = pf.flows(rows, whole, comp[~split], np.zeros(len(whole), dtype=bool))
-        direct = pf.flows(rows, whole, comp[~split], np.ones(len(whole), dtype=bool))
-        np.testing.assert_allclose(lodf, direct, atol=1e-10)
-        assert (lodf[np.arange(len(whole))[:, None], whole] == 0.0).all()
+        splits += split.sum()
+        inj = rng.uniform(-1.0, 1.0, comp.shape)
+        for row, keys in enumerate(comp):
+            for key in np.unique(keys):
+                inj[row, keys == key] -= inj[row, keys == key].mean()
+        flow = pf.flows(inj @ pf.ptdf_t, cuts, split)
+        for row, cut in enumerate(cuts):
+            np.testing.assert_allclose(flow[row], _direct_flows(net, inj[row], cut), atol=1e-10)
+        assert (flow[np.arange(len(cuts))[:, None], cuts] == 0.0).all()
+    assert splits > 0
 
 
 def test_islands_match_per_attack_components(mesh8):
