@@ -14,7 +14,7 @@ from .backend import BackendError
 from .bounds import DualBounds, heuristic_bounds, valid_bounds
 from .engine import (MasterState, NoFeasibleAttackError, SolveConfig, gap,
                      solve_interdiction)
-from .inner import AttackPlan, InnerSolution, cut_rhs, solve_inner, solve_penalized_inner
+from .inner import AttackPlan, InnerSolution, solve_inner
 from .netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
                        Network, parse_case, parse_geo, serialize_case, total_load)
 from .oracle import BudgetExceededError, OracleResult, solve_exhaustive, write_ranking_csv
@@ -28,9 +28,9 @@ __all__ = [
     "CaseFormatError", "DualBounds", "GeoFormatError", "InnerSolution", "Line",
     "MasterState", "Network", "NoFeasibleAttackError", "OracleResult", "RunReport",
     "SolveConfig", "SpatialFootprint", "SpatiallyInfeasibleError",
-    "build_geojson", "certify", "compute_phi", "cut_rhs", "encode_feasible_set",
+    "build_geojson", "certify", "compute_phi", "encode_feasible_set",
     "gap", "haversine_km", "heuristic_bounds", "is_feasible_attack", "parse_case",
     "parse_geo", "planar_km", "report_json", "serialize_case", "solve_exhaustive",
-    "solve_inner", "solve_interdiction", "solve_penalized_inner", "solve_to_report",
+    "solve_inner", "solve_interdiction", "solve_to_report",
     "sweep", "total_load", "valid_bounds", "write_ranking_csv", "write_sweep_csv",
 ]

@@ -123,7 +123,6 @@ class MasterEncoding:
     ub: np.ndarray
     integrality: np.ndarray
     rows: list[tuple[np.ndarray, np.ndarray, float, float]] = field(default_factory=list)
-    footprint: SpatialFootprint | None = None
 
     @property
     def num_vars(self) -> int:

@@ -32,8 +32,9 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
         p.add_argument("--D", type=float, help="spatial disk diameter in km")
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
     p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic",
-                   help="penalty rates of the MILP master, used only past the enumeration "
-                        "budget")
+                   help="penalty rates of the MILP master's cuts, used only past either "
+                        "budget (ENUMERATION_BUDGET or NETWORK_BUDGET); neither makes its "
+                        "bound a proof")
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--distance", choices=["haversine", "planar"], default="haversine")
 

@@ -21,12 +21,12 @@ rates are computed on this path.
 **MILP master**, past either budget. A MILP over the attack binaries and a
 shed-estimate variable proposes the attack with the highest estimate
 consistent with the cuts so far; each priced attack adds a cut that caps the
-estimate of every attack by its priced line flows at per-line penalty rates
-(``SolveConfig.bounds_mode``), and an exclusion cut that retires it. The
-master's MILP dual bound is an upper bound only if the rates dominate the
-inner duals, which no rate mode can certify, so this path never reports
-``bound_certified``. A master that HiGHS fails to solve is retried once with
-presolve off.
+estimate of every attack by its priced shed plus its absolute line flows at
+per-line penalty rates (``SolveConfig.bounds_mode``), and an exclusion cut
+that retires it. No rate set makes those cuts valid (see
+:mod:`nkshed.bounds`), so the master's MILP dual bound is an estimate and
+this path never reports ``bound_certified``. A master that HiGHS fails to
+solve is retried once with presolve off.
 
 Both paths stop once the upper bound and the best priced shed meet within
 the requested tolerance. Every returned incumbent is re-verified with one
@@ -75,9 +75,10 @@ class SolveConfig:
     ``epsilon`` is the relative gap at which the loop stops (floored by
     ``abs_floor`` near zero shed) and ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
-    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs); it
-    has no effect on the enumerated master, which needs no rates (see
-    ``ENUMERATION_BUDGET`` and ``NETWORK_BUDGET``).
+    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs), so
+    it acts only past either budget (``ENUMERATION_BUDGET`` or
+    ``NETWORK_BUDGET``); the enumerated master needs no rates. Neither mode
+    makes the MILP master's bound a proof.
     ``distance_mode`` is the spatial budget's distance metric.
     """
 
@@ -103,14 +104,15 @@ class MasterState:
     ``bound_certified`` is true when ``eta_up`` is a proof: the enumerated
     master stopped converged and the final recheck confirmed ``eta_star``
     within 1e-7. ``bounds`` holds the MILP master's penalty rates, and
-    ``cuts`` and ``nogood`` its rows; the enumerated master leaves them
-    empty. Each ``history`` record holds the iteration, the
+    ``cuts`` and ``nogood`` its rows: each cut is the priced shed and the
+    per-line-position price of the priced flows. The enumerated master
+    leaves them empty. Each ``history`` record holds the iteration, the
     attack, its exact shed ``eta_hat``, ``eta_up`` and ``live``: how many
     unpriced attacks still have a bound above the stopping level (None on
     the MILP path).
     """
 
-    cuts: list[tuple[float, dict[int, float]]] = field(default_factory=list)
+    cuts: list[tuple[float, np.ndarray]] = field(default_factory=list)
     nogood: list[frozenset[int]] = field(default_factory=list)
     incumbent_x: AttackPlan | None = None
     incumbent_inner: InnerSolution | None = None
@@ -142,10 +144,10 @@ def _build_master(net: Network, encoding: MasterEncoding, state: MasterState,
 
     x_cols = encoding.blocks["x"] + off
     col_of = {lid: int(x_cols[i]) for i, lid in enumerate(encoding.line_order)}
-    for eta_hat, coefs in state.cuts:
-        cols = [0] + [col_of[lid] for lid in sorted(coefs)]
-        vals = [1.0] + [-coefs[lid] for lid in sorted(coefs)]
-        mdl.add_le(cols, vals, eta_hat)
+    for eta_hat, price in state.cuts:
+        on = np.flatnonzero(price)
+        mdl.add_le(np.concatenate([[0], x_cols[on]]), np.concatenate([[1.0], -price[on]]),
+                   eta_hat)
     k = encoding.model.k
     all_cols = list(int(c) for c in x_cols)
     for visited in state.nogood:
@@ -265,11 +267,10 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
 
 
 def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
-               footprint: SpatialFootprint | None, bounds: DualBounds | None) -> MasterState:
+               footprint: SpatialFootprint | None) -> MasterState:
     encoding = encode_feasible_set(net, model, footprint)
-    if bounds is None:
-        bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC \
-            else valid_bounds(net, encoding)
+    bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC \
+        else valid_bounds(net, encoding)
 
     state = MasterState(bounds=bounds)
     load_cap = total_load(net)
@@ -319,8 +320,8 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
             state.status = CONVERGED
             break
 
-        coefs = {lid: c for lid in net.line_ids() if (c := bounds.price(inner, lid)) > 0.0}
-        state.cuts.append((inner.eta, coefs))
+        flow = np.fromiter(inner.flow.values(), float, len(net.lines))
+        state.cuts.append((inner.eta, bounds.price(flow)))
         state.nogood.append(plan.lines)
     else:
         state.status = ITERATION_LIMIT
@@ -332,15 +333,13 @@ def solve_interdiction(
     model: AttackerModel,
     config: SolveConfig | None = None,
     footprint: SpatialFootprint | None = None,
-    bounds: DualBounds | None = None,
 ) -> tuple[AttackPlan, float, MasterState]:
     """Find an epsilon-optimal worst-case attack for the given attacker budget.
 
     Returns ``(plan, eta_star, state)`` where ``eta_star`` is the exact shed
     of the returned plan. The master is enumerated when the candidate-subset
     count fits ``ENUMERATION_BUDGET`` and buses times lines fit
-    ``NETWORK_BUDGET``, and a MILP otherwise; ``bounds``, the MILP master's
-    penalty rates, default to ``config.bounds_mode``'s. Raises
+    ``NETWORK_BUDGET``, and a MILP otherwise. Raises
     :class:`NoFeasibleAttackError` when the feasible set is empty (possible
     for tight spatial budgets). When the iteration cap is hit first, the
     incumbent is returned with ``state.status == 'iteration_limit'`` and the
@@ -358,7 +357,7 @@ def solve_interdiction(
         check_budget(net, model, footprint)
         state = _enumerated_loop(net, model, config, footprint)
     else:
-        state = _milp_loop(net, model, config, footprint, bounds)
+        state = _milp_loop(net, model, config, footprint)
 
     if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
         raise NoFeasibleAttackError("no attack was evaluated")

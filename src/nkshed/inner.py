@@ -2,20 +2,14 @@
 
 ``solve_inner`` solves the load-shed LP exactly. It relaxes each interdicted
 line's flow/angle coupling to a +-M band, certifies M by that band's duals,
-and references angles per island. ``solve_penalized_inner`` solves the
-penalty reformulation in which the flow/angle coupling and the thermal
-pinning of interdicted lines are dropped from the constraints and charged in
-the objective instead, at per-line penalty rates taken from a
-:class:`~nkshed.bounds.DualBounds`. With rates that dominate the optimal
-duals the two values coincide, which is the property the cutting-plane
-master relies on.
+and references angles per island.
 
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
 (see its docstring), the bound the engine's enumerated master keeps.
 
-Both LPs, and the flow-extreme relaxations in :mod:`nkshed.bounds`, are
-built by ``add_dc_network``: it adds the network's columns and flow-balance
+The load-shed LP and the flow-extreme relaxations in :mod:`nkshed.bounds`
+are built by ``add_dc_network``: it adds the network's columns and flow-balance
 rows as sparse blocks from the cached incidence matrix and returns the
 per-line coupling block. Each caller then adds only its own bounds,
 right-hand sides and extra columns.
@@ -29,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,11 +31,7 @@ from scipy import sparse
 from .backend import BackendError, Model
 from .netmodel import BATCH_ENTRIES, AttackerModel, Network
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .bounds import DualBounds
-
-__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "solve_penalized_inner", "cut_rhs",
-           "response_shed"]
+__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "response_shed"]
 
 # The +-M band of an interdicted line's coupling is accepted once both its
 # duals are at most this; otherwise M is doubled, at most this many times.
@@ -100,12 +90,6 @@ class InnerSolution:
     big_m_used: float
     big_m_ok: bool = True
 
-    def flow_pos(self, line_id: int) -> float:
-        return max(self.flow[line_id], 0.0)
-
-    def flow_neg(self, line_id: int) -> float:
-        return max(-self.flow[line_id], 0.0)
-
 
 def _check_attack_lines(net: Network, attack: AttackPlan) -> np.ndarray:
     """Return the 0/1 interdiction vector in line-position order."""
@@ -131,7 +115,7 @@ class DCColumns(NamedTuple):
     coupling: sparse.coo_array
 
 
-def add_dc_network(mdl: Model, net: Network, shed_cost, flow_cap=np.inf) -> DCColumns:
+def add_dc_network(mdl: Model, net: Network, shed_cost) -> DCColumns:
     """Append the DC network's columns and flow-balance rows to ``mdl``.
 
     Columns come in the order shed fraction, generation, angle, flow, one
@@ -144,7 +128,7 @@ def add_dc_network(mdl: Model, net: Network, shed_cost, flow_cap=np.inf) -> DCCo
     shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=shed_cost)
     gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
     ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    flow = mdl.add_vars(m, lb=-flow_cap, ub=flow_cap)
+    flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
     bus, line, inc = np.arange(n), np.arange(m), net.incidence
     balance = sparse.coo_array(
         (np.concatenate([demand, np.ones(n), inc.data]),
@@ -194,36 +178,6 @@ def _line_row_lo(net: Network, x: np.ndarray, m_val: float) -> np.ndarray:
     return np.column_stack([relax, relax, -cap, -cap]).ravel()
 
 
-def _solve_banded(mdl: Model, set_band, band, m_val: float, attack: AttackPlan):
-    """Solve ``mdl`` with its +-M band at ``m_val``, doubling M until certified.
-
-    ``set_band(m)`` puts the band at m, and ``band`` indexes the band rows in
-    ``Solution.dual``. A solve is accepted once every band dual is at most
-    ``_BAND_DUAL_TOL``: an optimum whose band duals vanish is optimal for the
-    LP without the band. Otherwise M is doubled, at most ``_MAX_M_DOUBLINGS``
-    times, with a warning when that runs out. Returns the solution, its M and
-    whether its band duals vanished.
-    """
-    for attempt in range(_MAX_M_DOUBLINGS + 1):
-        set_band(m_val)
-        try:
-            sol = mdl.solve_lp()
-        except BackendError as err:
-            raise BackendError(
-                f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
-        ok = bool(np.all(np.abs(sol.dual[band]) <= _BAND_DUAL_TOL))
-        if ok or attempt == _MAX_M_DOUBLINGS:
-            break
-        m_val *= 2.0
-    if not ok:
-        warnings.warn(
-            f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
-            f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
-            RuntimeWarning,
-        )
-    return sol, m_val, ok
-
-
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     """Minimum load shed with the attacked lines removed.
 
@@ -246,9 +200,24 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     mdl, dc, rows = _load_shed_model(net)
     # The band is mu1 and mu2 of each interdicted line.
     band = rows.start + 4 * np.flatnonzero(cut)[:, None] + np.arange(2)
-    sol, m_val, ok = _solve_banded(
-        mdl, lambda m: mdl.set_row_bounds(rows, _line_row_lo(net, x, m), np.inf),
-        band, float(net.big_M), attack)
+    m_val = float(net.big_M)
+    for attempt in range(_MAX_M_DOUBLINGS + 1):
+        mdl.set_row_bounds(rows, _line_row_lo(net, x, m_val), np.inf)
+        try:
+            sol = mdl.solve_lp()
+        except BackendError as err:
+            raise BackendError(
+                f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
+        ok = bool(np.all(np.abs(sol.dual[band]) <= _BAND_DUAL_TOL))
+        if ok or attempt == _MAX_M_DOUBLINGS:
+            break
+        m_val *= 2.0
+    if not ok:
+        warnings.warn(
+            f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
+            f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
+            RuntimeWarning,
+        )
 
     # Angles are fixed up to one constant per island: zero each island's first bus.
     island = net.islands(~cut)
@@ -317,55 +286,3 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
                                 where=flow > 0).ravel())
         shed[lo:lo + step] = demand.sum() - (alpha[comp] * s).sum(axis=1)
     return shed
-
-
-def solve_penalized_inner(net: Network, attack: AttackPlan, bounds: "DualBounds") -> float:
-    """Optimal value of the penalty reformulation of the load-shed LP.
-
-    Surviving lines keep their flow/angle coupling as a hard equality and
-    their thermal limit as a hard range. For interdicted lines the coupling
-    is relaxed to a +-M band (their coupling penalty rate is zero) and the
-    flow, split into nonnegative positive/negative parts, is charged in the
-    objective at the line's thermal-dual upper bounds instead of being
-    pinned to zero. The band starts at ``net.big_M`` and is certified by its
-    duals exactly as in ``solve_inner``.
-    """
-    x = _check_attack_lines(net, attack)
-    for lid in attack.lines:
-        for rate in bounds.line(lid):
-            if not np.isfinite(rate) or rate < 0:
-                raise ValueError(f"penalty rate for line {lid} must be finite and >= 0")
-
-    mdl = Model("load-shed-penalized")
-    dc = add_dc_network(mdl, net, net.demand_vector(), net.thermal_vector())
-    cut = x > 0.5
-    inter = np.flatnonzero(cut)
-    k = len(inter)
-    rates = np.array([bounds.line(net.lines[e].id) for e in inter]).reshape(k, 2)
-    # Per interdicted line: s+ priced at pi2, then s- priced at pi1.
-    split = mdl.add_vars(2 * k, lb=0.0, obj=rates[:, ::-1].ravel())
-    # Surviving lines: coupling == 0. Interdicted lines: flow - s+ + s- == 0.
-    cpl = dc.coupling
-    keep = ~cut[cpl.row] | (cpl.col == dc.flow[cpl.row])
-    per_line = sparse.coo_array(
-        (np.concatenate([cpl.data[keep], np.tile([-1.0, 1.0], k)]),
-         (np.concatenate([cpl.row[keep], np.repeat(inter, 2)]),
-          np.concatenate([cpl.col[keep], split]))),
-        shape=(len(net.lines), mdl.num_vars))
-    mdl.add_rows(per_line, 0.0, 0.0)
-    m_val = float(net.big_M)
-    band = mdl.add_rows(cpl.tocsr()[inter], -m_val, m_val)
-
-    sol, _, _ = _solve_banded(mdl, lambda m: mdl.set_row_bounds(band, -m, m),
-                              np.arange(band.start, band.stop), m_val, attack)
-    return float(sol.objective)
-
-
-def cut_rhs(sol: InnerSolution, bounds: "DualBounds", candidate: AttackPlan) -> float:
-    """Upper bound on the shed of ``candidate`` implied by the solved attack.
-
-    Each candidate line contributes its flow at the solved operating point,
-    negative part priced at the line's first thermal-dual bound and positive
-    part at the second.
-    """
-    return float(sum((bounds.price(sol, lid) for lid in candidate.lines), sol.eta))

@@ -8,18 +8,18 @@ files are absent. Everything else runs on the synthetic fixture zoo.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import pglib_path
 from nkshed import fixtures as fx
-from nkshed.attackers import (SpatiallyInfeasibleError, compute_phi, encode_feasible_set,
-                              is_feasible_attack)
-from nkshed.bounds import valid_bounds
+from nkshed.attackers import SpatiallyInfeasibleError, compute_phi, is_feasible_attack
 from nkshed.engine import (CONVERGED, EXHAUSTED, NoFeasibleAttackError, SolveConfig,
                            solve_interdiction)
-from nkshed.inner import AttackPlan, cut_rhs, solve_inner, solve_penalized_inner
+from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel, parse_case, parse_geo
 from nkshed.oracle import solve_exhaustive
+from test_response_bound import _dispatch
 
 EPS = 0.01
 FIXTURE_NAMES = ["two_bus", "triangle", "braess4", "star5", "ring6", "mesh8"]
@@ -81,8 +81,14 @@ def _random_attacks(rng, net, count, k_max=3):
     return out
 
 
-def test_criterion_2_penalized_equivalence():
-    """Penalized inner value equals the exact inner value under valid rates."""
+def _response_bound(net, sol, attack):
+    """Shed of the feasible response to ``attack`` built from ``sol``'s dispatch."""
+    cuts = np.array([[net.line_pos[lid] for lid in sorted(attack)]], dtype=np.intp)
+    return float(response_shed(net, *_dispatch(net, sol), cuts)[0])
+
+
+def test_criterion_2_response_bound_equals_eta():
+    """The feasible-response bound from an attack's own dispatch is its exact shed."""
     rng = random.Random(2024)
     pairs = 0
     worst = 0.0
@@ -90,14 +96,12 @@ def test_criterion_2_penalized_equivalence():
         name = rng.choice(FIXTURE_NAMES)
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
-        enc = encode_feasible_set(net, AttackerModel.traditional(len(attack)))
-        vb = valid_bounds(net, enc)
-        eta = solve_inner(net, AttackPlan.of(attack)).eta
-        eta_r = solve_penalized_inner(net, AttackPlan.of(attack), vb)
-        worst = max(worst, abs(eta - eta_r))
-        assert abs(eta - eta_r) <= 1e-6, (name, attack, eta, eta_r)
+        sol = solve_inner(net, AttackPlan.of(attack))
+        bound = _response_bound(net, sol, attack)
+        worst = max(worst, abs(sol.eta - bound))
+        assert abs(sol.eta - bound) <= 1e-6, (name, attack, sol.eta, bound)
         pairs += 1
-    print(f"\n[criterion 2] PASS penalized == exact on {pairs} pairs (worst gap {worst:.2e})")
+    print(f"\n[criterion 2] PASS response bound == exact on {pairs} pairs (worst gap {worst:.2e})")
 
 
 def test_criterion_3_interdicted_coupling_duals_vanish():
@@ -116,15 +120,14 @@ def test_criterion_3_interdicted_coupling_duals_vanish():
 
 
 def test_criterion_4_cut_validity():
-    """No cut undercuts the true shed of any feasible attack (valid rates)."""
+    """No feasible-response bound undercuts the true shed of any attack it bounds."""
     rng = random.Random(77)
     total = 0
-    for name in FIXTURE_NAMES:
-        net = fx.FIXTURES[name]()
+    nets = [(name, fx.FIXTURES[name]()) for name in FIXTURE_NAMES]
+    nets += [(f"random_mesh({seed})", fx.random_mesh(seed)) for seed in range(20)]
+    for name, net in nets:
         ids = list(net.line_ids())
         k = min(2, len(ids))
-        model = AttackerModel.traditional(k)
-        vb = valid_bounds(net, encode_feasible_set(net, model))
         pool = [frozenset(c) for c in itertools.combinations(ids, k)]
         cache = {}
 
@@ -135,10 +138,10 @@ def test_criterion_4_cut_validity():
 
         for _ in range(100):
             x_hat, x = rng.choice(pool), rng.choice(pool)
-            rhs = cut_rhs(solved(x_hat), vb, AttackPlan.of(x))
-            assert solved(x).eta <= rhs + 1e-6, (name, sorted(x_hat), sorted(x))
+            bound = _response_bound(net, solved(x_hat), x)
+            assert solved(x).eta <= bound + 1e-9, (name, sorted(x_hat), sorted(x))
             total += 1
-    print(f"\n[criterion 4] PASS cut validity on {total} ordered pairs")
+    print(f"\n[criterion 4] PASS response-bound validity on {total} ordered pairs")
 
 
 RTS_CASE = pglib_path("pglib_opf_case24_ieee_rts__api.m")

@@ -1,7 +1,8 @@
-"""Dual upper bounds: heuristic rates, certified rates, pruning soundness."""
+"""Penalty rates: heuristic rates, valid-mode rates, pruning soundness."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
@@ -16,18 +17,18 @@ def test_heuristic_all_ones(mesh8):
     hb = heuristic_bounds(mesh8)
     assert hb.mode == "heuristic"
     for lid in mesh8.line_ids():
-        assert hb.line(lid) == (1.0, 1.0)
+        assert hb.rate[mesh8.line_pos[lid]] == 1.0
 
 
 def test_heuristic_empty_line_set():
     net = Network.build([Bus(1, 1.0, 1.0)], [])
     hb = heuristic_bounds(net)
-    assert hb.pi1 == {} and hb.pi2 == {}
+    assert hb.rate.shape == (0,)
 
 
 def test_bounds_reject_negative_rate():
     with pytest.raises(ValueError, match=">= 0"):
-        DualBounds(pi1={1: -1.0}, pi2={1: 1.0}, mode="valid")
+        DualBounds(rate=np.array([1.0, -1.0]), mode="valid")
 
 
 def test_valid_bounds_two_bus_fallback(two_bus):
@@ -36,8 +37,7 @@ def test_valid_bounds_two_bus_fallback(two_bus):
     vb = valid_bounds(two_bus, enc)
     rev, fwd = vb.flow_range[1]
     assert fwd == pytest.approx(two_bus.lines[0].thermal, abs=1e-6)
-    assert vb.pi1[1] == pytest.approx(1.0)  # total load
-    assert vb.pi2[1] == pytest.approx(1.0)
+    assert vb.rate[two_bus.line_pos[1]] == pytest.approx(1.0)  # total load
     assert vb.mode == "valid"
 
 
@@ -51,8 +51,7 @@ def test_valid_bounds_triangle_matches_reference_relaxation(triangle):
         assert fwd == pytest.approx(ref_fwd, abs=1e-6)
         assert rev == pytest.approx(ref_rev, abs=1e-6)
         # every triangle line can carry flow, so all rates fall back to total load
-        assert vb.pi1[lid] == pytest.approx(total_load(triangle))
-        assert vb.pi2[lid] == pytest.approx(total_load(triangle))
+        assert vb.rate[triangle.line_pos[lid]] == pytest.approx(total_load(triangle))
 
 
 def _stub_net():
@@ -68,8 +67,8 @@ def test_valid_bounds_prune_dead_stub_line():
     vb = valid_bounds(net, enc)
     rev, fwd = vb.flow_range[2]
     assert fwd <= 1e-6 and rev <= 1e-6
-    assert vb.pi1[2] == 0.0 and vb.pi2[2] == 0.0
-    assert vb.pi1[1] == pytest.approx(1.0) and vb.pi2[1] == pytest.approx(1.0)
+    assert vb.rate[net.line_pos[2]] == 0.0
+    assert vb.rate[net.line_pos[1]] == pytest.approx(1.0)
 
 
 def test_pruning_soundness_exhaustive():
@@ -83,7 +82,7 @@ def test_pruning_soundness_exhaustive():
     net = _stub_net()
     enc = encode_feasible_set(net, AttackerModel.traditional(1))
     vb = valid_bounds(net, enc)
-    pruned = [lid for lid in net.line_ids() if vb.pi1[lid] == 0.0 or vb.pi2[lid] == 0.0]
+    pruned = [lid for lid in net.line_ids() if vb.rate[net.line_pos[lid]] == 0.0]
     assert pruned == [2]
     others = [lid for lid in net.line_ids() if lid not in pruned]
     for lid in pruned:
@@ -111,8 +110,7 @@ def test_heuristic_dominated_by_valid_on_loaded_fixtures(name):
     for lid in net.line_ids():
         rev, fwd = vb.flow_range[lid]
         assert max(rev, fwd) > 1e-6, "fixture unexpectedly has a dead line"
-        assert hb.pi1[lid] <= vb.pi1[lid]
-        assert hb.pi2[lid] <= vb.pi2[lid]
+        assert hb.rate[net.line_pos[lid]] <= vb.rate[net.line_pos[lid]]
 
 
 def test_valid_bounds_respect_spatial_encoding(mesh8):
@@ -121,5 +119,5 @@ def test_valid_bounds_respect_spatial_encoding(mesh8):
     footprint = compute_phi(mesh8, d)
     enc = encode_feasible_set(mesh8, AttackerModel.spatial(2, d), footprint)
     vb = valid_bounds(mesh8, enc)
-    assert set(vb.pi1) == set(mesh8.line_ids())
-    assert all(v in (0.0, total_load(mesh8)) for v in vb.pi1.values())
+    assert vb.rate.shape == (len(mesh8.lines),)
+    assert all(v in (0.0, total_load(mesh8)) for v in vb.rate)

@@ -1,9 +1,12 @@
 """Constraint-generation engine: convergence, bounds discipline, edge paths."""
 
+import importlib.util
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ from nkshed import fixtures as fx
 from nkshed.attackers import SpatiallyInfeasibleError, compute_phi
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
                            NoFeasibleAttackError, SolveConfig, gap, solve_interdiction)
-from nkshed.inner import solve_inner
-from nkshed.netmodel import AttackerModel, Bus, Line, Network
+from nkshed.inner import AttackPlan, solve_inner
+from nkshed.netmodel import AttackerModel, Bus, Line, Network, parse_case, serialize_case
 from nkshed.oracle import solve_exhaustive
 
 
@@ -66,6 +69,51 @@ def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
     assert state.bounds.mode == bounds_mode
     assert not state.bound_certified
     assert all(h["live"] is None for h in state.history)
+
+
+@pytest.mark.parametrize("bounds_mode", ["heuristic", "valid"])
+def test_milp_master_cuts_price_each_priced_flow(milp_master, mesh8, bounds_mode):
+    # Ids fall as positions rise, so pricing by id instead of position shows.
+    net = Network.build(list(mesh8.buses), [replace(l, id=100 - l.id)
+                                            for l in reversed(mesh8.lines)])
+    model = AttackerModel.traditional(2)
+    _, eta, state = solve_interdiction(net, model, SolveConfig(bounds_mode=bounds_mode,
+                                                               epsilon=1e-6))
+    assert eta == pytest.approx(solve_exhaustive(net, model).best_eta, abs=1e-6)
+    assert len(state.cuts) >= 2
+    for (eta_hat, price), h in zip(state.cuts, state.history):
+        sol = solve_inner(net, AttackPlan.of(h["attack"]))
+        flow = np.array([sol.flow[lid] for lid in net.line_ids()])
+        assert eta_hat == h["eta_hat"] == sol.eta
+        np.testing.assert_array_equal(price, state.bounds.rate * np.abs(flow))
+
+
+def _lattice_4x4() -> Network:
+    path = Path(__file__).resolve().parent.parent / "bench" / "lattice.py"
+    spec = importlib.util.spec_from_file_location("lattice", path)
+    lattice = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lattice)
+    return parse_case(lattice.lattice_text(4, 4, 1)[0])
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
+def test_basemva_rescale_gives_same_mw_shed(name):
+    # The same MW data on another baseMVA is the same network scaled in p.u.:
+    # demands, capacities and ratings by 1 / base, reactances not at all.
+    net = _lattice_4x4() if name == "lattice4x4" else fx.FIXTURES[name]()
+    text = serialize_case(net)
+    assert "mpc.baseMVA = 1;" in text
+    for variant in ("traditional", "topological"):
+        for k in range(1, min(2, len(net.lines)) + 1):
+            model = AttackerModel(variant, k)
+            mw = []
+            for base in (1.0, 10.0, 0.1):
+                scaled = parse_case(text.replace("mpc.baseMVA = 1;", f"mpc.baseMVA = {base!r};"))
+                _, eta, state = solve_interdiction(scaled, model)
+                assert state.bound_certified, (variant, k, base)
+                mw.append(eta * base)
+            for other in mw[1:]:
+                assert other == pytest.approx(mw[0], rel=1e-9, abs=1e-12), (variant, k, mw)
 
 
 RANDOM_CELLS = ([(seed, k) for seed in range(60) for k in (1, 2)]
