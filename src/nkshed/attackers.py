@@ -8,8 +8,10 @@ requires the chosen lines to form a connected subgraph, realized through a
 single-commodity virtual flow sourced at a super node that feeds one unit
 to every bus touching an interdicted line.
 
-``encode_feasible_set`` produces the mixed-integer constraint system the
-master problem (and, relaxed, the dual-bound LPs) embeds.
+``encode_feasible_set`` appends that mixed-integer constraint system to a
+caller's ``backend.Model`` as sparse row blocks and returns its columns by
+block name: the MILP master solves it as is, and the rate LPs of
+:mod:`nkshed.bounds` relax its binaries.
 ``is_feasible_attack`` is the standalone predicate the brute-force oracle
 uses; the two are exhaustively cross-checked in the test suite.
 """
@@ -17,17 +19,17 @@ uses; the two are exhaustively cross-checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
+from .backend import Model
 from .netmodel import AttackerModel, Network
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "SpatialFootprint",
-    "MasterEncoding",
     "SpatiallyInfeasibleError",
     "NoFeasibleAttackError",
     "haversine_km",
@@ -105,78 +107,21 @@ def compute_phi(net: Network, D_km: float, distance_mode: str = "haversine") -> 
     return SpatialFootprint(phi, D_km, distance_mode)
 
 
-@dataclass
-class MasterEncoding:
-    """Mixed-integer description of one attacker feasible set.
-
-    Columns live in named blocks; ``blocks['x']`` always holds one binary per
-    line, in ``line_order``. Rows are two-sided ``lo <= a.x <= hi``; equalities
-    have ``lo == hi``. The engine prepends its objective variable and offsets
-    all column indices by one; the dual-bound LPs relax ``integrality``.
-    """
-
-    model: AttackerModel
-    line_order: tuple[int, ...]
-    bus_order: tuple[int, ...]
-    blocks: dict[str, np.ndarray]
-    lb: np.ndarray
-    ub: np.ndarray
-    integrality: np.ndarray
-    rows: list[tuple[np.ndarray, np.ndarray, float, float]] = field(default_factory=list)
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.lb)
-
-    def add_row(self, cols, vals, lo: float, hi: float) -> None:
-        self.rows.append((np.asarray(cols, dtype=int), np.asarray(vals, dtype=float),
-                          float(lo), float(hi)))
-
-    def row_block(self) -> tuple[sparse.coo_array, np.ndarray, np.ndarray]:
-        """All rows as one sparse block with per-row ``lo``/``hi``, for ``Model.add_rows``."""
-        cols, vals, lo, hi = zip(*self.rows)
-        owner = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
-        mat = sparse.coo_array((np.concatenate(vals), (owner, np.concatenate(cols))),
-                               shape=(len(cols), self.num_vars))
-        return mat, np.array(lo), np.array(hi)
-
-
-def _base_encoding(net: Network, model: AttackerModel) -> MasterEncoding:
-    m = len(net.lines)
-    return MasterEncoding(
-        model=model,
-        line_order=net.line_ids(),
-        bus_order=tuple(b.id for b in net.buses),
-        blocks={"x": np.arange(m)},
-        lb=np.zeros(m),
-        ub=np.ones(m),
-        integrality=np.ones(m, dtype=bool),
-    )
-
-
-def _extend(enc: MasterEncoding, name: str, count: int, lb=0.0, ub=1.0,
-            integer: bool = True) -> np.ndarray:
-    start = enc.num_vars
-    idx = np.arange(start, start + count)
-    enc.blocks[name] = idx
-    enc.lb = np.concatenate([enc.lb, np.broadcast_to(lb, count).astype(float)])
-    enc.ub = np.concatenate([enc.ub, np.broadcast_to(ub, count).astype(float)])
-    enc.integrality = np.concatenate([enc.integrality, np.full(count, integer)])
-    return idx
-
-
 def check_budget(net: Network, model: AttackerModel,
                  footprint: SpatialFootprint | None = None) -> None:
-    """Raise ``ValueError`` if ``model`` cannot be posed on ``net``.
+    """Raise if ``model`` cannot be posed on ``net``.
 
-    That is: k above the line count of an exact-k budget, or a spatial
-    budget without a footprint or with a pinned center bus the network
-    lacks. A footprint that gives no line a candidate center raises
-    :class:`SpatiallyInfeasibleError`.
+    An exact-k budget with k above the line count has no feasible attack
+    and raises :class:`NoFeasibleAttackError`, as the oracle does. A
+    spatial budget raises ``ValueError`` without a footprint or with a
+    pinned center bus the network lacks, and
+    :class:`SpatiallyInfeasibleError` when the footprint gives no line a
+    candidate center.
     """
     if model.variant != "spatial":
         if model.k > len(net.lines):
-            raise ValueError(f"infeasible: k = {model.k} exceeds {len(net.lines)} lines")
+            raise NoFeasibleAttackError(
+                f"infeasible: k = {model.k} exceeds {len(net.lines)} lines")
         return
     if footprint is None:
         raise ValueError("spatial encoding requires a footprint")
@@ -188,59 +133,68 @@ def check_budget(net: Network, model: AttackerModel,
         raise ValueError(f"pinned center bus {model.center_bus} not in network")
 
 
-def encode_feasible_set(net: Network, model: AttackerModel,
-                        footprint: SpatialFootprint | None = None) -> MasterEncoding:
-    """Constraint system whose 0/1 solutions project onto the feasible attacks."""
+def _add_block(mdl: Model, count: int, rows, cols, vals, lo: float, hi: float) -> None:
+    """Append ``count`` rows ``lo <= a.x <= hi``, with ``a`` given by COO triplets."""
+    mdl.add_rows(sparse.coo_array((vals, (rows, cols)), shape=(count, mdl.num_vars)), lo, hi)
+
+
+def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel,
+                        footprint: SpatialFootprint | None = None) -> dict[str, np.ndarray]:
+    """Append a constraint system whose 0/1 solutions project onto the feasible attacks.
+
+    Returns the columns added to ``mdl`` by block name. ``"x"`` holds one
+    binary per line position; the spatial budget adds ``"center"``, one
+    binary per bus position, and the topological budget ``"y"``,
+    ``"kappa_edge"``, ``"flow_fwd"``, ``"flow_rev"`` and ``"kappa_flow"``.
+    """
     check_budget(net, model, footprint)
     m, n = len(net.lines), len(net.buses)
-    enc = _base_encoding(net, model)
-    x = enc.blocks["x"]
+    line, bus = np.arange(m), np.arange(n)
+    k = float(model.k)
+    x = mdl.add_vars(m, lb=0.0, ub=1.0, integer=True)
 
     if model.variant == "traditional":
-        enc.add_row(x, np.ones(m), model.k, model.k)
-        return enc
+        mdl.add_eq(x, np.ones(m), k)
+        return {"x": x}
 
     if model.variant == "spatial":
-        c = _extend(enc, "center", n)
-        enc.add_row(x, np.ones(m), -np.inf, model.k)   # at most k lines
-        enc.add_row(c, np.ones(n), 1.0, 1.0)           # exactly one center
-        bus_col = {bid: c[i] for i, bid in enumerate(enc.bus_order)}
-        for e, lid in enumerate(enc.line_order):
-            cand = footprint.phi[lid]
-            cols = [x[e]] + [bus_col[bid] for bid in sorted(cand)]
-            vals = [1.0] + [-1.0] * len(cand)
-            enc.add_row(cols, vals, -np.inf, 0.0)      # x_e <= sum of its candidate centers
+        lb = np.zeros(n)
         if model.center_bus is not None:
-            enc.lb[bus_col[model.center_bus]] = 1.0    # known event location
-        return enc
+            lb[net.bus_pos[model.center_bus]] = 1.0     # known event location
+        c = mdl.add_vars(n, lb=lb, ub=1.0, integer=True)
+        mdl.add_le(x, np.ones(m), k)                    # at most k lines
+        mdl.add_eq(c, np.ones(n), 1.0)                  # exactly one center
+        # x_e <= sum of its candidate centers, one row per line.
+        sets = [footprint.phi[lid] for lid in net.line_ids()]
+        owner = np.repeat(line, [len(s) for s in sets])
+        center = np.fromiter((net.bus_pos[bid] for s in sets for bid in s), int, len(owner))
+        _add_block(mdl, m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
+                   np.concatenate([np.ones(m), -np.ones(len(owner))]), -np.inf, 0.0)
+        return {"x": x, "center": c}
 
     # topological
-    y = _extend(enc, "y", n)
-    kx = _extend(enc, "kappa_edge", n)
-    fwd = _extend(enc, "flow_fwd", m, lb=0.0, ub=np.inf, integer=False)
-    rev = _extend(enc, "flow_rev", m, lb=0.0, ub=np.inf, integer=False)
-    kflow = _extend(enc, "kappa_flow", n, lb=0.0, ub=np.inf, integer=False)
-    k = float(model.k)
-
-    enc.add_row(x, np.ones(m), k, k)                   # exactly k lines
-    enc.add_row(kx, np.ones(n), 1.0, 1.0)              # one super-node edge
-    for e, (i, j) in enumerate(zip(*net.endpoint_positions())):
-        enc.add_row([x[e], y[i]], [1.0, -1.0], -np.inf, 0.0)
-        enc.add_row([x[e], y[j]], [1.0, -1.0], -np.inf, 0.0)
-        enc.add_row([fwd[e], x[e]], [1.0, -k], -np.inf, 0.0)
-        enc.add_row([rev[e], x[e]], [1.0, -k], -np.inf, 0.0)
-    for i in range(n):
-        enc.add_row([kflow[i], kx[i]], [1.0, -(k + 1.0)], -np.inf, 0.0)
+    y = mdl.add_vars(n, lb=0.0, ub=1.0, integer=True)
+    kx = mdl.add_vars(n, lb=0.0, ub=1.0, integer=True)
+    fwd = mdl.add_vars(m, lb=0.0, ub=np.inf)
+    rev = mdl.add_vars(m, lb=0.0, ub=np.inf)
+    kflow = mdl.add_vars(n, lb=0.0, ub=np.inf)
+    mdl.add_eq(x, np.ones(m), k)                        # exactly k lines
+    mdl.add_eq(kx, np.ones(n), 1.0)                     # one super-node edge
+    # Four rows per line: x_e <= y at either end, and fwd_e, rev_e <= k x_e.
+    fr, to = net.endpoint_positions()
+    _add_block(mdl, 4 * m, np.repeat(np.arange(4 * m), 2),
+               np.column_stack([x, y[fr], x, y[to], fwd, x, rev, x]).ravel(),
+               np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -k, 1.0, -k], m), -np.inf, 0.0)
+    _add_block(mdl, n, np.repeat(bus, 2), np.column_stack([kflow, kx]).ravel(),
+               np.tile([1.0, -(k + 1.0)], n), -np.inf, 0.0)
     # Virtual-flow balance: net inflow equals 1 for marked buses, with the
     # super-node edge supplying its bus.
-    inc = net.incidence.tocsr()
-    for i in range(n):
-        on = slice(inc.indptr[i], inc.indptr[i + 1])
-        lines, sign = inc.indices[on], inc.data[on]
-        cols = np.concatenate([[y[i], kflow[i]], fwd[lines], rev[lines]])
-        vals = np.concatenate([[-1.0, 1.0], sign, -sign])
-        enc.add_row(cols, vals, 0.0, 0.0)
-    return enc
+    inc = net.incidence
+    _add_block(mdl, n, np.concatenate([bus, bus, inc.row, inc.row]),
+               np.concatenate([y, kflow, fwd[inc.col], rev[inc.col]]),
+               np.concatenate([-np.ones(n), np.ones(n), inc.data, -inc.data]), 0.0, 0.0)
+    return {"x": x, "y": y, "kappa_edge": kx, "flow_fwd": fwd, "flow_rev": rev,
+            "kappa_flow": kflow}
 
 
 def _connected(net: Network, lines: frozenset[int]) -> bool:

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .attackers import MasterEncoding
+from .attackers import SpatialFootprint, encode_feasible_set
 from .backend import Model
 from .inner import add_dc_network, line_pairs
-from .netmodel import Network, total_load
+from .netmodel import AttackerModel, Network, total_load
 
 __all__ = ["DualBounds", "heuristic_bounds", "valid_bounds"]
 
@@ -80,8 +80,8 @@ def heuristic_bounds(net: Network) -> DualBounds:
     return DualBounds(rate=np.ones(len(net.lines)), mode=HEURISTIC)
 
 
-def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
-                     sign: float) -> float:
+def _flow_extreme_lp(net: Network, model: AttackerModel,
+                     footprint: SpatialFootprint | None, line_pos: int, sign: float) -> float:
     """max sign * flow(line) over the relaxed attack polytope and DC physics.
 
     The attack variables are relaxed to [0, 1] with the feasible-set rows
@@ -95,9 +95,8 @@ def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
     big_m = net.big_M
 
     mdl = Model(f"flow-extreme-{net.lines[line_pos].id}")
-    # Feasible-set columns first (binaries relaxed), mirroring encoding order.
-    mdl.add_vars(encoding.num_vars, lb=encoding.lb, ub=encoding.ub)
-    mdl.add_rows(*encoding.row_block())
+    # The feasible set's columns and rows first; solve_lp relaxes its binaries.
+    x = encode_feasible_set(mdl, net, model, footprint)["x"]
     dc = add_dc_network(mdl, net, 0.0)
 
     # Coupling relaxes and thermal shrinks as a line's x grows, except on the
@@ -106,7 +105,7 @@ def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
     x_coef = np.column_stack([np.full(m, big_m), np.full(m, big_m), -t, -t])
     rows = (4 * others[:, None] + np.arange(4)).ravel()
     relax = sparse.coo_array(
-        (x_coef[others].ravel(), (rows, np.repeat(encoding.blocks["x"][others], 4))),
+        (x_coef[others].ravel(), (rows, np.repeat(x[others], 4))),
         shape=(4 * m, mdl.num_vars))
     lo = np.column_stack([np.zeros(m), np.zeros(m), -t, -t])
     lo[line_pos, :2] = -big_m
@@ -117,7 +116,8 @@ def _flow_extreme_lp(net: Network, encoding: MasterEncoding, line_pos: int,
     return float(-sol.objective)
 
 
-def valid_bounds(net: Network, encoding: MasterEncoding) -> DualBounds:
+def valid_bounds(net: Network, model: AttackerModel,
+                 footprint: SpatialFootprint | None = None) -> DualBounds:
     """Rates of total load everywhere except provably flow-dead lines.
 
     For each line the pair of relaxation LPs ``max +-flow`` is solved over
@@ -130,8 +130,8 @@ def valid_bounds(net: Network, encoding: MasterEncoding) -> DualBounds:
     rate = np.empty(len(net.lines))
     rng: dict[int, tuple[float, float]] = {}
     for e, line in enumerate(net.lines):
-        fwd = _flow_extreme_lp(net, encoding, e, +1.0)
-        rev = _flow_extreme_lp(net, encoding, e, -1.0)
+        fwd = _flow_extreme_lp(net, model, footprint, e, +1.0)
+        rev = _flow_extreme_lp(net, model, footprint, e, -1.0)
         rng[line.id] = (rev, fwd)
         rate[e] = 0.0 if fwd <= FLOW_DEAD_TOL and rev <= FLOW_DEAD_TOL else load
     return DualBounds(rate=rate, mode=VALID, flow_range=rng)

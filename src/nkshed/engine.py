@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attackers import (MasterEncoding, NoFeasibleAttackError, SpatialFootprint, check_budget,
-                        compute_phi, encode_feasible_set)
+from .attackers import (NoFeasibleAttackError, SpatialFootprint, check_budget, compute_phi,
+                        encode_feasible_set)
 from .backend import INFEASIBLE, OPTIMAL, Model
 from .bounds import DualBounds, HEURISTIC, VALID, heuristic_bounds, valid_bounds
 from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
@@ -133,47 +133,37 @@ def gap(state: MasterState, config: SolveConfig) -> float:
     return (state.eta_up - state.eta_star) / max(state.eta_star, config.abs_floor)
 
 
-def _build_master(net: Network, encoding: MasterEncoding, state: MasterState,
-                  load_cap: float) -> Model:
+def _build_master(net: Network, model: AttackerModel, footprint: SpatialFootprint | None,
+                  state: MasterState, load_cap: float) -> tuple[Model, dict[str, np.ndarray]]:
+    """The master MILP and its attacker columns by block name."""
     mdl = Model("interdiction-master")
     mdl.add_var(lb=0.0, ub=load_cap, obj=-1.0)  # maximize the shed estimate
-    off = 1
-    mdl.add_vars(encoding.num_vars, lb=encoding.lb, ub=encoding.ub,
-                 integer=encoding.integrality)
-    mdl.add_rows(*encoding.row_block(), col_offset=off)
-
-    x_cols = encoding.blocks["x"] + off
-    col_of = {lid: int(x_cols[i]) for i, lid in enumerate(encoding.line_order)}
+    cols = encode_feasible_set(mdl, net, model, footprint)
+    x_cols = cols["x"]
     for eta_hat, price in state.cuts:
         on = np.flatnonzero(price)
         mdl.add_le(np.concatenate([[0], x_cols[on]]), np.concatenate([[1.0], -price[on]]),
                    eta_hat)
-    k = encoding.model.k
-    all_cols = list(int(c) for c in x_cols)
     for visited in state.nogood:
-        hit = [col_of[lid] for lid in sorted(visited)]
-        if len(visited) == k:
-            mdl.add_le(hit, [1.0] * len(hit), k - 1)
+        hit = [net.line_pos[lid] for lid in sorted(visited)]
+        if len(visited) == model.k:
+            mdl.add_le(x_cols[hit], np.ones(len(hit)), model.k - 1)
         else:
             # Exact-point exclusion: retires only this attack, so feasible
             # supersets (possible under the spatial budget) stay reachable.
-            others = [c for c in all_cols if c not in hit]
-            mdl.add_le(hit + others, [1.0] * len(hit) + [-1.0] * len(others),
-                       len(visited) - 1)
-    return mdl
+            others = np.delete(x_cols, hit)
+            mdl.add_le(np.concatenate([x_cols[hit], others]),
+                       np.repeat([1.0, -1.0], [len(hit), len(others)]), len(visited) - 1)
+    return mdl, cols
 
 
-def _extract_plan(net: Network, model: AttackerModel, encoding: MasterEncoding,
-                  x_full: np.ndarray, off: int = 1) -> AttackPlan:
-    x_cols = encoding.blocks["x"] + off
-    lines = frozenset(
-        lid for i, lid in enumerate(encoding.line_order) if x_full[x_cols[i]] > 0.5
-    )
+def _extract_plan(net: Network, model: AttackerModel, cols: dict[str, np.ndarray],
+                  x_full: np.ndarray) -> AttackPlan:
+    lines = frozenset(net.lines[e].id for e in np.flatnonzero(x_full[cols["x"]] > 0.5))
     center = None
     if model.variant == "spatial":
-        c_cols = encoding.blocks["center"] + off
-        picked = [encoding.bus_order[i] for i in range(len(c_cols)) if x_full[c_cols[i]] > 0.5]
-        center = picked[0] if picked else encoding.bus_order[0]
+        picked = np.flatnonzero(x_full[cols["center"]] > 0.5)
+        center = net.buses[picked[0] if len(picked) else 0].id
     return AttackPlan(lines, center, model)
 
 
@@ -268,16 +258,15 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
 
 def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
                footprint: SpatialFootprint | None) -> MasterState:
-    encoding = encode_feasible_set(net, model, footprint)
     bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC \
-        else valid_bounds(net, encoding)
+        else valid_bounds(net, model, footprint)
 
     state = MasterState(bounds=bounds)
     load_cap = total_load(net)
     seen: set[frozenset[int]] = set()
 
     while state.iterations < config.max_iters:
-        mdl = _build_master(net, encoding, state, load_cap)
+        mdl, cols = _build_master(net, model, footprint, state, load_cap)
         master = mdl.solve_milp(require_optimal=False)
         if master.status not in (OPTIMAL, INFEASIBLE):
             master = mdl.solve_milp(require_optimal=False, presolve=False)
@@ -297,7 +286,7 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
         # not the incumbent objective, is what bounds every remaining attack.
         master_bound = -master.dual_bound
 
-        plan = _extract_plan(net, model, encoding, master.x)
+        plan = _extract_plan(net, model, cols, master.x)
         if plan.lines in seen:
             raise RuntimeError(
                 f"master re-proposed attack {sorted(plan.lines)} despite its exclusion cut")

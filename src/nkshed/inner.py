@@ -220,7 +220,7 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         )
 
     # Angles are fixed up to one constant per island: zero each island's first bus.
-    island = net.islands(~cut)
+    island = net.islands(np.flatnonzero(cut)[None])[0]
     ang = sol.x[dc.ang]
     ang = ang - ang[np.unique(island, return_index=True)[1]][island]
     bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()

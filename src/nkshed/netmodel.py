@@ -191,13 +191,14 @@ class Network:
     def line_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.lines)
 
-    def islands(self, in_service: np.ndarray) -> np.ndarray:
-        """Island label per bus position, joined only by the lines where ``in_service``."""
-        fr, to = self.endpoint_positions()
-        n = len(self.buses)
-        links = sparse.coo_array((np.ones(in_service.sum()), (fr[in_service], to[in_service])),
-                                 shape=(n, n))
-        return connected_components(links, directed=False)[1]
+    def islands(self, cuts: np.ndarray) -> np.ndarray:
+        """Island label per bus position left by each outage.
+
+        ``cuts`` holds one row of removed line positions per outage. The
+        search runs on one graph holding a copy of the network per row, so
+        labels are unique across rows.
+        """
+        return _islands(*self.endpoint_positions(), len(self.buses), cuts)
 
     @cached_property
     def power_flow(self) -> "PowerFlow":
@@ -238,8 +239,8 @@ class PowerFlow:
 
     def __init__(self, net: Network):
         self.fr, self.to = net.endpoint_positions()
-        n, m = len(net.buses), len(net.lines)
-        self.island = net.islands(np.ones(m, dtype=bool))
+        n = len(net.buses)
+        self.island = net.islands(np.zeros((1, 0), dtype=int))[0]
         self.num_islands = self.island.max() + 1
         inc = net.incidence.tocsc()
         roots = np.unique(self.island, return_index=True)[1]
@@ -255,24 +256,19 @@ class PowerFlow:
         Returns a component key per bus of each row, unique across rows,
         and whether each row splits an island of the intact network. Rows
         that ``split`` (as ``splits`` returned it) marks False keep the
-        intact islands; the others are searched in one graph holding a copy
-        of the network per row.
+        intact islands; the others go through the search of
+        ``Network.islands``.
         """
-        count, n, m = len(cuts), len(self.island), len(self.fr)
+        count, n = len(cuts), len(self.island)
         comp = np.arange(count)[:, None] * n + self.island
         search = np.arange(count) if split is None else np.flatnonzero(split)
         torn = np.zeros(count, dtype=bool)
         if not len(search):
             return comp, torn
-        keep = np.ones((len(search), m), dtype=bool)
-        keep[np.arange(len(search))[:, None], cuts[search]] = False
-        row, line = np.nonzero(keep)
-        ends = (row * n + self.fr[line], row * n + self.to[line])
-        graph = sparse.coo_array((np.ones(len(line)), ends), shape=(len(search) * n,) * 2)
-        found = connected_components(graph, directed=False)[1]
+        found = _islands(self.fr, self.to, n, cuts[search])
         first = np.unique(found, return_index=True)[1]
         torn[search] = np.bincount(first // n, minlength=len(search)) > self.num_islands
-        comp[search] = count * n + found.reshape(len(search), n)
+        comp[search] = count * n + found
         return comp, torn
 
     def splits(self, cuts: np.ndarray) -> np.ndarray:
@@ -308,6 +304,17 @@ class PowerFlow:
             flow -= np.einsum("rj,rjm->rm", moved[:, :, 0], shift)
         flow[np.arange(count)[:, None], cuts] = 0.0
         return flow
+
+
+def _islands(fr: np.ndarray, to: np.ndarray, n: int, cuts: np.ndarray) -> np.ndarray:
+    """``Network.islands`` on lines given by their endpoint positions."""
+    count = len(cuts)
+    keep = np.ones((count, len(fr)), dtype=bool)
+    keep[np.arange(count)[:, None], cuts] = False
+    row, line = np.nonzero(keep)
+    ends = (row * n + fr[line], row * n + to[line])
+    graph = sparse.coo_array((np.ones(len(line)), ends), shape=(count * n,) * 2)
+    return connected_components(graph, directed=False)[1].reshape(count, n)
 
 
 def _default_big_M(buses) -> float:

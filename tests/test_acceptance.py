@@ -23,7 +23,7 @@ from test_response_bound import _dispatch
 
 EPS = 0.01
 FIXTURE_NAMES = ["two_bus", "triangle", "braess4", "star5", "ring6", "mesh8"]
-INFEASIBLE_ERRORS = (NoFeasibleAttackError, SpatiallyInfeasibleError, ValueError)
+INFEASIBLE_ERRORS = (NoFeasibleAttackError, SpatiallyInfeasibleError)
 
 
 def _model_for(variant, k, name):

@@ -3,13 +3,12 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkshed import fixtures as fx
-from nkshed.attackers import (MasterEncoding, SpatiallyInfeasibleError, compute_phi,
+from nkshed.attackers import (NoFeasibleAttackError, SpatiallyInfeasibleError, compute_phi,
                               encode_feasible_set, haversine_km, is_feasible_attack,
                               planar_km, spatial_centers)
 from nkshed.backend import INFEASIBLE, Model
@@ -80,28 +79,35 @@ def test_footprint_monotone_in_d(name):
         assert small.phi[lid] <= large.phi[lid]
 
 
-def _fixed_attack_feasible(net: Network, enc: MasterEncoding, subset) -> bool:
-    """Does the encoding admit a completion with exactly this x vector?"""
+def _pinned_model(net: Network, model: AttackerModel, footprint, subset, lead: int = 0):
+    """The encoding in a model that already holds ``lead`` columns, with x fixed
+    to ``subset``; returns the model and the encoding's columns.
+
+    The leading columns are fixed at 0.5, which no binary can take, so
+    encoding rows or pins that miss the column offset make the model
+    infeasible.
+    """
     mdl = Model("encoding-feasibility")
-    mdl.add_vars(enc.num_vars, lb=enc.lb, ub=enc.ub, integer=enc.integrality)
-    for cols, vals, lo, hi in enc.rows:
-        if lo == hi:
-            mdl.add_eq(cols, vals, lo)
-        else:
-            if np.isfinite(lo):
-                mdl.add_ge(cols, vals, lo)
-            if np.isfinite(hi):
-                mdl.add_le(cols, vals, hi)
+    mdl.add_vars(lead, lb=0.5, ub=0.5)
+    cols = encode_feasible_set(mdl, net, model, footprint)
     chosen = set(subset)
-    for i, lid in enumerate(enc.line_order):
-        col = int(enc.blocks["x"][i])
-        val = 1.0 if lid in chosen else 0.0
-        mdl.add_eq([col], [1.0], val)
+    for e, lid in enumerate(net.line_ids()):
+        mdl.add_eq([int(cols["x"][e])], [1.0], 1.0 if lid in chosen else 0.0)
+    return mdl, cols
+
+
+def _feasible(mdl: Model) -> bool:
     sol = mdl.solve_milp(require_optimal=False)
     if sol.status == INFEASIBLE:
         return False
     assert sol.optimal
     return True
+
+
+def _fixed_attack_feasible(net: Network, model: AttackerModel, footprint, subset,
+                           lead: int = 0) -> bool:
+    """Does the encoding admit a completion with exactly this x vector?"""
+    return _feasible(_pinned_model(net, model, footprint, subset, lead)[0])
 
 
 @pytest.mark.parametrize("name", ["triangle", "braess4", "star5"])
@@ -112,20 +118,23 @@ def test_encoding_agrees_with_predicate_exhaustively(name, variant, k):
     model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
              else AttackerModel(variant, k))
     footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
-    enc = encode_feasible_set(net, model, footprint)
     ids = list(net.line_ids())
     for size in range(len(ids) + 1):
         for subset in itertools.combinations(ids, size):
             expected = is_feasible_attack(net, model, footprint, subset)
-            assert _fixed_attack_feasible(net, enc, subset) == expected, subset
+            for lead in (0, 1):
+                got = _fixed_attack_feasible(net, model, footprint, subset, lead)
+                assert got == expected, (subset, lead)
 
 
 def test_traditional_encoding_shape(triangle):
-    enc = encode_feasible_set(triangle, AttackerModel.traditional(2))
-    assert enc.num_vars == 3
-    assert len(enc.rows) == 1
-    cols, vals, lo, hi = enc.rows[0]
-    assert lo == hi == 2.0 and len(cols) == 3
+    mdl = Model()
+    cols = encode_feasible_set(mdl, triangle, AttackerModel.traditional(2))
+    assert mdl.num_vars == 3
+    assert mdl.num_rows == 1
+    mat, lo, hi, _ = mdl._block(eq_first=True)
+    assert lo[0] == hi[0] == 2.0 and mat.nnz == 3
+    assert sorted(mat.indices) == cols["x"].tolist()
 
 
 def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):
@@ -136,9 +145,9 @@ def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):
     uncovered = [lid for lid in mesh8.line_ids() if center not in footprint.phi[lid]]
     assert covered and uncovered, "fixture should split under this D"
     model = AttackerModel.spatial(1, d, center_bus=center)
-    enc = encode_feasible_set(mesh8, model, footprint)
-    assert _fixed_attack_feasible(mesh8, enc, [covered[0]])
-    assert not _fixed_attack_feasible(mesh8, enc, [uncovered[0]])
+    for lead in (0, 1):
+        assert _fixed_attack_feasible(mesh8, model, footprint, [covered[0]], lead)
+        assert not _fixed_attack_feasible(mesh8, model, footprint, [uncovered[0]], lead)
     assert is_feasible_attack(mesh8, model, footprint, [covered[0]])
     assert not is_feasible_attack(mesh8, model, footprint, [uncovered[0]])
 
@@ -146,12 +155,12 @@ def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):
 def test_spatially_infeasible_encoding(mesh8):
     footprint = compute_phi(mesh8, 1e-6)
     with pytest.raises(SpatiallyInfeasibleError):
-        encode_feasible_set(mesh8, AttackerModel.spatial(2, 1e-6), footprint)
+        encode_feasible_set(Model(), mesh8, AttackerModel.spatial(2, 1e-6), footprint)
 
 
 def test_topological_k_exceeding_lines(two_bus):
-    with pytest.raises(ValueError, match="exceeds"):
-        encode_feasible_set(two_bus, AttackerModel.topological(2))
+    with pytest.raises(NoFeasibleAttackError, match="exceeds"):
+        encode_feasible_set(Model(), two_bus, AttackerModel.topological(2))
 
 
 def _five_bus_tree():
@@ -172,31 +181,16 @@ def test_topological_flow_certificate_for_connected_triple():
     attack = [1, 2, 3]  # lines (1,2), (1,3), (3,5): touched buses {1, 2, 3, 5}
     assert is_feasible_attack(net, model, None, attack)
     for root, feasible in [(1, True), (2, True), (3, True), (5, True), (4, False)]:
-        enc = encode_feasible_set(net, model)
-        root_col = int(enc.blocks["kappa_edge"][enc.bus_order.index(root)])
-        enc.lb[root_col] = 1.0
-        ok = _fixed_attack_feasible(net, enc, attack)
-        assert ok == feasible, root
+        mdl, cols = _pinned_model(net, model, None, attack)
+        mdl.add_eq([int(cols["kappa_edge"][net.bus_pos[root]])], [1.0], 1.0)
+        assert _feasible(mdl) == feasible, root
     # Extract the flow values for one feasible rooting and add them up.
-    enc = encode_feasible_set(net, model)
-    root_col = int(enc.blocks["kappa_edge"][enc.bus_order.index(3)])
-    enc.lb[root_col] = 1.0
-    mdl = Model("flows")
-    mdl.add_vars(enc.num_vars, lb=enc.lb, ub=enc.ub, integer=enc.integrality)
-    for cols, vals, lo, hi in enc.rows:
-        if lo == hi:
-            mdl.add_eq(cols, vals, lo)
-        else:
-            if np.isfinite(lo):
-                mdl.add_ge(cols, vals, lo)
-            if np.isfinite(hi):
-                mdl.add_le(cols, vals, hi)
-    for i, lid in enumerate(enc.line_order):
-        mdl.add_eq([int(enc.blocks["x"][i])], [1.0], 1.0 if lid in attack else 0.0)
+    mdl, cols = _pinned_model(net, model, None, attack)
+    mdl.add_eq([int(cols["kappa_edge"][net.bus_pos[3]])], [1.0], 1.0)
     sol = mdl.solve_milp()
-    kflow = sol.x[enc.blocks["kappa_flow"]]
+    kflow = sol.x[cols["kappa_flow"]]
     assert kflow.sum() == pytest.approx(4.0, abs=1e-6)
-    y = sol.x[enc.blocks["y"]]
+    y = sol.x[cols["y"]]
     assert y.sum() == pytest.approx(4.0, abs=1e-6)
 
 

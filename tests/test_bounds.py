@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
-from nkshed.attackers import encode_feasible_set
 from nkshed.bounds import DualBounds, heuristic_bounds, valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Bus, Line, Network, total_load
@@ -33,8 +32,7 @@ def test_bounds_reject_negative_rate():
 
 def test_valid_bounds_two_bus_fallback(two_bus):
     # The single line can reach its full rating, so it is priced at total load.
-    enc = encode_feasible_set(two_bus, AttackerModel.traditional(1))
-    vb = valid_bounds(two_bus, enc)
+    vb = valid_bounds(two_bus, AttackerModel.traditional(1))
     rev, fwd = vb.flow_range[1]
     assert fwd == pytest.approx(two_bus.lines[0].thermal, abs=1e-6)
     assert vb.rate[two_bus.line_pos[1]] == pytest.approx(1.0)  # total load
@@ -42,8 +40,7 @@ def test_valid_bounds_two_bus_fallback(two_bus):
 
 
 def test_valid_bounds_triangle_matches_reference_relaxation(triangle):
-    enc = encode_feasible_set(triangle, AttackerModel.traditional(1))
-    vb = valid_bounds(triangle, enc)
+    vb = valid_bounds(triangle, AttackerModel.traditional(1))
     for lid in triangle.line_ids():
         ref_fwd = reference_flow_extreme(triangle, 1, lid, +1.0)
         ref_rev = reference_flow_extreme(triangle, 1, lid, -1.0)
@@ -63,8 +60,7 @@ def _stub_net():
 
 def test_valid_bounds_prune_dead_stub_line():
     net = _stub_net()
-    enc = encode_feasible_set(net, AttackerModel.traditional(1))
-    vb = valid_bounds(net, enc)
+    vb = valid_bounds(net, AttackerModel.traditional(1))
     rev, fwd = vb.flow_range[2]
     assert fwd <= 1e-6 and rev <= 1e-6
     assert vb.rate[net.line_pos[2]] == 0.0
@@ -80,8 +76,7 @@ def test_pruning_soundness_exhaustive():
     pinned-flow pair can be nonzero, but the marginal value must be nil).
     """
     net = _stub_net()
-    enc = encode_feasible_set(net, AttackerModel.traditional(1))
-    vb = valid_bounds(net, enc)
+    vb = valid_bounds(net, AttackerModel.traditional(1))
     pruned = [lid for lid in net.line_ids() if vb.rate[net.line_pos[lid]] == 0.0]
     assert pruned == [2]
     others = [lid for lid in net.line_ids() if lid not in pruned]
@@ -104,8 +99,7 @@ def test_heuristic_dominated_by_valid_on_loaded_fixtures(name):
     # Holds entrywise whenever total load >= 1 and no line is flow-dead.
     net = fx.FIXTURES[name]()
     assert total_load(net) >= 1.0
-    enc = encode_feasible_set(net, AttackerModel.traditional(min(2, len(net.lines))))
-    vb = valid_bounds(net, enc)
+    vb = valid_bounds(net, AttackerModel.traditional(min(2, len(net.lines))))
     hb = heuristic_bounds(net)
     for lid in net.line_ids():
         rev, fwd = vb.flow_range[lid]
@@ -117,7 +111,6 @@ def test_valid_bounds_respect_spatial_encoding(mesh8):
     d = fx.SPATIAL_D["mesh8"]
     from nkshed.attackers import compute_phi
     footprint = compute_phi(mesh8, d)
-    enc = encode_feasible_set(mesh8, AttackerModel.spatial(2, d), footprint)
-    vb = valid_bounds(mesh8, enc)
+    vb = valid_bounds(mesh8, AttackerModel.spatial(2, d), footprint)
     assert vb.rate.shape == (len(mesh8.lines),)
     assert all(v in (0.0, total_load(mesh8)) for v in vb.rate)

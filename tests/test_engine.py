@@ -148,7 +148,7 @@ def test_certified_bound_implies_oracle_agreement_on_fixture_zoo():
                          else AttackerModel(variant, k))
                 try:
                     _, eta, state = solve_interdiction(net, model, footprint=footprint)
-                except (NoFeasibleAttackError, SpatiallyInfeasibleError, ValueError):
+                except (NoFeasibleAttackError, SpatiallyInfeasibleError):
                     continue
                 if not state.bound_certified:
                     continue

@@ -13,7 +13,6 @@ import pytest
 from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
-from nkshed.attackers import encode_feasible_set
 from nkshed.backend import Model
 from nkshed.bounds import heuristic_bounds, valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
@@ -181,7 +180,7 @@ def test_angles_zero_at_first_bus_of_each_island(name):
     for attack in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(3)):
         sol = solve_inner(net, AttackPlan.of(attack))
-        island = net.islands(np.array([l.id not in attack for l in net.lines]))
+        island = net.islands(np.array([[net.line_pos[lid] for lid in attack]], dtype=int))[0]
         for label in set(island.tolist()):
             first = net.buses[int(np.flatnonzero(island == label)[0])]
             assert sol.angle[first.id] == 0.0, (attack, first.id)
@@ -201,8 +200,8 @@ def test_reversed_relabelled_lines_give_same_eta(name):
                           [replace(l, id=relabel[l.id]) for l in reversed(net.lines)])
     ids = [l.id for l in net.lines]
     k = min(2, len(ids))
-    rates = valid_bounds(net, encode_feasible_set(net, AttackerModel.traditional(k)))
-    moved_rates = valid_bounds(other, encode_feasible_set(other, AttackerModel.traditional(k)))
+    rates = valid_bounds(net, AttackerModel.traditional(k))
+    moved_rates = valid_bounds(other, AttackerModel.traditional(k))
     np.testing.assert_array_equal(moved_rates.rate, rates.rate[::-1])
     rng = random.Random(5)
     for attack in [[]] + [rng.sample(ids, rng.randint(1, k)) for _ in range(6)]:
@@ -238,7 +237,7 @@ def test_cut_validity_exhaustive_pairs_valid_bounds(name):
     ids = [l.id for l in net.lines]
     k = 2 if len(ids) >= 2 else 1
     model = AttackerModel.traditional(k)
-    vb = valid_bounds(net, encode_feasible_set(net, model))
+    vb = valid_bounds(net, model)
     attacks = [frozenset(p) for p in itertools.combinations(ids, k)]
     solved = {a: solve_inner(net, AttackPlan.of(a)) for a in attacks}
     for x_hat in attacks:

@@ -130,18 +130,33 @@ def test_outage_factor_flows_match_direct_solves(name):
     assert splits > 0
 
 
+def _union_find_roots(net, cut) -> list[int]:
+    """Root bus position per bus, joined by every line not in ``cut``."""
+    parent = list(range(len(net.buses)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    fr, to = net.endpoint_positions()
+    for e in set(range(len(net.lines))) - set(cut.tolist()):
+        parent[root(fr[e])] = root(to[e])
+    return [root(i) for i in range(len(parent))]
+
+
 def test_islands_match_per_attack_components(mesh8):
     pf = mesh8.power_flow
     cuts = np.array(list(itertools.combinations(range(len(mesh8.lines)), 3)))
     comp, split = pf.islands(cuts)
+    labels = mesh8.islands(cuts)
     for row, cut in enumerate(cuts):
-        keep = np.ones(len(mesh8.lines), dtype=bool)
-        keep[cut] = False
-        alone = mesh8.islands(keep)
+        alone = _union_find_roots(mesh8, cut)
         assert split[row] == (len(set(alone)) > 1)
         # Same partition of the buses, whatever the labels.
-        pairs = set(zip(comp[row].tolist(), alone.tolist()))
-        assert len(pairs) == len(set(alone)) == len(set(comp[row].tolist()))
+        for keys in (comp[row].tolist(), labels[row].tolist()):
+            pairs = set(zip(keys, alone))
+            assert len(pairs) == len(set(alone)) == len(set(keys))
 
 
 def test_random_mesh_draw_order():

@@ -118,6 +118,15 @@ def test_certify_loose_epsilon_never_breaks_feasibility(mesh8):
     assert outcome["rel_diff"] <= 0.5 + 1e-9
 
 
+def test_certify_k_exceeding_lines_agrees_on_infeasibility(two_bus):
+    # Two lines out of one: engine and oracle both find no attack.
+    for model in (AttackerModel.traditional(2), AttackerModel.topological(2)):
+        outcome = certify(two_bus, model)
+        assert outcome["agree"] is True, outcome
+        assert "exceeds" in outcome["engine_error"]
+        assert "no feasible attack" in outcome["oracle_error"]
+
+
 def test_certify_budget(mesh8):
     from nkshed.oracle import BudgetExceededError
     with pytest.raises(BudgetExceededError):
@@ -168,6 +177,13 @@ def test_cli_run_spatially_infeasible_exit_code(tmp_path):
     case, geo = _write_inputs(tmp_path, fx.mesh8())
     code = main(["run", "--case", case, "--geo", geo, "--model", "spatial",
                  "--k", "2", "--D", "0.001", "--out", str(tmp_path / "o")])
+    assert code == 4
+
+
+def test_cli_run_k_exceeding_lines_exit_code(tmp_path):
+    case, geo = _write_inputs(tmp_path, fx.two_bus())
+    code = main(["run", "--case", case, "--geo", geo, "--model", "traditional",
+                 "--k", "2", "--out", str(tmp_path / "o")])
     assert code == 4
 
 
