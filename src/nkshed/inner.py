@@ -22,14 +22,15 @@ pair) are nonnegative at the optimum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .backend import BackendError, Model
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "response_shed"]
 
@@ -76,19 +77,33 @@ class AttackPlan:
 
 @dataclass
 class InnerSolution:
-    """Optimal defender response to one attack."""
+    """Optimal defender response to one attack.
+
+    ``angle`` is computed when first read: the solve's bus angles with the
+    first bus of each island of the surviving network at zero. For that the
+    solution keeps the raw angles, the removed line positions, the line
+    endpoint positions and the bus ids, not the network.
+    """
 
     eta: float
     shed: dict[int, float]
     flow: dict[int, float]
     gen: dict[int, float]
-    angle: dict[int, float]
     duals_mu: dict[int, tuple[float, float]]
     duals_pi: dict[int, tuple[float, float]]
     status: str
     attack: AttackPlan
     big_m_used: float
     big_m_ok: bool = True
+    _angle_from: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def angle(self) -> dict[int, float]:
+        ang, cut, fr, to, bus_ids = self._angle_from
+        # Angles are fixed up to one constant per island: zero each island's first bus.
+        island = _islands(fr, to, len(ang), cut[None])[0]
+        ang = ang - ang[np.unique(island, return_index=True)[1]][island]
+        return dict(zip(bus_ids, ang.tolist()))
 
 
 def _check_attack_lines(net: Network, attack: AttackPlan) -> np.ndarray:
@@ -190,7 +205,7 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     LP re-solved, at most 10 times. ``big_m_used`` is the M of the accepted
     solve and ``big_m_ok`` whether its band duals vanished. Angles are
     reported relative to the first bus of each island of the surviving
-    network.
+    network, computed when first read.
 
     Each thread keeps one model per network; an attack, or a doubling of M,
     only changes its line rows' bounds, and every solve starts cold.
@@ -219,10 +234,6 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
             RuntimeWarning,
         )
 
-    # Angles are fixed up to one constant per island: zero each island's first bus.
-    island = net.islands(np.flatnonzero(cut)[None])[0]
-    ang = sol.x[dc.ang]
-    ang = ang - ang[np.unique(island, return_index=True)[1]][island]
     bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
     duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2).tolist()
     return InnerSolution(
@@ -230,13 +241,13 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
         flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
         gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
-        angle=dict(zip(bus_ids, ang.tolist())),
         duals_mu={lid: tuple(d[0]) for lid, d in zip(line_ids, duals)},
         duals_pi={lid: tuple(d[1]) for lid, d in zip(line_ids, duals)},
         status=sol.status,
         attack=attack,
         big_m_used=m_val,
         big_m_ok=ok,
+        _angle_from=(sol.x[dc.ang], np.flatnonzero(cut), *net.endpoint_positions(), bus_ids),
     )
 
 

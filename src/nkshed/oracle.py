@@ -13,6 +13,8 @@ same order.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -27,6 +29,9 @@ __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_coun
 
 # Candidate subsets the oracle enumerates unless told otherwise.
 DEFAULT_BUDGET = 200_000
+# Consecutive attacks one pricing thread takes at a time. Neighbours in the
+# enumeration share most lines, so each thread's kept LP changes few rows.
+_CHUNK = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -88,7 +93,10 @@ def solve_exhaustive(
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
 
-    The maximizer with the smallest sorted line-id tuple wins ties. Raises
+    The maximizer with the smallest sorted line-id tuple wins ties.
+    Attacks are priced on one thread per CPU this process may run on; the
+    result does not depend on the thread count, and the first error in
+    enumeration order is raised. Raises
     :class:`BudgetExceededError` before doing any work if the subset count
     exceeds ``budget``, and :class:`NoFeasibleAttackError` when nothing in
     the enumeration passes the feasibility predicate.
@@ -98,27 +106,47 @@ def solve_exhaustive(
         raise BudgetExceededError(
             f"{planned} candidate subsets exceed the oracle budget of {budget}")
 
-    best: tuple[float, tuple[int, ...]] | None = None
-    best_plan: AttackPlan | None = None
-    ranking: list[tuple[tuple[int, ...], float]] = []
-    evaluated = 0
-    for subset in feasible_attacks(net, model, footprint):
-        plan = attack_plan(net, model, footprint, subset)
-        eta = solve_inner(net, plan).eta
-        evaluated += 1
-        key = (eta, tuple(sorted(subset)))
-        if keep_ranking:
-            ranking.append((key[1], eta))
-        if best is None or eta > best[0] or (eta == best[0] and key[1] < best[1]):
-            best = key
-            best_plan = plan
-    if best_plan is None:
+    plans = [attack_plan(net, model, footprint, subset)
+             for subset in feasible_attacks(net, model, footprint)]
+    if not plans:
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
+    etas = _price(net, plans)
+    # Worst first, then the smallest sorted line-id tuple.
+    order = lambda i: (-etas[i], plans[i].sorted_lines())
+    best = min(range(len(plans)), key=order)
     ranked = None
     if keep_ranking:
-        ranked = tuple(sorted(ranking, key=lambda r: (-r[1], r[0])))
-    return OracleResult(best_plan, best[0], evaluated, ranked)
+        ranked = tuple((plans[i].sorted_lines(), etas[i])
+                       for i in sorted(range(len(plans)), key=order))
+    return OracleResult(plans[best], etas[best], len(plans), ranked)
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _price(net: Network, plans: list[AttackPlan]) -> list[float]:
+    """eta of each plan, in order, priced on one thread per CPU.
+
+    Each thread takes ``_CHUNK`` consecutive plans at a time and solves them
+    on its own kept model. With one CPU, or a single chunk, the calling
+    thread prices them all. The first error in plan order is raised.
+    """
+    def price(chunk):
+        # solve_inner is looked up at call time, so a hook on it sees every call.
+        return [solve_inner(net, plan).eta for plan in chunk]
+
+    chunks = [plans[lo:lo + _CHUNK] for lo in range(0, len(plans), _CHUNK)]
+    workers = min(_workers(), len(chunks))
+    if workers < 2:
+        return price(plans)
+    with ThreadPoolExecutor(workers) as pool:
+        return [eta for part in pool.map(price, chunks) for eta in part]
 
 
 def write_ranking_csv(result: OracleResult, out) -> None:

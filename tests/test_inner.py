@@ -127,8 +127,9 @@ def _attacks(net, k_max):
 
 
 def _bits(sol):
-    # repr round-trips every float and tells -0.0 from 0.0.
-    return repr(astuple(sol))
+    # repr round-trips every float and tells -0.0 from 0.0. The angles are a
+    # property computed when read, so astuple does not see them.
+    return repr((astuple(sol), sol.angle))
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -148,8 +149,8 @@ def test_kept_model_answers_do_not_depend_on_solve_order(name):
 
 def test_kept_model_does_not_keep_the_network_alive():
     net = fx.mesh8()
-    solve_inner(net, AttackPlan.of([1]))
-    ref = weakref.ref(net)
+    sol = solve_inner(net, AttackPlan.of([1]))
+    ref, bus_ids = weakref.ref(net), [bus.id for bus in net.buses]
     assert hasattr(net.thread_cache, "load_shed")
     assert not hasattr(replace(net).thread_cache, "load_shed")
     other_thread = []
@@ -161,6 +162,8 @@ def test_kept_model_does_not_keep_the_network_alive():
     del net
     gc.collect()
     assert ref() is None
+    # The solution outlives its network, and its angles still compute.
+    assert list(sol.angle) == bus_ids and sol.angle[bus_ids[0]] == 0.0
 
 
 def test_band_that_is_never_certified_warns_and_says_so(triangle):
