@@ -8,12 +8,15 @@ nonnegative on a row held at its lower side, which is the convention the
 load-shed duals and their upper bounds are stated in.
 
 LPs go through the HiGHS binding vendored in scipy
-(``scipy.optimize._highspy._core``), with presolve on and the dual simplex.
-The first ``solve_lp`` passes the LP to HiGHS; the HiGHS model then lives
-with the :class:`Model`, ``set_row_bounds`` edits its row bounds in place,
-and every solve clears HiGHS's solver state first (``linprog``, named after
-the scipy function it replaced), so each one is a cold solve of exactly the
-LP a fresh :class:`Model` would pass. MILPs go through the public ``milp``.
+(``scipy.optimize._highspy._core``), with the dual simplex and presolve on
+unless ``solve_lp(presolve=False)``. The first ``solve_lp`` passes the LP to
+HiGHS; the HiGHS model then lives with the :class:`Model`,
+``set_row_bounds`` and ``set_col_bounds`` edit its row and column bounds in
+place (``changeRowBounds``, ``changeColBounds``; the binding, and with it
+``changeColBounds``, is checked on scipy 1.17.1 only), and every solve
+clears HiGHS's solver state first (``linprog``, named after the scipy
+function it replaced), so each one is a cold solve of exactly the LP a fresh
+:class:`Model` would pass. MILPs go through the public ``milp``.
 HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
 deterministic for fixed inputs.
 """
@@ -43,9 +46,10 @@ _MILP_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 _LP_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
               highs.HighsModelStatus.kInfeasible: INFEASIBLE,
               highs.HighsModelStatus.kUnbounded: UNBOUNDED}
-# The options linprog(method="highs") sets: presolve on, dual simplex, quiet.
-_LP_OPTIONS = {"output_flag": False, "log_to_console": False, "presolve": "on",
-               "simplex_strategy": 1, "highs_debug_level": 0}
+# The options linprog(method="highs") sets but presolve, which solve_lp sets
+# per solve: dual simplex, quiet.
+_LP_OPTIONS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1,
+               "highs_debug_level": 0}
 
 _fflush = ctypes.CDLL(None).fflush
 _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
@@ -89,10 +93,10 @@ def linprog(lp) -> None:
     lp.run()
 
 
-def _check_sides(name: str, lo, hi) -> None:
-    """Reject sides that bound no row: NaN, ``lo = +inf`` or ``hi = -inf``."""
+def _check_sides(name: str, lo, hi, what: str = "row sides") -> None:
+    """Reject sides that bound nothing: NaN, ``lo = +inf`` or ``hi = -inf``."""
     if np.isnan(lo).any() or np.isnan(hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
-        raise ValueError(f"{name or '(unnamed)'}: row sides must be finite, or -inf below "
+        raise ValueError(f"{name or '(unnamed)'}: {what} must be finite, or -inf below "
                          "and +inf above")
 
 
@@ -155,6 +159,26 @@ class Model:
         self._ub.extend(np.broadcast_to(ub, n).astype(float))
         self._integer.extend(bool(i) for i in np.broadcast_to(integer, n))
         return np.arange(start, start + n)
+
+    def set_col_bounds(self, cols, lb, ub) -> None:
+        """Set ``lb <= x[col] <= ub`` on columns already added.
+
+        ``lb`` and ``ub`` are scalars or one value per column; ``lb > ub``
+        raises ``ValueError``. A live HiGHS LP receives the columns whose
+        bounds changed.
+        """
+        cols = np.asarray(cols, dtype=int)
+        lb = np.broadcast_to(np.asarray(lb, dtype=float), cols.shape)
+        ub = np.broadcast_to(np.asarray(ub, dtype=float), cols.shape)
+        _check_sides(self.name, lb, ub, "column bounds")
+        if np.any(lb > ub):
+            raise ValueError(f"{self.name or '(unnamed)'}: column lower bound above upper bound")
+        old_lb, old_ub = np.asarray(self._lb)[cols], np.asarray(self._ub)[cols]
+        changed = np.flatnonzero((lb != old_lb) | (ub != old_ub))
+        for c, l, u in zip(cols[changed].tolist(), lb[changed].tolist(), ub[changed].tolist()):
+            if self._lp is not None:
+                self._lp[0].changeColBounds(c, l, u)
+            self._lb[c], self._ub[c] = l, u
 
     def set_objective_coef(self, col: int, coef: float) -> None:
         self._lp = None
@@ -266,17 +290,19 @@ class Model:
             raise BackendError(f"LP {self.name or '(unnamed)'}: HiGHS rejected the model")
         return solver, at
 
-    def solve_lp(self, require_optimal: bool = True) -> Solution:
+    def solve_lp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
         """Solve the continuous relaxation; integer markers are ignored.
 
         The first solve passes the LP to HiGHS; later solves re-solve it from
-        scratch, after any ``set_row_bounds``. ``dual[r]`` is
+        scratch, after any ``set_row_bounds`` or ``set_col_bounds``.
+        ``presolve`` applies to this solve only. ``dual[r]`` is
         d(objective)/d(active side of row r): for a minimization it is >= 0
         on a ``>=`` row, <= 0 on a ``<=`` row and free on an equality.
         """
         if self._lp is None:
             self._lp = self._pass_lp()
         lp, at = self._lp
+        lp.setOptionValue("presolve", "on" if presolve else "off")
         linprog(lp)
         model_status = lp.getModelStatus()
         status = _LP_STATUS.get(model_status, FAILED)

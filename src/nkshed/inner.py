@@ -4,6 +4,10 @@
 line's flow/angle coupling to a +-M band, certifies M by that band's duals,
 and references angles per island.
 
+``exact_eta`` solves the same LP with no band: a removed line's coupling
+row gets a free slack column, so an attack changes only column bounds. It
+gives eta alone, for the brute-force oracle.
+
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
 (see its docstring), the bound the engine's enumerated master keeps.
@@ -32,7 +36,7 @@ from scipy import sparse
 from .backend import BackendError, Model
 from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
 
-__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "response_shed"]
+__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "response_shed"]
 
 # The +-M band of an interdicted line's coupling is accepted once both its
 # duals are at most this; otherwise M is doubled, at most this many times.
@@ -249,6 +253,51 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         big_m_ok=ok,
         _angle_from=(sol.x[dc.ang], np.flatnonzero(cut), *net.endpoint_positions(), bus_ids),
     )
+
+
+def _exact_model(net: Network) -> tuple[Model, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's exact load-shed model of ``net``, built once with no attack.
+
+    The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
+    with a slack column ``z_e``. Returns the model, its flow and slack
+    columns in one array, and their lower and upper bounds (two rows) on an
+    intact line, flow within the rating and slack at 0, and on a removed
+    line, flow at 0 and slack free. Kept in ``net.thread_cache`` like the
+    load-shed model.
+    """
+    entry = getattr(net.thread_cache, "exact", None)
+    if entry is None:
+        mdl = Model("exact-load-shed")
+        dc = add_dc_network(mdl, net, net.demand_vector())
+        m = len(net.lines)
+        z = mdl.add_vars(m, lb=0.0, ub=0.0)
+        mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
+        rating, zero, inf = net.thermal_vector(), np.zeros(m), np.full(m, np.inf)
+        intact = np.array([np.concatenate([-rating, zero]), np.concatenate([rating, zero])])
+        removed = np.array([np.concatenate([zero, -inf]), np.concatenate([zero, inf])])
+        cols = np.concatenate([dc.flow, z])
+        mdl.set_col_bounds(cols, *intact)
+        entry = net.thread_cache.exact = (mdl, cols, intact, removed)
+    return entry
+
+
+def exact_eta(net: Network, attack: AttackPlan) -> float:
+    """Minimum load shed with the attacked lines removed, with no band.
+
+    A removed line's flow is fixed at 0 and its slack is freed, which drops
+    its angle coupling, so nothing depends on ``net.big_M``. Every row is an
+    equality and an attack changes only column bounds of this thread's kept
+    model; each solve is a cold solve with presolve off. Any optimal vertex
+    gives the same eta, so only eta is returned.
+    """
+    cut = np.tile(_check_attack_lines(net, attack) > 0.5, 2)
+    mdl, cols, intact, removed = _exact_model(net)
+    mdl.set_col_bounds(cols, *np.where(cut, removed, intact))
+    try:
+        return float(mdl.solve_lp(presolve=False).objective)
+    except BackendError as err:
+        raise BackendError(
+            f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,

@@ -1,9 +1,13 @@
 """Brute-force ground truth: enumerate every feasible attack and price it.
 
 Only intended for desk-scale instances; the subset count is checked against
-an explicit budget before any solving starts. Ties between equally damaging
-attacks break toward the lexicographically smallest sorted line-id tuple so
-results (and golden files) are stable across runs.
+an explicit budget before any solving starts. Each attack is priced by
+``exact_eta``, the load-shed LP with removed lines dropped by column bounds:
+no big-M band, presolve off. Etas within ``_TIE`` (relative, at least
+absolute) of the worst tie, and ties break toward the lexicographically
+smallest sorted line-id tuple, so results (and golden files) are stable
+across runs and LP vertices. The winner is re-solved by ``solve_inner``,
+the LP the engine prices with, for the reported eta.
 
 ``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
 feasible set; the engine's enumerated master walks the same attacks in the
@@ -14,14 +18,15 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 from .attackers import (NoFeasibleAttackError, SpatialFootprint, is_feasible_attack,
                         spatial_centers)
-from .inner import AttackPlan, solve_inner
+from .inner import AttackPlan, exact_eta, solve_inner
 from .netmodel import AttackerModel, Network
 
 __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_count",
@@ -30,8 +35,11 @@ __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_coun
 # Candidate subsets the oracle enumerates unless told otherwise.
 DEFAULT_BUDGET = 200_000
 # Consecutive attacks one pricing thread takes at a time. Neighbours in the
-# enumeration share most lines, so each thread's kept LP changes few rows.
+# enumeration share most lines, so each thread's kept LP changes few bounds.
 _CHUNK = 64
+# Etas within _TIE * max(1, |worst|) of the worst tie: a tie, not LP rounding,
+# decides between co-optimal attacks.
+_TIE = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
@@ -93,33 +101,62 @@ def solve_exhaustive(
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
 
-    The maximizer with the smallest sorted line-id tuple wins ties.
-    Attacks are priced on one thread per CPU this process may run on; the
-    result does not depend on the thread count, and the first error in
-    enumeration order is raised. Raises
-    :class:`BudgetExceededError` before doing any work if the subset count
-    exceeds ``budget``, and :class:`NoFeasibleAttackError` when nothing in
-    the enumeration passes the feasibility predicate.
+    Attacks are priced by ``exact_eta`` on one thread per CPU this process
+    may run on, while they are enumerated; the result does not depend on the
+    thread count, and the first error in enumeration order is raised. The
+    winner is the smallest sorted line-id tuple among the attacks within
+    ``_TIE * max(1, |eta|)`` of the worst eta; ``best_eta`` is its eta
+    re-solved by ``solve_inner``. ``ranking`` (with ``keep_ranking``) lists
+    the exact etas worst first, in runs within that tolerance of each
+    run's first eta, each run by line tuple, so it starts with the winner.
+    Raises :class:`BudgetExceededError` before doing any work if the subset
+    count exceeds ``budget``, and :class:`NoFeasibleAttackError` when
+    nothing in the enumeration passes the feasibility predicate.
     """
     planned = subset_count(len(net.lines), model)
     if planned > budget:
         raise BudgetExceededError(
             f"{planned} candidate subsets exceed the oracle budget of {budget}")
 
-    plans = [attack_plan(net, model, footprint, subset)
-             for subset in feasible_attacks(net, model, footprint)]
-    if not plans:
+    plans = (attack_plan(net, model, footprint, subset)
+             for subset in feasible_attacks(net, model, footprint))
+    ranking = [] if keep_ranking else None
+    worst, near, evaluated = -float("inf"), [], 0
+    for plan, eta in _price(net, plans):
+        evaluated += 1
+        lines = plan.sorted_lines()
+        if ranking is not None:
+            ranking.append((lines, eta))
+        # near keeps the attacks that can still win: each ties with the worst
+        # so far, and no other one has a smaller tuple and an eta as large.
+        worst = max(worst, eta)
+        floor = _tie_floor(worst)
+        near = [c for c in near if c[1] >= floor and not (c[0] > lines and c[1] <= eta)]
+        if eta >= floor and not any(l < lines and e >= eta for l, e, _ in near):
+            near.append((lines, eta, plan))
+    if not evaluated:
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
-    etas = _price(net, plans)
-    # Worst first, then the smallest sorted line-id tuple.
-    order = lambda i: (-etas[i], plans[i].sorted_lines())
-    best = min(range(len(plans)), key=order)
-    ranked = None
-    if keep_ranking:
-        ranked = tuple((plans[i].sorted_lines(), etas[i])
-                       for i in sorted(range(len(plans)), key=order))
-    return OracleResult(plans[best], etas[best], len(plans), ranked)
+    best = min(near, key=lambda c: c[0])[2]
+    return OracleResult(best, solve_inner(net, best).eta, evaluated,
+                        None if ranking is None else _ranked(ranking))
+
+
+def _tie_floor(worst: float) -> float:
+    """The smallest eta that ties with ``worst``."""
+    return worst - _TIE * max(1.0, abs(worst))
+
+
+def _ranked(ranking: list) -> tuple:
+    """``(lines, eta)`` pairs worst first, cut into runs of etas tied with
+    each run's first; each run sorted by line tuple."""
+    ranking.sort(key=lambda r: (-r[1], r[0]))
+    runs, start = [], 0
+    for i in range(1, len(ranking) + 1):
+        if i == len(ranking) or ranking[i][1] < _tie_floor(ranking[start][1]):
+            runs.extend(sorted(ranking[start:i]))
+            start = i
+    return tuple(runs)
 
 
 def _workers() -> int:
@@ -130,23 +167,35 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _price(net: Network, plans: list[AttackPlan]) -> list[float]:
-    """eta of each plan, in order, priced on one thread per CPU.
+def _price(net: Network, plans):
+    """Yield each plan of the iterator ``plans`` with its ``exact_eta``, in order.
 
-    Each thread takes ``_CHUNK`` consecutive plans at a time and solves them
-    on its own kept model. With one CPU, or a single chunk, the calling
-    thread prices them all. The first error in plan order is raised.
+    Plans go to one thread per CPU in chunks of ``_CHUNK`` consecutive ones,
+    each solved on its thread's kept model, with at most two chunks per
+    thread in flight, so plans are drawn as they are priced. With one CPU,
+    or a single chunk, the calling thread prices them all. The first error
+    in plan order is raised.
     """
     def price(chunk):
-        # solve_inner is looked up at call time, so a hook on it sees every call.
-        return [solve_inner(net, plan).eta for plan in chunk]
+        # exact_eta is looked up at call time, so a hook on it sees every call.
+        return [exact_eta(net, plan) for plan in chunk]
 
-    chunks = [plans[lo:lo + _CHUNK] for lo in range(0, len(plans), _CHUNK)]
-    workers = min(_workers(), len(chunks))
-    if workers < 2:
-        return price(plans)
+    chunks = iter(lambda: list(islice(plans, _CHUNK)), [])
+    head = list(islice(chunks, 2))
+    workers = _workers()
+    if workers < 2 or len(head) < 2:
+        for chunk in chain(head, chunks):
+            yield from zip(chunk, price(chunk))
+        return
     with ThreadPoolExecutor(workers) as pool:
-        return [eta for part in pool.map(price, chunks) for eta in part]
+        flight = deque()
+        for chunk in chain(head, chunks):
+            if len(flight) == 2 * workers:
+                done, future = flight.popleft()
+                yield from zip(done, future.result())
+            flight.append((chunk, pool.submit(price, chunk)))
+        for done, future in flight:
+            yield from zip(done, future.result())
 
 
 def write_ranking_csv(result: OracleResult, out) -> None:

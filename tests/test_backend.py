@@ -23,9 +23,18 @@ FINITE_SIDE_CHANGES = [
 ]
 
 
-def _small_lp(lo, hi) -> tuple[Model, range]:
+# Column bounds of the small LP: as built, one column fixed, and some sides
+# infinite.
+COL_BOUNDS = [
+    ([0.0, -np.inf, 0.0], [10.0, 10.0, 3.0]),
+    ([1.0, -2.0, 0.0], [1.0, 10.0, 3.0]),
+    ([0.0, -np.inf, -np.inf], [np.inf, 5.0, np.inf]),
+]
+
+
+def _small_lp(lo, hi, lb=COL_BOUNDS[0][0], ub=COL_BOUNDS[0][1]) -> tuple[Model, range]:
     mdl = Model("small")
-    mdl.add_vars(3, lb=[0.0, -np.inf, 0.0], ub=[10.0, 10.0, 3.0], obj=[1.0, 2.0, -1.0])
+    mdl.add_vars(3, lb=lb, ub=ub, obj=[1.0, 2.0, -1.0])
     return mdl, mdl.add_rows(ROWS, lo, hi)
 
 
@@ -95,6 +104,43 @@ def test_set_row_bounds_rejects_nan_or_an_infinity_inside_the_row(row, lo, hi):
     before = _bits(mdl.solve_lp())
     with pytest.raises(ValueError, match="finite"):
         mdl.set_row_bounds([row], lo, hi)
+    assert _bits(mdl.solve_lp()) == before
+
+
+@pytest.mark.parametrize("presolve", [True, False])
+def test_set_col_bounds_resolves_like_a_fresh_model(presolve):
+    kept, _ = _small_lp(*BOUNDS[0])
+    kept.solve_lp(presolve=presolve)
+    for lb, ub in COL_BOUNDS[1:] + COL_BOUNDS:
+        kept.set_col_bounds(range(3), lb, ub)
+        fresh, _ = _small_lp(*BOUNDS[0], lb, ub)
+        assert _bits(kept.solve_lp(presolve=presolve)) == _bits(fresh.solve_lp(presolve=presolve))
+
+
+def test_set_col_bounds_on_some_cols_keeps_the_others():
+    kept, _ = _small_lp(*BOUNDS[0])
+    kept.solve_lp()
+    kept.set_col_bounds([0, 2], [1.0, -np.inf], [1.0, 2.0])
+    lb, ub = np.array(COL_BOUNDS[0])
+    lb[[0, 2]], ub[[0, 2]] = [1.0, -np.inf], [1.0, 2.0]
+    assert _bits(kept.solve_lp()) == _bits(_small_lp(*BOUNDS[0], lb, ub)[0].solve_lp())
+
+
+@pytest.mark.parametrize("col, lb, ub", [(0, np.nan, 1.0), (1, np.inf, np.inf),
+                                         (2, -np.inf, -np.inf), (0, 0.0, np.nan)])
+def test_set_col_bounds_rejects_nan_or_an_infinity_inside_the_column(col, lb, ub):
+    mdl, _ = _small_lp(*BOUNDS[0])
+    before = _bits(mdl.solve_lp())
+    with pytest.raises(ValueError, match="finite"):
+        mdl.set_col_bounds([col], lb, ub)
+    assert _bits(mdl.solve_lp()) == before
+
+
+def test_set_col_bounds_rejects_a_lower_bound_above_the_upper():
+    mdl, _ = _small_lp(*BOUNDS[0])
+    before = _bits(mdl.solve_lp())
+    with pytest.raises(ValueError, match="above"):
+        mdl.set_col_bounds([0, 1], [2.0, 0.0], [1.0, 1.0])
     assert _bits(mdl.solve_lp()) == before
 
 

@@ -1,12 +1,10 @@
 """Constraint-generation engine: convergence, bounds discipline, edge paths."""
 
-import importlib.util
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,8 @@ from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Bus, Line, Network, parse_case, serialize_case
 from nkshed.oracle import solve_exhaustive
+
+from bench_lattice import lattice
 
 
 def test_two_bus_single_attack_converges_fast(two_bus):
@@ -88,19 +88,11 @@ def test_milp_master_cuts_price_each_priced_flow(milp_master, mesh8, bounds_mode
         np.testing.assert_array_equal(price, state.bounds.rate * np.abs(flow))
 
 
-def _lattice_4x4() -> Network:
-    path = Path(__file__).resolve().parent.parent / "bench" / "lattice.py"
-    spec = importlib.util.spec_from_file_location("lattice", path)
-    lattice = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(lattice)
-    return parse_case(lattice.lattice_text(4, 4, 1)[0])
-
-
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
 def test_basemva_rescale_gives_same_mw_shed(name):
     # The same MW data on another baseMVA is the same network scaled in p.u.:
     # demands, capacities and ratings by 1 / base, reactances not at all.
-    net = _lattice_4x4() if name == "lattice4x4" else fx.FIXTURES[name]()
+    net = lattice(4, 4) if name == "lattice4x4" else fx.FIXTURES[name]()
     text = serialize_case(net)
     assert "mpc.baseMVA = 1;" in text
     for variant in ("traditional", "topological"):

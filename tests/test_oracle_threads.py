@@ -2,11 +2,13 @@
 thread count, and errors and warnings in enumeration order."""
 
 import os
+import random
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -15,24 +17,32 @@ from nkshed import oracle
 from nkshed.attackers import compute_phi
 from nkshed.backend import BackendError
 from nkshed.engine import NoFeasibleAttackError
-from nkshed.inner import solve_inner
+from nkshed.inner import exact_eta, solve_inner
 from nkshed.netmodel import AttackerModel
+
+from bench_lattice import lattice
 
 
 def _serial(net, model, footprint):
-    """The one-thread loop: every feasible attack in enumeration order, the
-    worst kept, ties to the smallest sorted line-id tuple."""
-    best, best_plan, ranking = None, None, []
+    """The one-thread loop: every feasible attack in enumeration order priced
+    by ``exact_eta``; the ranking is runs of etas tied with each run's worst,
+    worst run first, each run by sorted line-id tuple; the winner heads it
+    and is re-solved by ``solve_inner``."""
+    priced = []
     for subset in oracle.feasible_attacks(net, model, footprint):
         plan = oracle.attack_plan(net, model, footprint, subset)
-        eta = solve_inner(net, plan).eta
-        ranking.append((subset, eta))
-        if best is None or eta > best[0] or (eta == best[0] and subset < best[1]):
-            best, best_plan = (eta, subset), plan
-    if best_plan is None:
+        priced.append((subset, exact_eta(net, plan), plan))
+    if not priced:
         return None
-    return oracle.OracleResult(best_plan, best[0], len(ranking),
-                               tuple(sorted(ranking, key=lambda r: (-r[1], r[0]))))
+    rest, ranking = sorted(priced, key=lambda r: -r[1]), []
+    while rest:
+        worst = rest[0][1]
+        run = [r for r in rest if r[1] >= worst - oracle._TIE * max(1.0, abs(worst))]
+        ranking += sorted(run, key=lambda r: r[0])
+        rest = rest[len(run):]
+    best = ranking[0][2]
+    return oracle.OracleResult(best, solve_inner(net, best).eta, len(priced),
+                               tuple((lines, eta) for lines, eta, _ in ranking))
 
 
 NETWORKS = sorted(fx.FIXTURES) + [f"random_mesh({seed})" for seed in range(20)]
@@ -57,14 +67,14 @@ def _force(monkeypatch, workers, chunk=1):
 
 
 def _threads_pricing(monkeypatch):
-    """Record the thread of every ``solve_inner`` call the oracle makes."""
+    """Record the thread of every ``exact_eta`` call the oracle makes."""
     seen = set()
 
     def traced(net, plan):
         seen.add(threading.get_ident())
-        return solve_inner(net, plan)
+        return exact_eta(net, plan)
 
-    monkeypatch.setattr(oracle, "solve_inner", traced)
+    monkeypatch.setattr(oracle, "exact_eta", traced)
     return seen
 
 
@@ -124,9 +134,9 @@ def test_first_error_in_enumeration_order_is_raised(monkeypatch, workers):
             raise BackendError(f"load-shed solve failed for attack {list(first)}: first")
         if lines == later:
             raise BackendError(f"load-shed solve failed for attack {list(later)}: later")
-        return solve_inner(net, plan)
+        return exact_eta(net, plan)
 
-    monkeypatch.setattr(oracle, "solve_inner", failing)
+    monkeypatch.setattr(oracle, "exact_eta", failing)
     with pytest.raises(BackendError) as err:
         oracle.solve_exhaustive(net, model)
     assert str(err.value) == f"load-shed solve failed for attack {list(first)}: first"
@@ -134,15 +144,53 @@ def test_first_error_in_enumeration_order_is_raised(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_big_m_warning_in_a_worker_fails_the_call(monkeypatch, triangle, workers):
-    # Ten doublings of a 1e-30 band leave it far too narrow for every line,
-    # so every attack warns; the suite turns warnings into errors.
+    # Oracle pricing has no band and does not warn, so a patched pricing
+    # function emits solve_inner's big-M warning; the suite turns warnings
+    # into errors.
     _force(monkeypatch, workers)
-    net = replace(triangle, big_M=1e-30)
+    warned = []
+
+    def warning(net, plan):
+        warned.append(threading.get_ident())
+        warnings.warn("coupling duals above 1e-08 after 10 big-M doublings", RuntimeWarning)
+        return exact_eta(net, plan)
+
+    monkeypatch.setattr(oracle, "exact_eta", warning)
     with pytest.raises(RuntimeWarning, match="big-M doublings"):
-        oracle.solve_exhaustive(net, AttackerModel.traditional(1))
+        oracle.solve_exhaustive(triangle, AttackerModel.traditional(1))
+    warned.clear()
     with pytest.warns(RuntimeWarning, match="big-M doublings") as caught:
-        res = oracle.solve_exhaustive(net, AttackerModel.traditional(1))
-    assert res.evaluated == 3 and len(caught) >= 3
+        res = oracle.solve_exhaustive(triangle, AttackerModel.traditional(1))
+    assert res.evaluated == 3 and len(caught) == len(warned) == 3
+    assert (threading.get_ident() in warned) == (workers == 1)
+
+
+# Near-equal eta levels: the first three tie with one another, the fourth
+# is just past the tie and the fifth far below.
+LEVELS = (1.0, 1.0 + 4e-10, 1.0 - 4e-10, 1.0 - 3e-9, 0.5)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tie_rule_over_near_equal_etas_in_any_enumeration_order(monkeypatch, mesh8, workers):
+    # Spatial budgets enumerate smaller attacks first, so sorted tuples do
+    # not arrive in order; each attack's eta is a level drawn from its lines.
+    _force(monkeypatch, workers)
+    level = lambda lines: random.Random(repr(lines)).choice(LEVELS)
+    monkeypatch.setattr(oracle, "exact_eta", lambda net, plan: level(plan.sorted_lines()))
+    d = fx.SPATIAL_D["mesh8"]
+    footprint = compute_phi(mesh8, d)
+    for model in (AttackerModel.spatial(3, d), AttackerModel.traditional(3)):
+        fp = footprint if model.variant == "spatial" else None
+        etas = {lines: level(lines) for lines in oracle.feasible_attacks(mesh8, model, fp)}
+        worst = max(etas.values())
+        tied = sorted(lines for lines, eta in etas.items()
+                      if eta >= worst - oracle._TIE * max(1.0, worst))
+        assert len({etas[lines] for lines in tied}) > 1, model
+        res = oracle.solve_exhaustive(mesh8, model, fp)
+        assert res.best_attack.sorted_lines() == tied[0] and res.evaluated == len(etas)
+        ranked = oracle.solve_exhaustive(mesh8, model, fp, keep_ranking=True).ranking
+        assert [lines for lines, _ in ranked[:len(tied)]] == tied
+        assert sorted(ranked) == sorted(etas.items())
 
 
 def test_concurrent_oracles_each_with_a_pool(monkeypatch, mesh8):
@@ -162,3 +210,31 @@ def test_concurrent_oracles_each_with_a_pool(monkeypatch, mesh8):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_pricing_window_bounds_the_oracle_memory(monkeypatch):
+    # The 147 440 three-line attacks of the 7x8 lattice (97 lines), priced at
+    # a constant so only the oracle's own bookkeeping counts: a bounded
+    # window of chunks in flight and the running near-ties, against holding
+    # every plan at once.
+    _force(monkeypatch, 2, 64)
+    monkeypatch.setattr(oracle, "exact_eta", lambda net, plan: 1.0)
+    net, model = lattice(7, 8), AttackerModel.traditional(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plans = [oracle.attack_plan(net, model, None, subset)
+                 for subset in oracle.feasible_attacks(net, model)]
+        every_plan = tracemalloc.get_traced_memory()[1] - base
+        first, count = plans[0], len(plans)
+        del plans
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = oracle.solve_exhaustive(net, model)
+        streamed = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == 147_440
+    assert 5 * streamed <= every_plan, (streamed, every_plan)
+    # Every eta ties, so the first attack in enumeration order wins.
+    assert res == oracle.OracleResult(first, solve_inner(net, first).eta, count)
