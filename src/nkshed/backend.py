@@ -9,14 +9,18 @@ load-shed duals and their upper bounds are stated in.
 
 LPs go through the HiGHS binding vendored in scipy
 (``scipy.optimize._highspy._core``), with the dual simplex and presolve on
-unless ``solve_lp(presolve=False)``. The first ``solve_lp`` passes the LP to
+unless ``solve_lp(presolve=False)``. The first LP solve passes the LP to
 HiGHS; the HiGHS model then lives with the :class:`Model`,
 ``set_row_bounds`` and ``set_col_bounds`` edit its row and column bounds in
-place (``changeRowBounds``, ``changeColBounds``; the binding, and with it
-``changeColBounds``, is checked on scipy 1.17.1 only), and every solve
-clears HiGHS's solver state first (``linprog``, named after the scipy
-function it replaced), so each one is a cold solve of exactly the LP a fresh
-:class:`Model` would pass. MILPs go through the public ``milp``.
+place (``changeRowBounds``, ``changeColsBounds``), and every solve clears
+HiGHS's solver state first (``linprog``, named after the scipy function it
+replaced). ``solve_lp`` is then a cold solve of exactly the LP a fresh
+:class:`Model` would pass. ``solve_objective`` is the one solve that may
+start from a basis: one that ``basis`` took from an earlier solve of the
+same model, so its optimum depends on that basis and the bounds, never on
+the solves in between. The binding methods the backend calls
+(``tests/test_backend.py`` lists them) are checked on scipy 1.17.1, and by
+CI on the scipy floor. MILPs go through the public ``milp``.
 HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
 deterministic for fixed inputs.
 """
@@ -82,20 +86,30 @@ def _stdout_to_stderr():
                 os.close(_saved_stdout)
 
 
-def linprog(lp) -> None:
-    """Solve the kept HiGHS LP ``lp`` cold: clear its solver state, then run.
+def linprog(lp, basis=None) -> None:
+    """Solve the kept HiGHS LP ``lp``: clear its solver state, load ``basis``
+    if one is given, then run. Raises :class:`BackendError` if HiGHS rejects
+    the basis.
 
-    The one call into HiGHS per ``Model.solve_lp``. It keeps the name of the
-    scipy function it replaced, which ``bench/tracing.py`` times as the
-    HiGHS share of an LP solve.
+    The one call into HiGHS per LP solve. It keeps the name of the scipy
+    function it replaced, which ``bench/tracing.py`` times as the HiGHS
+    share of an LP solve.
     """
     lp.clearSolver()
+    if basis is not None and lp.setBasis(basis) == highs.HighsStatus.kError:
+        raise BackendError("HiGHS rejected the start basis")
     lp.run()
+
+
+def _per_entry(values, shape) -> np.ndarray:
+    """``values`` as a float array of ``shape``, broadcast if it is not one."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _check_sides(name: str, lo, hi, what: str = "row sides") -> None:
     """Reject sides that bound nothing: NaN, ``lo = +inf`` or ``hi = -inf``."""
-    if np.isnan(lo).any() or np.isnan(hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
+    if not ((lo < np.inf).all() and (hi > -np.inf).all()):
         raise ValueError(f"{name or '(unnamed)'}: {what} must be finite, or -inf below "
                          "and +inf above")
 
@@ -130,8 +144,7 @@ class Model:
     def __init__(self, name: str = ""):
         self.name = name
         self._obj: list[float] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
+        self._lb, self._ub = np.zeros(0), np.zeros(0)
         self._integer: list[bool] = []
         # Row blocks: COO triplets in model coordinates, then per-row lo and hi.
         self._rows = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0),
@@ -155,8 +168,8 @@ class Model:
         start = len(self._obj)
         self._lp = None
         self._obj.extend(np.broadcast_to(obj, n).astype(float))
-        self._lb.extend(np.broadcast_to(lb, n).astype(float))
-        self._ub.extend(np.broadcast_to(ub, n).astype(float))
+        self._lb = np.concatenate([self._lb, np.broadcast_to(lb, n)])
+        self._ub = np.concatenate([self._ub, np.broadcast_to(ub, n)])
         self._integer.extend(bool(i) for i in np.broadcast_to(integer, n))
         return np.arange(start, start + n)
 
@@ -164,21 +177,21 @@ class Model:
         """Set ``lb <= x[col] <= ub`` on columns already added.
 
         ``lb`` and ``ub`` are scalars or one value per column; ``lb > ub``
-        raises ``ValueError``. A live HiGHS LP receives the columns whose
-        bounds changed.
+        or a column named twice raises ``ValueError``. A live HiGHS LP
+        receives the columns whose bounds changed, in one call.
         """
-        cols = np.asarray(cols, dtype=int)
-        lb = np.broadcast_to(np.asarray(lb, dtype=float), cols.shape)
-        ub = np.broadcast_to(np.asarray(ub, dtype=float), cols.shape)
+        cols = np.asarray(cols, dtype=np.int32)
+        lb, ub = _per_entry(lb, cols.shape), _per_entry(ub, cols.shape)
         _check_sides(self.name, lb, ub, "column bounds")
-        if np.any(lb > ub):
+        if (lb > ub).any():
             raise ValueError(f"{self.name or '(unnamed)'}: column lower bound above upper bound")
-        old_lb, old_ub = np.asarray(self._lb)[cols], np.asarray(self._ub)[cols]
-        changed = np.flatnonzero((lb != old_lb) | (ub != old_ub))
-        for c, l, u in zip(cols[changed].tolist(), lb[changed].tolist(), ub[changed].tolist()):
-            if self._lp is not None:
-                self._lp[0].changeColBounds(c, l, u)
-            self._lb[c], self._ub[c] = l, u
+        if len(set(cols.tolist())) < len(cols):
+            raise ValueError(f"{self.name or '(unnamed)'}: a column is named twice")
+        changed = (lb != self._lb[cols]) | (ub != self._ub[cols])
+        cols, lb, ub = cols[changed], lb[changed], ub[changed]
+        if len(cols) and self._lp is not None:
+            self._lp[0].changeColsBounds(len(cols), cols, lb, ub)
+        self._lb[cols], self._ub[cols] = lb, ub
 
     def set_objective_coef(self, col: int, coef: float) -> None:
         self._lp = None
@@ -274,7 +287,7 @@ class Model:
         # the inequalities first, MILPs the equalities.
         mat, lo, hi, at = self._block(eq_first=False)
         mat = mat.tocsc()
-        cost, lb, ub = np.asarray(self._obj), np.asarray(self._lb), np.asarray(self._ub)
+        cost, lb, ub = np.asarray(self._obj), self._lb, self._ub
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = mat.shape[1], mat.shape[0]
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = mat.shape[1], mat.shape[0]
@@ -299,21 +312,54 @@ class Model:
         d(objective)/d(active side of row r): for a minimization it is >= 0
         on a ``>=`` row, <= 0 on a ``<=`` row and free on an equality.
         """
-        if self._lp is None:
-            self._lp = self._pass_lp()
-        lp, at = self._lp
+        lp, at = self._live_lp()
         lp.setOptionValue("presolve", "on" if presolve else "off")
         linprog(lp)
-        model_status = lp.getModelStatus()
-        status = _LP_STATUS.get(model_status, FAILED)
+        status = self._lp_status(lp, require_optimal)
         if status != OPTIMAL:
-            if require_optimal:
-                raise BackendError(f"LP {self.name or '(unnamed)'}: {status} "
-                                   f"({lp.modelStatusToString(model_status)})")
             return Solution(status, np.nan, np.zeros(self.num_vars))
         res = lp.getSolution()
-        return Solution(OPTIMAL, float(lp.getInfo().objective_function_value),
-                        np.asarray(res.col_value), np.asarray(res.row_dual)[at])
+        return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(res.col_value),
+                        np.asarray(res.row_dual)[at])
+
+    def solve_objective(self, basis=None, presolve: bool = True) -> float:
+        """The optimal objective of the continuous relaxation, and nothing else.
+
+        Like ``solve_lp``, but the solve starts from ``basis`` if one is
+        given, a ``basis()`` of this model, and reads back only the
+        objective; anything but an optimum raises :class:`BackendError`.
+        HiGHS does not presolve an LP it starts from a basis.
+        """
+        lp, _ = self._live_lp()
+        lp.setOptionValue("presolve", "on" if presolve else "off")
+        try:
+            linprog(lp, basis)
+        except BackendError as err:
+            raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
+        self._lp_status(lp, True)
+        return lp.getObjectiveValue()
+
+    def basis(self):
+        """The HiGHS basis of this model's last LP solve, to start a later
+        ``solve_objective`` from."""
+        if self._lp is None:
+            raise BackendError(f"LP {self.name or '(unnamed)'}: no solve to take a basis from")
+        return self._lp[0].getBasis()
+
+    def _live_lp(self):
+        """The live HiGHS LP and the HiGHS row of each model row, passed to
+        HiGHS first if the model changed since."""
+        if self._lp is None:
+            self._lp = self._pass_lp()
+        return self._lp
+
+    def _lp_status(self, lp, require_optimal: bool) -> str:
+        model_status = lp.getModelStatus()
+        status = _LP_STATUS.get(model_status, FAILED)
+        if status != OPTIMAL and require_optimal:
+            raise BackendError(f"LP {self.name or '(unnamed)'}: {status} "
+                               f"({lp.modelStatusToString(model_status)})")
+        return status
 
     def solve_milp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
         mat, lo, hi, _ = self._block(eq_first=True)
@@ -323,7 +369,7 @@ class Model:
                 c=np.asarray(self._obj),
                 constraints=constraints,
                 integrality=np.asarray(self._integer, dtype=int),
-                bounds=Bounds(np.asarray(self._lb), np.asarray(self._ub)),
+                bounds=Bounds(self._lb, self._ub),
                 options={"presolve": presolve},
             )
         status = _MILP_STATUS.get(res.status, FAILED)

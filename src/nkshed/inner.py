@@ -5,8 +5,9 @@ line's flow/angle coupling to a +-M band, certifies M by that band's duals,
 and references angles per island.
 
 ``exact_eta`` solves the same LP with no band: a removed line's coupling
-row gets a free slack column, so an attack changes only column bounds. It
-gives eta alone, for the brute-force oracle.
+row gets a free slack column, so an attack changes only column bounds, and
+each solve starts from the intact network's optimal basis. It gives eta
+alone, for the brute-force oracle.
 
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
@@ -110,14 +111,12 @@ class InnerSolution:
         return dict(zip(bus_ids, ang.tolist()))
 
 
-def _check_attack_lines(net: Network, attack: AttackPlan) -> np.ndarray:
-    """Return the 0/1 interdiction vector in line-position order."""
-    x = np.zeros(len(net.lines))
-    for lid in attack.lines:
-        if lid not in net.line_pos:
-            raise ValueError(f"attack references unknown line id {lid}")
-        x[net.line_pos[lid]] = 1.0
-    return x
+def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
+    """Return the positions of the attacked lines."""
+    try:
+        return np.array([net.line_pos[lid] for lid in attack.lines], dtype=int)
+    except KeyError as err:
+        raise ValueError(f"attack references unknown line id {err.args[0]}") from None
 
 
 class DCColumns(NamedTuple):
@@ -214,7 +213,8 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     Each thread keeps one model per network; an attack, or a doubling of M,
     only changes its line rows' bounds, and every solve starts cold.
     """
-    x = _check_attack_lines(net, attack)
+    x = np.zeros(len(net.lines))
+    x[_line_positions(net, attack)] = 1.0
     cut = x > 0.5
     mdl, dc, rows = _load_shed_model(net)
     # The band is mu1 and mu2 of each interdicted line.
@@ -255,15 +255,15 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     )
 
 
-def _exact_model(net: Network) -> tuple[Model, np.ndarray, np.ndarray, np.ndarray]:
+def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray]:
     """This thread's exact load-shed model of ``net``, built once with no attack.
 
     The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
-    with a slack column ``z_e``. Returns the model, its flow and slack
-    columns in one array, and their lower and upper bounds (two rows) on an
-    intact line, flow within the rating and slack at 0, and on a removed
-    line, flow at 0 and slack free. Kept in ``net.thread_cache`` like the
-    load-shed model.
+    with a slack column ``z_e``. Returns the model, the optimal basis of the
+    intact network, the flow columns then the slack columns, and their
+    bounds on the intact network: lower and upper, each flow then slack per
+    line, flow within the rating and slack at 0. Kept in
+    ``net.thread_cache`` like the load-shed model.
     """
     entry = getattr(net.thread_cache, "exact", None)
     if entry is None:
@@ -272,13 +272,18 @@ def _exact_model(net: Network) -> tuple[Model, np.ndarray, np.ndarray, np.ndarra
         m = len(net.lines)
         z = mdl.add_vars(m, lb=0.0, ub=0.0)
         mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
-        rating, zero, inf = net.thermal_vector(), np.zeros(m), np.full(m, np.inf)
-        intact = np.array([np.concatenate([-rating, zero]), np.concatenate([rating, zero])])
-        removed = np.array([np.concatenate([zero, -inf]), np.concatenate([zero, inf])])
-        cols = np.concatenate([dc.flow, z])
-        mdl.set_col_bounds(cols, *intact)
-        entry = net.thread_cache.exact = (mdl, cols, intact, removed)
+        cols, rating = np.concatenate([dc.flow, z]).astype(np.int32), net.thermal_vector()
+        intact = np.zeros((2, 2, m))
+        intact[:, 0] = -rating, rating
+        mdl.set_col_bounds(cols, *intact.reshape(2, -1))
+        mdl.solve_objective(presolve=False)
+        entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact)
     return entry
+
+
+# Lower and upper bound (rows) of a removed line's flow and slack (columns):
+# flow at 0, slack free.
+_REMOVED = np.array([[0.0, -np.inf], [0.0, np.inf]])
 
 
 def exact_eta(net: Network, attack: AttackPlan) -> float:
@@ -287,14 +292,18 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     A removed line's flow is fixed at 0 and its slack is freed, which drops
     its angle coupling, so nothing depends on ``net.big_M``. Every row is an
     equality and an attack changes only column bounds of this thread's kept
-    model; each solve is a cold solve with presolve off. Any optimal vertex
-    gives the same eta, so only eta is returned.
+    model, so the intact network's optimal basis stays dual feasible: each
+    solve clears HiGHS's solver state and starts the dual simplex from that
+    basis. Eta thus depends on the attack alone, not on the attacks priced
+    before it or on the thread. Any optimal vertex gives the same eta, so
+    only eta is returned.
     """
-    cut = np.tile(_check_attack_lines(net, attack) > 0.5, 2)
-    mdl, cols, intact, removed = _exact_model(net)
-    mdl.set_col_bounds(cols, *np.where(cut, removed, intact))
+    mdl, basis, cols, intact = _exact_model(net)
+    bounds = intact.copy()
+    bounds[..., _line_positions(net, attack)] = _REMOVED[..., None]
+    mdl.set_col_bounds(cols, *bounds.reshape(2, -1))
     try:
-        return float(mdl.solve_lp(presolve=False).objective)
+        return mdl.solve_objective(basis)
     except BackendError as err:
         raise BackendError(
             f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err

@@ -2,12 +2,13 @@
 
 Only intended for desk-scale instances; the subset count is checked against
 an explicit budget before any solving starts. Each attack is priced by
-``exact_eta``, the load-shed LP with removed lines dropped by column bounds:
-no big-M band, presolve off. Etas within ``_TIE`` (relative, at least
-absolute) of the worst tie, and ties break toward the lexicographically
-smallest sorted line-id tuple, so results (and golden files) are stable
-across runs and LP vertices. The winner is re-solved by ``solve_inner``,
-the LP the engine prices with, for the reported eta.
+``exact_eta``, the load-shed LP with removed lines dropped by column bounds,
+with no big-M band, solved from the intact network's optimal basis, so an
+eta does not depend on the pricing order or thread. Etas within ``_TIE``
+(relative, at least absolute) of the worst tie, and ties break toward the
+lexicographically smallest sorted line-id tuple, so results (and golden
+files) are stable across runs and LP vertices. The winner is re-solved by
+``solve_inner``, the LP the engine prices with, for the reported eta.
 
 ``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
 feasible set; the engine's enumerated master walks the same attacks in the
@@ -102,8 +103,9 @@ def solve_exhaustive(
     """Evaluate every feasible attack and return the worst one.
 
     Attacks are priced by ``exact_eta`` on one thread per CPU this process
-    may run on, while they are enumerated; the result does not depend on the
-    thread count, and the first error in enumeration order is raised. The
+    may run on, while they are enumerated, each from the intact network's
+    optimal basis on its thread's kept model; the result does not depend on
+    the thread count, and the first error in enumeration order is raised. The
     winner is the smallest sorted line-id tuple among the attacks within
     ``_TIE * max(1, |eta|)`` of the worst eta; ``best_eta`` is its eta
     re-solved by ``solve_inner``. ``ranking`` (with ``keep_ranking``) lists

@@ -1,11 +1,15 @@
 """LP/MILP backend: ranged rows, duals by finite differences, MILPs by
 enumeration, and a kept HiGHS model re-solving exactly like a fresh one."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs
 
+from nkshed import backend
 from nkshed.backend import INFEASIBLE, BackendError, Model
 
 # Row kinds of the small LP: an equality, a >= row, a <= row and a range.
@@ -142,6 +146,94 @@ def test_set_col_bounds_rejects_a_lower_bound_above_the_upper():
     with pytest.raises(ValueError, match="above"):
         mdl.set_col_bounds([0, 1], [2.0, 0.0], [1.0, 1.0])
     assert _bits(mdl.solve_lp()) == before
+
+
+def test_set_col_bounds_rejects_a_column_named_twice():
+    mdl, _ = _small_lp(*BOUNDS[0])
+    before = _bits(mdl.solve_lp())
+    with pytest.raises(ValueError, match="twice"):
+        mdl.set_col_bounds([0, 2, 0], [1.0, 0.0, 2.0], [1.0, 3.0, 2.0])
+    assert _bits(mdl.solve_lp()) == before
+
+
+def _outcome(sol):
+    return _bits(sol) if sol.optimal else sol.status
+
+
+def test_batched_col_bounds_over_many_updates_resolve_like_a_fresh_model():
+    # Random subsets of the columns get bounds from a menu that includes
+    # fixed, one-sided and free columns, so some steps are infeasible or
+    # unbounded; each step sends HiGHS one batch.
+    rng = np.random.default_rng(7)
+    menu = [(0.0, 10.0), (1.0, 1.0), (-np.inf, 5.0), (-2.0, np.inf), (-np.inf, np.inf),
+            (0.0, 3.0), (2.5, 2.5)]
+    kept, _ = _small_lp(*BOUNDS[0])
+    kept.solve_lp()
+    lb, ub = (np.array(b) for b in COL_BOUNDS[0])
+    statuses = set()
+    for _ in range(60):
+        cols = rng.choice(3, size=rng.integers(1, 4), replace=False)
+        new = np.array([menu[i] for i in rng.integers(len(menu), size=len(cols))])
+        kept.set_col_bounds(cols, new[:, 0], new[:, 1])
+        lb[cols], ub[cols] = new[:, 0], new[:, 1]
+        fresh, _ = _small_lp(*BOUNDS[0], lb, ub)
+        sol = kept.solve_lp(require_optimal=False)
+        assert _outcome(sol) == _outcome(fresh.solve_lp(require_optimal=False)), (lb, ub)
+        statuses.add(sol.status)
+    assert len(statuses) > 1
+
+
+def test_solve_objective_is_solve_lps_objective_from_any_basis():
+    kept, rows = _small_lp(*BOUNDS[0])
+    kept.solve_lp()
+    start = kept.basis()
+    for lo, hi in BOUNDS[1:] + BOUNDS:
+        kept.set_row_bounds(rows, lo, hi)
+        fresh = _small_lp(lo, hi)[0].solve_lp()
+        assert kept.solve_objective() == fresh.objective
+        assert kept.solve_objective(start) == pytest.approx(fresh.objective, abs=1e-12)
+        assert kept.solve_objective(kept.basis()) == pytest.approx(fresh.objective, abs=1e-12)
+
+
+def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
+    mdl, rows = _small_lp(*BOUNDS[0])
+    with pytest.raises(BackendError, match="no solve"):
+        mdl.basis()
+    other = Model("other")
+    other.add_vars(2, lb=0.0, ub=1.0, obj=[1.0, 1.0])
+    other.add_rows(np.ones((1, 2)), 1.0, 1.0)
+    other.solve_lp()
+    with pytest.raises(BackendError, match="rejected the start basis"):
+        mdl.solve_objective(other.basis())
+    mdl.set_row_bounds(rows[:1], 40.0, 40.0)
+    with pytest.raises(BackendError, match="infeasible"):
+        mdl.solve_objective()
+
+
+def _highs_names_used(source: str) -> tuple[set, set]:
+    """The names ``source`` reads off the binding module ``highs``, and the
+    methods it calls on a HiGHS solver: one named ``lp`` or ``solver``, or
+    ``self._lp[0]``."""
+    module, methods = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "highs":
+            module.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (isinstance(owner, ast.Name) and owner.id in ("lp", "solver")) or (
+                    isinstance(owner, ast.Subscript) and ast.unparse(owner.value) == "self._lp"):
+                methods.add(node.func.attr)
+    return module, methods
+
+
+def test_every_binding_name_the_backend_uses_exists():
+    # The binding is scipy's private one, so a scipy release may lack a
+    # method the backend calls; this names it.
+    module, methods = _highs_names_used(Path(backend.__file__).read_text())
+    assert {"setBasis", "getBasis", "changeColsBounds", "getObjectiveValue", "run"} <= methods
+    assert sorted(n for n in module if not hasattr(highs, n)) == []
+    assert sorted(n for n in methods if not hasattr(highs._Highs, n)) == []
 
 
 def test_infeasible_lp_reports_status_or_raises():

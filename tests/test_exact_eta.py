@@ -1,11 +1,16 @@
 """The oracle's exact pricing: ``exact_eta`` against ``solve_inner`` on every
-attack of the oracle's budgets, and the oracle's tie rule."""
+attack of the oracle's budgets, its independence of the pricing history,
+and the oracle's tie rule."""
 
+import random
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from nkshed import backend
 from nkshed import fixtures as fx
 from nkshed import oracle
 from nkshed.attackers import compute_phi
@@ -37,15 +42,51 @@ def _budgets(name):
     return net, plain + spatial
 
 
+def _attacks(net, budgets) -> list:
+    return sorted({subset for model, footprint in budgets
+                   for subset in oracle.feasible_attacks(net, model, footprint)})
+
+
 @pytest.mark.parametrize("name", NETWORKS)
 def test_exact_eta_agrees_with_solve_inner_on_every_attack(name):
     net, budgets = _budgets(name)
-    attacks = {subset for model, footprint in budgets
-               for subset in oracle.feasible_attacks(net, model, footprint)}
-    for subset in sorted(attacks):
+    for subset in _attacks(net, budgets):
         plan = AttackPlan.of(subset)
         eta, ref = exact_eta(net, plan), solve_inner(net, plan).eta
         assert abs(eta - ref) <= 1e-9 * max(1.0, ref), (subset, eta, ref)
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
+def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
+    # Every attack is priced on this thread's kept model in sorted order,
+    # reversed and shuffled, then on a fresh thread with a kept model of its
+    # own: the etas must be bitwise equal.
+    net, budgets = _budgets(name)
+    attacks = _attacks(net, budgets)
+
+    def price(order) -> bytes:
+        etas = np.empty(len(attacks))
+        for i in order:
+            etas[i] = exact_eta(net, AttackPlan.of(attacks[i]))
+        return etas.tobytes()
+
+    forward = list(range(len(attacks)))
+    etas = price(forward)
+    assert price(forward[::-1]) == etas
+    assert price(random.Random(0).sample(forward, len(forward))) == etas
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(price, forward).result() == etas
+    # Every solve starts from the intact network's optimal basis, so the
+    # intact network, priced after all those attacks, takes no iteration.
+    iterations, linprog = [], backend.linprog
+
+    def counted(lp, basis=None):
+        linprog(lp, basis)
+        iterations.append(lp.getInfo().simplex_iteration_count)
+
+    monkeypatch.setattr(backend, "linprog", counted)
+    exact_eta(net, AttackPlan.of(()))
+    assert iterations == [0]
 
 
 def test_pricing_has_no_band_to_outgrow(triangle):
@@ -63,14 +104,16 @@ def test_pricing_has_no_band_to_outgrow(triangle):
 
 
 def test_near_equal_etas_tie_to_the_smallest_tuple():
-    # Every single line of random_mesh(12) sheds the same load up to the last
-    # bits, and the bitwise largest eta is not line 1's.
-    net = fx.random_mesh(12)
-    res = oracle.solve_exhaustive(net, AttackerModel.traditional(1), keep_ranking=True)
-    etas = dict(res.ranking)
-    worst = max(etas.values())
-    for lines in ((1,), (2,), (7,)):
-        assert etas[lines] >= worst - oracle._TIE * worst
-    assert etas[(1,)] < worst
-    assert res.best_attack.sorted_lines() == (1,) == res.ranking[0][0]
-    assert res.best_eta == solve_inner(net, res.best_attack).eta
+    # Every single line of random_mesh(115) and of random_mesh(119) sheds the
+    # same load up to the last bits, and the bitwise largest eta is not line 1's.
+    for seed in (115, 119):
+        net = fx.random_mesh(seed)
+        res = oracle.solve_exhaustive(net, AttackerModel.traditional(1), keep_ranking=True)
+        etas = dict(res.ranking)
+        worst = max(etas.values())
+        assert len(etas) == len(net.lines)
+        for lines in etas:
+            assert etas[lines] >= worst - oracle._TIE * worst
+        assert etas[(1,)] < worst
+        assert res.best_attack.sorted_lines() == (1,) == res.ranking[0][0]
+        assert res.best_eta == solve_inner(net, res.best_attack).eta
