@@ -15,8 +15,8 @@ HiGHS; the HiGHS model then lives with the :class:`Model`,
 place (``changeRowBounds``, ``changeColsBounds``), and every solve clears
 HiGHS's solver state first (``linprog``, named after the scipy function it
 replaced). ``solve_lp`` is then a cold solve of exactly the LP a fresh
-:class:`Model` would pass. ``solve_objective`` is the one solve that may
-start from a basis: one that ``basis`` took from an earlier solve of the
+:class:`Model` would pass. ``solve_objective`` is the one solve that
+starts from a basis: one that ``basis`` took from an earlier solve of the
 same model, so its optimum depends on that basis and the bounds, never on
 the solves in between. The binding methods the backend calls
 (``tests/test_backend.py`` lists them) are checked on scipy 1.17.1, and by
@@ -322,16 +322,15 @@ class Model:
         return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(res.col_value),
                         np.asarray(res.row_dual)[at])
 
-    def solve_objective(self, basis=None, presolve: bool = True) -> float:
+    def solve_objective(self, basis) -> float:
         """The optimal objective of the continuous relaxation, and nothing else.
 
-        Like ``solve_lp``, but the solve starts from ``basis`` if one is
-        given, a ``basis()`` of this model, and reads back only the
-        objective; anything but an optimum raises :class:`BackendError`.
-        HiGHS does not presolve an LP it starts from a basis.
+        Like ``solve_lp``, but the solve starts from ``basis``, a ``basis()``
+        of this model, and reads back only the objective; anything but an
+        optimum raises :class:`BackendError`. HiGHS does not presolve an LP
+        it starts from a basis.
         """
         lp, _ = self._live_lp()
-        lp.setOptionValue("presolve", "on" if presolve else "off")
         try:
             linprog(lp, basis)
         except BackendError as err:

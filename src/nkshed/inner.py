@@ -276,7 +276,7 @@ def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray]:
         intact = np.zeros((2, 2, m))
         intact[:, 0] = -rating, rating
         mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-        mdl.solve_objective(presolve=False)
+        mdl.solve_lp(presolve=False)
         entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact)
     return entry
 
@@ -290,13 +290,15 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     """Minimum load shed with the attacked lines removed, with no band.
 
     A removed line's flow is fixed at 0 and its slack is freed, which drops
-    its angle coupling, so nothing depends on ``net.big_M``. Every row is an
-    equality and an attack changes only column bounds of this thread's kept
-    model, so the intact network's optimal basis stays dual feasible: each
-    solve clears HiGHS's solver state and starts the dual simplex from that
-    basis. Eta thus depends on the attack alone, not on the attacks priced
-    before it or on the thread. Any optimal vertex gives the same eta, so
-    only eta is returned.
+    its angle coupling, so nothing depends on ``net.big_M``. An attack
+    changes only column bounds of this thread's kept model, so the intact
+    network's optimal basis is a valid basis of every attack's LP and one
+    shared start: each solve clears HiGHS's solver state and runs the dual
+    simplex from that basis, which repairs what the attack leaves primal or
+    dual infeasible (a freed slack whose coupling row had a nonzero dual).
+    Eta thus depends on the attack alone, not on the attacks priced before
+    it or on the thread. Any optimal vertex gives the same eta, so only eta
+    is returned.
     """
     mdl, basis, cols, intact = _exact_model(net)
     bounds = intact.copy()
