@@ -7,7 +7,10 @@ and references angles per island.
 ``exact_eta`` solves the same LP with no band: a removed line's coupling
 row gets a free slack column, so an attack changes only column bounds, and
 each solve starts from the intact network's optimal basis. It gives eta
-alone, for the brute-force oracle.
+alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
+etas of many attacks: it settles at 0.0 with no LP each attack that a
+zero-shed probe dispatch, rerouted around it by DC power flow, serves
+within every rating, and calls ``exact_eta`` for the rest.
 
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
@@ -35,9 +38,10 @@ import numpy as np
 from scipy import sparse
 
 from .backend import BackendError, Model
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network, PowerFlow, _islands
 
-__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "response_shed"]
+__all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
+           "response_shed"]
 
 # The +-M band of an interdicted line's coupling is accepted once both its
 # duals are at most this; otherwise M is doubled, at most this many times.
@@ -255,14 +259,16 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     )
 
 
-def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray]:
+def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
+                                        np.ndarray | None]:
     """This thread's exact load-shed model of ``net``, built once with no attack.
 
     The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
     with a slack column ``z_e``. Returns the model, the optimal basis of the
-    intact network, the flow columns then the slack columns, and their
-    bounds on the intact network: lower and upper, each flow then slack per
-    line, flow within the rating and slack at 0. Kept in
+    intact network, the flow columns then the slack columns, their bounds
+    on the intact network (lower and upper, each flow then slack per line,
+    flow within the rating and slack at 0) and the per-bus generation of
+    the intact optimum if it sheds nothing, else None. Kept in
     ``net.thread_cache`` like the load-shed model.
     """
     entry = getattr(net.thread_cache, "exact", None)
@@ -276,8 +282,9 @@ def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray]:
         intact = np.zeros((2, 2, m))
         intact[:, 0] = -rating, rating
         mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-        mdl.solve_lp(presolve=False)
-        entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact)
+        sol = mdl.solve_lp(presolve=False)
+        gen = sol.x[dc.gen] if sol.objective <= 0.0 else None
+        entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact, gen)
     return entry
 
 
@@ -300,7 +307,7 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     it or on the thread. Any optimal vertex gives the same eta, so only eta
     is returned.
     """
-    mdl, basis, cols, intact = _exact_model(net)
+    mdl, basis, cols, intact, _ = _exact_model(net)
     bounds = intact.copy()
     bounds[..., _line_positions(net, attack)] = _REMOVED[..., None]
     mdl.set_col_bounds(cols, *bounds.reshape(2, -1))
@@ -309,6 +316,102 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     except BackendError as err:
         raise BackendError(
             f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
+
+
+def exact_etas(net: Network, plans) -> list[float]:
+    """``exact_eta`` of each plan, with no LP for the attacks a probe settles.
+
+    Shed is never negative, so a feasible defender response that sheds
+    nothing proves eta = 0. Each plan is screened against this thread's
+    zero-shed probe dispatches (see ``_zero_shed_probes``): when some
+    probe, rerouted around the attack by DC power flow, keeps every
+    surviving line within its rating, the attack gets exactly 0.0. Every
+    other attack, and every one whose outage splits an island, is priced
+    by ``exact_eta``. A plan's verdict depends on its own lines alone, not
+    on the other plans.
+    """
+    plans = list(plans)
+    cuts = [np.sort(_line_positions(net, plan)) for plan in plans]
+    settled = np.zeros(len(plans), dtype=bool)
+    probes = _zero_shed_probes(net)
+    if len(probes):
+        for k in {len(c) for c in cuts}:
+            rows = [i for i, c in enumerate(cuts) if len(c) == k]
+            same = np.array([cuts[i] for i in rows], dtype=int).reshape(len(rows), k)
+            settled[rows] = _probe_excess(net, probes, same) <= 0.0
+    return [0.0 if s else exact_eta(net, plan) for plan, s in zip(plans, settled)]
+
+
+def _zero_shed_probes(net: Network) -> np.ndarray:
+    """Intact-network flows of the zero-shed probe dispatches, one row each.
+
+    The probes are the exact model's intact optimum, when it sheds nothing,
+    and the max-margin dispatch of ``_max_margin_gen``, when all demand can
+    be served; each is routed by ``net.power_flow``. Kept in
+    ``net.thread_cache``; every thread solves the same LPs cold, so every
+    thread gets the same probes.
+    """
+    probes = getattr(net.thread_cache, "probes", None)
+    if probes is None:
+        demand, ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
+        gens = [g for g in (_exact_model(net)[4], _max_margin_gen(net)) if g is not None]
+        probes = net.thread_cache.probes = np.array(
+            [(g - demand) @ ptdf_t for g in gens]).reshape(-1, len(net.lines))
+    return probes
+
+
+def _max_margin_gen(net: Network) -> np.ndarray | None:
+    """Per-bus generation of a dispatch that serves all demand at the least
+    largest line loading ``t``, with ``|flow_e| <= t * rating_e``, or None
+    when no dispatch serves all demand."""
+    mdl = Model("max-margin")
+    dc = add_dc_network(mdl, net, 0.0)
+    mdl.set_col_bounds(dc.shed, 0.0, 0.0)
+    t = mdl.add_var(obj=1.0)
+    mdl.add_rows(dc.coupling, 0.0, 0.0)
+    m, pair = len(net.lines), np.arange(2 * len(net.lines))
+    loading = sparse.coo_array(
+        (np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
+         (np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]))),
+        shape=(2 * m, mdl.num_vars))
+    mdl.add_rows(loading, 0.0, np.inf)
+    sol = mdl.solve_lp(require_optimal=False)
+    return sol.x[dc.gen] if sol.optimal else None
+
+
+def _probe_excess(net: Network, probes: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Per outage, the least over ``probes`` of the largest ``|flow_e| - rating_e``
+    over the surviving lines, each probe's intact flows rerouted around the
+    outage by its k-by-k outage block; +inf where that block's determinant
+    is at most ``PowerFlow._SINGULAR``. The block's eigenvalues lie in
+    [0, 1] (see :class:`PowerFlow`), so that holds wherever it is
+    singular, which is where the outage splits an island.
+
+    ``cuts`` holds one row of k removed line positions per outage. Every
+    step of a row's arithmetic reads only that row and the probes, so its
+    result does not depend on the other rows.
+    """
+    pf, rating = net.power_flow, net.thermal_vector()
+    count, k = cuts.shape
+    excess = np.full(count, np.inf)
+    step = max(1, BATCH_ENTRIES // ((k + len(probes)) * max(1, len(rating))))
+    for lo in range(0, count, step):
+        part = cuts[lo:lo + step]
+        flow = np.broadcast_to(probes, (len(part), *probes.shape))
+        whole = np.ones(len(part), dtype=bool)
+        if k:
+            shift, block = pf.outage_blocks(part)
+            whole = np.linalg.det(block) > PowerFlow._SINGULAR
+            part, shift = part[whole], shift[whole]
+            moved = np.linalg.solve(block[whole], probes[:, part].transpose(1, 2, 0))
+            flow = flow[whole]
+            for j in range(k):
+                flow = flow - moved[:, j, :, None] * shift[:, j, None, :]
+        over = np.abs(flow) - rating
+        over[np.arange(len(part))[:, None], :, part] = -np.inf
+        excess[lo + np.flatnonzero(whole)] = over.max(axis=2, initial=-np.inf).min(
+            axis=1, initial=np.inf)
+    return excess
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,

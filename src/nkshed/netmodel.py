@@ -277,6 +277,15 @@ class PowerFlow:
         return np.concatenate([self.islands(cuts[lo:lo + step])[1]
                                for lo in range(0, len(cuts), step)])
 
+    def outage_blocks(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per outage, the flow each line takes over per unit moved off each
+        removed line (outages by k by lines), and the k-by-k system that
+        gives the units moved."""
+        count, k = cuts.shape
+        shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
+        at = np.broadcast_to(cuts[:, None, :], (count, k, k))
+        return shift, np.eye(k) + np.take_along_axis(shift, at, axis=2).transpose(0, 2, 1)
+
     def flows(self, base: np.ndarray, cuts: np.ndarray, split: np.ndarray) -> np.ndarray:
         """Line flows with each row's lines removed.
 
@@ -288,9 +297,7 @@ class PowerFlow:
         count, k = cuts.shape
         flow = np.array(base, dtype=float)
         if k:
-            shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
-            at = np.broadcast_to(cuts[:, None, :], (count, k, k))
-            block = np.eye(k) + np.take_along_axis(shift, at, axis=2).transpose(0, 2, 1)
+            shift, block = self.outage_blocks(cuts)
             lost = np.take_along_axis(flow, cuts, axis=1)[:, :, None]
             moved = np.empty_like(lost)
             whole = ~split

@@ -1,14 +1,17 @@
 """Brute-force ground truth: enumerate every feasible attack and price it.
 
 Only intended for desk-scale instances; the subset count is checked against
-an explicit budget before any solving starts. Each attack is priced by
-``exact_eta``, the load-shed LP with removed lines dropped by column bounds,
-with no big-M band, solved from the intact network's optimal basis, so an
-eta does not depend on the pricing order or thread. Etas within ``_TIE``
-(relative, at least absolute) of the worst tie, and ties break toward the
-lexicographically smallest sorted line-id tuple, so results (and golden
-files) are stable across runs and LP vertices. The winner is re-solved by
-``solve_inner``, the LP the engine prices with, for the reported eta.
+an explicit budget before any solving starts. Attacks are priced by
+``exact_etas``: an attack that a zero-shed probe dispatch, rerouted around
+it, serves within every rating gets eta 0.0 with no LP; every other attack
+gets ``exact_eta``, the load-shed LP with removed lines dropped by column
+bounds, with no big-M band, solved from the intact network's optimal basis.
+Either way an eta depends on its attack alone, not on the pricing order,
+the chunk or the thread. Etas within ``_TIE`` (relative, at least absolute)
+of the worst tie, and ties break toward the lexicographically smallest
+sorted line-id tuple, so results (and golden files) are stable across runs
+and LP vertices. The winner is re-solved by ``solve_inner``, the LP the
+engine prices with, for the reported eta.
 
 ``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
 feasible set; the engine's enumerated master walks the same attacks in the
@@ -27,7 +30,7 @@ from math import comb
 
 from .attackers import (NoFeasibleAttackError, SpatialFootprint, is_feasible_attack,
                         spatial_centers)
-from .inner import AttackPlan, exact_eta, solve_inner
+from .inner import AttackPlan, exact_etas, solve_inner
 from .netmodel import AttackerModel, Network
 
 __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_count",
@@ -102,18 +105,20 @@ def solve_exhaustive(
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
 
-    Attacks are priced by ``exact_eta`` on one thread per CPU this process
-    may run on, while they are enumerated, each from the intact network's
-    optimal basis on its thread's kept model; the result does not depend on
-    the thread count, and the first error in enumeration order is raised. The
-    winner is the smallest sorted line-id tuple among the attacks within
-    ``_TIE * max(1, |eta|)`` of the worst eta; ``best_eta`` is its eta
-    re-solved by ``solve_inner``. ``ranking`` (with ``keep_ranking``) lists
-    the exact etas worst first, in runs within that tolerance of each
-    run's first eta, each run by line tuple, so it starts with the winner.
-    Raises :class:`BudgetExceededError` before doing any work if the subset
-    count exceeds ``budget``, and :class:`NoFeasibleAttackError` when
-    nothing in the enumeration passes the feasibility predicate.
+    Attacks are priced by ``exact_etas`` on one thread per CPU this process
+    may run on, while they are enumerated: those a zero-shed probe settles
+    at 0.0 with no LP, the others by ``exact_eta`` from the intact
+    network's optimal basis on their thread's kept model. The result does
+    not depend on the thread count, and the first error in enumeration
+    order is raised. The winner is the smallest sorted line-id tuple among
+    the attacks within ``_TIE * max(1, |eta|)`` of the worst eta;
+    ``best_eta`` is its eta re-solved by ``solve_inner``. ``ranking`` (with
+    ``keep_ranking``) lists the exact etas worst first, in runs within that
+    tolerance of each run's first eta, each run by line tuple, so it starts
+    with the winner. Raises :class:`BudgetExceededError` before doing any
+    work if the subset count exceeds ``budget``, and
+    :class:`NoFeasibleAttackError` when nothing in the enumeration passes
+    the feasibility predicate.
     """
     planned = subset_count(len(net.lines), model)
     if planned > budget:
@@ -170,17 +175,17 @@ def _workers() -> int:
 
 
 def _price(net: Network, plans):
-    """Yield each plan of the iterator ``plans`` with its ``exact_eta``, in order.
+    """Yield each plan of the iterator ``plans`` with its eta, in order.
 
     Plans go to one thread per CPU in chunks of ``_CHUNK`` consecutive ones,
-    each solved on its thread's kept model, with at most two chunks per
-    thread in flight, so plans are drawn as they are priced. With one CPU,
-    or a single chunk, the calling thread prices them all. The first error
-    in plan order is raised.
+    each chunk priced by one ``exact_etas`` call on its thread, with at
+    most two chunks per thread in flight, so plans are drawn as they are
+    priced. With one CPU, or a single chunk, the calling thread prices them
+    all. The first error in plan order is raised.
     """
     def price(chunk):
-        # exact_eta is looked up at call time, so a hook on it sees every call.
-        return [exact_eta(net, plan) for plan in chunk]
+        # exact_etas is looked up at call time, so a hook on it sees every call.
+        return exact_etas(net, chunk)
 
     chunks = iter(lambda: list(islice(plans, _CHUNK)), [])
     head = list(islice(chunks, 2))

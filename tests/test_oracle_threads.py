@@ -17,7 +17,7 @@ from nkshed import oracle
 from nkshed.attackers import compute_phi
 from nkshed.backend import BackendError
 from nkshed.engine import NoFeasibleAttackError
-from nkshed.inner import exact_eta, solve_inner
+from nkshed.inner import exact_eta, exact_etas, solve_inner
 from nkshed.netmodel import AttackerModel
 
 from bench_lattice import lattice
@@ -25,9 +25,10 @@ from bench_lattice import lattice
 
 def _serial(net, model, footprint):
     """The one-thread loop: every feasible attack in enumeration order priced
-    by ``exact_eta``; the ranking is runs of etas tied with each run's worst,
-    worst run first, each run by sorted line-id tuple; the winner heads it
-    and is re-solved by ``solve_inner``."""
+    by its own ``exact_eta`` LP, with no zero-shed screen; the ranking is
+    runs of etas tied with each run's worst, worst run first, each run by
+    sorted line-id tuple; the winner heads it and is re-solved by
+    ``solve_inner``."""
     priced = []
     for subset in oracle.feasible_attacks(net, model, footprint):
         plan = oracle.attack_plan(net, model, footprint, subset)
@@ -66,15 +67,21 @@ def _force(monkeypatch, workers, chunk=1):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
 
 
+def _per_plan(price):
+    """A batch pricer, in the place of ``exact_etas``, that prices each plan
+    of a chunk by ``price``."""
+    return lambda net, plans: [price(net, plan) for plan in plans]
+
+
 def _threads_pricing(monkeypatch):
-    """Record the thread of every ``exact_eta`` call the oracle makes."""
+    """Record the thread of every ``exact_etas`` call the oracle makes."""
     seen = set()
 
-    def traced(net, plan):
+    def traced(net, plans):
         seen.add(threading.get_ident())
-        return exact_eta(net, plan)
+        return exact_etas(net, plans)
 
-    monkeypatch.setattr(oracle, "exact_eta", traced)
+    monkeypatch.setattr(oracle, "exact_etas", traced)
     return seen
 
 
@@ -136,7 +143,7 @@ def test_first_error_in_enumeration_order_is_raised(monkeypatch, workers):
             raise BackendError(f"load-shed solve failed for attack {list(later)}: later")
         return exact_eta(net, plan)
 
-    monkeypatch.setattr(oracle, "exact_eta", failing)
+    monkeypatch.setattr(oracle, "exact_etas", _per_plan(failing))
     with pytest.raises(BackendError) as err:
         oracle.solve_exhaustive(net, model)
     assert str(err.value) == f"load-shed solve failed for attack {list(first)}: first"
@@ -155,7 +162,7 @@ def test_big_m_warning_in_a_worker_fails_the_call(monkeypatch, triangle, workers
         warnings.warn("coupling duals above 1e-08 after 10 big-M doublings", RuntimeWarning)
         return exact_eta(net, plan)
 
-    monkeypatch.setattr(oracle, "exact_eta", warning)
+    monkeypatch.setattr(oracle, "exact_etas", _per_plan(warning))
     with pytest.raises(RuntimeWarning, match="big-M doublings"):
         oracle.solve_exhaustive(triangle, AttackerModel.traditional(1))
     warned.clear()
@@ -176,7 +183,8 @@ def test_tie_rule_over_near_equal_etas_in_any_enumeration_order(monkeypatch, mes
     # not arrive in order; each attack's eta is a level drawn from its lines.
     _force(monkeypatch, workers)
     level = lambda lines: random.Random(repr(lines)).choice(LEVELS)
-    monkeypatch.setattr(oracle, "exact_eta", lambda net, plan: level(plan.sorted_lines()))
+    monkeypatch.setattr(oracle, "exact_etas",
+                        _per_plan(lambda net, plan: level(plan.sorted_lines())))
     d = fx.SPATIAL_D["mesh8"]
     footprint = compute_phi(mesh8, d)
     for model in (AttackerModel.spatial(3, d), AttackerModel.traditional(3)):
@@ -218,7 +226,7 @@ def test_pricing_window_bounds_the_oracle_memory(monkeypatch):
     # window of chunks in flight and the running near-ties, against holding
     # every plan at once.
     _force(monkeypatch, 2, 64)
-    monkeypatch.setattr(oracle, "exact_eta", lambda net, plan: 1.0)
+    monkeypatch.setattr(oracle, "exact_etas", _per_plan(lambda net, plan: 1.0))
     net, model = lattice(7, 8), AttackerModel.traditional(3)
     tracemalloc.start()
     try:

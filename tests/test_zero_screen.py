@@ -1,0 +1,155 @@
+"""The oracle's zero-shed screen: every attack ``exact_etas`` settles without
+an LP sheds nothing, a verdict depends on its attack alone, attacks that
+split an island go to the LP, and the screen spares most LPs on the 4x4
+lattice."""
+
+import random
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from nkshed import backend, inner
+from nkshed import fixtures as fx
+from nkshed import oracle
+from nkshed.attackers import compute_phi
+from nkshed.inner import AttackPlan, exact_eta, exact_etas, solve_inner
+from nkshed.netmodel import AttackerModel
+
+from bench_lattice import lattice
+from test_exact_eta import NETWORKS, _attacks, _budgets
+
+# What exact_etas returns for an attack sent to the LP, once exact_eta is
+# replaced by a stand-in that does not solve.
+UNSETTLED = -1.0
+
+
+def _verdicts(net, plans) -> list[float]:
+    """``exact_etas`` of ``plans`` with no LP: 0.0 where the screen settles
+    an attack, ``UNSETTLED`` where it would send the attack to the LP."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inner, "exact_eta", lambda net, plan: UNSETTLED)
+        return exact_etas(net, plans)
+
+
+def _excess(net, subsets) -> np.ndarray:
+    """The screen's overload of each attack, all of one size, in one call."""
+    cuts = np.array([sorted(net.line_pos[l] for l in s) for s in subsets], dtype=int)
+    return inner._probe_excess(net, inner._zero_shed_probes(net), cuts.reshape(len(subsets), -1))
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_every_settled_attack_sheds_nothing(name):
+    net, budgets = _budgets(name)
+    plans = [AttackPlan.of(subset) for subset in _attacks(net, budgets)]
+    verdicts = _verdicts(net, plans)
+    assert set(map(repr, verdicts)) <= {"0.0", repr(UNSETTLED)}
+    for plan, verdict in zip(plans, verdicts):
+        if verdict == 0.0:
+            assert repr(exact_eta(net, plan)) == "0.0", plan
+            assert solve_inner(net, plan).eta <= 1e-9, plan
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_a_verdict_depends_on_its_attack_alone(name):
+    # Alone, then in one chunk sorted, reversed and shuffled, then in the
+    # oracle's chunks: the same verdict per attack, and the same overload
+    # bitwise per attack within each size.
+    net, budgets = _budgets(name)
+    attacks = _attacks(net, budgets)
+    plans = [AttackPlan.of(subset) for subset in attacks]
+    alone = [_verdicts(net, [plan])[0] for plan in plans]
+    forward = list(range(len(plans)))
+    orders = [forward, forward[::-1], random.Random(0).sample(forward, len(forward))]
+    for order in orders:
+        verdicts = _verdicts(net, [plans[i] for i in order])
+        assert [repr(verdicts[j]) for j in range(len(order))] == [
+            repr(alone[i]) for i in order]
+    chunked = []
+    for lo in range(0, len(plans), oracle._CHUNK):
+        chunked += _verdicts(net, plans[lo:lo + oracle._CHUNK])
+    assert list(map(repr, chunked)) == list(map(repr, alone))
+    for size in {len(s) for s in attacks}:
+        same = [s for s in attacks if len(s) == size]
+        single = b"".join(_excess(net, [s]).tobytes() for s in same)
+        assert _excess(net, same).tobytes() == single
+        shuffled = random.Random(1).sample(same, len(same))
+        together = dict(zip(shuffled, _excess(net, shuffled).tolist()))
+        assert np.array([together[s] for s in same]).tobytes() == single
+
+
+def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypatch, mesh8):
+    # Demand above the total generation capacity: even the intact network
+    # sheds load, so no dispatch serves all demand and no probe exists.
+    scale = 1.01 * sum(b.gen_cap for b in mesh8.buses) / sum(b.demand for b in mesh8.buses)
+    net = mesh8.with_buses(tuple(replace(b, demand=b.demand * scale) for b in mesh8.buses))
+    assert exact_eta(net, AttackPlan.of(())) > 0.0
+    assert inner._zero_shed_probes(net).shape == (0, len(net.lines))
+    model = AttackerModel.traditional(2)
+    plans = [oracle.attack_plan(net, model, None, s) for s in oracle.feasible_attacks(net, model)]
+    assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
+    screened = repr(oracle.solve_exhaustive(net, model, keep_ranking=True))
+    monkeypatch.setattr(oracle, "exact_etas",
+                        lambda net, plans: [exact_eta(net, plan) for plan in plans])
+    assert screened == repr(oracle.solve_exhaustive(net, model, keep_ranking=True))
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
+def test_island_splitting_attacks_go_to_the_lp(name):
+    net, budgets = _budgets(name)
+    attacks = [s for s in _attacks(net, budgets) if s]
+    split = {}
+    for size in {len(s) for s in attacks}:
+        same = [s for s in attacks if len(s) == size]
+        cuts = np.array([sorted(net.line_pos[l] for l in s) for s in same])
+        splits = net.power_flow.splits(cuts)
+        split.update(zip(same, splits))
+        # The outage block is singular, and the overload infinite, exactly
+        # where the outage splits an island.
+        assert (np.isinf(_excess(net, same)) == splits).all()
+    torn = [s for s in attacks if split[s]]
+    assert torn
+    plans = [AttackPlan.of(s) for s in torn]
+    assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
+    assert list(map(repr, exact_etas(net, plans))) == [
+        repr(exact_eta(net, plan)) for plan in plans]
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_spatial_empty_attack(name):
+    net, d = fx.FIXTURES[name](), fx.SPATIAL_D[name]
+    footprint = compute_phi(net, d)
+    for center in (None, net.buses[0].id):
+        model = AttackerModel.spatial(1, d, center)
+        assert next(oracle.feasible_attacks(net, model, footprint)) == ()
+        plan = oracle.attack_plan(net, model, footprint, ())
+        eta = exact_eta(net, plan)
+        assert repr(exact_etas(net, [plan])[0]) == repr(eta)
+        # A probe settles the empty attack exactly where the intact network
+        # serves all demand within its ratings; some fixtures shed load.
+        assert _verdicts(net, [plan]) == [0.0 if eta == 0.0 else UNSETTLED]
+
+
+def test_the_screen_spares_most_lps_on_the_4x4_triples(monkeypatch):
+    # 1674 of the 2024 triples shed nothing; the screen settles at least
+    # 1000 of them, so at most 1024 pricing LPs run. The ranking is bitwise
+    # the one every attack priced by its own LP gives.
+    net, model = lattice(4, 4), AttackerModel.traditional(3)
+    lock, solves = threading.Lock(), []
+    solve_objective = backend.Model.solve_objective
+
+    def counted(self, basis):
+        with lock:
+            solves.append(self.name)
+        return solve_objective(self, basis)
+
+    monkeypatch.setattr(backend.Model, "solve_objective", counted)
+    res = oracle.solve_exhaustive(net, model, keep_ranking=True)
+    assert res.evaluated == 2024
+    assert 0 < len(solves) <= 1024, len(solves)
+    assert res.best_attack.sorted_lines() == (1, 8, 11)
+    assert res.best_eta == solve_inner(net, res.best_attack).eta
+    monkeypatch.setattr(oracle, "exact_etas",
+                        lambda net, plans: [exact_eta(net, plan) for plan in plans])
+    assert repr(oracle.solve_exhaustive(net, model, keep_ranking=True)) == repr(res)
