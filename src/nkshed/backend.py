@@ -15,12 +15,12 @@ HiGHS; the HiGHS model then lives with the :class:`Model`,
 place (``changeRowBounds``, ``changeColsBounds``), and every solve clears
 HiGHS's solver state first (``linprog``, named after the scipy function it
 replaced). ``solve_lp`` is then a cold solve of exactly the LP a fresh
-:class:`Model` would pass. ``solve_objective`` is the one solve that
-starts from a basis: one that ``basis`` took from an earlier solve of the
-same model, so its optimum depends on that basis and the bounds, never on
-the solves in between. The binding methods the backend calls
-(``tests/test_backend.py`` lists them) are checked on scipy 1.17.1, and by
-CI on the scipy floor. MILPs go through the public ``milp``.
+:class:`Model` would pass. ``solve_objective``, and ``solve_lp`` when
+given one, start from a basis instead: one that ``basis`` took from an
+earlier solve of the same model, so the optimum depends on that basis and
+the bounds, never on the solves in between. The binding methods the
+backend calls (``tests/test_backend.py`` lists them) are checked on scipy
+1.17.1, and by CI on the scipy floor. MILPs go through the public ``milp``.
 HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
 deterministic for fixed inputs.
 """
@@ -185,7 +185,8 @@ class Model:
         _check_sides(self.name, lb, ub, "column bounds")
         if (lb > ub).any():
             raise ValueError(f"{self.name or '(unnamed)'}: column lower bound above upper bound")
-        if len(set(cols.tolist())) < len(cols):
+        ordered = np.sort(cols)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError(f"{self.name or '(unnamed)'}: a column is named twice")
         changed = (lb != self._lb[cols]) | (ub != self._ub[cols])
         cols, lb, ub = cols[changed], lb[changed], ub[changed]
@@ -303,18 +304,23 @@ class Model:
             raise BackendError(f"LP {self.name or '(unnamed)'}: HiGHS rejected the model")
         return solver, at
 
-    def solve_lp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
+    def solve_lp(self, require_optimal: bool = True, presolve: bool = True,
+                 basis=None) -> Solution:
         """Solve the continuous relaxation; integer markers are ignored.
 
         The first solve passes the LP to HiGHS; later solves re-solve it from
-        scratch, after any ``set_row_bounds`` or ``set_col_bounds``.
+        scratch, after any ``set_row_bounds`` or ``set_col_bounds``, or
+        from ``basis``, a ``basis()`` of this model, when one is given.
         ``presolve`` applies to this solve only. ``dual[r]`` is
         d(objective)/d(active side of row r): for a minimization it is >= 0
         on a ``>=`` row, <= 0 on a ``<=`` row and free on an equality.
         """
         lp, at = self._live_lp()
         lp.setOptionValue("presolve", "on" if presolve else "off")
-        linprog(lp)
+        try:
+            linprog(lp, basis)
+        except BackendError as err:
+            raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
         status = self._lp_status(lp, require_optimal)
         if status != OPTIMAL:
             return Solution(status, np.nan, np.zeros(self.num_vars))
@@ -325,10 +331,10 @@ class Model:
     def solve_objective(self, basis) -> float:
         """The optimal objective of the continuous relaxation, and nothing else.
 
-        Like ``solve_lp``, but the solve starts from ``basis``, a ``basis()``
-        of this model, and reads back only the objective; anything but an
-        optimum raises :class:`BackendError`. HiGHS does not presolve an LP
-        it starts from a basis.
+        Like ``solve_lp`` from ``basis``, a ``basis()`` of this model, but it
+        reads back only the objective; anything but an optimum raises
+        :class:`BackendError`. HiGHS does not presolve an LP it starts from
+        a basis.
         """
         lp, _ = self._live_lp()
         try:

@@ -9,8 +9,13 @@ row gets a free slack column, so an attack changes only column bounds, and
 each solve starts from the intact network's optimal basis. It gives eta
 alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
 etas of many attacks: it settles at 0.0 with no LP each attack that a
-zero-shed probe dispatch, rerouted around it by DC power flow, serves
-within every rating, and calls ``exact_eta`` for the rest.
+zero-shed dispatch, rerouted around it by DC power flow, serves within
+every rating, and calls ``exact_eta`` for the rest. The dispatches come
+from the network's probe table, solved once per network and shared by
+every thread: two intact probes, and per line two max-margin dispatches
+that serve all demand with that line out. An attack of two or more lines
+that no intact probe settles is tried on the segments from each intact
+probe to its own lines' dispatches.
 
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
@@ -259,41 +264,66 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     )
 
 
+def _slack_model(name: str, net: Network, shed_cost,
+                 rating) -> tuple[Model, DCColumns, np.ndarray, np.ndarray]:
+    """A model of ``net`` in which a line comes out by column bounds alone.
+
+    The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
+    with a slack column ``z_e``. Returns the model, its columns, the flow
+    columns then the slack columns, and their bounds on the intact network
+    (lower and upper, each flow then slack per line: flow within
+    ``rating``, slack at 0). ``_bounds_out`` gives the bounds with lines out.
+    """
+    mdl = Model(name)
+    dc = add_dc_network(mdl, net, shed_cost)
+    m = len(net.lines)
+    z = mdl.add_vars(m, lb=0.0, ub=0.0)
+    mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
+    cols = np.concatenate([dc.flow, z]).astype(np.int32)
+    intact = np.zeros((2, 2, m))
+    intact[0, 0], intact[1, 0] = -rating, rating
+    mdl.set_col_bounds(cols, *intact.reshape(2, -1))
+    return mdl, dc, cols, intact
+
+
+# Lower and upper bound (rows) of a line's flow and slack (columns): removed,
+# flow at 0 and slack free; idle, flow and slack at 0.
+_REMOVED = np.array([[0.0, -np.inf], [0.0, np.inf]])
+_IDLE = np.zeros((2, 2))
+
+
+def _bounds_out(intact: np.ndarray, positions,
+                state=_REMOVED) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of a ``_slack_model``'s flow and slack columns
+    with the lines at ``positions`` removed: a removed line's flow is fixed
+    at 0 and its slack freed, which drops its angle coupling. With ``state``
+    ``_IDLE`` the lines stay in but carry no flow."""
+    bounds = intact.copy()
+    bounds[..., positions] = state[..., None]
+    return tuple(bounds.reshape(2, -1))
+
+
 def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
                                         np.ndarray | None]:
     """This thread's exact load-shed model of ``net``, built once with no attack.
 
-    The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
-    with a slack column ``z_e``. Returns the model, the optimal basis of the
-    intact network, the flow columns then the slack columns, their bounds
-    on the intact network (lower and upper, each flow then slack per line,
-    flow within the rating and slack at 0) and the per-bus generation of
-    the intact optimum if it sheds nothing, else None. Kept in
-    ``net.thread_cache`` like the load-shed model.
+    A ``_slack_model`` with flows within their ratings. Returns the model,
+    the optimal basis of the intact network, the flow and slack columns,
+    their intact bounds and the per-bus generation of the intact optimum if
+    it sheds nothing, else None. Kept in ``net.thread_cache`` like the
+    load-shed model.
     """
     entry = getattr(net.thread_cache, "exact", None)
     if entry is None:
-        mdl = Model("exact-load-shed")
-        dc = add_dc_network(mdl, net, net.demand_vector())
-        m = len(net.lines)
-        z = mdl.add_vars(m, lb=0.0, ub=0.0)
-        mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
-        cols, rating = np.concatenate([dc.flow, z]).astype(np.int32), net.thermal_vector()
-        intact = np.zeros((2, 2, m))
-        intact[:, 0] = -rating, rating
-        mdl.set_col_bounds(cols, *intact.reshape(2, -1))
+        mdl, dc, cols, intact = _slack_model("exact-load-shed", net, net.demand_vector(),
+                                             net.thermal_vector())
         sol = mdl.solve_lp(presolve=False)
         gen = sol.x[dc.gen] if sol.objective <= 0.0 else None
         entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact, gen)
     return entry
 
 
-# Lower and upper bound (rows) of a removed line's flow and slack (columns):
-# flow at 0, slack free.
-_REMOVED = np.array([[0.0, -np.inf], [0.0, np.inf]])
-
-
-def exact_eta(net: Network, attack: AttackPlan) -> float:
+def exact_eta(net: Network, attack: AttackPlan, positions=None) -> float:
     """Minimum load shed with the attacked lines removed, with no band.
 
     A removed line's flow is fixed at 0 and its slack is freed, which drops
@@ -305,12 +335,13 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     dual infeasible (a freed slack whose coupling row had a nonzero dual).
     Eta thus depends on the attack alone, not on the attacks priced before
     it or on the thread. Any optimal vertex gives the same eta, so only eta
-    is returned.
+    is returned. ``positions``, the attacked lines' positions, spares
+    looking them up when the caller has them.
     """
     mdl, basis, cols, intact, _ = _exact_model(net)
-    bounds = intact.copy()
-    bounds[..., _line_positions(net, attack)] = _REMOVED[..., None]
-    mdl.set_col_bounds(cols, *bounds.reshape(2, -1))
+    if positions is None:
+        positions = _line_positions(net, attack)
+    mdl.set_col_bounds(cols, *_bounds_out(intact, positions))
     try:
         return mdl.solve_objective(basis)
     except BackendError as err:
@@ -322,96 +353,201 @@ def exact_etas(net: Network, plans) -> list[float]:
     """``exact_eta`` of each plan, with no LP for the attacks a probe settles.
 
     Shed is never negative, so a feasible defender response that sheds
-    nothing proves eta = 0. Each plan is screened against this thread's
-    zero-shed probe dispatches (see ``_zero_shed_probes``): when some
-    probe, rerouted around the attack by DC power flow, keeps every
-    surviving line within its rating, the attack gets exactly 0.0. Every
-    other attack, and every one whose outage splits an island, is priced
-    by ``exact_eta``. A plan's verdict depends on its own lines alone, not
-    on the other plans.
+    nothing proves eta = 0. Each plan is screened by ``_probe_excess``
+    against zero-shed dispatches of the network's probe table: when one,
+    rerouted around the attack by DC power flow, keeps every surviving line
+    within its rating, the attack gets exactly 0.0. Every other attack, and
+    every one whose outage splits an island, is priced by ``exact_eta``. A
+    plan's verdict depends on its own lines alone, not on the other plans.
     """
     plans = list(plans)
     cuts = [np.sort(_line_positions(net, plan)) for plan in plans]
     settled = np.zeros(len(plans), dtype=bool)
-    probes = _zero_shed_probes(net)
-    if len(probes):
-        for k in {len(c) for c in cuts}:
-            rows = [i for i, c in enumerate(cuts) if len(c) == k]
-            same = np.array([cuts[i] for i in rows], dtype=int).reshape(len(rows), k)
-            settled[rows] = _probe_excess(net, probes, same) <= 0.0
-    return [0.0 if s else exact_eta(net, plan) for plan, s in zip(plans, settled)]
+    for k in {len(c) for c in cuts}:
+        rows = [i for i, c in enumerate(cuts) if len(c) == k]
+        same = np.array([cuts[i] for i in rows], dtype=int).reshape(len(rows), k)
+        settled[rows] = _probe_excess(net, same) <= 0.0
+    return [0.0 if s else exact_eta(net, plan, cut)
+            for plan, cut, s in zip(plans, cuts, settled)]
+
+
+def _margin_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
+                                         np.ndarray, np.ndarray | None]:
+    """The network's max-margin model, solved once on the intact network.
+
+    A ``_slack_model`` with shed fixed at 0, free flows and one margin
+    column t, with ``|flow_e| <= t * rating_e``, minimizing t: a dispatch
+    that serves all demand at the least largest line loading. Returns the
+    model, its intact optimal basis, its flow and slack columns, their
+    intact bounds, its generation columns and the per-bus generation of
+    the intact optimum, or None when no dispatch serves all demand. Kept
+    by ``Network.shared`` for the whole network, and solved only inside
+    its lock.
+    """
+    def build():
+        mdl, dc, cols, intact = _slack_model("max-margin", net, 0.0, np.inf)
+        mdl.set_col_bounds(dc.shed, 0.0, 0.0)
+        t = mdl.add_var(obj=1.0)
+        m, pair = len(net.lines), np.arange(2 * len(net.lines))
+        loading = sparse.coo_array(
+            (np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
+             (np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]))),
+            shape=(2 * m, mdl.num_vars))
+        mdl.add_rows(loading, 0.0, np.inf)
+        sol = mdl.solve_lp(require_optimal=False, presolve=False)
+        gen = sol.x[dc.gen] if sol.optimal else None
+        return mdl, mdl.basis(), cols, intact, dc.gen, gen
+
+    return net.shared("max-margin", build)
 
 
 def _zero_shed_probes(net: Network) -> np.ndarray:
-    """Intact-network flows of the zero-shed probe dispatches, one row each.
+    """Intact-network flows of the base zero-shed probe dispatches, one row each.
 
     The probes are the exact model's intact optimum, when it sheds nothing,
-    and the max-margin dispatch of ``_max_margin_gen``, when all demand can
-    be served; each is routed by ``net.power_flow``. Kept in
-    ``net.thread_cache``; every thread solves the same LPs cold, so every
-    thread gets the same probes.
+    and the max-margin intact dispatch of ``_margin_model``, when all demand
+    can be served; each is routed by ``net.power_flow``. Built once per
+    network and shared by every thread (``Network.shared``).
     """
-    probes = getattr(net.thread_cache, "probes", None)
-    if probes is None:
+    def build():
         demand, ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
-        gens = [g for g in (_exact_model(net)[4], _max_margin_gen(net)) if g is not None]
-        probes = net.thread_cache.probes = np.array(
-            [(g - demand) @ ptdf_t for g in gens]).reshape(-1, len(net.lines))
-    return probes
+        gens = [g for g in (_exact_model(net)[4], _margin_model(net)[5]) if g is not None]
+        return np.array([(g - demand) @ ptdf_t for g in gens]).reshape(-1, len(net.lines))
+
+    return net.shared("zero-shed probes", build)
 
 
-def _max_margin_gen(net: Network) -> np.ndarray | None:
-    """Per-bus generation of a dispatch that serves all demand at the least
-    largest line loading ``t``, with ``|flow_e| <= t * rating_e``, or None
-    when no dispatch serves all demand."""
-    mdl = Model("max-margin")
-    dc = add_dc_network(mdl, net, 0.0)
-    mdl.set_col_bounds(dc.shed, 0.0, 0.0)
-    t = mdl.add_var(obj=1.0)
-    mdl.add_rows(dc.coupling, 0.0, 0.0)
-    m, pair = len(net.lines), np.arange(2 * len(net.lines))
-    loading = sparse.coo_array(
-        (np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
-         (np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]))),
-        shape=(2 * m, mdl.num_vars))
-    mdl.add_rows(loading, 0.0, np.inf)
-    sol = mdl.solve_lp(require_optimal=False)
-    return sol.x[dc.gen] if sol.optimal else None
+def _probe_rows(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """The probe table's N-1 rows: per line e, the intact-network flows of
+    two max-margin dispatches (lines by 2 by lines), one with e removed and
+    one with e in but idle, and whether each LP is optimal (zero flows where
+    it is not, or where no dispatch serves all demand). Either dispatch
+    serves all demand with e out.
+
+    Each row is one solve of ``_margin_model``'s model with e's flow fixed
+    at 0 and its slack freed or fixed at 0, which clears the solver and
+    starts from the intact margin basis, so a row depends on the network
+    and e alone. Built once per network, on first use, and shared by every
+    thread.
+    """
+    def build():
+        mdl, basis, cols, intact, gen_cols, gen = _margin_model(net)
+        m, demand = len(net.lines), net.demand_vector()
+        gens, ok = np.tile(demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
+        if gen is not None:
+            for e in range(m):
+                for i, state in enumerate((_REMOVED, _IDLE)):
+                    mdl.set_col_bounds(cols, *_bounds_out(intact, [e], state))
+                    sol = mdl.solve_lp(require_optimal=False, basis=basis)
+                    if sol.optimal:
+                        gens[e, i], ok[e, i] = sol.x[gen_cols], True
+            mdl.set_col_bounds(cols, *intact.reshape(2, -1))
+        return (gens - demand) @ net.power_flow.ptdf_t, ok
+
+    return net.shared("probe rows", build)
 
 
-def _probe_excess(net: Network, probes: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Per outage, the least over ``probes`` of the largest ``|flow_e| - rating_e``
-    over the surviving lines, each probe's intact flows rerouted around the
-    outage by its k-by-k outage block; +inf where that block's determinant
-    is at most ``PowerFlow._SINGULAR``. The block's eigenvalues lie in
-    [0, 1] (see :class:`PowerFlow`), so that holds wherever it is
-    singular, which is where the outage splits an island.
+def _reroute(flow: np.ndarray, part: np.ndarray, shift: np.ndarray,
+             block: np.ndarray) -> np.ndarray:
+    """Flows of each outage's probes with its lines removed.
+
+    ``flow`` holds per outage (row of ``part``) the intact-network flows of
+    its probes (outages by probes by lines); ``shift`` and ``block`` are
+    the outages' ``PowerFlow.outage_blocks``, none singular. Each outage's
+    arithmetic is one LAPACK solve and k elementwise updates of its own rows.
+    """
+    k = part.shape[1]
+    lost = np.take_along_axis(flow, np.broadcast_to(part[:, None, :], (*flow.shape[:2], k)),
+                              axis=2)
+    moved = np.linalg.solve(block, lost.transpose(0, 2, 1))
+    for j in range(k):
+        flow = flow - moved[:, j, :, None] * shift[:, j, None, :]
+    return flow
+
+
+def _surviving(values: np.ndarray, part: np.ndarray, fill: float) -> np.ndarray:
+    """``values`` (outages by ... by lines) with each outage's removed lines,
+    its row of ``part``, set to ``fill`` in place."""
+    values[np.arange(len(part))[:, None], ..., part] = fill
+    return values
+
+
+def _overload(flow: np.ndarray, rating: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """The largest ``|flow_e| - rating_e`` over each outage's surviving lines."""
+    over = np.abs(flow)
+    over -= rating
+    return _surviving(over, part, -np.inf).max(axis=-1, initial=-np.inf)
+
+
+def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
+    """Per outage, the least largest ``|flow_e| - rating_e`` over the
+    surviving lines among the zero-shed dispatches the screen tries, or
+    +inf where the outage's k-by-k block has a determinant at most
+    ``PowerFlow._SINGULAR``. The block's eigenvalues lie in [0, 1] (see
+    :class:`PowerFlow`), so that holds wherever it is singular, which is
+    where the outage splits an island. An overload of at most 0 proves
+    that the outage sheds nothing.
+
+    Stage 1 tries each base probe of ``_zero_shed_probes``, rerouted
+    around the outage by its outage block. Stage 2 (``_segment_excess``)
+    takes the outages of at least 2 lines that stage 1 leaves overloaded.
+    For each base probe b and each row r of a removed line in
+    ``_probe_rows``, a convex combination of b and r is a zero-shed
+    dispatch too, balanced on the outage's islands, and its flows are the
+    same combination of theirs. On that segment, rerouted, it takes the
+    smallest lambda in [0, 1] that the surviving lines allow and tries
+    that point by the same overload test. No other row is tried.
 
     ``cuts`` holds one row of k removed line positions per outage. Every
-    step of a row's arithmetic reads only that row and the probes, so its
+    step of a row's arithmetic reads only that row and the table, so its
     result does not depend on the other rows.
     """
+    probes = _zero_shed_probes(net)
     pf, rating = net.power_flow, net.thermal_vector()
     count, k = cuts.shape
     excess = np.full(count, np.inf)
-    step = max(1, BATCH_ENTRIES // ((k + len(probes)) * max(1, len(rating))))
+    if not len(probes):
+        return excess
+    step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
-        part = cuts[lo:lo + step]
+        part, at = cuts[lo:lo + step], np.arange(lo, min(lo + step, count))
         flow = np.broadcast_to(probes, (len(part), *probes.shape))
-        whole = np.ones(len(part), dtype=bool)
         if k:
             shift, block = pf.outage_blocks(part)
             whole = np.linalg.det(block) > PowerFlow._SINGULAR
-            part, shift = part[whole], shift[whole]
-            moved = np.linalg.solve(block[whole], probes[:, part].transpose(1, 2, 0))
-            flow = flow[whole]
-            for j in range(k):
-                flow = flow - moved[:, j, :, None] * shift[:, j, None, :]
-        over = np.abs(flow) - rating
-        over[np.arange(len(part))[:, None], :, part] = -np.inf
-        excess[lo + np.flatnonzero(whole)] = over.max(axis=2, initial=-np.inf).min(
-            axis=1, initial=np.inf)
+            part, shift, block, at = part[whole], shift[whole], block[whole], at[whole]
+            flow = _reroute(flow[whole], part, shift, block)
+        excess[at] = _overload(flow, rating, part).min(axis=1, initial=np.inf)
+        left = np.flatnonzero(excess[at] > 0.0)
+        if k >= 2 and len(left):
+            excess[at[left]] = np.minimum(excess[at[left]], _segment_excess(
+                net, flow[left], part[left], shift[left], block[left]))
     return excess
+
+
+def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray, shift: np.ndarray,
+                    block: np.ndarray) -> np.ndarray:
+    """Stage 2 of ``_probe_excess``: per outage, the least overload over the
+    points its segments give; ``base`` holds its base probes' flows
+    rerouted around it, and ``shift`` and ``block`` its outage blocks."""
+    rows, ok = _probe_rows(net)
+    rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
+    a = base[:, :, None, :]
+    d = _reroute(rows[part].reshape(count, 2 * k, m), part, shift, block)[:, None] - a
+    # Each surviving line keeps |a + lambda * d| <= rating on one interval
+    # of lambda; the largest of their lower ends is the smallest lambda
+    # they all allow, if any. Temporaries are reused: this runs per chunk
+    # on every pricing thread.
+    moves = d != 0.0
+    floor = np.divide(-rating - a, d, out=np.full(d.shape, -np.inf), where=moves)
+    np.minimum(floor, np.divide(rating - a, d, out=np.full(d.shape, -np.inf), where=moves),
+               out=floor)
+    floor = np.clip(_surviving(floor, part, -np.inf).max(axis=-1, keepdims=True), 0.0, 1.0)
+    d *= floor
+    d += a
+    over = _overload(d, rating, part)
+    over[~np.broadcast_to(ok[part].reshape(count, 1, 2 * k), over.shape)] = np.inf
+    return over.reshape(count, -1).min(axis=1)
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,

@@ -116,8 +116,10 @@ class Network:
     of interdicted lines; ``Network.build`` defaults it to the total system
     demand, or 1 when that is zero. ``thread_cache`` is a ``threading.local`` in
     which solvers keep per-thread state built from the network, such as the
-    kept load-shed model of :mod:`nkshed.inner`; every new Network, including
-    one made by ``dataclasses.replace``, starts with an empty one.
+    kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
+    every thread reads, built once per network under a lock, such as the
+    oracle's zero-shed probe table. Every new Network, including one made by
+    ``dataclasses.replace``, starts with both empty.
     ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
     """
 
@@ -132,6 +134,8 @@ class Network:
     incidence: sparse.coo_array = field(init=False, repr=False, compare=False)
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     thread_cache: threading.local = field(init=False, repr=False, compare=False)
+    _shared: dict = field(init=False, repr=False, compare=False)
+    _shared_lock: threading.RLock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bus_ids = [b.id for b in self.buses]
@@ -162,6 +166,8 @@ class Network:
         object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "thread_cache", threading.local())
+        object.__setattr__(self, "_shared", {})
+        object.__setattr__(self, "_shared_lock", threading.RLock())
 
     @staticmethod
     def build(buses: list[Bus] | tuple[Bus, ...],
@@ -199,6 +205,19 @@ class Network:
         labels are unique across rows.
         """
         return _islands(*self.endpoint_positions(), len(self.buses), cuts)
+
+    def shared(self, key: str, build):
+        """The value ``build()`` returned for ``key`` on this network.
+
+        The first caller builds it while holding the network's lock, so it is
+        built once and every thread reads the same object. The lock is
+        reentrant: one build may read another key.
+        """
+        if key not in self._shared:
+            with self._shared_lock:
+                if key not in self._shared:
+                    self._shared[key] = build()
+        return self._shared[key]
 
     @cached_property
     def power_flow(self) -> "PowerFlow":

@@ -2,10 +2,16 @@
 
 Only intended for desk-scale instances; the subset count is checked against
 an explicit budget before any solving starts. Attacks are priced by
-``exact_etas``: an attack that a zero-shed probe dispatch, rerouted around
-it, serves within every rating gets eta 0.0 with no LP; every other attack
-gets ``exact_eta``, the load-shed LP with removed lines dropped by column
-bounds, with no big-M band, solved from the intact network's optimal basis.
+``exact_etas``: an attack that a zero-shed dispatch of the network's probe
+table serves within every rating, once rerouted around it, gets eta 0.0
+with no LP. The table is solved once per network, on first need, and read
+by every pricing thread: two intact probes, and per line two max-margin
+dispatches that carry nothing on that line, which settle an attack of
+k >= 2 lines along the segments from an intact probe to its own lines'
+dispatches.
+Every other attack gets ``exact_eta``, the load-shed LP with removed lines
+dropped by column bounds, with no big-M band, solved from the intact
+network's optimal basis.
 Either way an eta depends on its attack alone, not on the pricing order,
 the chunk or the thread. Etas within ``_TIE`` (relative, at least absolute)
 of the worst tie, and ties break toward the lexicographically smallest
@@ -106,12 +112,13 @@ def solve_exhaustive(
     """Evaluate every feasible attack and return the worst one.
 
     Attacks are priced by ``exact_etas`` on one thread per CPU this process
-    may run on, while they are enumerated: those a zero-shed probe settles
-    at 0.0 with no LP, the others by ``exact_eta`` from the intact
-    network's optimal basis on their thread's kept model. The result does
-    not depend on the thread count, and the first error in enumeration
-    order is raised. The winner is the smallest sorted line-id tuple among
-    the attacks within ``_TIE * max(1, |eta|)`` of the worst eta;
+    may run on, while they are enumerated: those a zero-shed dispatch of
+    the network's probe table settles at 0.0 with no LP, the others by
+    ``exact_eta`` from the intact network's optimal basis on their
+    thread's kept model. The result does not depend on the thread count,
+    and the first error in enumeration order is raised. The winner is the
+    smallest sorted line-id tuple among the attacks within
+    ``_TIE * max(1, |eta|)`` of the worst eta;
     ``best_eta`` is its eta re-solved by ``solve_inner``. ``ranking`` (with
     ``keep_ranking``) lists the exact etas worst first, in runs within that
     tolerance of each run's first eta, each run by line tuple, so it starts

@@ -194,6 +194,27 @@ def test_solve_objective_is_solve_lps_objective_from_any_basis():
         assert kept.solve_objective(kept.basis()) == pytest.approx(fresh.objective, abs=1e-12)
 
 
+def test_solve_lp_from_a_basis_is_solve_lp():
+    # The optimum of the same LP, and bitwise the same solution each time it
+    # starts from the same basis, whatever was solved in between.
+    kept, rows = _small_lp(*BOUNDS[0])
+    kept.solve_lp()
+    start = kept.basis()
+    for lo, hi in BOUNDS[1:] + BOUNDS:
+        kept.set_row_bounds(rows, lo, hi)
+        fresh = _small_lp(lo, hi)[0].solve_lp()
+        warm = kept.solve_lp(basis=start)
+        assert warm.objective == pytest.approx(fresh.objective, abs=1e-12)
+        kept.solve_lp()
+        assert _bits(kept.solve_lp(basis=start)) == _bits(warm)
+    other = Model("other")
+    other.add_vars(2, lb=0.0, ub=1.0, obj=[1.0, 1.0])
+    other.add_rows(np.ones((1, 2)), 1.0, 1.0)
+    other.solve_lp()
+    with pytest.raises(BackendError, match="small: HiGHS rejected the start basis"):
+        kept.solve_lp(basis=other.basis())
+
+
 def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
     mdl, rows = _small_lp(*BOUNDS[0])
     with pytest.raises(BackendError, match="no solve"):

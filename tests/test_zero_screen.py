@@ -1,14 +1,17 @@
 """The oracle's zero-shed screen: every attack ``exact_etas`` settles without
 an LP sheds nothing, a verdict depends on its attack alone, attacks that
-split an island go to the LP, and the screen spares most LPs on the 4x4
-lattice."""
+split an island go to the LP, the probe table is solved once per network,
+and the screen spares most LPs on the 4x4 and 6x6 lattices."""
 
 import random
+import sys
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkshed import backend, inner
 from nkshed import fixtures as fx
@@ -29,14 +32,22 @@ def _verdicts(net, plans) -> list[float]:
     """``exact_etas`` of ``plans`` with no LP: 0.0 where the screen settles
     an attack, ``UNSETTLED`` where it would send the attack to the LP."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inner, "exact_eta", lambda net, plan: UNSETTLED)
+        patch.setattr(inner, "exact_eta", lambda net, plan, positions=None: UNSETTLED)
         return exact_etas(net, plans)
+
+
+def _stage_one(net, plans) -> list[float]:
+    """``_verdicts`` with the screen's second stage, the probe segments, off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inner, "_segment_excess", lambda net, base, part, *_: np.full(
+            len(part), np.inf))
+        return _verdicts(net, plans)
 
 
 def _excess(net, subsets) -> np.ndarray:
     """The screen's overload of each attack, all of one size, in one call."""
     cuts = np.array([sorted(net.line_pos[l] for l in s) for s in subsets], dtype=int)
-    return inner._probe_excess(net, inner._zero_shed_probes(net), cuts.reshape(len(subsets), -1))
+    return inner._probe_excess(net, cuts.reshape(len(subsets), -1))
 
 
 @pytest.mark.parametrize("name", NETWORKS)
@@ -131,11 +142,10 @@ def test_spatial_empty_attack(name):
         assert _verdicts(net, [plan]) == [0.0 if eta == 0.0 else UNSETTLED]
 
 
-def test_the_screen_spares_most_lps_on_the_4x4_triples(monkeypatch):
-    # 1674 of the 2024 triples shed nothing; the screen settles at least
-    # 1000 of them, so at most 1024 pricing LPs run. The ranking is bitwise
-    # the one every attack priced by its own LP gives.
-    net, model = lattice(4, 4), AttackerModel.traditional(3)
+def _pricing_lps(monkeypatch, net, model, winner):
+    """The oracle's pricing LPs on ``net``: the ``exact-load-shed`` solves.
+    Checks the winner, and that the ranking is bitwise the one every attack
+    priced by its own LP gives."""
     lock, solves = threading.Lock(), []
     solve_objective = backend.Model.solve_objective
 
@@ -144,12 +154,87 @@ def test_the_screen_spares_most_lps_on_the_4x4_triples(monkeypatch):
             solves.append(self.name)
         return solve_objective(self, basis)
 
-    monkeypatch.setattr(backend.Model, "solve_objective", counted)
-    res = oracle.solve_exhaustive(net, model, keep_ranking=True)
-    assert res.evaluated == 2024
-    assert 0 < len(solves) <= 1024, len(solves)
-    assert res.best_attack.sorted_lines() == (1, 8, 11)
+    with monkeypatch.context() as patch:
+        patch.setattr(backend.Model, "solve_objective", counted)
+        res = oracle.solve_exhaustive(net, model, keep_ranking=True)
+    assert res.best_attack.sorted_lines() == winner
     assert res.best_eta == solve_inner(net, res.best_attack).eta
-    monkeypatch.setattr(oracle, "exact_etas",
-                        lambda net, plans: [exact_eta(net, plan) for plan in plans])
-    assert repr(oracle.solve_exhaustive(net, model, keep_ranking=True)) == repr(res)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "exact_etas",
+                      lambda net, plans: [exact_eta(net, plan) for plan in plans])
+        assert repr(oracle.solve_exhaustive(net, model, keep_ranking=True)) == repr(res)
+    return res, solves.count("exact-load-shed")
+
+
+def test_the_screen_spares_most_lps_on_the_4x4_triples(monkeypatch):
+    # 1674 of the 2024 triples shed nothing; the screen settles at least
+    # 1524 of them, so at most 500 pricing LPs run.
+    res, lps = _pricing_lps(monkeypatch, lattice(4, 4), AttackerModel.traditional(3),
+                            (1, 8, 11))
+    assert res.evaluated == 2024
+    assert 0 < lps <= 500, lps
+
+
+def test_the_screen_spares_most_lps_on_the_6x6_pairs(monkeypatch):
+    res, lps = _pricing_lps(monkeypatch, lattice(6, 6), AttackerModel.traditional(2),
+                            (46, 56))
+    assert res.evaluated == 1770
+    assert 0 < lps <= 340, lps
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
+    # One intact margin LP and two per line, whatever the thread count; every
+    # thread reads the same table, bitwise the one a lone caller builds.
+    net, model = lattice(4, 4), AttackerModel.traditional(3)
+    lock, solves, reads = threading.Lock(), [], set()
+    solve_lp, probe_rows = backend.Model.solve_lp, inner._probe_rows
+
+    def counted(self, *args, **kwargs):
+        with lock:
+            solves.append(self.name)
+        return solve_lp(self, *args, **kwargs)
+
+    def read(net):
+        rows, ok = probe_rows(net)
+        with lock:
+            reads.add((threading.get_ident(), rows.tobytes(), ok.tobytes(),
+                       inner._zero_shed_probes(net).tobytes()))
+        return rows, ok
+
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    monkeypatch.setattr(backend.Model, "solve_lp", counted)
+    monkeypatch.setattr(inner, "_probe_rows", read)
+    # Threads switch often, so two that both find the table missing would
+    # both solve it without the network's lock.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        oracle.solve_exhaustive(net, model)
+    finally:
+        sys.setswitchinterval(interval)
+    assert solves.count("max-margin") == 1 + 2 * len(net.lines)
+    threads = {r[0] for r in reads}
+    assert 1 <= len(threads) <= workers
+    assert len({r[1:] for r in reads}) == 1
+    alone = lattice(4, 4)
+    assert {r[1:] for r in reads} == {(*(a.tobytes() for a in probe_rows(alone)),
+                                       inner._zero_shed_probes(alone).tobytes())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_every_attack_a_segment_settles_sheds_nothing(seed, data):
+    # Random meshes and random 2- and 3-line attacks: an attack the second
+    # stage settles sheds nothing, and every verdict is the same alone and
+    # inside a chunk.
+    net = fx.random_mesh(seed)
+    lines = net.line_ids()
+    attack = st.sets(st.sampled_from(lines), min_size=2, max_size=min(3, len(lines)))
+    plans = [AttackPlan.of(s) for s in data.draw(st.lists(attack, min_size=1, max_size=24))]
+    chunk = _verdicts(net, plans)
+    assert list(map(repr, chunk)) == [repr(_verdicts(net, [plan])[0]) for plan in plans]
+    for plan, verdict, first in zip(plans, chunk, _stage_one(net, plans)):
+        if verdict == 0.0 and first == UNSETTLED:
+            assert repr(exact_eta(net, plan)) == "0.0", plan
+            assert solve_inner(net, plan).eta <= 1e-9, plan
