@@ -5,20 +5,20 @@ HiGHS as they are, one ranged row per model row: ``lo == hi`` is an
 equality and an infinite side is no constraint. ``Solution.dual[r]`` is
 d(objective)/d(active side of row r), so for a minimization it is
 nonnegative on a row held at its lower side, which is the convention the
-load-shed duals and their upper bounds are stated in.
+load-shed duals and their upper bounds are stated in. ``Solution.reduced[j]``
+is d(objective)/d(active bound of column j), in the same convention.
 
 LPs go through the HiGHS binding vendored in scipy
 (``scipy.optimize._highspy._core``), with the dual simplex and presolve on
 unless ``solve_lp(presolve=False)``. The first LP solve passes the LP to
 HiGHS; the HiGHS model then lives with the :class:`Model`,
-``set_row_bounds`` and ``set_col_bounds`` edit its row and column bounds in
-place (``changeRowBounds``, ``changeColsBounds``), and every solve clears
-HiGHS's solver state first (``linprog``, named after the scipy function it
-replaced). ``solve_lp`` is then a cold solve of exactly the LP a fresh
-:class:`Model` would pass. ``solve_objective``, and ``solve_lp`` when
-given one, start from a basis instead: one that ``basis`` took from an
-earlier solve of the same model, so the optimum depends on that basis and
-the bounds, never on the solves in between. The binding methods the
+``set_col_bounds`` edits its column bounds in place (``changeColsBounds``),
+and every solve clears HiGHS's solver state first (``linprog``, named after
+the scipy function it replaced). ``solve_lp`` is then a cold solve of
+exactly the LP a fresh :class:`Model` would pass. ``solve_objective``, and
+``solve_lp`` when given one, start from a basis instead: one that ``basis``
+took from an earlier solve of the same model, so the optimum depends on
+that basis and the bounds, never on the solves in between. The binding methods the
 backend calls (``tests/test_backend.py`` lists them) are checked on scipy
 1.17.1, and by CI on the scipy floor. MILPs go through the public ``milp``.
 HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
@@ -120,13 +120,15 @@ class BackendError(RuntimeError):
 
 @dataclass
 class Solution:
-    """``dual`` holds one entry per model row (LP only); ``dual_bound`` is
-    HiGHS's proven lower bound on the objective (MILP only)."""
+    """``dual`` holds one entry per model row and ``reduced`` one per column
+    (LP only); ``dual_bound`` is HiGHS's proven lower bound on the objective
+    (MILP only)."""
 
     status: str
     objective: float
     x: np.ndarray
     dual: np.ndarray | None = None
+    reduced: np.ndarray | None = None
     dual_bound: float = np.nan
 
     @property
@@ -137,8 +139,8 @@ class Solution:
 class Model:
     """Incrementally built linear model, solvable as an LP or a MILP.
 
-    Rows enter as blocks through ``add_rows``; ``add_eq``, ``add_ge`` and
-    ``add_le`` are its one-row cases.
+    Rows enter as blocks through ``add_rows``; ``add_eq`` and ``add_le`` are
+    its one-row cases.
     """
 
     def __init__(self, name: str = ""):
@@ -200,15 +202,15 @@ class Model:
 
     # -- rows --------------------------------------------------------------------
 
-    def add_rows(self, mat, lo, hi, col_offset: int = 0) -> range:
-        """Append ``lo <= mat @ x[col_offset:col_offset + mat.shape[1]] <= hi``.
+    def add_rows(self, mat, lo, hi) -> range:
+        """Append ``lo <= mat @ x[:mat.shape[1]] <= hi``.
 
         ``lo`` and ``hi`` are scalars or one value per row; ``lo == hi`` makes
         an equality and an infinite side is no constraint. Returns the range
         of row indices added, which index ``Solution.dual``.
         """
         block = mat.tocoo() if sparse.issparse(mat) else sparse.coo_array(mat)
-        return self._append(block.shape[0], block.row, block.col + col_offset, block.data, lo, hi)
+        return self._append(block.shape[0], block.row, block.col, block.data, lo, hi)
 
     def _add_row(self, cols, vals, lo: float, hi: float) -> int:
         c = np.asarray(cols, dtype=int)
@@ -225,35 +227,8 @@ class Model:
         self.num_rows += n
         return range(start, self.num_rows)
 
-    def set_row_bounds(self, rows, lo, hi) -> None:
-        """Set ``lo <= row <= hi`` on rows already added.
-
-        ``lo`` and ``hi`` are scalars or one value per row. A row cannot
-        become or cease to be an equality: that raises ``ValueError``. A live
-        HiGHS LP receives the rows whose sides changed.
-        """
-        rows = np.asarray(rows, dtype=int)
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), rows.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), rows.shape)
-        _check_sides(self.name, lo, hi)
-        if len(self._rows) > 1:
-            self._rows = [tuple(np.concatenate(p) for p in zip(*self._rows))]
-        row_lo, row_hi = self._rows[0][3:]
-        if np.any((lo == hi) != (row_lo[rows] == row_hi[rows])):
-            raise ValueError("set_row_bounds cannot change whether a row is an equality")
-        if self._lp is not None:
-            lp, at = self._lp
-            changed = (lo != row_lo[rows]) | (hi != row_hi[rows])
-            for r, l, h in zip(at[rows[changed]].tolist(), lo[changed].tolist(),
-                               hi[changed].tolist()):
-                lp.changeRowBounds(r, l, h)
-        row_lo[rows], row_hi[rows] = lo, hi
-
     def add_eq(self, cols, vals, rhs: float) -> int:
         return self._add_row(cols, vals, rhs, rhs)
-
-    def add_ge(self, cols, vals, rhs: float) -> int:
-        return self._add_row(cols, vals, rhs, np.inf)
 
     def add_le(self, cols, vals, rhs: float) -> int:
         return self._add_row(cols, vals, -np.inf, rhs)
@@ -309,11 +284,13 @@ class Model:
         """Solve the continuous relaxation; integer markers are ignored.
 
         The first solve passes the LP to HiGHS; later solves re-solve it from
-        scratch, after any ``set_row_bounds`` or ``set_col_bounds``, or
-        from ``basis``, a ``basis()`` of this model, when one is given.
-        ``presolve`` applies to this solve only. ``dual[r]`` is
-        d(objective)/d(active side of row r): for a minimization it is >= 0
-        on a ``>=`` row, <= 0 on a ``<=`` row and free on an equality.
+        scratch, after any ``set_col_bounds``, or from ``basis``, a
+        ``basis()`` of this model, when one is given. ``presolve`` applies
+        to this solve only. ``dual[r]`` is d(objective)/d(active side of
+        row r): for a minimization it is >= 0 on a ``>=`` row, <= 0 on a
+        ``<=`` row and free on an equality. ``reduced[j]`` is
+        d(objective)/d(active bound of column j), likewise >= 0 at a lower
+        bound, <= 0 at an upper one and free on a fixed column.
         """
         lp, at = self._live_lp()
         lp.setOptionValue("presolve", "on" if presolve else "off")
@@ -326,7 +303,7 @@ class Model:
             return Solution(status, np.nan, np.zeros(self.num_vars))
         res = lp.getSolution()
         return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(res.col_value),
-                        np.asarray(res.row_dual)[at])
+                        np.asarray(res.row_dual)[at], np.asarray(res.col_dual))
 
     def solve_objective(self, basis) -> float:
         """The optimal objective of the continuous relaxation, and nothing else.

@@ -38,7 +38,7 @@ from scipy import sparse
 
 from .attackers import SpatialFootprint, encode_feasible_set
 from .backend import Model
-from .inner import add_dc_network, line_pairs
+from .inner import DCColumns, add_dc_network
 from .netmodel import AttackerModel, Network, total_load
 
 __all__ = ["DualBounds", "heuristic_bounds", "valid_bounds"]
@@ -55,9 +55,9 @@ FLOW_DEAD_TOL = 1e-6
 class DualBounds:
     """Per-line penalty rates, indexed by line position.
 
-    The flow/angle coupling rows of an interdicted line carry zero duals
-    once big-M is large enough, so a line needs one rate only: its thermal
-    pair's, charged on the flow in either direction.
+    An interdicted line's coupling is dropped from the load-shed LP, so its
+    duals are zero and a line needs one rate only: its thermal pair's,
+    charged on the flow in either direction.
     """
 
     rate: np.ndarray
@@ -78,6 +78,16 @@ class DualBounds:
 def heuristic_bounds(net: Network) -> DualBounds:
     """Unit rates for every line."""
     return DualBounds(rate=np.ones(len(net.lines)), mode=HEURISTIC)
+
+
+def _line_pairs(dc: DCColumns) -> sparse.coo_array:
+    """Per line the rows coupling, -coupling, flow and -flow, in model columns."""
+    cpl, line = dc.coupling, np.arange(len(dc.flow))
+    return sparse.coo_array(
+        (np.concatenate([cpl.data, -cpl.data, np.ones(len(line)), -np.ones(len(line))]),
+         (np.concatenate([4 * cpl.row, 4 * cpl.row + 1, 4 * line + 2, 4 * line + 3]),
+          np.concatenate([cpl.col, cpl.col, dc.flow, dc.flow]))),
+        shape=(4 * len(line), cpl.shape[1]))
 
 
 def _flow_extreme_lp(net: Network, model: AttackerModel,
@@ -109,7 +119,7 @@ def _flow_extreme_lp(net: Network, model: AttackerModel,
         shape=(4 * m, mdl.num_vars))
     lo = np.column_stack([np.zeros(m), np.zeros(m), -t, -t])
     lo[line_pos, :2] = -big_m
-    mdl.add_rows(line_pairs(dc) + relax, lo.ravel(), np.inf)
+    mdl.add_rows(_line_pairs(dc) + relax, lo.ravel(), np.inf)
 
     mdl.set_objective_coef(int(dc.flow[line_pos]), -sign)  # min -sign*p == max sign*p
     sol = mdl.solve_lp()

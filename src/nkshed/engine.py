@@ -73,7 +73,8 @@ class SolveConfig:
     """Solver knobs. Defaults: 1% relative tolerance, heuristic penalty rates.
 
     ``epsilon`` is the relative gap at which the loop stops (floored by
-    ``abs_floor`` near zero shed) and ``max_iters`` caps the attacks priced.
+    ``abs_floor`` near zero shed), both finite and > 0 so the gap is always
+    defined, and ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
     ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs), so
     it acts only past either budget (``ENUMERATION_BUDGET`` or
@@ -89,8 +90,9 @@ class SolveConfig:
     distance_mode: str = "haversine"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        for name in ("epsilon", "abs_floor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.bounds_mode not in (HEURISTIC, VALID):

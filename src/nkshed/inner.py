@@ -1,12 +1,13 @@
 """Defender response: minimum load shed under DC power flow for a fixed attack.
 
-``solve_inner`` solves the load-shed LP exactly. It relaxes each interdicted
-line's flow/angle coupling to a +-M band, certifies M by that band's duals,
-and references angles per island.
-
-``exact_eta`` solves the same LP with no band: a removed line's coupling
-row gets a free slack column, so an attack changes only column bounds, and
-each solve starts from the intact network's optimal basis. It gives eta
+Both calls that price one attack solve one LP, on this thread's one kept
+model of the network: per line e, a coupling row ``coupling_e - z_e = 0``
+with a slack column ``z_e``, fixed at 0 while e is in. A removed line's
+flow is fixed at 0 and its slack freed, which drops its coupling, so an
+attack changes only column bounds and no band or big-M enters the LP.
+``solve_inner`` solves it cold and returns the whole optimum: shed,
+generation, flows, angles per island and the line duals. ``exact_eta``
+starts each solve from the intact network's optimal basis and gives eta
 alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
 etas of many attacks: it settles at 0.0 with no LP each attack that a
 zero-shed dispatch, rerouted around it by DC power flow, serves within
@@ -26,15 +27,10 @@ are built by ``add_dc_network``: it adds the network's columns and flow-balance
 rows as sparse blocks from the cached incidence matrix and returns the
 per-line coupling block. Each caller then adds only its own bounds,
 right-hand sides and extra columns.
-
-Sign conventions: every line constraint is kept in ``>=`` canonical form so
-all four dual families (two for the flow/angle coupling, two for the thermal
-pair) are nonnegative at the optimum.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -47,12 +43,6 @@ from .netmodel import BATCH_ENTRIES, AttackerModel, Network, PowerFlow, _islands
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
            "response_shed"]
-
-# The +-M band of an interdicted line's coupling is accepted once both its
-# duals are at most this; otherwise M is doubled, at most this many times.
-_BAND_DUAL_TOL = 1e-8
-_MAX_M_DOUBLINGS = 10
-
 
 @dataclass(frozen=True)
 class AttackPlan:
@@ -93,6 +83,12 @@ class AttackPlan:
 class InnerSolution:
     """Optimal defender response to one attack.
 
+    The duals are those of the four ``>=`` rows per line that the LP's
+    equality and bounds stand for, so all are nonnegative: ``duals_mu`` of
+    ``coupling_e >= 0`` and ``-coupling_e >= 0`` (both 0 on a removed line,
+    whose slack is free), ``duals_pi`` of ``flow_e >= -rating_e`` and
+    ``-flow_e >= -rating_e`` (rating 0 on a removed line).
+
     ``angle`` is computed when first read: the solve's bus angles with the
     first bus of each island of the surviving network at zero. For that the
     solution keeps the raw angles, the removed line positions, the line
@@ -107,8 +103,6 @@ class InnerSolution:
     duals_pi: dict[int, tuple[float, float]]
     status: str
     attack: AttackPlan
-    big_m_used: float
-    big_m_ok: bool = True
     _angle_from: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
@@ -169,121 +163,35 @@ def add_dc_network(mdl: Model, net: Network, shed_cost) -> DCColumns:
     return DCColumns(shed, gen, ang, flow, coupling)
 
 
-def line_pairs(dc: DCColumns) -> sparse.coo_array:
-    """Per line the rows coupling, -coupling, flow and -flow, in model columns."""
-    cpl, line = dc.coupling, np.arange(len(dc.flow))
-    return sparse.coo_array(
-        (np.concatenate([cpl.data, -cpl.data, np.ones(len(line)), -np.ones(len(line))]),
-         (np.concatenate([4 * cpl.row, 4 * cpl.row + 1, 4 * line + 2, 4 * line + 3]),
-          np.concatenate([cpl.col, cpl.col, dc.flow, dc.flow]))),
-        shape=(4 * len(line), cpl.shape[1]))
+class SlackModel(NamedTuple):
+    """A ``_slack_model``: the model, its columns, its coupling rows, its
+    flow columns then slack columns, and their intact bounds."""
+
+    mdl: Model
+    dc: DCColumns
+    coupling: range
+    cols: np.ndarray
+    intact: np.ndarray
 
 
-def _load_shed_model(net: Network) -> tuple[Model, DCColumns, range]:
-    """This thread's load-shed model of ``net``, built once with no attack.
-
-    Returns the model, its columns and its 4m line rows: mu1, mu2, pi1, pi2
-    of each line in turn, all ``>=`` rows. An attack changes only their
-    lower sides. The model lives in ``net.thread_cache``, so it is per
-    thread, because one HiGHS model must not be solved by two threads at
-    once, and it goes with the network.
-    """
-    entry = getattr(net.thread_cache, "load_shed", None)
-    if entry is None:
-        mdl = Model("load-shed")
-        dc = add_dc_network(mdl, net, net.demand_vector())
-        rows = mdl.add_rows(line_pairs(dc), _line_row_lo(net, np.zeros(len(net.lines)), 0.0),
-                            np.inf)
-        entry = net.thread_cache.load_shed = (mdl, dc, rows)
-    return entry
-
-
-def _line_row_lo(net: Network, x: np.ndarray, m_val: float) -> np.ndarray:
-    """Lower sides of the line rows: the +-M band on interdicted couplings
-    and the thermal pair, zero on interdicted lines."""
-    relax, cap = -m_val * x, net.thermal_vector() * (1.0 - x)
-    return np.column_stack([relax, relax, -cap, -cap]).ravel()
-
-
-def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
-    """Minimum load shed with the attacked lines removed.
-
-    Always feasible (the operator can shed everything), so the result is
-    optimal or an exception is raised. The coupling of each interdicted line
-    is relaxed to a +-M band, starting at ``net.big_M``. A solve is accepted
-    once both band duals of every interdicted line are at most 1e-8: an
-    optimum whose band duals vanish is optimal for the LP without the bands,
-    so eta is the shed of the removed lines. Otherwise M is doubled and the
-    LP re-solved, at most 10 times. ``big_m_used`` is the M of the accepted
-    solve and ``big_m_ok`` whether its band duals vanished. Angles are
-    reported relative to the first bus of each island of the surviving
-    network, computed when first read.
-
-    Each thread keeps one model per network; an attack, or a doubling of M,
-    only changes its line rows' bounds, and every solve starts cold.
-    """
-    x = np.zeros(len(net.lines))
-    x[_line_positions(net, attack)] = 1.0
-    cut = x > 0.5
-    mdl, dc, rows = _load_shed_model(net)
-    # The band is mu1 and mu2 of each interdicted line.
-    band = rows.start + 4 * np.flatnonzero(cut)[:, None] + np.arange(2)
-    m_val = float(net.big_M)
-    for attempt in range(_MAX_M_DOUBLINGS + 1):
-        mdl.set_row_bounds(rows, _line_row_lo(net, x, m_val), np.inf)
-        try:
-            sol = mdl.solve_lp()
-        except BackendError as err:
-            raise BackendError(
-                f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
-        ok = bool(np.all(np.abs(sol.dual[band]) <= _BAND_DUAL_TOL))
-        if ok or attempt == _MAX_M_DOUBLINGS:
-            break
-        m_val *= 2.0
-    if not ok:
-        warnings.warn(
-            f"interdicted-line coupling duals above {_BAND_DUAL_TOL} after "
-            f"{_MAX_M_DOUBLINGS} big-M doublings; eta may overstate the shed",
-            RuntimeWarning,
-        )
-
-    bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
-    duals = sol.dual[rows.start:rows.stop].reshape(-1, 2, 2).tolist()
-    return InnerSolution(
-        eta=float(sol.objective),
-        shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
-        flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
-        gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
-        duals_mu={lid: tuple(d[0]) for lid, d in zip(line_ids, duals)},
-        duals_pi={lid: tuple(d[1]) for lid, d in zip(line_ids, duals)},
-        status=sol.status,
-        attack=attack,
-        big_m_used=m_val,
-        big_m_ok=ok,
-        _angle_from=(sol.x[dc.ang], np.flatnonzero(cut), *net.endpoint_positions(), bus_ids),
-    )
-
-
-def _slack_model(name: str, net: Network, shed_cost,
-                 rating) -> tuple[Model, DCColumns, np.ndarray, np.ndarray]:
+def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     """A model of ``net`` in which a line comes out by column bounds alone.
 
-    The rows are the balance rows and, per line e, ``coupling_e - z_e = 0``
-    with a slack column ``z_e``. Returns the model, its columns, the flow
-    columns then the slack columns, and their bounds on the intact network
-    (lower and upper, each flow then slack per line: flow within
-    ``rating``, slack at 0). ``_bounds_out`` gives the bounds with lines out.
+    The rows are the balance rows and, per line e, the coupling row
+    ``coupling_e - z_e = 0`` with a slack column ``z_e``. The intact bounds
+    are lower and upper, each flow then slack per line: flow within
+    ``rating``, slack at 0. ``_bounds_out`` gives the bounds with lines out.
     """
     mdl = Model(name)
     dc = add_dc_network(mdl, net, shed_cost)
     m = len(net.lines)
     z = mdl.add_vars(m, lb=0.0, ub=0.0)
-    mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
+    coupling = mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
     cols = np.concatenate([dc.flow, z]).astype(np.int32)
     intact = np.zeros((2, 2, m))
     intact[0, 0], intact[1, 0] = -rating, rating
     mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-    return mdl, dc, cols, intact
+    return SlackModel(mdl, dc, coupling, cols, intact)
 
 
 # Lower and upper bound (rows) of a line's flow and slack (columns): removed,
@@ -303,45 +211,84 @@ def _bounds_out(intact: np.ndarray, positions,
     return tuple(bounds.reshape(2, -1))
 
 
-def _exact_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
-                                        np.ndarray | None]:
-    """This thread's exact load-shed model of ``net``, built once with no attack.
+def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
+    """This thread's load-shed model of ``net``, built once with no attack.
 
-    A ``_slack_model`` with flows within their ratings. Returns the model,
-    the optimal basis of the intact network, the flow and slack columns,
-    their intact bounds and the per-bus generation of the intact optimum if
-    it sheds nothing, else None. Kept in ``net.thread_cache`` like the
-    load-shed model.
+    A ``_slack_model`` with flows within their ratings, the one model that
+    ``solve_inner`` and ``exact_eta`` solve. Returns it, the optimal basis
+    of the intact network and the per-bus generation of the intact optimum
+    if it sheds nothing, else None. It lives in ``net.thread_cache``, so it
+    is per thread, because one HiGHS model must not be solved by two
+    threads at once, and it goes with the network.
     """
     entry = getattr(net.thread_cache, "exact", None)
     if entry is None:
-        mdl, dc, cols, intact = _slack_model("exact-load-shed", net, net.demand_vector(),
-                                             net.thermal_vector())
-        sol = mdl.solve_lp(presolve=False)
-        gen = sol.x[dc.gen] if sol.objective <= 0.0 else None
-        entry = net.thread_cache.exact = (mdl, mdl.basis(), cols, intact, gen)
+        slack = _slack_model("exact-load-shed", net, net.demand_vector(), net.thermal_vector())
+        sol = slack.mdl.solve_lp(presolve=False)
+        gen = sol.x[slack.dc.gen] if sol.objective <= 0.0 else None
+        entry = net.thread_cache.exact = (slack, slack.mdl.basis(), gen)
     return entry
 
 
-def exact_eta(net: Network, attack: AttackPlan, positions=None) -> float:
-    """Minimum load shed with the attacked lines removed, with no band.
+def _by_sign(values: np.ndarray) -> list:
+    """Per entry the pair (max(v, 0), max(-v, 0))."""
+    return np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)]).tolist()
 
-    A removed line's flow is fixed at 0 and its slack is freed, which drops
-    its angle coupling, so nothing depends on ``net.big_M``. An attack
-    changes only column bounds of this thread's kept model, so the intact
-    network's optimal basis is a valid basis of every attack's LP and one
-    shared start: each solve clears HiGHS's solver state and runs the dual
-    simplex from that basis, which repairs what the attack leaves primal or
-    dual infeasible (a freed slack whose coupling row had a nonzero dual).
-    Eta thus depends on the attack alone, not on the attacks priced before
-    it or on the thread. Any optimal vertex gives the same eta, so only eta
-    is returned. ``positions``, the attacked lines' positions, spares
-    looking them up when the caller has them.
+
+def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
+    """Minimum load shed with the attacked lines removed.
+
+    Always feasible (the operator can shed everything), so the result is
+    optimal or an exception is raised. The LP is ``exact_eta``'s, on the
+    same kept model, solved cold with presolve on, so the optimum depends
+    on the attack alone. The duals come from the same solve: ``duals_mu``
+    splits each line's coupling-row dual by sign, and ``duals_pi`` each
+    flow column's reduced cost (see :class:`InnerSolution`). Angles are
+    reported relative to the first bus of each island of the surviving
+    network, computed when first read.
     """
-    mdl, basis, cols, intact, _ = _exact_model(net)
+    positions = _line_positions(net, attack)
+    slack = _exact_model(net)[0]
+    mdl, dc = slack.mdl, slack.dc
+    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
+    try:
+        sol = mdl.solve_lp()
+    except BackendError as err:
+        raise BackendError(
+            f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
+    bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
+    return InnerSolution(
+        eta=float(sol.objective),
+        shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
+        flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
+        gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
+        duals_mu=dict(zip(line_ids, map(tuple, _by_sign(sol.dual[slack.coupling])))),
+        duals_pi=dict(zip(line_ids, map(tuple, _by_sign(sol.reduced[dc.flow])))),
+        status=sol.status,
+        attack=attack,
+        _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions(), bus_ids),
+    )
+
+
+def exact_eta(net: Network, attack: AttackPlan, positions=None) -> float:
+    """Minimum load shed with the attacked lines removed: eta alone.
+
+    The LP of ``solve_inner``, on the same kept model. An attack changes
+    only column bounds, so the intact network's optimal basis is a valid
+    basis of every attack's LP and one shared start: each solve clears
+    HiGHS's solver state and runs the dual simplex from that basis, which
+    repairs what the attack leaves primal or dual infeasible (a freed slack
+    whose coupling row had a nonzero dual). Eta thus depends on the attack
+    alone, not on the attacks priced, or the ``solve_inner`` calls made,
+    before it or on the thread. Any optimal vertex gives the same eta, so
+    only eta is returned. ``positions``, the attacked lines' positions,
+    spares looking them up when the caller has them.
+    """
+    slack, basis, _ = _exact_model(net)
     if positions is None:
         positions = _line_positions(net, attack)
-    mdl.set_col_bounds(cols, *_bounds_out(intact, positions))
+    mdl = slack.mdl
+    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
     try:
         return mdl.solve_objective(basis)
     except BackendError as err:
@@ -385,7 +332,7 @@ def _margin_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
     its lock.
     """
     def build():
-        mdl, dc, cols, intact = _slack_model("max-margin", net, 0.0, np.inf)
+        mdl, dc, _, cols, intact = _slack_model("max-margin", net, 0.0, np.inf)
         mdl.set_col_bounds(dc.shed, 0.0, 0.0)
         t = mdl.add_var(obj=1.0)
         m, pair = len(net.lines), np.arange(2 * len(net.lines))
@@ -411,7 +358,7 @@ def _zero_shed_probes(net: Network) -> np.ndarray:
     """
     def build():
         demand, ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
-        gens = [g for g in (_exact_model(net)[4], _margin_model(net)[5]) if g is not None]
+        gens = [g for g in (_exact_model(net)[2], _margin_model(net)[5]) if g is not None]
         return np.array([(g - demand) @ ptdf_t for g in gens]).reshape(-1, len(net.lines))
 
     return net.shared("zero-shed probes", build)

@@ -112,9 +112,11 @@ class Network:
 
     ``bus_pos`` and ``line_pos`` map ids to positions. ``incidence`` is a
     sparse bus-by-line matrix in position order: -1 at a line's from bus,
-    +1 at its to bus. ``big_M`` is the first band on the flow/angle coupling
-    of interdicted lines; ``Network.build`` defaults it to the total system
-    demand, or 1 when that is zero. ``thread_cache`` is a ``threading.local`` in
+    +1 at its to bus. ``big_M`` is the coupling band of the valid-rate
+    relaxation LPs in :mod:`nkshed.bounds` and the rating that
+    ``parse_case`` gives a line with ``rateA = 0``; the load-shed LP has no
+    band. ``Network.build`` defaults it to the total system demand, or 1
+    when that is zero. ``thread_cache`` is a ``threading.local`` in
     which solvers keep per-thread state built from the network, such as the
     kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
     every thread reads, built once per network under a lock, such as the

@@ -16,8 +16,9 @@ Either way an eta depends on its attack alone, not on the pricing order,
 the chunk or the thread. Etas within ``_TIE`` (relative, at least absolute)
 of the worst tie, and ties break toward the lexicographically smallest
 sorted line-id tuple, so results (and golden files) are stable across runs
-and LP vertices. The winner is re-solved by ``solve_inner``, the LP the
-engine prices with, for the reported eta.
+and LP vertices. The winner is re-solved by ``solve_inner``, the same LP
+solved cold for its whole optimum, as the engine prices, for the
+reported eta.
 
 ``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
 feasible set; the engine's enumerated master walks the same attacks in the

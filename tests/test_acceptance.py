@@ -112,7 +112,6 @@ def test_criterion_3_interdicted_coupling_duals_vanish():
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
         sol = solve_inner(net, AttackPlan.of(attack))
-        assert sol.big_m_ok, (name, attack)
         for lid in attack:
             mu1, mu2 = sol.duals_mu[lid]
             assert abs(mu1) <= 1e-8 and abs(mu2) <= 1e-8, (name, attack, lid)

@@ -1,5 +1,6 @@
-"""LP/MILP backend: ranged rows, duals by finite differences, MILPs by
-enumeration, and a kept HiGHS model re-solving exactly like a fresh one."""
+"""LP/MILP backend: ranged rows, row duals and reduced costs by finite
+differences, MILPs by enumeration, and a kept HiGHS model re-solving
+exactly like a fresh one."""
 
 import ast
 import itertools
@@ -19,14 +20,6 @@ BOUNDS = [
     ([2.0, 0.0, -np.inf, -1.0], [2.0, np.inf, 2.0, 1.5]),
     ([1.5, -0.0, -np.inf, 0.0], [1.5, np.inf, 9.0, 0.5]),
 ]
-# Updates of BOUNDS[0] that change which sides of a row are finite.
-FINITE_SIDE_CHANGES = [
-    (1, -1.0, 7.0),       # >= row gains an upper side
-    (2, 0.0, 6.0),        # <= row gains a lower side
-    (3, -np.inf, 3.0),    # range loses its lower side
-]
-
-
 # Column bounds of the small LP: as built, one column fixed, and some sides
 # infinite.
 COL_BOUNDS = [
@@ -43,39 +36,8 @@ def _small_lp(lo, hi, lb=COL_BOUNDS[0][0], ub=COL_BOUNDS[0][1]) -> tuple[Model, 
 
 
 def _bits(sol):
-    return sol.status, repr(sol.objective), sol.x.tobytes(), sol.dual.tobytes()
-
-
-def test_set_row_bounds_resolves_like_a_fresh_model():
-    kept, rows = _small_lp(*BOUNDS[0])
-    kept.solve_lp()
-    steps = BOUNDS[1:] + BOUNDS
-    lo, hi = (np.array(b) for b in BOUNDS[0])
-    for row, l, h in FINITE_SIDE_CHANGES:
-        lo[row], hi[row] = l, h
-        steps.append((lo.copy(), hi.copy()))
-    for lo, hi in steps:
-        kept.set_row_bounds(rows, lo, hi)
-        assert _bits(kept.solve_lp()) == _bits(_small_lp(lo, hi)[0].solve_lp()), (lo, hi)
-
-
-@pytest.mark.parametrize("row, lo, hi", FINITE_SIDE_CHANGES)
-def test_set_row_bounds_changing_finite_sides_resolves_like_a_fresh_model(row, lo, hi):
-    kept, rows = _small_lp(*BOUNDS[0])
-    kept.solve_lp()
-    kept.set_row_bounds([row], lo, hi)
-    new_lo, new_hi = np.array(BOUNDS[0])
-    new_lo[row], new_hi[row] = lo, hi
-    assert _bits(kept.solve_lp()) == _bits(_small_lp(new_lo, new_hi)[0].solve_lp())
-
-
-def test_set_row_bounds_on_some_rows_keeps_the_others():
-    kept, rows = _small_lp(*BOUNDS[0])
-    kept.solve_lp()
-    kept.set_row_bounds([1, 3], [0.5, -1.0], [np.inf, 1.5])
-    lo, hi = np.array(BOUNDS[0])
-    lo[[1, 3]], hi[[1, 3]] = [0.5, -1.0], [np.inf, 1.5]
-    assert _bits(kept.solve_lp()) == _bits(_small_lp(lo, hi)[0].solve_lp())
+    return (sol.status, repr(sol.objective), sol.x.tobytes(), sol.dual.tobytes(),
+            sol.reduced.tobytes())
 
 
 def test_rows_and_columns_added_after_a_solve_reach_highs():
@@ -87,28 +49,6 @@ def test_rows_and_columns_added_after_a_solve_reach_highs():
     fresh.add_var(lb=0.0, ub=1.0, obj=-5.0)
     fresh.add_le([0, x], [1.0, 1.0], 2.0)
     assert _bits(kept.solve_lp()) == _bits(fresh.solve_lp())
-
-
-@pytest.mark.parametrize("row, lo, hi", [
-    (0, 4.0, 5.0),        # equality -> range
-    (3, 1.0, 1.0),        # range -> equality
-])
-def test_set_row_bounds_rejects_a_change_of_sense(row, lo, hi):
-    mdl, _ = _small_lp(*BOUNDS[0])
-    before = _bits(mdl.solve_lp())
-    with pytest.raises(ValueError, match="equality"):
-        mdl.set_row_bounds([row], lo, hi)
-    assert _bits(mdl.solve_lp()) == before
-
-
-@pytest.mark.parametrize("row, lo, hi", [(1, np.nan, np.inf), (1, np.inf, np.inf),
-                                         (2, -np.inf, -np.inf), (3, 0.0, np.nan)])
-def test_set_row_bounds_rejects_nan_or_an_infinity_inside_the_row(row, lo, hi):
-    mdl, _ = _small_lp(*BOUNDS[0])
-    before = _bits(mdl.solve_lp())
-    with pytest.raises(ValueError, match="finite"):
-        mdl.set_row_bounds([row], lo, hi)
-    assert _bits(mdl.solve_lp()) == before
 
 
 @pytest.mark.parametrize("presolve", [True, False])
@@ -184,12 +124,12 @@ def test_batched_col_bounds_over_many_updates_resolve_like_a_fresh_model():
 
 
 def test_solve_objective_is_solve_lps_objective_from_any_basis():
-    kept, rows = _small_lp(*BOUNDS[0])
+    kept, _ = _small_lp(*BOUNDS[0])
     kept.solve_lp()
     start = kept.basis()
-    for lo, hi in BOUNDS[1:] + BOUNDS:
-        kept.set_row_bounds(rows, lo, hi)
-        fresh = _small_lp(lo, hi)[0].solve_lp()
+    for lb, ub in COL_BOUNDS[1:] + COL_BOUNDS:
+        kept.set_col_bounds(range(3), lb, ub)
+        fresh = _small_lp(*BOUNDS[0], lb, ub)[0].solve_lp()
         assert kept.solve_objective(start) == pytest.approx(fresh.objective, abs=1e-12)
         assert kept.solve_objective(kept.basis()) == pytest.approx(fresh.objective, abs=1e-12)
 
@@ -197,12 +137,12 @@ def test_solve_objective_is_solve_lps_objective_from_any_basis():
 def test_solve_lp_from_a_basis_is_solve_lp():
     # The optimum of the same LP, and bitwise the same solution each time it
     # starts from the same basis, whatever was solved in between.
-    kept, rows = _small_lp(*BOUNDS[0])
+    kept, _ = _small_lp(*BOUNDS[0])
     kept.solve_lp()
     start = kept.basis()
-    for lo, hi in BOUNDS[1:] + BOUNDS:
-        kept.set_row_bounds(rows, lo, hi)
-        fresh = _small_lp(lo, hi)[0].solve_lp()
+    for lb, ub in COL_BOUNDS[1:] + COL_BOUNDS:
+        kept.set_col_bounds(range(3), lb, ub)
+        fresh = _small_lp(*BOUNDS[0], lb, ub)[0].solve_lp()
         warm = kept.solve_lp(basis=start)
         assert warm.objective == pytest.approx(fresh.objective, abs=1e-12)
         kept.solve_lp()
@@ -216,7 +156,7 @@ def test_solve_lp_from_a_basis_is_solve_lp():
 
 
 def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
-    mdl, rows = _small_lp(*BOUNDS[0])
+    mdl, _ = _small_lp(*BOUNDS[0])
     with pytest.raises(BackendError, match="no solve"):
         mdl.basis()
     other = Model("other")
@@ -227,7 +167,7 @@ def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
         mdl.solve_objective(other.basis())
     mdl.solve_lp()
     start = mdl.basis()
-    mdl.set_row_bounds(rows[:1], 40.0, 40.0)
+    mdl.set_col_bounds(range(3), 0.0, 1.0)  # row 0 needs a sum of 4
     with pytest.raises(BackendError, match="infeasible"):
         mdl.solve_objective(start)
 
@@ -259,13 +199,13 @@ def test_every_binding_name_the_backend_uses_exists():
 
 
 def test_infeasible_lp_reports_status_or_raises():
-    mdl, rows = _small_lp(*BOUNDS[0])
+    mdl, _ = _small_lp(*BOUNDS[0])
     mdl.solve_lp()
-    mdl.set_row_bounds(rows[:1], 40.0, 40.0)
+    mdl.set_col_bounds(range(3), 0.0, 1.0)  # row 0 needs a sum of 4
     assert mdl.solve_lp(require_optimal=False).status == INFEASIBLE
     with pytest.raises(BackendError, match="infeasible"):
         mdl.solve_lp()
-    mdl.set_row_bounds(rows[:1], 4.0, 4.0)
+    mdl.set_col_bounds(range(3), *COL_BOUNDS[0])
     assert _bits(mdl.solve_lp()) == _bits(_small_lp(*BOUNDS[0])[0].solve_lp())
 
 
@@ -322,6 +262,40 @@ def test_row_duals_are_finite_differences_of_the_objective():
             obj.append(_dual_lp(sides["lo"], sides["hi"]).solve_lp().objective)
         assert sol.dual[r] != 0.0
         assert sol.dual[r] == pytest.approx((obj[1] - obj[0]) / (2 * h), abs=1e-9), r
+
+
+# Columns of the reduced-cost LP, one equality row x0 + x1 + x2 + x3 = 20:
+# cost, lb, ub and the bound active at the optimum. The last column is
+# basic and prices the row at 0.5.
+REDUCED_COLS = [
+    (2.0, 1.0, 5.0, "lb"),
+    (-1.0, 0.0, 3.0, "ub"),
+    (4.0, 2.0, 2.0, "lb"),      # fixed
+    (0.5, 0.0, 100.0, None),
+]
+
+
+def _reduced_lp(lb, ub) -> Model:
+    mdl = Model("reduced")
+    mdl.add_vars(len(REDUCED_COLS), lb=lb, ub=ub, obj=[c[0] for c in REDUCED_COLS])
+    mdl.add_rows(np.ones((1, len(REDUCED_COLS))), 20.0, 20.0)
+    return mdl
+
+
+def test_reduced_costs_are_finite_differences_of_the_objective():
+    lb = np.array([c[1] for c in REDUCED_COLS])
+    ub = np.array([c[2] for c in REDUCED_COLS])
+    sol = _reduced_lp(lb, ub).solve_lp()
+    h = 1e-3
+    for j, (_, _, _, active) in enumerate(REDUCED_COLS):
+        obj = []
+        for step in (-h, h):
+            bounds = {"lb": lb.copy(), "ub": ub.copy()}
+            for side in ("lb", "ub") if lb[j] == ub[j] else (active,) if active else ():
+                bounds[side][j] += step
+            obj.append(_reduced_lp(bounds["lb"], bounds["ub"]).solve_lp().objective)
+        assert (sol.reduced[j] != 0.0) == (active is not None), j
+        assert sol.reduced[j] == pytest.approx((obj[1] - obj[0]) / (2 * h), abs=1e-9), j
 
 
 @pytest.mark.parametrize("bounds", BOUNDS)

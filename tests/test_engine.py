@@ -340,6 +340,12 @@ def test_deterministic_history(master_paths, mesh8):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(epsilon=0.0)
+    # The gap divides by max(eta_star, abs_floor), and eta_star is 0 when no
+    # attack sheds load, so a zero floor would make it 0 / 0.
+    for value in (0.0, -1e-6, math.inf, math.nan):
+        for name in ("epsilon", "abs_floor"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                SolveConfig(**{name: value})
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):

@@ -59,14 +59,17 @@ def test_exact_eta_agrees_with_solve_inner_on_every_attack(name):
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
 def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
     # Every attack is priced on this thread's kept model in sorted order,
-    # reversed and shuffled, then on a fresh thread with a kept model of its
+    # reversed, shuffled and with a solve_inner call of another attack on the
+    # same model before each, then on a fresh thread with a kept model of its
     # own: the etas must be bitwise equal.
     net, budgets = _budgets(name)
     attacks = _attacks(net, budgets)
 
-    def price(order) -> bytes:
+    def price(order, interleave=False) -> bytes:
         etas = np.empty(len(attacks))
         for i in order:
+            if interleave:
+                solve_inner(net, AttackPlan.of(attacks[-1 - i]))
             etas[i] = exact_eta(net, AttackPlan.of(attacks[i]))
         return etas.tobytes()
 
@@ -74,6 +77,7 @@ def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
     etas = price(forward)
     assert price(forward[::-1]) == etas
     assert price(random.Random(0).sample(forward, len(forward))) == etas
+    assert price(forward, interleave=True) == etas
     with ThreadPoolExecutor(1) as pool:
         assert pool.submit(price, forward).result() == etas
     # Every solve starts from the intact network's optimal basis, so the
@@ -90,16 +94,14 @@ def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
 
 
 def test_pricing_has_no_band_to_outgrow(triangle):
-    # A 1e-30 band stays far too narrow after ten doublings, so solve_inner
-    # warns and overstates the shed; exact pricing does neither. The one
-    # warning is the winner's re-solve by solve_inner.
+    # No LP has a band, so a 1e-30 big_M changes neither the pricing nor the
+    # winner's re-solve by solve_inner, and nothing warns.
     net = replace(triangle, big_M=1e-30)
-    with pytest.warns(RuntimeWarning, match="big-M doublings") as caught:
-        res = oracle.solve_exhaustive(net, AttackerModel.traditional(1), keep_ranking=True)
-    assert len(caught) == 1
-    assert res.ranking == (((1,), 1.0), ((2,), 1.0), ((3,), 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        res = oracle.solve_exhaustive(net, AttackerModel.traditional(1), keep_ranking=True)
+        assert res.ranking == (((1,), 1.0), ((2,), 1.0), ((3,), 0.0))
+        assert res.best_eta == 1.0
         assert [exact_eta(net, AttackPlan.of(lines)) for lines, _ in res.ranking] == [1.0, 1.0, 0.0]
 
 

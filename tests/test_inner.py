@@ -1,10 +1,10 @@
-"""Inner load-shed LP: examples, duals, band certification, cut pricing."""
+"""Inner load-shed LP: examples, duals, one LP per call, cut pricing."""
 
 import gc
 import itertools
-import math
 import random
 import threading
+import warnings
 import weakref
 from dataclasses import astuple, replace
 
@@ -95,27 +95,28 @@ def test_duals_nonnegative_and_interdicted_mu_zero(mesh8):
         sol = solve_inner(mesh8, AttackPlan.of(attack))
         for pair in list(sol.duals_mu.values()) + list(sol.duals_pi.values()):
             assert pair[0] >= -TOL and pair[1] >= -TOL
-        assert sol.big_m_ok, attack
         for lid in attack:
             assert abs(sol.duals_mu[lid][0]) <= 1e-8
             assert abs(sol.duals_mu[lid][1]) <= 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
-def test_each_extra_lp_doubles_big_m_and_eta_is_band_free(name, monkeypatch):
-    # Every LP after the first must be a big-M doubling, and the certified eta
-    # must equal the shed of an effectively band-free reference LP.
+def test_one_lp_per_call_and_eta_is_band_free(name, monkeypatch):
+    # Once the network's model exists, each call solves exactly one LP, and
+    # its eta must equal the shed of an effectively band-free reference LP.
     net = fx.FIXTURES[name]()
+    solve_inner(net, AttackPlan.of([]))
     calls = []
     solve_lp = Model.solve_lp
-    monkeypatch.setattr(Model, "solve_lp", lambda self: calls.append(self) or solve_lp(self))
+    monkeypatch.setattr(Model, "solve_lp",
+                        lambda self, *args, **kwargs: calls.append(self)
+                        or solve_lp(self, *args, **kwargs))
     ids = [l.id for l in net.lines]
     for attack in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(4)):
         calls.clear()
         sol = solve_inner(net, AttackPlan.of(attack))
-        assert len(calls) == 1 + math.log2(sol.big_m_used / net.big_M), attack
-        assert sol.big_m_ok, attack
+        assert len(calls) == 1, attack
         ref = reference_eta(net, list(attack), big_m=1e4 * net.big_M)
         assert sol.eta == pytest.approx(ref, abs=1e-9), attack
 
@@ -151,11 +152,13 @@ def test_kept_model_does_not_keep_the_network_alive():
     net = fx.mesh8()
     sol = solve_inner(net, AttackPlan.of([1]))
     ref, bus_ids = weakref.ref(net), [bus.id for bus in net.buses]
-    assert hasattr(net.thread_cache, "load_shed")
-    assert not hasattr(replace(net).thread_cache, "load_shed")
+    # One load-shed model per thread and network: the exact model.
+    assert hasattr(net.thread_cache, "exact")
+    assert not hasattr(net.thread_cache, "load_shed")
+    assert not hasattr(replace(net).thread_cache, "exact")
     other_thread = []
     worker = threading.Thread(
-        target=lambda: other_thread.append(hasattr(net.thread_cache, "load_shed")))
+        target=lambda: other_thread.append(hasattr(net.thread_cache, "exact")))
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive() and other_thread == [False]
@@ -166,14 +169,16 @@ def test_kept_model_does_not_keep_the_network_alive():
     assert list(sol.angle) == bus_ids and sol.angle[bus_ids[0]] == 0.0
 
 
-def test_band_that_is_never_certified_warns_and_says_so(triangle):
-    # Ten doublings of a 1e-30 band leave it far too narrow for every line.
+def test_a_tiny_big_m_does_not_reach_the_lp(triangle):
+    # The LP has no band, so a 1e-30 big_M leaves every eta at the band-free
+    # reference, with no warning.
     net = replace(triangle, big_M=1e-30)
     for line in net.lines:
-        with pytest.warns(RuntimeWarning, match="big-M doublings"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = solve_inner(net, AttackPlan.of([line.id]))
-        assert sol.big_m_ok is False
-        assert sol.big_m_used == 1e-30 * 2**10
+        ref = reference_eta(triangle, [line.id], big_m=1e4 * triangle.big_M)
+        assert sol.eta == pytest.approx(ref, abs=1e-9), line.id
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
