@@ -87,7 +87,7 @@ def compute_phi(net: Network, D_km: float, distance_mode: str = "haversine") -> 
     midpoint (arithmetic mean of the endpoint coordinates) is at most D/2.
     Requires every bus to be geolocated.
     """
-    if D_km <= 0:
+    if not D_km > 0:
         raise ValueError(f"D_km must be > 0, got {D_km}")
     if distance_mode not in _DISTANCE:
         raise ValueError(f"unknown distance mode {distance_mode!r}")

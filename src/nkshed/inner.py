@@ -20,7 +20,9 @@ probe to its own lines' dispatches.
 
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
-(see its docstring), the bound the engine's enumerated master keeps.
+(see its docstring), the bound the engine's enumerated master keeps. It
+and the screen reroute flows by ``PowerFlow.flows``; the screen does not
+know which attacks split an island, and sends those ``flows`` marks to the LP.
 
 The load-shed LP and the flow-extreme relaxations in :mod:`nkshed.bounds`
 are built by ``add_dc_network``: it adds the network's columns and flow-balance
@@ -39,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from .backend import BackendError, Model
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network, PowerFlow, _islands
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
            "response_shed"]
@@ -89,21 +91,22 @@ class InnerSolution:
     whose slack is free), ``duals_pi`` of ``flow_e >= -rating_e`` and
     ``-flow_e >= -rating_e`` (rating 0 on a removed line).
 
-    ``angle`` is computed when first read: the solve's bus angles with the
-    first bus of each island of the surviving network at zero. For that the
-    solution keeps the raw angles, the removed line positions, the line
-    endpoint positions and the bus ids, not the network.
+    ``angle``, ``duals_mu`` and ``duals_pi`` are computed when first read.
+    ``angle`` is the solve's bus angles with the first bus of each island
+    of the surviving network at zero. For that the solution keeps the raw
+    angles, the removed line positions, the line endpoint positions and the
+    bus ids, not the network. For the duals it keeps the line ids, the
+    coupling rows' duals and the flow columns' reduced costs.
     """
 
     eta: float
     shed: dict[int, float]
     flow: dict[int, float]
     gen: dict[int, float]
-    duals_mu: dict[int, tuple[float, float]]
-    duals_pi: dict[int, tuple[float, float]]
     status: str
     attack: AttackPlan
     _angle_from: tuple = field(default=(), repr=False, compare=False)
+    _duals_from: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def angle(self) -> dict[int, float]:
@@ -112,6 +115,14 @@ class InnerSolution:
         island = _islands(fr, to, len(ang), cut[None])[0]
         ang = ang - ang[np.unique(island, return_index=True)[1]][island]
         return dict(zip(bus_ids, ang.tolist()))
+
+    @cached_property
+    def duals_mu(self) -> dict[int, tuple[float, float]]:
+        return _by_sign(self._duals_from[0], self._duals_from[1])
+
+    @cached_property
+    def duals_pi(self) -> dict[int, tuple[float, float]]:
+        return _by_sign(self._duals_from[0], self._duals_from[2])
 
 
 def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
@@ -230,9 +241,10 @@ def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
     return entry
 
 
-def _by_sign(values: np.ndarray) -> list:
-    """Per entry the pair (max(v, 0), max(-v, 0))."""
-    return np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)]).tolist()
+def _by_sign(keys, values: np.ndarray) -> dict:
+    """Per key the pair (max(v, 0), max(-v, 0)) of its value v."""
+    pairs = np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)]).tolist()
+    return dict(zip(keys, map(tuple, pairs)))
 
 
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
@@ -245,7 +257,7 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     splits each line's coupling-row dual by sign, and ``duals_pi`` each
     flow column's reduced cost (see :class:`InnerSolution`). Angles are
     reported relative to the first bus of each island of the surviving
-    network, computed when first read.
+    network. Angles and duals are computed when first read.
     """
     positions = _line_positions(net, attack)
     slack = _exact_model(net)[0]
@@ -262,11 +274,10 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
         flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
         gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
-        duals_mu=dict(zip(line_ids, map(tuple, _by_sign(sol.dual[slack.coupling])))),
-        duals_pi=dict(zip(line_ids, map(tuple, _by_sign(sol.reduced[dc.flow])))),
         status=sol.status,
         attack=attack,
         _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions(), bus_ids),
+        _duals_from=(line_ids, sol.dual[slack.coupling], sol.reduced[dc.flow]),
     )
 
 
@@ -394,105 +405,72 @@ def _probe_rows(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return net.shared("probe rows", build)
 
 
-def _reroute(flow: np.ndarray, part: np.ndarray, shift: np.ndarray,
-             block: np.ndarray) -> np.ndarray:
-    """Flows of each outage's probes with its lines removed.
-
-    ``flow`` holds per outage (row of ``part``) the intact-network flows of
-    its probes (outages by probes by lines); ``shift`` and ``block`` are
-    the outages' ``PowerFlow.outage_blocks``, none singular. Each outage's
-    arithmetic is one LAPACK solve and k elementwise updates of its own rows.
-    """
-    k = part.shape[1]
-    lost = np.take_along_axis(flow, np.broadcast_to(part[:, None, :], (*flow.shape[:2], k)),
-                              axis=2)
-    moved = np.linalg.solve(block, lost.transpose(0, 2, 1))
-    for j in range(k):
-        flow = flow - moved[:, j, :, None] * shift[:, j, None, :]
-    return flow
-
-
-def _surviving(values: np.ndarray, part: np.ndarray, fill: float) -> np.ndarray:
-    """``values`` (outages by ... by lines) with each outage's removed lines,
-    its row of ``part``, set to ``fill`` in place."""
-    values[np.arange(len(part))[:, None], ..., part] = fill
-    return values
-
-
-def _overload(flow: np.ndarray, rating: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """The largest ``|flow_e| - rating_e`` over each outage's surviving lines."""
+def _overload(flow: np.ndarray, rating: np.ndarray) -> np.ndarray:
+    """The largest ``|flow_e| - rating_e`` over each outage's lines: a
+    removed line carries no flow, so it counts at ``-rating_e``."""
     over = np.abs(flow)
     over -= rating
-    return _surviving(over, part, -np.inf).max(axis=-1, initial=-np.inf)
+    return over.max(axis=-1, initial=-np.inf)
 
 
 def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
-    """Per outage, the least largest ``|flow_e| - rating_e`` over the
-    surviving lines among the zero-shed dispatches the screen tries, or
-    +inf where the outage's k-by-k block has a determinant at most
-    ``PowerFlow._SINGULAR``. The block's eigenvalues lie in [0, 1] (see
-    :class:`PowerFlow`), so that holds wherever it is singular, which is
-    where the outage splits an island. An overload of at most 0 proves
-    that the outage sheds nothing.
+    """Per outage, the least largest ``|flow_e| - rating_e`` among the
+    zero-shed dispatches the screen tries, or +inf where ``PowerFlow.flows``
+    marks the outage singular, as it does wherever the outage splits an
+    island. An overload of at most 0 proves that the outage sheds nothing.
 
     Stage 1 tries each base probe of ``_zero_shed_probes``, rerouted
-    around the outage by its outage block. Stage 2 (``_segment_excess``)
+    around the outage by ``PowerFlow.flows``. Stage 2 (``_segment_excess``)
     takes the outages of at least 2 lines that stage 1 leaves overloaded.
     For each base probe b and each row r of a removed line in
     ``_probe_rows``, a convex combination of b and r is a zero-shed
     dispatch too, balanced on the outage's islands, and its flows are the
     same combination of theirs. On that segment, rerouted, it takes the
-    smallest lambda in [0, 1] that the surviving lines allow and tries
-    that point by the same overload test. No other row is tried.
+    smallest lambda in [0, 1] that the lines allow and tries that point by
+    the same overload test. No other row is tried.
 
     ``cuts`` holds one row of k removed line positions per outage. Every
     step of a row's arithmetic reads only that row and the table, so its
     result does not depend on the other rows.
     """
     probes = _zero_shed_probes(net)
-    pf, rating = net.power_flow, net.thermal_vector()
-    count, k = cuts.shape
+    rating, (count, k) = net.thermal_vector(), cuts.shape
     excess = np.full(count, np.inf)
     if not len(probes):
         return excess
     step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
-        part, at = cuts[lo:lo + step], np.arange(lo, min(lo + step, count))
-        flow = np.broadcast_to(probes, (len(part), *probes.shape))
-        if k:
-            shift, block = pf.outage_blocks(part)
-            whole = np.linalg.det(block) > PowerFlow._SINGULAR
-            part, shift, block, at = part[whole], shift[whole], block[whole], at[whole]
-            flow = _reroute(flow[whole], part, shift, block)
-        excess[at] = _overload(flow, rating, part).min(axis=1, initial=np.inf)
-        left = np.flatnonzero(excess[at] > 0.0)
+        part = cuts[lo:lo + step]
+        flow = net.power_flow.flows(np.broadcast_to(probes, (len(part), *probes.shape)), part)
+        over = _overload(flow, rating).min(axis=1, initial=np.inf)
+        # A row flows marks NaN fails every comparison: no stage 2, and +inf.
+        left = np.flatnonzero(over > 0.0)
         if k >= 2 and len(left):
-            excess[at[left]] = np.minimum(excess[at[left]], _segment_excess(
-                net, flow[left], part[left], shift[left], block[left]))
+            over[left] = np.minimum(over[left], _segment_excess(net, flow[left], part[left]))
+        excess[lo:lo + step] = np.where(np.isnan(over), np.inf, over)
     return excess
 
 
-def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray, shift: np.ndarray,
-                    block: np.ndarray) -> np.ndarray:
+def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray) -> np.ndarray:
     """Stage 2 of ``_probe_excess``: per outage, the least overload over the
     points its segments give; ``base`` holds its base probes' flows
-    rerouted around it, and ``shift`` and ``block`` its outage blocks."""
+    rerouted around it."""
     rows, ok = _probe_rows(net)
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]
-    d = _reroute(rows[part].reshape(count, 2 * k, m), part, shift, block)[:, None] - a
-    # Each surviving line keeps |a + lambda * d| <= rating on one interval
-    # of lambda; the largest of their lower ends is the smallest lambda
-    # they all allow, if any. Temporaries are reused: this runs per chunk
-    # on every pricing thread.
+    d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part)[:, None] - a
+    # Each line keeps |a + lambda * d| <= rating on one interval of lambda;
+    # the largest of their lower ends is the smallest lambda they all
+    # allow, if any. A removed line has d = 0 and no lower end.
+    # Temporaries are reused: this runs per chunk on every pricing thread.
     moves = d != 0.0
     floor = np.divide(-rating - a, d, out=np.full(d.shape, -np.inf), where=moves)
     np.minimum(floor, np.divide(rating - a, d, out=np.full(d.shape, -np.inf), where=moves),
                out=floor)
-    floor = np.clip(_surviving(floor, part, -np.inf).max(axis=-1, keepdims=True), 0.0, 1.0)
+    floor = np.clip(floor.max(axis=-1, keepdims=True), 0.0, 1.0)
     d *= floor
     d += a
-    over = _overload(d, rating, part)
+    over = _overload(d, rating)
     over[~np.broadcast_to(ok[part].reshape(count, 1, 2 * k), over.shape)] = np.inf
     return over.reshape(count, -1).min(axis=1)
 

@@ -251,11 +251,14 @@ class PowerFlow:
     exactly when the outage splits an island; it is then still consistent
     for injections balanced on the new islands, and every solution gives
     the same flows, so such outages take its least-squares solution.
+    ``flows`` is the one outage-flow kernel: the engine's feasible-response
+    bound and the oracle's zero-shed screen both call it.
     """
 
-    # An outage that splits an island drops the singular values of its
-    # k-by-k system up to this. The system is the identity minus a matrix
-    # similar to a symmetric one with eigenvalues in [0, 1], so its scale is 1.
+    # An outage that splits an island drops the singular values and the
+    # determinant of its k-by-k system up to this. The system is the identity
+    # minus a matrix similar to a symmetric one with eigenvalues in [0, 1],
+    # so its own eigenvalues lie in [0, 1] and its scale is 1.
     _SINGULAR = 1e-10
 
     def __init__(self, net: Network):
@@ -298,7 +301,7 @@ class PowerFlow:
         return np.concatenate([self.islands(cuts[lo:lo + step])[1]
                                for lo in range(0, len(cuts), step)])
 
-    def outage_blocks(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _outage_blocks(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per outage, the flow each line takes over per unit moved off each
         removed line (outages by k by lines), and the k-by-k system that
         gives the units moved."""
@@ -307,30 +310,43 @@ class PowerFlow:
         at = np.broadcast_to(cuts[:, None, :], (count, k, k))
         return shift, np.eye(k) + np.take_along_axis(shift, at, axis=2).transpose(0, 2, 1)
 
-    def flows(self, base: np.ndarray, cuts: np.ndarray, split: np.ndarray) -> np.ndarray:
+    def flows(self, base: np.ndarray, cuts: np.ndarray,
+              split: np.ndarray | None = None) -> np.ndarray:
         """Line flows with each row's lines removed.
 
-        ``base`` holds, per row, the intact network's flows of injections
-        that balance on each island the row's outage leaves; ``split`` marks
-        the rows whose outage splits an island, as ``islands`` returns it.
-        Removed lines carry zero flow.
+        ``base`` holds, per row, the intact network's flows of one injection
+        (rows by lines) or of several (rows by injections by lines), each
+        balanced on every island the row's outage leaves. Removed lines
+        carry zero flow. ``split`` marks the rows whose outage splits an
+        island, as ``islands`` returns it; their flows come from the
+        least-squares solution. Without ``split``, the rows whose k-by-k
+        system has a determinant at most ``_SINGULAR``, which holds wherever
+        the outage splits an island, come back all NaN instead.
         """
         count, k = cuts.shape
         flow = np.array(base, dtype=float)
+        wide = flow.reshape(count, -1, flow.shape[-1])
+        torn = np.zeros(count, dtype=bool) if split is None else split
+        void = np.zeros(count, dtype=bool)
         if k:
-            shift, block = self.outage_blocks(cuts)
-            lost = np.take_along_axis(flow, cuts, axis=1)[:, :, None]
-            moved = np.empty_like(lost)
-            whole = ~split
+            shift, block = self._outage_blocks(cuts)
+            if split is None:
+                void = np.linalg.det(block) <= self._SINGULAR
+            lost = np.take_along_axis(wide, cuts[:, None, :], axis=2).transpose(0, 2, 1)
+            moved = np.zeros_like(lost)
+            whole = ~(torn | void)
             moved[whole] = np.linalg.solve(block[whole], lost[whole])
-            if split.any():
-                u, sv, vt = np.linalg.svd(block[split])
-                keep = sv > self._SINGULAR
-                part = (u.transpose(0, 2, 1) @ lost[split])[:, :, 0]
-                part = np.divide(part, sv, out=np.zeros_like(part), where=keep)
-                moved[split] = vt.transpose(0, 2, 1) @ part[:, :, None]
-            flow -= np.einsum("rj,rjm->rm", moved[:, :, 0], shift)
-        flow[np.arange(count)[:, None], cuts] = 0.0
+            if torn.any():
+                u, sv, vt = np.linalg.svd(block[torn])
+                keep = (sv > self._SINGULAR)[:, :, None]
+                part = u.transpose(0, 2, 1) @ lost[torn]
+                part = np.divide(part, sv[:, :, None], out=np.zeros_like(part), where=keep)
+                moved[torn] = vt.transpose(0, 2, 1) @ part
+            wide -= np.einsum("rjp,rjm->rpm", moved, shift)
+        wide[np.arange(count)[:, None], :, cuts] = 0.0
+        # Marked after the zeroing, so a marked row is NaN on its removed lines
+        # too: an outage of every line of an island would read as all zero.
+        wide[void] = np.nan
         return flow
 
 
@@ -376,7 +392,7 @@ class AttackerModel:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.variant == "spatial":
-            if self.D_km is None or self.D_km <= 0:
+            if self.D_km is None or not self.D_km > 0:
                 raise ValueError("spatial model requires D_km > 0")
         else:
             if self.D_km is not None:

@@ -217,6 +217,8 @@ def test_attacker_model_invariants():
     with pytest.raises(ValueError):
         AttackerModel.spatial(2, -5.0)
     with pytest.raises(ValueError):
+        AttackerModel.spatial(2, float("nan"))
+    with pytest.raises(ValueError):
         AttackerModel("traditional", 2, D_km=10.0)
     m = AttackerModel.spatial(2, 100.0, center_bus=4)
     assert m.center_bus == 4

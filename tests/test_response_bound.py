@@ -107,10 +107,11 @@ def _direct_flows(net, inj, cut):
     return flow
 
 
-@pytest.mark.parametrize("name", ["mesh8", "ring6", "braess4", "star5"])
+@pytest.mark.parametrize("name", ["mesh8", "ring6", "braess4", "star5", "triangle"])
 def test_outage_factor_flows_match_direct_solves(name):
-    # Islanding outages included: each row's injection balances on each of
-    # the islands its outage leaves.
+    # Islanding outages included: each row's injections balance on each of
+    # the islands its outage leaves. The triangle's 3-line outage removes
+    # every line of its one island.
     net = fx.FIXTURES[name]()
     pf = net.power_flow
     rng = np.random.default_rng(7)
@@ -119,14 +120,27 @@ def test_outage_factor_flows_match_direct_solves(name):
         cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)))
         comp, split = pf.islands(cuts)
         splits += split.sum()
-        inj = rng.uniform(-1.0, 1.0, comp.shape)
+        inj = rng.uniform(-1.0, 1.0, (len(cuts), 2, comp.shape[1]))
         for row, keys in enumerate(comp):
             for key in np.unique(keys):
-                inj[row, keys == key] -= inj[row, keys == key].mean()
-        flow = pf.flows(inj @ pf.ptdf_t, cuts, split)
+                on = inj[row][:, keys == key]
+                inj[row][:, keys == key] = on - on.mean(axis=1, keepdims=True)
+        # Rows by lines, then rows by injections by lines.
+        flow = pf.flows(inj[:, 0] @ pf.ptdf_t, cuts, split)
+        wide = pf.flows(inj @ pf.ptdf_t, cuts, split)
         for row, cut in enumerate(cuts):
-            np.testing.assert_allclose(flow[row], _direct_flows(net, inj[row], cut), atol=1e-10)
+            np.testing.assert_allclose(flow[row], _direct_flows(net, inj[row, 0], cut), atol=1e-10)
+            for j in range(inj.shape[1]):
+                np.testing.assert_allclose(wide[row, j], _direct_flows(net, inj[row, j], cut),
+                                           atol=1e-10)
         assert (flow[np.arange(len(cuts))[:, None], cuts] == 0.0).all()
+        assert (wide[np.arange(len(cuts))[:, None], :, cuts] == 0.0).all()
+        # Without split, the rows that split an island come back all NaN,
+        # and every other row as with it.
+        marked = pf.flows(inj @ pf.ptdf_t, cuts)
+        assert np.isnan(marked[split]).all()
+        assert np.isfinite(marked[~split]).all()
+        np.testing.assert_array_equal(marked[~split], wide[~split])
     assert splits > 0
 
 
