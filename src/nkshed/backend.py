@@ -8,36 +8,47 @@ nonnegative on a row held at its lower side, which is the convention the
 load-shed duals and their upper bounds are stated in. ``Solution.reduced[j]``
 is d(objective)/d(active bound of column j), in the same convention.
 
-LPs go through the HiGHS binding vendored in scipy
-(``scipy.optimize._highspy._core``), with the dual simplex and presolve on
-unless ``solve_lp(presolve=False)``. The first LP solve passes the LP to
-HiGHS; the HiGHS model then lives with the :class:`Model`,
-``set_col_bounds`` edits its column bounds in place (``changeColsBounds``),
-and every solve clears HiGHS's solver state first (``linprog``, named after
-the scipy function it replaced). ``solve_lp`` is then a cold solve of
-exactly the LP a fresh :class:`Model` would pass. ``solve_objective``, and
-``solve_lp`` when given one, start from a basis instead: one that ``basis``
-took from an earlier solve of the same model, so the optimum depends on
-that basis and the bounds, never on the solves in between. The binding methods the
-backend calls (``tests/test_backend.py`` lists them) are checked on scipy
-1.17.1, and by CI on the scipy floor. MILPs go through the public ``milp``.
-HiGHS is simplex-based, so LP duals are exact basic solutions, and runs are
-deterministic for fixed inputs.
+LPs and MILPs both go through the HiGHS binding vendored in scipy
+(``scipy.optimize._highspy._core``), loaded from its file. Importing it by
+name first runs the ``scipy.optimize`` package, which loads solvers, FFT
+and special functions that nkshed never calls, in most of the time
+``import nkshed`` took.
+pybind11 registers the binding's types once per process, so the module
+enters ``sys.modules`` under its own name before it runs: a later
+``import scipy.optimize`` reuses it instead of loading the extension
+again, and one that came first lends its own.
+
+LPs run the dual simplex, with presolve on unless
+``solve_lp(presolve=False)``. The first LP solve passes the LP to HiGHS;
+the HiGHS model then lives with the :class:`Model`, ``set_col_bounds``
+edits its column bounds in place (``changeColsBounds``), and every solve
+clears HiGHS's solver state first (``linprog``). ``solve_lp`` is then a
+cold solve of exactly the LP a fresh :class:`Model` would pass.
+``solve_objective``, and ``solve_lp`` when given one, start from a basis
+instead: one that ``basis`` took from an earlier solve of the same model,
+so the optimum depends on that basis and the bounds, never on the solves
+in between. Each MILP solve passes the model to a new HiGHS model, set as
+scipy's ``milp`` sets it, and runs it (``milp``). ``linprog`` and ``milp``
+are named after the scipy functions they replaced. The binding names the
+backend uses (``tests/test_backend.py`` lists them) are checked on scipy
+1.17.1, and by CI on the scipy floor. HiGHS is simplex-based, so LP duals
+are exact basic solutions, and runs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import os
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize._highspy import _core as highs
 
 __all__ = ["Model", "Solution", "BackendError", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
 
@@ -46,14 +57,40 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 FAILED = "failed"
 
-_MILP_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-_LP_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
-              highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-              highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file without running the
+    ``scipy.optimize`` package, or the module already loaded."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS binding {name} in {where}", name=name, path=where)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _load_highs()
+
+_STATUS = {highs.HighsModelStatus.kOptimal: OPTIMAL,
+           highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 # The options linprog(method="highs") sets but presolve, which solve_lp sets
 # per solve: dual simplex, quiet.
 _LP_OPTIONS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1,
                "highs_debug_level": 0}
+# The options scipy's milp sets but presolve, which solve_milp sets per solve.
+_MILP_OPTIONS = {"log_to_console": False}
+# HiGHS column types by Model integer marker.
+_VAR_TYPE = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 _fflush = ctypes.CDLL(None).fflush
 _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
@@ -99,6 +136,17 @@ def linprog(lp, basis=None) -> None:
     if basis is not None and lp.setBasis(basis) == highs.HighsStatus.kError:
         raise BackendError("HiGHS rejected the start basis")
     lp.run()
+
+
+def milp(solver):
+    """Run the HiGHS MILP ``solver`` and return its ``HighsInfo``.
+
+    The one call into HiGHS per MILP solve. It keeps the name of the scipy
+    function it replaced, which ``bench/tracing.py`` times as the HiGHS
+    share of a MILP solve, reading the node count off the info.
+    """
+    solver.run()
+    return solver.getInfo()
 
 
 def _per_entry(values, shape) -> np.ndarray:
@@ -152,7 +200,7 @@ class Model:
         self._rows = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0),
                        np.zeros(0), np.zeros(0))]
         self.num_rows = 0
-        # The live HiGHS LP, built by the first solve_lp; see _pass_lp.
+        # The live HiGHS LP, built by the first solve_lp; see _pass.
         self._lp = None
 
     # -- variables ---------------------------------------------------------------
@@ -256,12 +304,13 @@ class Model:
 
     # -- solves ------------------------------------------------------------------
 
-    def _pass_lp(self):
-        """Pass the LP to HiGHS; returns the HiGHS model and the HiGHS row of
-        each model row."""
+    def _pass(self, integer: bool, options: dict):
+        """Pass the model to a new HiGHS solver set to ``options``: as a MILP
+        if ``integer``, else as an LP with the integer markers ignored.
+        Returns the solver and the HiGHS row of each model row."""
         # Row order picks HiGHS's vertex among optima, and so the cuts: LPs put
         # the inequalities first, MILPs the equalities.
-        mat, lo, hi, at = self._block(eq_first=False)
+        mat, lo, hi, at = self._block(eq_first=integer)
         mat = mat.tocsc()
         cost, lb, ub = np.asarray(self._obj), self._lb, self._ub
         lp = highs.HighsLp()
@@ -272,11 +321,14 @@ class Model:
         lp.a_matrix_.value_ = mat.data
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
         lp.row_lower_, lp.row_upper_ = lo, hi
+        if integer:
+            lp.integrality_ = [_VAR_TYPE[i] for i in self._integer]
         solver = highs._Highs()
-        for key, value in _LP_OPTIONS.items():
+        for key, value in options.items():
             solver.setOptionValue(key, value)
         if solver.passModel(lp) == highs.HighsStatus.kError:
-            raise BackendError(f"LP {self.name or '(unnamed)'}: HiGHS rejected the model")
+            raise BackendError(f"{'MILP' if integer else 'LP'} {self.name or '(unnamed)'}: "
+                               "HiGHS rejected the model")
         return solver, at
 
     def solve_lp(self, require_optimal: bool = True, presolve: bool = True,
@@ -298,7 +350,7 @@ class Model:
             linprog(lp, basis)
         except BackendError as err:
             raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
-        status = self._lp_status(lp, require_optimal)
+        status = self._status(lp, require_optimal)
         if status != OPTIMAL:
             return Solution(status, np.nan, np.zeros(self.num_vars))
         res = lp.getSolution()
@@ -318,7 +370,7 @@ class Model:
             linprog(lp, basis)
         except BackendError as err:
             raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
-        self._lp_status(lp, True)
+        self._status(lp, True)
         return lp.getObjectiveValue()
 
     def basis(self):
@@ -332,33 +384,32 @@ class Model:
         """The live HiGHS LP and the HiGHS row of each model row, passed to
         HiGHS first if the model changed since."""
         if self._lp is None:
-            self._lp = self._pass_lp()
+            self._lp = self._pass(False, _LP_OPTIONS)
         return self._lp
 
-    def _lp_status(self, lp, require_optimal: bool) -> str:
-        model_status = lp.getModelStatus()
-        status = _LP_STATUS.get(model_status, FAILED)
+    def _status(self, solver, require_optimal: bool, kind: str = "LP") -> str:
+        model_status = solver.getModelStatus()
+        status = _STATUS.get(model_status, FAILED)
         if status != OPTIMAL and require_optimal:
-            raise BackendError(f"LP {self.name or '(unnamed)'}: {status} "
-                               f"({lp.modelStatusToString(model_status)})")
+            raise BackendError(f"{kind} {self.name or '(unnamed)'}: {status} "
+                               f"({solver.modelStatusToString(model_status)})")
         return status
 
     def solve_milp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
-        mat, lo, hi, _ = self._block(eq_first=True)
-        constraints = [LinearConstraint(mat, lo, hi)] if len(lo) else []
+        """Solve the model with its integer markers, as scipy's ``milp`` would.
+
+        Each solve passes the model to a new HiGHS model, with ``presolve``
+        for this solve. ``dual_bound`` is HiGHS's proven bound, or the
+        objective when no column is integer.
+        """
+        solver, _ = self._pass(True, {**_MILP_OPTIONS, "presolve": "on" if presolve else "off"})
         with _stdout_to_stderr():
-            res = milp(
-                c=np.asarray(self._obj),
-                constraints=constraints,
-                integrality=np.asarray(self._integer, dtype=int),
-                bounds=Bounds(self._lb, self._ub),
-                options={"presolve": presolve},
-            )
-        status = _MILP_STATUS.get(res.status, FAILED)
+            info = milp(solver)
+        status = self._status(solver, require_optimal, "MILP")
         if status != OPTIMAL:
-            if require_optimal:
-                raise BackendError(f"MILP {self.name or '(unnamed)'}: {status} ({res.message})")
             return Solution(status, np.nan, np.zeros(self.num_vars))
         # HiGHS reports no MIP dual bound when no column is integer.
-        bound = res.fun if res.mip_dual_bound is None else res.mip_dual_bound
-        return Solution(OPTIMAL, float(res.fun), np.asarray(res.x), dual_bound=float(bound))
+        objective = info.objective_function_value
+        bound = info.mip_dual_bound if any(self._integer) else objective
+        return Solution(OPTIMAL, objective, np.asarray(solver.getSolution().col_value),
+                        dual_bound=bound)

@@ -414,10 +414,11 @@ def _overload(flow: np.ndarray, rating: np.ndarray) -> np.ndarray:
 
 
 def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
-    """Per outage, the least largest ``|flow_e| - rating_e`` among the
-    zero-shed dispatches the screen tries, or +inf where ``PowerFlow.flows``
-    marks the outage singular, as it does wherever the outage splits an
-    island. An overload of at most 0 proves that the outage sheds nothing.
+    """Per outage, the least largest ``|flow_e| - rating_e`` among the base
+    probes the screen tries, 0.0 where a segment point keeps every line
+    within its rating, or +inf where ``PowerFlow.flows`` marks the outage
+    singular, as it does wherever the outage splits an island. An overload
+    of at most 0 proves that the outage sheds nothing.
 
     Stage 1 tries each base probe of ``_zero_shed_probes``, rerouted
     around the outage by ``PowerFlow.flows``. Stage 2 (``_segment_excess``)
@@ -425,9 +426,9 @@ def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
     For each base probe b and each row r of a removed line in
     ``_probe_rows``, a convex combination of b and r is a zero-shed
     dispatch too, balanced on the outage's islands, and its flows are the
-    same combination of theirs. On that segment, rerouted, it takes the
-    smallest lambda in [0, 1] that the lines allow and tries that point by
-    the same overload test. No other row is tried.
+    same combination of theirs. On that segment, rerouted, each line stays
+    within its rating on one interval of lambda, and a point fits where the
+    intervals meet inside [0, 1]. No other row is tried.
 
     ``cuts`` holds one row of k removed line positions per outage. Every
     step of a row's arithmetic reads only that row and the table, so its
@@ -452,27 +453,34 @@ def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
 
 
 def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Stage 2 of ``_probe_excess``: per outage, the least overload over the
-    points its segments give; ``base`` holds its base probes' flows
-    rerouted around it."""
+    """Stage 2 of ``_probe_excess``: per outage, 0.0 where one of its
+    segments holds a point that keeps every line within its rating, and
+    +inf where none does; ``base`` holds its base probes' flows rerouted
+    around it.
+
+    The point is never built: at the smallest lambda the lines allow, a
+    line sits exactly on its rating, so recomputing its flow there would
+    decide the verdict by last-bit rounding. The largest lower end of the
+    lines' lambda-intervals is compared with their smallest upper end
+    instead.
+    """
     rows, ok = _probe_rows(net)
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]
     d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part)[:, None] - a
-    # Each line keeps |a + lambda * d| <= rating on one interval of lambda;
-    # the largest of their lower ends is the smallest lambda they all
-    # allow, if any. A removed line has d = 0 and no lower end.
+    # Each line keeps |a + lambda * d| <= rating on one interval of lambda; a
+    # point fits if the intervals meet inside [0, 1]. A line with d = 0, a
+    # removed one among them, keeps its flow a on the whole segment.
     # Temporaries are reused: this runs per chunk on every pricing thread.
     moves = d != 0.0
-    floor = np.divide(-rating - a, d, out=np.full(d.shape, -np.inf), where=moves)
-    np.minimum(floor, np.divide(rating - a, d, out=np.full(d.shape, -np.inf), where=moves),
-               out=floor)
-    floor = np.clip(floor.max(axis=-1, keepdims=True), 0.0, 1.0)
-    d *= floor
-    d += a
-    over = _overload(d, rating)
-    over[~np.broadcast_to(ok[part].reshape(count, 1, 2 * k), over.shape)] = np.inf
-    return over.reshape(count, -1).min(axis=1)
+    ends = np.divide(-rating - a, d, out=np.full(d.shape, -np.inf), where=moves)
+    high = np.divide(rating - a, d, out=np.full(d.shape, np.inf), where=moves)
+    low = np.minimum(ends, high)
+    np.maximum(ends, high, out=high)
+    fits = low.max(axis=-1, initial=0.0) <= high.min(axis=-1, initial=1.0)
+    fits &= (moves | (np.abs(a) <= rating)).all(axis=-1)
+    fits &= ok[part].reshape(count, 1, 2 * k)
+    return np.where(fits.reshape(count, -1).any(axis=1), 0.0, np.inf)
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,

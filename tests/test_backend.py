@@ -1,6 +1,6 @@
 """LP/MILP backend: ranged rows, row duals and reduced costs by finite
-differences, MILPs by enumeration, and a kept HiGHS model re-solving
-exactly like a fresh one."""
+differences, MILPs by enumeration and bit for bit against scipy's
+``milp``, and a kept HiGHS model re-solving exactly like a fresh one."""
 
 import ast
 import itertools
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs
 
 from nkshed import backend
@@ -172,30 +173,43 @@ def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
         mdl.solve_objective(start)
 
 
-def _highs_names_used(source: str) -> tuple[set, set]:
-    """The names ``source`` reads off the binding module ``highs``, and the
-    methods it calls on a HiGHS solver: one named ``lp`` or ``solver``, or
-    ``self._lp[0]``."""
-    module, methods = set(), set()
+def _highs_names_used(source: str) -> tuple[set, set, set, set]:
+    """The names ``source`` reads off the binding module ``highs``, the
+    methods it calls on a HiGHS solver (one named ``lp`` or ``solver``, or
+    ``self._lp[0]``), the fields it sets on a ``HighsLp`` named ``lp`` and
+    the fields it reads off a ``HighsInfo`` named ``info``."""
+    module, methods, lp_fields, info_fields = set(), set(), set(), set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "highs":
-            module.add(node.attr)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "highs":
+                module.add(node.attr)
+            elif node.value.id == "lp" and isinstance(node.ctx, ast.Store):
+                lp_fields.add(node.attr)
+            elif node.value.id == "info":
+                info_fields.add(node.attr)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = node.func.value
             if (isinstance(owner, ast.Name) and owner.id in ("lp", "solver")) or (
                     isinstance(owner, ast.Subscript) and ast.unparse(owner.value) == "self._lp"):
                 methods.add(node.func.attr)
-    return module, methods
+    return module, methods, lp_fields, info_fields
 
 
 def test_every_binding_name_the_backend_uses_exists():
     # The binding is scipy's private one, so a scipy release may lack a
-    # method the backend calls; this names it.
-    module, methods = _highs_names_used(Path(backend.__file__).read_text())
-    assert {"setBasis", "getBasis", "changeColsBounds", "getObjectiveValue", "run"} <= methods
+    # name the backend uses; this names it.
+    module, methods, lp_fields, info_fields = _highs_names_used(
+        Path(backend.__file__).read_text())
+    assert {"setBasis", "getBasis", "changeColsBounds", "getObjectiveValue", "run",
+            "passModel", "getInfo"} <= methods
+    assert "HighsVarType" in module and "integrality_" in lp_fields
+    assert {"mip_dual_bound", "objective_function_value"} <= info_fields
+    # The benchmark's tracer reads the node count off what backend.milp returns.
+    info_fields.add("mip_node_count")
     assert sorted(n for n in module if not hasattr(highs, n)) == []
     assert sorted(n for n in methods if not hasattr(highs._Highs, n)) == []
+    assert sorted(n for n in lp_fields if not hasattr(highs.HighsLp(), n)) == []
+    assert sorted(n for n in info_fields if not hasattr(highs.HighsInfo(), n)) == []
 
 
 def test_infeasible_lp_reports_status_or_raises():
@@ -316,3 +330,54 @@ def test_milp_over_every_row_kind_matches_enumeration(bounds, costs):
     assert sol.optimal
     assert sol.objective == pytest.approx((feasible @ costs).min(), abs=1e-9)
     assert any(np.allclose(sol.x, p) for p in feasible)
+
+
+def _direct_milp(costs, box, rows, lo, hi, integer, presolve):
+    """``scipy.optimize.milp`` on the rows in the order HiGHS receives them
+    from a :class:`Model`: equalities first, each kind in model order."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    order = np.argsort(lo != hi, kind="stable")
+    return milp(c=np.asarray(costs, dtype=float),
+                constraints=[LinearConstraint(rows[order], lo[order], hi[order])],
+                integrality=np.full(len(costs), int(integer)),
+                bounds=Bounds(*np.array(box, dtype=float).T), options={"presolve": presolve})
+
+
+# The MILPs of test_milp_over_every_row_kind_matches_enumeration, the same
+# model with no integer column, and one with no integer point.
+MILP_CASES = [(costs, [(0, 4), (-3, 4), (0, 3)], ROWS, *bounds, True)
+              for bounds in BOUNDS
+              for costs in ([1.0, 2.0, -1.0], [-1.0, 1.0, 2.0], [-3.0, -1.0, 1.0])]
+MILP_CASES += [([1.0, 2.0, -1.0], [(0, 4), (-3, 4), (0, 3)], ROWS, *BOUNDS[0], False),
+               ([1.0, 1.0], [(0, 3), (0, 3)], np.array([[2.0, 2.0]]), [3.0], [3.0], True)]
+
+
+@pytest.mark.parametrize("case", MILP_CASES)
+@pytest.mark.parametrize("presolve", [True, False])
+def test_solve_milp_is_scipys_milp_bit_for_bit(case, presolve):
+    costs, box, rows, lo, hi, integer = case
+    mdl = Model("parity")
+    mdl.add_vars(len(costs), lb=[b[0] for b in box], ub=[b[1] for b in box], obj=costs,
+                 integer=integer)
+    mdl.add_rows(rows, lo, hi)
+    sol = mdl.solve_milp(require_optimal=False, presolve=presolve)
+    res = _direct_milp(costs, box, rows, lo, hi, integer, presolve)
+    if res.status == 2:
+        assert sol.status == INFEASIBLE
+        return
+    assert res.status == 0 and sol.optimal
+    bound = res.fun if res.mip_dual_bound is None else res.mip_dual_bound
+    assert (sol.x.tobytes(), repr(sol.objective), repr(sol.dual_bound)) == (
+        res.x.tobytes(), repr(res.fun), repr(bound))
+
+
+def test_a_milp_highs_rejects_raises_instead_of_reading_infeasible():
+    # scipy's milp reports a model HiGHS rejects, here one with a column
+    # fixed at +inf, as infeasible, which the MILP master would read as every
+    # attack retired.
+    mdl = Model("rejected")
+    mdl.add_vars(2, lb=np.inf, ub=np.inf, obj=-1.0, integer=True)
+    mdl.add_le([0, 1], [1.0, 1.0], 1.0)
+    for require_optimal in (True, False):
+        with pytest.raises(BackendError, match="MILP rejected: HiGHS rejected the model"):
+            mdl.solve_milp(require_optimal=require_optimal)

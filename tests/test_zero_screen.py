@@ -222,6 +222,15 @@ def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
                                        inner._zero_shed_probes(alone).tobytes())}
 
 
+def test_a_segment_point_on_a_rating_settles_its_attack():
+    # The segment point of {1, 10, 11} on random_mesh(11) puts a line exactly
+    # on its rating; recomputing that line's flow there read it 2.8e-17 over.
+    net, plan = fx.random_mesh(11), AttackPlan.of((1, 10, 11))
+    assert _stage_one(net, [plan]) == [UNSETTLED]
+    assert _verdicts(net, [plan]) == [0.0]
+    assert repr(exact_eta(net, plan)) == "0.0"
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), data=st.data())
 def test_every_attack_a_segment_settles_sheds_nothing(seed, data):
