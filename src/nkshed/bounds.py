@@ -39,7 +39,7 @@ from scipy import sparse
 from .attackers import SpatialFootprint, encode_feasible_set
 from .backend import Model
 from .inner import DCColumns, add_dc_network
-from .netmodel import AttackerModel, Network, total_load
+from .netmodel import AttackerModel, Network, _default_big_M, total_load
 
 __all__ = ["DualBounds", "heuristic_bounds", "valid_bounds"]
 
@@ -102,7 +102,7 @@ def _flow_extreme_lp(net: Network, model: AttackerModel,
     """
     m = len(net.lines)
     t = net.thermal_vector()
-    big_m = net.big_M
+    big_m = _default_big_M(net.buses)
 
     mdl = Model(f"flow-extreme-{net.lines[line_pos].id}")
     # The feasible set's columns and rows first; solve_lp relaxes its binaries.

@@ -9,12 +9,13 @@ attack changes only column bounds and no band or big-M enters the LP.
 generation, flows, angles per island and the line duals. ``exact_eta``
 starts each solve from the intact network's optimal basis and gives eta
 alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
-etas of many attacks: it settles at 0.0 with no LP each attack that a
-zero-shed dispatch, rerouted around it by DC power flow, serves within
-every rating, and calls ``exact_eta`` for the rest. The dispatches come
-from the network's probe table, solved once per network and shared by
-every thread: two intact probes, and per line two max-margin dispatches
-that serve all demand with that line out. An attack of two or more lines
+etas of many attacks: an attack that a zero-shed dispatch, rerouted around
+it by DC power flow, serves within every rating gets 0.0 with no LP (the
+yes/no verdict of ``_settled``), and the rest go to ``exact_eta``. The
+dispatches come from the network's ``_ProbeTable``, built once per network
+and shared by every thread: two intact probes, and per line two
+max-margin dispatches that serve all demand with that line out, solved
+when first needed under the table's lock. An attack of two or more lines
 that no intact probe settles is tried on the segments from each intact
 probe to its own lines' dispatches.
 
@@ -33,6 +34,7 @@ right-hand sides and extra columns.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -311,12 +313,12 @@ def exact_etas(net: Network, plans) -> list[float]:
     """``exact_eta`` of each plan, with no LP for the attacks a probe settles.
 
     Shed is never negative, so a feasible defender response that sheds
-    nothing proves eta = 0. Each plan is screened by ``_probe_excess``
-    against zero-shed dispatches of the network's probe table: when one,
-    rerouted around the attack by DC power flow, keeps every surviving line
-    within its rating, the attack gets exactly 0.0. Every other attack, and
-    every one whose outage splits an island, is priced by ``exact_eta``. A
-    plan's verdict depends on its own lines alone, not on the other plans.
+    nothing proves eta = 0. ``_settled`` screens each plan against the
+    zero-shed dispatches of the network's probe table: when one, rerouted
+    around the attack by DC power flow, keeps every surviving line within
+    its rating, the attack gets exactly 0.0. Every other attack, and every
+    one whose outage splits an island, is priced by ``exact_eta``. A plan's
+    verdict depends on its own lines alone, not on the other plans.
     """
     plans = list(plans)
     cuts = [np.sort(_line_positions(net, plan)) for plan in plans]
@@ -324,26 +326,26 @@ def exact_etas(net: Network, plans) -> list[float]:
     for k in {len(c) for c in cuts}:
         rows = [i for i, c in enumerate(cuts) if len(c) == k]
         same = np.array([cuts[i] for i in rows], dtype=int).reshape(len(rows), k)
-        settled[rows] = _probe_excess(net, same) <= 0.0
+        settled[rows] = _settled(net, same)
     return [0.0 if s else exact_eta(net, plan, cut)
             for plan, cut, s in zip(plans, cuts, settled)]
 
 
-def _margin_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray | None]:
-    """The network's max-margin model, solved once on the intact network.
+class _ProbeTable:
+    """A network's zero-shed probe dispatches, as intact-network flows.
 
-    A ``_slack_model`` with shed fixed at 0, free flows and one margin
-    column t, with ``|flow_e| <= t * rating_e``, minimizing t: a dispatch
-    that serves all demand at the least largest line loading. Returns the
-    model, its intact optimal basis, its flow and slack columns, their
-    intact bounds, its generation columns and the per-bus generation of
-    the intact optimum, or None when no dispatch serves all demand. Kept
-    by ``Network.shared`` for the whole network, and solved only inside
-    its lock.
+    The max-margin model is a ``_slack_model`` with shed fixed at 0, free
+    flows and a margin column t, ``|flow_e| <= t * rating_e``, minimizing t:
+    all demand served at the least largest line loading. ``base`` holds the
+    base probes, one row each: the exact model's intact optimum when it
+    sheds nothing, then the intact margin dispatch when one exists. The
+    table keeps the demand and PTDF, not the network, which holds it.
     """
-    def build():
-        mdl, dc, _, cols, intact = _slack_model("max-margin", net, 0.0, np.inf)
+
+    def __init__(self, net: Network):
+        exact_gen = _exact_model(net)[2]
+        self._slack = slack = _slack_model("max-margin", net, 0.0, np.inf)
+        mdl, dc = slack.mdl, slack.dc
         mdl.set_col_bounds(dc.shed, 0.0, 0.0)
         t = mdl.add_var(obj=1.0)
         m, pair = len(net.lines), np.arange(2 * len(net.lines))
@@ -353,110 +355,82 @@ def _margin_model(net: Network) -> tuple[Model, object, np.ndarray, np.ndarray,
             shape=(2 * m, mdl.num_vars))
         mdl.add_rows(loading, 0.0, np.inf)
         sol = mdl.solve_lp(require_optimal=False, presolve=False)
-        gen = sol.x[dc.gen] if sol.optimal else None
-        return mdl, mdl.basis(), cols, intact, dc.gen, gen
+        self._basis = mdl.basis() if sol.optimal else None
+        self.demand, self.ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
+        gens = [g for g in (exact_gen, sol.x[dc.gen] if sol.optimal else None) if g is not None]
+        self.base = np.array([(g - self.demand) @ self.ptdf_t for g in gens]).reshape(-1, m)
+        self._rows, self._lock = None, threading.Lock()
 
-    return net.shared("max-margin", build)
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per line e, the flows of two margin dispatches that serve all
+        demand with e out (lines by 2 by lines), e removed and e idle, and
+        whether each LP is optimal (zero flows where not). Each is one solve
+        with e's flow at 0 and its slack freed or at 0, from the intact
+        margin basis, so a row depends on the network and e alone. Solved on
+        the first call, under the table's lock.
+        """
+        with self._lock:
+            if self._rows is None:
+                mdl, dc, _, cols, intact = self._slack
+                m = intact.shape[-1]
+                gens, ok = np.tile(self.demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
+                if self._basis is not None:
+                    for e in range(m):
+                        for i, state in enumerate((_REMOVED, _IDLE)):
+                            mdl.set_col_bounds(cols, *_bounds_out(intact, [e], state))
+                            sol = mdl.solve_lp(require_optimal=False, basis=self._basis)
+                            if sol.optimal:
+                                gens[e, i], ok[e, i] = sol.x[dc.gen], True
+                    mdl.set_col_bounds(cols, *intact.reshape(2, -1))
+                self._rows = (gens - self.demand) @ self.ptdf_t, ok
+            return self._rows
 
 
-def _zero_shed_probes(net: Network) -> np.ndarray:
-    """Intact-network flows of the base zero-shed probe dispatches, one row each.
+def _probe_table(net: Network) -> _ProbeTable:
+    """The network's probe table, built once and read by every thread."""
+    return net.shared("zero-shed probes", lambda: _ProbeTable(net))
 
-    The probes are the exact model's intact optimum, when it sheds nothing,
-    and the max-margin intact dispatch of ``_margin_model``, when all demand
-    can be served; each is routed by ``net.power_flow``. Built once per
-    network and shared by every thread (``Network.shared``).
+
+def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
+    """Per outage, whether a zero-shed probe keeps every surviving line
+    within its rating, which proves that the outage sheds nothing.
+
+    Stage 1 tries each base probe of the probe table, rerouted around the
+    outage by ``PowerFlow.flows``. Stage 2 (``_segment_fits``) takes the
+    outages of at least 2 lines that stage 1 leaves: for each base probe b
+    and each row r of a removed line in ``_ProbeTable.rows``, a convex
+    combination of b and r is a zero-shed dispatch too, balanced on the
+    outage's islands, with the same combination of their flows. No other
+    row is tried. An outage that ``flows`` marks NaN, as wherever it splits
+    an island, fails every comparison and skips stage 2.
+
+    ``cuts`` holds one row of k removed line positions per outage. Each
+    row's arithmetic reads only that row and the table, so its verdict
+    does not depend on the other rows.
     """
-    def build():
-        demand, ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
-        gens = [g for g in (_exact_model(net)[2], _margin_model(net)[5]) if g is not None]
-        return np.array([(g - demand) @ ptdf_t for g in gens]).reshape(-1, len(net.lines))
-
-    return net.shared("zero-shed probes", build)
-
-
-def _probe_rows(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """The probe table's N-1 rows: per line e, the intact-network flows of
-    two max-margin dispatches (lines by 2 by lines), one with e removed and
-    one with e in but idle, and whether each LP is optimal (zero flows where
-    it is not, or where no dispatch serves all demand). Either dispatch
-    serves all demand with e out.
-
-    Each row is one solve of ``_margin_model``'s model with e's flow fixed
-    at 0 and its slack freed or fixed at 0, which clears the solver and
-    starts from the intact margin basis, so a row depends on the network
-    and e alone. Built once per network, on first use, and shared by every
-    thread.
-    """
-    def build():
-        mdl, basis, cols, intact, gen_cols, gen = _margin_model(net)
-        m, demand = len(net.lines), net.demand_vector()
-        gens, ok = np.tile(demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
-        if gen is not None:
-            for e in range(m):
-                for i, state in enumerate((_REMOVED, _IDLE)):
-                    mdl.set_col_bounds(cols, *_bounds_out(intact, [e], state))
-                    sol = mdl.solve_lp(require_optimal=False, basis=basis)
-                    if sol.optimal:
-                        gens[e, i], ok[e, i] = sol.x[gen_cols], True
-            mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-        return (gens - demand) @ net.power_flow.ptdf_t, ok
-
-    return net.shared("probe rows", build)
-
-
-def _overload(flow: np.ndarray, rating: np.ndarray) -> np.ndarray:
-    """The largest ``|flow_e| - rating_e`` over each outage's lines: a
-    removed line carries no flow, so it counts at ``-rating_e``."""
-    over = np.abs(flow)
-    over -= rating
-    return over.max(axis=-1, initial=-np.inf)
-
-
-def _probe_excess(net: Network, cuts: np.ndarray) -> np.ndarray:
-    """Per outage, the least largest ``|flow_e| - rating_e`` among the base
-    probes the screen tries, 0.0 where a segment point keeps every line
-    within its rating, or +inf where ``PowerFlow.flows`` marks the outage
-    singular, as it does wherever the outage splits an island. An overload
-    of at most 0 proves that the outage sheds nothing.
-
-    Stage 1 tries each base probe of ``_zero_shed_probes``, rerouted
-    around the outage by ``PowerFlow.flows``. Stage 2 (``_segment_excess``)
-    takes the outages of at least 2 lines that stage 1 leaves overloaded.
-    For each base probe b and each row r of a removed line in
-    ``_probe_rows``, a convex combination of b and r is a zero-shed
-    dispatch too, balanced on the outage's islands, and its flows are the
-    same combination of theirs. On that segment, rerouted, each line stays
-    within its rating on one interval of lambda, and a point fits where the
-    intervals meet inside [0, 1]. No other row is tried.
-
-    ``cuts`` holds one row of k removed line positions per outage. Every
-    step of a row's arithmetic reads only that row and the table, so its
-    result does not depend on the other rows.
-    """
-    probes = _zero_shed_probes(net)
-    rating, (count, k) = net.thermal_vector(), cuts.shape
-    excess = np.full(count, np.inf)
+    table = _probe_table(net)
+    probes, rating, (count, k) = table.base, net.thermal_vector(), cuts.shape
+    settled = np.zeros(count, dtype=bool)
     if not len(probes):
-        return excess
+        return settled
     step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
         part = cuts[lo:lo + step]
         flow = net.power_flow.flows(np.broadcast_to(probes, (len(part), *probes.shape)), part)
-        over = _overload(flow, rating).min(axis=1, initial=np.inf)
-        # A row flows marks NaN fails every comparison: no stage 2, and +inf.
-        left = np.flatnonzero(over > 0.0)
+        fits = (np.abs(flow) <= rating).all(axis=-1).any(axis=1)
+        left = np.flatnonzero(~fits & ~np.isnan(flow).any(axis=(1, 2)))
         if k >= 2 and len(left):
-            over[left] = np.minimum(over[left], _segment_excess(net, flow[left], part[left]))
-        excess[lo:lo + step] = np.where(np.isnan(over), np.inf, over)
-    return excess
+            fits[left] = _segment_fits(net, table, flow[left], part[left])
+        settled[lo:lo + step] = fits
+    return settled
 
 
-def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Stage 2 of ``_probe_excess``: per outage, 0.0 where one of its
-    segments holds a point that keeps every line within its rating, and
-    +inf where none does; ``base`` holds its base probes' flows rerouted
-    around it.
+def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
+                  part: np.ndarray) -> np.ndarray:
+    """Stage 2 of ``_settled``: per outage, whether one of its segments
+    holds a point that keeps every line within its rating; ``base`` holds
+    its base probes' flows rerouted around it. On a segment, rerouted, each
+    line stays within its rating on one interval of lambda.
 
     The point is never built: at the smallest lambda the lines allow, a
     line sits exactly on its rating, so recomputing its flow there would
@@ -464,7 +438,7 @@ def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray) -> np.ndar
     lines' lambda-intervals is compared with their smallest upper end
     instead.
     """
-    rows, ok = _probe_rows(net)
+    rows, ok = table.rows()
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]
     d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part)[:, None] - a
@@ -480,7 +454,7 @@ def _segment_excess(net: Network, base: np.ndarray, part: np.ndarray) -> np.ndar
     fits = low.max(axis=-1, initial=0.0) <= high.min(axis=-1, initial=1.0)
     fits &= (moves | (np.abs(a) <= rating)).all(axis=-1)
     fits &= ok[part].reshape(count, 1, 2 * k)
-    return np.where(fits.reshape(count, -1).any(axis=1), 0.0, np.inf)
+    return fits.reshape(count, -1).any(axis=1)
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,

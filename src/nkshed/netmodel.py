@@ -112,22 +112,17 @@ class Network:
 
     ``bus_pos`` and ``line_pos`` map ids to positions. ``incidence`` is a
     sparse bus-by-line matrix in position order: -1 at a line's from bus,
-    +1 at its to bus. ``big_M`` is the coupling band of the valid-rate
-    relaxation LPs in :mod:`nkshed.bounds` and the rating that
-    ``parse_case`` gives a line with ``rateA = 0``; the load-shed LP has no
-    band. ``Network.build`` defaults it to the total system demand, or 1
-    when that is zero. ``thread_cache`` is a ``threading.local`` in
-    which solvers keep per-thread state built from the network, such as the
-    kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
-    every thread reads, built once per network under a lock, such as the
-    oracle's zero-shed probe table. Every new Network, including one made by
+    +1 at its to bus. ``thread_cache`` is a ``threading.local`` in which
+    solvers keep per-thread state built from the network, such as the kept
+    load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
+    every thread reads, built once per network under a lock: the oracle's
+    zero-shed probe table. Every new Network, including one made by
     ``dataclasses.replace``, starts with both empty.
     ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
-    big_M: float
 
     # Derived index maps, filled in __post_init__ (positional, solver-facing).
     bus_pos: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -137,14 +132,12 @@ class Network:
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     thread_cache: threading.local = field(init=False, repr=False, compare=False)
     _shared: dict = field(init=False, repr=False, compare=False)
-    _shared_lock: threading.RLock = field(init=False, repr=False, compare=False)
+    _shared_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bus_ids = [b.id for b in self.buses]
         if len(set(bus_ids)) != len(bus_ids):
             raise ValueError("duplicate bus id")
-        if not 0 < self.big_M < np.inf:
-            raise ValueError(f"big_M must be finite and > 0, got {self.big_M}")
         object.__setattr__(self, "bus_pos", {b.id: i for i, b in enumerate(self.buses)})
         object.__setattr__(self, "line_pos", {l.id: e for e, l in enumerate(self.lines)})
         for line in self.lines:
@@ -169,15 +162,13 @@ class Network:
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "thread_cache", threading.local())
         object.__setattr__(self, "_shared", {})
-        object.__setattr__(self, "_shared_lock", threading.RLock())
+        object.__setattr__(self, "_shared_lock", threading.Lock())
 
     @staticmethod
     def build(buses: list[Bus] | tuple[Bus, ...],
-              lines: list[Line] | tuple[Line, ...],
-              big_M: float | None = None) -> "Network":
-        """Assemble a network, with the default big-M unless one is given."""
-        return Network(tuple(buses), tuple(lines),
-                       _default_big_M(buses) if big_M is None else big_M)
+              lines: list[Line] | tuple[Line, ...]) -> "Network":
+        """Assemble a network from bus and line records."""
+        return Network(tuple(buses), tuple(lines))
 
     # -- solver-facing array views ------------------------------------------------
 
@@ -212,8 +203,8 @@ class Network:
         """The value ``build()`` returned for ``key`` on this network.
 
         The first caller builds it while holding the network's lock, so it is
-        built once and every thread reads the same object. The lock is
-        reentrant: one build may read another key.
+        built once and every thread reads the same object. A build must not
+        call ``shared``: the lock is not reentrant.
         """
         if key not in self._shared:
             with self._shared_lock:
@@ -229,7 +220,7 @@ class Network:
         """Copy of this network with replaced bus records (same ids required)."""
         if tuple(b.id for b in buses) != tuple(b.id for b in self.buses):
             raise ValueError("bus id set must be unchanged")
-        return Network(buses, self.lines, self.big_M)
+        return Network(buses, self.lines)
 
 
 class PowerFlow:
@@ -507,10 +498,10 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
 
     Demands and ratings are converted from MW to per-unit on ``baseMVA``.
     Out-of-service branches (status 0) are dropped; a branch rateA of 0
-    (unlimited) is mapped to the network big-M so the thermal constraint
-    stays well formed. Generators at the same bus are aggregated by summing
-    Pmax. Line ids are assigned 1..m in kept-branch order, so parallel
-    branches stay independently interdictable.
+    (unlimited) is mapped to the total demand (1 when that is zero) so the
+    thermal constraint stays well formed. Generators at the same bus are
+    aggregated by summing Pmax. Line ids are assigned 1..m in kept-branch
+    order, so parallel branches stay independently interdictable.
     """
     if hasattr(case_text, "read"):
         case_text = case_text.read()
@@ -560,7 +551,7 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         thermal = rate_a if rate_a > 0 else big_M
         lines.append(Line.of(next_id, f_bus, t_bus, x_mag, thermal))
         next_id += 1
-    return Network.build(buses, lines, big_M=big_M)
+    return Network.build(buses, lines)
 
 
 def serialize_case(net: Network) -> str:

@@ -4,11 +4,12 @@ Only intended for desk-scale instances; the subset count is checked against
 an explicit budget before any solving starts. Attacks are priced by
 ``exact_etas``: an attack that a zero-shed dispatch of the network's probe
 table serves within every rating, once rerouted around it, gets eta 0.0
-with no LP. The table is solved once per network, on first need, and read
-by every pricing thread: two intact probes, and per line two max-margin
-dispatches that carry nothing on that line, which settle an attack of
-k >= 2 lines along the segments from an intact probe to its own lines'
-dispatches.
+with no LP. The table is built once per network and read by every pricing
+thread: two intact probes, solved with the table, and per line two
+max-margin dispatches that carry nothing on that line, solved under the
+table's lock when an attack of k >= 2 lines first needs them; those
+settle such attacks along the segments from an intact probe to their own
+lines' dispatches.
 Every other attack gets ``exact_eta``, the load-shed LP with removed lines
 dropped by column bounds, with no big-M band, solved from the intact
 network's optimal basis.

@@ -12,11 +12,16 @@ import numpy as np
 from scipy.optimize import linprog
 
 
+def default_band(net) -> float:
+    """The +-M coupling band: total demand, or 1 when it is zero."""
+    return sum(b.demand for b in net.buses) or 1.0
+
+
 def reference_eta(net, attacked_line_ids, big_m: float | None = None) -> float:
     """Optimal load shed for the given attack, from first principles."""
     attacked = set(attacked_line_ids)
     n, m = len(net.buses), len(net.lines)
-    big_m = float(big_m if big_m is not None else net.big_M)
+    big_m = float(big_m if big_m is not None else default_band(net))
     demand = np.array([b.demand for b in net.buses])
     cap = np.array([b.gen_cap for b in net.buses])
     x = np.array([1.0 if l.id in attacked else 0.0 for l in net.lines])
@@ -73,7 +78,7 @@ def reference_flow_extreme(net, k: int, line_id: int, sign: float) -> float:
     """
     n, m = len(net.buses), len(net.lines)
     probe = net.line_pos[line_id]
-    big_m = net.big_M
+    big_m = default_band(net)
     demand = np.array([b.demand for b in net.buses])
     cap = np.array([b.gen_cap for b in net.buses])
     b_sus = np.array([l.susceptance for l in net.lines])

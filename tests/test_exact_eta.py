@@ -3,9 +3,7 @@ attack of the oracle's budgets, its independence of the pricing history,
 and the oracle's tie rule."""
 
 import random
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,18 +89,6 @@ def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
     monkeypatch.setattr(backend, "linprog", counted)
     exact_eta(net, AttackPlan.of(()))
     assert iterations == [0]
-
-
-def test_pricing_has_no_band_to_outgrow(triangle):
-    # No LP has a band, so a 1e-30 big_M changes neither the pricing nor the
-    # winner's re-solve by solve_inner, and nothing warns.
-    net = replace(triangle, big_M=1e-30)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = oracle.solve_exhaustive(net, AttackerModel.traditional(1), keep_ranking=True)
-        assert res.ranking == (((1,), 1.0), ((2,), 1.0), ((3,), 0.0))
-        assert res.best_eta == 1.0
-        assert [exact_eta(net, AttackPlan.of(lines)) for lines, _ in res.ranking] == [1.0, 1.0, 0.0]
 
 
 def test_near_equal_etas_tie_to_the_smallest_tuple():

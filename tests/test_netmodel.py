@@ -7,7 +7,8 @@ import pytest
 
 from nkshed import fixtures as fx
 from nkshed.netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
-                             Network, parse_case, parse_geo, serialize_case, total_load)
+                             Network, _default_big_M, parse_case, parse_geo, serialize_case,
+                             total_load)
 
 TWO_BUS_CASE = """function mpc = case2
 mpc.version = '2';
@@ -34,7 +35,7 @@ def test_parse_two_bus_case():
     assert line.thermal == pytest.approx(1.0)
     assert net.buses[net.bus_pos[2]].demand == pytest.approx(1.0)
     assert net.buses[net.bus_pos[1]].gen_cap == pytest.approx(1.0)
-    assert net.big_M == pytest.approx(1.0)
+    assert total_load(net) == pytest.approx(1.0)
 
 
 def test_out_of_service_branch_dropped():
@@ -81,7 +82,7 @@ def test_duplicate_bus_id_rejected():
 
 def test_rate_a_zero_maps_to_big_m():
     net = parse_case(TWO_BUS_CASE.replace("0.1 0 100 100 100", "0.1 0 0 100 100"))
-    assert net.lines[0].thermal == pytest.approx(net.big_M)
+    assert net.lines[0].thermal == _default_big_M(net.buses) == total_load(net)
 
 
 def test_multiple_generators_aggregate():
@@ -121,7 +122,7 @@ def test_total_load_examples():
 def test_total_load_equals_default_big_m():
     for build in fx.FIXTURES.values():
         net = build()
-        assert net.big_M == pytest.approx(total_load(net))
+        assert _default_big_M(net.buses) == total_load(net)
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -137,7 +138,7 @@ def test_serialize_round_trip(name):
         assert (l2.from_bus, l2.to_bus) == (l1.from_bus, l1.to_bus)
         assert l2.reactance == pytest.approx(l1.reactance, abs=1e-15)
         assert l2.thermal == pytest.approx(l1.thermal, abs=1e-15)
-    assert back.big_M == pytest.approx(net.big_M)
+    assert total_load(back) == pytest.approx(total_load(net))
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -200,15 +201,14 @@ def test_infinite_rating_is_rejected_not_priced_as_zero():
         Network.build([Bus(1, 0.0, 2.0), Bus(2, 1.0)], [Line.of(1, 1, 2, 0.1, np.inf)])
 
 
-def test_network_takes_only_buses_lines_and_big_m():
+def test_network_takes_only_buses_and_lines():
     net = fx.two_bus()
-    assert [f.name for f in fields(Network) if f.init] == ["buses", "lines", "big_M"]
+    assert [f.name for f in fields(Network) if f.init] == ["buses", "lines"]
+    assert Network(net.buses, net.lines) == net
     with pytest.raises(TypeError):
-        Network(net.buses, net.lines)
-    assert Network(net.buses, net.lines, net.big_M) == net
-    for bad in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="big_M"):
-            Network(net.buses, net.lines, bad)
+        Network(net.buses, net.lines, 1.0)
+    with pytest.raises(TypeError):
+        Network.build(net.buses, net.lines, big_M=1.0)
 
 
 def test_attacker_model_invariants():

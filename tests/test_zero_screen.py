@@ -1,11 +1,14 @@
 """The oracle's zero-shed screen: every attack ``exact_etas`` settles without
 an LP sheds nothing, a verdict depends on its attack alone, attacks that
 split an island go to the LP, the probe table is solved once per network,
-and the screen spares most LPs on the 4x4 and 6x6 lattices."""
+a network is freed with its table, and the screen spares most LPs on the
+4x4 and 6x6 lattices."""
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +20,7 @@ from nkshed import backend, inner
 from nkshed import fixtures as fx
 from nkshed import oracle
 from nkshed.attackers import compute_phi
+from nkshed.engine import solve_interdiction
 from nkshed.inner import AttackPlan, exact_eta, exact_etas, solve_inner
 from nkshed.netmodel import AttackerModel
 
@@ -39,15 +43,15 @@ def _verdicts(net, plans) -> list[float]:
 def _stage_one(net, plans) -> list[float]:
     """``_verdicts`` with the screen's second stage, the probe segments, off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inner, "_segment_excess", lambda net, base, part, *_: np.full(
-            len(part), np.inf))
+        patch.setattr(inner, "_segment_fits", lambda net, table, base, part: np.zeros(
+            len(part), dtype=bool))
         return _verdicts(net, plans)
 
 
-def _excess(net, subsets) -> np.ndarray:
-    """The screen's overload of each attack, all of one size, in one call."""
+def _settled(net, subsets) -> np.ndarray:
+    """The screen's verdict on each attack, all of one size, in one call."""
     cuts = np.array([sorted(net.line_pos[l] for l in s) for s in subsets], dtype=int)
-    return inner._probe_excess(net, cuts.reshape(len(subsets), -1))
+    return inner._settled(net, cuts.reshape(len(subsets), -1))
 
 
 @pytest.mark.parametrize("name", NETWORKS)
@@ -65,7 +69,7 @@ def test_every_settled_attack_sheds_nothing(name):
 @pytest.mark.parametrize("name", NETWORKS)
 def test_a_verdict_depends_on_its_attack_alone(name):
     # Alone, then in one chunk sorted, reversed and shuffled, then in the
-    # oracle's chunks: the same verdict per attack, and the same overload
+    # oracle's chunks: the same verdict per attack, and the same screen mask
     # bitwise per attack within each size.
     net, budgets = _budgets(name)
     attacks = _attacks(net, budgets)
@@ -83,10 +87,10 @@ def test_a_verdict_depends_on_its_attack_alone(name):
     assert list(map(repr, chunked)) == list(map(repr, alone))
     for size in {len(s) for s in attacks}:
         same = [s for s in attacks if len(s) == size]
-        single = b"".join(_excess(net, [s]).tobytes() for s in same)
-        assert _excess(net, same).tobytes() == single
+        single = b"".join(_settled(net, [s]).tobytes() for s in same)
+        assert _settled(net, same).tobytes() == single
         shuffled = random.Random(1).sample(same, len(same))
-        together = dict(zip(shuffled, _excess(net, shuffled).tolist()))
+        together = dict(zip(shuffled, _settled(net, shuffled).tolist()))
         assert np.array([together[s] for s in same]).tobytes() == single
 
 
@@ -96,7 +100,7 @@ def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypat
     scale = 1.01 * sum(b.gen_cap for b in mesh8.buses) / sum(b.demand for b in mesh8.buses)
     net = mesh8.with_buses(tuple(replace(b, demand=b.demand * scale) for b in mesh8.buses))
     assert exact_eta(net, AttackPlan.of(())) > 0.0
-    assert inner._zero_shed_probes(net).shape == (0, len(net.lines))
+    assert inner._probe_table(net).base.shape == (0, len(net.lines))
     model = AttackerModel.traditional(2)
     plans = [oracle.attack_plan(net, model, None, s) for s in oracle.feasible_attacks(net, model)]
     assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
@@ -116,9 +120,8 @@ def test_island_splitting_attacks_go_to_the_lp(name):
         cuts = np.array([sorted(net.line_pos[l] for l in s) for s in same])
         splits = net.power_flow.splits(cuts)
         split.update(zip(same, splits))
-        # The outage block is singular, and the overload infinite, exactly
-        # where the outage splits an island.
-        assert (np.isinf(_excess(net, same)) == splits).all()
+        # An outage that splits an island is never settled.
+        assert not (_settled(net, same) & splits).any()
     torn = [s for s in attacks if split[s]]
     assert torn
     plans = [AttackPlan.of(s) for s in torn]
@@ -188,25 +191,25 @@ def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
     # thread reads the same table, bitwise the one a lone caller builds.
     net, model = lattice(4, 4), AttackerModel.traditional(3)
     lock, solves, reads = threading.Lock(), [], set()
-    solve_lp, probe_rows = backend.Model.solve_lp, inner._probe_rows
+    solve_lp, probe_rows = backend.Model.solve_lp, inner._ProbeTable.rows
 
     def counted(self, *args, **kwargs):
         with lock:
             solves.append(self.name)
         return solve_lp(self, *args, **kwargs)
 
-    def read(net):
-        rows, ok = probe_rows(net)
+    def read(table):
+        rows, ok = probe_rows(table)
         with lock:
             reads.add((threading.get_ident(), rows.tobytes(), ok.tobytes(),
-                       inner._zero_shed_probes(net).tobytes()))
+                       table.base.tobytes()))
         return rows, ok
 
     monkeypatch.setattr(oracle, "_workers", lambda: workers)
     monkeypatch.setattr(backend.Model, "solve_lp", counted)
-    monkeypatch.setattr(inner, "_probe_rows", read)
-    # Threads switch often, so two that both find the table missing would
-    # both solve it without the network's lock.
+    monkeypatch.setattr(inner._ProbeTable, "rows", read)
+    # Threads switch often, so two that both find the table or its rows
+    # missing would both solve them without the network's or the table's lock.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -217,9 +220,9 @@ def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
     threads = {r[0] for r in reads}
     assert 1 <= len(threads) <= workers
     assert len({r[1:] for r in reads}) == 1
-    alone = lattice(4, 4)
+    alone = inner._probe_table(lattice(4, 4))
     assert {r[1:] for r in reads} == {(*(a.tobytes() for a in probe_rows(alone)),
-                                       inner._zero_shed_probes(alone).tobytes())}
+                                       alone.base.tobytes())}
 
 
 def test_a_segment_point_on_a_rating_settles_its_attack():
@@ -247,3 +250,22 @@ def test_every_attack_a_segment_settles_sheds_nothing(seed, data):
         if verdict == 0.0 and first == UNSETTLED:
             assert repr(exact_eta(net, plan)) == "0.0", plan
             assert solve_inner(net, plan).eta <= 1e-9, plan
+
+
+def test_a_network_is_freed_by_reference_counting():
+    # Nothing the oracle or the engine keeps on a network, its probe table
+    # and rows among them, refers back to it, so it goes with its last
+    # reference, with the cycle collector off.
+    net = lattice(4, 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        oracle.solve_exhaustive(net, AttackerModel.traditional(3))
+        assert inner._probe_table(net)._rows is not None
+        solve_interdiction(net, AttackerModel.traditional(2))
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
