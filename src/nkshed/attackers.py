@@ -10,8 +10,7 @@ to every bus touching an interdicted line.
 
 ``encode_feasible_set`` appends that mixed-integer constraint system to a
 caller's ``backend.Model`` as sparse row blocks and returns its columns by
-block name: the MILP master solves it as is, and the rate LPs of
-:mod:`nkshed.bounds` relax its binaries.
+block name, for the MILP master.
 ``is_feasible_attack`` is the standalone predicate the brute-force oracle
 uses; the two are exhaustively cross-checked in the test suite.
 """

@@ -29,12 +29,12 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
                    choices=["traditional", "spatial", "topological"])
     if with_k:
         p.add_argument("--k", type=int, required=True, help="number of lines to remove")
-        p.add_argument("--D", type=float, help="spatial disk diameter in km")
+        p.add_argument("--D", type=float, help="spatial disk diameter in km (spatial only)")
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
     p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic",
-                   help="penalty rates of the MILP master's cuts, used only past either "
-                        "budget (ENUMERATION_BUDGET or NETWORK_BUDGET); neither makes its "
-                        "bound a proof")
+                   help="penalty rates of the MILP master's cuts, 1.0 or the total load "
+                        "per line, used only past either budget (ENUMERATION_BUDGET or "
+                        "NETWORK_BUDGET); neither makes its bound a proof")
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--distance", choices=["haversine", "planar"], default="haversine")
 
@@ -48,12 +48,7 @@ def _load_network(args):
 
 
 def _build_model(args) -> AttackerModel:
-    if args.model == "spatial":
-        if args.D is None:
-            raise SystemExit("--model spatial requires --D")
-        center = getattr(args, "center", None)
-        return AttackerModel.spatial(args.k, args.D, center)
-    return AttackerModel(args.model, args.k)
+    return AttackerModel(args.model, args.k, args.D, getattr(args, "center", None))
 
 
 def _config(args) -> SolveConfig:
@@ -82,8 +77,6 @@ def _cmd_sweep(args) -> int:
     net = _load_network(args)
     k_values = [int(v) for v in parse_range(args.k_range)]
     d_values = parse_range(args.D_range) if args.D_range else None
-    if args.model == "spatial" and not d_values:
-        raise SystemExit("--model spatial requires --D-range")
     rows = sweep(net, args.model, k_values, d_values, _config(args), jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     failures = sum(1 for r in rows if r.get("status") == "error")
@@ -110,7 +103,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="solve one interdiction instance")
     _add_common(p_run)
-    p_run.add_argument("--center", type=int, help="pin the spatial center bus")
+    p_run.add_argument("--center", type=int, help="pin the spatial center bus (spatial only)")
     p_run.add_argument("--out", default=".", help="directory for report.json / overlay.geojson")
     p_run.set_defaults(func=_cmd_run)
 

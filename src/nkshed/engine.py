@@ -22,8 +22,8 @@ rates are computed on this path.
 shed-estimate variable proposes the attack with the highest estimate
 consistent with the cuts so far; each priced attack adds a cut that caps the
 estimate of every attack by its priced shed plus its absolute line flows at
-per-line penalty rates (``SolveConfig.bounds_mode``), and an exclusion cut
-that retires it. No rate set makes those cuts valid (see
+per-line penalty rates, 1.0 or the total load by ``SolveConfig.bounds_mode``,
+and an exclusion cut that retires it. No rate set makes those cuts valid (see
 :mod:`nkshed.bounds`), so the master's MILP dual bound is an estimate and
 this path never reports ``bound_certified``. A master that HiGHS fails to
 solve is retried once with presolve off.
@@ -76,10 +76,10 @@ class SolveConfig:
     ``abs_floor`` near zero shed), both finite and > 0 so the gap is always
     defined, and ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
-    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (relaxation LPs), so
-    it acts only past either budget (``ENUMERATION_BUDGET`` or
-    ``NETWORK_BUDGET``); the enumerated master needs no rates. Neither mode
-    makes the MILP master's bound a proof.
+    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (every line at the
+    total load), so it acts only past either budget (``ENUMERATION_BUDGET``
+    or ``NETWORK_BUDGET``); the enumerated master needs no rates. Neither
+    mode makes the MILP master's bound a proof.
     ``distance_mode`` is the spatial budget's distance metric.
     """
 
@@ -260,8 +260,7 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
 
 def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
                footprint: SpatialFootprint | None) -> MasterState:
-    bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC \
-        else valid_bounds(net, model, footprint)
+    bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC else valid_bounds(net)
 
     state = MasterState(bounds=bounds)
     load_cap = total_load(net)

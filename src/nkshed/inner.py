@@ -25,11 +25,11 @@ LP: it turns one dispatch into a feasible defender response to each attack
 and the screen reroute flows by ``PowerFlow.flows``; the screen does not
 know which attacks split an island, and sends those ``flows`` marks to the LP.
 
-The load-shed LP and the flow-extreme relaxations in :mod:`nkshed.bounds`
-are built by ``add_dc_network``: it adds the network's columns and flow-balance
-rows as sparse blocks from the cached incidence matrix and returns the
-per-line coupling block. Each caller then adds only its own bounds,
-right-hand sides and extra columns.
+Both kept models, the exact load-shed model and the probe table's
+max-margin model, are built by ``_slack_model``: it adds the network's
+columns, flow-balance rows and coupling rows as sparse blocks from the
+cached incidence matrix. Each caller then adds only its own bounds and
+extra columns and rows.
 """
 
 from __future__ import annotations
@@ -136,44 +136,13 @@ def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
 
 
 class DCColumns(NamedTuple):
-    """Model columns of one DC network, and its per-line coupling block.
-
-    ``coupling`` is ``[b * (e_fr - e_to) on angles | I on flow]`` in model
-    columns: row e reads ``flow_e + b_e * (ang_fr - ang_to)``.
-    """
+    """Model columns of one DC network: shed fraction, generation, angle and
+    flow, one block each."""
 
     shed: np.ndarray
     gen: np.ndarray
     ang: np.ndarray
     flow: np.ndarray
-    coupling: sparse.coo_array
-
-
-def add_dc_network(mdl: Model, net: Network, shed_cost) -> DCColumns:
-    """Append the DC network's columns and flow-balance rows to ``mdl``.
-
-    Columns come in the order shed fraction, generation, angle, flow, one
-    block each. The balance rows ``[diag(demand) | I | 0 | incidence]`` equal
-    the demand at every bus. The coupling block is returned unbounded, for
-    the caller to pin, relax or split per line.
-    """
-    n, m = len(net.buses), len(net.lines)
-    demand = net.demand_vector()
-    shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=shed_cost)
-    gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
-    ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
-    bus, line, inc = np.arange(n), np.arange(m), net.incidence
-    balance = sparse.coo_array(
-        (np.concatenate([demand, np.ones(n), inc.data]),
-         (np.concatenate([bus, bus, inc.row]), np.concatenate([shed, gen, flow[inc.col]]))),
-        shape=(n, mdl.num_vars))
-    mdl.add_rows(balance, demand, demand)
-    coupling = sparse.coo_array(
-        (np.concatenate([np.ones(m), -net.susceptance_vector()[inc.col] * inc.data]),
-         (np.concatenate([line, inc.col]), np.concatenate([flow, ang[inc.row]]))),
-        shape=(m, mdl.num_vars))
-    return DCColumns(shed, gen, ang, flow, coupling)
 
 
 class SlackModel(NamedTuple):
@@ -190,21 +159,38 @@ class SlackModel(NamedTuple):
 def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     """A model of ``net`` in which a line comes out by column bounds alone.
 
-    The rows are the balance rows and, per line e, the coupling row
-    ``coupling_e - z_e = 0`` with a slack column ``z_e``. The intact bounds
-    are lower and upper, each flow then slack per line: flow within
-    ``rating``, slack at 0. ``_bounds_out`` gives the bounds with lines out.
+    The columns are shed fraction, generation, angle, flow and, per line e,
+    a slack column ``z_e``, one block each. The rows are the balance rows
+    ``[diag(demand) | I | 0 | incidence | 0]``, equal to the demand at every
+    bus, then per line e the coupling row
+    ``flow_e + b_e * (ang_fr - ang_to) - z_e = 0``. The intact bounds are
+    lower and upper, each flow then slack per line: flow within ``rating``,
+    slack at 0. ``_bounds_out`` gives the bounds with lines out.
     """
+    n, m = len(net.buses), len(net.lines)
+    demand = net.demand_vector()
     mdl = Model(name)
-    dc = add_dc_network(mdl, net, shed_cost)
-    m = len(net.lines)
+    shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=shed_cost)
+    gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
+    ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
+    flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
     z = mdl.add_vars(m, lb=0.0, ub=0.0)
-    coupling = mdl.add_rows(sparse.hstack([dc.coupling, -sparse.eye_array(m)]), 0.0, 0.0)
-    cols = np.concatenate([dc.flow, z]).astype(np.int32)
+    bus, line, inc = np.arange(n), np.arange(m), net.incidence
+    balance = sparse.coo_array(
+        (np.concatenate([demand, np.ones(n), inc.data]),
+         (np.concatenate([bus, bus, inc.row]), np.concatenate([shed, gen, flow[inc.col]]))),
+        shape=(n, mdl.num_vars))
+    mdl.add_rows(balance, demand, demand)
+    coupling = mdl.add_rows(sparse.coo_array(
+        (np.concatenate([np.ones(m), -net.susceptance_vector()[inc.col] * inc.data,
+                         -np.ones(m)]),
+         (np.concatenate([line, inc.col, line]), np.concatenate([flow, ang[inc.row], z]))),
+        shape=(m, mdl.num_vars)), 0.0, 0.0)
+    cols = np.concatenate([flow, z]).astype(np.int32)
     intact = np.zeros((2, 2, m))
     intact[0, 0], intact[1, 0] = -rating, rating
     mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-    return SlackModel(mdl, dc, coupling, cols, intact)
+    return SlackModel(mdl, DCColumns(shed, gen, ang, flow), coupling, cols, intact)
 
 
 # Lower and upper bound (rows) of a line's flow and slack (columns): removed,

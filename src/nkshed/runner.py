@@ -110,24 +110,25 @@ def sweep(net: Network, variant: str, k_values, D_values=None,
           config: SolveConfig | None = None, jobs: int = 1) -> list[dict]:
     """One report row per (k, D) grid point; failures are recorded in-row.
 
-    ``D_values`` only applies to the spatial budget; other budgets take a
-    single implicit D of None. The grid must be nonempty.
+    The spatial budget needs ``D_values`` and the other budgets take none
+    (a single implicit D of None); either mistake raises ``ValueError``
+    before any solve. The grid must be nonempty.
     """
     config = config or SolveConfig()
+    d_list = [] if D_values is None else [float(d) for d in D_values]
+    if variant == "spatial" and not d_list:
+        raise ValueError("the spatial budget requires D_values")
+    if variant != "spatial" and d_list:
+        raise ValueError(f"D_values only apply to the spatial budget, not {variant!r}")
     k_list = [int(k) for k in k_values]
-    d_list = [float(d) for d in D_values] if D_values else [None]
-    if variant != "spatial":
-        d_list = [None]
-    grid = [(k, d) for k in k_list for d in d_list]
+    grid = [(k, d) for k in k_list for d in d_list or [None]]
     if not grid:
         raise ValueError("empty sweep grid")
 
     def run_cell(cell):
         k, d = cell
         try:
-            model = (AttackerModel.spatial(k, d) if variant == "spatial"
-                     else AttackerModel(variant, k))
-            report = solve_to_report(net, model, config)
+            report = solve_to_report(net, AttackerModel(variant, k, d), config)
             row = asdict(report)
             row["interdicted_lines"] = ";".join(str(l) for l in report.interdicted_lines)
             row.pop("per_bus_shed")

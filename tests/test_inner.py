@@ -188,16 +188,13 @@ def test_angles_zero_at_first_bus_of_each_island(name):
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_reversed_relabelled_lines_give_same_eta(name):
     # The new ids are not positions + 1 and fall as positions rise, so an
-    # id-for-position mix-up in the LP builders or the rates changes an answer.
+    # id-for-position mix-up in the LP builder changes an answer.
     net = fx.FIXTURES[name]()
     relabel = {l.id: 10 * l.id + 3 for l in net.lines}
     other = Network.build(list(net.buses),
                           [replace(l, id=relabel[l.id]) for l in reversed(net.lines)])
     ids = [l.id for l in net.lines]
     k = min(2, len(ids))
-    rates = valid_bounds(net, AttackerModel.traditional(k))
-    moved_rates = valid_bounds(other, AttackerModel.traditional(k))
-    np.testing.assert_array_equal(moved_rates.rate, rates.rate[::-1])
     rng = random.Random(5)
     for attack in [[]] + [rng.sample(ids, rng.randint(1, k)) for _ in range(6)]:
         plan, moved = AttackPlan.of(attack), AttackPlan.of(relabel[lid] for lid in attack)
@@ -231,8 +228,7 @@ def test_cut_validity_exhaustive_pairs_valid_bounds(name):
     net = fx.FIXTURES[name]()
     ids = [l.id for l in net.lines]
     k = 2 if len(ids) >= 2 else 1
-    model = AttackerModel.traditional(k)
-    vb = valid_bounds(net, model)
+    vb = valid_bounds(net)
     attacks = [frozenset(p) for p in itertools.combinations(ids, k)]
     solved = {a: solve_inner(net, AttackPlan.of(a)) for a in attacks}
     for x_hat in attacks:

@@ -162,8 +162,46 @@ def test_cli_run_two_bus(tmp_path, capsys):
 
 def test_cli_run_spatial_requires_d(tmp_path):
     case, geo = _write_inputs(tmp_path, fx.two_bus())
-    with pytest.raises(SystemExit):
-        main(["run", "--case", case, "--geo", geo, "--model", "spatial", "--k", "1"])
+    assert main(["run", "--case", case, "--geo", geo, "--model", "spatial", "--k", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "traditional", "--k", "2", "--D", "50"],
+    ["run", "--model", "traditional", "--k", "2", "--center", "3"],
+    ["run", "--model", "topological", "--k", "2", "--D", "50", "--center", "3"],
+    ["certify", "--model", "topological", "--k", "2", "--D", "50"],
+    ["sweep", "--model", "traditional", "--k-range", "1:2", "--D-range", "10:20:10"],
+    ["sweep", "--model", "spatial", "--k-range", "1:2"],
+], ids=["run-D", "run-center", "run-D-center", "certify-D", "sweep-D-range",
+        "sweep-spatial-no-D-range"])
+def test_cli_rejects_options_the_model_ignores(tmp_path, capsys, argv):
+    # Each of these solved the budget without the option before; now it is
+    # an input error, and nothing is solved or written.
+    case, geo = _write_inputs(tmp_path, fx.triangle())
+    out = tmp_path / "out"
+    assert main(argv + ["--case", case, "--geo", geo, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant,d_values,match", [
+    ("traditional", [10.0, 20.0], "only apply to the spatial"),
+    ("topological", [50.0], "only apply to the spatial"),
+    ("spatial", None, "requires D_values"),
+    ("spatial", [], "requires D_values"),
+])
+def test_sweep_rejects_d_values_mismatch_up_front(monkeypatch, triangle, variant, d_values,
+                                                   match):
+    import nkshed.runner as runner
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(runner, "solve_to_report", no_solve)
+    with pytest.raises(ValueError, match=match):
+        sweep(triangle, variant, [1, 2], d_values)
 
 
 def test_cli_run_parse_error_exit_code(tmp_path):
