@@ -9,7 +9,7 @@ past it, cross-checked against a brute-force oracle at desk scale.
 """
 
 from .attackers import (SpatialFootprint, SpatiallyInfeasibleError, compute_phi,
-                        encode_feasible_set, haversine_km, is_feasible_attack, planar_km)
+                        encode_feasible_set, haversine_km, is_feasible_attack)
 from .backend import BackendError
 from .bounds import DualBounds, heuristic_bounds, valid_bounds
 from .engine import (MasterState, NoFeasibleAttackError, SolveConfig, gap,
@@ -30,7 +30,7 @@ __all__ = [
     "SolveConfig", "SpatialFootprint", "SpatiallyInfeasibleError",
     "build_geojson", "certify", "compute_phi", "encode_feasible_set",
     "gap", "haversine_km", "heuristic_bounds", "is_feasible_attack", "parse_case",
-    "parse_geo", "planar_km", "report_json", "serialize_case", "solve_exhaustive",
+    "parse_geo", "report_json", "serialize_case", "solve_exhaustive",
     "solve_inner", "solve_interdiction", "solve_to_report",
     "sweep", "total_load", "valid_bounds", "write_ranking_csv", "write_sweep_csv",
 ]

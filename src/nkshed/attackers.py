@@ -3,10 +3,12 @@
 Three budgets are supported. The traditional budget fixes the number of
 interdicted lines. The spatial budget additionally requires every chosen
 line to sit inside a disk of diameter ``D_km`` around a chosen center bus,
-realized through per-line candidate-center sets. The topological budget
-requires the chosen lines to form a connected subgraph, realized through a
-single-commodity virtual flow sourced at a super node that feeds one unit
-to every bus touching an interdicted line.
+realized through per-line candidate-center sets: ``compute_phi`` builds
+them once per network and D, and every call reads them through the
+model's D. The topological budget requires the chosen lines to form a
+connected subgraph, realized through a single-commodity virtual flow
+sourced at a super node that feeds one unit to every bus touching an
+interdicted line.
 
 ``encode_feasible_set`` appends that mixed-integer constraint system to a
 caller's ``backend.Model`` as sparse row blocks and returns its columns by
@@ -32,7 +34,6 @@ __all__ = [
     "SpatiallyInfeasibleError",
     "NoFeasibleAttackError",
     "haversine_km",
-    "planar_km",
     "compute_phi",
     "check_budget",
     "encode_feasible_set",
@@ -59,38 +60,27 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
-def planar_km(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Equirectangular flat-earth distance in km; cheap alternative metric."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    x = (lon2 - lon1) * math.cos(0.5 * (lat1 + lat2))
-    y = lat2 - lat1
-    return EARTH_RADIUS_KM * math.hypot(x, y)
-
-_DISTANCE = {"haversine": haversine_km, "planar": planar_km}
-
-
 @dataclass(frozen=True)
 class SpatialFootprint:
     """Per-line candidate center buses: those within D/2 of the line midpoint."""
 
     phi: dict[int, frozenset[int]]
     D_km: float
-    distance_mode: str = "haversine"
 
 
-def compute_phi(net: Network, D_km: float, distance_mode: str = "haversine") -> SpatialFootprint:
-    """Candidate-center sets for every line.
+def compute_phi(net: Network, D_km: float) -> SpatialFootprint:
+    """Candidate-center sets for every line, built once per network and D.
 
-    A bus belongs to a line's set when its distance to the line's geographic
-    midpoint (arithmetic mean of the endpoint coordinates) is at most D/2.
-    Requires every bus to be geolocated.
+    A bus belongs to a line's set when its great-circle distance to the
+    line's geographic midpoint (arithmetic mean of the endpoint
+    coordinates) is at most D/2. Requires every bus to be geolocated.
     """
     if not D_km > 0:
         raise ValueError(f"D_km must be > 0, got {D_km}")
-    if distance_mode not in _DISTANCE:
-        raise ValueError(f"unknown distance mode {distance_mode!r}")
-    dist = _DISTANCE[distance_mode]
+    return net.shared(("footprint", D_km), lambda: _footprint(net, D_km))
+
+
+def _footprint(net: Network, D_km: float) -> SpatialFootprint:
     missing = [b.id for b in net.buses if not b.has_geo]
     if missing:
         raise ValueError(f"buses without geolocation: {missing}")
@@ -101,32 +91,29 @@ def compute_phi(net: Network, D_km: float, distance_mode: str = "haversine") -> 
         (lat1, lon1), (lat2, lon2) = pos[line.from_bus], pos[line.to_bus]
         midpoint = ((lat1 + lat2) / 2.0, (lon1 + lon2) / 2.0)
         phi[line.id] = frozenset(
-            b.id for b in net.buses if dist((b.lat, b.lon), midpoint) <= radius
+            b.id for b in net.buses if haversine_km((b.lat, b.lon), midpoint) <= radius
         )
-    return SpatialFootprint(phi, D_km, distance_mode)
+    return SpatialFootprint(phi, D_km)
 
 
-def check_budget(net: Network, model: AttackerModel,
-                 footprint: SpatialFootprint | None = None) -> None:
+def check_budget(net: Network, model: AttackerModel) -> None:
     """Raise if ``model`` cannot be posed on ``net``.
 
     An exact-k budget with k above the line count has no feasible attack
     and raises :class:`NoFeasibleAttackError`, as the oracle does. A
-    spatial budget raises ``ValueError`` without a footprint or with a
-    pinned center bus the network lacks, and
-    :class:`SpatiallyInfeasibleError` when the footprint gives no line a
-    candidate center.
+    spatial budget raises ``ValueError`` on a network with a bus lacking
+    geolocation (through :func:`compute_phi`) or with a pinned center bus
+    the network lacks, and :class:`SpatiallyInfeasibleError` when the
+    footprint gives no line a candidate center.
     """
     if model.variant != "spatial":
         if model.k > len(net.lines):
             raise NoFeasibleAttackError(
-                f"infeasible: k = {model.k} exceeds {len(net.lines)} lines")
+                f"no feasible attack: k = {model.k} exceeds {len(net.lines)} lines")
         return
-    if footprint is None:
-        raise ValueError("spatial encoding requires a footprint")
-    if all(len(footprint.phi[lid]) == 0 for lid in net.line_ids()):
+    if not any(compute_phi(net, model.D_km).phi.values()):
         raise SpatiallyInfeasibleError(
-            f"spatially infeasible: no line within D/2 = {footprint.D_km / 2} km "
+            f"spatially infeasible: no line within D/2 = {model.D_km / 2} km "
             "of any candidate center")
     if model.center_bus is not None and model.center_bus not in net.bus_pos:
         raise ValueError(f"pinned center bus {model.center_bus} not in network")
@@ -137,8 +124,7 @@ def _add_block(mdl: Model, count: int, rows, cols, vals, lo: float, hi: float) -
     mdl.add_rows(sparse.coo_array((vals, (rows, cols)), shape=(count, mdl.num_vars)), lo, hi)
 
 
-def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel,
-                        footprint: SpatialFootprint | None = None) -> dict[str, np.ndarray]:
+def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[str, np.ndarray]:
     """Append a constraint system whose 0/1 solutions project onto the feasible attacks.
 
     Returns the columns added to ``mdl`` by block name. ``"x"`` holds one
@@ -146,7 +132,7 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel,
     binary per bus position, and the topological budget ``"y"``,
     ``"kappa_edge"``, ``"flow_fwd"``, ``"flow_rev"`` and ``"kappa_flow"``.
     """
-    check_budget(net, model, footprint)
+    check_budget(net, model)
     m, n = len(net.lines), len(net.buses)
     line, bus = np.arange(m), np.arange(n)
     k = float(model.k)
@@ -164,7 +150,8 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel,
         mdl.add_le(x, np.ones(m), k)                    # at most k lines
         mdl.add_eq(c, np.ones(n), 1.0)                  # exactly one center
         # x_e <= sum of its candidate centers, one row per line.
-        sets = [footprint.phi[lid] for lid in net.line_ids()]
+        phi = compute_phi(net, model.D_km).phi
+        sets = [phi[lid] for lid in net.line_ids()]
         owner = np.repeat(line, [len(s) for s in sets])
         center = np.fromiter((net.bus_pos[bid] for s in sets for bid in s), int, len(owner))
         _add_block(mdl, m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
@@ -211,8 +198,7 @@ def _connected(net: Network, lines: frozenset[int]) -> bool:
     return True
 
 
-def is_feasible_attack(net: Network, model: AttackerModel,
-                       footprint: SpatialFootprint | None, lines) -> bool:
+def is_feasible_attack(net: Network, model: AttackerModel, lines) -> bool:
     """Direct predicate for membership of a line set in the attacker feasible set."""
     lines = frozenset(int(l) for l in lines)
     for lid in lines:
@@ -221,21 +207,20 @@ def is_feasible_attack(net: Network, model: AttackerModel,
     if model.variant == "traditional":
         return len(lines) == model.k
     if model.variant == "spatial":
-        if footprint is None:
-            raise ValueError("spatial feasibility requires a footprint")
         if len(lines) > model.k:
             return False
-        centers = spatial_centers(net, footprint, lines)
+        centers = spatial_centers(net, model, lines)
         if model.center_bus is not None:
             return model.center_bus in centers
         return len(centers) > 0
     return len(lines) == model.k and _connected(net, lines)
 
 
-def spatial_centers(net: Network, footprint: SpatialFootprint, lines) -> frozenset[int]:
+def spatial_centers(net: Network, model: AttackerModel, lines) -> frozenset[int]:
     """Buses that can serve as the disk center for all the given lines at once."""
+    phi = compute_phi(net, model.D_km).phi
     lines = frozenset(int(l) for l in lines)
-    centers = frozenset(b.id for b in net.buses)
+    centers = frozenset(net.bus_pos)
     for lid in lines:
-        centers &= footprint.phi[lid]
+        centers &= phi[lid]
     return centers

@@ -244,10 +244,6 @@ class Model:
             self._lp[0].changeColsBounds(len(cols), cols, lb, ub)
         self._lb[cols], self._ub[cols] = lb, ub
 
-    def set_objective_coef(self, col: int, coef: float) -> None:
-        self._lp = None
-        self._obj[col] = coef
-
     # -- rows --------------------------------------------------------------------
 
     def add_rows(self, mat, lo, hi) -> range:

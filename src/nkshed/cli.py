@@ -36,7 +36,6 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
                         "per line, used only past either budget (ENUMERATION_BUDGET or "
                         "NETWORK_BUDGET); neither makes its bound a proof")
     p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--distance", choices=["haversine", "planar"], default="haversine")
 
 
 def _load_network(args):
@@ -52,8 +51,7 @@ def _build_model(args) -> AttackerModel:
 
 
 def _config(args) -> SolveConfig:
-    return SolveConfig(epsilon=args.eps, max_iters=args.max_iters,
-                       bounds_mode=args.bounds, distance_mode=args.distance)
+    return SolveConfig(epsilon=args.eps, max_iters=args.max_iters, bounds_mode=args.bounds)
 
 
 def _cmd_run(args) -> int:
@@ -75,9 +73,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     net = _load_network(args)
-    k_values = [int(v) for v in parse_range(args.k_range)]
     d_values = parse_range(args.D_range) if args.D_range else None
-    rows = sweep(net, args.model, k_values, d_values, _config(args), jobs=args.jobs)
+    rows = sweep(net, args.model, parse_range(args.k_range), d_values, _config(args),
+                 jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     failures = sum(1 for r in rows if r.get("status") == "error")
     print(f"swept {len(rows)} cells ({failures} failed) -> {args.out}")

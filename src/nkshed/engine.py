@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attackers import (NoFeasibleAttackError, SpatialFootprint, check_budget, compute_phi,
-                        encode_feasible_set)
+from .attackers import NoFeasibleAttackError, check_budget, encode_feasible_set
 from .backend import INFEASIBLE, OPTIMAL, Model
 from .bounds import DualBounds, HEURISTIC, VALID, heuristic_bounds, valid_bounds
 from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
@@ -80,14 +79,12 @@ class SolveConfig:
     total load), so it acts only past either budget (``ENUMERATION_BUDGET``
     or ``NETWORK_BUDGET``); the enumerated master needs no rates. Neither
     mode makes the MILP master's bound a proof.
-    ``distance_mode`` is the spatial budget's distance metric.
     """
 
     epsilon: float = 0.01
     abs_floor: float = 1e-6
     max_iters: int = 10000
     bounds_mode: str = HEURISTIC
-    distance_mode: str = "haversine"
 
     def __post_init__(self):
         for name in ("epsilon", "abs_floor"):
@@ -135,12 +132,12 @@ def gap(state: MasterState, config: SolveConfig) -> float:
     return (state.eta_up - state.eta_star) / max(state.eta_star, config.abs_floor)
 
 
-def _build_master(net: Network, model: AttackerModel, footprint: SpatialFootprint | None,
-                  state: MasterState, load_cap: float) -> tuple[Model, dict[str, np.ndarray]]:
+def _build_master(net: Network, model: AttackerModel, state: MasterState,
+                  load_cap: float) -> tuple[Model, dict[str, np.ndarray]]:
     """The master MILP and its attacker columns by block name."""
     mdl = Model("interdiction-master")
     mdl.add_var(lb=0.0, ub=load_cap, obj=-1.0)  # maximize the shed estimate
-    cols = encode_feasible_set(mdl, net, model, footprint)
+    cols = encode_feasible_set(mdl, net, model)
     x_cols = cols["x"]
     for eta_hat, price in state.cuts:
         on = np.flatnonzero(price)
@@ -169,15 +166,14 @@ def _extract_plan(net: Network, model: AttackerModel, cols: dict[str, np.ndarray
     return AttackPlan(lines, center, model)
 
 
-def _enumerate(net: Network, model: AttackerModel,
-               footprint: SpatialFootprint | None) -> list[np.ndarray]:
+def _enumerate(net: Network, model: AttackerModel) -> list[np.ndarray]:
     """The feasible attacks as line positions, one array per attack size.
 
     Sizes ascend, so the arrays' rows, taken in turn, follow the
     enumeration order.
     """
     by_size: dict[int, list[list[int]]] = {}
-    for subset in feasible_attacks(net, model, footprint):
+    for subset in feasible_attacks(net, model):
         by_size.setdefault(len(subset), []).append([net.line_pos[lid] for lid in subset])
     return [np.array(rows, dtype=np.intp).reshape(len(rows), size)
             for size, rows in by_size.items()]
@@ -219,9 +215,8 @@ def _stop_level(state: MasterState, config: SolveConfig) -> float:
     return state.eta_star + config.epsilon * max(state.eta_star, config.abs_floor)
 
 
-def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
-                     footprint: SpatialFootprint | None) -> MasterState:
-    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in _enumerate(net, model, footprint)]
+def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
+    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in _enumerate(net, model)]
     starts = np.cumsum([0] + [len(cuts) for cuts, _ in groups])
     if starts[-1] == 0:
         raise NoFeasibleAttackError(
@@ -236,7 +231,7 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
         i = int(np.argmax(np.where(priced, -np.inf, bound)))
         g = int(np.searchsorted(starts, i, side="right")) - 1
         lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
-        plan = attack_plan(net, model, footprint, lines)
+        plan = attack_plan(net, model, lines)
         inner = _price(net, plan, state)
         priced[i] = True
         level = _stop_level(state, config)
@@ -258,8 +253,7 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig,
     return state
 
 
-def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
-               footprint: SpatialFootprint | None) -> MasterState:
+def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
     bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC else valid_bounds(net)
 
     state = MasterState(bounds=bounds)
@@ -267,7 +261,7 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
     seen: set[frozenset[int]] = set()
 
     while state.iterations < config.max_iters:
-        mdl, cols = _build_master(net, model, footprint, state, load_cap)
+        mdl, cols = _build_master(net, model, state, load_cap)
         master = mdl.solve_milp(require_optimal=False)
         if master.status not in (OPTIMAL, INFEASIBLE):
             master = mdl.solve_milp(require_optimal=False, presolve=False)
@@ -322,7 +316,6 @@ def solve_interdiction(
     net: Network,
     model: AttackerModel,
     config: SolveConfig | None = None,
-    footprint: SpatialFootprint | None = None,
 ) -> tuple[AttackPlan, float, MasterState]:
     """Find an epsilon-optimal worst-case attack for the given attacker budget.
 
@@ -338,16 +331,14 @@ def solve_interdiction(
     if not net.buses:
         raise ValueError("empty network")
     config = config or SolveConfig()
-    if model.variant == "spatial" and footprint is None:
-        footprint = compute_phi(net, model.D_km, config.distance_mode)
     m = len(net.lines)
     enumerated = (subset_count(m, model) <= ENUMERATION_BUDGET
                   and len(net.buses) * m <= NETWORK_BUDGET)
     if enumerated:
-        check_budget(net, model, footprint)
-        state = _enumerated_loop(net, model, config, footprint)
+        check_budget(net, model)
+        state = _enumerated_loop(net, model, config)
     else:
-        state = _milp_loop(net, model, config, footprint)
+        state = _milp_loop(net, model, config)
 
     if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
         raise NoFeasibleAttackError("no attack was evaluated")

@@ -105,7 +105,6 @@ class InnerSolution:
     shed: dict[int, float]
     flow: dict[int, float]
     gen: dict[int, float]
-    status: str
     attack: AttackPlan
     _angle_from: tuple = field(default=(), repr=False, compare=False)
     _duals_from: tuple = field(default=(), repr=False, compare=False)
@@ -262,7 +261,6 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
         flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
         gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
-        status=sol.status,
         attack=attack,
         _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions(), bus_ids),
         _duals_from=(line_ids, sol.dual[slack.coupling], sol.reduced[dc.flow]),

@@ -33,9 +33,6 @@ __all__ = [
     "total_load",
 ]
 
-# Relative tolerance for the susceptance/reactance consistency invariant.
-_B_X_RTOL = 1e-12
-
 # Batched outage computations work in chunks of rows whose temporary arrays
 # hold about this many entries each.
 BATCH_ENTRIES = 1 << 18
@@ -82,28 +79,21 @@ class Line:
     from_bus: int
     to_bus: int
     reactance: float
-    susceptance: float
     thermal: float
 
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValueError(f"line {self.id}: from_bus == to_bus ({self.from_bus})")
-        if not np.isfinite([self.reactance, self.susceptance, self.thermal]).all():
-            raise ValueError(f"line {self.id}: reactance, susceptance and thermal limit "
-                             "must be finite")
+        if not np.isfinite([self.reactance, self.thermal]).all():
+            raise ValueError(f"line {self.id}: reactance and thermal limit must be finite")
         if self.reactance <= 0:
             raise ValueError(f"line {self.id}: non-positive reactance {self.reactance}")
         if self.thermal <= 0:
             raise ValueError(f"line {self.id}: non-positive thermal limit {self.thermal}")
-        if abs(self.susceptance * self.reactance - 1.0) > _B_X_RTOL:
-            raise ValueError(
-                f"line {self.id}: susceptance {self.susceptance} is not 1/reactance"
-            )
 
-    @staticmethod
-    def of(line_id: int, from_bus: int, to_bus: int, reactance: float, thermal: float) -> "Line":
-        """Build a line computing the susceptance from the reactance."""
-        return Line(line_id, from_bus, to_bus, reactance, 1.0 / reactance, thermal)
+    @property
+    def susceptance(self) -> float:
+        return 1.0 / self.reactance
 
 
 @dataclass(frozen=True)
@@ -116,8 +106,9 @@ class Network:
     solvers keep per-thread state built from the network, such as the kept
     load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
     every thread reads, built once per network under a lock: the oracle's
-    zero-shed probe table. Every new Network, including one made by
-    ``dataclasses.replace``, starts with both empty.
+    zero-shed probe table and the spatial footprint of each disk diameter.
+    Every new Network, including one made by ``dataclasses.replace`` or
+    ``parse_geo``, starts with both empty.
     ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
     """
 
@@ -199,12 +190,15 @@ class Network:
         """
         return _islands(*self.endpoint_positions(), len(self.buses), cuts)
 
-    def shared(self, key: str, build):
+    def shared(self, key, build):
         """The value ``build()`` returned for ``key`` on this network.
 
-        The first caller builds it while holding the network's lock, so it is
-        built once and every thread reads the same object. A build must not
-        call ``shared``: the lock is not reentrant.
+        The first caller builds it while holding the network's lock, so it
+        is built once and every thread reads the same object. A build must
+        not call ``shared``: the lock is not reentrant. Keys in use:
+        ``"zero-shed probes"``, the oracle's zero-shed probe table, and
+        ``("footprint", D_km)``, the spatial footprint of one disk diameter
+        (``attackers.compute_phi``).
         """
         if key not in self._shared:
             with self._shared_lock:
@@ -549,7 +543,7 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
             raise CaseFormatError(f"line {lineno}: non-positive reactance {row[3]}")
         rate_a = _finite(row, 5, lineno, "branch") / base
         thermal = rate_a if rate_a > 0 else big_M
-        lines.append(Line.of(next_id, f_bus, t_bus, x_mag, thermal))
+        lines.append(Line(next_id, f_bus, t_bus, x_mag, thermal))
         next_id += 1
     return Network.build(buses, lines)
 

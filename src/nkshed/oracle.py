@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 
-from .attackers import (NoFeasibleAttackError, SpatialFootprint, is_feasible_attack,
-                        spatial_centers)
+from .attackers import NoFeasibleAttackError, check_budget, is_feasible_attack, spatial_centers
 from .inner import AttackPlan, exact_etas, solve_inner
 from .netmodel import AttackerModel, Network
 
@@ -81,33 +80,30 @@ def _candidates(line_ids: tuple[int, ...], model: AttackerModel):
         yield from combinations(line_ids, model.k)
 
 
-def feasible_attacks(net: Network, model: AttackerModel,
-                     footprint: SpatialFootprint | None = None):
+def feasible_attacks(net: Network, model: AttackerModel):
     """Yield the sorted line-id tuple of every feasible attack.
 
     Smaller attacks come first (only the spatial budget mixes sizes), then
     lexicographic order.
     """
     for subset in _candidates(tuple(sorted(net.line_ids())), model):
-        if is_feasible_attack(net, model, footprint, subset):
+        if is_feasible_attack(net, model, subset):
             yield subset
 
 
-def attack_plan(net: Network, model: AttackerModel, footprint: SpatialFootprint | None,
-                subset) -> AttackPlan:
+def attack_plan(net: Network, model: AttackerModel, subset) -> AttackPlan:
     """The plan of a feasible attack: a spatial one is centred on the pinned
     bus, or else on the smallest bus that can centre all its lines."""
     center = None
     if model.variant == "spatial":
         center = (model.center_bus if model.center_bus is not None
-                  else min(spatial_centers(net, footprint, subset)))
+                  else min(spatial_centers(net, model, subset)))
     return AttackPlan(frozenset(subset), center, model)
 
 
 def solve_exhaustive(
     net: Network,
     model: AttackerModel,
-    footprint: SpatialFootprint | None = None,
     budget: int = DEFAULT_BUDGET,
     keep_ranking: bool = False,
 ) -> OracleResult:
@@ -125,17 +121,18 @@ def solve_exhaustive(
     ``keep_ranking``) lists the exact etas worst first, in runs within that
     tolerance of each run's first eta, each run by line tuple, so it starts
     with the winner. Raises :class:`BudgetExceededError` before doing any
-    work if the subset count exceeds ``budget``, and
-    :class:`NoFeasibleAttackError` when nothing in the enumeration passes
-    the feasibility predicate.
+    work if the subset count exceeds ``budget``, what ``check_budget``
+    raises for a budget that cannot be posed on ``net``, as the engine
+    does, and :class:`NoFeasibleAttackError` when nothing in the
+    enumeration passes the feasibility predicate.
     """
     planned = subset_count(len(net.lines), model)
     if planned > budget:
         raise BudgetExceededError(
             f"{planned} candidate subsets exceed the oracle budget of {budget}")
 
-    plans = (attack_plan(net, model, footprint, subset)
-             for subset in feasible_attacks(net, model, footprint))
+    check_budget(net, model)
+    plans = (attack_plan(net, model, subset) for subset in feasible_attacks(net, model))
     ranking = [] if keep_ranking else None
     worst, near, evaluated = -float("inf"), [], 0
     for plan, eta in _price(net, plans):

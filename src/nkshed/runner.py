@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .attackers import compute_phi, is_feasible_attack
+from .attackers import is_feasible_attack
 from .engine import NoFeasibleAttackError, SolveConfig, solve_interdiction
 from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, solve_exhaustive
@@ -93,6 +93,8 @@ def parse_range(spec: str) -> list[float]:
     spec = spec.strip()
     if ":" in spec:
         parts = [float(p) for p in spec.split(":")]
+        if len(parts) > 3:
+            raise ValueError(f"range {spec!r} has more than three ':' fields")
         lo, hi = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1.0
         if step <= 0:
@@ -111,8 +113,9 @@ def sweep(net: Network, variant: str, k_values, D_values=None,
     """One report row per (k, D) grid point; failures are recorded in-row.
 
     The spatial budget needs ``D_values`` and the other budgets take none
-    (a single implicit D of None); either mistake raises ``ValueError``
-    before any solve. The grid must be nonempty.
+    (a single implicit D of None); either mistake, or a k that is not an
+    integer, raises ``ValueError`` before any solve. The grid must be
+    nonempty.
     """
     config = config or SolveConfig()
     d_list = [] if D_values is None else [float(d) for d in D_values]
@@ -120,7 +123,10 @@ def sweep(net: Network, variant: str, k_values, D_values=None,
         raise ValueError("the spatial budget requires D_values")
     if variant != "spatial" and d_list:
         raise ValueError(f"D_values only apply to the spatial budget, not {variant!r}")
+    k_values = list(k_values)
     k_list = [int(k) for k in k_values]
+    if k_list != k_values:
+        raise ValueError(f"k values must be integers, got {k_values}")
     grid = [(k, d) for k in k_list for d in d_list or [None]]
     if not grid:
         raise ValueError("empty sweep grid")
@@ -174,17 +180,14 @@ def certify(net: Network, model: AttackerModel, config: SolveConfig | None = Non
     as the bound discipline held.
     """
     config = config or SolveConfig()
-    footprint = None
-    if model.variant == "spatial":
-        footprint = compute_phi(net, model.D_km, config.distance_mode)
     engine_error = oracle_error = None
     plan = state = result = None
     try:
-        plan, eta_star, state = solve_interdiction(net, model, config, footprint=footprint)
+        plan, eta_star, state = solve_interdiction(net, model, config)
     except NoFeasibleAttackError as err:
         engine_error = str(err)
     try:
-        result = solve_exhaustive(net, model, footprint, budget=budget)
+        result = solve_exhaustive(net, model, budget=budget)
     except NoFeasibleAttackError as err:
         oracle_error = str(err)
 
@@ -194,7 +197,7 @@ def certify(net: Network, model: AttackerModel, config: SolveConfig | None = Non
                 "agree": agree, "engine_error": engine_error, "oracle_error": oracle_error}
 
     tol = config.epsilon * max(eta_star, config.abs_floor) + 1e-9
-    feasible = is_feasible_attack(net, model, footprint, plan.lines)
+    feasible = is_feasible_attack(net, model, plan.lines)
     agree = feasible and (result.best_eta - eta_star) <= tol
     return {
         "schema": SCHEMA_VERSION,

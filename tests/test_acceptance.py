@@ -43,19 +43,16 @@ def test_criterion_1_oracle_equivalence(master_paths):
         for name in FIXTURE_NAMES:
             net = fx.FIXTURES[name]()
             for variant in ("traditional", "spatial", "topological"):
-                footprint = (compute_phi(net, fx.SPATIAL_D[name])
-                             if variant == "spatial" else None)
                 for k in (1, 2, 3):
                     cells += 1
                     model = _model_for(variant, k, name)
                     try:
-                        plan, eta, state = solve_interdiction(
-                            net, model, SolveConfig(epsilon=EPS), footprint=footprint)
+                        plan, eta, state = solve_interdiction(net, model, SolveConfig(epsilon=EPS))
                         engine_infeasible = False
                     except INFEASIBLE_ERRORS:
                         engine_infeasible = True
                     try:
-                        oracle = solve_exhaustive(net, model, footprint)
+                        oracle = solve_exhaustive(net, model)
                         oracle_infeasible = False
                     except INFEASIBLE_ERRORS:
                         oracle_infeasible = True
@@ -65,8 +62,7 @@ def test_criterion_1_oracle_equivalence(master_paths):
                     checked += 1
                     assert _tolerant_equal(eta, oracle.best_eta), (name, variant, k, eta,
                                                                    oracle.best_eta)
-                    assert is_feasible_attack(net, model, footprint, plan.lines), \
-                        (name, variant, k)
+                    assert is_feasible_attack(net, model, plan.lines), (name, variant, k)
         assert checked >= 5 * 3 * 3 - 10  # nearly every cell is feasible
         print(f"\n[criterion 1] PASS ({path} master) oracle equivalence on "
               f"{checked}/{cells} feasible cells")
@@ -215,9 +211,9 @@ def test_criterion_7_structural_invariants(master_paths):
             for lid in mesh.line_ids():
                 assert small.phi[lid] <= large.phi[lid]
         etas = []
-        for d, fp in zip(grid, footprints):
+        for d in grid:
             _, eta, _ = solve_interdiction(mesh, AttackerModel.spatial(2, d),
-                                           SolveConfig(epsilon=1e-6), footprint=fp)
+                                           SolveConfig(epsilon=1e-6))
             etas.append(eta)
         assert all(b >= a - 1e-6 for a, b in zip(etas, etas[1:]))
 
@@ -245,19 +241,15 @@ def test_criterion_8_heuristic_vs_valid_bounds(milp_master):
     for name in FIXTURE_NAMES:
         net = fx.FIXTURES[name]()
         for variant in ("traditional", "spatial", "topological"):
-            footprint = (compute_phi(net, fx.SPATIAL_D[name])
-                         if variant == "spatial" else None)
             for k in (1, 2, 3):
                 model = _model_for(variant, k, name)
                 try:
                     _, eta_h, st_h = solve_interdiction(
-                        net, model, SolveConfig(epsilon=EPS, bounds_mode="heuristic"),
-                        footprint=footprint)
+                        net, model, SolveConfig(epsilon=EPS, bounds_mode="heuristic"))
                 except INFEASIBLE_ERRORS:
                     continue
                 _, eta_v, st_v = solve_interdiction(
-                    net, model, SolveConfig(epsilon=EPS, bounds_mode="valid"),
-                    footprint=footprint)
+                    net, model, SolveConfig(epsilon=EPS, bounds_mode="valid"))
                 assert _tolerant_equal(eta_h, eta_v), (name, variant, k, eta_h, eta_v)
                 assert st_h.iterations <= st_v.iterations, (name, variant, k)
                 agree += 1

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nkshed import attackers
 from nkshed import fixtures as fx
 from nkshed.attackers import (NoFeasibleAttackError, SpatiallyInfeasibleError, compute_phi,
                               encode_feasible_set, haversine_km, is_feasible_attack,
-                              planar_km, spatial_centers)
+                              spatial_centers)
 from nkshed.backend import INFEASIBLE, Model
 from nkshed.netmodel import AttackerModel, Bus, Line, Network
+from nkshed.oracle import solve_exhaustive
+from nkshed.runner import certify
 
 DEG_KM = 6371.0 * math.pi / 180.0  # one degree of latitude
 
@@ -32,16 +35,11 @@ def test_haversine_symmetry_and_nonnegativity(lat1, lon1, lat2, lon2):
     assert d_ab >= 0.0
 
 
-def test_planar_close_to_haversine_at_short_range():
-    a, b = (40.0, -111.0), (40.4, -110.5)
-    assert planar_km(a, b) == pytest.approx(haversine_km(a, b), rel=1e-3)
-
-
 def _collinear_net():
     buses = [Bus(1, 0.0, 1.0, lat=0.0, lon=0.0, has_geo=True),
              Bus(2, 0.5, 0.0, lat=0.0, lon=0.5, has_geo=True),
              Bus(3, 0.5, 0.0, lat=0.0, lon=1.0, has_geo=True)]
-    lines = [Line.of(1, 1, 3, 0.1, 1.0)]
+    lines = [Line(1, 1, 3, 0.1, 1.0)]
     return Network.build(buses, lines)
 
 
@@ -55,7 +53,7 @@ def test_compute_phi_collinear_example():
 def test_compute_phi_colocated_and_empty():
     buses = [Bus(1, 0.0, 1.0, lat=40.0, lon=-111.0, has_geo=True),
              Bus(2, 1.0, 0.0, lat=40.0, lon=-111.0, has_geo=True)]
-    net = Network.build(buses, [Line.of(1, 1, 2, 0.1, 1.0)])
+    net = Network.build(buses, [Line(1, 1, 2, 0.1, 1.0)])
     assert compute_phi(net, 1.0).phi[1] == frozenset({1, 2})
 
     spread = fx.mesh8()
@@ -79,7 +77,33 @@ def test_footprint_monotone_in_d(name):
         assert small.phi[lid] <= large.phi[lid]
 
 
-def _pinned_model(net: Network, model: AttackerModel, footprint, subset, lead: int = 0):
+def test_footprint_is_built_once_per_network_and_d(monkeypatch):
+    builds, build = [], attackers._footprint
+    monkeypatch.setattr(attackers, "_footprint",
+                        lambda net, D_km: builds.append(D_km) or build(net, D_km))
+    net, d = fx.mesh8(), fx.SPATIAL_D["mesh8"]
+    model = AttackerModel.spatial(2, d)
+    assert certify(net, model)["agree"] is True
+    assert builds == [d]
+    assert compute_phi(net, d) is compute_phi(net, d)
+    ids = net.line_ids()
+    feasible = [subset for size in range(len(ids) + 1)
+                for subset in itertools.combinations(ids, size)
+                if is_feasible_attack(net, model, subset)]
+    assert builds == [d] and feasible
+    # What the oracle returned with compute_phi(mesh8, 80.0) passed in.
+    assert d == 80.0
+    res = solve_exhaustive(net, model)
+    assert res.best_attack.sorted_lines() == (5, 6) and res.best_attack.center_bus == 5
+    assert repr(res.best_eta) == "1.1447971781305117" and res.evaluated == 48
+    assert builds == [d]
+    # Another D, or another network, is another footprint.
+    compute_phi(net, 2 * d)
+    compute_phi(fx.mesh8(), d)
+    assert builds == [d, 2 * d, d]
+
+
+def _pinned_model(net: Network, model: AttackerModel, subset, lead: int = 0):
     """The encoding in a model that already holds ``lead`` columns, with x fixed
     to ``subset``; returns the model and the encoding's columns.
 
@@ -89,7 +113,7 @@ def _pinned_model(net: Network, model: AttackerModel, footprint, subset, lead: i
     """
     mdl = Model("encoding-feasibility")
     mdl.add_vars(lead, lb=0.5, ub=0.5)
-    cols = encode_feasible_set(mdl, net, model, footprint)
+    cols = encode_feasible_set(mdl, net, model)
     chosen = set(subset)
     for e, lid in enumerate(net.line_ids()):
         mdl.add_eq([int(cols["x"][e])], [1.0], 1.0 if lid in chosen else 0.0)
@@ -104,10 +128,9 @@ def _feasible(mdl: Model) -> bool:
     return True
 
 
-def _fixed_attack_feasible(net: Network, model: AttackerModel, footprint, subset,
-                           lead: int = 0) -> bool:
+def _fixed_attack_feasible(net: Network, model: AttackerModel, subset, lead: int = 0) -> bool:
     """Does the encoding admit a completion with exactly this x vector?"""
-    return _feasible(_pinned_model(net, model, footprint, subset, lead)[0])
+    return _feasible(_pinned_model(net, model, subset, lead)[0])
 
 
 @pytest.mark.parametrize("name", ["triangle", "braess4", "star5"])
@@ -117,13 +140,12 @@ def test_encoding_agrees_with_predicate_exhaustively(name, variant, k):
     net = fx.FIXTURES[name]()
     model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
              else AttackerModel(variant, k))
-    footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
     ids = list(net.line_ids())
     for size in range(len(ids) + 1):
         for subset in itertools.combinations(ids, size):
-            expected = is_feasible_attack(net, model, footprint, subset)
+            expected = is_feasible_attack(net, model, subset)
             for lead in (0, 1):
-                got = _fixed_attack_feasible(net, model, footprint, subset, lead)
+                got = _fixed_attack_feasible(net, model, subset, lead)
                 assert got == expected, (subset, lead)
 
 
@@ -146,16 +168,15 @@ def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):
     assert covered and uncovered, "fixture should split under this D"
     model = AttackerModel.spatial(1, d, center_bus=center)
     for lead in (0, 1):
-        assert _fixed_attack_feasible(mesh8, model, footprint, [covered[0]], lead)
-        assert not _fixed_attack_feasible(mesh8, model, footprint, [uncovered[0]], lead)
-    assert is_feasible_attack(mesh8, model, footprint, [covered[0]])
-    assert not is_feasible_attack(mesh8, model, footprint, [uncovered[0]])
+        assert _fixed_attack_feasible(mesh8, model, [covered[0]], lead)
+        assert not _fixed_attack_feasible(mesh8, model, [uncovered[0]], lead)
+    assert is_feasible_attack(mesh8, model, [covered[0]])
+    assert not is_feasible_attack(mesh8, model, [uncovered[0]])
 
 
 def test_spatially_infeasible_encoding(mesh8):
-    footprint = compute_phi(mesh8, 1e-6)
     with pytest.raises(SpatiallyInfeasibleError):
-        encode_feasible_set(Model(), mesh8, AttackerModel.spatial(2, 1e-6), footprint)
+        encode_feasible_set(Model(), mesh8, AttackerModel.spatial(2, 1e-6))
 
 
 def test_topological_k_exceeding_lines(two_bus):
@@ -166,9 +187,9 @@ def test_topological_k_exceeding_lines(two_bus):
 def _five_bus_tree():
     buses = [Bus(i, 0.2 if i > 1 else 0.0, 1.0 if i == 1 else 0.0,
                  lat=40.0 + 0.1 * i, lon=-111.0, has_geo=True) for i in range(1, 6)]
-    lines = [Line.of(1, 1, 2, 0.1, 1.0), Line.of(2, 1, 3, 0.1, 1.0),
-             Line.of(3, 3, 5, 0.1, 1.0), Line.of(4, 2, 4, 0.1, 1.0),
-             Line.of(5, 4, 5, 0.1, 1.0)]
+    lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 1, 3, 0.1, 1.0),
+             Line(3, 3, 5, 0.1, 1.0), Line(4, 2, 4, 0.1, 1.0),
+             Line(5, 4, 5, 0.1, 1.0)]
     return Network.build(buses, lines)
 
 
@@ -179,13 +200,13 @@ def test_topological_flow_certificate_for_connected_triple():
     net = _five_bus_tree()
     model = AttackerModel.topological(3)
     attack = [1, 2, 3]  # lines (1,2), (1,3), (3,5): touched buses {1, 2, 3, 5}
-    assert is_feasible_attack(net, model, None, attack)
+    assert is_feasible_attack(net, model, attack)
     for root, feasible in [(1, True), (2, True), (3, True), (5, True), (4, False)]:
-        mdl, cols = _pinned_model(net, model, None, attack)
+        mdl, cols = _pinned_model(net, model, attack)
         mdl.add_eq([int(cols["kappa_edge"][net.bus_pos[root]])], [1.0], 1.0)
         assert _feasible(mdl) == feasible, root
     # Extract the flow values for one feasible rooting and add them up.
-    mdl, cols = _pinned_model(net, model, None, attack)
+    mdl, cols = _pinned_model(net, model, attack)
     mdl.add_eq([int(cols["kappa_edge"][net.bus_pos[3]])], [1.0], 1.0)
     sol = mdl.solve_milp()
     kflow = sol.x[cols["kappa_flow"]]
@@ -195,12 +216,12 @@ def test_topological_flow_certificate_for_connected_triple():
 
 
 def test_predicate_examples(two_bus, mesh8):
-    assert is_feasible_attack(two_bus, AttackerModel.topological(1), None, [1])
+    assert is_feasible_attack(two_bus, AttackerModel.topological(1), [1])
     # two vertex-disjoint lines are not a connected pair
-    assert not is_feasible_attack(mesh8, AttackerModel.topological(2), None, [1, 5])
-    assert is_feasible_attack(mesh8, AttackerModel.topological(2), None, [1, 2])
+    assert not is_feasible_attack(mesh8, AttackerModel.topological(2), [1, 5])
+    assert is_feasible_attack(mesh8, AttackerModel.topological(2), [1, 2])
     with pytest.raises(ValueError, match="unknown line"):
-        is_feasible_attack(two_bus, AttackerModel.traditional(1), None, [42])
+        is_feasible_attack(two_bus, AttackerModel.traditional(1), [42])
 
 
 @pytest.mark.parametrize("name", ["triangle", "ring6", "mesh8"])
@@ -211,13 +232,14 @@ def test_topological_nests_in_traditional(name):
         topo = AttackerModel.topological(k)
         trad = AttackerModel.traditional(k)
         for subset in itertools.combinations(ids, k):
-            if is_feasible_attack(net, topo, None, subset):
-                assert is_feasible_attack(net, trad, None, subset)
+            if is_feasible_attack(net, topo, subset):
+                assert is_feasible_attack(net, trad, subset)
 
 
 def test_spatial_centers_intersection(mesh8):
-    footprint = compute_phi(mesh8, fx.SPATIAL_D["mesh8"])
+    d = fx.SPATIAL_D["mesh8"]
+    footprint = compute_phi(mesh8, d)
     ids = list(mesh8.line_ids())
     for pair in itertools.combinations(ids, 2):
-        centers = spatial_centers(mesh8, footprint, pair)
+        centers = spatial_centers(mesh8, AttackerModel.spatial(2, d), pair)
         assert centers == footprint.phi[pair[0]] & footprint.phi[pair[1]]

@@ -48,7 +48,7 @@ def test_valid_bounds_solve_no_lp(monkeypatch, mesh8):
 def _stub_net():
     """Bus 3 dangles with no demand and no generation: its line is flow-dead."""
     buses = [Bus(1, 0.0, 1.0), Bus(2, 1.0, 0.0), Bus(3, 0.0, 0.0)]
-    lines = [Line.of(1, 1, 2, 0.1, 1.0), Line.of(2, 2, 3, 0.1, 1.0)]
+    lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 2, 3, 0.1, 1.0)]
     return Network.build(buses, lines)
 
 
@@ -57,9 +57,9 @@ def _tail_net():
     nor generate: lines 4 and 5 are flow-dead."""
     buses = [Bus(1, 0.0, 2.0), Bus(2, 1.0, 0.0), Bus(3, 0.8, 0.0), Bus(4, 0.0, 0.0),
              Bus(5, 0.0, 0.0)]
-    lines = [Line.of(1, 1, 2, 0.1, 0.9), Line.of(2, 2, 3, 0.2, 0.5),
-             Line.of(3, 1, 3, 0.1, 0.7), Line.of(4, 3, 4, 0.1, 1.0),
-             Line.of(5, 4, 5, 0.1, 1.0)]
+    lines = [Line(1, 1, 2, 0.1, 0.9), Line(2, 2, 3, 0.2, 0.5),
+             Line(3, 1, 3, 0.1, 0.7), Line(4, 3, 4, 0.1, 1.0),
+             Line(5, 4, 5, 0.1, 1.0)]
     return Network.build(buses, lines)
 
 

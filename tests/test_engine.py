@@ -11,7 +11,7 @@ import pytest
 
 from nkshed import backend, engine
 from nkshed import fixtures as fx
-from nkshed.attackers import SpatiallyInfeasibleError, compute_phi
+from nkshed.attackers import SpatiallyInfeasibleError
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
                            NoFeasibleAttackError, SolveConfig, gap, solve_interdiction)
 from nkshed.inner import AttackPlan, solve_inner
@@ -41,10 +41,9 @@ def test_engine_matches_oracle(name, variant, k, bounds_mode):
     net = fx.FIXTURES[name]()
     model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
              else AttackerModel(variant, k))
-    footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
     config = SolveConfig(bounds_mode=bounds_mode)
-    plan, eta, state = solve_interdiction(net, model, config, footprint=footprint)
-    oracle = solve_exhaustive(net, model, footprint)
+    plan, eta, state = solve_interdiction(net, model, config)
+    oracle = solve_exhaustive(net, model)
     assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
     assert state.status in (CONVERGED, EXHAUSTED)
 
@@ -60,10 +59,8 @@ def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
     net = fx.FIXTURES[name]()
     model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
              else AttackerModel(variant, k))
-    footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
-    plan, eta, state = solve_interdiction(net, model, SolveConfig(bounds_mode=bounds_mode),
-                                          footprint=footprint)
-    oracle = solve_exhaustive(net, model, footprint)
+    plan, eta, state = solve_interdiction(net, model, SolveConfig(bounds_mode=bounds_mode))
+    oracle = solve_exhaustive(net, model)
     assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
     assert state.status in (CONVERGED, EXHAUSTED)
     assert state.bounds.mode == bounds_mode
@@ -134,18 +131,17 @@ def test_certified_bound_implies_oracle_agreement_on_fixture_zoo():
     for name, make in fx.FIXTURES.items():
         net = make()
         for variant in ("traditional", "spatial", "topological"):
-            footprint = compute_phi(net, fx.SPATIAL_D[name]) if variant == "spatial" else None
             for k in (1, 2, 3):
                 model = (AttackerModel.spatial(k, fx.SPATIAL_D[name]) if variant == "spatial"
                          else AttackerModel(variant, k))
                 try:
-                    _, eta, state = solve_interdiction(net, model, footprint=footprint)
+                    _, eta, state = solve_interdiction(net, model)
                 except (NoFeasibleAttackError, SpatiallyInfeasibleError):
                     continue
                 if not state.bound_certified:
                     continue
                 certified += 1
-                oracle = solve_exhaustive(net, model, footprint)
+                oracle = solve_exhaustive(net, model)
                 assert oracle.best_eta - eta <= 0.01 * max(eta, 1e-6) + 1e-9, (name, variant, k)
                 assert state.eta_up >= oracle.best_eta - 1e-9, (name, variant, k)
     assert certified >= 40
@@ -291,17 +287,16 @@ def test_spatial_superset_reachable_after_subset_visit(master_paths, ring6):
     # oracle even though subsets of it are visited and excluded along the way.
     d = fx.SPATIAL_D["ring6"]
     model = AttackerModel.spatial(3, d)
-    footprint = compute_phi(ring6, d)
     config = SolveConfig(epsilon=1e-12, bounds_mode="valid", max_iters=500)
-    oracle = solve_exhaustive(ring6, model, footprint)
+    oracle = solve_exhaustive(ring6, model)
     for path in master_paths:
-        plan, eta, state = solve_interdiction(ring6, model, config, footprint=footprint)
+        plan, eta, state = solve_interdiction(ring6, model, config)
         assert eta == pytest.approx(oracle.best_eta, abs=1e-6), path
 
 
 def test_no_feasible_attack_topological_disconnected_pair(master_paths):
     buses = [Bus(1, 0.0, 1.0), Bus(2, 0.5), Bus(3, 0.0, 1.0), Bus(4, 0.5)]
-    lines = [Line.of(1, 1, 2, 0.1, 1.0), Line.of(2, 3, 4, 0.1, 1.0)]
+    lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 3, 4, 0.1, 1.0)]
     net = Network.build(buses, lines)
     for path in master_paths:
         with pytest.raises(NoFeasibleAttackError, match="no feasible attack"):

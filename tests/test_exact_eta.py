@@ -11,7 +11,6 @@ import pytest
 from nkshed import backend
 from nkshed import fixtures as fx
 from nkshed import oracle
-from nkshed.attackers import compute_phi
 from nkshed.inner import AttackPlan, exact_eta, solve_inner
 from nkshed.netmodel import AttackerModel
 
@@ -27,22 +26,20 @@ def _budgets(name):
     spatial with and without a pinned centre."""
     if name in fx.FIXTURES:
         net, d, top = fx.FIXTURES[name](), fx.SPATIAL_D[name], 3
-        footprint = compute_phi(net, d)
-        spatial = [(AttackerModel.spatial(k, d, center), footprint)
+        spatial = [AttackerModel.spatial(k, d, center)
                    for k in (1, 2, 3) for center in (None, net.buses[0].id)]
     elif name in LATTICES:
         rows, cols, top = LATTICES[name]
         net, spatial = lattice(rows, cols), []
     else:
         net, spatial, top = fx.random_mesh(int(name[len("random_mesh("):-1])), [], 3
-    plain = [(AttackerModel(variant, k), None) for variant in ("traditional", "topological")
+    plain = [AttackerModel(variant, k) for variant in ("traditional", "topological")
              for k in range(1, top + 1) if k <= len(net.lines)]
     return net, plain + spatial
 
 
 def _attacks(net, budgets) -> list:
-    return sorted({subset for model, footprint in budgets
-                   for subset in oracle.feasible_attacks(net, model, footprint)})
+    return sorted({subset for model in budgets for subset in oracle.feasible_attacks(net, model)})
 
 
 @pytest.mark.parametrize("name", NETWORKS)

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from nkshed import fixtures as fx
-from nkshed.attackers import compute_phi
+from nkshed.attackers import SpatiallyInfeasibleError
 from nkshed.engine import NoFeasibleAttackError, solve_interdiction
 from nkshed.netmodel import AttackerModel
 from nkshed.oracle import BudgetExceededError, solve_exhaustive, write_ranking_csv
@@ -37,9 +37,7 @@ def test_budget_rejected_before_solving(mesh8):
 
 def test_spatial_enumerates_all_sizes(mesh8):
     d = fx.SPATIAL_D["mesh8"]
-    footprint = compute_phi(mesh8, d)
-    res = solve_exhaustive(mesh8, AttackerModel.spatial(2, d), footprint,
-                           keep_ranking=True)
+    res = solve_exhaustive(mesh8, AttackerModel.spatial(2, d), keep_ranking=True)
     sizes = {len(lines) for lines, _ in res.ranking}
     assert 0 in sizes and 1 in sizes and 2 in sizes
     assert res.best_eta >= max(eta for _, eta in res.ranking) - 1e-12
@@ -80,9 +78,9 @@ def test_spatial_nests_in_unconstrained_small_attacks(mesh8):
     # A disk-limited attacker can never beat the best attack of size <= k,
     # and with a system-covering disk the two coincide.
     d = fx.SPATIAL_D["mesh8"]
-    tight = solve_exhaustive(mesh8, AttackerModel.spatial(2, d), compute_phi(mesh8, d))
+    tight = solve_exhaustive(mesh8, AttackerModel.spatial(2, d))
     wide_model = AttackerModel.spatial(2, 10000.0)
-    wide = solve_exhaustive(mesh8, wide_model, compute_phi(mesh8, 10000.0))
+    wide = solve_exhaustive(mesh8, wide_model)
     best_any = max(
         solve_exhaustive(mesh8, AttackerModel.traditional(k)).best_eta for k in (1, 2))
     assert tight.best_eta <= wide.best_eta + 1e-9
@@ -95,3 +93,17 @@ def test_deterministic(mesh8):
     assert a.best_attack.lines == b.best_attack.lines
     assert a.best_eta == b.best_eta
     assert a.ranking == b.ranking
+
+
+@pytest.mark.parametrize("model,error", [
+    (AttackerModel.spatial(2, 1e-6), SpatiallyInfeasibleError),
+    (AttackerModel.spatial(2, 80.0, center_bus=999), ValueError),
+], ids=["no-line-coverable", "unknown-pinned-center"])
+def test_oracle_and_engine_reject_an_unposable_budget_alike(mesh8, model, error):
+    # Both check the budget before they enumerate: a disk that covers no line
+    # is spatially infeasible (the empty attack alone is not an answer), and
+    # a pinned centre the network lacks is an input error.
+    for solve in (solve_interdiction, solve_exhaustive):
+        with pytest.raises(Exception) as raised:
+            solve(mesh8, model)
+        assert type(raised.value) is error, solve.__name__

@@ -14,7 +14,6 @@ import pytest
 
 from nkshed import fixtures as fx
 from nkshed import oracle
-from nkshed.attackers import compute_phi
 from nkshed.backend import BackendError
 from nkshed.engine import NoFeasibleAttackError
 from nkshed.inner import exact_eta, exact_etas, solve_inner
@@ -23,15 +22,15 @@ from nkshed.netmodel import AttackerModel
 from bench_lattice import lattice
 
 
-def _serial(net, model, footprint):
+def _serial(net, model):
     """The one-thread loop: every feasible attack in enumeration order priced
     by its own ``exact_eta`` LP, with no zero-shed screen; the ranking is
     runs of etas tied with each run's worst, worst run first, each run by
     sorted line-id tuple; the winner heads it and is re-solved by
     ``solve_inner``."""
     priced = []
-    for subset in oracle.feasible_attacks(net, model, footprint):
-        plan = oracle.attack_plan(net, model, footprint, subset)
+    for subset in oracle.feasible_attacks(net, model):
+        plan = oracle.attack_plan(net, model, subset)
         priced.append((subset, exact_eta(net, plan), plan))
     if not priced:
         return None
@@ -53,13 +52,12 @@ def _cases(name):
     """The network and every attacker budget of k <= 3 it is checked under."""
     if name in fx.FIXTURES:
         net, d = fx.FIXTURES[name](), fx.SPATIAL_D[name]
-        footprint = compute_phi(net, d)
-        spatial = [(AttackerModel.spatial(k, d, center), footprint)
+        spatial = [AttackerModel.spatial(k, d, center)
                    for k in (1, 2, 3) for center in (None, net.buses[0].id)]
     else:
         net, spatial = fx.random_mesh(int(name[len("random_mesh("):-1])), []
-    return net, [(AttackerModel.traditional(k), None) for k in (1, 2, 3)] + [
-        (AttackerModel.topological(k), None) for k in (1, 2, 3)] + spatial
+    return net, [AttackerModel.traditional(k) for k in (1, 2, 3)] + [
+        AttackerModel.topological(k) for k in (1, 2, 3)] + spatial
 
 
 def _force(monkeypatch, workers, chunk=1):
@@ -90,8 +88,8 @@ def test_oracle_returns_the_serial_loop_answer_bitwise(monkeypatch, name):
     seen = _threads_pricing(monkeypatch)
     main = threading.get_ident()
     net, models = _cases(name)
-    for model, footprint in models:
-        ref = _serial(net, model, footprint)
+    for model in models:
+        ref = _serial(net, model)
         # Two workers and one-attack chunks run the pool even here; one
         # worker prices inline.
         for workers in (2, 1):
@@ -99,9 +97,9 @@ def test_oracle_returns_the_serial_loop_answer_bitwise(monkeypatch, name):
             seen.clear()
             if ref is None:
                 with pytest.raises(NoFeasibleAttackError):
-                    oracle.solve_exhaustive(net, model, footprint, keep_ranking=True)
+                    oracle.solve_exhaustive(net, model, keep_ranking=True)
                 continue
-            res = oracle.solve_exhaustive(net, model, footprint, keep_ranking=True)
+            res = oracle.solve_exhaustive(net, model, keep_ranking=True)
             # repr round-trips every float and tells -0.0 from 0.0.
             assert repr(res) == repr(ref), (model, workers)
             assert res == ref
@@ -118,7 +116,7 @@ def test_one_worker_per_cpu_of_this_process(monkeypatch):
     net = fx.mesh8()
     for k in (2, 3):
         model = AttackerModel.traditional(k)
-        ref = _serial(net, model, None)
+        ref = _serial(net, model)
         seen.clear()
         assert repr(oracle.solve_exhaustive(net, model, keep_ranking=True)) == repr(ref)
         inline = cpus == 1 or ref.evaluated <= oracle._CHUNK
@@ -186,17 +184,15 @@ def test_tie_rule_over_near_equal_etas_in_any_enumeration_order(monkeypatch, mes
     monkeypatch.setattr(oracle, "exact_etas",
                         _per_plan(lambda net, plan: level(plan.sorted_lines())))
     d = fx.SPATIAL_D["mesh8"]
-    footprint = compute_phi(mesh8, d)
     for model in (AttackerModel.spatial(3, d), AttackerModel.traditional(3)):
-        fp = footprint if model.variant == "spatial" else None
-        etas = {lines: level(lines) for lines in oracle.feasible_attacks(mesh8, model, fp)}
+        etas = {lines: level(lines) for lines in oracle.feasible_attacks(mesh8, model)}
         worst = max(etas.values())
         tied = sorted(lines for lines, eta in etas.items()
                       if eta >= worst - oracle._TIE * max(1.0, worst))
         assert len({etas[lines] for lines in tied}) > 1, model
-        res = oracle.solve_exhaustive(mesh8, model, fp)
+        res = oracle.solve_exhaustive(mesh8, model)
         assert res.best_attack.sorted_lines() == tied[0] and res.evaluated == len(etas)
-        ranked = oracle.solve_exhaustive(mesh8, model, fp, keep_ranking=True).ranking
+        ranked = oracle.solve_exhaustive(mesh8, model, keep_ranking=True).ranking
         assert [lines for lines, _ in ranked[:len(tied)]] == tied
         assert sorted(ranked) == sorted(etas.items())
 
@@ -207,7 +203,7 @@ def test_concurrent_oracles_each_with_a_pool(monkeypatch, mesh8):
     _force(monkeypatch, 4)
     models = [AttackerModel.traditional(k) for k in (1, 2, 3)]
     models += [AttackerModel.topological(k) for k in (1, 2, 3)]
-    serial = [repr(_serial(mesh8, m, None)) for m in models]
+    serial = [repr(_serial(mesh8, m)) for m in models]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -231,7 +227,7 @@ def test_pricing_window_bounds_the_oracle_memory(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        plans = [oracle.attack_plan(net, model, None, subset)
+        plans = [oracle.attack_plan(net, model, subset)
                  for subset in oracle.feasible_attacks(net, model)]
         every_plan = tracemalloc.get_traced_memory()[1] - base
         first, count = plans[0], len(plans)

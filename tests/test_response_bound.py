@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
-from nkshed.attackers import compute_phi
 from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel
 from nkshed.oracle import feasible_attacks
@@ -78,7 +77,7 @@ def test_bound_covers_islanding_attacks(star5):
 def test_bound_valid_on_spatial_sub_k_attacks(mesh8):
     d = fx.SPATIAL_D["mesh8"]
     model = AttackerModel.spatial(2, d)
-    attacks = list(feasible_attacks(mesh8, model, compute_phi(mesh8, d)))
+    attacks = list(feasible_attacks(mesh8, model))
     assert {len(a) for a in attacks} == {0, 1, 2}
     _check_every_ordered_pair(mesh8, attacks)
 

@@ -9,8 +9,8 @@ from nkshed.attackers import is_feasible_attack
 from nkshed.cli import main
 from nkshed.engine import SolveConfig
 from nkshed.netmodel import AttackerModel
-from nkshed.runner import (build_geojson, certify, report_json, solve_to_report, sweep,
-                           write_sweep_csv)
+from nkshed.runner import (build_geojson, certify, parse_range, report_json, solve_to_report,
+                           sweep, write_sweep_csv)
 
 
 def test_report_fields_and_gap_discipline(triangle):
@@ -21,7 +21,7 @@ def test_report_fields_and_gap_discipline(triangle):
     assert report.eta_star == pytest.approx(2.0, abs=1e-6)
     assert report.status == "converged"
     assert report.rel_gap_pct <= 100 * 0.01 + 1e-9
-    assert is_feasible_attack(triangle, AttackerModel.traditional(2), None,
+    assert is_feasible_attack(triangle, AttackerModel.traditional(2),
                               report.interdicted_lines)
     assert sum(report.per_bus_shed.values()) == pytest.approx(report.eta_star, abs=1e-6)
     assert report.wall_time_s >= 0.0
@@ -174,11 +174,14 @@ def test_cli_run_spatial_requires_d(tmp_path):
     ["certify", "--model", "topological", "--k", "2", "--D", "50"],
     ["sweep", "--model", "traditional", "--k-range", "1:2", "--D-range", "10:20:10"],
     ["sweep", "--model", "spatial", "--k-range", "1:2"],
+    ["sweep", "--model", "traditional", "--k-range", "1.5:2.5"],
+    ["sweep", "--model", "traditional", "--k-range", "1:2:1:7"],
 ], ids=["run-D", "run-center", "run-D-center", "certify-D", "sweep-D-range",
-        "sweep-spatial-no-D-range"])
+        "sweep-spatial-no-D-range", "sweep-fractional-k", "sweep-fourth-range-field"])
 def test_cli_rejects_options_the_model_ignores(tmp_path, capsys, argv):
-    # Each of these solved the budget without the option before; now it is
-    # an input error, and nothing is solved or written.
+    # Each of these solved the budget without the option before (or with a
+    # truncated k range); now it is an input error, and nothing is solved or
+    # written.
     case, geo = _write_inputs(tmp_path, fx.triangle())
     out = tmp_path / "out"
     assert main(argv + ["--case", case, "--geo", geo, "--out", str(out)]) == 3
@@ -202,6 +205,33 @@ def test_sweep_rejects_d_values_mismatch_up_front(monkeypatch, triangle, variant
     monkeypatch.setattr(runner, "solve_to_report", no_solve)
     with pytest.raises(ValueError, match=match):
         sweep(triangle, variant, [1, 2], d_values)
+
+
+@pytest.mark.parametrize("k_values", [[1.5], [1, 2.5], (k / 2 for k in (2, 3))],
+                         ids=["fractional", "one-fractional", "generator"])
+def test_sweep_rejects_a_k_it_would_truncate(monkeypatch, triangle, k_values):
+    import nkshed.runner as runner
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(runner, "solve_to_report", no_solve)
+    with pytest.raises(ValueError, match="integers"):
+        sweep(triangle, "traditional", k_values)
+
+
+def test_parse_range_rejects_a_fourth_field():
+    assert parse_range("1:7:2") == [1.0, 3.0, 5.0, 7.0]
+    with pytest.raises(ValueError, match="three"):
+        parse_range("1:2:1:7")
+
+
+def test_cli_has_no_distance_option(tmp_path):
+    case, geo = _write_inputs(tmp_path, fx.triangle())
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--case", case, "--geo", geo, "--model", "traditional", "--k", "1",
+              "--distance", "planar", "--out", str(tmp_path / "o")])
+    assert exit_.value.code == 2
 
 
 def test_cli_run_parse_error_exit_code(tmp_path):

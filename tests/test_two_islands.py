@@ -42,7 +42,7 @@ def test_two_islands_price_like_one_network(seed):
         plan, eta, state = solve_interdiction(net, model, SolveConfig(epsilon=EPS))
         assert state.status == CONVERGED and state.bound_certified, model
         assert abs(eta - res.best_eta) <= EPS * max(res.best_eta, 1e-6) + 1e-9, model
-        plans = [oracle.attack_plan(net, model, None, s)
+        plans = [oracle.attack_plan(net, model, s)
                  for s in oracle.feasible_attacks(net, model)]
         cuts = np.array([sorted(net.line_pos[l] for l in p.lines) for p in plans])
         etas = np.array([solve_inner(net, p).eta for p in plans])

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from nkshed import backend, inner
 from nkshed import fixtures as fx
 from nkshed import oracle
-from nkshed.attackers import compute_phi
 from nkshed.engine import solve_interdiction
 from nkshed.inner import AttackPlan, exact_eta, exact_etas, solve_inner
 from nkshed.netmodel import AttackerModel
@@ -102,7 +101,7 @@ def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypat
     assert exact_eta(net, AttackPlan.of(())) > 0.0
     assert inner._probe_table(net).base.shape == (0, len(net.lines))
     model = AttackerModel.traditional(2)
-    plans = [oracle.attack_plan(net, model, None, s) for s in oracle.feasible_attacks(net, model)]
+    plans = [oracle.attack_plan(net, model, s) for s in oracle.feasible_attacks(net, model)]
     assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
     screened = repr(oracle.solve_exhaustive(net, model, keep_ranking=True))
     monkeypatch.setattr(oracle, "exact_etas",
@@ -133,11 +132,10 @@ def test_island_splitting_attacks_go_to_the_lp(name):
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_spatial_empty_attack(name):
     net, d = fx.FIXTURES[name](), fx.SPATIAL_D[name]
-    footprint = compute_phi(net, d)
     for center in (None, net.buses[0].id):
         model = AttackerModel.spatial(1, d, center)
-        assert next(oracle.feasible_attacks(net, model, footprint)) == ()
-        plan = oracle.attack_plan(net, model, footprint, ())
+        assert next(oracle.feasible_attacks(net, model)) == ()
+        plan = oracle.attack_plan(net, model, ())
         eta = exact_eta(net, plan)
         assert repr(exact_etas(net, [plan])[0]) == repr(eta)
         # A probe settles the empty attack exactly where the intact network
