@@ -11,7 +11,7 @@ sourced at a super node that feeds one unit to every bus touching an
 interdicted line.
 
 ``encode_feasible_set`` appends that mixed-integer constraint system to a
-caller's ``backend.Model`` as sparse row blocks and returns its columns by
+caller's ``backend.Model`` as triplet row blocks and returns its columns by
 block name, for the MILP master.
 ``is_feasible_attack`` is the standalone predicate the brute-force oracle
 uses; the two are exhaustively cross-checked in the test suite.
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .backend import Model
 from .netmodel import AttackerModel, Network
@@ -119,11 +118,6 @@ def check_budget(net: Network, model: AttackerModel) -> None:
         raise ValueError(f"pinned center bus {model.center_bus} not in network")
 
 
-def _add_block(mdl: Model, count: int, rows, cols, vals, lo: float, hi: float) -> None:
-    """Append ``count`` rows ``lo <= a.x <= hi``, with ``a`` given by COO triplets."""
-    mdl.add_rows(sparse.coo_array((vals, (rows, cols)), shape=(count, mdl.num_vars)), lo, hi)
-
-
 def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[str, np.ndarray]:
     """Append a constraint system whose 0/1 solutions project onto the feasible attacks.
 
@@ -154,8 +148,8 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[
         sets = [phi[lid] for lid in net.line_ids()]
         owner = np.repeat(line, [len(s) for s in sets])
         center = np.fromiter((net.bus_pos[bid] for s in sets for bid in s), int, len(owner))
-        _add_block(mdl, m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
-                   np.concatenate([np.ones(m), -np.ones(len(owner))]), -np.inf, 0.0)
+        mdl._append(m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
+                    np.concatenate([np.ones(m), -np.ones(len(owner))]), -np.inf, 0.0)
         return {"x": x, "center": c}
 
     # topological
@@ -168,17 +162,17 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[
     mdl.add_eq(kx, np.ones(n), 1.0)                     # one super-node edge
     # Four rows per line: x_e <= y at either end, and fwd_e, rev_e <= k x_e.
     fr, to = net.endpoint_positions()
-    _add_block(mdl, 4 * m, np.repeat(np.arange(4 * m), 2),
-               np.column_stack([x, y[fr], x, y[to], fwd, x, rev, x]).ravel(),
-               np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -k, 1.0, -k], m), -np.inf, 0.0)
-    _add_block(mdl, n, np.repeat(bus, 2), np.column_stack([kflow, kx]).ravel(),
-               np.tile([1.0, -(k + 1.0)], n), -np.inf, 0.0)
+    mdl._append(4 * m, np.repeat(np.arange(4 * m), 2),
+                np.column_stack([x, y[fr], x, y[to], fwd, x, rev, x]).ravel(),
+                np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -k, 1.0, -k], m), -np.inf, 0.0)
+    mdl._append(n, np.repeat(bus, 2), np.column_stack([kflow, kx]).ravel(),
+                np.tile([1.0, -(k + 1.0)], n), -np.inf, 0.0)
     # Virtual-flow balance: net inflow equals 1 for marked buses, with the
     # super-node edge supplying its bus.
-    inc = net.incidence
-    _add_block(mdl, n, np.concatenate([bus, bus, inc.row, inc.row]),
-               np.concatenate([y, kflow, fwd[inc.col], rev[inc.col]]),
-               np.concatenate([-np.ones(n), np.ones(n), inc.data, -inc.data]), 0.0, 0.0)
+    ends, sign = np.concatenate([fr, to]), np.repeat([-1.0, 1.0], m)
+    mdl._append(n, np.concatenate([bus, bus, ends, ends]),
+                np.concatenate([y, kflow, fwd, fwd, rev, rev]),
+                np.concatenate([-np.ones(n), np.ones(n), sign, -sign]), 0.0, 0.0)
     return {"x": x, "y": y, "kappa_edge": kx, "flow_fwd": fwd, "flow_rev": rev,
             "kappa_flow": kflow}
 

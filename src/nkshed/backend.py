@@ -1,12 +1,14 @@
 """Thin LP/MILP layer over HiGHS, as shipped with scipy.
 
-Rows enter a :class:`Model` as sparse blocks ``lo <= A x <= hi`` and reach
-HiGHS as they are, one ranged row per model row: ``lo == hi`` is an
-equality and an infinite side is no constraint. ``Solution.dual[r]`` is
-d(objective)/d(active side of row r), so for a minimization it is
-nonnegative on a row held at its lower side, which is the convention the
-load-shed duals and their upper bounds are stated in. ``Solution.reduced[j]``
-is d(objective)/d(active bound of column j), in the same convention.
+Rows enter a :class:`Model` as blocks ``lo <= A x <= hi``, dense or as
+triplets, and reach HiGHS as they are, one ranged row per model row:
+``lo == hi`` is an equality and an infinite side is no constraint.
+``Solution.dual[r]`` is d(objective)/d(active side of row r), so for a
+minimization it is nonnegative on a row held at its lower side, which is
+the convention the load-shed duals and their upper bounds are stated in.
+``Solution.reduced[j]`` is d(objective)/d(active bound of column j), in
+the same convention. HiGHS's column-wise matrix is assembled with numpy
+alone, so the backend loads neither ``scipy.sparse`` nor ``scipy.linalg``.
 
 LPs and MILPs both go through the HiGHS binding vendored in scipy
 (``scipy.optimize._highspy._core``), loaded from its file. Importing it by
@@ -48,7 +50,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 __all__ = ["Model", "Solution", "BackendError", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
 
@@ -202,6 +203,8 @@ class Model:
         self.num_rows = 0
         # The live HiGHS LP, built by the first solve_lp; see _pass.
         self._lp = None
+        # solve_objective calls that fell back to a cold solve.
+        self.cold_restarts = 0
 
     # -- variables ---------------------------------------------------------------
 
@@ -249,12 +252,22 @@ class Model:
     def add_rows(self, mat, lo, hi) -> range:
         """Append ``lo <= mat @ x[:mat.shape[1]] <= hi``.
 
-        ``lo`` and ``hi`` are scalars or one value per row; ``lo == hi`` makes
-        an equality and an infinite side is no constraint. Returns the range
-        of row indices added, which index ``Solution.dual``.
+        ``mat`` is a dense 2-D array, whose nonzeros enter, or an object
+        with a ``tocoo()``, such as a scipy sparse array, whose entries
+        enter as stored. ``lo`` and ``hi`` are scalars or one value per
+        row; ``lo == hi`` makes an equality and an infinite side is no
+        constraint. Returns the range of row indices added, which index
+        ``Solution.dual``.
         """
-        block = mat.tocoo() if sparse.issparse(mat) else sparse.coo_array(mat)
-        return self._append(block.shape[0], block.row, block.col, block.data, lo, hi)
+        if hasattr(mat, "tocoo"):
+            block = mat.tocoo()
+            return self._append(block.shape[0], block.row, block.col, block.data, lo, hi)
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError(f"{self.name or '(unnamed)'}: a row block must be 2-D, "
+                             f"got shape {mat.shape}")
+        ri, ci = np.nonzero(mat)
+        return self._append(len(mat), ri, ci, mat[ri, ci], lo, hi)
 
     def _add_row(self, cols, vals, lo: float, hi: float) -> int:
         c = np.asarray(cols, dtype=int)
@@ -264,6 +277,9 @@ class Model:
         return self._append(1, np.zeros_like(c), c, v, lo, hi).start
 
     def _append(self, n: int, ri, ci, vals, lo, hi) -> range:
+        """Append ``n`` rows given by COO triplets: entry ``vals[i]`` at row
+        ``ri[i]`` of the block and column ``ci[i]``. Entries at one row and
+        column add up; an explicit zero is kept."""
         start = self.num_rows
         self._lp = None
         self._rows.append((ri + start, ci, vals, np.broadcast_to(np.asarray(lo, dtype=float), n),
@@ -278,24 +294,40 @@ class Model:
         return self._add_row(cols, vals, -np.inf, rhs)
 
     def _block(self, eq_first: bool):
-        """The rows as one CSR block ``lo <= mat @ x <= hi``.
+        """The rows as one block ``lo <= mat @ x <= hi``, column-wise.
 
         The equalities and the other rows each keep model order, the
-        equalities first if ``eq_first``. Returns the block, its sides and
-        the block row of each model row. Raises ``ValueError`` on input that
-        HiGHS may not return on or may drop silently.
+        equalities first if ``eq_first``. ``mat`` is HiGHS's column-wise
+        form ``(start, index, value)``: column j's entries sit at
+        ``start[j]:start[j + 1]`` with their block rows in ``index``, in
+        ascending order, entries at one row and column summed in the order
+        added and explicit zeros kept, as scipy's CSR-to-CSC conversion
+        gives them. Returns ``mat``, the sides and the block row of each
+        model row. Raises ``ValueError`` on input that HiGHS may not return
+        on or may drop silently.
         """
         ri, ci, vals, lo, hi = (np.concatenate(p) for p in zip(*self._rows))
         if (not np.isfinite(self._obj).all() or not np.isfinite(vals).all()
                 or np.isnan(self._lb).any() or np.isnan(self._ub).any()):
             raise ValueError(f"{self.name or '(unnamed)'}: costs and coefficients must be "
                              "finite and column bounds not NaN")
+        if len(ci) and not 0 <= ci.min() <= ci.max() < self.num_vars:
+            raise ValueError(f"{self.name or '(unnamed)'}: a row names a column the model "
+                             "lacks")
         _check_sides(self.name, lo, hi)
         eq = lo == hi
         order = np.argsort(~eq if eq_first else eq, kind="stable")
         at = np.empty_like(order)
         at[order] = np.arange(len(order))
-        mat = sparse.csr_array((vals, (at[ri], ci)), shape=(self.num_rows, self.num_vars))
+        row = at[ri]
+        by_col = np.lexsort((row, ci))
+        row, col, vals = row[by_col], ci[by_col], vals[by_col]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        head = np.flatnonzero(first)
+        start = np.zeros(self.num_vars + 1, dtype=np.int64)
+        np.cumsum(np.bincount(col[head], minlength=self.num_vars), out=start[1:])
+        mat = (start, row[head], np.add.reduceat(vals, head))
         return mat, lo[order], hi[order], at
 
     # -- solves ------------------------------------------------------------------
@@ -306,15 +338,13 @@ class Model:
         Returns the solver and the HiGHS row of each model row."""
         # Row order picks HiGHS's vertex among optima, and so the cuts: LPs put
         # the inequalities first, MILPs the equalities.
-        mat, lo, hi, at = self._block(eq_first=integer)
-        mat = mat.tocsc()
+        (start, index, value), lo, hi, at = self._block(eq_first=integer)
         cost, lb, ub = np.asarray(self._obj), self._lb, self._ub
         lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = mat.shape[1], mat.shape[0]
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = mat.shape[1], mat.shape[0]
+        lp.num_col_, lp.num_row_ = self.num_vars, self.num_rows
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = self.num_vars, self.num_rows
         lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_ = mat.indptr, mat.indices
-        lp.a_matrix_.value_ = mat.data
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lb, ub
         lp.row_lower_, lp.row_upper_ = lo, hi
         if integer:
@@ -357,15 +387,22 @@ class Model:
         """The optimal objective of the continuous relaxation, and nothing else.
 
         Like ``solve_lp`` from ``basis``, a ``basis()`` of this model, but it
-        reads back only the objective; anything but an optimum raises
-        :class:`BackendError`. HiGHS does not presolve an LP it starts from
-        a basis.
+        reads back only the objective. HiGHS does not presolve an LP it
+        starts from a basis. When the solve from ``basis`` stops short of an
+        optimum, as the dual simplex can with model status "Not Set", the
+        same LP is solved again cold with presolve on, so the objective
+        still depends on the LP alone; ``cold_restarts`` counts those
+        solves. Anything but an optimum then raises :class:`BackendError`.
         """
         lp, _ = self._live_lp()
         try:
             linprog(lp, basis)
         except BackendError as err:
             raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
+        if self._status(lp, False) != OPTIMAL:
+            self.cold_restarts += 1
+            lp.setOptionValue("presolve", "on")
+            linprog(lp)
         self._status(lp, True)
         return lp.getObjectiveValue()
 

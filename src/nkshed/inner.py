@@ -27,9 +27,9 @@ know which attacks split an island, and sends those ``flows`` marks to the LP.
 
 Both kept models, the exact load-shed model and the probe table's
 max-margin model, are built by ``_slack_model``: it adds the network's
-columns, flow-balance rows and coupling rows as sparse blocks from the
-cached incidence matrix. Each caller then adds only its own bounds and
-extra columns and rows.
+columns, flow-balance rows and coupling rows as triplet blocks built from
+the line endpoints. Each caller then adds only its own bounds and extra
+columns and rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .backend import BackendError, Model
 from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
@@ -174,17 +173,15 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
     flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
     z = mdl.add_vars(m, lb=0.0, ub=0.0)
-    bus, line, inc = np.arange(n), np.arange(m), net.incidence
-    balance = sparse.coo_array(
-        (np.concatenate([demand, np.ones(n), inc.data]),
-         (np.concatenate([bus, bus, inc.row]), np.concatenate([shed, gen, flow[inc.col]]))),
-        shape=(n, mdl.num_vars))
-    mdl.add_rows(balance, demand, demand)
-    coupling = mdl.add_rows(sparse.coo_array(
-        (np.concatenate([np.ones(m), -net.susceptance_vector()[inc.col] * inc.data,
-                         -np.ones(m)]),
-         (np.concatenate([line, inc.col, line]), np.concatenate([flow, ang[inc.row], z]))),
-        shape=(m, mdl.num_vars)), 0.0, 0.0)
+    bus, line = np.arange(n), np.arange(m)
+    # The incidence's entries: -1 at each line's from bus, then +1 at its to bus.
+    ends, sign = np.concatenate(net.endpoint_positions()), np.repeat([-1.0, 1.0], m)
+    mdl._append(n, np.concatenate([bus, bus, ends]), np.concatenate([shed, gen, flow, flow]),
+                np.concatenate([demand, np.ones(n), sign]), demand, demand)
+    coupling = mdl._append(
+        m, np.tile(line, 4), np.concatenate([flow, ang[ends], z]),
+        np.concatenate([np.ones(m), -np.tile(net.susceptance_vector(), 2) * sign, -np.ones(m)]),
+        0.0, 0.0)
     cols = np.concatenate([flow, z]).astype(np.int32)
     intact = np.zeros((2, 2, m))
     intact[0, 0], intact[1, 0] = -rating, rating
@@ -333,11 +330,9 @@ class _ProbeTable:
         mdl.set_col_bounds(dc.shed, 0.0, 0.0)
         t = mdl.add_var(obj=1.0)
         m, pair = len(net.lines), np.arange(2 * len(net.lines))
-        loading = sparse.coo_array(
-            (np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
-             (np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]))),
-            shape=(2 * m, mdl.num_vars))
-        mdl.add_rows(loading, 0.0, np.inf)
+        mdl._append(2 * m, np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]),
+                    np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
+                    0.0, np.inf)
         sol = mdl.solve_lp(require_optimal=False, presolve=False)
         self._basis = mdl.basis() if sol.optimal else None
         self.demand, self.ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
@@ -475,11 +470,15 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
         g, s = gen * g_scale[comp], served * s_scale[comp]
         # Each row's injection equals gen and served at the scales of its
         # largest island except off that island, so only that rest needs
-        # its own pass through the PTDF.
+        # its own pass through the PTDF. It is exactly 0 on a row whose
+        # islands all take the same scales, as on every row that splits no
+        # island of a connected network, and those rows skip the pass.
         big = comp[np.arange(len(part)), np.argmax(np.bincount(keys, minlength=size)[comp], 1)]
         a, c = g_scale[big][:, None], s_scale[big][:, None]
-        rest = sparse.csr_array(g - s - (a * gen - c * served))
-        base = a * gen_flow - c * served_flow + rest @ pf.ptdf_t
+        rest = g - s - (a * gen - c * served)
+        base = a * gen_flow - c * served_flow
+        off = np.flatnonzero(rest.any(axis=1))
+        base[off] += rest[off] @ pf.ptdf_t
         flow = np.abs(pf.flows(base, part, torn))
         alpha = np.ones(size)
         np.minimum.at(alpha, comp[:, pf.fr].ravel(),

@@ -9,15 +9,13 @@ All power quantities are per-unit on the case base MVA.
 from __future__ import annotations
 
 import io
+import numbers
 import re
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "Bus",
@@ -101,12 +99,13 @@ class Network:
     """Immutable network with its bus-by-line incidence precomputed.
 
     ``bus_pos`` and ``line_pos`` map ids to positions. ``incidence`` is a
-    sparse bus-by-line matrix in position order: -1 at a line's from bus,
-    +1 at its to bus. ``thread_cache`` is a ``threading.local`` in which
-    solvers keep per-thread state built from the network, such as the kept
-    load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state that
-    every thread reads, built once per network under a lock: the oracle's
-    zero-shed probe table and the spatial footprint of each disk diameter.
+    dense, read-only bus-by-line array in position order: -1 at a line's
+    from bus, +1 at its to bus. ``thread_cache`` is a ``threading.local``
+    in which solvers keep per-thread state built from the network, such as
+    the kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state
+    that every thread reads, built once per network under a lock: the
+    oracle's zero-shed probe table and the spatial footprint of each disk
+    diameter.
     Every new Network, including one made by ``dataclasses.replace`` or
     ``parse_geo``, starts with both empty.
     ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
@@ -119,7 +118,7 @@ class Network:
     bus_pos: dict[int, int] = field(init=False, repr=False, compare=False)
     line_pos: dict[int, int] = field(init=False, repr=False, compare=False)
     # Solver-facing arrays, read-only, also filled in __post_init__.
-    incidence: sparse.coo_array = field(init=False, repr=False, compare=False)
+    incidence: np.ndarray = field(init=False, repr=False, compare=False)
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     thread_cache: threading.local = field(init=False, repr=False, compare=False)
     _shared: dict = field(init=False, repr=False, compare=False)
@@ -142,13 +141,11 @@ class Network:
             "fr": np.array([self.bus_pos[l.from_bus] for l in self.lines], dtype=int),
             "to": np.array([self.bus_pos[l.to_bus] for l in self.lines], dtype=int),
         }
-        for a in arrays.values():
+        line = np.arange(len(self.lines))
+        incidence = np.zeros((len(self.buses), len(self.lines)))
+        incidence[arrays["fr"], line], incidence[arrays["to"], line] = -1.0, 1.0
+        for a in (*arrays.values(), incidence):
             a.flags.writeable = False
-        m = len(self.lines)
-        incidence = sparse.coo_array(
-            (np.repeat([-1.0, 1.0], m),
-             (np.concatenate([arrays["fr"], arrays["to"]]), np.tile(np.arange(m), 2))),
-            shape=(len(self.buses), m))
         object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "thread_cache", threading.local())
@@ -227,12 +224,12 @@ class PowerFlow:
 
     ``ptdf_t`` (buses by lines) is the transposed PTDF: ``inj @ ptdf_t``
     gives the intact network's flows for injections balanced on each of
-    its islands. It comes from one sparse LU of the Laplacian, grounded at
-    one bus per island, and is the only dense array kept. The difference
-    of its rows at line e's endpoints, ``ptdf @ incidence[:, e]``, is the
-    flow each line takes over per unit moved off line e, so an outage
-    of k lines gets its flows from the intact ones by one k-by-k solve
-    (line outage distribution factors). The k-by-k system is singular
+    its islands. It comes from one dense solve of the Laplacian with the
+    row and column of one root bus per island removed, so the roots' rows
+    are exactly 0. The difference of its rows at line e's endpoints,
+    ``ptdf @ incidence[:, e]``, is the flow each line takes over per unit
+    moved off line e, so an outage of k lines gets its flows from the
+    intact ones by one k-by-k solve (line outage distribution factors). The k-by-k system is singular
     exactly when the outage splits an island; it is then still consistent
     for injections balanced on the new islands, and every solution gives
     the same flows, so such outages take its least-squares solution.
@@ -248,15 +245,18 @@ class PowerFlow:
 
     def __init__(self, net: Network):
         self.fr, self.to = net.endpoint_positions()
-        n = len(net.buses)
+        b, inc = net.susceptance_vector(), net.incidence
         self.island = net.islands(np.zeros((1, 0), dtype=int))[0]
         self.num_islands = self.island.max() + 1
-        inc = net.incidence.tocsc()
-        roots = np.unique(self.island, return_index=True)[1]
-        grounded = (inc * net.susceptance_vector()) @ inc.T + sparse.csc_array(
-            (np.ones(len(roots)), (roots, roots)), shape=(n, n))
-        self.ptdf_t = splu(sparse.csc_array(grounded)).solve(inc.toarray())
-        self.ptdf_t *= -net.susceptance_vector()
+        # Grounding a root by +1 on its diagonal instead would leave rounding
+        # noise in its row, enough to flip a zero-shed screen verdict.
+        free = np.ones(len(self.island), dtype=bool)
+        free[np.unique(self.island, return_index=True)[1]] = False
+        self.ptdf_t = np.zeros(inc.shape)
+        if free.any():
+            part = inc[free]
+            self.ptdf_t[free] = np.linalg.solve((part * b) @ part.T, part)
+        self.ptdf_t *= -b
 
     def islands(self, cuts: np.ndarray,
                 split: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -336,14 +336,32 @@ class PowerFlow:
 
 
 def _islands(fr: np.ndarray, to: np.ndarray, n: int, cuts: np.ndarray) -> np.ndarray:
-    """``Network.islands`` on lines given by their endpoint positions."""
+    """``Network.islands`` on lines given by their endpoint positions.
+
+    Labels number the islands across rows in the order of their lowest
+    bus, as a graph search started from each bus in turn numbers them.
+    Each bus points at itself or at a lower bus of its island. Each round
+    points the higher of each line's two end targets at the lower, then
+    jumps pointers until every bus points at a bus that points at itself.
+    Once a round changes nothing, every bus points at its island's lowest.
+    """
     count = len(cuts)
     keep = np.ones((count, len(fr)), dtype=bool)
     keep[np.arange(count)[:, None], cuts] = False
     row, line = np.nonzero(keep)
-    ends = (row * n + fr[line], row * n + to[line])
-    graph = sparse.coo_array((np.ones(len(line)), ends), shape=(count * n,) * 2)
-    return connected_components(graph, directed=False)[1].reshape(count, n)
+    u, v = row * n + fr[line], row * n + to[line]
+    root = np.arange(count * n)
+    while True:
+        ru, rv = root[u], root[v]
+        before = root.copy()
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jump = root[root]
+            if (jump == root).all():
+                break
+            root = jump
+        if (root == before).all():
+            return np.unique(root, return_inverse=True)[1].reshape(count, n)
 
 
 def _default_big_M(buses) -> float:
@@ -374,6 +392,8 @@ class AttackerModel:
     def __post_init__(self):
         if self.variant not in ("traditional", "spatial", "topological"):
             raise ValueError(f"unknown attacker variant: {self.variant!r}")
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.variant == "spatial":

@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .attackers import is_feasible_attack
+from .attackers import SpatiallyInfeasibleError, is_feasible_attack
 from .engine import NoFeasibleAttackError, SolveConfig, solve_interdiction
 from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, solve_exhaustive
@@ -177,18 +177,19 @@ def certify(net: Network, model: AttackerModel, config: SolveConfig | None = Non
     Agreement means the solver's exact shed is within its epsilon (relative,
     floored) of the enumerated optimum and its plan is feasible. A run that
     honestly reports a wide gap (e.g. a loose epsilon) still agrees as long
-    as the bound discipline held.
+    as the bound discipline held. A budget with no feasible attack, or a
+    spatially infeasible one, agrees when both sides report it.
     """
     config = config or SolveConfig()
     engine_error = oracle_error = None
     plan = state = result = None
     try:
         plan, eta_star, state = solve_interdiction(net, model, config)
-    except NoFeasibleAttackError as err:
+    except (NoFeasibleAttackError, SpatiallyInfeasibleError) as err:
         engine_error = str(err)
     try:
         result = solve_exhaustive(net, model, budget=budget)
-    except NoFeasibleAttackError as err:
+    except (NoFeasibleAttackError, SpatiallyInfeasibleError) as err:
         oracle_error = str(err)
 
     if engine_error or oracle_error:

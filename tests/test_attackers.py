@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,9 +155,9 @@ def test_traditional_encoding_shape(triangle):
     cols = encode_feasible_set(mdl, triangle, AttackerModel.traditional(2))
     assert mdl.num_vars == 3
     assert mdl.num_rows == 1
-    mat, lo, hi, _ = mdl._block(eq_first=True)
-    assert lo[0] == hi[0] == 2.0 and mat.nnz == 3
-    assert sorted(mat.indices) == cols["x"].tolist()
+    (start, index, value), lo, hi, _ = mdl._block(eq_first=True)
+    assert lo[0] == hi[0] == 2.0 and len(value) == 3 and not index.any()
+    assert np.flatnonzero(np.diff(start)).tolist() == cols["x"].tolist()
 
 
 def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):

@@ -12,7 +12,11 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs
 
 from nkshed import backend
+from nkshed import fixtures as fx
+from nkshed.attackers import encode_feasible_set
 from nkshed.backend import INFEASIBLE, BackendError, Model
+from nkshed.inner import _exact_model, _ProbeTable
+from nkshed.netmodel import AttackerModel
 
 # Row kinds of the small LP: an equality, a >= row, a <= row and a range.
 ROWS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, -1.0]])
@@ -240,6 +244,52 @@ def test_nan_or_infinite_input_is_rejected_before_highs(col, value, field):
         mdl.solve_lp(require_optimal=False)
     with pytest.raises(ValueError, match="finite"):
         mdl.solve_milp(require_optimal=False)
+
+
+def test_a_row_naming_a_column_the_model_lacks_is_rejected_before_highs():
+    for col in (3, -1):
+        mdl, _ = _small_lp(*BOUNDS[0])
+        mdl.add_le([0, col], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="lacks"):
+            mdl.solve_lp(require_optimal=False)
+
+
+def _scipy_colwise(mdl, eq_first):
+    """``Model._block``'s matrix as scipy's CSR-to-CSC conversion gives it."""
+    from scipy import sparse
+    ri, ci, vals, _, _ = (np.concatenate(p) for p in zip(*mdl._rows))
+    at = mdl._block(eq_first)[3]
+    csc = sparse.csr_array((vals, (at[ri], ci)), shape=(mdl.num_rows, mdl.num_vars)).tocsc()
+    return csc.indptr, csc.indices, csc.data
+
+
+def _network_models(name):
+    net = fx.FIXTURES[name]()
+    yield _exact_model(net)[0].mdl
+    yield _ProbeTable(net)._slack.mdl
+    for variant in ("traditional", "spatial", "topological"):
+        mdl = Model(variant)
+        mdl.add_var(obj=-1.0)
+        encode_feasible_set(mdl, net, AttackerModel(
+            variant, min(2, len(net.lines)), fx.SPATIAL_D[name] if variant == "spatial" else None))
+        yield mdl
+
+
+@pytest.mark.parametrize("name", ["small"] + sorted(fx.FIXTURES))
+def test_highs_matrix_is_scipys_column_wise_conversion_bit_for_bit(name):
+    if name == "small":
+        # Entries at one row and column add up, in the order added; a zero stays.
+        mdl, _ = _small_lp(*BOUNDS[0])
+        mdl._append(2, np.array([0, 1, 0, 1]), np.array([1, 2, 1, 0]),
+                    np.array([0.1, 0.0, 0.2, 5.0]), 0.0, [1.0, 0.0])
+        models = [mdl]
+    else:
+        models = _network_models(name)
+    for mdl in models:
+        for eq_first in (True, False):
+            got = mdl._block(eq_first)[0]
+            want = _scipy_colwise(mdl, eq_first)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], mdl.name
 
 
 # One block per row kind: two columns and one row, in this order. Per block:

@@ -11,7 +11,7 @@ import pytest
 from nkshed import backend
 from nkshed import fixtures as fx
 from nkshed import oracle
-from nkshed.inner import AttackPlan, exact_eta, solve_inner
+from nkshed.inner import AttackPlan, _exact_model, exact_eta, solve_inner
 from nkshed.netmodel import AttackerModel
 
 from bench_lattice import lattice
@@ -102,3 +102,20 @@ def test_near_equal_etas_tie_to_the_smallest_tuple():
         assert etas[(1,)] < worst
         assert res.best_attack.sorted_lines() == (1,) == res.ranking[0][0]
         assert res.best_eta == solve_inner(net, res.best_attack).eta
+
+
+def test_a_start_that_stops_short_is_solved_again_cold():
+    # From the intact basis, the dual simplex stops on attack (21,) of the
+    # 14x14 lattice with model status "Not Set".
+    net, plan = lattice(14, 14), AttackPlan.of([21])
+    eta = exact_eta(net, plan)
+    assert _exact_model(net)[0].mdl.cold_restarts == 1
+    ref = solve_inner(net, plan).eta
+    assert abs(eta - ref) <= 1e-9 * max(1.0, ref), (eta, ref)
+
+
+def test_oracle_prices_every_single_line_of_the_14x14_lattice():
+    res = oracle.solve_exhaustive(lattice(14, 14), AttackerModel.traditional(1))
+    assert res.best_attack.sorted_lines() == (250,)
+    assert res.best_eta == pytest.approx(0.97396059, abs=1e-8)
+    assert res.evaluated == 364

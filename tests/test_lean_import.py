@@ -1,7 +1,8 @@
 """``import nkshed`` loads scipy's HiGHS binding without ``scipy.optimize``,
-and shares the one binding module with ``scipy.optimize`` in either import
-order. Each case runs in a fresh interpreter, since a module, once
-imported, stays in ``sys.modules``."""
+loads nothing of ``scipy.sparse`` or ``scipy.linalg``, and shares the one
+binding module with ``scipy.optimize`` in either import order. Each case
+runs in a fresh interpreter, since a module, once imported, stays in
+``sys.modules``."""
 
 import os
 import subprocess
@@ -38,6 +39,13 @@ def _run(code: str) -> None:
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+def test_import_nkshed_leaves_scipy_sparse_and_linalg_out():
+    _run("import sys, nkshed\n"
+         "loaded = [m for m in sys.modules if m.split('.')[:2] in "
+         "(['scipy', 'sparse'], ['scipy', 'linalg'])]\n"
+         "assert not loaded, loaded")
 
 
 def test_import_nkshed_leaves_scipy_optimize_out():

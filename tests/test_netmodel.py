@@ -1,14 +1,16 @@
 """Case parsing, geolocation ingestion, and network invariants."""
 
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
 from nkshed.netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
-                             Network, _default_big_M, parse_case, parse_geo, serialize_case,
-                             total_load)
+                             Network, _default_big_M, _islands, parse_case, parse_geo,
+                             serialize_case, total_load)
+from test_two_islands import two_meshes
 
 TWO_BUS_CASE = """function mpc = case2
 mpc.version = '2';
@@ -150,7 +152,37 @@ def test_adjacency_partitions_incidence(name):
         assert net.line_pos[line.id] == e
         expected[net.bus_pos[line.from_bus], e] -= 1.0
         expected[net.bus_pos[line.to_bus], e] += 1.0
-    assert np.array_equal(net.incidence.toarray(), expected)
+    assert np.array_equal(net.incidence, expected)
+
+
+def _graph_search_islands(fr, to, n, cuts):
+    """``_islands`` by scipy's graph search, on the same one graph holding
+    a copy of the network per row."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    count = len(cuts)
+    keep = np.ones((count, len(fr)), dtype=bool)
+    keep[np.arange(count)[:, None], cuts] = False
+    row, line = np.nonzero(keep)
+    ends = (row * n + fr[line], row * n + to[line])
+    graph = sparse.coo_array((np.ones(len(line)), ends), shape=(count * n,) * 2)
+    return connected_components(graph, directed=False)[1].reshape(count, n)
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES) + [f"two_meshes({s})" for s in range(10)]
+                         + [f"random_mesh({s})" for s in range(60)])
+def test_islands_match_a_graph_search_on_every_cut_of_up_to_two_lines(name):
+    if name in fx.FIXTURES:
+        net = fx.FIXTURES[name]()
+    else:
+        make, seed = name[:-1].split("(")
+        net = {"two_meshes": two_meshes, "random_mesh": fx.random_mesh}[make](int(seed))
+    fr, to = net.endpoint_positions()
+    for k in (0, 1, 2):
+        cuts = np.array(list(combinations(range(len(net.lines)), k)), dtype=int)
+        cuts = cuts.reshape(len(cuts), k)
+        assert np.array_equal(_islands(fr, to, len(net.buses), cuts),
+                              _graph_search_islands(fr, to, len(net.buses), cuts)), k
 
 
 def test_geo_parse_and_errors(two_bus):
@@ -207,6 +239,15 @@ def test_network_takes_only_buses_and_lines():
         Network(net.buses, net.lines, 1.0)
     with pytest.raises(TypeError):
         Network.build(net.buses, net.lines, big_M=1.0)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+def test_attacker_model_rejects_a_non_integer_k(k):
+    # Counting and enumerating attacks takes an integer k.
+    for variant in ("traditional", "spatial", "topological"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            AttackerModel(variant, k, 80.0 if variant == "spatial" else None)
+    assert AttackerModel.spatial(np.int64(2), 80.0).k == 2
 
 
 def test_attacker_model_invariants():

@@ -98,7 +98,7 @@ def _direct_flows(net, inj, cut):
     least-squares solve of that outage's own Laplacian."""
     keep = np.ones(len(net.lines), dtype=bool)
     keep[list(cut)] = False
-    inc = net.incidence.toarray()[:, keep]
+    inc = net.incidence[:, keep]
     b = net.susceptance_vector()[keep]
     ang = np.linalg.lstsq((inc * b) @ inc.T, -inj, rcond=None)[0]
     flow = np.zeros(len(net.lines))

@@ -127,6 +127,17 @@ def test_certify_k_exceeding_lines_agrees_on_infeasibility(two_bus):
         assert "no feasible attack" in outcome["oracle_error"]
 
 
+def test_certify_spatially_infeasible_budget_agrees(mesh8, tmp_path):
+    # No bus lies within D/2 of any line's midpoint: both sides refuse the budget.
+    outcome = certify(mesh8, AttackerModel.spatial(2, 1e-6))
+    assert outcome["agree"] is True, outcome
+    assert "spatially infeasible" in outcome["engine_error"]
+    assert "spatially infeasible" in outcome["oracle_error"]
+    case, geo = _write_inputs(tmp_path, mesh8)
+    assert main(["certify", "--case", case, "--geo", geo, "--model", "spatial",
+                 "--k", "2", "--D", "1e-6"]) == 0
+
+
 def test_certify_budget(mesh8):
     from nkshed.oracle import BudgetExceededError
     with pytest.raises(BudgetExceededError):
