@@ -148,8 +148,8 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[
         sets = [phi[lid] for lid in net.line_ids()]
         owner = np.repeat(line, [len(s) for s in sets])
         center = np.fromiter((net.bus_pos[bid] for s in sets for bid in s), int, len(owner))
-        mdl._append(m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
-                    np.concatenate([np.ones(m), -np.ones(len(owner))]), -np.inf, 0.0)
+        mdl.add_triplets(m, np.concatenate([line, owner]), np.concatenate([x, c[center]]),
+                         np.concatenate([np.ones(m), -np.ones(len(owner))]), -np.inf, 0.0)
         return {"x": x, "center": c}
 
     # topological
@@ -162,17 +162,17 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[
     mdl.add_eq(kx, np.ones(n), 1.0)                     # one super-node edge
     # Four rows per line: x_e <= y at either end, and fwd_e, rev_e <= k x_e.
     fr, to = net.endpoint_positions()
-    mdl._append(4 * m, np.repeat(np.arange(4 * m), 2),
-                np.column_stack([x, y[fr], x, y[to], fwd, x, rev, x]).ravel(),
-                np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -k, 1.0, -k], m), -np.inf, 0.0)
-    mdl._append(n, np.repeat(bus, 2), np.column_stack([kflow, kx]).ravel(),
-                np.tile([1.0, -(k + 1.0)], n), -np.inf, 0.0)
+    mdl.add_triplets(4 * m, np.repeat(np.arange(4 * m), 2),
+                     np.column_stack([x, y[fr], x, y[to], fwd, x, rev, x]).ravel(),
+                     np.tile([1.0, -1.0, 1.0, -1.0, 1.0, -k, 1.0, -k], m), -np.inf, 0.0)
+    mdl.add_triplets(n, np.repeat(bus, 2), np.column_stack([kflow, kx]).ravel(),
+                     np.tile([1.0, -(k + 1.0)], n), -np.inf, 0.0)
     # Virtual-flow balance: net inflow equals 1 for marked buses, with the
     # super-node edge supplying its bus.
     ends, sign = np.concatenate([fr, to]), np.repeat([-1.0, 1.0], m)
-    mdl._append(n, np.concatenate([bus, bus, ends, ends]),
-                np.concatenate([y, kflow, fwd, fwd, rev, rev]),
-                np.concatenate([-np.ones(n), np.ones(n), sign, -sign]), 0.0, 0.0)
+    mdl.add_triplets(n, np.concatenate([bus, bus, ends, ends]),
+                     np.concatenate([y, kflow, fwd, fwd, rev, rev]),
+                     np.concatenate([-np.ones(n), np.ones(n), sign, -sign]), 0.0, 0.0)
     return {"x": x, "y": y, "kappa_edge": kx, "flow_fwd": fwd, "flow_rev": rev,
             "kappa_flow": kflow}
 

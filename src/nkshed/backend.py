@@ -1,6 +1,6 @@
 """Thin LP/MILP layer over HiGHS, as shipped with scipy.
 
-Rows enter a :class:`Model` as blocks ``lo <= A x <= hi``, dense or as
+Rows enter a :class:`Model` as blocks ``lo <= A x <= hi``, dense or as COO
 triplets, and reach HiGHS as they are, one ranged row per model row:
 ``lo == hi`` is an equality and an infinite side is no constraint.
 ``Solution.dual[r]`` is d(objective)/d(active side of row r), so for a
@@ -188,8 +188,8 @@ class Solution:
 class Model:
     """Incrementally built linear model, solvable as an LP or a MILP.
 
-    Rows enter as blocks through ``add_rows``; ``add_eq`` and ``add_le`` are
-    its one-row cases.
+    Rows enter as blocks through ``add_rows``, dense, or ``add_triplets``,
+    as COO triplets; ``add_eq`` and ``add_le`` are one-row cases.
     """
 
     def __init__(self, name: str = ""):
@@ -252,40 +252,36 @@ class Model:
     def add_rows(self, mat, lo, hi) -> range:
         """Append ``lo <= mat @ x[:mat.shape[1]] <= hi``.
 
-        ``mat`` is a dense 2-D array, whose nonzeros enter, or an object
-        with a ``tocoo()``, such as a scipy sparse array, whose entries
-        enter as stored. ``lo`` and ``hi`` are scalars or one value per
-        row; ``lo == hi`` makes an equality and an infinite side is no
-        constraint. Returns the range of row indices added, which index
-        ``Solution.dual``.
+        ``mat`` is a dense 2-D array, whose nonzeros enter. ``lo`` and ``hi``
+        are scalars or one value per row; ``lo == hi`` makes an equality and
+        an infinite side is no constraint. Returns the range of row indices
+        added, which index ``Solution.dual``.
         """
-        if hasattr(mat, "tocoo"):
-            block = mat.tocoo()
-            return self._append(block.shape[0], block.row, block.col, block.data, lo, hi)
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2:
             raise ValueError(f"{self.name or '(unnamed)'}: a row block must be 2-D, "
                              f"got shape {mat.shape}")
         ri, ci = np.nonzero(mat)
-        return self._append(len(mat), ri, ci, mat[ri, ci], lo, hi)
+        return self.add_triplets(len(mat), ri, ci, mat[ri, ci], lo, hi)
 
-    def _add_row(self, cols, vals, lo: float, hi: float) -> int:
-        c = np.asarray(cols, dtype=int)
-        v = np.asarray(vals, dtype=float)
-        if c.shape != v.shape:
-            raise ValueError("cols and vals must have equal length")
-        return self._append(1, np.zeros_like(c), c, v, lo, hi).start
-
-    def _append(self, n: int, ri, ci, vals, lo, hi) -> range:
+    def add_triplets(self, n: int, ri, ci, vals, lo, hi) -> range:
         """Append ``n`` rows given by COO triplets: entry ``vals[i]`` at row
         ``ri[i]`` of the block and column ``ci[i]``. Entries at one row and
-        column add up; an explicit zero is kept."""
+        column add up; an explicit zero is kept. Sides and the range
+        returned are as in ``add_rows``."""
         start = self.num_rows
         self._lp = None
         self._rows.append((ri + start, ci, vals, np.broadcast_to(np.asarray(lo, dtype=float), n),
                            np.broadcast_to(np.asarray(hi, dtype=float), n)))
         self.num_rows += n
         return range(start, self.num_rows)
+
+    def _add_row(self, cols, vals, lo: float, hi: float) -> int:
+        c = np.asarray(cols, dtype=int)
+        v = np.asarray(vals, dtype=float)
+        if c.shape != v.shape:
+            raise ValueError("cols and vals must have equal length")
+        return self.add_triplets(1, np.zeros_like(c), c, v, lo, hi).start
 
     def add_eq(self, cols, vals, rhs: float) -> int:
         return self._add_row(cols, vals, rhs, rhs)

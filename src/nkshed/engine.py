@@ -6,15 +6,16 @@ inner load-shed solve that prices it. The master takes one of two forms.
 **Enumerated master**, used whenever the attacker's candidate-subset count
 fits ``ENUMERATION_BUDGET`` (the oracle's default budget, 200 000) and the
 network's buses times lines fit ``NETWORK_BUDGET``. The feasible attacks
-are enumerated once, by the oracle's enumerator, and each keeps an upper
+are listed once, by the oracle's ``attack_table``, and each keeps an upper
 bound on its shed. The intact network's dispatch seeds every bound (one
-inner solve, not counted as an iteration). The master proposes the
-unpriced attack with the largest bound, the first in enumeration order on
-ties. Each priced dispatch then tightens the bound of every unpriced
-attack still above the stopping threshold: the dispatch, balanced per
-island, routed by DC power flow on that attack's surviving lines and scaled
-into the line ratings, is a feasible defender response, so its shed bounds
-that attack's (``inner.response_shed``). The largest unpriced bound is thus
+inner solve, not counted as an iteration). The master proposes the first
+unpriced attack in enumeration order whose bound ties with the largest by
+the oracle's rule (``oracle._tie_floor``), so bounds that differ in their
+last bits do not reorder the proposals. Each priced dispatch then tightens
+the bound of every unpriced attack still above the stopping threshold: the
+dispatch, balanced per island, routed by DC power flow on that attack's
+surviving lines and scaled into the line ratings, is a feasible defender
+response, so its shed bounds that attack's (``inner.response_shed``). The largest unpriced bound is thus
 a proof, and a run that stops on it reports ``bound_certified``. No penalty
 rates are computed on this path.
 
@@ -45,7 +46,7 @@ from .backend import INFEASIBLE, OPTIMAL, Model
 from .bounds import DualBounds, HEURISTIC, VALID, heuristic_bounds, valid_bounds
 from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
 from .netmodel import AttackerModel, Network, total_load
-from .oracle import DEFAULT_BUDGET, attack_plan, feasible_attacks, subset_count
+from .oracle import DEFAULT_BUDGET, _tie_floor, attack_plan, attack_table, subset_count
 
 __all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap",
            "ENUMERATION_BUDGET", "NETWORK_BUDGET"]
@@ -166,19 +167,6 @@ def _extract_plan(net: Network, model: AttackerModel, cols: dict[str, np.ndarray
     return AttackPlan(lines, center, model)
 
 
-def _enumerate(net: Network, model: AttackerModel) -> list[np.ndarray]:
-    """The feasible attacks as line positions, one array per attack size.
-
-    Sizes ascend, so the arrays' rows, taken in turn, follow the
-    enumeration order.
-    """
-    by_size: dict[int, list[list[int]]] = {}
-    for subset in feasible_attacks(net, model):
-        by_size.setdefault(len(subset), []).append([net.line_pos[lid] for lid in subset])
-    return [np.array(rows, dtype=np.intp).reshape(len(rows), size)
-            for size, rows in by_size.items()]
-
-
 def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, np.ndarray]],
              starts: np.ndarray, bound: np.ndarray, rows: np.ndarray) -> None:
     """Lower ``bound`` on the attacks flagged in ``rows`` to the shed of the
@@ -216,7 +204,7 @@ def _stop_level(state: MasterState, config: SolveConfig) -> float:
 
 
 def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
-    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in _enumerate(net, model)]
+    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in attack_table(net, model)]
     starts = np.cumsum([0] + [len(cuts) for cuts, _ in groups])
     if starts[-1] == 0:
         raise NoFeasibleAttackError(
@@ -227,8 +215,9 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
     _tighten(net, solve_inner(net, AttackPlan(frozenset())), groups, starts, bound, ~priced)
 
     while state.iterations < config.max_iters:
-        # argmax takes the first maximum: ties go to enumeration order.
-        i = int(np.argmax(np.where(priced, -np.inf, bound)))
+        open_bound = np.where(priced, -np.inf, bound)
+        top = open_bound.max()
+        i = int(np.argmax(open_bound >= _tie_floor(top) if np.isfinite(top) else open_bound))
         g = int(np.searchsorted(starts, i, side="right")) - 1
         lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
         plan = attack_plan(net, model, lines)

@@ -9,9 +9,10 @@ attack changes only column bounds and no band or big-M enters the LP.
 generation, flows, angles per island and the line duals. ``exact_eta``
 starts each solve from the intact network's optimal basis and gives eta
 alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
-etas of many attacks: an attack that a zero-shed dispatch, rerouted around
-it by DC power flow, serves within every rating gets 0.0 with no LP (the
-yes/no verdict of ``_settled``), and the rest go to ``exact_eta``. The
+etas of many attacks of one size, given as rows of line positions: an
+attack that a zero-shed dispatch, rerouted around it by DC power flow,
+serves within every rating gets 0.0 with no LP (the yes/no verdict of
+``_settled``), and the rest go to ``exact_eta``'s LP. The
 dispatches come from the network's ``_ProbeTable``, built once per network
 and shared by every thread: two intact probes, and per line two
 max-margin dispatches that serve all demand with that line out, solved
@@ -176,9 +177,9 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     bus, line = np.arange(n), np.arange(m)
     # The incidence's entries: -1 at each line's from bus, then +1 at its to bus.
     ends, sign = np.concatenate(net.endpoint_positions()), np.repeat([-1.0, 1.0], m)
-    mdl._append(n, np.concatenate([bus, bus, ends]), np.concatenate([shed, gen, flow, flow]),
-                np.concatenate([demand, np.ones(n), sign]), demand, demand)
-    coupling = mdl._append(
+    mdl.add_triplets(n, np.concatenate([bus, bus, ends]), np.concatenate([shed, gen, flow, flow]),
+                     np.concatenate([demand, np.ones(n), sign]), demand, demand)
+    coupling = mdl.add_triplets(
         m, np.tile(line, 4), np.concatenate([flow, ang[ends], z]),
         np.concatenate([np.ones(m), -np.tile(net.susceptance_vector(), 2) * sign, -np.ones(m)]),
         0.0, 0.0)
@@ -264,7 +265,7 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     )
 
 
-def exact_eta(net: Network, attack: AttackPlan, positions=None) -> float:
+def exact_eta(net: Network, attack: AttackPlan) -> float:
     """Minimum load shed with the attacked lines removed: eta alone.
 
     The LP of ``solve_inner``, on the same kept model. An attack changes
@@ -275,41 +276,40 @@ def exact_eta(net: Network, attack: AttackPlan, positions=None) -> float:
     whose coupling row had a nonzero dual). Eta thus depends on the attack
     alone, not on the attacks priced, or the ``solve_inner`` calls made,
     before it or on the thread. Any optimal vertex gives the same eta, so
-    only eta is returned. ``positions``, the attacked lines' positions,
-    spares looking them up when the caller has them.
+    only eta is returned.
     """
+    return _eta_at(net, _line_positions(net, attack))
+
+
+def _eta_at(net: Network, positions) -> float:
+    """``exact_eta`` of the attack on the lines at ``positions``."""
     slack, basis, _ = _exact_model(net)
-    if positions is None:
-        positions = _line_positions(net, attack)
     mdl = slack.mdl
     mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
     try:
         return mdl.solve_objective(basis)
     except BackendError as err:
-        raise BackendError(
-            f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
+        lines = sorted(net.lines[e].id for e in positions)
+        raise BackendError(f"{mdl.name} solve failed for attack {lines}: {err}") from err
 
 
-def exact_etas(net: Network, plans) -> list[float]:
-    """``exact_eta`` of each plan, with no LP for the attacks a probe settles.
+def exact_etas(net: Network, cuts: np.ndarray) -> np.ndarray:
+    """``exact_eta`` of each row of ``cuts``, one attack's line positions
+    (all rows of one size), as a float array; no LP where a probe settles.
 
     Shed is never negative, so a feasible defender response that sheds
-    nothing proves eta = 0. ``_settled`` screens each plan against the
-    zero-shed dispatches of the network's probe table: when one, rerouted
-    around the attack by DC power flow, keeps every surviving line within
-    its rating, the attack gets exactly 0.0. Every other attack, and every
-    one whose outage splits an island, is priced by ``exact_eta``. A plan's
-    verdict depends on its own lines alone, not on the other plans.
+    nothing proves eta = 0. ``_settled`` screens each attack, its row
+    sorted, against the zero-shed dispatches of the network's probe table:
+    when one, rerouted around the attack by DC power flow, keeps every
+    surviving line within its rating, the attack gets exactly 0.0. The
+    rest, those that split an island among them, get ``exact_eta``'s LP in
+    row order. An eta depends on its own row alone, not on the others.
     """
-    plans = list(plans)
-    cuts = [np.sort(_line_positions(net, plan)) for plan in plans]
-    settled = np.zeros(len(plans), dtype=bool)
-    for k in {len(c) for c in cuts}:
-        rows = [i for i, c in enumerate(cuts) if len(c) == k]
-        same = np.array([cuts[i] for i in rows], dtype=int).reshape(len(rows), k)
-        settled[rows] = _settled(net, same)
-    return [0.0 if s else exact_eta(net, plan, cut)
-            for plan, cut, s in zip(plans, cuts, settled)]
+    cuts = np.sort(cuts, axis=1)
+    etas = np.zeros(len(cuts))
+    for i in np.flatnonzero(~_settled(net, cuts)):
+        etas[i] = _eta_at(net, cuts[i])
+    return etas
 
 
 class _ProbeTable:
@@ -330,9 +330,10 @@ class _ProbeTable:
         mdl.set_col_bounds(dc.shed, 0.0, 0.0)
         t = mdl.add_var(obj=1.0)
         m, pair = len(net.lines), np.arange(2 * len(net.lines))
-        mdl._append(2 * m, np.tile(pair, 2), np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]),
-                    np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
-                    0.0, np.inf)
+        mdl.add_triplets(2 * m, np.tile(pair, 2),
+                         np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]),
+                         np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
+                         0.0, np.inf)
         sol = mdl.solve_lp(require_optimal=False, presolve=False)
         self._basis = mdl.basis() if sol.optimal else None
         self.demand, self.ptdf_t = net.demand_vector(), net.power_flow.ptdf_t

@@ -1,51 +1,47 @@
 """Brute-force ground truth: enumerate every feasible attack and price it.
 
 Only intended for desk-scale instances; the subset count is checked against
-an explicit budget before any solving starts. Attacks are priced by
-``exact_etas``: an attack that a zero-shed dispatch of the network's probe
-table serves within every rating, once rerouted around it, gets eta 0.0
-with no LP. The table is built once per network and read by every pricing
-thread: two intact probes, solved with the table, and per line two
-max-margin dispatches that carry nothing on that line, solved under the
-table's lock when an attack of k >= 2 lines first needs them; those
-settle such attacks along the segments from an intact probe to their own
-lines' dispatches.
-Every other attack gets ``exact_eta``, the load-shed LP with removed lines
-dropped by column bounds, with no big-M band, solved from the intact
-network's optimal basis.
-Either way an eta depends on its attack alone, not on the pricing order,
-the chunk or the thread. Etas within ``_TIE`` (relative, at least absolute)
-of the worst tie, and ties break toward the lexicographically smallest
-sorted line-id tuple, so results (and golden files) are stable across runs
-and LP vertices. The winner is re-solved by ``solve_inner``, the same LP
-solved cold for its whole optimum, as the engine prices, for the
-reported eta.
-
-``feasible_attacks`` and ``attack_plan`` are the one enumerator of the
-feasible set; the engine's enumerated master walks the same attacks in the
-same order.
+an explicit budget before any solving starts. ``feasible_attacks`` defines
+the feasible set, and ``attack_table`` lists it as line positions, one
+int32 array per attack size: the one form of the set that the oracle prices
+and the engine's enumerated master walks, row for row in the same order.
+The oracle prices the table in chunks of ``_CHUNK`` rows by ``exact_etas``:
+an attack that a zero-shed dispatch of the network's probe table (see
+:mod:`nkshed.inner`) serves within every rating, once rerouted around it,
+gets eta 0.0 with no LP; every other attack gets ``exact_eta``'s LP, with
+removed lines dropped by column bounds, solved from the intact network's
+optimal basis. Either way an eta depends on its attack alone, not on the
+chunk or the thread. Once every attack is priced, etas within ``_TIE``
+(relative, at least absolute) of the worst tie, and ties break toward the
+lexicographically smallest sorted line-id tuple, so results (and golden
+files) are stable across runs and LP vertices; the engine proposes by the
+same rule (``_tie_floor``). The winner is re-solved by ``solve_inner``,
+the same LP solved cold for its whole optimum, as the engine prices, for
+the reported eta.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .attackers import NoFeasibleAttackError, check_budget, is_feasible_attack, spatial_centers
 from .inner import AttackPlan, exact_etas, solve_inner
 from .netmodel import AttackerModel, Network
 
 __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_count",
-           "feasible_attacks", "attack_plan", "solve_exhaustive", "write_ranking_csv"]
+           "feasible_attacks", "attack_table", "attack_plan", "solve_exhaustive",
+           "write_ranking_csv"]
 
 # Candidate subsets the oracle enumerates unless told otherwise.
 DEFAULT_BUDGET = 200_000
-# Consecutive attacks one pricing thread takes at a time. Neighbours in the
+# Consecutive table rows one exact_etas call prices. Neighbours in the
 # enumeration share most lines, so each thread's kept LP changes few bounds.
 _CHUNK = 64
 # Etas within _TIE * max(1, |worst|) of the worst tie: a tie, not LP rounding,
@@ -91,6 +87,27 @@ def feasible_attacks(net: Network, model: AttackerModel):
             yield subset
 
 
+def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
+    """The feasible attacks as line positions, one int32 array per attack size.
+
+    Row by row the arrays, taken in turn, follow ``feasible_attacks``: sizes
+    ascend, each array's rows follow their sorted line-id tuples, and a row
+    holds the positions of those ids in turn. A size with no feasible
+    attack has no array.
+    """
+    count = [0] * (model.k + 1)
+
+    def positions():
+        for subset in feasible_attacks(net, model):
+            count[len(subset)] += 1
+            yield from map(net.line_pos.__getitem__, subset)
+
+    flat = np.fromiter(positions(), np.int32)
+    ends = np.cumsum([size * rows for size, rows in enumerate(count)])
+    return [flat[end - size * rows:end].reshape(rows, size)
+            for size, (rows, end) in enumerate(zip(count, ends)) if rows]
+
+
 def attack_plan(net: Network, model: AttackerModel, subset) -> AttackPlan:
     """The plan of a feasible attack: a spatial one is centred on the pinned
     bus, or else on the smallest bus that can centre all its lines."""
@@ -109,14 +126,14 @@ def solve_exhaustive(
 ) -> OracleResult:
     """Evaluate every feasible attack and return the worst one.
 
-    Attacks are priced by ``exact_etas`` on one thread per CPU this process
-    may run on, while they are enumerated: those a zero-shed dispatch of
-    the network's probe table settles at 0.0 with no LP, the others by
-    ``exact_eta`` from the intact network's optimal basis on their
+    Every row of ``attack_table`` is priced by ``exact_etas`` on one thread
+    per CPU this process may run on: those a zero-shed dispatch of the
+    network's probe table settles at 0.0 with no LP, the others by
+    ``exact_eta``'s LP from the intact network's optimal basis on their
     thread's kept model. The result does not depend on the thread count,
-    and the first error in enumeration order is raised. The winner is the
-    smallest sorted line-id tuple among the attacks within
-    ``_TIE * max(1, |eta|)`` of the worst eta;
+    and the first error in enumeration order is raised. Once all are
+    priced, the winner is the smallest sorted line-id tuple among the
+    attacks within ``_TIE * max(1, |eta|)`` of the worst eta;
     ``best_eta`` is its eta re-solved by ``solve_inner``. ``ranking`` (with
     ``keep_ranking``) lists the exact etas worst first, in runs within that
     tolerance of each run's first eta, each run by line tuple, so it starts
@@ -132,27 +149,24 @@ def solve_exhaustive(
             f"{planned} candidate subsets exceed the oracle budget of {budget}")
 
     check_budget(net, model)
-    plans = (attack_plan(net, model, subset) for subset in feasible_attacks(net, model))
-    ranking = [] if keep_ranking else None
-    worst, near, evaluated = -float("inf"), [], 0
-    for plan, eta in _price(net, plans):
-        evaluated += 1
-        lines = plan.sorted_lines()
-        if ranking is not None:
-            ranking.append((lines, eta))
-        # near keeps the attacks that can still win: each ties with the worst
-        # so far, and no other one has a smaller tuple and an eta as large.
-        worst = max(worst, eta)
-        floor = _tie_floor(worst)
-        near = [c for c in near if c[1] >= floor and not (c[0] > lines and c[1] <= eta)]
-        if eta >= floor and not any(l < lines and e >= eta for l, e, _ in near):
-            near.append((lines, eta, plan))
-    if not evaluated:
+    table = attack_table(net, model)
+    etas = _price(net, table)
+    if not len(etas):
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
-    best = min(near, key=lambda c: c[0])[2]
-    return OracleResult(best, solve_inner(net, best).eta, evaluated,
-                        None if ranking is None else _ranked(ranking))
+    ids = np.array(net.line_ids())
+    # Rows of one size follow their id tuples, so each size's first tied
+    # row is its smallest tuple that ties.
+    floor = _tie_floor(etas.max())
+    parts = np.split(etas, np.cumsum([len(rows) for rows in table])[:-1])
+    tied = [tuple(ids[rows[np.argmax(part >= floor)]].tolist())
+            for rows, part in zip(table, parts) if part.max() >= floor]
+    best = attack_plan(net, model, min(tied))
+    ranking = None
+    if keep_ranking:
+        lines = [tuple(row) for rows in table for row in ids[rows].tolist()]
+        ranking = _ranked(list(zip(lines, etas.tolist())))
+    return OracleResult(best, solve_inner(net, best).eta, len(etas), ranking)
 
 
 def _tie_floor(worst: float) -> float:
@@ -180,35 +194,24 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _price(net: Network, plans):
-    """Yield each plan of the iterator ``plans`` with its eta, in order.
+def _price(net: Network, table: list[np.ndarray]) -> np.ndarray:
+    """The eta of every row of ``table``, in order, as one float array.
 
-    Plans go to one thread per CPU in chunks of ``_CHUNK`` consecutive ones,
-    each chunk priced by one ``exact_etas`` call on its thread, with at
-    most two chunks per thread in flight, so plans are drawn as they are
-    priced. With one CPU, or a single chunk, the calling thread prices them
-    all. The first error in plan order is raised.
+    Each chunk of ``_CHUNK`` consecutive rows of one size is priced by one
+    ``exact_etas`` call, on one thread per CPU through ``pool.map``, or on
+    the calling thread with one CPU or a single chunk. The first error in
+    row order is raised.
     """
     def price(chunk):
         # exact_etas is looked up at call time, so a hook on it sees every call.
         return exact_etas(net, chunk)
 
-    chunks = iter(lambda: list(islice(plans, _CHUNK)), [])
-    head = list(islice(chunks, 2))
+    chunks = [rows[lo:lo + _CHUNK] for rows in table for lo in range(0, len(rows), _CHUNK)]
     workers = _workers()
-    if workers < 2 or len(head) < 2:
-        for chunk in chain(head, chunks):
-            yield from zip(chunk, price(chunk))
-        return
+    if workers < 2 or len(chunks) < 2:
+        return np.fromiter(chain.from_iterable(map(price, chunks)), float)
     with ThreadPoolExecutor(workers) as pool:
-        flight = deque()
-        for chunk in chain(head, chunks):
-            if len(flight) == 2 * workers:
-                done, future = flight.popleft()
-                yield from zip(done, future.result())
-            flight.append((chunk, pool.submit(price, chunk)))
-        for done, future in flight:
-            yield from zip(done, future.result())
+        return np.fromiter(chain.from_iterable(pool.map(price, chunks)), float)
 
 
 def write_ranking_csv(result: OracleResult, out) -> None:

@@ -280,8 +280,8 @@ def test_highs_matrix_is_scipys_column_wise_conversion_bit_for_bit(name):
     if name == "small":
         # Entries at one row and column add up, in the order added; a zero stays.
         mdl, _ = _small_lp(*BOUNDS[0])
-        mdl._append(2, np.array([0, 1, 0, 1]), np.array([1, 2, 1, 0]),
-                    np.array([0.1, 0.0, 0.2, 5.0]), 0.0, [1.0, 0.0])
+        mdl.add_triplets(2, np.array([0, 1, 0, 1]), np.array([1, 2, 1, 0]),
+                         np.array([0.1, 0.0, 0.2, 5.0]), 0.0, [1.0, 0.0])
         models = [mdl]
     else:
         models = _network_models(name)

@@ -14,7 +14,7 @@ from nkshed import fixtures as fx
 from nkshed.attackers import SpatiallyInfeasibleError
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
                            NoFeasibleAttackError, SolveConfig, gap, solve_interdiction)
-from nkshed.inner import AttackPlan, solve_inner
+from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel, Bus, Line, Network, parse_case, serialize_case
 from nkshed.oracle import solve_exhaustive
 
@@ -165,6 +165,26 @@ def test_enumerated_master_ties_go_to_enumeration_order(star5):
     assert eta == pytest.approx(1.2, abs=1e-9)
     assert state.history[0]["attack"] == [1, 2]
     assert state.iterations == 1 and state.bound_certified
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_last_bit_noise_in_the_bounds_leaves_the_proposals_alone(monkeypatch, mesh8, seed):
+    # Each response's shed times 1 + 1e-12 * noise: bounds that differ by
+    # far less than the tie tolerance tie, so the proposals stay in order.
+    rng = np.random.default_rng(seed)
+
+    def noisy(*args, **kwargs):
+        shed = response_shed(*args, **kwargs)
+        return shed * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, len(shed)))
+
+    for net, model in [(lattice(5, 5), AttackerModel.traditional(2)),
+                       (lattice(4, 4), AttackerModel.topological(2)),
+                       (mesh8, AttackerModel.traditional(2))]:
+        proposals = lambda: [h["attack"] for h in solve_interdiction(net, model)[2].history]
+        ref = proposals()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "response_shed", noisy)
+            assert proposals() == ref, (len(net.buses), model)
 
 
 def test_master_path_follows_both_budgets(monkeypatch, mesh8):

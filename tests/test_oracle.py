@@ -2,13 +2,55 @@
 
 import io
 
+import numpy as np
 import pytest
 
+from nkshed import engine, oracle
 from nkshed import fixtures as fx
 from nkshed.attackers import SpatiallyInfeasibleError
 from nkshed.engine import NoFeasibleAttackError, solve_interdiction
 from nkshed.netmodel import AttackerModel
 from nkshed.oracle import BudgetExceededError, solve_exhaustive, write_ranking_csv
+
+from bench_lattice import lattice
+
+
+TABLE_NETWORKS = (sorted(fx.FIXTURES) + [f"random_mesh({seed})" for seed in range(60)]
+                  + ["lattice(4, 4)", "lattice(5, 5)"])
+
+
+def _table_budgets(name):
+    """The network and every budget of k <= 3 it can pose: traditional and
+    topological, and on the fixtures spatial at ``fx.SPATIAL_D``, with no
+    pinned centre and pinned to the first bus."""
+    if name in fx.FIXTURES:
+        net, d = fx.FIXTURES[name](), fx.SPATIAL_D[name]
+        spatial = [AttackerModel.spatial(k, d, center)
+                   for k in (1, 2, 3) for center in (None, net.buses[0].id)]
+    elif name.startswith("lattice"):
+        net, spatial = lattice(*map(int, name[len("lattice("):-1].split(", "))), []
+    else:
+        net, spatial = fx.random_mesh(int(name[len("random_mesh("):-1])), []
+    plain = [AttackerModel(variant, k) for variant in ("traditional", "topological")
+             for k in (1, 2, 3) if k <= len(net.lines)]
+    return net, plain + spatial
+
+
+@pytest.mark.parametrize("name", TABLE_NETWORKS)
+def test_the_attack_table_lists_the_feasible_attacks_in_order(name):
+    # The one form of the feasible set that the oracle prices and the
+    # engine's enumerated master walks: its rows, mapped back to line ids,
+    # are the feasibility predicate's attacks in enumeration order.
+    net, models = _table_budgets(name)
+    ids = net.line_ids()
+    for model in models:
+        table = oracle.attack_table(net, model)
+        sizes = [rows.shape[1] for rows in table]
+        assert sizes == sorted(set(sizes)) and all(len(rows) for rows in table), model
+        assert all(rows.dtype == np.int32 for rows in table), model
+        listed = [tuple(ids[e] for e in row) for rows in table for row in rows.tolist()]
+        assert listed == list(oracle.feasible_attacks(net, model)), model
+    assert engine.attack_table is oracle.attack_table
 
 
 def test_two_bus_single_line(two_bus):

@@ -16,7 +16,7 @@ from nkshed import fixtures as fx
 from nkshed import oracle
 from nkshed.backend import BackendError
 from nkshed.engine import NoFeasibleAttackError
-from nkshed.inner import exact_eta, exact_etas, solve_inner
+from nkshed.inner import AttackPlan, exact_eta, exact_etas, solve_inner
 from nkshed.netmodel import AttackerModel
 
 from bench_lattice import lattice
@@ -66,18 +66,19 @@ def _force(monkeypatch, workers, chunk=1):
 
 
 def _per_plan(price):
-    """A batch pricer, in the place of ``exact_etas``, that prices each plan
-    of a chunk by ``price``."""
-    return lambda net, plans: [price(net, plan) for plan in plans]
+    """A batch pricer, in the place of ``exact_etas``, that prices the plan
+    of each row of line positions in a chunk by ``price``."""
+    return lambda net, cuts: [price(net, AttackPlan.of(net.lines[e].id for e in row))
+                              for row in cuts]
 
 
 def _threads_pricing(monkeypatch):
     """Record the thread of every ``exact_etas`` call the oracle makes."""
     seen = set()
 
-    def traced(net, plans):
+    def traced(net, cuts):
         seen.add(threading.get_ident())
-        return exact_etas(net, plans)
+        return exact_etas(net, cuts)
 
     monkeypatch.setattr(oracle, "exact_etas", traced)
     return seen
@@ -216,11 +217,10 @@ def test_concurrent_oracles_each_with_a_pool(monkeypatch, mesh8):
     assert threaded == serial
 
 
-def test_pricing_window_bounds_the_oracle_memory(monkeypatch):
+def test_the_attack_table_bounds_the_oracle_memory(monkeypatch):
     # The 147 440 three-line attacks of the 7x8 lattice (97 lines), priced at
-    # a constant so only the oracle's own bookkeeping counts: a bounded
-    # window of chunks in flight and the running near-ties, against holding
-    # every plan at once.
+    # a constant so only the oracle's own bookkeeping counts: the attack
+    # table, its chunks and their etas, against holding every plan at once.
     _force(monkeypatch, 2, 64)
     monkeypatch.setattr(oracle, "exact_etas", _per_plan(lambda net, plan: 1.0))
     net, model = lattice(7, 8), AttackerModel.traditional(3)

@@ -49,5 +49,5 @@ def test_two_islands_price_like_one_network(seed):
         # The intact dispatch, balanced on each island an attack leaves, is
         # a feasible response, so its shed bounds every attack's.
         assert (response_shed(net, gen, served, cuts) >= etas - 1e-9).all(), model
-        assert list(map(repr, exact_etas(net, plans))) == [
+        assert list(map(repr, exact_etas(net, cuts).tolist())) == [
             repr(exact_eta(net, p)) for p in plans], model

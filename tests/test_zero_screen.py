@@ -31,12 +31,31 @@ from test_exact_eta import NETWORKS, _attacks, _budgets
 UNSETTLED = -1.0
 
 
+def _etas(net, plans) -> list[float]:
+    """``exact_etas`` of ``plans``, one call per attack size, in plan order;
+    each row holds the positions of a plan's sorted line ids."""
+    etas = [None] * len(plans)
+    for size in {len(plan.lines) for plan in plans}:
+        at = [i for i, plan in enumerate(plans) if len(plan.lines) == size]
+        cuts = np.array([[net.line_pos[l] for l in plans[i].sorted_lines()] for i in at],
+                        dtype=np.intp).reshape(len(at), size)
+        for i, eta in zip(at, exact_etas(net, cuts).tolist()):
+            etas[i] = eta
+    return etas
+
+
+def _lp_only(net, cuts) -> list[float]:
+    """A batch pricer, in the place of ``exact_etas``, that prices every row
+    of line positions by its own ``exact_eta`` LP."""
+    return [exact_eta(net, AttackPlan.of(net.lines[e].id for e in row)) for row in cuts]
+
+
 def _verdicts(net, plans) -> list[float]:
     """``exact_etas`` of ``plans`` with no LP: 0.0 where the screen settles
     an attack, ``UNSETTLED`` where it would send the attack to the LP."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inner, "exact_eta", lambda net, plan, positions=None: UNSETTLED)
-        return exact_etas(net, plans)
+        patch.setattr(inner, "_eta_at", lambda net, positions: UNSETTLED)
+        return _etas(net, plans)
 
 
 def _stage_one(net, plans) -> list[float]:
@@ -104,8 +123,7 @@ def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypat
     plans = [oracle.attack_plan(net, model, s) for s in oracle.feasible_attacks(net, model)]
     assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
     screened = repr(oracle.solve_exhaustive(net, model, keep_ranking=True))
-    monkeypatch.setattr(oracle, "exact_etas",
-                        lambda net, plans: [exact_eta(net, plan) for plan in plans])
+    monkeypatch.setattr(oracle, "exact_etas", _lp_only)
     assert screened == repr(oracle.solve_exhaustive(net, model, keep_ranking=True))
 
 
@@ -125,7 +143,7 @@ def test_island_splitting_attacks_go_to_the_lp(name):
     assert torn
     plans = [AttackPlan.of(s) for s in torn]
     assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
-    assert list(map(repr, exact_etas(net, plans))) == [
+    assert list(map(repr, _etas(net, plans))) == [
         repr(exact_eta(net, plan)) for plan in plans]
 
 
@@ -137,7 +155,7 @@ def test_spatial_empty_attack(name):
         assert next(oracle.feasible_attacks(net, model)) == ()
         plan = oracle.attack_plan(net, model, ())
         eta = exact_eta(net, plan)
-        assert repr(exact_etas(net, [plan])[0]) == repr(eta)
+        assert repr(_etas(net, [plan])[0]) == repr(eta)
         # A probe settles the empty attack exactly where the intact network
         # serves all demand within its ratings; some fixtures shed load.
         assert _verdicts(net, [plan]) == [0.0 if eta == 0.0 else UNSETTLED]
@@ -161,8 +179,7 @@ def _pricing_lps(monkeypatch, net, model, winner):
     assert res.best_attack.sorted_lines() == winner
     assert res.best_eta == solve_inner(net, res.best_attack).eta
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "exact_etas",
-                      lambda net, plans: [exact_eta(net, plan) for plan in plans])
+        patch.setattr(oracle, "exact_etas", _lp_only)
         assert repr(oracle.solve_exhaustive(net, model, keep_ranking=True)) == repr(res)
     return res, solves.count("exact-load-shed")
 
