@@ -28,13 +28,14 @@ print(f"parsed {len(net.buses)} buses, {len(net.lines)} lines, "
       f"total load {sum(b.demand for b in net.buses):.2f} p.u.")
 
 # With nothing attacked the single line carries the whole megawatt and no
-# load is shed.
+# load is shed. A solution's arrays are by position: flow[0] is line 1 and
+# shed[1] is bus 2 (net.line_pos and net.bus_pos map ids to positions).
 base = solve_inner(net, AttackPlan.of([]))
-print(f"no attack:   shed {base.eta:.3f} p.u., line flow {base.flow[1]:+.3f} p.u.")
+print(f"no attack:   shed {base.eta:.3f} p.u., line flow {base.flow[0]:+.3f} p.u.")
 
 # Remove the line and the load bus is stranded: everything sheds.
 hit = solve_inner(net, AttackPlan.of([1]))
-print(f"line 1 out:  shed {hit.eta:.3f} p.u., bus 2 shed factor {hit.shed[2]:.2f}")
+print(f"line 1 out:  shed {hit.eta:.3f} p.u., bus 2 shed factor {hit.shed[1]:.2f}")
 
 # The solver searches over all k-line attacks; here there is exactly one.
 plan, eta, state = solve_interdiction(net, AttackerModel.traditional(1))

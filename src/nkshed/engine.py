@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,9 +73,10 @@ RECHECK_TOL = 1e-7
 class SolveConfig:
     """Solver knobs. Defaults: 1% relative tolerance, heuristic penalty rates.
 
-    ``epsilon`` is the relative gap at which the loop stops (floored by
-    ``abs_floor`` near zero shed), both finite and > 0 so the gap is always
-    defined, and ``max_iters`` caps the attacks priced.
+    ``epsilon`` is the relative gap at which the loop stops, finite and
+    > 0; the gap divides by the incumbent shed floored at the class
+    constant ``abs_floor``, so it is defined when no attack sheds load.
+    ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
     ``"heuristic"`` (every line at 1.0) or ``"valid"`` (every line at the
     total load), so it acts only past either budget (``ENUMERATION_BUDGET``
@@ -82,15 +84,14 @@ class SolveConfig:
     mode makes the MILP master's bound a proof.
     """
 
+    abs_floor: ClassVar[float] = 1e-6
     epsilon: float = 0.01
-    abs_floor: float = 1e-6
     max_iters: int = 10000
     bounds_mode: str = HEURISTIC
 
     def __post_init__(self):
-        for name in ("epsilon", "abs_floor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.bounds_mode not in (HEURISTIC, VALID):
@@ -171,9 +172,7 @@ def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, 
              starts: np.ndarray, bound: np.ndarray, rows: np.ndarray) -> None:
     """Lower ``bound`` on the attacks flagged in ``rows`` to the shed of the
     feasible response built from ``inner``'s dispatch."""
-    n = len(net.buses)
-    gen = np.fromiter(inner.gen.values(), float, n)
-    served = net.demand_vector() * (1.0 - np.fromiter(inner.shed.values(), float, n))
+    gen, served = inner.gen, net.demand_vector() * (1.0 - inner.shed)
     for (cuts, split), start in zip(groups, starts):
         pick = np.flatnonzero(rows[start:start + len(cuts)])
         if len(pick):
@@ -226,7 +225,8 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
         level = _stop_level(state, config)
         _tighten(net, inner, groups, starts, bound, ~priced & (bound > level))
         unpriced = bound[~priced]
-        state.eta_up = min(state.eta_up, max(unpriced.max(initial=-np.inf), state.eta_star))
+        state.eta_up = min(state.eta_up,
+                           max(float(unpriced.max(initial=-np.inf)), state.eta_star))
         state.history.append({
             "iteration": state.iterations,
             "attack": list(plan.sorted_lines()),
@@ -293,8 +293,7 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> Maste
             state.status = CONVERGED
             break
 
-        flow = np.fromiter(inner.flow.values(), float, len(net.lines))
-        state.cuts.append((inner.eta, bounds.price(flow)))
+        state.cuts.append((inner.eta, bounds.price(inner.flow)))
         state.nogood.append(plan.lines)
     else:
         state.status = ITERATION_LIMIT

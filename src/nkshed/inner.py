@@ -83,47 +83,41 @@ class AttackPlan:
         return tuple(sorted(self.lines))
 
 
-@dataclass
+@dataclass(eq=False)
 class InnerSolution:
-    """Optimal defender response to one attack.
+    """Optimal defender response to one attack, as the LP's own arrays.
 
-    The duals are those of the four ``>=`` rows per line that the LP's
-    equality and bounds stand for, so all are nonnegative: ``duals_mu`` of
-    ``coupling_e >= 0`` and ``-coupling_e >= 0`` (both 0 on a removed line,
-    whose slack is free), ``duals_pi`` of ``flow_e >= -rating_e`` and
+    ``shed`` (fraction of demand) and ``gen`` are by bus position, ``flow``
+    by line position, as in ``net.buses`` and ``net.lines``; map ids
+    through ``net.bus_pos`` and ``net.line_pos``. The duals are those of
+    the four ``>=`` rows per line that the LP's equality and bounds stand
+    for, so all are nonnegative, one row per line position: ``duals_mu``
+    of ``coupling_e >= 0`` and ``-coupling_e >= 0`` (both 0 on a removed
+    line, whose slack is free), ``duals_pi`` of ``flow_e >= -rating_e`` and
     ``-flow_e >= -rating_e`` (rating 0 on a removed line).
 
-    ``angle``, ``duals_mu`` and ``duals_pi`` are computed when first read.
-    ``angle`` is the solve's bus angles with the first bus of each island
-    of the surviving network at zero. For that the solution keeps the raw
-    angles, the removed line positions, the line endpoint positions and the
-    bus ids, not the network. For the duals it keeps the line ids, the
-    coupling rows' duals and the flow columns' reduced costs.
+    ``angle``, by bus position, is computed when first read: the solve's
+    bus angles with the first bus of each island of the surviving network
+    at zero. For that the solution keeps the raw angles, the removed line
+    positions and the line endpoint positions, not the network. Arrays do
+    not compare with ``==``, so neither do solutions.
     """
 
     eta: float
-    shed: dict[int, float]
-    flow: dict[int, float]
-    gen: dict[int, float]
+    shed: np.ndarray
+    flow: np.ndarray
+    gen: np.ndarray
     attack: AttackPlan
-    _angle_from: tuple = field(default=(), repr=False, compare=False)
-    _duals_from: tuple = field(default=(), repr=False, compare=False)
+    duals_mu: np.ndarray
+    duals_pi: np.ndarray
+    _angle_from: tuple = field(default=(), repr=False)
 
     @cached_property
-    def angle(self) -> dict[int, float]:
-        ang, cut, fr, to, bus_ids = self._angle_from
+    def angle(self) -> np.ndarray:
+        ang, cut, fr, to = self._angle_from
         # Angles are fixed up to one constant per island: zero each island's first bus.
         island = _islands(fr, to, len(ang), cut[None])[0]
-        ang = ang - ang[np.unique(island, return_index=True)[1]][island]
-        return dict(zip(bus_ids, ang.tolist()))
-
-    @cached_property
-    def duals_mu(self) -> dict[int, tuple[float, float]]:
-        return _by_sign(self._duals_from[0], self._duals_from[1])
-
-    @cached_property
-    def duals_pi(self) -> dict[int, tuple[float, float]]:
-        return _by_sign(self._duals_from[0], self._duals_from[2])
+        return ang - ang[np.unique(island, return_index=True)[1]][island]
 
 
 def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
@@ -226,10 +220,9 @@ def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
     return entry
 
 
-def _by_sign(keys, values: np.ndarray) -> dict:
-    """Per key the pair (max(v, 0), max(-v, 0)) of its value v."""
-    pairs = np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)]).tolist()
-    return dict(zip(keys, map(tuple, pairs)))
+def _by_sign(values: np.ndarray) -> np.ndarray:
+    """Per value v the row (max(v, 0), max(-v, 0))."""
+    return np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)])
 
 
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
@@ -238,11 +231,12 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     Always feasible (the operator can shed everything), so the result is
     optimal or an exception is raised. The LP is ``exact_eta``'s, on the
     same kept model, solved cold with presolve on, so the optimum depends
-    on the attack alone. The duals come from the same solve: ``duals_mu``
-    splits each line's coupling-row dual by sign, and ``duals_pi`` each
-    flow column's reduced cost (see :class:`InnerSolution`). Angles are
-    reported relative to the first bus of each island of the surviving
-    network. Angles and duals are computed when first read.
+    on the attack alone. The arrays are the LP's, in bus and line position
+    order (see :class:`InnerSolution`). The duals come from the same solve:
+    ``duals_mu`` splits each line's coupling-row dual by sign, and
+    ``duals_pi`` each flow column's reduced cost. Angles, computed when
+    first read, are relative to the first bus of each island of the
+    surviving network.
     """
     positions = _line_positions(net, attack)
     slack = _exact_model(net)[0]
@@ -253,15 +247,15 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     except BackendError as err:
         raise BackendError(
             f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
-    bus_ids, line_ids = [bus.id for bus in net.buses], net.line_ids()
     return InnerSolution(
         eta=float(sol.objective),
-        shed=dict(zip(bus_ids, sol.x[dc.shed].tolist())),
-        flow=dict(zip(line_ids, sol.x[dc.flow].tolist())),
-        gen=dict(zip(bus_ids, sol.x[dc.gen].tolist())),
+        shed=sol.x[dc.shed],
+        flow=sol.x[dc.flow],
+        gen=sol.x[dc.gen],
         attack=attack,
-        _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions(), bus_ids),
-        _duals_from=(line_ids, sol.dual[slack.coupling], sol.reduced[dc.flow]),
+        duals_mu=_by_sign(sol.dual[slack.coupling]),
+        duals_pi=_by_sign(sol.reduced[dc.flow]),
+        _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions()),
     )
 
 

@@ -434,7 +434,7 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_row(raw: str, lineno: int, table: str, min_cols: int) -> list[float]:
-    text = raw.replace(";", " ").replace(",", " ").strip()
+    text = raw.replace(",", " ").strip()
     fields = text.split()
     values = []
     for pos, tok in enumerate(fields):
@@ -470,38 +470,26 @@ def _scan_blocks(case_text: str) -> tuple[dict[str, float], dict[str, list[tuple
             continue
         if current is None:
             m = _BLOCK_RE.search(line)
-            if m:
-                current = m.group(1)
-                tables.setdefault(current, [])
-                rest = line[m.end():].strip()
-                if rest.endswith("];"):
-                    rest = rest[:-2].strip()
-                    if rest:
-                        tables[current].append(
-                            (lineno, _parse_row(rest, lineno, current, min_cols.get(current, 1))))
-                    current = None
-                elif rest:
-                    tables[current].append(
-                        (lineno, _parse_row(rest, lineno, current, min_cols.get(current, 1))))
+            if m is None:
+                m = _SCALAR_RE.search(line)
+                if m:
+                    try:
+                        scalars[m.group(1)] = float(m.group(2).strip().strip("'\""))
+                    except ValueError:
+                        pass  # non-numeric scalar (e.g. version string): ignored
                 continue
-            m = _SCALAR_RE.search(line)
-            if m:
-                try:
-                    scalars[m.group(1)] = float(m.group(2).strip().strip("'\""))
-                except ValueError:
-                    pass  # non-numeric scalar (e.g. version string): ignored
-            continue
-        # inside a matrix block
+            current = m.group(1)
+            tables.setdefault(current, [])
+            line = line[m.end():].strip()
+        # inside a matrix block: rows end at ';', several to a line or one
         if line.startswith("];") or line == "]":
             current = None
             continue
-        body = line
-        closed = body.endswith("];")
-        if closed:
-            body = body[:-2].strip()
-        if body:
-            tables[current].append(
-                (lineno, _parse_row(body, lineno, current, min_cols.get(current, 1))))
+        closed = line.endswith("];")
+        for row in (line[:-2] if closed else line).split(";"):
+            if row.strip():
+                tables[current].append(
+                    (lineno, _parse_row(row, lineno, current, min_cols.get(current, 1))))
         if closed:
             current = None
     return scalars, tables

@@ -60,8 +60,8 @@ def solve_to_report(net: Network, model: AttackerModel,
     plan, eta_star, state = solve_interdiction(net, model, config)
     elapsed = time.perf_counter() - start
     inner = state.incumbent_inner
-    shed = {bus: round(frac * net.buses[net.bus_pos[bus]].demand, 12)
-            for bus, frac in inner.shed.items()}
+    shed = {bus.id: round(frac * bus.demand, 12)
+            for bus, frac in zip(net.buses, inner.shed.tolist())}
     gap_pct = max(0.0, 100.0 * (state.eta_up - state.eta_star)
                   / max(state.eta_star, config.abs_floor))
     return RunReport(

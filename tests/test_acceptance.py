@@ -109,7 +109,7 @@ def test_criterion_3_interdicted_coupling_duals_vanish():
         attack = _random_attacks(rng, net, 1)[0]
         sol = solve_inner(net, AttackPlan.of(attack))
         for lid in attack:
-            mu1, mu2 = sol.duals_mu[lid]
+            mu1, mu2 = sol.duals_mu[net.line_pos[lid]]
             assert abs(mu1) <= 1e-8 and abs(mu2) <= 1e-8, (name, attack, lid)
     print("\n[criterion 3] PASS zero coupling duals on 50 sampled attacks")
 

@@ -5,7 +5,7 @@ import itertools
 import random
 import threading
 import weakref
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from nkshed.backend import Model
 from nkshed.bounds import heuristic_bounds, valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Network, total_load
+from nkshed.runner import solve_to_report
 from reference_lp import default_band, reference_eta
 
 TOL = 1e-6
@@ -25,16 +26,16 @@ def residuals(net, sol):
     """Max violation of flow balance / limits at the returned point."""
     worst = 0.0
     # The incidence is -1 at a line's from bus and +1 at its to bus.
-    inflow = net.incidence @ np.array([sol.flow[l] for l in net.line_ids()])
-    for bus, into in zip(net.buses, inflow):
-        balance = sol.gen[bus.id] - (1.0 - sol.shed[bus.id]) * bus.demand + into
+    inflow = net.incidence @ sol.flow
+    for b, (bus, into) in enumerate(zip(net.buses, inflow)):
+        balance = sol.gen[b] - (1.0 - sol.shed[b]) * bus.demand + into
         worst = max(worst, abs(balance))
-    for line in net.lines:
+    for e, line in enumerate(net.lines):
         cap = line.thermal * (0.0 if line.id in sol.attack.lines else 1.0)
-        worst = max(worst, abs(sol.flow[line.id]) - cap)
-    for bus in net.buses:
-        worst = max(worst, -sol.shed[bus.id], sol.shed[bus.id] - 1.0,
-                    -sol.gen[bus.id], sol.gen[bus.id] - bus.gen_cap)
+        worst = max(worst, abs(sol.flow[e]) - cap)
+    for b, bus in enumerate(net.buses):
+        worst = max(worst, -sol.shed[b], sol.shed[b] - 1.0,
+                    -sol.gen[b], sol.gen[b] - bus.gen_cap)
     return worst
 
 
@@ -46,7 +47,7 @@ def test_two_bus_no_attack(two_bus):
 def test_two_bus_islanding(two_bus):
     sol = solve_inner(two_bus, AttackPlan.of([1]))
     assert sol.eta == pytest.approx(1.0, abs=TOL)
-    assert sol.shed[2] == pytest.approx(1.0, abs=TOL)
+    assert sol.shed[two_bus.bus_pos[2]] == pytest.approx(1.0, abs=TOL)
 
 
 def test_triangle_attack_line1_matches_handwritten_lp(triangle):
@@ -81,7 +82,7 @@ def test_matches_reference_lp_on_all_single_and_double_attacks(name):
         assert sol.eta == pytest.approx(reference_eta(net, attack), abs=TOL), attack
         assert residuals(net, sol) <= TOL
         assert 0.0 - TOL <= sol.eta <= total_load(net) + TOL
-        eta_sum = sum(net.buses[net.bus_pos[i]].demand * s for i, s in sol.shed.items())
+        eta_sum = sum(bus.demand * s for bus, s in zip(net.buses, sol.shed.tolist()))
         assert sol.eta == pytest.approx(eta_sum, abs=TOL)
 
 
@@ -91,11 +92,11 @@ def test_duals_nonnegative_and_interdicted_mu_zero(mesh8):
     for _ in range(25):
         attack = rng.sample(ids, rng.randint(1, 3))
         sol = solve_inner(mesh8, AttackPlan.of(attack))
-        for pair in list(sol.duals_mu.values()) + list(sol.duals_pi.values()):
-            assert pair[0] >= -TOL and pair[1] >= -TOL
+        for duals in (sol.duals_mu, sol.duals_pi):
+            assert duals.shape == (len(mesh8.lines), 2)
+            assert (duals >= -TOL).all()
         for lid in attack:
-            assert abs(sol.duals_mu[lid][0]) <= 1e-8
-            assert abs(sol.duals_mu[lid][1]) <= 1e-8
+            assert (np.abs(sol.duals_mu[mesh8.line_pos[lid]]) <= 1e-8).all()
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -126,9 +127,10 @@ def _attacks(net, k_max):
 
 
 def _bits(sol):
-    # repr round-trips every float and tells -0.0 from 0.0. The angles are a
-    # property computed when read, so astuple does not see them.
-    return repr((astuple(sol), sol.angle))
+    # repr of Python floats round-trips every bit and tells -0.0 from 0.0;
+    # numpy's array repr rounds, so each array goes through tolist first.
+    arrays = (sol.shed, sol.gen, sol.flow, sol.angle, sol.duals_mu, sol.duals_pi)
+    return repr((sol.eta, [a.tolist() for a in arrays]))
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -149,7 +151,7 @@ def test_kept_model_answers_do_not_depend_on_solve_order(name):
 def test_kept_model_does_not_keep_the_network_alive():
     net = fx.mesh8()
     sol = solve_inner(net, AttackPlan.of([1]))
-    ref, bus_ids = weakref.ref(net), [bus.id for bus in net.buses]
+    ref, n = weakref.ref(net), len(net.buses)
     # One load-shed model per thread and network: the exact model.
     assert hasattr(net.thread_cache, "exact")
     assert not hasattr(net.thread_cache, "load_shed")
@@ -164,7 +166,7 @@ def test_kept_model_does_not_keep_the_network_alive():
     gc.collect()
     assert ref() is None
     # The solution outlives its network, and its angles still compute.
-    assert list(sol.angle) == bus_ids and sol.angle[bus_ids[0]] == 0.0
+    assert sol.angle.shape == (n,) and sol.angle[0] == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -176,12 +178,13 @@ def test_angles_zero_at_first_bus_of_each_island(name):
         sol = solve_inner(net, AttackPlan.of(attack))
         island = net.islands(np.array([[net.line_pos[lid] for lid in attack]], dtype=int))[0]
         for label in set(island.tolist()):
-            first = net.buses[int(np.flatnonzero(island == label)[0])]
-            assert sol.angle[first.id] == 0.0, (attack, first.id)
-        for line in net.lines:
+            first = int(np.flatnonzero(island == label)[0])
+            assert sol.angle[first] == 0.0, (attack, net.buses[first].id)
+        for e, line in enumerate(net.lines):
             if line.id not in attack:
-                theta = sol.angle[line.from_bus] - sol.angle[line.to_bus]
-                assert abs(sol.flow[line.id] + line.susceptance * theta) <= 1e-9, attack
+                theta = (sol.angle[net.bus_pos[line.from_bus]]
+                         - sol.angle[net.bus_pos[line.to_bus]])
+                assert abs(sol.flow[e] + line.susceptance * theta) <= 1e-9, attack
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -201,10 +204,31 @@ def test_reversed_relabelled_lines_give_same_eta(name):
         assert solve_inner(other, moved).eta == pytest.approx(eta, abs=TOL), attack
 
 
+def test_relabelled_ids_keep_positions_and_reports_map_back(mesh8):
+    # The arrays are by position, so new ids in the same order leave every
+    # bit of them as it was; the report maps positions back to the new ids.
+    def relabel(i):
+        return 10 * i + 3
+
+    other = Network.build(
+        [replace(b, id=relabel(b.id)) for b in mesh8.buses],
+        [replace(l, id=relabel(l.id), from_bus=relabel(l.from_bus), to_bus=relabel(l.to_bus))
+         for l in mesh8.lines])
+    for attack in _attacks(mesh8, 2):
+        moved = AttackPlan.of(relabel(lid) for lid in attack.lines)
+        assert _bits(solve_inner(other, moved)) == _bits(solve_inner(mesh8, attack))
+    model = AttackerModel.traditional(2)
+    report, moved = solve_to_report(mesh8, model), solve_to_report(other, model)
+    assert moved.per_bus_shed == {relabel(bus): shed
+                                  for bus, shed in report.per_bus_shed.items()}
+    assert any(report.per_bus_shed.values())
+    assert moved.interdicted_lines == [relabel(lid) for lid in report.interdicted_lines]
+
+
 def cut_bound(net, sol, rates, candidate):
     """The MILP master's cut from ``sol`` at ``candidate``: the priced shed plus
     each candidate line's rate times its absolute flow in ``sol``."""
-    price = rates.price(np.array([sol.flow[lid] for lid in net.line_ids()]))
+    price = rates.price(sol.flow)
     return sol.eta + sum(price[net.line_pos[lid]] for lid in candidate)
 
 

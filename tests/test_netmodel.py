@@ -143,6 +143,38 @@ def test_serialize_round_trip(name):
     assert total_load(back) == pytest.approx(total_load(net))
 
 
+def _rows_joined(text: str, per_line: int | None) -> str:
+    """``text`` with each matrix block's rows written ``per_line`` to a line,
+    or with ``per_line`` None all on the block's opening line."""
+    out, rows = [], None
+    for line in text.splitlines():
+        if line.endswith("= ["):
+            out.append(line)
+            rows = []
+        elif rows is None:
+            out.append(line)
+        elif line != "];":
+            rows.append(line.strip())
+        elif per_line is None:
+            out[-1] += " ".join(rows)[:-1] + "];"
+            rows = None
+        else:
+            out += [" ".join(rows[i:i + per_line]) for i in range(0, len(rows), per_line)]
+            out.append("];")
+            rows = None
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_rows_sharing_a_line_parse_as_separate_rows(name):
+    text = serialize_case(fx.FIXTURES[name]())
+    net = parse_case(text)
+    for per_line in (2, None):
+        joined = _rows_joined(text, per_line)
+        assert len(joined.splitlines()) < len(text.splitlines())
+        assert parse_case(joined) == net, per_line
+
+
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_adjacency_partitions_incidence(name):
     net = fx.FIXTURES[name]()

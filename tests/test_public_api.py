@@ -33,4 +33,4 @@ def test_no_public_function_takes_a_footprint():
     for function in functions:
         assert "footprint" not in inspect.signature(function).parameters, function.__name__
     assert [f.name for f in dataclasses.fields(engine.SolveConfig)] == [
-        "epsilon", "abs_floor", "max_iters", "bounds_mode"]
+        "epsilon", "max_iters", "bounds_mode"]

@@ -14,10 +14,8 @@ RANDOM_SEEDS = range(50)
 
 
 def _dispatch(net, sol):
-    n = len(net.buses)
-    gen = np.fromiter(sol.gen.values(), float, n)
-    served = net.demand_vector() * (1.0 - np.fromiter(sol.shed.values(), float, n))
-    return gen, served
+    """Generation and served load of ``sol``, by bus position."""
+    return sol.gen, net.demand_vector() * (1.0 - sol.shed)
 
 
 def _cuts(net, attacks):
