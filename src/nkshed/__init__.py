@@ -5,13 +5,13 @@ force the most load shed" on a DC power-flow model, for three attacker
 budgets (any k lines; k lines inside a geographic disk; k lines forming a
 connected subgraph), using a cutting-plane loop whose master is an
 enumeration with feasible-response bounds up to a subset budget and a MILP
-past it, cross-checked against a brute-force oracle at desk scale.
+past it, whose cuts price every line at one penalty rate, cross-checked
+against a brute-force oracle at desk scale.
 """
 
 from .attackers import (SpatialFootprint, SpatiallyInfeasibleError, compute_phi,
                         encode_feasible_set, haversine_km, is_feasible_attack)
 from .backend import BackendError
-from .bounds import DualBounds, heuristic_bounds, valid_bounds
 from .engine import (MasterState, NoFeasibleAttackError, SolveConfig, gap,
                      solve_interdiction)
 from .inner import AttackPlan, InnerSolution, solve_inner
@@ -25,12 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackPlan", "AttackerModel", "BackendError", "BudgetExceededError", "Bus",
-    "CaseFormatError", "DualBounds", "GeoFormatError", "InnerSolution", "Line",
+    "CaseFormatError", "GeoFormatError", "InnerSolution", "Line",
     "MasterState", "Network", "NoFeasibleAttackError", "OracleResult", "RunReport",
     "SolveConfig", "SpatialFootprint", "SpatiallyInfeasibleError",
     "build_geojson", "certify", "compute_phi", "encode_feasible_set",
-    "gap", "haversine_km", "heuristic_bounds", "is_feasible_attack", "parse_case",
+    "gap", "haversine_km", "is_feasible_attack", "parse_case",
     "parse_geo", "report_json", "serialize_case", "solve_exhaustive",
     "solve_inner", "solve_interdiction", "solve_to_report",
-    "sweep", "total_load", "valid_bounds", "write_ranking_csv", "write_sweep_csv",
+    "sweep", "total_load", "write_ranking_csv", "write_sweep_csv",
 ]

@@ -32,8 +32,8 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
         p.add_argument("--D", type=float, help="spatial disk diameter in km (spatial only)")
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
     p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic",
-                   help="penalty rates of the MILP master's cuts, 1.0 or the total load "
-                        "per line, used only past either budget (ENUMERATION_BUDGET or "
+                   help="penalty rate of the MILP master's cuts, 1.0 or the total load "
+                        "for every line, used only past either budget (ENUMERATION_BUDGET or "
                         "NETWORK_BUDGET); neither makes its bound a proof")
     p.add_argument("--max-iters", type=int, default=10000)
 

@@ -17,17 +17,18 @@ dispatch, balanced per island, routed by DC power flow on that attack's
 surviving lines and scaled into the line ratings, is a feasible defender
 response, so its shed bounds that attack's (``inner.response_shed``). The largest unpriced bound is thus
 a proof, and a run that stops on it reports ``bound_certified``. No penalty
-rates are computed on this path.
+rate enters this path.
 
 **MILP master**, past either budget. A MILP over the attack binaries and a
 shed-estimate variable proposes the attack with the highest estimate
 consistent with the cuts so far; each priced attack adds a cut that caps the
 estimate of every attack by its priced shed plus its absolute line flows at
-per-line penalty rates, 1.0 or the total load by ``SolveConfig.bounds_mode``,
-and an exclusion cut that retires it. No rate set makes those cuts valid (see
-:mod:`nkshed.bounds`), so the master's MILP dual bound is an estimate and
-this path never reports ``bound_certified``. A master that HiGHS fails to
-solve is retried once with presolve off.
+one penalty rate for every line, 1.0 or the total load by
+``SolveConfig.bounds_mode``, and an exclusion cut that retires it. No rate
+makes those cuts valid (see ``valid_bounds``), so the master's MILP dual
+bound is an estimate and this path never reports ``bound_certified``. The
+master's attack is named by ``oracle.attack_plan``, as on the enumerated
+path. A master that HiGHS fails to solve is retried once with presolve off.
 
 Both paths stop once the upper bound and the best priced shed meet within
 the requested tolerance. Every returned incumbent is re-verified with one
@@ -44,7 +45,6 @@ import numpy as np
 
 from .attackers import NoFeasibleAttackError, check_budget, encode_feasible_set
 from .backend import INFEASIBLE, OPTIMAL, Model
-from .bounds import DualBounds, HEURISTIC, VALID, heuristic_bounds, valid_bounds
 from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
 from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, _tie_floor, attack_plan, attack_table, subset_count
@@ -68,19 +68,24 @@ NETWORK_BUDGET = 1 << 16
 # A recheck within this of eta_star confirms the incumbent's shed.
 RECHECK_TOL = 1e-7
 
+# ``SolveConfig.bounds_mode``: the MILP master's cuts price every line at
+# 1.0, or at ``valid_bounds``.
+HEURISTIC = "heuristic"
+VALID = "valid"
+
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs. Defaults: 1% relative tolerance, heuristic penalty rates.
+    """Solver knobs. Defaults: 1% relative tolerance, the heuristic penalty rate.
 
     ``epsilon`` is the relative gap at which the loop stops, finite and
     > 0; the gap divides by the incumbent shed floored at the class
     constant ``abs_floor``, so it is defined when no attack sheds load.
     ``max_iters`` caps the attacks priced.
-    ``bounds_mode`` picks the penalty rates of the MILP master's cuts,
-    ``"heuristic"`` (every line at 1.0) or ``"valid"`` (every line at the
-    total load), so it acts only past either budget (``ENUMERATION_BUDGET``
-    or ``NETWORK_BUDGET``); the enumerated master needs no rates. Neither
+    ``bounds_mode`` picks the one penalty rate of the MILP master's cuts,
+    ``"heuristic"`` (1.0) or ``"valid"`` (the total load), the same for
+    every line, so it acts only past either budget (``ENUMERATION_BUDGET``
+    or ``NETWORK_BUDGET``); the enumerated master needs no rate. Neither
     mode makes the MILP master's bound a proof.
     """
 
@@ -104,13 +109,12 @@ class MasterState:
 
     ``bound_certified`` is true when ``eta_up`` is a proof: the enumerated
     master stopped converged and the final recheck confirmed ``eta_star``
-    within 1e-7. ``bounds`` holds the MILP master's penalty rates, and
-    ``cuts`` and ``nogood`` its rows: each cut is the priced shed and the
-    per-line-position price of the priced flows. The enumerated master
-    leaves them empty. Each ``history`` record holds the iteration, the
-    attack, its exact shed ``eta_hat``, ``eta_up`` and ``live``: how many
-    unpriced attacks still have a bound above the stopping level (None on
-    the MILP path).
+    within 1e-7. ``cuts`` and ``nogood`` hold the MILP master's rows: each
+    cut is the priced shed and, by line position, the penalty rate times the
+    priced absolute flow. The enumerated master leaves them empty. Each
+    ``history`` record holds the iteration, the attack, its exact shed
+    ``eta_hat``, ``eta_up`` and ``live``: how many unpriced attacks still
+    have a bound above the stopping level (None on the MILP path).
     """
 
     cuts: list[tuple[float, np.ndarray]] = field(default_factory=list)
@@ -122,7 +126,6 @@ class MasterState:
     iterations: int = 0
     history: list[dict] = field(default_factory=list)
     status: str = ""
-    bounds: DualBounds | None = None
     eta_star_recheck: float | None = None
     bound_certified: bool = False
 
@@ -135,12 +138,11 @@ def gap(state: MasterState, config: SolveConfig) -> float:
 
 
 def _build_master(net: Network, model: AttackerModel, state: MasterState,
-                  load_cap: float) -> tuple[Model, dict[str, np.ndarray]]:
-    """The master MILP and its attacker columns by block name."""
+                  load_cap: float) -> tuple[Model, np.ndarray]:
+    """The master MILP and its line columns, by line position."""
     mdl = Model("interdiction-master")
     mdl.add_var(lb=0.0, ub=load_cap, obj=-1.0)  # maximize the shed estimate
-    cols = encode_feasible_set(mdl, net, model)
-    x_cols = cols["x"]
+    x_cols = encode_feasible_set(mdl, net, model)["x"]
     for eta_hat, price in state.cuts:
         on = np.flatnonzero(price)
         mdl.add_le(np.concatenate([[0], x_cols[on]]), np.concatenate([[1.0], -price[on]]),
@@ -155,17 +157,7 @@ def _build_master(net: Network, model: AttackerModel, state: MasterState,
             others = np.delete(x_cols, hit)
             mdl.add_le(np.concatenate([x_cols[hit], others]),
                        np.repeat([1.0, -1.0], [len(hit), len(others)]), len(visited) - 1)
-    return mdl, cols
-
-
-def _extract_plan(net: Network, model: AttackerModel, cols: dict[str, np.ndarray],
-                  x_full: np.ndarray) -> AttackPlan:
-    lines = frozenset(net.lines[e].id for e in np.flatnonzero(x_full[cols["x"]] > 0.5))
-    center = None
-    if model.variant == "spatial":
-        picked = np.flatnonzero(x_full[cols["center"]] > 0.5)
-        center = net.buses[picked[0] if len(picked) else 0].id
-    return AttackPlan(lines, center, model)
+    return mdl, x_cols
 
 
 def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, np.ndarray]],
@@ -242,15 +234,32 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
     return state
 
 
-def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
-    bounds = heuristic_bounds(net) if config.bounds_mode == HEURISTIC else valid_bounds(net)
+def valid_bounds(net: Network) -> float:
+    """The total load, the most shed any attack can cause, as the penalty
+    rate of every line.
 
-    state = MasterState(bounds=bounds)
+    Like any rate, it shapes the MILP master's proposals and proves nothing:
+    with it, the cut from attack {1, 2} on ``fixtures.random_mesh(1)`` bounds
+    attack {1, 3} by 0.3799, against its true shed of 0.5037, because the
+    priced operating point violates the restored line's coupling and no rate
+    prices that. Over random meshes 0-99 at k = 2, 1706 ordered pairs break
+    this way. Proofs come from the enumerated master's feasible-response
+    bound (``inner.response_shed``). The unit rate of heuristic mode takes
+    the shed a line's removal causes to be at most the flow it carried,
+    which holds on pure transportation networks and can undershoot on meshed
+    ones (Braess-style reroutes).
+    """
+    return total_load(net)
+
+
+def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
+    rate = 1.0 if config.bounds_mode == HEURISTIC else valid_bounds(net)
+    state = MasterState()
     load_cap = total_load(net)
     seen: set[frozenset[int]] = set()
 
     while state.iterations < config.max_iters:
-        mdl, cols = _build_master(net, model, state, load_cap)
+        mdl, x_cols = _build_master(net, model, state, load_cap)
         master = mdl.solve_milp(require_optimal=False)
         if master.status not in (OPTIMAL, INFEASIBLE):
             master = mdl.solve_milp(require_optimal=False, presolve=False)
@@ -270,7 +279,8 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> Maste
         # not the incumbent objective, is what bounds every remaining attack.
         master_bound = -master.dual_bound
 
-        plan = _extract_plan(net, model, cols, master.x)
+        picked = np.flatnonzero(master.x[x_cols] > 0.5)
+        plan = attack_plan(net, model, [net.lines[e].id for e in picked])
         if plan.lines in seen:
             raise RuntimeError(
                 f"master re-proposed attack {sorted(plan.lines)} despite its exclusion cut")
@@ -293,7 +303,7 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> Maste
             state.status = CONVERGED
             break
 
-        state.cuts.append((inner.eta, bounds.price(inner.flow)))
+        state.cuts.append((inner.eta, rate * np.abs(inner.flow)))
         state.nogood.append(plan.lines)
     else:
         state.status = ITERATION_LIMIT

@@ -425,7 +425,7 @@ class AttackerModel:
 # positionally and ignored. MW quantities are converted to per-unit on baseMVA.
 
 _BLOCK_RE = re.compile(r"mpc\.(\w+)\s*=\s*\[")
-_SCALAR_RE = re.compile(r"mpc\.(\w+)\s*=\s*([^;\[]+);")
+_SCALAR_RE = re.compile(r"mpc\.(\w+)\s*=\s*([^;\[]+)(?:;|$)")
 
 
 def _strip_comment(line: str) -> str:
@@ -466,32 +466,28 @@ def _scan_blocks(case_text: str) -> tuple[dict[str, float], dict[str, list[tuple
     min_cols = {"bus": 3, "gen": 9, "branch": 11}
     for lineno, raw in enumerate(case_text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if current is None:
-            m = _BLOCK_RE.search(line)
-            if m is None:
-                m = _SCALAR_RE.search(line)
-                if m:
+        # Statements in order, several to a line or one: scalars, a block's
+        # opening, its rows (each ending at ';') and its closing ']'.
+        while line:
+            if current is None:
+                m = _BLOCK_RE.search(line)
+                for name, value in _SCALAR_RE.findall(line if m is None else line[:m.start()]):
                     try:
-                        scalars[m.group(1)] = float(m.group(2).strip().strip("'\""))
+                        scalars[name] = float(value.strip().strip("'\""))
                     except ValueError:
                         pass  # non-numeric scalar (e.g. version string): ignored
-                continue
-            current = m.group(1)
-            tables.setdefault(current, [])
-            line = line[m.end():].strip()
-        # inside a matrix block: rows end at ';', several to a line or one
-        if line.startswith("];") or line == "]":
-            current = None
-            continue
-        closed = line.endswith("];")
-        for row in (line[:-2] if closed else line).split(";"):
-            if row.strip():
-                tables[current].append(
-                    (lineno, _parse_row(row, lineno, current, min_cols.get(current, 1))))
-        if closed:
-            current = None
+                if m is None:
+                    break
+                current = m.group(1)
+                tables.setdefault(current, [])
+                line = line[m.end():]
+            rows, closed, line = line.partition("]")
+            for row in rows.split(";"):
+                if row.strip():
+                    tables[current].append(
+                        (lineno, _parse_row(row, lineno, current, min_cols.get(current, 1))))
+            if closed:
+                current = None
     return scalars, tables
 
 

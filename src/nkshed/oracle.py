@@ -218,7 +218,7 @@ def write_ranking_csv(result: OracleResult, out) -> None:
     """Dump a ranking as ``rank,lines,eta`` rows; lines are ';'-joined ids."""
     if result.ranking is None:
         raise ValueError("oracle result has no ranking; pass keep_ranking=True")
-    own = isinstance(out, (str, bytes))
+    own = isinstance(out, (str, bytes, os.PathLike))
     fh = open(out, "w", newline="") if own else out
     try:
         writer = csv.writer(fh)

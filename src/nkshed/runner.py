@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -158,7 +159,7 @@ SWEEP_COLUMNS = ["schema", "model", "k", "D_km", "eta_star", "iterations",
 
 
 def write_sweep_csv(rows: list[dict], out) -> None:
-    own = isinstance(out, (str, bytes))
+    own = isinstance(out, (str, bytes, os.PathLike))
     fh = open(out, "w", newline="") if own else out
     try:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, extrasaction="ignore")

@@ -15,8 +15,9 @@ from nkshed.attackers import SpatiallyInfeasibleError
 from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
                            NoFeasibleAttackError, SolveConfig, gap, solve_interdiction)
 from nkshed.inner import AttackPlan, response_shed, solve_inner
-from nkshed.netmodel import AttackerModel, Bus, Line, Network, parse_case, serialize_case
-from nkshed.oracle import solve_exhaustive
+from nkshed.netmodel import (AttackerModel, Bus, Line, Network, parse_case, serialize_case,
+                             total_load)
+from nkshed.oracle import attack_plan, solve_exhaustive
 
 from bench_lattice import lattice
 
@@ -63,7 +64,6 @@ def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
     oracle = solve_exhaustive(net, model)
     assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
     assert state.status in (CONVERGED, EXHAUSTED)
-    assert state.bounds.mode == bounds_mode
     assert not state.bound_certified
     assert all(h["live"] is None for h in state.history)
 
@@ -78,10 +78,11 @@ def test_milp_master_cuts_price_each_priced_flow(milp_master, mesh8, bounds_mode
                                                                epsilon=1e-6))
     assert eta == pytest.approx(solve_exhaustive(net, model).best_eta, abs=1e-6)
     assert len(state.cuts) >= 2
+    rate = 1.0 if bounds_mode == "heuristic" else total_load(net)
     for (eta_hat, price), h in zip(state.cuts, state.history):
         sol = solve_inner(net, AttackPlan.of(h["attack"]))
         assert eta_hat == h["eta_hat"] == sol.eta
-        np.testing.assert_array_equal(price, state.bounds.rate * np.abs(sol.flow))
+        assert price.tobytes() == (rate * np.abs(sol.flow)).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES) + ["lattice4x4"])
@@ -151,11 +152,11 @@ def test_enumerated_master_needs_no_penalty_rates(monkeypatch, braess4):
         raise AssertionError("the enumerated master computed penalty rates")
 
     monkeypatch.setattr(engine, "valid_bounds", no_rates)
-    monkeypatch.setattr(engine, "heuristic_bounds", no_rates)
     runs = [solve_interdiction(braess4, AttackerModel.traditional(2), SolveConfig(bounds_mode=m))
             for m in ("heuristic", "valid")]
     assert runs[0][2].history == runs[1][2].history
-    assert runs[0][2].bounds is None and runs[0][2].cuts == []
+    assert runs[0][2].bound_certified and runs[0][2].cuts == []
+    assert all(h["live"] is not None for h in runs[0][2].history)
 
 
 def test_enumerated_master_ties_go_to_enumeration_order(star5):
@@ -194,7 +195,7 @@ def test_master_path_follows_both_budgets(monkeypatch, mesh8):
         monkeypatch.setattr(engine, "ENUMERATION_BUDGET", budget)
         monkeypatch.setattr(engine, "NETWORK_BUDGET", cap)
         _, _, state = solve_interdiction(mesh8, model)
-        assert (state.bounds is None) == enumerated == state.bound_certified
+        assert (state.history[0]["live"] is not None) == enumerated == state.bound_certified
 
 
 def _failing(times):
@@ -239,7 +240,7 @@ def test_bound_monotonicity_along_history(master_paths, mesh8):
             best = max(best, h["eta_hat"])
         assert best == pytest.approx(state.eta_star), path
         assert state.eta_up >= state.eta_star - 1e-9, path
-        assert (state.bounds is None) == (path == "enumerated")
+        assert (state.history[0]["live"] is not None) == (path == "enumerated")
 
 
 def test_exhaustion_returns_exact_optimum(master_paths, triangle):
@@ -298,6 +299,24 @@ def test_spatial_sub_k_optimum_and_exact_point_exclusion(master_paths, two_bus):
         assert sorted(plan.lines) == [1], path
         assert plan.center_bus in {1, 2}, path
         assert state.status in (CONVERGED, EXHAUSTED), path
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_milp_master_names_centres_like_attack_plan(milp_master, name):
+    # Both master paths and the oracle centre a spatial plan alike: on the
+    # pinned bus, or else on the smallest bus that can centre all its lines.
+    net = fx.FIXTURES[name]()
+    solved = 0
+    for k in (1, 2, 3):
+        for scale in (1, 2, 4):
+            model = AttackerModel.spatial(k, scale * fx.SPATIAL_D[name])
+            try:
+                plan, _, _ = solve_interdiction(net, model)
+            except (NoFeasibleAttackError, SpatiallyInfeasibleError):
+                continue
+            solved += 1
+            assert plan.center_bus == attack_plan(net, model, plan.lines).center_bus, (k, scale)
+    assert solved
 
 
 def test_spatial_superset_reachable_after_subset_visit(master_paths, ring6):

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 from nkshed import fixtures as fx
 from nkshed.backend import Model
-from nkshed.bounds import heuristic_bounds, valid_bounds
+from nkshed.engine import valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Network, total_load
 from nkshed.runner import solve_to_report
@@ -225,29 +225,27 @@ def test_relabelled_ids_keep_positions_and_reports_map_back(mesh8):
     assert moved.interdicted_lines == [relabel(lid) for lid in report.interdicted_lines]
 
 
-def cut_bound(net, sol, rates, candidate):
+def cut_bound(net, sol, rate, candidate):
     """The MILP master's cut from ``sol`` at ``candidate``: the priced shed plus
-    each candidate line's rate times its absolute flow in ``sol``."""
-    price = rates.price(sol.flow)
-    return sol.eta + sum(price[net.line_pos[lid]] for lid in candidate)
+    ``rate`` times each candidate line's absolute flow in ``sol``."""
+    return sol.eta + sum(rate * abs(sol.flow[net.line_pos[lid]]) for lid in candidate)
 
 
 def test_cut_rhs_examples(triangle):
-    hb = heuristic_bounds(triangle)
     base = solve_inner(triangle, AttackPlan.of([]))
     # empty candidate: empty sum
-    assert cut_bound(triangle, base, hb, []) == pytest.approx(base.eta)
+    assert cut_bound(triangle, base, 1.0, []) == pytest.approx(base.eta)
     # candidate = the attack itself, interdicted flows zero
     attacked = solve_inner(triangle, AttackPlan.of([1]))
-    assert cut_bound(triangle, attacked, hb, [1]) == pytest.approx(attacked.eta, abs=TOL)
+    assert cut_bound(triangle, attacked, 1.0, [1]) == pytest.approx(attacked.eta, abs=TOL)
     # intact flows price the candidate: eta(0) + |p_1(0)| = 0 + 1.0
-    assert cut_bound(triangle, base, hb, [1]) == pytest.approx(1.0, abs=TOL)
+    assert cut_bound(triangle, base, 1.0, [1]) == pytest.approx(1.0, abs=TOL)
 
 
 @pytest.mark.parametrize("name", ["triangle", "braess4", "ring6"])
 def test_cut_validity_exhaustive_pairs_valid_bounds(name):
-    # The cut holds on these fixtures, though no rate set makes it valid in
-    # general (see nkshed.bounds).
+    # The cut holds on these fixtures, though no rate makes it valid in
+    # general (see nkshed.engine.valid_bounds).
     net = fx.FIXTURES[name]()
     ids = [l.id for l in net.lines]
     k = 2 if len(ids) >= 2 else 1

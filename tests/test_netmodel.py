@@ -175,6 +175,31 @@ def test_rows_sharing_a_line_parse_as_separate_rows(name):
         assert parse_case(joined) == net, per_line
 
 
+HEAD = "mpc.baseMVA = 1;\nmpc.bus = ["
+
+
+@pytest.mark.parametrize("edits", [
+    [(HEAD, "mpc.version = '2';\nmpc.baseMVA = 10;\nmpc.bus = [")],
+    [(HEAD, "mpc.version = '2'; mpc.baseMVA = 10;\nmpc.bus = [")],
+    [(HEAD, "mpc.version = '2';\nmpc.baseMVA = 10; mpc.bus = [")],
+    [(HEAD, "mpc.bus = ["), ("];\nmpc.gen = [", "]; mpc.baseMVA = 10;\nmpc.gen = [")],
+    [(HEAD, "mpc.version = '2'; mpc.baseMVA = 10\nmpc.bus = [")],
+], ids=["own-lines", "scalars-share-a-line", "scalar-opens-block", "scalar-after-block",
+        "no-final-semicolon"])
+def test_scalars_sharing_a_line_are_all_read(edits):
+    # The triangle's 2 MW of demand on a 10 MVA base is 0.2 p.u.
+    text = serialize_case(fx.triangle())
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert total_load(parse_case(text)) == pytest.approx(0.2)
+    # A bad bus row is reported on the line it stands on in every layout.
+    bad = text.replace("\t2\t1\t1.0\t", "\t2\t1\tx\t", 1)
+    row = next(i for i, l in enumerate(bad.splitlines(), start=1) if "\tx\t" in l)
+    with pytest.raises(CaseFormatError, match=rf"^line {row}: .*field 3"):
+        parse_case(bad)
+
+
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_adjacency_partitions_incidence(name):
     net = fx.FIXTURES[name]()

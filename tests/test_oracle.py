@@ -110,6 +110,15 @@ def test_ranking_csv(star5):
     assert first[1] == ";".join(str(l) for l in sorted(res.best_attack.lines))
 
 
+def test_ranking_csv_takes_a_path(tmp_path, star5):
+    res = solve_exhaustive(star5, AttackerModel.traditional(2), keep_ranking=True)
+    buf = io.StringIO(newline="")
+    write_ranking_csv(res, buf)
+    write_ranking_csv(res, tmp_path / "ranking.csv")
+    with open(tmp_path / "ranking.csv", newline="") as fh:
+        assert fh.read() == buf.getvalue()
+
+
 def test_ranking_requires_flag(star5):
     res = solve_exhaustive(star5, AttackerModel.traditional(1))
     with pytest.raises(ValueError, match="keep_ranking"):

@@ -101,6 +101,13 @@ def test_sweep_csv_writer(tmp_path, triangle):
     assert len(lines) == 3
 
 
+def test_sweep_csv_writer_takes_a_path(tmp_path, triangle):
+    rows = sweep(triangle, "traditional", [1, 2], None)
+    write_sweep_csv(rows, tmp_path / "path.csv")
+    write_sweep_csv(rows, str(tmp_path / "str.csv"))
+    assert (tmp_path / "path.csv").read_text() == (tmp_path / "str.csv").read_text()
+
+
 def test_certify_agreement_matrix(triangle):
     d = fx.SPATIAL_D["triangle"]
     for variant in ("traditional", "spatial", "topological"):
