@@ -31,8 +31,9 @@ master's attack is named by ``oracle.attack_plan``, as on the enumerated
 path. A master that HiGHS fails to solve is retried once with presolve off.
 
 Both paths stop once the upper bound and the best priced shed meet within
-the requested tolerance. Every returned incumbent is re-verified with one
-final independent inner solve.
+the requested tolerance. The incumbent's shed is then rechecked by
+``exact_eta``: the same LP, solved by the dual simplex from the intact
+network's basis as the oracle prices, not cold as ``solve_inner`` priced it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .attackers import NoFeasibleAttackError, check_budget, encode_feasible_set
 from .backend import INFEASIBLE, OPTIMAL, Model
-from .inner import AttackPlan, InnerSolution, response_shed, solve_inner
+from .inner import AttackPlan, InnerSolution, exact_eta, response_shed, solve_inner
 from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, _tie_floor, attack_plan, attack_table, subset_count
 
@@ -161,12 +162,12 @@ def _build_master(net: Network, model: AttackerModel, state: MasterState,
 
 
 def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, np.ndarray]],
-             starts: np.ndarray, bound: np.ndarray, rows: np.ndarray) -> None:
-    """Lower ``bound`` on the attacks flagged in ``rows`` to the shed of the
+             starts: np.ndarray, bound: np.ndarray, level: float) -> None:
+    """Lower ``bound`` on the attacks above ``level`` to the shed of the
     feasible response built from ``inner``'s dispatch."""
     gen, served = inner.gen, net.demand_vector() * (1.0 - inner.shed)
     for (cuts, split), start in zip(groups, starts):
-        pick = np.flatnonzero(rows[start:start + len(cuts)])
+        pick = np.flatnonzero(bound[start:start + len(cuts)] > level)
         if len(pick):
             at = start + pick
             bound[at] = np.minimum(bound[at],
@@ -201,30 +202,26 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
     state = MasterState()
+    # A priced attack's bound is -inf, so every unpriced attack outranks it.
     bound = np.full(starts[-1], np.inf)
-    priced = np.zeros(starts[-1], dtype=bool)
-    _tighten(net, solve_inner(net, AttackPlan(frozenset())), groups, starts, bound, ~priced)
+    _tighten(net, solve_inner(net, AttackPlan(frozenset())), groups, starts, bound, -np.inf)
 
     while state.iterations < config.max_iters:
-        open_bound = np.where(priced, -np.inf, bound)
-        top = open_bound.max()
-        i = int(np.argmax(open_bound >= _tie_floor(top) if np.isfinite(top) else open_bound))
+        i = int(np.argmax(bound >= _tie_floor(bound.max())))
         g = int(np.searchsorted(starts, i, side="right")) - 1
         lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
         plan = attack_plan(net, model, lines)
         inner = _price(net, plan, state)
-        priced[i] = True
+        bound[i] = -np.inf
         level = _stop_level(state, config)
-        _tighten(net, inner, groups, starts, bound, ~priced & (bound > level))
-        unpriced = bound[~priced]
-        state.eta_up = min(state.eta_up,
-                           max(float(unpriced.max(initial=-np.inf)), state.eta_star))
+        _tighten(net, inner, groups, starts, bound, level)
+        state.eta_up = min(state.eta_up, max(float(bound.max()), state.eta_star))
         state.history.append({
             "iteration": state.iterations,
             "attack": list(plan.sorted_lines()),
             "eta_hat": inner.eta,
             "eta_up": state.eta_up,
-            "live": int(np.count_nonzero(unpriced > level)),
+            "live": int(np.count_nonzero(bound > level)),
         })
         if state.eta_up <= level:
             state.status = CONVERGED
@@ -341,8 +338,7 @@ def solve_interdiction(
     if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
         raise NoFeasibleAttackError("no attack was evaluated")
 
-    recheck = solve_inner(net, state.incumbent_x)
-    state.eta_star_recheck = recheck.eta
+    state.eta_star_recheck = exact_eta(net, state.incumbent_x)
     state.bound_certified = (enumerated and state.status == CONVERGED
-                             and abs(recheck.eta - state.eta_star) <= RECHECK_TOL)
+                             and abs(state.eta_star_recheck - state.eta_star) <= RECHECK_TOL)
     return state.incumbent_x, state.eta_star, state

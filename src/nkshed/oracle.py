@@ -5,7 +5,7 @@ an explicit budget before any solving starts. ``feasible_attacks`` defines
 the feasible set, and ``attack_table`` lists it as line positions, one
 int32 array per attack size: the one form of the set that the oracle prices
 and the engine's enumerated master walks, row for row in the same order.
-The oracle prices the table in chunks of ``_CHUNK`` rows by ``exact_etas``:
+The oracle prices the table in chunks of consecutive rows by ``exact_etas``:
 an attack that a zero-shed dispatch of the network's probe table (see
 :mod:`nkshed.inner`) serves within every rating, once rerouted around it,
 gets eta 0.0 with no LP; every other attack gets ``exact_eta``'s LP, with
@@ -27,7 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 
@@ -41,7 +41,7 @@ __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_coun
 
 # Candidate subsets the oracle enumerates unless told otherwise.
 DEFAULT_BUDGET = 200_000
-# Consecutive table rows one exact_etas call prices. Neighbours in the
+# Consecutive table rows one exact_etas call prices, at least. Neighbours in the
 # enumeration share most lines, so each thread's kept LP changes few bounds.
 _CHUNK = 64
 # Etas within _TIE * max(1, |worst|) of the worst tie: a tie, not LP rounding,
@@ -197,17 +197,20 @@ def _workers() -> int:
 def _price(net: Network, table: list[np.ndarray]) -> np.ndarray:
     """The eta of every row of ``table``, in order, as one float array.
 
-    Each chunk of ``_CHUNK`` consecutive rows of one size is priced by one
-    ``exact_etas`` call, on one thread per CPU through ``pool.map``, or on
-    the calling thread with one CPU or a single chunk. The first error in
-    row order is raised.
+    Each chunk of ``_CHUNK`` consecutive rows of one size, or of more where
+    a size would otherwise take over 16 chunks per worker (``pool.map``
+    submits them all at once), is priced by one ``exact_etas`` call, on one
+    thread per CPU through ``pool.map``, or on the calling thread with one
+    CPU or a single chunk. The first error in row order is raised.
     """
     def price(chunk):
         # exact_etas is looked up at call time, so a hook on it sees every call.
         return exact_etas(net, chunk)
 
-    chunks = [rows[lo:lo + _CHUNK] for rows in table for lo in range(0, len(rows), _CHUNK)]
-    workers = _workers()
+    workers, chunks = _workers(), []
+    for rows in table:
+        size = max(_CHUNK, ceil(len(rows) / (16 * workers)))
+        chunks += [rows[lo:lo + size] for lo in range(0, len(rows), size)]
     if workers < 2 or len(chunks) < 2:
         return np.fromiter(chain.from_iterable(map(price, chunks)), float)
     with ThreadPoolExecutor(workers) as pool:

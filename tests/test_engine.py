@@ -167,6 +167,20 @@ def test_enumerated_master_ties_go_to_enumeration_order(star5):
     assert state.iterations == 1 and state.bound_certified
 
 
+def test_recheck_refuses_a_wrongly_priced_incumbent(monkeypatch, mesh8):
+    # Every priced eta 1e-3 too high: the loop still converges on its own
+    # numbers, but the recheck solves the incumbent's LP another way.
+    def high(net, plan):
+        inner = solve_inner(net, plan)
+        return replace(inner, eta=inner.eta + 1e-3)
+
+    monkeypatch.setattr(engine, "solve_inner", high)
+    plan, eta, state = solve_interdiction(mesh8, AttackerModel.traditional(2))
+    assert state.status == CONVERGED and not state.bound_certified
+    assert eta - state.eta_star_recheck == pytest.approx(1e-3, abs=1e-9)
+    assert state.eta_star_recheck == pytest.approx(solve_inner(mesh8, plan).eta, abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_last_bit_noise_in_the_bounds_leaves_the_proposals_alone(monkeypatch, mesh8, seed):
     # Each response's shed times 1 + 1e-12 * noise: bounds that differ by

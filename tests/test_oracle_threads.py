@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
@@ -242,3 +243,25 @@ def test_the_attack_table_bounds_the_oracle_memory(monkeypatch):
     assert 5 * streamed <= every_plan, (streamed, every_plan)
     # Every eta ties, so the first attack in enumeration order wins.
     assert res == oracle.OracleResult(first, solve_inner(net, first).eta, count)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_chunks_per_attack_size_stay_few(monkeypatch, mesh8, workers):
+    # pool.map submits every chunk at once, so a size's chunks are capped at
+    # 16 per worker; a table of at most 16 * workers * _CHUNK rows keeps
+    # _CHUNK-row chunks. Row i of the stub's table prices at i.
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    calls = []
+
+    def stub(net, cuts):
+        calls.append(len(cuts))
+        return cuts[:, 0].astype(float)
+
+    monkeypatch.setattr(oracle, "exact_etas", stub)
+    for rows in (200_000, 2024):
+        calls.clear()
+        table = [np.arange(rows, dtype=np.int32)[:, None]]
+        assert (oracle._price(mesh8, table) == np.arange(rows)).all()
+        assert sum(calls) == rows and len(calls) <= 16 * workers
+        if rows <= 16 * workers * oracle._CHUNK:
+            assert calls[:-1] == [oracle._CHUNK] * (len(calls) - 1)

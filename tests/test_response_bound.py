@@ -156,6 +156,65 @@ def _union_find_roots(net, cut) -> list[int]:
     return [root(i) for i in range(len(parent))]
 
 
+def _reference_shed(net, gen, served, cut) -> float:
+    """``response_shed`` of the attack on the lines at ``cut``, built alone:
+    the dispatch balanced on each island that ``_union_find_roots`` finds,
+    routed by ``_direct_flows`` and scaled per island into the ratings."""
+    demand = net.demand_vector()
+    g = np.clip(gen, 0.0, net.gen_cap_vector())
+    s = np.clip(served, 0.0, demand)
+    roots = np.array(_union_find_roots(net, cut))
+    alpha = {}
+    for root in set(roots.tolist()):
+        on = roots == root
+        g_sum, s_sum = g[on].sum(), s[on].sum()
+        if g_sum > s_sum:
+            g[on] *= s_sum / g_sum
+        elif s_sum > g_sum:
+            s[on] *= g_sum / s_sum
+        alpha[root] = 1.0
+    flow = np.abs(_direct_flows(net, g - s, cut))
+    rating, fr = net.thermal_vector(), net.endpoint_positions()[0]
+    for e in np.flatnonzero(flow > 0):
+        alpha[roots[fr[e]]] = min(alpha[roots[fr[e]]], rating[e] / flow[e])
+    return demand.sum() - sum(alpha[root] * s[i] for i, root in enumerate(roots.tolist()))
+
+
+def _check_against_reference(net, sizes, seed=0) -> int:
+    """``response_shed`` matches ``_reference_shed`` to 1e-9 on every attack of
+    each size in ``sizes``, for the intact optimum, the optimum with the
+    first line out and a random dispatch. Returns how many of the attacks
+    split an island."""
+    rng = np.random.default_rng(seed)
+    dispatches = [_dispatch(net, solve_inner(net, AttackPlan.of(lines)))
+                  for lines in ((), net.line_ids()[:1])]
+    dispatches.append((rng.uniform(0.0, net.gen_cap_vector()),
+                       rng.uniform(0.0, net.demand_vector())))
+    splits = 0
+    for k in sizes:
+        cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
+                        dtype=np.intp).reshape(-1, k)
+        if not len(cuts):
+            continue
+        split = net.power_flow.splits(cuts)
+        splits += int(split.sum())
+        for gen, served in dispatches:
+            ref = [_reference_shed(net, gen, served, cut) for cut in cuts]
+            np.testing.assert_allclose(response_shed(net, gen, served, cuts, split), ref,
+                                       rtol=0.0, atol=1e-9)
+    return splits
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_bound_matches_a_per_row_reference_on_fixture_zoo(name):
+    assert _check_against_reference(fx.FIXTURES[name](), (1, 2, 3)) > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bound_matches_a_per_row_reference_on_random_meshes(seed):
+    _check_against_reference(fx.random_mesh(seed), (1, 2), seed)
+
+
 def test_islands_match_per_attack_components(mesh8):
     pf = mesh8.power_flow
     cuts = np.array(list(itertools.combinations(range(len(mesh8.lines)), 3)))

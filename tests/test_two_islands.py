@@ -13,7 +13,7 @@ from nkshed import oracle
 from nkshed.engine import CONVERGED, SolveConfig, solve_interdiction
 from nkshed.inner import AttackPlan, exact_eta, exact_etas, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel, Network
-from test_response_bound import _dispatch
+from test_response_bound import _dispatch, _check_against_reference
 
 EPS = 0.01
 # Ids of the second mesh are shifted past every id of the first.
@@ -51,3 +51,8 @@ def test_two_islands_price_like_one_network(seed):
         assert (response_shed(net, gen, served, cuts) >= etas - 1e-9).all(), model
         assert list(map(repr, exact_etas(net, cuts).tolist())) == [
             repr(exact_eta(net, p)) for p in plans], model
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_islands_bound_matches_a_per_row_reference(seed):
+    assert _check_against_reference(two_meshes(seed), (1, 2), seed) > 0
