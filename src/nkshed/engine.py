@@ -10,7 +10,7 @@ are listed once, by the oracle's ``attack_table``, and each keeps an upper
 bound on its shed. The intact network's dispatch seeds every bound (one
 inner solve, not counted as an iteration). The master proposes the first
 unpriced attack in enumeration order whose bound ties with the largest by
-the oracle's rule (``oracle._tie_floor``), so bounds that differ in their
+the oracle's rule (``oracle.tie_floor``), so bounds that differ in their
 last bits do not reorder the proposals. Each priced dispatch then tightens
 the bound of every unpriced attack still above the stopping threshold: the
 dispatch, balanced per island, routed by DC power flow on that attack's
@@ -48,7 +48,7 @@ from .attackers import NoFeasibleAttackError, check_budget, encode_feasible_set
 from .backend import INFEASIBLE, OPTIMAL, Model
 from .inner import AttackPlan, InnerSolution, exact_eta, response_shed, solve_inner
 from .netmodel import AttackerModel, Network, total_load
-from .oracle import DEFAULT_BUDGET, _tie_floor, attack_plan, attack_table, subset_count
+from .oracle import DEFAULT_BUDGET, attack_plan, attack_table, subset_count, tie_floor
 
 __all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap",
            "ENUMERATION_BUDGET", "NETWORK_BUDGET"]
@@ -207,7 +207,7 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
     _tighten(net, solve_inner(net, AttackPlan(frozenset())), groups, starts, bound, -np.inf)
 
     while state.iterations < config.max_iters:
-        i = int(np.argmax(bound >= _tie_floor(bound.max())))
+        i = int(np.argmax(bound >= tie_floor(bound.max())))
         g = int(np.searchsorted(starts, i, side="right")) - 1
         lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
         plan = attack_plan(net, model, lines)

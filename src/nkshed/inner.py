@@ -23,8 +23,9 @@ probe to its own lines' dispatches.
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
 (see its docstring), the bound the engine's enumerated master keeps. It
-and the screen reroute flows by ``PowerFlow.flows``; the screen does not
-know which attacks split an island, and sends those ``flows`` marks to the LP.
+and the screen reroute flows by ``PowerFlow.flows``, and both learn which
+attacks split an island from ``PowerFlow.splits``: the bound balances
+those on their new islands, and the screen leaves them to the LP.
 
 Both kept models, the exact load-shed model and the probe table's
 max-margin model, are built by ``_slack_model``: it adds the network's
@@ -295,9 +296,9 @@ def exact_etas(net: Network, cuts: np.ndarray) -> np.ndarray:
     nothing proves eta = 0. ``_settled`` screens each attack, its row
     sorted, against the zero-shed dispatches of the network's probe table:
     when one, rerouted around the attack by DC power flow, keeps every
-    surviving line within its rating, the attack gets exactly 0.0. The
-    rest, those that split an island among them, get ``exact_eta``'s LP in
-    row order. An eta depends on its own row alone, not on the others.
+    surviving line within its rating, the attack gets exactly 0.0. Every
+    other attack gets ``exact_eta``'s LP in row order. An eta depends on
+    its own row alone, not on the others.
     """
     cuts = np.sort(cuts, axis=1)
     etas = np.zeros(len(cuts))
@@ -369,14 +370,14 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     """Per outage, whether a zero-shed probe keeps every surviving line
     within its rating, which proves that the outage sheds nothing.
 
-    Stage 1 tries each base probe of the probe table, rerouted around the
+    An outage that ``PowerFlow.splits`` flags is never settled. Stage 1
+    tries each base probe of the probe table, rerouted around each other
     outage by ``PowerFlow.flows``. Stage 2 (``_segment_fits``) takes the
     outages of at least 2 lines that stage 1 leaves: for each base probe b
     and each row r of a removed line in ``_ProbeTable.rows``, a convex
     combination of b and r is a zero-shed dispatch too, balanced on the
-    outage's islands, with the same combination of their flows. No other
-    row is tried. An outage that ``flows`` marks NaN, as wherever it splits
-    an island, fails every comparison and skips stage 2.
+    intact islands, with the same combination of their flows. No other
+    row is tried.
 
     ``cuts`` holds one row of k removed line positions per outage. Each
     row's arithmetic reads only that row and the table, so its verdict
@@ -384,18 +385,22 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     """
     table = _probe_table(net)
     probes, rating, (count, k) = table.base, net.thermal_vector(), cuts.shape
-    settled = np.zeros(count, dtype=bool)
+    pf, settled = net.power_flow, np.zeros(count, dtype=bool)
     if not len(probes):
         return settled
     step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
-        part = cuts[lo:lo + step]
-        flow = net.power_flow.flows(np.broadcast_to(probes, (len(part), *probes.shape)), part)
+        whole = lo + np.flatnonzero(~pf.splits(cuts[lo:lo + step]))
+        if not len(whole):
+            continue
+        part = cuts[whole]
+        flow = pf.flows(np.broadcast_to(probes, (len(part), *probes.shape)), part,
+                        np.zeros(len(part), dtype=bool))
         fits = (np.abs(flow) <= rating).all(axis=-1).any(axis=1)
-        left = np.flatnonzero(~fits & ~np.isnan(flow).any(axis=(1, 2)))
+        left = np.flatnonzero(~fits)
         if k >= 2 and len(left):
             fits[left] = _segment_fits(net, table, flow[left], part[left])
-        settled[lo:lo + step] = fits
+        settled[whole] = fits
     return settled
 
 
@@ -415,7 +420,8 @@ def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
     rows, ok = table.rows()
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]
-    d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part)[:, None] - a
+    d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part,
+                             np.zeros(count, dtype=bool))[:, None] - a
     # Each line keeps |a + lambda * d| <= rating on one interval of lambda; a
     # point fits if the intervals meet inside [0, 1]. A line with d = 0, a
     # removed one among them, keeps its flow a on the whole segment.
@@ -432,7 +438,7 @@ def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
 
 
 def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,
-                  split: np.ndarray | None = None) -> np.ndarray:
+                  split: np.ndarray) -> np.ndarray:
     """Shed of a feasible defender response to each attack, built from one dispatch.
 
     ``gen`` and ``served`` are per-bus generation and served load, such as
@@ -445,9 +451,8 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
     LP, so its shed bounds the attack's eta from above; for the attack that
     gave the dispatch it equals that attack's eta. Each chunk's balanced
     injections reach the intact flows by one product with the PTDF, every
-    row alike. ``split``, which ``net.power_flow.splits(cuts)`` returns,
-    spares a search for the islands of attacks that leave every island
-    whole; searching every row's islands instead roughly doubles the call.
+    row alike. ``split`` is ``net.power_flow.splits(cuts)``: only the
+    islands of the attacks it flags are searched.
     """
     demand = net.demand_vector()
     gen = np.clip(gen, 0.0, net.gen_cap_vector())
@@ -457,7 +462,7 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.nd
     step = max(1, BATCH_ENTRIES // ((cuts.shape[1] + 1) * max(len(gen), len(rating))))
     for lo in range(0, len(cuts), step):
         part = cuts[lo:lo + step]
-        comp, torn = pf.islands(part, None if split is None else split[lo:lo + step])
+        comp, torn = pf.islands(part, split[lo:lo + step])
         keys, size = comp.ravel(), comp.max() + 1
         g_sum = np.bincount(keys, np.tile(gen, len(part)), size)
         s_sum = np.bincount(keys, np.tile(served, len(part)), size)

@@ -125,11 +125,13 @@ class Network:
     _shared_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bus_ids = [b.id for b in self.buses]
-        if len(set(bus_ids)) != len(bus_ids):
-            raise ValueError("duplicate bus id")
-        object.__setattr__(self, "bus_pos", {b.id: i for i, b in enumerate(self.buses)})
-        object.__setattr__(self, "line_pos", {l.id: e for e, l in enumerate(self.lines)})
+        bus_pos = {b.id: i for i, b in enumerate(self.buses)}
+        line_pos = {l.id: e for e, l in enumerate(self.lines)}
+        for kind, pos, records in (("bus", bus_pos, self.buses), ("line", line_pos, self.lines)):
+            if len(pos) != len(records):
+                raise ValueError(f"duplicate {kind} id")
+        object.__setattr__(self, "bus_pos", bus_pos)
+        object.__setattr__(self, "line_pos", line_pos)
         for line in self.lines:
             if line.from_bus not in self.bus_pos or line.to_bus not in self.bus_pos:
                 raise ValueError(f"line {line.id} references unknown bus")
@@ -178,15 +180,6 @@ class Network:
     def line_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.lines)
 
-    def islands(self, cuts: np.ndarray) -> np.ndarray:
-        """Island label per bus position left by each outage.
-
-        ``cuts`` holds one row of removed line positions per outage. The
-        search runs on one graph holding a copy of the network per row, so
-        labels are unique across rows.
-        """
-        return _islands(*self.endpoint_positions(), len(self.buses), cuts)
-
     def shared(self, key, build):
         """The value ``build()`` returned for ``key`` on this network.
 
@@ -229,24 +222,26 @@ class PowerFlow:
     are exactly 0. The difference of its rows at line e's endpoints,
     ``ptdf @ incidence[:, e]``, is the flow each line takes over per unit
     moved off line e, so an outage of k lines gets its flows from the
-    intact ones by one k-by-k solve (line outage distribution factors). The k-by-k system is singular
-    exactly when the outage splits an island; it is then still consistent
-    for injections balanced on the new islands, and every solution gives
-    the same flows, so such outages take its least-squares solution.
-    ``flows`` is the one outage-flow kernel: the engine's feasible-response
-    bound and the oracle's zero-shed screen both call it.
+    intact ones by one k-by-k solve (line outage distribution factors).
+    Off its unit diagonal, each entry of that system is the flow on one
+    removed line per unit moved between another's endpoints, at most 1 in
+    magnitude. The system is singular exactly when the outage splits an
+    island; it is then still consistent for injections balanced on the new
+    islands, and every solution gives the same flows, so such outages take
+    its least-squares solution. ``splits``, the one split test, reads its
+    determinant, and ``flows`` is the one outage-flow kernel: the engine's
+    feasible-response bound and the oracle's zero-shed screen call both.
     """
 
-    # An outage that splits an island drops the singular values and the
-    # determinant of its k-by-k system up to this. The system is the identity
-    # minus a matrix similar to a symmetric one with eigenvalues in [0, 1],
-    # so its own eigenvalues lie in [0, 1] and its scale is 1.
+    # A zero singular value or determinant of an outage's k-by-k system rounds
+    # to at most this. The system, the identity minus a matrix similar to a
+    # symmetric one with eigenvalues in [0, 1], has eigenvalues in [0, 1].
     _SINGULAR = 1e-10
 
     def __init__(self, net: Network):
         self.fr, self.to = net.endpoint_positions()
         b, inc = net.susceptance_vector(), net.incidence
-        self.island = net.islands(np.zeros((1, 0), dtype=int))[0]
+        self.island = _islands(self.fr, self.to, len(net.buses), np.zeros((1, 0), dtype=int))[0]
         self.num_islands = self.island.max() + 1
         # Grounding a root by +1 on its diagonal instead would leave rounding
         # noise in its row, enough to flip a zero-shed screen verdict.
@@ -265,8 +260,7 @@ class PowerFlow:
         Returns a component key per bus of each row, unique across rows,
         and whether each row splits an island of the intact network. Rows
         that ``split`` (as ``splits`` returned it) marks False keep the
-        intact islands; the others go through the search of
-        ``Network.islands``.
+        intact islands; the others go through ``_islands``.
         """
         count, n = len(cuts), len(self.island)
         comp = np.arange(count)[:, None] * n + self.island
@@ -281,22 +275,29 @@ class PowerFlow:
         return comp, torn
 
     def splits(self, cuts: np.ndarray) -> np.ndarray:
-        """Whether each outage splits an island of the intact network."""
-        step = max(1, BATCH_ENTRIES // max(len(self.island), len(self.fr)))
-        return np.concatenate([self.islands(cuts[lo:lo + step])[1]
-                               for lo in range(0, len(cuts), step)])
+        """Whether each outage splits an island of the intact network: whether
+        the determinant of its k-by-k system is at most ``_SINGULAR``.
 
-    def _outage_blocks(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per outage, the flow each line takes over per unit moved off each
-        removed line (outages by k by lines), and the k-by-k system that
-        gives the units moved."""
-        count, k = cuts.shape
-        shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
-        at = np.broadcast_to(cuts[:, None, :], (count, k, k))
-        return shift, np.eye(k) + np.take_along_axis(shift, at, axis=2).transpose(0, 2, 1)
+        A split makes the system exactly singular, and with entries at most
+        1 in magnitude its determinant rounds to about 1e-16, so no split is
+        missed. A nearly singular outage that keeps every island is flagged
+        too, at a cost in time alone: ``islands`` finds it whole, and the
+        zero-shed screen leaves it to the LP.
+        """
+        split = np.empty(len(cuts), dtype=bool)
+        step = max(1, BATCH_ENTRIES // max(1, cuts.shape[1] ** 2))
+        for lo in range(0, len(cuts), step):
+            split[lo:lo + step] = np.linalg.det(self._system(cuts[lo:lo + step])) <= self._SINGULAR
+        return split
 
-    def flows(self, base: np.ndarray, cuts: np.ndarray,
-              split: np.ndarray | None = None) -> np.ndarray:
+    def _system(self, cuts: np.ndarray) -> np.ndarray:
+        """Per outage, its k-by-k system: entry (i, j) is 1 where i = j plus the
+        flow removed line i takes over per unit moved off removed line j."""
+        at = cuts[:, :, None]
+        return np.eye(cuts.shape[1]) + (self.ptdf_t[self.to[cuts][:, None, :], at]
+                                        - self.ptdf_t[self.fr[cuts][:, None, :], at])
+
+    def flows(self, base: np.ndarray, cuts: np.ndarray, split: np.ndarray) -> np.ndarray:
         """Line flows with each row's lines removed.
 
         ``base`` holds, per row, the intact network's flows of one injection
@@ -304,39 +305,32 @@ class PowerFlow:
         balanced on every island the row's outage leaves. Removed lines
         carry zero flow. ``split`` marks the rows whose outage splits an
         island, as ``islands`` returns it; their flows come from the
-        least-squares solution. Without ``split``, the rows whose k-by-k
-        system has a determinant at most ``_SINGULAR``, which holds wherever
-        the outage splits an island, come back all NaN instead.
+        least-squares solution.
         """
         count, k = cuts.shape
         flow = np.array(base, dtype=float)
         wide = flow.reshape(count, -1, flow.shape[-1])
-        torn = np.zeros(count, dtype=bool) if split is None else split
-        void = np.zeros(count, dtype=bool)
         if k:
-            shift, block = self._outage_blocks(cuts)
-            if split is None:
-                void = np.linalg.det(block) <= self._SINGULAR
+            # The flow each line takes over per unit moved off each removed line.
+            shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
+            block = self._system(cuts)
             lost = np.take_along_axis(wide, cuts[:, None, :], axis=2).transpose(0, 2, 1)
             moved = np.zeros_like(lost)
-            whole = ~(torn | void)
-            moved[whole] = np.linalg.solve(block[whole], lost[whole])
-            if torn.any():
-                u, sv, vt = np.linalg.svd(block[torn])
+            moved[~split] = np.linalg.solve(block[~split], lost[~split])
+            if split.any():
+                u, sv, vt = np.linalg.svd(block[split])
                 keep = (sv > self._SINGULAR)[:, :, None]
-                part = u.transpose(0, 2, 1) @ lost[torn]
+                part = u.transpose(0, 2, 1) @ lost[split]
                 part = np.divide(part, sv[:, :, None], out=np.zeros_like(part), where=keep)
-                moved[torn] = vt.transpose(0, 2, 1) @ part
+                moved[split] = vt.transpose(0, 2, 1) @ part
             wide -= np.einsum("rjp,rjm->rpm", moved, shift)
         wide[np.arange(count)[:, None], :, cuts] = 0.0
-        # Marked after the zeroing, so a marked row is NaN on its removed lines
-        # too: an outage of every line of an island would read as all zero.
-        wide[void] = np.nan
         return flow
 
 
 def _islands(fr: np.ndarray, to: np.ndarray, n: int, cuts: np.ndarray) -> np.ndarray:
-    """``Network.islands`` on lines given by their endpoint positions.
+    """Island label per bus position left by each outage (a row of removed
+    line positions in ``cuts``), on lines given by their endpoint positions.
 
     Labels number the islands across rows in the order of their lowest
     bus, as a graph search started from each bus in turn numbers them.

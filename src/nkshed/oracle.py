@@ -15,7 +15,7 @@ chunk or the thread. Once every attack is priced, etas within ``_TIE``
 (relative, at least absolute) of the worst tie, and ties break toward the
 lexicographically smallest sorted line-id tuple, so results (and golden
 files) are stable across runs and LP vertices; the engine proposes by the
-same rule (``_tie_floor``). The winner is re-solved by ``solve_inner``,
+same rule, ``tie_floor``. The winner is re-solved by ``solve_inner``,
 the same LP solved cold for its whole optimum, as the engine prices, for
 the reported eta.
 """
@@ -37,7 +37,7 @@ from .netmodel import AttackerModel, Network
 
 __all__ = ["OracleResult", "BudgetExceededError", "DEFAULT_BUDGET", "subset_count",
            "feasible_attacks", "attack_table", "attack_plan", "solve_exhaustive",
-           "write_ranking_csv"]
+           "tie_floor", "write_ranking_csv"]
 
 # Candidate subsets the oracle enumerates unless told otherwise.
 DEFAULT_BUDGET = 200_000
@@ -157,7 +157,7 @@ def solve_exhaustive(
     ids = np.array(net.line_ids())
     # Rows of one size follow their id tuples, so each size's first tied
     # row is its smallest tuple that ties.
-    floor = _tie_floor(etas.max())
+    floor = tie_floor(etas.max())
     parts = np.split(etas, np.cumsum([len(rows) for rows in table])[:-1])
     tied = [tuple(ids[rows[np.argmax(part >= floor)]].tolist())
             for rows, part in zip(table, parts) if part.max() >= floor]
@@ -169,8 +169,8 @@ def solve_exhaustive(
     return OracleResult(best, solve_inner(net, best).eta, len(etas), ranking)
 
 
-def _tie_floor(worst: float) -> float:
-    """The smallest eta that ties with ``worst``."""
+def tie_floor(worst: float) -> float:
+    """The smallest eta that ties with ``worst``, for oracle and engine alike."""
     return worst - _TIE * max(1.0, abs(worst))
 
 
@@ -180,7 +180,7 @@ def _ranked(ranking: list) -> tuple:
     ranking.sort(key=lambda r: (-r[1], r[0]))
     runs, start = [], 0
     for i in range(1, len(ranking) + 1):
-        if i == len(ranking) or ranking[i][1] < _tie_floor(ranking[start][1]):
+        if i == len(ranking) or ranking[i][1] < tie_floor(ranking[start][1]):
             runs.extend(sorted(ranking[start:i]))
             start = i
     return tuple(runs)

@@ -80,7 +80,8 @@ def _random_attacks(rng, net, count, k_max=3):
 def _response_bound(net, sol, attack):
     """Shed of the feasible response to ``attack`` built from ``sol``'s dispatch."""
     cuts = np.array([[net.line_pos[lid] for lid in sorted(attack)]], dtype=np.intp)
-    return float(response_shed(net, *_dispatch(net, sol), cuts)[0])
+    split = net.power_flow.splits(cuts)
+    return float(response_shed(net, *_dispatch(net, sol), cuts, split)[0])
 
 
 def test_criterion_2_response_bound_equals_eta():

@@ -176,7 +176,8 @@ def test_angles_zero_at_first_bus_of_each_island(name):
     for attack in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(3)):
         sol = solve_inner(net, AttackPlan.of(attack))
-        island = net.islands(np.array([[net.line_pos[lid] for lid in attack]], dtype=int))[0]
+        cut = np.array([[net.line_pos[lid] for lid in attack]], dtype=int)
+        island = net.power_flow.islands(cut)[0][0]
         for label in set(island.tolist()):
             first = int(np.flatnonzero(island == label)[0])
             assert sol.angle[first] == 0.0, (attack, net.buses[first].id)

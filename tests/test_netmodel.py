@@ -82,6 +82,17 @@ def test_duplicate_bus_id_rejected():
         parse_case(dup)
 
 
+def test_duplicate_line_id_rejected():
+    # Two lines under one id would share one position: pricing every attack
+    # by id would price one line twice and the other never.
+    buses = [Bus(1, 0.0, 2.0), Bus(2, 1.0), Bus(3, 0.5)]
+    with pytest.raises(ValueError, match="duplicate line id"):
+        Network.build(buses, [Line(1, 1, 2, 0.1, 1.0), Line(1, 2, 3, 0.1, 1.0),
+                              Line(2, 1, 3, 0.1, 1.0)])
+    with pytest.raises(ValueError, match="duplicate bus id"):
+        Network.build(buses + [Bus(3, 0.0)], [Line(1, 1, 2, 0.1, 1.0)])
+
+
 def test_rate_a_zero_maps_to_big_m():
     net = parse_case(TWO_BUS_CASE.replace("0.1 0 100 100 100", "0.1 0 0 100 100"))
     assert net.lines[0].thermal == _default_big_M(net.buses) == total_load(net)

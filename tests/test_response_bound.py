@@ -38,7 +38,7 @@ def _check_every_ordered_pair(net, attacks):
     for x_hat, sol in sols.items():
         gen, served = _dispatch(net, sol)
         for rows, cuts in groups.values():
-            bound = response_shed(net, gen, served, cuts)
+            bound = response_shed(net, gen, served, cuts, net.power_flow.splits(cuts))
             eta = np.array([sols[a].eta for a in rows])
             assert (bound >= eta - 1e-9).all(), (sorted(x_hat), rows[np.argmin(bound - eta)])
             if x_hat in rows:
@@ -68,7 +68,8 @@ def test_bound_covers_islanding_attacks(star5):
     # Stranding leaf 2 with the hub's dispatch: the leaf's load is shed,
     # the other three keep theirs, and that is the exact shed.
     gen, served = _dispatch(star5, solve_inner(star5, AttackPlan.of([])))
-    bound = response_shed(star5, gen, served, np.array([[0]]))
+    cuts = np.array([[0]])
+    bound = response_shed(star5, gen, served, cuts, star5.power_flow.splits(cuts))
     assert bound[0] == pytest.approx(solve_inner(star5, AttackPlan.of([1])).eta, abs=1e-9)
 
 
@@ -88,7 +89,7 @@ def test_bound_catches_the_reroute_a_flow_cut_misses():
     cuts = np.array([[net.line_pos[1], net.line_pos[4]]])
     eta = solve_inner(net, AttackPlan.of([1, 4])).eta
     assert eta == pytest.approx(0.9172, abs=1e-4)
-    assert response_shed(net, gen, served, cuts)[0] >= eta - 1e-9
+    assert response_shed(net, gen, served, cuts, net.power_flow.splits(cuts))[0] >= eta - 1e-9
 
 
 def _direct_flows(net, inj, cut):
@@ -132,13 +133,34 @@ def test_outage_factor_flows_match_direct_solves(name):
                                            atol=1e-10)
         assert (flow[np.arange(len(cuts))[:, None], cuts] == 0.0).all()
         assert (wide[np.arange(len(cuts))[:, None], :, cuts] == 0.0).all()
-        # Without split, the rows that split an island come back all NaN,
-        # and every other row as with it.
-        marked = pf.flows(inj @ pf.ptdf_t, cuts)
-        assert np.isnan(marked[split]).all()
-        assert np.isfinite(marked[~split]).all()
-        np.testing.assert_array_equal(marked[~split], wide[~split])
+        assert (pf.splits(cuts) == split).all()
     assert splits > 0
+
+
+def _split_test_cases():
+    """Networks on which the determinant test of ``splits`` is checked
+    against the island search."""
+    from bench_lattice import lattice
+    from test_two_islands import two_meshes
+    yield from (fx.random_mesh(seed) for seed in range(60))
+    yield from (two_meshes(seed) for seed in range(10))
+    yield from (lattice(size, size) for size in (4, 5))
+
+
+def test_splits_agree_with_the_island_search():
+    # Every outage of up to 3 lines: 24 757 rows, each flagged by the
+    # determinant of its outage system exactly when the search finds it
+    # splits an island.
+    rows = flagged = 0
+    for net in _split_test_cases():
+        pf = net.power_flow
+        for k in (1, 2, 3):
+            cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
+                            dtype=np.intp).reshape(-1, k)
+            split = pf.splits(cuts)
+            assert (split == pf.islands(cuts)[1]).all(), (net.line_ids(), k)
+            rows, flagged = rows + len(cuts), flagged + int(split.sum())
+    assert rows == 24757 and flagged > 0
 
 
 def _union_find_roots(net, cut) -> list[int]:
@@ -219,14 +241,12 @@ def test_islands_match_per_attack_components(mesh8):
     pf = mesh8.power_flow
     cuts = np.array(list(itertools.combinations(range(len(mesh8.lines)), 3)))
     comp, split = pf.islands(cuts)
-    labels = mesh8.islands(cuts)
     for row, cut in enumerate(cuts):
         alone = _union_find_roots(mesh8, cut)
         assert split[row] == (len(set(alone)) > 1)
         # Same partition of the buses, whatever the labels.
-        for keys in (comp[row].tolist(), labels[row].tolist()):
-            pairs = set(zip(keys, alone))
-            assert len(pairs) == len(set(alone)) == len(set(keys))
+        keys = comp[row].tolist()
+        assert len(set(zip(keys, alone))) == len(set(alone)) == len(set(keys))
 
 
 def test_random_mesh_draw_order():
