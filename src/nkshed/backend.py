@@ -1,14 +1,12 @@
 """Thin LP/MILP layer over HiGHS, as shipped with scipy.
 
-Rows enter a :class:`Model` as blocks ``lo <= A x <= hi``, dense or as COO
-triplets, and reach HiGHS as they are, one ranged row per model row:
-``lo == hi`` is an equality and an infinite side is no constraint.
-``Solution.dual[r]`` is d(objective)/d(active side of row r), so for a
-minimization it is nonnegative on a row held at its lower side, which is
-the convention the load-shed duals and their upper bounds are stated in.
-``Solution.reduced[j]`` is d(objective)/d(active bound of column j), in
-the same convention. HiGHS's column-wise matrix is assembled with numpy
-alone, so the backend loads neither ``scipy.sparse`` nor ``scipy.linalg``.
+Rows enter a :class:`Model` as blocks ``lo <= A x <= hi`` of COO
+triplets and reach HiGHS as they are, one ranged row per model row:
+``lo == hi`` is an equality and an infinite side is no constraint. A
+solve returns the objective and the column values, and a MILP solve also
+HiGHS's proven bound; nkshed reads no duals. HiGHS's column-wise matrix
+is assembled with numpy alone, so the backend loads neither
+``scipy.sparse`` nor ``scipy.linalg``.
 
 LPs and MILPs both go through the HiGHS binding vendored in scipy
 (``scipy.optimize._highspy._core``), loaded from its file. Importing it by
@@ -33,8 +31,8 @@ in between. Each MILP solve passes the model to a new HiGHS model, set as
 scipy's ``milp`` sets it, and runs it (``milp``). ``linprog`` and ``milp``
 are named after the scipy functions they replaced. The binding names the
 backend uses (``tests/test_backend.py`` lists them) are checked on scipy
-1.17.1, and by CI on the scipy floor. HiGHS is simplex-based, so LP duals
-are exact basic solutions, and runs are deterministic for fixed inputs.
+1.17.1, and by CI on the scipy floor. HiGHS is simplex-based, so LP
+optima are basic solutions, and runs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -169,15 +167,12 @@ class BackendError(RuntimeError):
 
 @dataclass
 class Solution:
-    """``dual`` holds one entry per model row and ``reduced`` one per column
-    (LP only); ``dual_bound`` is HiGHS's proven lower bound on the objective
-    (MILP only)."""
+    """``x`` holds one value per column; ``dual_bound`` is HiGHS's proven
+    lower bound on the objective (MILP only)."""
 
     status: str
     objective: float
     x: np.ndarray
-    dual: np.ndarray | None = None
-    reduced: np.ndarray | None = None
     dual_bound: float = np.nan
 
     @property
@@ -188,8 +183,8 @@ class Solution:
 class Model:
     """Incrementally built linear model, solvable as an LP or a MILP.
 
-    Rows enter as blocks through ``add_rows``, dense, or ``add_triplets``,
-    as COO triplets; ``add_eq`` and ``add_le`` are one-row cases.
+    Rows enter as blocks of COO triplets through ``add_triplets``;
+    ``add_eq`` and ``add_le`` are one-row cases.
     """
 
     def __init__(self, name: str = ""):
@@ -244,31 +239,18 @@ class Model:
         changed = (lb != self._lb[cols]) | (ub != self._ub[cols])
         cols, lb, ub = cols[changed], lb[changed], ub[changed]
         if len(cols) and self._lp is not None:
-            self._lp[0].changeColsBounds(len(cols), cols, lb, ub)
+            self._lp.changeColsBounds(len(cols), cols, lb, ub)
         self._lb[cols], self._ub[cols] = lb, ub
 
     # -- rows --------------------------------------------------------------------
 
-    def add_rows(self, mat, lo, hi) -> range:
-        """Append ``lo <= mat @ x[:mat.shape[1]] <= hi``.
-
-        ``mat`` is a dense 2-D array, whose nonzeros enter. ``lo`` and ``hi``
-        are scalars or one value per row; ``lo == hi`` makes an equality and
-        an infinite side is no constraint. Returns the range of row indices
-        added, which index ``Solution.dual``.
-        """
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError(f"{self.name or '(unnamed)'}: a row block must be 2-D, "
-                             f"got shape {mat.shape}")
-        ri, ci = np.nonzero(mat)
-        return self.add_triplets(len(mat), ri, ci, mat[ri, ci], lo, hi)
-
     def add_triplets(self, n: int, ri, ci, vals, lo, hi) -> range:
-        """Append ``n`` rows given by COO triplets: entry ``vals[i]`` at row
-        ``ri[i]`` of the block and column ``ci[i]``. Entries at one row and
-        column add up; an explicit zero is kept. Sides and the range
-        returned are as in ``add_rows``."""
+        """Append ``lo <= A x <= hi``, ``n`` rows given by COO triplets:
+        entry ``vals[i]`` of ``A`` at row ``ri[i]`` of the block and column
+        ``ci[i]``. Entries at one row and column add up; an explicit zero is
+        kept. ``lo`` and ``hi`` are scalars or one value per row; ``lo ==
+        hi`` makes an equality and an infinite side is no constraint.
+        Returns the range of row indices added."""
         start = self.num_rows
         self._lp = None
         self._rows.append((ri + start, ci, vals, np.broadcast_to(np.asarray(lo, dtype=float), n),
@@ -298,9 +280,8 @@ class Model:
         ``start[j]:start[j + 1]`` with their block rows in ``index``, in
         ascending order, entries at one row and column summed in the order
         added and explicit zeros kept, as scipy's CSR-to-CSC conversion
-        gives them. Returns ``mat``, the sides and the block row of each
-        model row. Raises ``ValueError`` on input that HiGHS may not return
-        on or may drop silently.
+        gives them. Returns ``mat`` and the sides. Raises ``ValueError`` on
+        input that HiGHS may not return on or may drop silently.
         """
         ri, ci, vals, lo, hi = (np.concatenate(p) for p in zip(*self._rows))
         if (not np.isfinite(self._obj).all() or not np.isfinite(vals).all()
@@ -324,17 +305,16 @@ class Model:
         start = np.zeros(self.num_vars + 1, dtype=np.int64)
         np.cumsum(np.bincount(col[head], minlength=self.num_vars), out=start[1:])
         mat = (start, row[head], np.add.reduceat(vals, head))
-        return mat, lo[order], hi[order], at
+        return mat, lo[order], hi[order]
 
     # -- solves ------------------------------------------------------------------
 
     def _pass(self, integer: bool, options: dict):
         """Pass the model to a new HiGHS solver set to ``options``: as a MILP
-        if ``integer``, else as an LP with the integer markers ignored.
-        Returns the solver and the HiGHS row of each model row."""
+        if ``integer``, else as an LP with the integer markers ignored."""
         # Row order picks HiGHS's vertex among optima, and so the cuts: LPs put
         # the inequalities first, MILPs the equalities.
-        (start, index, value), lo, hi, at = self._block(eq_first=integer)
+        (start, index, value), lo, hi = self._block(eq_first=integer)
         cost, lb, ub = np.asarray(self._obj), self._lb, self._ub
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = self.num_vars, self.num_rows
@@ -351,7 +331,7 @@ class Model:
         if solver.passModel(lp) == highs.HighsStatus.kError:
             raise BackendError(f"{'MILP' if integer else 'LP'} {self.name or '(unnamed)'}: "
                                "HiGHS rejected the model")
-        return solver, at
+        return solver
 
     def solve_lp(self, require_optimal: bool = True, presolve: bool = True,
                  basis=None) -> Solution:
@@ -360,13 +340,9 @@ class Model:
         The first solve passes the LP to HiGHS; later solves re-solve it from
         scratch, after any ``set_col_bounds``, or from ``basis``, a
         ``basis()`` of this model, when one is given. ``presolve`` applies
-        to this solve only. ``dual[r]`` is d(objective)/d(active side of
-        row r): for a minimization it is >= 0 on a ``>=`` row, <= 0 on a
-        ``<=`` row and free on an equality. ``reduced[j]`` is
-        d(objective)/d(active bound of column j), likewise >= 0 at a lower
-        bound, <= 0 at an upper one and free on a fixed column.
+        to this solve only.
         """
-        lp, at = self._live_lp()
+        lp = self._live_lp()
         lp.setOptionValue("presolve", "on" if presolve else "off")
         try:
             linprog(lp, basis)
@@ -375,9 +351,7 @@ class Model:
         status = self._status(lp, require_optimal)
         if status != OPTIMAL:
             return Solution(status, np.nan, np.zeros(self.num_vars))
-        res = lp.getSolution()
-        return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(res.col_value),
-                        np.asarray(res.row_dual)[at], np.asarray(res.col_dual))
+        return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(lp.getSolution().col_value))
 
     def solve_objective(self, basis) -> float:
         """The optimal objective of the continuous relaxation, and nothing else.
@@ -390,7 +364,7 @@ class Model:
         still depends on the LP alone; ``cold_restarts`` counts those
         solves. Anything but an optimum then raises :class:`BackendError`.
         """
-        lp, _ = self._live_lp()
+        lp = self._live_lp()
         try:
             linprog(lp, basis)
         except BackendError as err:
@@ -407,11 +381,11 @@ class Model:
         ``solve_objective`` from."""
         if self._lp is None:
             raise BackendError(f"LP {self.name or '(unnamed)'}: no solve to take a basis from")
-        return self._lp[0].getBasis()
+        return self._lp.getBasis()
 
     def _live_lp(self):
-        """The live HiGHS LP and the HiGHS row of each model row, passed to
-        HiGHS first if the model changed since."""
+        """The live HiGHS LP, passed to HiGHS first if the model changed
+        since."""
         if self._lp is None:
             self._lp = self._pass(False, _LP_OPTIONS)
         return self._lp
@@ -431,7 +405,7 @@ class Model:
         for this solve. ``dual_bound`` is HiGHS's proven bound, or the
         objective when no column is integer.
         """
-        solver, _ = self._pass(True, {**_MILP_OPTIONS, "presolve": "on" if presolve else "off"})
+        solver = self._pass(True, {**_MILP_OPTIONS, "presolve": "on" if presolve else "off"})
         with _stdout_to_stderr():
             info = milp(solver)
         status = self._status(solver, require_optimal, "MILP")

@@ -5,8 +5,9 @@ model of the network: per line e, a coupling row ``coupling_e - z_e = 0``
 with a slack column ``z_e``, fixed at 0 while e is in. A removed line's
 flow is fixed at 0 and its slack freed, which drops its coupling, so an
 attack changes only column bounds and no band or big-M enters the LP.
-``solve_inner`` solves it cold and returns the whole optimum: shed,
-generation, flows, angles per island and the line duals. ``exact_eta``
+``solve_inner`` solves it cold and returns eta with the optimal shed,
+generation and flows, all that nkshed reads of a response: the bus angles
+stay columns of the LP, and no dual is read back. ``exact_eta``
 starts each solve from the intact network's optimal basis and gives eta
 alone. ``exact_etas``, the brute-force oracle's pricing call, gives the
 etas of many attacks of one size, given as rows of line positions: an
@@ -37,14 +38,13 @@ columns and rows.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .backend import BackendError, Model
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network, _islands
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
            "response_shed"]
@@ -90,35 +90,14 @@ class InnerSolution:
 
     ``shed`` (fraction of demand) and ``gen`` are by bus position, ``flow``
     by line position, as in ``net.buses`` and ``net.lines``; map ids
-    through ``net.bus_pos`` and ``net.line_pos``. The duals are those of
-    the four ``>=`` rows per line that the LP's equality and bounds stand
-    for, so all are nonnegative, one row per line position: ``duals_mu``
-    of ``coupling_e >= 0`` and ``-coupling_e >= 0`` (both 0 on a removed
-    line, whose slack is free), ``duals_pi`` of ``flow_e >= -rating_e`` and
-    ``-flow_e >= -rating_e`` (rating 0 on a removed line).
-
-    ``angle``, by bus position, is computed when first read: the solve's
-    bus angles with the first bus of each island of the surviving network
-    at zero. For that the solution keeps the raw angles, the removed line
-    positions and the line endpoint positions, not the network. Arrays do
-    not compare with ``==``, so neither do solutions.
+    through ``net.bus_pos`` and ``net.line_pos``. Arrays do not compare
+    with ``==``, so neither do solutions.
     """
 
     eta: float
     shed: np.ndarray
     flow: np.ndarray
     gen: np.ndarray
-    attack: AttackPlan
-    duals_mu: np.ndarray
-    duals_pi: np.ndarray
-    _angle_from: tuple = field(default=(), repr=False)
-
-    @cached_property
-    def angle(self) -> np.ndarray:
-        ang, cut, fr, to = self._angle_from
-        # Angles are fixed up to one constant per island: zero each island's first bus.
-        island = _islands(fr, to, len(ang), cut[None])[0]
-        return ang - ang[np.unique(island, return_index=True)[1]][island]
 
 
 def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
@@ -130,22 +109,20 @@ def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
 
 
 class DCColumns(NamedTuple):
-    """Model columns of one DC network: shed fraction, generation, angle and
-    flow, one block each."""
+    """Model columns of one DC network that its callers read: shed fraction,
+    generation and flow, one block each."""
 
     shed: np.ndarray
     gen: np.ndarray
-    ang: np.ndarray
     flow: np.ndarray
 
 
 class SlackModel(NamedTuple):
-    """A ``_slack_model``: the model, its columns, its coupling rows, its
-    flow columns then slack columns, and their intact bounds."""
+    """A ``_slack_model``: the model, its columns, its flow columns then
+    slack columns, and their intact bounds."""
 
     mdl: Model
     dc: DCColumns
-    coupling: range
     cols: np.ndarray
     intact: np.ndarray
 
@@ -174,7 +151,7 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     ends, sign = np.concatenate(net.endpoint_positions()), np.repeat([-1.0, 1.0], m)
     mdl.add_triplets(n, np.concatenate([bus, bus, ends]), np.concatenate([shed, gen, flow, flow]),
                      np.concatenate([demand, np.ones(n), sign]), demand, demand)
-    coupling = mdl.add_triplets(
+    mdl.add_triplets(
         m, np.tile(line, 4), np.concatenate([flow, ang[ends], z]),
         np.concatenate([np.ones(m), -np.tile(net.susceptance_vector(), 2) * sign, -np.ones(m)]),
         0.0, 0.0)
@@ -182,7 +159,7 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     intact = np.zeros((2, 2, m))
     intact[0, 0], intact[1, 0] = -rating, rating
     mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-    return SlackModel(mdl, DCColumns(shed, gen, ang, flow), coupling, cols, intact)
+    return SlackModel(mdl, DCColumns(shed, gen, flow), cols, intact)
 
 
 # Lower and upper bound (rows) of a line's flow and slack (columns): removed,
@@ -221,11 +198,6 @@ def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
     return entry
 
 
-def _by_sign(values: np.ndarray) -> np.ndarray:
-    """Per value v the row (max(v, 0), max(-v, 0))."""
-    return np.column_stack([np.maximum(values, 0.0), np.maximum(-values, 0.0)])
-
-
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     """Minimum load shed with the attacked lines removed.
 
@@ -233,11 +205,7 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     optimal or an exception is raised. The LP is ``exact_eta``'s, on the
     same kept model, solved cold with presolve on, so the optimum depends
     on the attack alone. The arrays are the LP's, in bus and line position
-    order (see :class:`InnerSolution`). The duals come from the same solve:
-    ``duals_mu`` splits each line's coupling-row dual by sign, and
-    ``duals_pi`` each flow column's reduced cost. Angles, computed when
-    first read, are relative to the first bus of each island of the
-    surviving network.
+    order (see :class:`InnerSolution`).
     """
     positions = _line_positions(net, attack)
     slack = _exact_model(net)[0]
@@ -253,10 +221,6 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
         shed=sol.x[dc.shed],
         flow=sol.x[dc.flow],
         gen=sol.x[dc.gen],
-        attack=attack,
-        duals_mu=_by_sign(sol.dual[slack.coupling]),
-        duals_pi=_by_sign(sol.reduced[dc.flow]),
-        _angle_from=(sol.x[dc.ang], positions, *net.endpoint_positions()),
     )
 
 
@@ -346,7 +310,7 @@ class _ProbeTable:
         """
         with self._lock:
             if self._rows is None:
-                mdl, dc, _, cols, intact = self._slack
+                mdl, dc, cols, intact = self._slack
                 m = intact.shape[-1]
                 gens, ok = np.tile(self.demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
                 if self._basis is not None:

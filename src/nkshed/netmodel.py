@@ -253,8 +253,7 @@ class PowerFlow:
             self.ptdf_t[free] = np.linalg.solve((part * b) @ part.T, part)
         self.ptdf_t *= -b
 
-    def islands(self, cuts: np.ndarray,
-                split: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def islands(self, cuts: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Islands left by each outage.
 
         Returns a component key per bus of each row, unique across rows,
@@ -264,7 +263,7 @@ class PowerFlow:
         """
         count, n = len(cuts), len(self.island)
         comp = np.arange(count)[:, None] * n + self.island
-        search = np.arange(count) if split is None else np.flatnonzero(split)
+        search = np.flatnonzero(split)
         torn = np.zeros(count, dtype=bool)
         if not len(search):
             return comp, torn
@@ -491,9 +490,11 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
     Demands and ratings are converted from MW to per-unit on ``baseMVA``.
     Out-of-service branches (status 0) are dropped; a branch rateA of 0
     (unlimited) is mapped to the total demand (1 when that is zero) so the
-    thermal constraint stays well formed. Generators at the same bus are
-    aggregated by summing Pmax. Line ids are assigned 1..m in kept-branch
-    order, so parallel branches stay independently interdictable.
+    thermal constraint stays well formed. Out-of-service generators
+    (status <= 0) add no capacity, though the bus they name must exist;
+    in-service generators at the same bus are aggregated by summing Pmax.
+    Line ids are assigned 1..m in kept-branch order, so parallel branches
+    stay independently interdictable.
     """
     if hasattr(case_text, "read"):
         case_text = case_text.read()
@@ -518,7 +519,8 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         bus_id = int(round(row[0]))
         if bus_id not in demands:
             raise CaseFormatError(f"line {lineno}: generator references unknown bus {bus_id}")
-        gen_cap[bus_id] += _finite(row, 8, lineno, "gen") / base
+        if _finite(row, 7, lineno, "gen") > 0:
+            gen_cap[bus_id] += _finite(row, 8, lineno, "gen") / base
 
     buses = [
         Bus(bus_id, demand=max(demands[bus_id], 0.0), gen_cap=gen_cap[bus_id])

@@ -1,5 +1,9 @@
 """Acceptance suite: the eight exit criteria, one test (and one line) each.
 
+Criterion 3 asks that the defender response be a DC power flow: every bus
+balanced, Kirchhoff's voltage law on the surviving lines, every rating
+and bound kept.
+
 Criteria 5 and 6 replay published benchmark figures and need the PGLib-OPF
 API case files supplied locally (see data/README.md); they skip when the
 files are absent. Everything else runs on the synthetic fixture zoo.
@@ -19,6 +23,7 @@ from nkshed.engine import (CONVERGED, EXHAUSTED, NoFeasibleAttackError, SolveCon
 from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel, parse_case, parse_geo
 from nkshed.oracle import solve_exhaustive
+from test_inner import residuals
 from test_response_bound import _dispatch
 
 EPS = 0.01
@@ -101,18 +106,20 @@ def test_criterion_2_response_bound_equals_eta():
     print(f"\n[criterion 2] PASS response bound == exact on {pairs} pairs (worst gap {worst:.2e})")
 
 
-def test_criterion_3_interdicted_coupling_duals_vanish():
-    """Interdicted-line coupling duals are numerically zero on every sampled attack."""
+def test_criterion_3_response_is_a_dc_power_flow():
+    """The defender response balances every bus, obeys Kirchhoff's voltage law
+    and keeps every rating and bound, on every sampled attack."""
     rng = random.Random(5150)
+    worst = 0.0
     for _ in range(50):
         name = rng.choice(FIXTURE_NAMES)
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
         sol = solve_inner(net, AttackPlan.of(attack))
-        for lid in attack:
-            mu1, mu2 = sol.duals_mu[net.line_pos[lid]]
-            assert abs(mu1) <= 1e-8 and abs(mu2) <= 1e-8, (name, attack, lid)
-    print("\n[criterion 3] PASS zero coupling duals on 50 sampled attacks")
+        gap = residuals(net, sol, attack)
+        worst = max(worst, gap)
+        assert gap <= 1e-9, (name, attack, gap)
+    print(f"\n[criterion 3] PASS DC power flow on 50 sampled attacks (worst residual {worst:.2e})")
 
 
 def test_criterion_4_cut_validity():

@@ -155,7 +155,7 @@ def test_traditional_encoding_shape(triangle):
     cols = encode_feasible_set(mdl, triangle, AttackerModel.traditional(2))
     assert mdl.num_vars == 3
     assert mdl.num_rows == 1
-    (start, index, value), lo, hi, _ = mdl._block(eq_first=True)
+    (start, index, value), lo, hi = mdl._block(eq_first=True)
     assert lo[0] == hi[0] == 2.0 and len(value) == 3 and not index.any()
     assert np.flatnonzero(np.diff(start)).tolist() == cols["x"].tolist()
 

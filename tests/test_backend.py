@@ -1,6 +1,6 @@
-"""LP/MILP backend: ranged rows, row duals and reduced costs by finite
-differences, MILPs by enumeration and bit for bit against scipy's
-``milp``, and a kept HiGHS model re-solving exactly like a fresh one."""
+"""LP/MILP backend: ranged rows, the matrix HiGHS receives, MILPs by
+enumeration and bit for bit against scipy's ``milp``, and a kept HiGHS
+model re-solving exactly like a fresh one."""
 
 import ast
 import itertools
@@ -34,15 +34,20 @@ COL_BOUNDS = [
 ]
 
 
+def _add_dense(mdl, mat, lo, hi) -> range:
+    """Append the dense rows ``lo <= mat @ x <= hi``, their nonzeros as triplets."""
+    ri, ci = np.nonzero(mat)
+    return mdl.add_triplets(len(mat), ri, ci, mat[ri, ci], lo, hi)
+
+
 def _small_lp(lo, hi, lb=COL_BOUNDS[0][0], ub=COL_BOUNDS[0][1]) -> tuple[Model, range]:
     mdl = Model("small")
     mdl.add_vars(3, lb=lb, ub=ub, obj=[1.0, 2.0, -1.0])
-    return mdl, mdl.add_rows(ROWS, lo, hi)
+    return mdl, _add_dense(mdl, ROWS, lo, hi)
 
 
 def _bits(sol):
-    return (sol.status, repr(sol.objective), sol.x.tobytes(), sol.dual.tobytes(),
-            sol.reduced.tobytes())
+    return sol.status, repr(sol.objective), sol.x.tobytes()
 
 
 def test_rows_and_columns_added_after_a_solve_reach_highs():
@@ -154,7 +159,7 @@ def test_solve_lp_from_a_basis_is_solve_lp():
         assert _bits(kept.solve_lp(basis=start)) == _bits(warm)
     other = Model("other")
     other.add_vars(2, lb=0.0, ub=1.0, obj=[1.0, 1.0])
-    other.add_rows(np.ones((1, 2)), 1.0, 1.0)
+    _add_dense(other, np.ones((1, 2)), 1.0, 1.0)
     other.solve_lp()
     with pytest.raises(BackendError, match="small: HiGHS rejected the start basis"):
         kept.solve_lp(basis=other.basis())
@@ -166,7 +171,7 @@ def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
         mdl.basis()
     other = Model("other")
     other.add_vars(2, lb=0.0, ub=1.0, obj=[1.0, 1.0])
-    other.add_rows(np.ones((1, 2)), 1.0, 1.0)
+    _add_dense(other, np.ones((1, 2)), 1.0, 1.0)
     other.solve_lp()
     with pytest.raises(BackendError, match="rejected the start basis"):
         mdl.solve_objective(other.basis())
@@ -180,7 +185,7 @@ def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
 def _highs_names_used(source: str) -> tuple[set, set, set, set]:
     """The names ``source`` reads off the binding module ``highs``, the
     methods it calls on a HiGHS solver (one named ``lp`` or ``solver``, or
-    ``self._lp[0]``), the fields it sets on a ``HighsLp`` named ``lp`` and
+    ``self._lp``), the fields it sets on a ``HighsLp`` named ``lp`` and
     the fields it reads off a ``HighsInfo`` named ``info``."""
     module, methods, lp_fields, info_fields = set(), set(), set(), set()
     for node in ast.walk(ast.parse(source)):
@@ -194,7 +199,7 @@ def _highs_names_used(source: str) -> tuple[set, set, set, set]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = node.func.value
             if (isinstance(owner, ast.Name) and owner.id in ("lp", "solver")) or (
-                    isinstance(owner, ast.Subscript) and ast.unparse(owner.value) == "self._lp"):
+                    isinstance(owner, ast.Attribute) and ast.unparse(owner) == "self._lp"):
                 methods.add(node.func.attr)
     return module, methods, lp_fields, info_fields
 
@@ -255,10 +260,12 @@ def test_a_row_naming_a_column_the_model_lacks_is_rejected_before_highs():
 
 
 def _scipy_colwise(mdl, eq_first):
-    """``Model._block``'s matrix as scipy's CSR-to-CSC conversion gives it."""
+    """``Model._block``'s matrix as scipy's CSR-to-CSC conversion gives it,
+    the rows in HiGHS's order: equalities first if ``eq_first``, else last,
+    each kind in model order."""
     from scipy import sparse
-    ri, ci, vals, _, _ = (np.concatenate(p) for p in zip(*mdl._rows))
-    at = mdl._block(eq_first)[3]
+    ri, ci, vals, lo, hi = (np.concatenate(p) for p in zip(*mdl._rows))
+    at = np.argsort(np.argsort(lo != hi if eq_first else lo == hi, kind="stable"))
     csc = sparse.csr_array((vals, (at[ri], ci)), shape=(mdl.num_rows, mdl.num_vars)).tocsc()
     return csc.indptr, csc.indices, csc.data
 
@@ -292,76 +299,6 @@ def test_highs_matrix_is_scipys_column_wise_conversion_bit_for_bit(name):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], mdl.name
 
 
-# One block per row kind: two columns and one row, in this order. Per block:
-# costs, lo, hi, and which side is active at the optimum.
-DUAL_BLOCKS = [
-    ([1.0, 3.0], 2.0, np.inf, "lo"),       # >= row
-    ([-2.0, 1.0], 3.0, 3.0, "lo"),         # equality
-    ([-3.0, -1.0], -np.inf, 4.0, "hi"),    # <= row
-    ([4.0, 5.0], 1.0, 5.0, "lo"),          # range at its lower side
-    ([-5.0, -6.0], 1.0, 5.0, "hi"),        # range at its upper side
-]
-
-
-def _dual_lp(lo, hi) -> Model:
-    mdl = Model("duals")
-    for costs, *_ in DUAL_BLOCKS:
-        mdl.add_vars(2, lb=0.0, ub=10.0, obj=costs)
-    k = len(DUAL_BLOCKS)
-    mdl.add_rows(np.kron(np.eye(k), [[2.0, 1.0]]), lo, hi)
-    return mdl
-
-
-def test_row_duals_are_finite_differences_of_the_objective():
-    lo = np.array([b[1] for b in DUAL_BLOCKS])
-    hi = np.array([b[2] for b in DUAL_BLOCKS])
-    sol = _dual_lp(lo, hi).solve_lp()
-    h = 1e-3
-    for r, (_, _, _, active) in enumerate(DUAL_BLOCKS):
-        obj = []
-        for step in (-h, h):
-            sides = {"lo": lo.copy(), "hi": hi.copy()}
-            for side in ("lo", "hi") if lo[r] == hi[r] else (active,):
-                sides[side][r] += step
-            obj.append(_dual_lp(sides["lo"], sides["hi"]).solve_lp().objective)
-        assert sol.dual[r] != 0.0
-        assert sol.dual[r] == pytest.approx((obj[1] - obj[0]) / (2 * h), abs=1e-9), r
-
-
-# Columns of the reduced-cost LP, one equality row x0 + x1 + x2 + x3 = 20:
-# cost, lb, ub and the bound active at the optimum. The last column is
-# basic and prices the row at 0.5.
-REDUCED_COLS = [
-    (2.0, 1.0, 5.0, "lb"),
-    (-1.0, 0.0, 3.0, "ub"),
-    (4.0, 2.0, 2.0, "lb"),      # fixed
-    (0.5, 0.0, 100.0, None),
-]
-
-
-def _reduced_lp(lb, ub) -> Model:
-    mdl = Model("reduced")
-    mdl.add_vars(len(REDUCED_COLS), lb=lb, ub=ub, obj=[c[0] for c in REDUCED_COLS])
-    mdl.add_rows(np.ones((1, len(REDUCED_COLS))), 20.0, 20.0)
-    return mdl
-
-
-def test_reduced_costs_are_finite_differences_of_the_objective():
-    lb = np.array([c[1] for c in REDUCED_COLS])
-    ub = np.array([c[2] for c in REDUCED_COLS])
-    sol = _reduced_lp(lb, ub).solve_lp()
-    h = 1e-3
-    for j, (_, _, _, active) in enumerate(REDUCED_COLS):
-        obj = []
-        for step in (-h, h):
-            bounds = {"lb": lb.copy(), "ub": ub.copy()}
-            for side in ("lb", "ub") if lb[j] == ub[j] else (active,) if active else ():
-                bounds[side][j] += step
-            obj.append(_reduced_lp(bounds["lb"], bounds["ub"]).solve_lp().objective)
-        assert (sol.reduced[j] != 0.0) == (active is not None), j
-        assert sol.reduced[j] == pytest.approx((obj[1] - obj[0]) / (2 * h), abs=1e-9), j
-
-
 @pytest.mark.parametrize("bounds", BOUNDS)
 @pytest.mark.parametrize("costs", [[1.0, 2.0, -1.0], [-1.0, 1.0, 2.0], [-3.0, -1.0, 1.0]])
 def test_milp_over_every_row_kind_matches_enumeration(bounds, costs):
@@ -369,7 +306,7 @@ def test_milp_over_every_row_kind_matches_enumeration(bounds, costs):
     mdl = Model("small-milp")
     mdl.add_vars(3, lb=[b[0] for b in box], ub=[b[1] for b in box], obj=costs, integer=True)
     lo, hi = bounds
-    mdl.add_rows(ROWS, lo, hi)
+    _add_dense(mdl, ROWS, lo, hi)
     points = np.array(list(itertools.product(*(range(a, b + 1) for a, b in box))), dtype=float)
     act = points @ ROWS.T
     feasible = points[np.all((act >= np.array(lo) - 1e-9) & (act <= np.array(hi) + 1e-9), axis=1)]
@@ -409,7 +346,7 @@ def test_solve_milp_is_scipys_milp_bit_for_bit(case, presolve):
     mdl = Model("parity")
     mdl.add_vars(len(costs), lb=[b[0] for b in box], ub=[b[1] for b in box], obj=costs,
                  integer=integer)
-    mdl.add_rows(rows, lo, hi)
+    _add_dense(mdl, rows, lo, hi)
     sol = mdl.solve_milp(require_optimal=False, presolve=presolve)
     res = _direct_milp(costs, box, rows, lo, hi, integer, presolve)
     if res.status == 2:

@@ -27,7 +27,7 @@ mip = milp([1.0, 1.0], integrality=[1, 1],
 assert mip.status == 0 and mip.fun == 2.0, mip
 mdl = Model("both")
 mdl.add_vars(2, ub=4.0, obj=1.0, integer=True)
-mdl.add_rows(np.ones((1, 2)), 1.5, np.inf)
+mdl.add_triplets(1, *np.nonzero(np.ones((1, 2))), np.ones(2), 1.5, np.inf)
 assert mdl.solve_lp().objective == 1.5
 assert mdl.solve_milp().objective == 2.0
 assert nkshed.backend.highs is sys.modules["scipy.optimize._highspy._core"] is first_binding

@@ -106,6 +106,19 @@ def test_multiple_generators_aggregate():
     assert net.buses[net.bus_pos[1]].gen_cap == pytest.approx(1.4)
 
 
+def test_out_of_service_generator_adds_no_capacity():
+    # An 80 MW unit in service and a 40 MW unit at status 0 on one bus: the
+    # bus has 0.8 p.u., exactly as if the status-0 row were not there.
+    unit = "1 0 0 10 -10 1.00 100 1 80 0;"
+    case = TWO_BUS_CASE.replace("1 0 0 10 -10 1.00 100 1 100 0;", unit)
+    off = case.replace(unit, unit + "\n1 0 0 10 -10 1.00 100 0 40 0;")
+    assert parse_case(off) == parse_case(case)
+    assert parse_case(off).buses[0].gen_cap == pytest.approx(0.8)
+    # The bus of a status-0 row must still exist.
+    with pytest.raises(CaseFormatError, match="unknown bus"):
+        parse_case(case.replace(unit, unit + "\n9 0 0 10 -10 1.00 100 0 40 0;"))
+
+
 def test_parallel_branches_kept_distinct():
     case = TWO_BUS_CASE.replace(
         "1 2 0.01 0.1 0 100 100 100 0 0 1 -360 360;",

@@ -43,7 +43,9 @@ def _check_every_ordered_pair(net, attacks):
             assert (bound >= eta - 1e-9).all(), (sorted(x_hat), rows[np.argmin(bound - eta)])
             if x_hat in rows:
                 assert bound[rows.index(x_hat)] == pytest.approx(sol.eta, abs=1e-7)
-    return sum(int(net.power_flow.islands(cuts)[1].sum()) for _, cuts in groups.values())
+    pf = net.power_flow
+    return sum(int(pf.islands(cuts, np.ones(len(cuts), dtype=bool))[1].sum())
+               for _, cuts in groups.values())
 
 
 def _attacks_up_to_two(net):
@@ -116,7 +118,7 @@ def test_outage_factor_flows_match_direct_solves(name):
     splits = 0
     for k in (1, 2, 3):
         cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)))
-        comp, split = pf.islands(cuts)
+        comp, split = pf.islands(cuts, np.ones(len(cuts), dtype=bool))
         splits += split.sum()
         inj = rng.uniform(-1.0, 1.0, (len(cuts), 2, comp.shape[1]))
         for row, keys in enumerate(comp):
@@ -158,7 +160,8 @@ def test_splits_agree_with_the_island_search():
             cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
                             dtype=np.intp).reshape(-1, k)
             split = pf.splits(cuts)
-            assert (split == pf.islands(cuts)[1]).all(), (net.line_ids(), k)
+            torn = pf.islands(cuts, np.ones(len(cuts), dtype=bool))[1]
+            assert (split == torn).all(), (net.line_ids(), k)
             rows, flagged = rows + len(cuts), flagged + int(split.sum())
     assert rows == 24757 and flagged > 0
 
@@ -240,7 +243,7 @@ def test_bound_matches_a_per_row_reference_on_random_meshes(seed):
 def test_islands_match_per_attack_components(mesh8):
     pf = mesh8.power_flow
     cuts = np.array(list(itertools.combinations(range(len(mesh8.lines)), 3)))
-    comp, split = pf.islands(cuts)
+    comp, split = pf.islands(cuts, np.ones(len(cuts), dtype=bool))
     for row, cut in enumerate(cuts):
         alone = _union_find_roots(mesh8, cut)
         assert split[row] == (len(set(alone)) > 1)
