@@ -9,8 +9,8 @@ past it, whose cuts price every line at one penalty rate, cross-checked
 against a brute-force oracle at desk scale.
 """
 
-from .attackers import (SpatialFootprint, SpatiallyInfeasibleError, compute_phi,
-                        encode_feasible_set, haversine_km, is_feasible_attack)
+from .attackers import (SpatiallyInfeasibleError, compute_phi, encode_feasible_set,
+                        haversine_km, is_feasible_attack)
 from .backend import BackendError
 from .engine import (MasterState, NoFeasibleAttackError, SolveConfig, gap,
                      solve_interdiction)
@@ -27,7 +27,7 @@ __all__ = [
     "AttackPlan", "AttackerModel", "BackendError", "BudgetExceededError", "Bus",
     "CaseFormatError", "GeoFormatError", "InnerSolution", "Line",
     "MasterState", "Network", "NoFeasibleAttackError", "OracleResult", "RunReport",
-    "SolveConfig", "SpatialFootprint", "SpatiallyInfeasibleError",
+    "SolveConfig", "SpatiallyInfeasibleError",
     "build_geojson", "certify", "compute_phi", "encode_feasible_set",
     "gap", "haversine_km", "is_feasible_attack", "parse_case",
     "parse_geo", "report_json", "serialize_case", "solve_exhaustive",

@@ -1,11 +1,12 @@
 """Attacker feasible sets: footprints, mixed-integer encodings, predicates.
 
-Three budgets are supported. The traditional budget fixes the number of
-interdicted lines. The spatial budget additionally requires every chosen
-line to sit inside a disk of diameter ``D_km`` around a chosen center bus,
-realized through per-line candidate-center sets: ``compute_phi`` builds
-them once per network and D, and every call reads them through the
-model's D. The topological budget requires the chosen lines to form a
+Three budgets are supported, each admitting the attack sizes in
+``AttackerModel.sizes``. The traditional budget fixes the number of
+interdicted lines. The spatial budget admits up to that many, each inside a
+disk of diameter ``D_km`` around a chosen center bus, realized through
+per-line candidate-center sets: ``compute_phi`` builds them once per
+network and D, as a read-only mapping, and every call reads them through
+the model's D. The topological budget requires the chosen lines to form a
 connected subgraph, realized through a single-commodity virtual flow
 sourced at a super node that feeds one unit to every bus touching an
 interdicted line.
@@ -20,7 +21,7 @@ uses; the two are exhaustively cross-checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .netmodel import AttackerModel, Network
 
 __all__ = [
     "EARTH_RADIUS_KM",
-    "SpatialFootprint",
     "SpatiallyInfeasibleError",
     "NoFeasibleAttackError",
     "haversine_km",
@@ -59,58 +59,47 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
-@dataclass(frozen=True)
-class SpatialFootprint:
-    """Per-line candidate center buses: those within D/2 of the line midpoint."""
-
-    phi: dict[int, frozenset[int]]
-    D_km: float
-
-
-def compute_phi(net: Network, D_km: float) -> SpatialFootprint:
+def compute_phi(net: Network, D_km: float) -> MappingProxyType:
     """Candidate-center sets for every line, built once per network and D.
 
-    A bus belongs to a line's set when its great-circle distance to the
-    line's geographic midpoint (arithmetic mean of the endpoint
-    coordinates) is at most D/2. Requires every bus to be geolocated.
+    Returns a read-only mapping from line id to the frozenset of bus ids
+    whose great-circle distance to the line's geographic midpoint
+    (arithmetic mean of the endpoint coordinates) is at most D/2; every
+    caller on the network shares it. Requires every bus to be geolocated.
     """
     if not D_km > 0:
         raise ValueError(f"D_km must be > 0, got {D_km}")
     return net.shared(("footprint", D_km), lambda: _footprint(net, D_km))
 
 
-def _footprint(net: Network, D_km: float) -> SpatialFootprint:
+def _footprint(net: Network, D_km: float) -> MappingProxyType:
     missing = [b.id for b in net.buses if not b.has_geo]
     if missing:
         raise ValueError(f"buses without geolocation: {missing}")
     pos = {b.id: (b.lat, b.lon) for b in net.buses}
-    radius = D_km / 2.0
-    phi: dict[int, frozenset[int]] = {}
-    for line in net.lines:
+
+    def near(line) -> frozenset[int]:
         (lat1, lon1), (lat2, lon2) = pos[line.from_bus], pos[line.to_bus]
         midpoint = ((lat1 + lat2) / 2.0, (lon1 + lon2) / 2.0)
-        phi[line.id] = frozenset(
-            b.id for b in net.buses if haversine_km((b.lat, b.lon), midpoint) <= radius
-        )
-    return SpatialFootprint(phi, D_km)
+        return frozenset(b for b, at in pos.items() if haversine_km(at, midpoint) <= D_km / 2.0)
+
+    return MappingProxyType({line.id: near(line) for line in net.lines})
 
 
 def check_budget(net: Network, model: AttackerModel) -> None:
     """Raise if ``model`` cannot be posed on ``net``.
 
-    An exact-k budget with k above the line count has no feasible attack
-    and raises :class:`NoFeasibleAttackError`, as the oracle does. A
-    spatial budget raises ``ValueError`` on a network with a bus lacking
+    A budget whose smallest size exceeds the line count has no feasible
+    attack and raises :class:`NoFeasibleAttackError`, as the oracle does.
+    A spatial budget raises ``ValueError`` on a network with a bus lacking
     geolocation (through :func:`compute_phi`) or with a pinned center bus
     the network lacks, and :class:`SpatiallyInfeasibleError` when the
     footprint gives no line a candidate center.
     """
-    if model.variant != "spatial":
-        if model.k > len(net.lines):
-            raise NoFeasibleAttackError(
-                f"no feasible attack: k = {model.k} exceeds {len(net.lines)} lines")
-        return
-    if not any(compute_phi(net, model.D_km).phi.values()):
+    if model.sizes[0] > len(net.lines):
+        raise NoFeasibleAttackError(
+            f"no feasible attack: k = {model.k} exceeds {len(net.lines)} lines")
+    if model.variant == "spatial" and not any(compute_phi(net, model.D_km).values()):
         raise SpatiallyInfeasibleError(
             f"spatially infeasible: no line within D/2 = {model.D_km / 2} km "
             "of any candidate center")
@@ -144,7 +133,7 @@ def encode_feasible_set(mdl: Model, net: Network, model: AttackerModel) -> dict[
         mdl.add_le(x, np.ones(m), k)                    # at most k lines
         mdl.add_eq(c, np.ones(n), 1.0)                  # exactly one center
         # x_e <= sum of its candidate centers, one row per line.
-        phi = compute_phi(net, model.D_km).phi
+        phi = compute_phi(net, model.D_km)
         sets = [phi[lid] for lid in net.line_ids()]
         owner = np.repeat(line, [len(s) for s in sets])
         center = np.fromiter((net.bus_pos[bid] for s in sets for bid in s), int, len(owner))
@@ -194,27 +183,20 @@ def _connected(net: Network, lines: frozenset[int]) -> bool:
 
 def is_feasible_attack(net: Network, model: AttackerModel, lines) -> bool:
     """Direct predicate for membership of a line set in the attacker feasible set."""
-    lines = frozenset(int(l) for l in lines)
+    lines = frozenset(map(int, lines))
     for lid in lines:
         if lid not in net.line_pos:
             raise ValueError(f"unknown line id {lid}")
-    if model.variant == "traditional":
-        return len(lines) == model.k
+    if len(lines) not in model.sizes:
+        return False
     if model.variant == "spatial":
-        if len(lines) > model.k:
-            return False
         centers = spatial_centers(net, model, lines)
-        if model.center_bus is not None:
-            return model.center_bus in centers
-        return len(centers) > 0
-    return len(lines) == model.k and _connected(net, lines)
+        return model.center_bus in centers if model.center_bus is not None else bool(centers)
+    return model.variant == "traditional" or _connected(net, lines)
 
 
 def spatial_centers(net: Network, model: AttackerModel, lines) -> frozenset[int]:
     """Buses that can serve as the disk center for all the given lines at once."""
-    phi = compute_phi(net, model.D_km).phi
-    lines = frozenset(int(l) for l in lines)
-    centers = frozenset(net.bus_pos)
-    for lid in lines:
-        centers &= phi[lid]
-    return centers
+    phi = compute_phi(net, model.D_km)
+    sets = [phi[lid] for lid in map(int, lines)]
+    return sets[0].intersection(*sets[1:]) if sets else frozenset(net.bus_pos)

@@ -33,8 +33,8 @@ def _add_common(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     p.add_argument("--eps", type=float, default=0.01, help="relative optimality tolerance")
     p.add_argument("--bounds", choices=["heuristic", "valid"], default="heuristic",
                    help="penalty rate of the MILP master's cuts, 1.0 or the total load "
-                        "for every line, used only past either budget (ENUMERATION_BUDGET or "
-                        "NETWORK_BUDGET); neither makes its bound a proof")
+                        "for every line, used only past ENUMERATION_BUDGET or NETWORK_BUDGET "
+                        "(which topological k >= 2 skips); neither makes its bound a proof")
     p.add_argument("--max-iters", type=int, default=10000)
 
 

@@ -5,10 +5,11 @@ inner load-shed solve that prices it. The master takes one of two forms.
 
 **Enumerated master**, used whenever the attacker's candidate-subset count
 fits ``ENUMERATION_BUDGET`` (the oracle's default budget, 200 000) and the
-network's buses times lines fit ``NETWORK_BUDGET``. The feasible attacks
-are listed once, by the oracle's ``attack_table``, and each keeps an upper
-bound on its shed. The intact network's dispatch seeds every bound (one
-inner solve, not counted as an iteration). The master proposes the first
+network's buses times lines fit ``NETWORK_BUDGET`` (a cap the topological
+budget skips from k = 2 on). The feasible attacks are listed once, by the
+oracle's ``attack_table``, and each keeps an upper bound on its shed. The
+intact network's dispatch seeds every bound (one inner solve, not counted
+as an iteration). The master proposes the first
 unpriced attack in enumeration order whose bound ties with the largest by
 the oracle's rule (``oracle.tie_floor``), so bounds that differ in their
 last bits do not reorder the proposals. Each priced dispatch then tightens
@@ -28,7 +29,8 @@ one penalty rate for every line, 1.0 or the total load by
 makes those cuts valid (see ``valid_bounds``), so the master's MILP dual
 bound is an estimate and this path never reports ``bound_certified``. The
 master's attack is named by ``oracle.attack_plan``, as on the enumerated
-path. A master that HiGHS fails to solve is retried once with presolve off.
+path. A master that HiGHS fails to solve is retried once with presolve off,
+then raises, naming every budget that sent the run here.
 
 Both paths stop once the upper bound and the best priced shed meet within
 the requested tolerance. The incumbent's shed is then rechecked by
@@ -57,12 +59,14 @@ CONVERGED = "converged"
 EXHAUSTED = "exhausted"
 ITERATION_LIMIT = "iteration_limit"
 
-# The master is enumerated rather than a MILP while the candidate-subset
-# count fits the first budget and buses times lines the second. The
-# enumerated master prices more attacks as islands grow, because one line
-# over its rating scales a whole island's response down. At k = 1 on the
-# seeded lattices it beat the MILP master up to 144 buses and 264 lines
-# (38 016) and lost to it from 196 buses and 364 lines (71 344) on.
+# The master is enumerated while the candidate-subset count fits the first
+# budget and buses times lines fit the second. The topological budget skips
+# the second from k = 2 on, as its connected line sets keep the attack table
+# small (seeded 14x14 lattice, k = 2: 1 012 attacks, 9 s enumerated against
+# 312 s on the MILP master). Elsewhere the MILP master won past it: at k = 1
+# on 256 buses and 480 lines, and at k = 2 on 196 buses and 364 lines with
+# 66 066 traditional or 66 431 spatial attacks. At k = 1 the cap also bounds
+# the enumerated master's dense buses-by-lines PTDF.
 ENUMERATION_BUDGET = DEFAULT_BUDGET
 NETWORK_BUDGET = 1 << 16
 
@@ -85,8 +89,8 @@ class SolveConfig:
     ``max_iters`` caps the attacks priced.
     ``bounds_mode`` picks the one penalty rate of the MILP master's cuts,
     ``"heuristic"`` (1.0) or ``"valid"`` (the total load), the same for
-    every line, so it acts only past either budget (``ENUMERATION_BUDGET``
-    or ``NETWORK_BUDGET``); the enumerated master needs no rate. Neither
+    every line, so it acts only on the MILP master (the module docstring
+    says when that runs); the enumerated master needs no rate. Neither
     mode makes the MILP master's bound a proof.
     """
 
@@ -150,8 +154,9 @@ def _build_master(net: Network, model: AttackerModel, state: MasterState,
                    eta_hat)
     for visited in state.nogood:
         hit = [net.line_pos[lid] for lid in sorted(visited)]
-        if len(visited) == model.k:
-            mdl.add_le(x_cols[hit], np.ones(len(hit)), model.k - 1)
+        if len(visited) == model.sizes[-1]:
+            # No feasible attack holds more lines: the cover cut retires only this one.
+            mdl.add_le(x_cols[hit], np.ones(len(hit)), len(visited) - 1)
         else:
             # Exact-point exclusion: retires only this attack, so feasible
             # supersets (possible under the spatial budget) stay reachable.
@@ -249,7 +254,20 @@ def valid_bounds(net: Network) -> float:
     return total_load(net)
 
 
-def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
+def _milp_reasons(net: Network, model: AttackerModel) -> list[str]:
+    """Every budget that sends ``model`` on ``net`` to the MILP master; empty if none."""
+    subsets, size = subset_count(len(net.lines), model), len(net.buses) * len(net.lines)
+    reasons = []
+    if subsets > ENUMERATION_BUDGET:
+        reasons.append(f"{subsets} candidate subsets exceed "
+                       f"engine.ENUMERATION_BUDGET = {ENUMERATION_BUDGET}")
+    if size > NETWORK_BUDGET and not (model.variant == "topological" and model.k >= 2):
+        reasons.append(f"{size} buses times lines exceed engine.NETWORK_BUDGET = {NETWORK_BUDGET}")
+    return reasons
+
+
+def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
+               reasons: list[str]) -> MasterState:
     rate = 1.0 if config.bounds_mode == HEURISTIC else valid_bounds(net)
     state = MasterState()
     load_cap = total_load(net)
@@ -271,7 +289,10 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig) -> Maste
             break
         if not master.optimal:
             raise RuntimeError(
-                f"master solve failed at iteration {state.iterations + 1}: {master.status}")
+                f"master solve failed at iteration {state.iterations + 1}: {master.status}. "
+                f"The MILP master ran because {' and '.join(reasons)}; raising "
+                f"{'that budget' if len(reasons) == 1 else 'both budgets'} to cover the counts "
+                "runs the enumerated master, whose bound is a proof when it converges")
         # HiGHS stops within its MIP gap of the master optimum; its dual bound,
         # not the incumbent objective, is what bounds every remaining attack.
         master_bound = -master.dual_bound
@@ -315,9 +336,8 @@ def solve_interdiction(
     """Find an epsilon-optimal worst-case attack for the given attacker budget.
 
     Returns ``(plan, eta_star, state)`` where ``eta_star`` is the exact shed
-    of the returned plan. The master is enumerated when the candidate-subset
-    count fits ``ENUMERATION_BUDGET`` and buses times lines fit
-    ``NETWORK_BUDGET``, and a MILP otherwise. Raises
+    of the returned plan. The master is enumerated within both budgets (the
+    module docstring says when), and a MILP otherwise. Raises
     :class:`NoFeasibleAttackError` when the feasible set is empty (possible
     for tight spatial budgets). When the iteration cap is hit first, the
     incumbent is returned with ``state.status == 'iteration_limit'`` and the
@@ -326,19 +346,17 @@ def solve_interdiction(
     if not net.buses:
         raise ValueError("empty network")
     config = config or SolveConfig()
-    m = len(net.lines)
-    enumerated = (subset_count(m, model) <= ENUMERATION_BUDGET
-                  and len(net.buses) * m <= NETWORK_BUDGET)
-    if enumerated:
+    reasons = _milp_reasons(net, model)
+    if not reasons:
         check_budget(net, model)
         state = _enumerated_loop(net, model, config)
     else:
-        state = _milp_loop(net, model, config)
+        state = _milp_loop(net, model, config, reasons)
 
     if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
         raise NoFeasibleAttackError("no attack was evaluated")
 
     state.eta_star_recheck = exact_eta(net, state.incumbent_x)
-    state.bound_certified = (enumerated and state.status == CONVERGED
+    state.bound_certified = (not reasons and state.status == CONVERGED
                              and abs(state.eta_star_recheck - state.eta_star) <= RECHECK_TOL)
     return state.incumbent_x, state.eta_star, state

@@ -60,21 +60,10 @@ class AttackPlan:
     def __post_init__(self):
         object.__setattr__(self, "lines", frozenset(self.lines))
         m = self.model
-        if m is None:
-            if self.center_bus is not None:
-                raise ValueError("center_bus requires a spatial model")
-            return
-        if m.variant == "spatial":
-            if len(self.lines) > m.k:
-                raise ValueError(f"spatial plan has {len(self.lines)} lines > k = {m.k}")
-            if self.center_bus is None:
-                raise ValueError("spatial plan requires a center bus")
-        else:
-            if self.center_bus is not None:
-                raise ValueError("center_bus requires a spatial model")
-            if len(self.lines) != m.k:
-                raise ValueError(
-                    f"{m.variant} plan must have exactly k = {m.k} lines, got {len(self.lines)}")
+        if (self.center_bus is not None) != (m is not None and m.variant == "spatial"):
+            raise ValueError("a spatial plan needs a center_bus, and no other plan takes one")
+        if m is not None and len(self.lines) not in m.sizes:
+            raise ValueError(f"{m.variant} plan has {len(self.lines)} lines, not in {list(m.sizes)}")
 
     @staticmethod
     def of(lines, center_bus: int | None = None, model: AttackerModel | None = None) -> "AttackPlan":

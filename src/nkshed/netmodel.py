@@ -357,12 +357,6 @@ def _islands(fr: np.ndarray, to: np.ndarray, n: int, cuts: np.ndarray) -> np.nda
             return np.unique(root, return_inverse=True)[1].reshape(count, n)
 
 
-def _default_big_M(buses) -> float:
-    """Total demand, or 1 when it is zero."""
-    total = sum(b.demand for b in buses)
-    return total if total > 0 else 1.0
-
-
 def total_load(net: Network) -> float:
     """Total active demand, the trivial dual bound."""
     return float(sum(b.demand for b in net.buses))
@@ -397,6 +391,11 @@ class AttackerModel:
                 raise ValueError("D_km only applies to the spatial model")
             if self.center_bus is not None:
                 raise ValueError("center_bus only applies to the spatial model")
+
+    @cached_property
+    def sizes(self) -> range:
+        """Attack sizes the budget admits: up to k if spatial, else exactly k."""
+        return range(self.k + 1) if self.variant == "spatial" else range(self.k, self.k + 1)
 
     @staticmethod
     def traditional(k: int) -> "AttackerModel":
@@ -488,9 +487,10 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
     """Parse a MATPOWER-subset ``.m`` case into a :class:`Network`.
 
     Demands and ratings are converted from MW to per-unit on ``baseMVA``.
-    Out-of-service branches (status 0) are dropped; a branch rateA of 0
-    (unlimited) is mapped to the total demand (1 when that is zero) so the
-    thermal constraint stays well formed. Out-of-service generators
+    A negative Pd is clamped to 0. Out-of-service branches (status 0) are
+    dropped; a branch rateA of 0 (unlimited) is mapped to the total demand,
+    after that clamp (1 when that is zero), so the thermal constraint stays
+    well formed. Out-of-service generators
     (status <= 0) add no capacity, though the bus they name must exist;
     in-service generators at the same bus are aggregated by summing Pmax.
     Line ids are assigned 1..m in kept-branch order, so parallel branches
@@ -526,7 +526,7 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         Bus(bus_id, demand=max(demands[bus_id], 0.0), gen_cap=gen_cap[bus_id])
         for bus_id in demands
     ]
-    big_M = _default_big_M(buses)
+    unlimited = sum(b.demand for b in buses) or 1.0
 
     lines: list[Line] = []
     next_id = 1
@@ -542,7 +542,7 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         if x_mag <= 0:
             raise CaseFormatError(f"line {lineno}: non-positive reactance {row[3]}")
         rate_a = _finite(row, 5, lineno, "branch") / base
-        thermal = rate_a if rate_a > 0 else big_M
+        thermal = rate_a if rate_a > 0 else unlimited
         lines.append(Line(next_id, f_bus, t_bus, x_mag, thermal))
         next_id += 1
     return Network.build(buses, lines)

@@ -63,17 +63,7 @@ class OracleResult:
 
 def subset_count(m: int, model: AttackerModel) -> int:
     """Candidate subsets of m lines the enumeration walks for ``model``."""
-    if model.variant == "spatial":
-        return sum(comb(m, j) for j in range(model.k + 1))
-    return comb(m, model.k)
-
-
-def _candidates(line_ids: tuple[int, ...], model: AttackerModel):
-    if model.variant == "spatial":
-        for size in range(model.k + 1):
-            yield from combinations(line_ids, size)
-    else:
-        yield from combinations(line_ids, model.k)
+    return sum(comb(m, j) for j in model.sizes)
 
 
 def feasible_attacks(net: Network, model: AttackerModel):
@@ -82,7 +72,8 @@ def feasible_attacks(net: Network, model: AttackerModel):
     Smaller attacks come first (only the spatial budget mixes sizes), then
     lexicographic order.
     """
-    for subset in _candidates(tuple(sorted(net.line_ids())), model):
+    line_ids = tuple(sorted(net.line_ids()))
+    for subset in chain.from_iterable(combinations(line_ids, j) for j in model.sizes):
         if is_feasible_attack(net, model, subset):
             yield subset
 
@@ -95,7 +86,7 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
     holds the positions of those ids in turn. A size with no feasible
     attack has no array.
     """
-    count = [0] * (model.k + 1)
+    count = dict.fromkeys(model.sizes, 0)
 
     def positions():
         for subset in feasible_attacks(net, model):
@@ -103,9 +94,9 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
             yield from map(net.line_pos.__getitem__, subset)
 
     flat = np.fromiter(positions(), np.int32)
-    ends = np.cumsum([size * rows for size, rows in enumerate(count)])
+    ends = np.cumsum([size * rows for size, rows in count.items()])
     return [flat[end - size * rows:end].reshape(rows, size)
-            for size, (rows, end) in enumerate(zip(count, ends)) if rows]
+            for (size, rows), end in zip(count.items(), ends) if rows]
 
 
 def attack_plan(net: Network, model: AttackerModel, subset) -> AttackPlan:

@@ -217,7 +217,7 @@ def test_criterion_7_structural_invariants(master_paths):
         footprints = [compute_phi(mesh, d) for d in grid]
         for small, large in zip(footprints, footprints[1:]):
             for lid in mesh.line_ids():
-                assert small.phi[lid] <= large.phi[lid]
+                assert small[lid] <= large[lid]
         etas = []
         for d in grid:
             _, eta, _ = solve_interdiction(mesh, AttackerModel.spatial(2, d),

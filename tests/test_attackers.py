@@ -47,19 +47,19 @@ def _collinear_net():
 def test_compute_phi_collinear_example():
     net = _collinear_net()
     # Midpoint of line (1,3) sits exactly on bus 2; buses 1 and 3 are ~55.6 km out.
-    assert compute_phi(net, 120.0).phi[1] == frozenset({1, 2, 3})
-    assert compute_phi(net, 100.0).phi[1] == frozenset({2})
+    assert compute_phi(net, 120.0)[1] == frozenset({1, 2, 3})
+    assert compute_phi(net, 100.0)[1] == frozenset({2})
 
 
 def test_compute_phi_colocated_and_empty():
     buses = [Bus(1, 0.0, 1.0, lat=40.0, lon=-111.0, has_geo=True),
              Bus(2, 1.0, 0.0, lat=40.0, lon=-111.0, has_geo=True)]
     net = Network.build(buses, [Line(1, 1, 2, 0.1, 1.0)])
-    assert compute_phi(net, 1.0).phi[1] == frozenset({1, 2})
+    assert compute_phi(net, 1.0)[1] == frozenset({1, 2})
 
     spread = fx.mesh8()
     tiny = compute_phi(spread, 1e-6)
-    assert all(len(v) == 0 for v in tiny.phi.values())
+    assert all(len(v) == 0 for v in tiny.values())
 
 
 def test_compute_phi_requires_geolocation(two_bus):
@@ -75,7 +75,7 @@ def test_footprint_monotone_in_d(name):
     small = compute_phi(net, 60.0)
     large = compute_phi(net, 140.0)
     for lid in net.line_ids():
-        assert small.phi[lid] <= large.phi[lid]
+        assert small[lid] <= large[lid]
 
 
 def test_footprint_is_built_once_per_network_and_d(monkeypatch):
@@ -102,6 +102,19 @@ def test_footprint_is_built_once_per_network_and_d(monkeypatch):
     compute_phi(net, 2 * d)
     compute_phi(fx.mesh8(), d)
     assert builds == [d, 2 * d, d]
+
+
+def test_footprint_is_read_only(mesh8):
+    # Every solve on the network reads this one mapping, so it takes no writes.
+    d = fx.SPATIAL_D["mesh8"]
+    phi = compute_phi(mesh8, d)
+    before = dict(phi)
+    with pytest.raises(TypeError):
+        phi[1] = frozenset()
+    with pytest.raises(TypeError):
+        del phi[1]
+    assert dict(compute_phi(mesh8, d)) == before
+    assert solve_exhaustive(mesh8, AttackerModel.spatial(2, d)).evaluated == 48
 
 
 def _pinned_model(net: Network, model: AttackerModel, subset, lead: int = 0):
@@ -164,8 +177,8 @@ def test_spatial_pinned_center_excludes_uncovered_lines(mesh8):
     d = fx.SPATIAL_D["mesh8"]
     footprint = compute_phi(mesh8, d)
     center = 1
-    covered = [lid for lid in mesh8.line_ids() if center in footprint.phi[lid]]
-    uncovered = [lid for lid in mesh8.line_ids() if center not in footprint.phi[lid]]
+    covered = [lid for lid in mesh8.line_ids() if center in footprint[lid]]
+    uncovered = [lid for lid in mesh8.line_ids() if center not in footprint[lid]]
     assert covered and uncovered, "fixture should split under this D"
     model = AttackerModel.spatial(1, d, center_bus=center)
     for lead in (0, 1):
@@ -243,4 +256,4 @@ def test_spatial_centers_intersection(mesh8):
     ids = list(mesh8.line_ids())
     for pair in itertools.combinations(ids, 2):
         centers = spatial_centers(mesh8, AttackerModel.spatial(2, d), pair)
-        assert centers == footprint.phi[pair[0]] & footprint.phi[pair[1]]
+        assert centers == footprint[pair[0]] & footprint[pair[1]]

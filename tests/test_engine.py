@@ -17,7 +17,7 @@ from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
 from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import (AttackerModel, Bus, Line, Network, parse_case, serialize_case,
                              total_load)
-from nkshed.oracle import attack_plan, solve_exhaustive
+from nkshed.oracle import attack_plan, solve_exhaustive, subset_count
 
 from bench_lattice import lattice
 
@@ -202,14 +202,20 @@ def test_last_bit_noise_in_the_bounds_leaves_the_proposals_alone(monkeypatch, me
 
 
 def test_master_path_follows_both_budgets(monkeypatch, mesh8):
-    model = AttackerModel.traditional(2)
-    subsets, size = math.comb(len(mesh8.lines), 2), len(mesh8.buses) * len(mesh8.lines)
-    for budget, cap, enumerated in [(subsets, size, True), (subsets - 1, size, False),
-                                     (subsets, size - 1, False)]:
-        monkeypatch.setattr(engine, "ENUMERATION_BUDGET", budget)
-        monkeypatch.setattr(engine, "NETWORK_BUDGET", cap)
-        _, _, state = solve_interdiction(mesh8, model)
-        assert (state.history[0]["live"] is not None) == enumerated == state.bound_certified
+    # The network budget routes every budget but the topological one from
+    # k = 2 on, which stays enumerated, and certified, past the network cap.
+    size = len(mesh8.buses) * len(mesh8.lines)
+    for k in (1, 2):
+        for model in (AttackerModel.traditional(k), AttackerModel.topological(k),
+                      AttackerModel.spatial(k, fx.SPATIAL_D["mesh8"])):
+            subsets = subset_count(len(mesh8.lines), model)
+            skips_cap = model.variant == "topological" and k == 2
+            for budget, cap, enumerated in [(subsets, size, True), (subsets - 1, size, False),
+                                             (subsets, size - 1, skips_cap)]:
+                monkeypatch.setattr(engine, "ENUMERATION_BUDGET", budget)
+                monkeypatch.setattr(engine, "NETWORK_BUDGET", cap)
+                _, _, state = solve_interdiction(mesh8, model)
+                assert (state.history[0]["live"] is not None) == enumerated == state.bound_certified
 
 
 def _failing(times):
@@ -241,6 +247,33 @@ def test_milp_master_failing_twice_raises(milp_master, monkeypatch, triangle):
     with pytest.raises(RuntimeError, match="master solve failed at iteration 1: failed"):
         solve_interdiction(triangle, AttackerModel.traditional(1))
     assert calls == [True, False]
+
+
+def test_milp_master_failure_names_the_budgets_and_the_enumerated_path(
+        milp_master, monkeypatch, triangle):
+    # The error says why the run left the enumerated master and how to get
+    # back to it: 3 candidate subsets against an enumeration budget of 0,
+    # then also 9 buses times lines against a network budget of 8.
+    monkeypatch.setattr(backend.Model, "solve_milp", _failing(4)[0])
+    model = AttackerModel.traditional(1)
+    with pytest.raises(RuntimeError) as err:
+        solve_interdiction(triangle, model)
+    assert str(err.value) == (
+        "master solve failed at iteration 1: failed. The MILP master ran because 3 candidate "
+        "subsets exceed engine.ENUMERATION_BUDGET = 0; raising that budget to cover the counts "
+        "runs the enumerated master, whose bound is a proof when it converges")
+    monkeypatch.setattr(engine, "NETWORK_BUDGET", 8)
+    with pytest.raises(RuntimeError) as err:
+        solve_interdiction(triangle, model)
+    assert str(err.value) == (
+        "master solve failed at iteration 1: failed. The MILP master ran because 3 candidate "
+        "subsets exceed engine.ENUMERATION_BUDGET = 0 and 9 buses times lines exceed "
+        "engine.NETWORK_BUDGET = 8; raising both budgets to cover the counts runs the "
+        "enumerated master, whose bound is a proof when it converges")
+    monkeypatch.setattr(engine, "ENUMERATION_BUDGET", 3)
+    monkeypatch.setattr(engine, "NETWORK_BUDGET", 9)
+    _, _, state = solve_interdiction(triangle, model)
+    assert state.bound_certified
 
 
 def test_bound_monotonicity_along_history(master_paths, mesh8):

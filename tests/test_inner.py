@@ -262,15 +262,23 @@ def test_cut_validity_exhaustive_pairs_valid_bounds(name):
 
 
 def test_attack_plan_invariants():
-    model = AttackerModel.traditional(2)
-    with pytest.raises(ValueError, match="exactly k"):
-        AttackPlan.of([1], model=model)
+    # A plan takes exactly the sizes its budget admits, with a centre
+    # exactly when the budget is spatial.
+    for model in (AttackerModel.traditional(2), AttackerModel.topological(2),
+                  AttackerModel.spatial(2, 50.0)):
+        spatial = model.variant == "spatial"
+        assert list(model.sizes) == ([0, 1, 2] if spatial else [2])
+        for size in range(model.k + 2):
+            lines = range(1, size + 1)
+            if size in model.sizes:
+                plan = AttackPlan.of(lines, center_bus=4 if spatial else None, model=model)
+                assert plan.sorted_lines() == tuple(lines)
+            else:
+                with pytest.raises(ValueError, match=f"plan has {size} lines"):
+                    AttackPlan.of(lines, center_bus=4 if spatial else None, model=model)
+            with pytest.raises(ValueError, match="center_bus"):
+                AttackPlan.of(lines, center_bus=None if spatial else 4, model=model)
     with pytest.raises(ValueError, match="center_bus"):
-        AttackPlan.of([1, 2], center_bus=3, model=model)
-    sp = AttackerModel.spatial(2, 50.0)
-    with pytest.raises(ValueError, match="center"):
-        AttackPlan.of([1], model=sp)
-    plan = AttackPlan.of([1], center_bus=4, model=sp)
-    assert plan.sorted_lines() == (1,)
+        AttackPlan.of([1], center_bus=4)
     with pytest.raises(ValueError, match="unknown line"):
         solve_inner(fx.two_bus(), AttackPlan.of([99]))

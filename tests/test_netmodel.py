@@ -8,7 +8,7 @@ import pytest
 
 from nkshed import fixtures as fx
 from nkshed.netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
-                             Network, _default_big_M, _islands, parse_case, parse_geo,
+                             Network, _islands, parse_case, parse_geo,
                              serialize_case, total_load)
 from test_two_islands import two_meshes
 
@@ -93,9 +93,28 @@ def test_duplicate_line_id_rejected():
         Network.build(buses + [Bus(3, 0.0)], [Line(1, 1, 2, 0.1, 1.0)])
 
 
+UNLIMITED = ("0.1 0 100 100 100", "0.1 0 0 100 100")   # rateA 100 MW -> 0
+
+
 def test_rate_a_zero_maps_to_big_m():
-    net = parse_case(TWO_BUS_CASE.replace("0.1 0 100 100 100", "0.1 0 0 100 100"))
-    assert net.lines[0].thermal == _default_big_M(net.buses) == total_load(net)
+    net = parse_case(TWO_BUS_CASE.replace(*UNLIMITED))
+    assert net.lines[0].thermal == total_load(net) == 1.0
+
+
+def test_rate_a_zero_maps_to_one_without_demand():
+    net = parse_case(TWO_BUS_CASE.replace(*UNLIMITED).replace("2 1 100 5", "2 1 0 5"))
+    assert total_load(net) == 0.0
+    assert net.lines[0].thermal == 1.0
+
+
+def test_negative_demand_is_clamped_to_zero():
+    # A bus at -50 MW parses as a bus at 0 MW, and the unlimited rating
+    # follows the clamped total (1.0 p.u., not 0.5).
+    case = TWO_BUS_CASE.replace(*UNLIMITED)
+    negative = parse_case(case.replace("1 3 0 0", "1 3 -50 0"))
+    assert negative == parse_case(case)
+    assert negative.buses[negative.bus_pos[1]].demand == 0.0
+    assert negative.lines[0].thermal == total_load(negative) == 1.0
 
 
 def test_multiple_generators_aggregate():
@@ -143,12 +162,6 @@ def test_total_load_examples():
         [Bus(1, 0.5), Bus(2, 0.25), Bus(3, 0.25)],
         [Line(1, 1, 2, 0.1, 1.0), Line(2, 2, 3, 0.1, 1.0)])
     assert total_load(three) == pytest.approx(1.0)
-
-
-def test_total_load_equals_default_big_m():
-    for build in fx.FIXTURES.values():
-        net = build()
-        assert _default_big_M(net.buses) == total_load(net)
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
