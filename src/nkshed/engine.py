@@ -16,9 +16,12 @@ last bits do not reorder the proposals. Each priced dispatch then tightens
 the bound of every unpriced attack still above the stopping threshold: the
 dispatch, balanced per island, routed by DC power flow on that attack's
 surviving lines and scaled into the line ratings, is a feasible defender
-response, so its shed bounds that attack's (``inner.response_shed``). The largest unpriced bound is thus
-a proof, and a run that stops on it reports ``bound_certified``. No penalty
-rate enters this path.
+response, so its shed bounds that attack's (``inner.response_shed``). The
+table is factored once, when it is built (``PowerFlow.factor``): each
+attack keeps its k-by-k outage operator, so a tightening routes the
+dispatch once and corrects each attack by its operator alone. The largest
+unpriced bound is thus a proof, and a run that stops on it reports
+``bound_certified``. No penalty rate enters this path.
 
 **MILP master**, past either budget. A MILP over the attack binaries and a
 shed-estimate variable proposes the attack with the highest estimate
@@ -49,7 +52,7 @@ import numpy as np
 from .attackers import NoFeasibleAttackError, check_budget, encode_feasible_set
 from .backend import INFEASIBLE, OPTIMAL, Model
 from .inner import AttackPlan, InnerSolution, exact_eta, response_shed, solve_inner
-from .netmodel import AttackerModel, Network, total_load
+from .netmodel import AttackerModel, Network, Outages, total_load
 from .oracle import DEFAULT_BUDGET, attack_plan, attack_table, subset_count, tie_floor
 
 __all__ = ["SolveConfig", "MasterState", "NoFeasibleAttackError", "solve_interdiction", "gap",
@@ -118,8 +121,9 @@ class MasterState:
     cut is the priced shed and, by line position, the penalty rate times the
     priced absolute flow. The enumerated master leaves them empty. Each
     ``history`` record holds the iteration, the attack, its exact shed
-    ``eta_hat``, ``eta_up`` and ``live``: how many unpriced attacks still
-    have a bound above the stopping level (None on the MILP path).
+    ``eta_hat``, ``eta_up``, ``live``: how many unpriced attacks still
+    have a bound above the stopping level, and ``rows``: how many attacks
+    that iteration's priced dispatch bounded (both None on the MILP path).
     """
 
     cuts: list[tuple[float, np.ndarray]] = field(default_factory=list)
@@ -166,17 +170,20 @@ def _build_master(net: Network, model: AttackerModel, state: MasterState,
     return mdl, x_cols
 
 
-def _tighten(net: Network, inner: InnerSolution, groups: list[tuple[np.ndarray, np.ndarray]],
-             starts: np.ndarray, bound: np.ndarray, level: float) -> None:
+def _tighten(net: Network, inner: InnerSolution, groups: list[Outages], starts: np.ndarray,
+             bound: np.ndarray, level: float) -> int:
     """Lower ``bound`` on the attacks above ``level`` to the shed of the
-    feasible response built from ``inner``'s dispatch."""
+    feasible response built from ``inner``'s dispatch; return how many
+    attacks were bounded."""
     gen, served = inner.gen, net.demand_vector() * (1.0 - inner.shed)
-    for (cuts, split), start in zip(groups, starts):
-        pick = np.flatnonzero(bound[start:start + len(cuts)] > level)
+    rows = 0
+    for outages, start in zip(groups, starts):
+        pick = np.flatnonzero(bound[start:start + len(outages.cuts)] > level)
         if len(pick):
             at = start + pick
-            bound[at] = np.minimum(bound[at],
-                                   response_shed(net, gen, served, cuts[pick], split[pick]))
+            bound[at] = np.minimum(bound[at], response_shed(net, gen, served, outages, pick))
+            rows += len(pick)
+    return rows
 
 
 def _price(net: Network, plan: AttackPlan, state: MasterState) -> InnerSolution:
@@ -201,8 +208,8 @@ def _stop_level(state: MasterState, config: SolveConfig) -> float:
 
 
 def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
-    groups = [(cuts, net.power_flow.splits(cuts)) for cuts in attack_table(net, model)]
-    starts = np.cumsum([0] + [len(cuts) for cuts, _ in groups])
+    groups = [net.power_flow.factor(cuts) for cuts in attack_table(net, model)]
+    starts = np.cumsum([0] + [len(outages.cuts) for outages in groups])
     if starts[-1] == 0:
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
@@ -214,12 +221,12 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
     while state.iterations < config.max_iters:
         i = int(np.argmax(bound >= tie_floor(bound.max())))
         g = int(np.searchsorted(starts, i, side="right")) - 1
-        lines = [net.lines[e].id for e in groups[g][0][i - starts[g]]]
+        lines = [net.lines[e].id for e in groups[g].cuts[i - starts[g]]]
         plan = attack_plan(net, model, lines)
         inner = _price(net, plan, state)
         bound[i] = -np.inf
         level = _stop_level(state, config)
-        _tighten(net, inner, groups, starts, bound, level)
+        rows = _tighten(net, inner, groups, starts, bound, level)
         state.eta_up = min(state.eta_up, max(float(bound.max()), state.eta_star))
         state.history.append({
             "iteration": state.iterations,
@@ -227,6 +234,7 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
             "eta_hat": inner.eta,
             "eta_up": state.eta_up,
             "live": int(np.count_nonzero(bound > level)),
+            "rows": rows,
         })
         if state.eta_up <= level:
             state.status = CONVERGED
@@ -315,6 +323,7 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
             "eta_hat": inner.eta,
             "eta_up": state.eta_up,
             "live": None,
+            "rows": None,
         })
 
         if state.eta_up <= _stop_level(state, config):

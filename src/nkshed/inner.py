@@ -24,9 +24,12 @@ probe to its own lines' dispatches.
 ``response_shed`` bounds the exact shed of many attacks at once without an
 LP: it turns one dispatch into a feasible defender response to each attack
 (see its docstring), the bound the engine's enumerated master keeps. It
-and the screen reroute flows by ``PowerFlow.flows``, and both learn which
-attacks split an island from ``PowerFlow.splits``: the bound balances
-those on their new islands, and the screen leaves them to the LP.
+and the screen reroute flows by ``PowerFlow.flows`` on the outage factors
+of ``PowerFlow.factor``, kept once per attack table by the engine and
+built once per chunk by the screen. The bound balances and routes its
+dispatch once per call on the intact islands and corrects each attack by
+its k-by-k factor; only an attack that splits an island is balanced on its
+new islands. The screen leaves every attack the factors flag to the LP.
 
 Both kept models, the exact load-shed model and the probe table's
 max-margin model, are built by ``_slack_model``: it adds the network's
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .backend import BackendError, Model
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network
+from .netmodel import BATCH_ENTRIES, AttackerModel, Network, Outages
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
            "response_shed"]
@@ -323,14 +326,14 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     """Per outage, whether a zero-shed probe keeps every surviving line
     within its rating, which proves that the outage sheds nothing.
 
-    An outage that ``PowerFlow.splits`` flags is never settled. Stage 1
-    tries each base probe of the probe table, rerouted around each other
-    outage by ``PowerFlow.flows``. Stage 2 (``_segment_fits``) takes the
-    outages of at least 2 lines that stage 1 leaves: for each base probe b
-    and each row r of a removed line in ``_ProbeTable.rows``, a convex
-    combination of b and r is a zero-shed dispatch too, balanced on the
-    intact islands, with the same combination of their flows. No other
-    row is tried.
+    Each chunk of outages is factored once by ``PowerFlow.factor``, and an
+    outage it flags is never settled. Stage 1 tries each base probe of the
+    probe table, rerouted around each other outage by ``PowerFlow.flows``.
+    Stage 2 (``_segment_fits``) takes the outages of at least 2 lines that
+    stage 1 leaves: for each base probe b and each row r of a removed line
+    in ``_ProbeTable.rows``, a convex combination of b and r is a zero-shed
+    dispatch too, balanced on the intact islands, with the same combination
+    of their flows. No other row is tried.
 
     ``cuts`` holds one row of k removed line positions per outage. Each
     row's arithmetic reads only that row and the table, so its verdict
@@ -343,22 +346,22 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
         return settled
     step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
-        whole = lo + np.flatnonzero(~pf.splits(cuts[lo:lo + step]))
+        outages = pf.factor(cuts[lo:lo + step])
+        whole = np.flatnonzero(~outages.flagged)
         if not len(whole):
             continue
-        part = cuts[whole]
-        flow = pf.flows(np.broadcast_to(probes, (len(part), *probes.shape)), part,
-                        np.zeros(len(part), dtype=bool))
+        outages = outages.take(whole)
+        flow = pf.flows(np.broadcast_to(probes, (len(whole), *probes.shape)), outages)
         fits = (np.abs(flow) <= rating).all(axis=-1).any(axis=1)
         left = np.flatnonzero(~fits)
         if k >= 2 and len(left):
-            fits[left] = _segment_fits(net, table, flow[left], part[left])
-        settled[whole] = fits
+            fits[left] = _segment_fits(net, table, flow[left], outages.take(left))
+        settled[lo + whole] = fits
     return settled
 
 
 def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
-                  part: np.ndarray) -> np.ndarray:
+                  outages: Outages) -> np.ndarray:
     """Stage 2 of ``_settled``: per outage, whether one of its segments
     holds a point that keeps every line within its rating; ``base`` holds
     its base probes' flows rerouted around it. On a segment, rerouted, each
@@ -371,10 +374,10 @@ def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
     instead.
     """
     rows, ok = table.rows()
+    part = outages.cuts
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]
-    d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), part,
-                             np.zeros(count, dtype=bool))[:, None] - a
+    d = net.power_flow.flows(rows[part].reshape(count, 2 * k, m), outages)[:, None] - a
     # Each line keeps |a + lambda * d| <= rating on one interval of lambda; a
     # point fits if the intervals meet inside [0, 1]. A line with d = 0, a
     # removed one among them, keeps its flow a on the whole segment.
@@ -390,42 +393,83 @@ def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
     return fits.reshape(count, -1).any(axis=1)
 
 
-def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, cuts: np.ndarray,
-                  split: np.ndarray) -> np.ndarray:
+def _balanced(gen: np.ndarray, served: np.ndarray, comp: np.ndarray,
+              size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gen`` and ``served`` balanced on each island: on each key of
+    ``comp`` (a key below ``size`` per bus, of one row or of each row), the
+    larger of the two sums is scaled down pro rata to the smaller."""
+    keys = comp.ravel()
+    g_sum = np.bincount(keys, np.broadcast_to(gen, comp.shape).ravel(), size)
+    s_sum = np.bincount(keys, np.broadcast_to(served, comp.shape).ravel(), size)
+    g_scale = np.divide(s_sum, g_sum, out=np.ones(size), where=g_sum > s_sum)
+    s_scale = np.divide(g_sum, s_sum, out=np.ones(size), where=s_sum > g_sum)
+    return gen * g_scale[comp], served * s_scale[comp]
+
+
+def _headroom(rating: np.ndarray, flow: np.ndarray) -> np.ndarray:
+    """``rating / |flow|`` per line, in place of ``flow``: inf where the
+    line carries no flow."""
+    with np.errstate(divide="ignore"):
+        return np.divide(rating, np.abs(flow, out=flow), out=flow)
+
+
+def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, outages: Outages,
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """Shed of a feasible defender response to each attack, built from one dispatch.
 
     ``gen`` and ``served`` are per-bus generation and served load, such as
-    the optimal dispatch of another attack; each row of ``cuts`` holds the
-    line positions one attack removes. Per attack, the dispatch is balanced
-    on every island of the surviving network (surplus generation or the
+    the optimal dispatch of another attack. ``outages``, from
+    ``net.power_flow.factor``, holds the attacks, and ``rows`` picks those
+    to bound (all by default). Per attack, the dispatch is balanced on
+    every island of the surviving network (surplus generation or the
     served-load deficit scaled down pro rata), routed by DC power flow, and
     scaled on each island by the largest alpha <= 1 that keeps every line
     within its rating. That response is feasible for the attack's load-shed
     LP, so its shed bounds the attack's eta from above; for the attack that
-    gave the dispatch it equals that attack's eta. Each chunk's balanced
-    injections reach the intact flows by one product with the PTDF, every
-    row alike. ``split`` is ``net.power_flow.splits(cuts)``: only the
-    islands of the attacks it flags are searched.
+    gave the dispatch it equals that attack's eta.
+
+    The dispatch is balanced on the intact islands and routed by one PTDF
+    product per call. An attack that keeps the intact islands, nearly every
+    one, then takes only its k-by-k correction (``PowerFlow.flows``) and its
+    alpha per intact island (``PowerFlow.island_min``). An attack that
+    splits an island is balanced on its own islands and routed alone. A
+    row's shed reads only its own attack, so it does not depend on which
+    rows are picked.
     """
-    demand = net.demand_vector()
+    demand, rating = net.demand_vector(), net.thermal_vector()
     gen = np.clip(gen, 0.0, net.gen_cap_vector())
     served = np.clip(served, 0.0, demand)
-    pf, rating = net.power_flow, net.thermal_vector()
-    shed = np.empty(len(cuts))
-    step = max(1, BATCH_ENTRIES // ((cuts.shape[1] + 1) * max(len(gen), len(rating))))
-    for lo in range(0, len(cuts), step):
-        part = cuts[lo:lo + step]
-        comp, torn = pf.islands(part, split[lo:lo + step])
-        keys, size = comp.ravel(), comp.max() + 1
-        g_sum = np.bincount(keys, np.tile(gen, len(part)), size)
-        s_sum = np.bincount(keys, np.tile(served, len(part)), size)
-        g_scale = np.divide(s_sum, g_sum, out=np.ones(size), where=g_sum > s_sum)
-        s_scale = np.divide(g_sum, s_sum, out=np.ones(size), where=s_sum > g_sum)
-        g, s = gen * g_scale[comp], served * s_scale[comp]
-        flow = np.abs(pf.flows((g - s) @ pf.ptdf_t, part, torn))
-        alpha = np.ones(size)
-        np.minimum.at(alpha, comp[:, pf.fr].ravel(),
-                      np.divide(rating, flow, out=np.full(flow.shape, np.inf),
-                                where=flow > 0).ravel())
-        shed[lo:lo + step] = demand.sum() - (alpha[comp] * s).sum(axis=1)
+    pf, total = net.power_flow, demand.sum()
+    rows = np.arange(len(outages.cuts)) if rows is None else np.asarray(rows)
+    g, s = _balanced(gen, served, pf.island, pf.num_islands)
+    intact, served_on = (g - s) @ pf.ptdf_t, np.bincount(pf.island, s, pf.num_islands)
+    shed = np.empty(len(rows))
+    step = max(1, BATCH_ENTRIES // ((outages.cuts.shape[1] + 1) * max(len(gen), len(rating))))
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        torn = outages.torn[part] >= 0
+        whole = outages.take(part[~torn])
+        flow = pf.flows(np.broadcast_to(intact, (len(whole.cuts), len(rating))), whole)
+        alpha = np.minimum(pf.island_min(_headroom(rating, flow)), 1.0)
+        shed[lo + np.flatnonzero(~torn)] = total - (alpha * served_on).sum(axis=1)
+        if torn.any():
+            shed[lo + np.flatnonzero(torn)] = total - _split_served(
+                net, gen, served, outages.take(part[torn]))
     return shed
+
+
+def _split_served(net: Network, gen: np.ndarray, served: np.ndarray,
+                  outages: Outages) -> np.ndarray:
+    """``response_shed``'s served load for attacks that split an island:
+    the dispatch balanced on each attack's own islands, routed one attack
+    at a time, and scaled per island."""
+    pf, rating, n = net.power_flow, net.thermal_vector(), len(gen)
+    count = len(outages.cuts)
+    comp = np.arange(count)[:, None] * n + outages.islands[outages.torn]
+    g, s = _balanced(gen, served, comp, count * n)
+    # One vector-matrix product per attack: a matrix product would round a
+    # row differently by the number of rows.
+    flow = pf.flows(((g - s)[:, None] @ pf.ptdf_t)[:, 0], outages)
+    alpha = np.ones(count * n)
+    np.minimum.at(alpha, comp[:, pf.fr].ravel(), _headroom(rating, flow).ravel())
+    return (alpha[comp] * s).sum(axis=1)

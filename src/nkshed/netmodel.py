@@ -14,6 +14,7 @@ import re
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "Line",
     "Network",
     "PowerFlow",
+    "Outages",
     "AttackerModel",
     "CaseFormatError",
     "GeoFormatError",
@@ -207,35 +209,64 @@ class Network:
         return Network(buses, self.lines)
 
 
+class Outages(NamedTuple):
+    """A batch of line outages and their factors, built once by
+    ``PowerFlow.factor`` and read by every ``PowerFlow.flows`` call on them.
+
+    ``cuts`` holds one row of removed line positions per outage and ``op``
+    the operator of its k-by-k outage system (see ``PowerFlow``): the
+    inverse, or the least-squares operator when the outage splits an
+    island. ``flagged`` marks the outages whose system's determinant is at
+    most ``PowerFlow._SINGULAR``. ``torn`` is, per outage, its row of
+    ``islands`` (an island number per bus, from 0) when it splits an island
+    of the intact network, and -1 when it keeps the intact islands; only
+    the flagged outages are searched.
+    """
+
+    cuts: np.ndarray
+    op: np.ndarray
+    flagged: np.ndarray
+    torn: np.ndarray
+    islands: np.ndarray
+
+    def take(self, rows) -> "Outages":
+        """The outages at ``rows``, with their factors."""
+        return Outages(self.cuts[rows], self.op[rows], self.flagged[rows], self.torn[rows],
+                       self.islands)
+
+
 class PowerFlow:
     """Position-indexed DC power flow of one network, batched over line outages.
 
     Signs follow the load-shed LP: ``flow = b * (ang_to - ang_fr)`` and a
     bus's net injection ``p = gen - served`` leaves it, so
-    ``incidence @ flow = -p``. Each batch call takes ``cuts``, an integer
-    array with one row of removed line positions per outage.
+    ``incidence @ flow = -p``.
 
     ``ptdf_t`` (buses by lines) is the transposed PTDF: ``inj @ ptdf_t``
     gives the intact network's flows for injections balanced on each of
     its islands. It comes from one dense solve of the Laplacian with the
     row and column of one root bus per island removed, so the roots' rows
-    are exactly 0. The difference of its rows at line e's endpoints,
-    ``ptdf @ incidence[:, e]``, is the flow each line takes over per unit
-    moved off line e, so an outage of k lines gets its flows from the
-    intact ones by one k-by-k solve (line outage distribution factors).
-    Off its unit diagonal, each entry of that system is the flow on one
-    removed line per unit moved between another's endpoints, at most 1 in
-    magnitude. The system is singular exactly when the outage splits an
-    island; it is then still consistent for injections balanced on the new
-    islands, and every solution gives the same flows, so such outages take
-    its least-squares solution. ``splits``, the one split test, reads its
-    determinant, and ``flows`` is the one outage-flow kernel: the engine's
-    feasible-response bound and the oracle's zero-shed screen call both.
+    are exactly 0. ``shift`` (lines by lines), the difference of its rows
+    at each line's endpoints, holds in row e the flow each line takes over
+    per unit moved off line e, so an outage of k lines gets its flows from
+    the intact ones by one k-by-k system (line outage distribution
+    factors). Off its unit diagonal, each entry of that system is the flow
+    on one removed line per unit moved between another's endpoints, at most
+    1 in magnitude. The system is singular exactly when the outage splits
+    an island; it is then still consistent for injections balanced on the
+    new islands, and every solution gives the same flows, so such outages
+    take its least-squares solution.
+
+    ``factor`` builds each outage's operator once, with the split test, the
+    determinant, and the islands of the outages it flags; ``flows``, the
+    one outage-flow kernel, applies them to any number of injections. The
+    engine's feasible-response bound factors its attack table once, and
+    the oracle's zero-shed screen each chunk it prices.
     """
 
-    # A zero singular value or determinant of an outage's k-by-k system rounds
-    # to at most this. The system, the identity minus a matrix similar to a
-    # symmetric one with eigenvalues in [0, 1], has eigenvalues in [0, 1].
+    # A zero determinant of an outage's k-by-k system rounds to at most this.
+    # The system, the identity minus a matrix similar to a symmetric one with
+    # eigenvalues in [0, 1], has eigenvalues in [0, 1].
     _SINGULAR = 1e-10
 
     def __init__(self, net: Network):
@@ -252,79 +283,89 @@ class PowerFlow:
             part = inc[free]
             self.ptdf_t[free] = np.linalg.solve((part * b) @ part.T, part)
         self.ptdf_t *= -b
+        self.shift = self.ptdf_t[self.to] - self.ptdf_t[self.fr]
+        # The lines in order of their intact island, and where each island
+        # with a line starts in that order.
+        line_island = self.island[self.fr]
+        self._by_island = np.argsort(line_island, kind="stable")
+        self._lined, self._first = np.unique(line_island[self._by_island], return_index=True)
+        if (np.diff(line_island) >= 0).all():
+            # Already in island order, as on every connected network: a view.
+            self._by_island = slice(None)
 
-    def islands(self, cuts: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Islands left by each outage.
+    def factor(self, cuts: np.ndarray) -> Outages:
+        """The :class:`Outages` of the rows of ``cuts``, one outage's line
+        positions each.
 
-        Returns a component key per bus of each row, unique across rows,
-        and whether each row splits an island of the intact network. Rows
-        that ``split`` (as ``splits`` returned it) marks False keep the
-        intact islands; the others go through ``_islands``.
+        An outage is flagged when the determinant of its system is at most
+        ``_SINGULAR``. A split makes the system exactly singular, and with
+        entries at most 1 in magnitude its determinant rounds to about
+        1e-16, so no split is missed. Only the flagged outages go through
+        the island search; one that keeps every island, though nearly
+        singular, takes the inverse like the rest.
         """
-        count, n = len(cuts), len(self.island)
-        comp = np.arange(count)[:, None] * n + self.island
-        search = np.flatnonzero(split)
-        torn = np.zeros(count, dtype=bool)
-        if not len(search):
-            return comp, torn
-        found = _islands(self.fr, self.to, n, cuts[search])
-        first = np.unique(found, return_index=True)[1]
-        torn[search] = np.bincount(first // n, minlength=len(search)) > self.num_islands
-        comp[search] = count * n + found
-        return comp, torn
-
-    def splits(self, cuts: np.ndarray) -> np.ndarray:
-        """Whether each outage splits an island of the intact network: whether
-        the determinant of its k-by-k system is at most ``_SINGULAR``.
-
-        A split makes the system exactly singular, and with entries at most
-        1 in magnitude its determinant rounds to about 1e-16, so no split is
-        missed. A nearly singular outage that keeps every island is flagged
-        too, at a cost in time alone: ``islands`` finds it whole, and the
-        zero-shed screen leaves it to the LP.
-        """
-        split = np.empty(len(cuts), dtype=bool)
-        step = max(1, BATCH_ENTRIES // max(1, cuts.shape[1] ** 2))
-        for lo in range(0, len(cuts), step):
-            split[lo:lo + step] = np.linalg.det(self._system(cuts[lo:lo + step])) <= self._SINGULAR
-        return split
+        count, k = cuts.shape
+        op, flagged = np.empty((count, k, k)), np.empty(count, dtype=bool)
+        step = max(1, BATCH_ENTRIES // max(1, k * k))
+        for lo in range(0, count, step):
+            system = self._system(cuts[lo:lo + step])
+            flag = np.linalg.det(system) <= self._SINGULAR
+            flagged[lo:lo + step] = flag
+            op[lo + np.flatnonzero(~flag)] = np.linalg.inv(system[~flag])
+        search = np.flatnonzero(flagged)
+        found = _islands(self.fr, self.to, len(self.island), cuts[search])
+        found -= found[:, :1]
+        split = found.max(axis=1, initial=0) >= self.num_islands
+        torn = np.full(count, -1, dtype=np.int32)
+        torn[search[split]] = np.arange(np.count_nonzero(split))
+        if len(search):
+            system = self._system(cuts[search])
+            whole, apart = search[~split], search[split]
+            op[whole] = np.linalg.inv(system[~split])
+            # Each island an outage adds is one null direction of its system,
+            # so its least-squares operator drops exactly that many of the
+            # smallest singular values, however small the others are.
+            u, sv, vt = np.linalg.svd(system[split])
+            rank = k + self.num_islands - 1 - found[split].max(axis=1)
+            inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv),
+                               where=np.arange(k) < rank[:, None])
+            op[apart] = (vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ u.transpose(0, 2, 1)
+        return Outages(cuts, op, flagged, torn, found[split])
 
     def _system(self, cuts: np.ndarray) -> np.ndarray:
         """Per outage, its k-by-k system: entry (i, j) is 1 where i = j plus the
         flow removed line i takes over per unit moved off removed line j."""
-        at = cuts[:, :, None]
-        return np.eye(cuts.shape[1]) + (self.ptdf_t[self.to[cuts][:, None, :], at]
-                                        - self.ptdf_t[self.fr[cuts][:, None, :], at])
+        return np.eye(cuts.shape[1]) + self.shift[cuts[:, None, :], cuts[:, :, None]]
 
-    def flows(self, base: np.ndarray, cuts: np.ndarray, split: np.ndarray) -> np.ndarray:
-        """Line flows with each row's lines removed.
+    def flows(self, base: np.ndarray, outages: Outages) -> np.ndarray:
+        """Line flows with each outage's lines removed, as a new array.
 
-        ``base`` holds, per row, the intact network's flows of one injection
-        (rows by lines) or of several (rows by injections by lines), each
-        balanced on every island the row's outage leaves. Removed lines
-        carry zero flow. ``split`` marks the rows whose outage splits an
-        island, as ``islands`` returns it; their flows come from the
-        least-squares solution.
+        ``base`` holds, per outage, the intact network's flows of one
+        injection (outages by lines) or of several (outages by injections by
+        lines), each balanced on every island the outage leaves; a
+        broadcast view serves for one injection shared by every outage.
+        Removed lines carry zero flow. Each row reads only its own outage's
+        operator and ``shift`` rows, so its flows do not depend on the
+        other rows.
         """
-        count, k = cuts.shape
-        flow = np.array(base, dtype=float)
-        wide = flow.reshape(count, -1, flow.shape[-1])
-        if k:
-            # The flow each line takes over per unit moved off each removed line.
-            shift = self.ptdf_t[self.to[cuts]] - self.ptdf_t[self.fr[cuts]]
-            block = self._system(cuts)
-            lost = np.take_along_axis(wide, cuts[:, None, :], axis=2).transpose(0, 2, 1)
-            moved = np.zeros_like(lost)
-            moved[~split] = np.linalg.solve(block[~split], lost[~split])
-            if split.any():
-                u, sv, vt = np.linalg.svd(block[split])
-                keep = (sv > self._SINGULAR)[:, :, None]
-                part = u.transpose(0, 2, 1) @ lost[split]
-                part = np.divide(part, sv[:, :, None], out=np.zeros_like(part), where=keep)
-                moved[split] = vt.transpose(0, 2, 1) @ part
-            wide -= np.einsum("rjp,rjm->rpm", moved, shift)
-        wide[np.arange(count)[:, None], :, cuts] = 0.0
-        return flow
+        cuts = outages.cuts
+        at, wide = np.arange(len(cuts))[:, None], base if base.ndim == 3 else base[:, None]
+        # Per outage, what each removed line carried, then what it moves:
+        # removed lines by injections.
+        moved = outages.op @ wide[at, :, cuts]
+        flow = wide - moved.transpose(0, 2, 1) @ self.shift[cuts]
+        flow[at, :, cuts] = 0.0
+        return flow if base.ndim == 3 else flow[:, 0]
+
+    def island_min(self, values: np.ndarray) -> np.ndarray:
+        """Per row of ``values`` (rows by lines), the least entry on each
+        intact island's lines, inf on an island with no line: one reduction
+        over the lines taken in order of their island."""
+        least = np.full((len(values), self.num_islands), np.inf)
+        if len(self._first):
+            least[:, self._lined] = np.minimum.reduceat(values[:, self._by_island], self._first,
+                                                         axis=1)
+        return least
 
 
 def _islands(fr: np.ndarray, to: np.ndarray, n: int, cuts: np.ndarray) -> np.ndarray:

@@ -32,6 +32,10 @@ class RunReport:
 
     ``bound_certified`` says whether the gap is a proof (see
     ``MasterState.bound_certified``); it was added in schema 2.
+    ``history`` is ``MasterState.history``: per iteration the attack,
+    ``eta_hat``, ``eta_up``, and on the enumerated master ``live`` and
+    ``rows``, the unpriced attacks above the stopping level and the attacks
+    that iteration's dispatch bounded (None on the MILP master).
     """
 
     model: str

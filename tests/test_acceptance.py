@@ -85,8 +85,7 @@ def _random_attacks(rng, net, count, k_max=3):
 def _response_bound(net, sol, attack):
     """Shed of the feasible response to ``attack`` built from ``sol``'s dispatch."""
     cuts = np.array([[net.line_pos[lid] for lid in sorted(attack)]], dtype=np.intp)
-    split = net.power_flow.splits(cuts)
-    return float(response_shed(net, *_dispatch(net, sol), cuts, split)[0])
+    return float(response_shed(net, *_dispatch(net, sol), net.power_flow.factor(cuts))[0])
 
 
 def test_criterion_2_response_bound_equals_eta():

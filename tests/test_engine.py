@@ -17,7 +17,7 @@ from nkshed.engine import (CONVERGED, EXHAUSTED, ITERATION_LIMIT, MasterState,
 from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import (AttackerModel, Bus, Line, Network, parse_case, serialize_case,
                              total_load)
-from nkshed.oracle import attack_plan, solve_exhaustive, subset_count
+from nkshed.oracle import attack_plan, feasible_attacks, solve_exhaustive, subset_count
 
 from bench_lattice import lattice
 
@@ -65,7 +65,7 @@ def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
     assert eta == pytest.approx(oracle.best_eta, rel=0.011, abs=1e-6)
     assert state.status in (CONVERGED, EXHAUSTED)
     assert not state.bound_certified
-    assert all(h["live"] is None for h in state.history)
+    assert all(h["live"] is None and h["rows"] is None for h in state.history)
 
 
 @pytest.mark.parametrize("bounds_mode", ["heuristic", "valid"])
@@ -157,6 +157,20 @@ def test_enumerated_master_needs_no_penalty_rates(monkeypatch, braess4):
     assert runs[0][2].history == runs[1][2].history
     assert runs[0][2].bound_certified and runs[0][2].cuts == []
     assert all(h["live"] is not None for h in runs[0][2].history)
+
+
+@pytest.mark.parametrize("rows,cols,variant", [(5, 5, "traditional"), (4, 4, "topological")])
+def test_history_counts_the_attacks_each_dispatch_bounds(rows, cols, variant):
+    # An iteration bounds the unpriced attacks above its stopping level: at
+    # most those the iteration before left live, less the one it priced, and
+    # at least those it leaves live.
+    net, model = lattice(rows, cols), AttackerModel(variant, 2)
+    state = solve_interdiction(net, model)[2]
+    before = len(list(feasible_attacks(net, model)))
+    for h in state.history:
+        assert type(h["rows"]) is int and h["live"] <= h["rows"] <= before - 1, h
+        before = h["live"]
+    assert state.history[0]["rows"] > 0
 
 
 def test_enumerated_master_ties_go_to_enumeration_order(star5):

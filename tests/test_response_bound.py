@@ -7,8 +7,8 @@ import pytest
 
 from nkshed import fixtures as fx
 from nkshed.inner import AttackPlan, response_shed, solve_inner
-from nkshed.netmodel import AttackerModel
-from nkshed.oracle import feasible_attacks
+from nkshed.netmodel import AttackerModel, _islands
+from nkshed.oracle import attack_table, feasible_attacks
 
 RANDOM_SEEDS = range(50)
 
@@ -19,12 +19,13 @@ def _dispatch(net, sol):
 
 
 def _cuts(net, attacks):
-    """Line-position arrays of ``attacks`` (id tuples), one per attack size."""
+    """The ``PowerFlow.factor`` outages of ``attacks`` (id tuples), one per
+    attack size."""
     groups = {}
     for a in attacks:
         groups.setdefault(len(a), []).append(a)
-    return {size: (rows, np.array([[net.line_pos[l] for l in a] for a in rows],
-                                  dtype=np.intp).reshape(len(rows), size))
+    return {size: (rows, net.power_flow.factor(np.array(
+                [[net.line_pos[l] for l in a] for a in rows], dtype=np.intp).reshape(len(rows), size)))
             for size, rows in groups.items()}
 
 
@@ -37,15 +38,13 @@ def _check_every_ordered_pair(net, attacks):
     groups = _cuts(net, attacks)
     for x_hat, sol in sols.items():
         gen, served = _dispatch(net, sol)
-        for rows, cuts in groups.values():
-            bound = response_shed(net, gen, served, cuts, net.power_flow.splits(cuts))
+        for rows, outages in groups.values():
+            bound = response_shed(net, gen, served, outages)
             eta = np.array([sols[a].eta for a in rows])
             assert (bound >= eta - 1e-9).all(), (sorted(x_hat), rows[np.argmin(bound - eta)])
             if x_hat in rows:
                 assert bound[rows.index(x_hat)] == pytest.approx(sol.eta, abs=1e-7)
-    pf = net.power_flow
-    return sum(int(pf.islands(cuts, np.ones(len(cuts), dtype=bool))[1].sum())
-               for _, cuts in groups.values())
+    return sum(int((outages.torn >= 0).sum()) for _, outages in groups.values())
 
 
 def _attacks_up_to_two(net):
@@ -71,7 +70,7 @@ def test_bound_covers_islanding_attacks(star5):
     # the other three keep theirs, and that is the exact shed.
     gen, served = _dispatch(star5, solve_inner(star5, AttackPlan.of([])))
     cuts = np.array([[0]])
-    bound = response_shed(star5, gen, served, cuts, star5.power_flow.splits(cuts))
+    bound = response_shed(star5, gen, served, star5.power_flow.factor(cuts))
     assert bound[0] == pytest.approx(solve_inner(star5, AttackPlan.of([1])).eta, abs=1e-9)
 
 
@@ -91,7 +90,7 @@ def test_bound_catches_the_reroute_a_flow_cut_misses():
     cuts = np.array([[net.line_pos[1], net.line_pos[4]]])
     eta = solve_inner(net, AttackPlan.of([1, 4])).eta
     assert eta == pytest.approx(0.9172, abs=1e-4)
-    assert response_shed(net, gen, served, cuts, net.power_flow.splits(cuts))[0] >= eta - 1e-9
+    assert response_shed(net, gen, served, net.power_flow.factor(cuts))[0] >= eta - 1e-9
 
 
 def _direct_flows(net, inj, cut):
@@ -118,7 +117,8 @@ def test_outage_factor_flows_match_direct_solves(name):
     splits = 0
     for k in (1, 2, 3):
         cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)))
-        comp, split = pf.islands(cuts, np.ones(len(cuts), dtype=bool))
+        outages = pf.factor(cuts)
+        comp, split = _components(pf, outages), outages.torn >= 0
         splits += split.sum()
         inj = rng.uniform(-1.0, 1.0, (len(cuts), 2, comp.shape[1]))
         for row, keys in enumerate(comp):
@@ -126,8 +126,8 @@ def test_outage_factor_flows_match_direct_solves(name):
                 on = inj[row][:, keys == key]
                 inj[row][:, keys == key] = on - on.mean(axis=1, keepdims=True)
         # Rows by lines, then rows by injections by lines.
-        flow = pf.flows(inj[:, 0] @ pf.ptdf_t, cuts, split)
-        wide = pf.flows(inj @ pf.ptdf_t, cuts, split)
+        flow = pf.flows(inj[:, 0] @ pf.ptdf_t, outages)
+        wide = pf.flows(inj @ pf.ptdf_t, outages)
         for row, cut in enumerate(cuts):
             np.testing.assert_allclose(flow[row], _direct_flows(net, inj[row, 0], cut), atol=1e-10)
             for j in range(inj.shape[1]):
@@ -135,13 +135,28 @@ def test_outage_factor_flows_match_direct_solves(name):
                                            atol=1e-10)
         assert (flow[np.arange(len(cuts))[:, None], cuts] == 0.0).all()
         assert (wide[np.arange(len(cuts))[:, None], :, cuts] == 0.0).all()
-        assert (pf.splits(cuts) == split).all()
+        assert (outages.flagged == split).all()
     assert splits > 0
 
 
+def _components(pf, outages):
+    """Island label per bus left by each outage: its kept islands if it
+    splits one, else the intact network's."""
+    comp = np.tile(pf.island, (len(outages.cuts), 1))
+    torn = outages.torn >= 0
+    comp[torn] = outages.islands[outages.torn[torn]]
+    return comp
+
+
+def _search_splits(pf, cuts):
+    """Whether each outage splits an island, by ``_islands`` on every row."""
+    found = _islands(pf.fr, pf.to, len(pf.island), cuts)
+    return np.array([len(np.unique(row)) for row in found]) > pf.num_islands
+
+
 def _split_test_cases():
-    """Networks on which the determinant test of ``splits`` is checked
-    against the island search."""
+    """Networks on which the determinant test of ``PowerFlow.factor`` is
+    checked against the island search."""
     from bench_lattice import lattice
     from test_two_islands import two_meshes
     yield from (fx.random_mesh(seed) for seed in range(60))
@@ -159,9 +174,10 @@ def test_splits_agree_with_the_island_search():
         for k in (1, 2, 3):
             cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
                             dtype=np.intp).reshape(-1, k)
-            split = pf.splits(cuts)
-            torn = pf.islands(cuts, np.ones(len(cuts), dtype=bool))[1]
+            outages = pf.factor(cuts)
+            split, torn = outages.flagged, _search_splits(pf, cuts)
             assert (split == torn).all(), (net.line_ids(), k)
+            assert ((outages.torn >= 0) == torn).all(), (net.line_ids(), k)
             rows, flagged = rows + len(cuts), flagged + int(split.sum())
     assert rows == 24757 and flagged > 0
 
@@ -205,28 +221,43 @@ def _reference_shed(net, gen, served, cut) -> float:
     return demand.sum() - sum(alpha[root] * s[i] for i, root in enumerate(roots.tolist()))
 
 
-def _check_against_reference(net, sizes, seed=0) -> int:
-    """``response_shed`` matches ``_reference_shed`` to 1e-9 on every attack of
-    each size in ``sizes``, for the intact optimum, the optimum with the
-    first line out and a random dispatch. Returns how many of the attacks
-    split an island."""
+def _all_cuts(net, sizes):
+    """Every outage of each size in ``sizes``, one line-position array per size."""
+    for k in sizes:
+        cuts = list(itertools.combinations(range(len(net.lines)), k))
+        if cuts:
+            yield np.array(cuts, dtype=np.intp).reshape(len(cuts), k)
+
+
+def _dispatches(net, seed):
+    """The intact optimum, the optimum with the first line out and a random
+    dispatch, as generation and served load."""
     rng = np.random.default_rng(seed)
     dispatches = [_dispatch(net, solve_inner(net, AttackPlan.of(lines)))
                   for lines in ((), net.line_ids()[:1])]
     dispatches.append((rng.uniform(0.0, net.gen_cap_vector()),
                        rng.uniform(0.0, net.demand_vector())))
+    return dispatches
+
+
+def _check_against_reference(net, sizes, seed=0, tables=None, dispatches=None) -> int:
+    """``response_shed`` matches ``_reference_shed`` to 1e-9 on every attack of
+    each size in ``sizes``, or on every row of ``tables``, for each of
+    ``dispatches`` (``_dispatches`` by default). The bound of a random
+    subset of rows, picked, equals those rows of the whole table's bitwise.
+    Returns how many of the attacks split an island."""
+    rng = np.random.default_rng(seed)
+    dispatches = dispatches or _dispatches(net, seed)
     splits = 0
-    for k in sizes:
-        cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
-                        dtype=np.intp).reshape(-1, k)
-        if not len(cuts):
-            continue
-        split = net.power_flow.splits(cuts)
-        splits += int(split.sum())
+    for cuts in (_all_cuts(net, sizes) if tables is None else tables):
+        outages = net.power_flow.factor(cuts)
+        splits += int((outages.torn >= 0).sum())
+        pick = np.flatnonzero(rng.random(len(cuts)) < 0.3)
         for gen, served in dispatches:
             ref = [_reference_shed(net, gen, served, cut) for cut in cuts]
-            np.testing.assert_allclose(response_shed(net, gen, served, cuts, split), ref,
-                                       rtol=0.0, atol=1e-9)
+            bound = response_shed(net, gen, served, outages)
+            np.testing.assert_allclose(bound, ref, rtol=0.0, atol=1e-9)
+            assert response_shed(net, gen, served, outages, pick).tobytes() == bound[pick].tobytes()
     return splits
 
 
@@ -240,10 +271,21 @@ def test_bound_matches_a_per_row_reference_on_random_meshes(seed):
     _check_against_reference(fx.random_mesh(seed), (1, 2), seed)
 
 
+@pytest.mark.parametrize("name", sorted(fx.SPATIAL_D))
+def test_bound_matches_a_per_row_reference_on_spatial_tables(name):
+    # The spatial budget's attack table: one array per size, the empty
+    # attack's of shape (1, 0) among them.
+    net = fx.FIXTURES[name]()
+    tables = attack_table(net, AttackerModel.spatial(3, fx.SPATIAL_D[name]))
+    assert tables[0].shape == (1, 0) and len(tables) > 1
+    _check_against_reference(net, (), tables=tables)
+
+
 def test_islands_match_per_attack_components(mesh8):
     pf = mesh8.power_flow
     cuts = np.array(list(itertools.combinations(range(len(mesh8.lines)), 3)))
-    comp, split = pf.islands(cuts, np.ones(len(cuts), dtype=bool))
+    outages = pf.factor(cuts)
+    comp, split = _components(pf, outages), outages.torn >= 0
     for row, cut in enumerate(cuts):
         alone = _union_find_roots(mesh8, cut)
         assert split[row] == (len(set(alone)) > 1)

@@ -61,8 +61,8 @@ def _verdicts(net, plans) -> list[float]:
 def _stage_one(net, plans) -> list[float]:
     """``_verdicts`` with the screen's second stage, the probe segments, off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inner, "_segment_fits", lambda net, table, base, part: np.zeros(
-            len(part), dtype=bool))
+        patch.setattr(inner, "_segment_fits", lambda net, table, base, outages: np.zeros(
+            len(outages.cuts), dtype=bool))
         return _verdicts(net, plans)
 
 
@@ -135,7 +135,7 @@ def test_island_splitting_attacks_go_to_the_lp(name):
     for size in {len(s) for s in attacks}:
         same = [s for s in attacks if len(s) == size]
         cuts = np.array([sorted(net.line_pos[l] for l in s) for s in same])
-        splits = net.power_flow.splits(cuts)
+        splits = net.power_flow.factor(cuts).flagged
         split.update(zip(same, splits))
         # An outage that splits an island is never settled.
         assert not (_settled(net, same) & splits).any()
