@@ -66,10 +66,13 @@ ITERATION_LIMIT = "iteration_limit"
 # budget and buses times lines fit the second. The topological budget skips
 # the second from k = 2 on, as its connected line sets keep the attack table
 # small (seeded 14x14 lattice, k = 2: 1 012 attacks, 9 s enumerated against
-# 312 s on the MILP master). Elsewhere the MILP master won past it: at k = 1
-# on 256 buses and 480 lines, and at k = 2 on 196 buses and 364 lines with
-# 66 066 traditional or 66 431 spatial attacks. At k = 1 the cap also bounds
-# the enumerated master's dense buses-by-lines PTDF.
+# 312 s on the MILP master). Past the cap, the MILP master won at k = 1 on
+# 256 buses and 480 lines. At k = 2 on 196 buses and 364 lines it no longer
+# wins: with the cap raised, the enumerated master answers the 66 066
+# traditional attacks in 189 s, certified, against 226 s uncertified on the
+# MILP master; the 66 431 spatial attacks of that network were not measured
+# again. The cap is what keeps the MILP path at k = 1 free of dense
+# buses-by-lines arrays: that path never builds the network's PTDF.
 ENUMERATION_BUDGET = DEFAULT_BUDGET
 NETWORK_BUDGET = 1 << 16
 
@@ -117,9 +120,9 @@ class MasterState:
 
     ``bound_certified`` is true when ``eta_up`` is a proof: the enumerated
     master stopped converged and the final recheck confirmed ``eta_star``
-    within 1e-7. ``cuts`` and ``nogood`` hold the MILP master's rows: each
-    cut is the priced shed and, by line position, the penalty rate times the
-    priced absolute flow. The enumerated master leaves them empty. Each
+    within 1e-7. ``cuts`` holds the MILP master's cuts: each is the priced
+    shed and, by line position, the penalty rate times the priced absolute
+    flow. The enumerated master leaves it empty. Each
     ``history`` record holds the iteration, the attack, its exact shed
     ``eta_hat``, ``eta_up``, ``live``: how many unpriced attacks still
     have a bound above the stopping level, and ``rows``: how many attacks
@@ -127,7 +130,6 @@ class MasterState:
     """
 
     cuts: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    nogood: list[frozenset[int]] = field(default_factory=list)
     incumbent_x: AttackPlan | None = None
     incumbent_inner: InnerSolution | None = None
     eta_star: float = -math.inf
@@ -147,8 +149,9 @@ def gap(state: MasterState, config: SolveConfig) -> float:
 
 
 def _build_master(net: Network, model: AttackerModel, state: MasterState,
-                  load_cap: float) -> tuple[Model, np.ndarray]:
-    """The master MILP and its line columns, by line position."""
+                  retired: list[frozenset[int]], load_cap: float) -> tuple[Model, np.ndarray]:
+    """The master MILP, with an exclusion cut per ``retired`` attack, and its
+    line columns, by line position."""
     mdl = Model("interdiction-master")
     mdl.add_var(lb=0.0, ub=load_cap, obj=-1.0)  # maximize the shed estimate
     x_cols = encode_feasible_set(mdl, net, model)["x"]
@@ -156,7 +159,7 @@ def _build_master(net: Network, model: AttackerModel, state: MasterState,
         on = np.flatnonzero(price)
         mdl.add_le(np.concatenate([[0], x_cols[on]]), np.concatenate([[1.0], -price[on]]),
                    eta_hat)
-    for visited in state.nogood:
+    for visited in retired:
         hit = [net.line_pos[lid] for lid in sorted(visited)]
         if len(visited) == model.sizes[-1]:
             # No feasible attack holds more lines: the cover cut retires only this one.
@@ -202,6 +205,20 @@ def _price(net: Network, plan: AttackPlan, state: MasterState) -> InnerSolution:
     return inner
 
 
+def _record(state: MasterState, plan: AttackPlan, inner: InnerSolution, upper: float,
+            live: int | None = None, rows: int | None = None) -> None:
+    """Lower ``eta_up`` to ``upper`` floored at the incumbent; log the iteration."""
+    state.eta_up = min(state.eta_up, max(upper, state.eta_star))
+    state.history.append({
+        "iteration": state.iterations,
+        "attack": list(plan.sorted_lines()),
+        "eta_hat": inner.eta,
+        "eta_up": state.eta_up,
+        "live": live,
+        "rows": rows,
+    })
+
+
 def _stop_level(state: MasterState, config: SolveConfig) -> float:
     """The upper bound at or below which the incumbent is epsilon-optimal."""
     return state.eta_star + config.epsilon * max(state.eta_star, config.abs_floor)
@@ -210,9 +227,6 @@ def _stop_level(state: MasterState, config: SolveConfig) -> float:
 def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) -> MasterState:
     groups = [net.power_flow.factor(cuts) for cuts in attack_table(net, model)]
     starts = np.cumsum([0] + [len(outages.cuts) for outages in groups])
-    if starts[-1] == 0:
-        raise NoFeasibleAttackError(
-            f"no feasible attack for the {model.variant} budget (k = {model.k})")
     state = MasterState()
     # A priced attack's bound is -inf, so every unpriced attack outranks it.
     bound = np.full(starts[-1], np.inf)
@@ -227,15 +241,8 @@ def _enumerated_loop(net: Network, model: AttackerModel, config: SolveConfig) ->
         bound[i] = -np.inf
         level = _stop_level(state, config)
         rows = _tighten(net, inner, groups, starts, bound, level)
-        state.eta_up = min(state.eta_up, max(float(bound.max()), state.eta_star))
-        state.history.append({
-            "iteration": state.iterations,
-            "attack": list(plan.sorted_lines()),
-            "eta_hat": inner.eta,
-            "eta_up": state.eta_up,
-            "live": int(np.count_nonzero(bound > level)),
-            "rows": rows,
-        })
+        _record(state, plan, inner, float(bound.max()), int(np.count_nonzero(bound > level)),
+                rows)
         if state.eta_up <= level:
             state.status = CONVERGED
             break
@@ -279,10 +286,10 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
     rate = 1.0 if config.bounds_mode == HEURISTIC else valid_bounds(net)
     state = MasterState()
     load_cap = total_load(net)
-    seen: set[frozenset[int]] = set()
+    retired: list[frozenset[int]] = []
 
     while state.iterations < config.max_iters:
-        mdl, x_cols = _build_master(net, model, state, load_cap)
+        mdl, x_cols = _build_master(net, model, state, retired, load_cap)
         master = mdl.solve_milp(require_optimal=False)
         if master.status not in (OPTIMAL, INFEASIBLE):
             master = mdl.solve_milp(require_optimal=False, presolve=False)
@@ -307,31 +314,22 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
 
         picked = np.flatnonzero(master.x[x_cols] > 0.5)
         plan = attack_plan(net, model, [net.lines[e].id for e in picked])
-        if plan.lines in seen:
+        if plan.lines in retired:
             raise RuntimeError(
                 f"master re-proposed attack {sorted(plan.lines)} despite its exclusion cut")
-        seen.add(plan.lines)
 
         inner = _price(net, plan, state)
         # The master bounds only the attacks its exclusion cuts have not yet
         # retired, so the global upper bound is the larger of that and the
-        # incumbent (and never increases).
-        state.eta_up = min(state.eta_up, max(master_bound, state.eta_star))
-        state.history.append({
-            "iteration": state.iterations,
-            "attack": list(plan.sorted_lines()),
-            "eta_hat": inner.eta,
-            "eta_up": state.eta_up,
-            "live": None,
-            "rows": None,
-        })
+        # incumbent.
+        _record(state, plan, inner, master_bound)
 
         if state.eta_up <= _stop_level(state, config):
             state.status = CONVERGED
             break
 
         state.cuts.append((inner.eta, rate * np.abs(inner.flow)))
-        state.nogood.append(plan.lines)
+        retired.append(plan.lines)
     else:
         state.status = ITERATION_LIMIT
     return state
@@ -355,15 +353,10 @@ def solve_interdiction(
     if not net.buses:
         raise ValueError("empty network")
     config = config or SolveConfig()
+    check_budget(net, model)
     reasons = _milp_reasons(net, model)
-    if not reasons:
-        check_budget(net, model)
-        state = _enumerated_loop(net, model, config)
-    else:
-        state = _milp_loop(net, model, config, reasons)
-
-    if state.incumbent_x is None:  # pragma: no cover - empty feasible set raised above
-        raise NoFeasibleAttackError("no attack was evaluated")
+    state = (_milp_loop(net, model, config, reasons) if reasons
+             else _enumerated_loop(net, model, config))
 
     state.eta_star_recheck = exact_eta(net, state.incumbent_x)
     state.bound_certified = (not reasons and state.status == CONVERGED

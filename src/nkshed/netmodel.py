@@ -88,6 +88,11 @@ class Line:
             raise ValueError(f"line {self.id}: reactance and thermal limit must be finite")
         if self.reactance <= 0:
             raise ValueError(f"line {self.id}: non-positive reactance {self.reactance}")
+        if self.susceptance <= 1e-9:
+            # HiGHS drops matrix coefficients of at most 1e-9 (small_matrix_value),
+            # so the load-shed LP would route no flow on this line.
+            raise ValueError(f"line {self.id}: reactance {self.reactance} too large, "
+                             "its susceptance is at most 1e-9")
         if self.thermal <= 0:
             raise ValueError(f"line {self.id}: non-positive thermal limit {self.thermal}")
 
@@ -98,11 +103,12 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable network with its bus-by-line incidence precomputed.
+    """Immutable network that parses into O(buses + lines) state.
 
-    ``bus_pos`` and ``line_pos`` map ids to positions. ``incidence`` is a
-    dense, read-only bus-by-line array in position order: -1 at a line's
-    from bus, +1 at its to bus. ``thread_cache`` is a ``threading.local``
+    ``bus_pos`` and ``line_pos`` map ids to positions, and the vector
+    accessors return read-only arrays in position order, built on
+    construction. No buses-by-lines array is built before ``power_flow``
+    is read. ``thread_cache`` is a ``threading.local``
     in which solvers keep per-thread state built from the network, such as
     the kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state
     that every thread reads, built once per network under a lock: the
@@ -120,7 +126,6 @@ class Network:
     bus_pos: dict[int, int] = field(init=False, repr=False, compare=False)
     line_pos: dict[int, int] = field(init=False, repr=False, compare=False)
     # Solver-facing arrays, read-only, also filled in __post_init__.
-    incidence: np.ndarray = field(init=False, repr=False, compare=False)
     _arrays: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     thread_cache: threading.local = field(init=False, repr=False, compare=False)
     _shared: dict = field(init=False, repr=False, compare=False)
@@ -145,13 +150,9 @@ class Network:
             "fr": np.array([self.bus_pos[l.from_bus] for l in self.lines], dtype=int),
             "to": np.array([self.bus_pos[l.to_bus] for l in self.lines], dtype=int),
         }
-        line = np.arange(len(self.lines))
-        incidence = np.zeros((len(self.buses), len(self.lines)))
-        incidence[arrays["fr"], line], incidence[arrays["to"], line] = -1.0, 1.0
-        for a in (*arrays.values(), incidence):
+        for a in arrays.values():
             a.flags.writeable = False
         object.__setattr__(self, "_arrays", arrays)
-        object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "thread_cache", threading.local())
         object.__setattr__(self, "_shared", {})
         object.__setattr__(self, "_shared_lock", threading.Lock())
@@ -239,8 +240,9 @@ class PowerFlow:
     """Position-indexed DC power flow of one network, batched over line outages.
 
     Signs follow the load-shed LP: ``flow = b * (ang_to - ang_fr)`` and a
-    bus's net injection ``p = gen - served`` leaves it, so
-    ``incidence @ flow = -p``.
+    bus's net injection ``p = gen - served`` leaves it, so ``A @ flow = -p``
+    for the bus-by-line incidence ``A``: -1 at a line's from bus, +1 at its
+    to bus. ``A`` is built only here, for the one solve below, and dropped.
 
     ``ptdf_t`` (buses by lines) is the transposed PTDF: ``inj @ ptdf_t``
     gives the intact network's flows for injections balanced on each of
@@ -271,7 +273,9 @@ class PowerFlow:
 
     def __init__(self, net: Network):
         self.fr, self.to = net.endpoint_positions()
-        b, inc = net.susceptance_vector(), net.incidence
+        b, line = net.susceptance_vector(), np.arange(len(net.lines))
+        inc = np.zeros((len(net.buses), len(line)))
+        inc[self.fr, line], inc[self.to, line] = -1.0, 1.0
         self.island = _islands(self.fr, self.to, len(net.buses), np.zeros((1, 0), dtype=int))[0]
         self.num_islands = self.island.max() + 1
         # Grounding a root by +1 on its diagonal instead would leave rounding
@@ -535,7 +539,8 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
     (status <= 0) add no capacity, though the bus they name must exist;
     in-service generators at the same bus are aggregated by summing Pmax.
     Line ids are assigned 1..m in kept-branch order, so parallel branches
-    stay independently interdictable.
+    stay independently interdictable. A branch :class:`Line` rejects (x = 0,
+    |x| >= 1e9 p.u., equal ends) raises :class:`CaseFormatError` naming its line.
     """
     if hasattr(case_text, "read"):
         case_text = case_text.read()
@@ -580,11 +585,12 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
             if end not in demands:
                 raise CaseFormatError(f"line {lineno}: branch references unknown bus {end}")
         x_mag = abs(_finite(row, 3, lineno, "branch"))  # reactance magnitude; series-compensated branches carry x < 0
-        if x_mag <= 0:
-            raise CaseFormatError(f"line {lineno}: non-positive reactance {row[3]}")
         rate_a = _finite(row, 5, lineno, "branch") / base
         thermal = rate_a if rate_a > 0 else unlimited
-        lines.append(Line(next_id, f_bus, t_bus, x_mag, thermal))
+        try:
+            lines.append(Line(next_id, f_bus, t_bus, x_mag, thermal))
+        except ValueError as err:
+            raise CaseFormatError(f"line {lineno}: branch {err}") from None
         next_id += 1
     return Network.build(buses, lines)
 

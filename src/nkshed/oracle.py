@@ -84,7 +84,8 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
     Row by row the arrays, taken in turn, follow ``feasible_attacks``: sizes
     ascend, each array's rows follow their sorted line-id tuples, and a row
     holds the positions of those ids in turn. A size with no feasible
-    attack has no array.
+    attack has no array. Raises :class:`NoFeasibleAttackError` when no size
+    has one.
     """
     count = dict.fromkeys(model.sizes, 0)
 
@@ -94,6 +95,9 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
             yield from map(net.line_pos.__getitem__, subset)
 
     flat = np.fromiter(positions(), np.int32)
+    if not any(count.values()):
+        raise NoFeasibleAttackError(
+            f"no feasible attack for the {model.variant} budget (k = {model.k})")
     ends = np.cumsum([size * rows for size, rows in count.items()])
     return [flat[end - size * rows:end].reshape(rows, size)
             for (size, rows), end in zip(count.items(), ends) if rows]
@@ -131,8 +135,8 @@ def solve_exhaustive(
     with the winner. Raises :class:`BudgetExceededError` before doing any
     work if the subset count exceeds ``budget``, what ``check_budget``
     raises for a budget that cannot be posed on ``net``, as the engine
-    does, and :class:`NoFeasibleAttackError` when nothing in the
-    enumeration passes the feasibility predicate.
+    does, and, through ``attack_table``, :class:`NoFeasibleAttackError`
+    when nothing in the enumeration passes the feasibility predicate.
     """
     planned = subset_count(len(net.lines), model)
     if planned > budget:
@@ -142,9 +146,6 @@ def solve_exhaustive(
     check_budget(net, model)
     table = attack_table(net, model)
     etas = _price(net, table)
-    if not len(etas):
-        raise NoFeasibleAttackError(
-            f"no feasible attack for the {model.variant} budget (k = {model.k})")
     ids = np.array(net.line_ids())
     # Rows of one size follow their id tuples, so each size's first tied
     # row is its smallest tuple that ties.

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .attackers import SpatiallyInfeasibleError, is_feasible_attack
-from .engine import NoFeasibleAttackError, SolveConfig, solve_interdiction
+from .engine import NoFeasibleAttackError, SolveConfig, gap, solve_interdiction
 from .netmodel import AttackerModel, Network, total_load
 from .oracle import DEFAULT_BUDGET, solve_exhaustive
 
@@ -67,8 +67,6 @@ def solve_to_report(net: Network, model: AttackerModel,
     inner = state.incumbent_inner
     shed = {bus.id: round(frac * bus.demand, 12)
             for bus, frac in zip(net.buses, inner.shed.tolist())}
-    gap_pct = max(0.0, 100.0 * (state.eta_up - state.eta_star)
-                  / max(state.eta_star, config.abs_floor))
     return RunReport(
         model=model.variant,
         k=model.k,
@@ -76,7 +74,7 @@ def solve_to_report(net: Network, model: AttackerModel,
         eta_star=eta_star,
         wall_time_s=elapsed,
         iterations=state.iterations,
-        rel_gap_pct=gap_pct,
+        rel_gap_pct=max(0.0, 100.0 * gap(state, config)),
         status=state.status,
         interdicted_lines=sorted(plan.lines),
         center_bus=plan.center_bus,

@@ -12,6 +12,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 
+def incidence(net) -> np.ndarray:
+    """The dense bus-by-line incidence in position order, from the line
+    endpoints: -1 at a line's from bus, +1 at its to bus."""
+    fr, to = net.endpoint_positions()
+    inc, line = np.zeros((len(net.buses), len(fr))), np.arange(len(fr))
+    inc[fr, line], inc[to, line] = -1.0, 1.0
+    return inc
+
+
 def default_band(net) -> float:
     """The +-M coupling band: total demand, or 1 when it is zero."""
     return sum(b.demand for b in net.buses) or 1.0

@@ -397,9 +397,24 @@ def test_no_feasible_attack_topological_disconnected_pair(master_paths):
     buses = [Bus(1, 0.0, 1.0), Bus(2, 0.5), Bus(3, 0.0, 1.0), Bus(4, 0.5)]
     lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 3, 4, 0.1, 1.0)]
     net = Network.build(buses, lines)
+    model = AttackerModel.topological(2)
+    with pytest.raises(NoFeasibleAttackError) as brute:
+        solve_exhaustive(net, model)
     for path in master_paths:
-        with pytest.raises(NoFeasibleAttackError, match="no feasible attack"):
-            solve_interdiction(net, AttackerModel.topological(2))
+        with pytest.raises(NoFeasibleAttackError) as err:
+            solve_interdiction(net, model)
+        assert str(err.value) == str(brute.value) == (
+            "no feasible attack for the topological budget (k = 2)"), path
+
+
+def test_the_milp_master_never_builds_the_power_flow(milp_master):
+    # The network's PTDF is dense, buses by lines; only the enumerated
+    # master's bound layer and the oracle's zero-shed screen read it.
+    for name in ("mesh8", "ring6"):
+        net = fx.FIXTURES[name]()
+        plan, eta, state = solve_interdiction(net, AttackerModel.traditional(2))
+        assert state.iterations > 1 and state.cuts, name
+        assert "power_flow" not in vars(net), name
 
 
 def test_gap_examples():

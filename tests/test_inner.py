@@ -19,7 +19,7 @@ from nkshed.engine import valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Network, total_load
 from nkshed.runner import solve_to_report
-from reference_lp import default_band, reference_eta
+from reference_lp import default_band, incidence, reference_eta
 
 TOL = 1e-6
 
@@ -35,7 +35,7 @@ def kvl_residual(net, sol, attack):
         return 0.0
     # A line's flow is b * (angle at its to bus - angle at its from bus), and
     # the incidence is -1 at a line's from bus and +1 at its to bus.
-    fit = (net.incidence[:, keep] * net.susceptance_vector()[keep]).T
+    fit = (incidence(net)[:, keep] * net.susceptance_vector()[keep]).T
     angle = np.linalg.lstsq(fit, sol.flow[keep], rcond=None)[0]
     return float(np.abs(fit @ angle - sol.flow[keep]).max())
 
@@ -45,7 +45,7 @@ def residuals(net, sol, attack):
     bounds at the response ``sol`` to ``attack``."""
     worst = kvl_residual(net, sol, attack)
     # The incidence is -1 at a line's from bus and +1 at its to bus.
-    inflow = net.incidence @ sol.flow
+    inflow = incidence(net) @ sol.flow
     for b, (bus, into) in enumerate(zip(net.buses, inflow)):
         balance = sol.gen[b] - (1.0 - sol.shed[b]) * bus.demand + into
         worst = max(worst, abs(balance))

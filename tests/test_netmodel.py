@@ -1,5 +1,6 @@
 """Case parsing, geolocation ingestion, and network invariants."""
 
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from nkshed import fixtures as fx
 from nkshed.netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
                              Network, _islands, parse_case, parse_geo,
                              serialize_case, total_load)
+from bench_lattice import _lattice
 from test_two_islands import two_meshes
 
 TWO_BUS_CASE = """function mpc = case2
@@ -48,6 +50,28 @@ def test_out_of_service_branch_dropped():
 def test_zero_reactance_rejected():
     with pytest.raises(CaseFormatError, match="non-positive reactance"):
         parse_case(TWO_BUS_CASE.replace("1 2 0.01 0.1", "1 2 0.01 0.0"))
+
+
+def test_a_reactance_the_lp_would_drop_is_rejected():
+    # Its susceptance, 1e-9, is a matrix coefficient HiGHS drops.
+    with pytest.raises(CaseFormatError, match=r"^line 12: .*reactance 1000000000.0 too large"):
+        parse_case(TWO_BUS_CASE.replace("1 2 0.01 0.1", "1 2 0.01 1e9"))
+    with pytest.raises(ValueError, match="too large"):
+        Line(1, 1, 2, 1e9, 1.0)
+    assert parse_case(TWO_BUS_CASE.replace("1 2 0.01 0.1", "1 2 0.01 1e8")).lines[0].reactance == 1e8
+
+
+def test_parsing_builds_no_buses_by_lines_array():
+    text = _lattice.lattice_text(40, 40, 1)[0]
+    tracemalloc.start()
+    try:
+        net = parse_case(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1 600 buses and 3 120 lines: a dense float array of that shape is 40 MB.
+    assert (len(net.buses), len(net.lines)) == (1600, 3120)
+    assert peak < 16 * 2**20, peak
 
 
 def test_malformed_row_reports_line_and_field():
@@ -241,12 +265,11 @@ def test_scalars_sharing_a_line_are_all_read(edits):
 def test_adjacency_partitions_incidence(name):
     net = fx.FIXTURES[name]()
     # Each line leaves its from bus and enters its to bus, in position order.
-    expected = np.zeros((len(net.buses), len(net.lines)))
+    fr, to = net.endpoint_positions()
     for e, line in enumerate(net.lines):
         assert net.line_pos[line.id] == e
-        expected[net.bus_pos[line.from_bus], e] -= 1.0
-        expected[net.bus_pos[line.to_bus], e] += 1.0
-    assert np.array_equal(net.incidence, expected)
+        assert (fr[e], to[e]) == (net.bus_pos[line.from_bus], net.bus_pos[line.to_bus])
+    assert len(fr) == len(to) == len(net.lines)
 
 
 def _graph_search_islands(fr, to, n, cuts):

@@ -9,6 +9,7 @@ from nkshed import fixtures as fx
 from nkshed.inner import AttackPlan, response_shed, solve_inner
 from nkshed.netmodel import AttackerModel, _islands
 from nkshed.oracle import attack_table, feasible_attacks
+from reference_lp import incidence
 
 RANDOM_SEEDS = range(50)
 
@@ -98,7 +99,7 @@ def _direct_flows(net, inj, cut):
     least-squares solve of that outage's own Laplacian."""
     keep = np.ones(len(net.lines), dtype=bool)
     keep[list(cut)] = False
-    inc = net.incidence[:, keep]
+    inc = incidence(net)[:, keep]
     b = net.susceptance_vector()[keep]
     ang = np.linalg.lstsq((inc * b) @ inc.T, -inj, rcond=None)[0]
     flow = np.zeros(len(net.lines))

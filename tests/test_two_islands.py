@@ -19,6 +19,7 @@ from nkshed.engine import CONVERGED, SolveConfig, solve_interdiction
 from nkshed.inner import (AttackPlan, _balanced, exact_eta, exact_etas, response_shed,
                           solve_inner)
 from nkshed.netmodel import AttackerModel, Bus, Line, Network
+from reference_lp import incidence
 from test_response_bound import _dispatch, _check_against_reference
 
 EPS = 0.01
@@ -83,18 +84,20 @@ def test_bound_per_island_with_lines_out_of_island_order(seed):
     assert _check_against_reference(net, (1, 2), seed) > 0
 
 
-# The weak tie's reactance, against at most 0.3 for a mesh line: cutting
-# the strong tie leaves an outage system whose determinant is about 1e-12.
-WEAK = 1e11
+# The ties' reactances, against 0.05 to 0.3 for a mesh line: cutting the
+# strong tie leaves an outage system whose determinant is about
+# STRONG / WEAK = 1e-12. A line takes a reactance below 1e9, so the weak
+# tie's susceptance stays a coefficient the LP keeps.
+STRONG, WEAK = 1e-4, 1e8
 
 
-def weakly_tied(seed: int) -> Network:
-    """``two_meshes(seed)`` joined at their first buses by a strong tie and,
-    in parallel, a tie WEAK times weaker: one island, which cutting the
-    strong tie leaves whole but nearly split."""
+def weakly_tied(seed: int, strong: float = STRONG, weak: float = WEAK) -> Network:
+    """``two_meshes(seed)`` joined at their first buses by a tie of reactance
+    ``strong`` and, in parallel, one of reactance ``weak``: one island,
+    which cutting the strong tie leaves whole but nearly split."""
     net = two_meshes(seed)
     ends = (net.buses[0].id, next(b.id for b in net.buses if b.id > OFFSET))
-    ties = (Line(3 * OFFSET, *ends, 0.1, 10.0), Line(3 * OFFSET + 1, *ends, WEAK, 10.0))
+    ties = (Line(3 * OFFSET, *ends, strong, 10.0), Line(3 * OFFSET + 1, *ends, weak, 10.0))
     return Network.build(net.buses, net.lines + ties)
 
 
@@ -106,6 +109,22 @@ def _balanced_per_mesh(net: Network, seed: int) -> list[tuple[np.ndarray, np.nda
     mesh = np.array([int(b.id > OFFSET) for b in net.buses])
     return [_balanced(rng.uniform(0.0, net.gen_cap_vector()),
                       rng.uniform(0.0, net.demand_vector()), mesh, 2) for _ in range(2)]
+
+
+def test_a_tie_the_lp_would_drop_is_rejected():
+    # A line's susceptance is a coefficient of the load-shed LP, and HiGHS
+    # drops coefficients of at most 1e-9: a tie of reactance 1e9 would carry
+    # no flow there, and attack {300, 104} would price at 1.853303, above
+    # the 1.795038 that the intact dispatch, rerouted, sheds.
+    with pytest.raises(ValueError, match="too large"):
+        weakly_tied(3, 0.1, 1e9)
+    net = weakly_tied(3, 0.1, 1e8)
+    gen, served = _dispatch(net, solve_inner(net, AttackPlan.of(())))
+    cuts = np.array([sorted(net.line_pos[l] for l in (3 * OFFSET, 104))])
+    bound = response_shed(net, gen, served, net.power_flow.factor(cuts))[0]
+    sol = solve_inner(net, AttackPlan.of([3 * OFFSET, 104]))
+    assert sol.eta <= bound + 1e-9
+    assert abs(sol.flow[net.line_pos[3 * OFFSET + 1]]) > 0.1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -134,8 +153,8 @@ def test_outages_that_split_keep_the_nearly_split_connection(seed):
     # least-squares operator drops one singular value, not every one below
     # the split test's cut, so the weak tie carries what the rest must
     # move: Kirchhoff's current law holds up to the rounding the near-split
-    # amplifies (about 3e-4), where dropping the weak tie's direction too
-    # misses the whole transfer (about 0.6).
+    # amplifies (at most about 5e-5), where dropping the weak tie's
+    # direction too misses the whole transfer (up to about 0.6).
     net = weakly_tied(seed)
     pf, m, n = net.power_flow, len(net.lines), len(net.buses)
     strong = net.line_pos[3 * OFFSET]
@@ -147,4 +166,4 @@ def test_outages_that_split_keep_the_nearly_split_connection(seed):
     gen, served = _balanced(rng.uniform(0.0, net.gen_cap_vector()),
                             rng.uniform(0.0, net.demand_vector()), comp, comp.size)
     flow = pf.flows((gen - served) @ pf.ptdf_t, outages)
-    assert np.abs(flow @ net.incidence.T + gen - served).max() < 1e-2
+    assert np.abs(flow @ incidence(net).T + gen - served).max() < 1e-2
