@@ -22,10 +22,9 @@ __all__ = ["two_bus", "triangle", "braess4", "star5", "ring6", "mesh8", "random_
 
 
 def _net(bus_rows, line_rows) -> Network:
-    buses = [Bus(i, demand=d, gen_cap=g, lat=lat, lon=lon, has_geo=True)
-             for i, d, g, lat, lon in bus_rows]
+    buses = [Bus(i, demand=d, gen_cap=g, lat=lat, lon=lon) for i, d, g, lat, lon in bus_rows]
     lines = [Line(lid, f, t, x, cap) for lid, f, t, x, cap in line_rows]
-    return Network.build(buses, lines)
+    return Network(buses, lines)
 
 
 def two_bus() -> Network:
@@ -142,7 +141,7 @@ def random_mesh(seed: int) -> Network:
     edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, n))]
     lines = [Line(e + 1, a, b, rng.uniform(0.05, 0.3), rng.uniform(0.1, 1.5))
              for e, (a, b) in enumerate(edges)]
-    return Network.build(buses, lines)
+    return Network(buses, lines)
 
 
 FIXTURES = {

@@ -8,7 +8,6 @@ All power quantities are per-unit on the case base MVA.
 
 from __future__ import annotations
 
-import io
 import numbers
 import re
 import threading
@@ -48,14 +47,17 @@ class GeoFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Bus:
-    """A bus with active demand, aggregate generation cap, and optional location."""
+    """A bus with active demand, aggregate generation cap, and optional location.
+
+    A located bus has both ``lat`` and ``lon`` in degrees, each range-checked;
+    a bus without a location has neither, and ``has_geo`` tells the two apart.
+    """
 
     id: int
     demand: float = 0.0
     gen_cap: float = 0.0
-    lat: float = 0.0
-    lon: float = 0.0
-    has_geo: bool = False
+    lat: float | None = None
+    lon: float | None = None
 
     def __post_init__(self):
         if not np.isfinite([self.demand, self.gen_cap]).all():
@@ -64,11 +66,15 @@ class Bus:
             raise ValueError(f"bus {self.id}: demand must be >= 0, got {self.demand}")
         if self.gen_cap < 0:
             raise ValueError(f"bus {self.id}: gen_cap must be >= 0, got {self.gen_cap}")
-        if self.has_geo:
-            if not -90.0 <= self.lat <= 90.0:
-                raise ValueError(f"bus {self.id}: latitude out of range: {self.lat}")
-            if not -180.0 <= self.lon <= 180.0:
-                raise ValueError(f"bus {self.id}: longitude out of range: {self.lon}")
+        if (self.lat is None) != (self.lon is None):
+            raise ValueError(f"bus {self.id}: lat and lon must be given together")
+        for name, value, bound in (("latitude", self.lat, 90.0), ("longitude", self.lon, 180.0)):
+            if value is not None and not -bound <= value <= bound:
+                raise ValueError(f"bus {self.id}: {name} out of range: {value}")
+
+    @property
+    def has_geo(self) -> bool:
+        return self.lat is not None
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,8 @@ class Line:
 class Network:
     """Immutable network that parses into O(buses + lines) state.
 
+    ``buses`` and ``lines`` are stored as tuples; each record checks its
+    fields, the network its ids and every line's ends.
     ``bus_pos`` and ``line_pos`` map ids to positions, and the vector
     accessors return read-only arrays in position order, built on
     construction. No buses-by-lines array is built before ``power_flow``
@@ -132,6 +140,8 @@ class Network:
     _shared_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "buses", tuple(self.buses))
+        object.__setattr__(self, "lines", tuple(self.lines))
         bus_pos = {b.id: i for i, b in enumerate(self.buses)}
         line_pos = {l.id: e for e, l in enumerate(self.lines)}
         for kind, pos, records in (("bus", bus_pos, self.buses), ("line", line_pos, self.lines)):
@@ -156,12 +166,6 @@ class Network:
         object.__setattr__(self, "thread_cache", threading.local())
         object.__setattr__(self, "_shared", {})
         object.__setattr__(self, "_shared_lock", threading.Lock())
-
-    @staticmethod
-    def build(buses: list[Bus] | tuple[Bus, ...],
-              lines: list[Line] | tuple[Line, ...]) -> "Network":
-        """Assemble a network from bus and line records."""
-        return Network(tuple(buses), tuple(lines))
 
     # -- solver-facing array views ------------------------------------------------
 
@@ -203,12 +207,6 @@ class Network:
     def power_flow(self) -> "PowerFlow":
         return PowerFlow(self)
 
-    def with_buses(self, buses: tuple[Bus, ...]) -> "Network":
-        """Copy of this network with replaced bus records (same ids required)."""
-        if tuple(b.id for b in buses) != tuple(b.id for b in self.buses):
-            raise ValueError("bus id set must be unchanged")
-        return Network(buses, self.lines)
-
 
 class Outages(NamedTuple):
     """A batch of line outages and their factors, built once by
@@ -219,9 +217,10 @@ class Outages(NamedTuple):
     inverse, or the least-squares operator when the outage splits an
     island. ``flagged`` marks the outages whose system's determinant is at
     most ``PowerFlow._SINGULAR``. ``torn`` is, per outage, its row of
-    ``islands`` (an island number per bus, from 0) when it splits an island
-    of the intact network, and -1 when it keeps the intact islands; only
-    the flagged outages are searched.
+    ``islands`` (an int32 island number per bus, from 0) when it splits an
+    island of the intact network, and -1 when it keeps the intact islands;
+    only the flagged outages are searched, and the rows of ``islands``
+    follow the split outages in order.
     """
 
     cuts: np.ndarray
@@ -299,42 +298,41 @@ class PowerFlow:
 
     def factor(self, cuts: np.ndarray) -> Outages:
         """The :class:`Outages` of the rows of ``cuts``, one outage's line
-        positions each.
+        positions each, in one pass over chunks of about ``BATCH_ENTRIES``
+        entries per system and island search.
 
         An outage is flagged when the determinant of its system is at most
         ``_SINGULAR``. A split makes the system exactly singular, and with
         entries at most 1 in magnitude its determinant rounds to about
         1e-16, so no split is missed. Only the flagged outages go through
         the island search; one that keeps every island, though nearly
-        singular, takes the inverse like the rest.
+        singular, takes the inverse with the rest of its chunk.
         """
-        count, k = cuts.shape
-        op, flagged = np.empty((count, k, k)), np.empty(count, dtype=bool)
-        step = max(1, BATCH_ENTRIES // max(1, k * k))
+        (count, k), n = cuts.shape, len(self.island)
+        op, flagged = np.empty((count, k, k)), np.zeros(count, dtype=bool)
+        torn, islands = np.full(count, -1, dtype=np.int32), [np.empty((0, n), dtype=np.int32)]
+        step = max(1, BATCH_ENTRIES // max(k * k, n + len(self.fr)))
         for lo in range(0, count, step):
             system = self._system(cuts[lo:lo + step])
-            flag = np.linalg.det(system) <= self._SINGULAR
-            flagged[lo:lo + step] = flag
-            op[lo + np.flatnonzero(~flag)] = np.linalg.inv(system[~flag])
-        search = np.flatnonzero(flagged)
-        found = _islands(self.fr, self.to, len(self.island), cuts[search])
-        found -= found[:, :1]
-        split = found.max(axis=1, initial=0) >= self.num_islands
-        torn = np.full(count, -1, dtype=np.int32)
-        torn[search[split]] = np.arange(np.count_nonzero(split))
-        if len(search):
-            system = self._system(cuts[search])
-            whole, apart = search[~split], search[split]
-            op[whole] = np.linalg.inv(system[~split])
+            flag = np.flatnonzero(np.linalg.det(system) <= self._SINGULAR)
+            found = _islands(self.fr, self.to, n, cuts[lo + flag])
+            found -= found[:, :1]
+            split = found.max(axis=1, initial=0) >= self.num_islands
+            apart, found = flag[split], found[split]
+            flagged[lo + flag] = True
+            torn[lo + apart] = np.arange(len(apart)) + sum(map(len, islands))
+            islands.append(found.astype(np.int32))
+            whole = np.delete(np.arange(len(system)), apart)
+            op[lo + whole] = np.linalg.inv(system[whole])
             # Each island an outage adds is one null direction of its system,
             # so its least-squares operator drops exactly that many of the
             # smallest singular values, however small the others are.
-            u, sv, vt = np.linalg.svd(system[split])
-            rank = k + self.num_islands - 1 - found[split].max(axis=1)
+            u, sv, vt = np.linalg.svd(system[apart])
+            rank = k + self.num_islands - 1 - found.max(axis=1)
             inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv),
                                where=np.arange(k) < rank[:, None])
-            op[apart] = (vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ u.transpose(0, 2, 1)
-        return Outages(cuts, op, flagged, torn, found[split])
+            op[lo + apart] = (vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ u.transpose(0, 2, 1)
+        return Outages(cuts, op, flagged, torn, np.concatenate(islands))
 
     def _system(self, cuts: np.ndarray) -> np.ndarray:
         """Per outage, its k-by-k system: entry (i, j) is 1 where i = j plus the
@@ -528,7 +526,7 @@ def _scan_blocks(case_text: str) -> tuple[dict[str, float], dict[str, list[tuple
     return scalars, tables
 
 
-def parse_case(case_text: str | io.TextIOBase) -> Network:
+def parse_case(case_text: str) -> Network:
     """Parse a MATPOWER-subset ``.m`` case into a :class:`Network`.
 
     Demands and ratings are converted from MW to per-unit on ``baseMVA``.
@@ -537,13 +535,13 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
     after that clamp (1 when that is zero), so the thermal constraint stays
     well formed. Out-of-service generators
     (status <= 0) add no capacity, though the bus they name must exist;
-    in-service generators at the same bus are aggregated by summing Pmax.
+    in-service generators at the same bus are aggregated by summing Pmax,
+    which must be >= 0 on each.
     Line ids are assigned 1..m in kept-branch order, so parallel branches
     stay independently interdictable. A branch :class:`Line` rejects (x = 0,
     |x| >= 1e9 p.u., equal ends) raises :class:`CaseFormatError` naming its line.
+    ``case_text`` is the file's text, as ``open(path).read()`` returns it.
     """
-    if hasattr(case_text, "read"):
-        case_text = case_text.read()
     scalars, tables = _scan_blocks(case_text)
     if "bus" not in tables or not tables["bus"]:
         raise CaseFormatError("case has no bus table")
@@ -566,7 +564,10 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         if bus_id not in demands:
             raise CaseFormatError(f"line {lineno}: generator references unknown bus {bus_id}")
         if _finite(row, 7, lineno, "gen") > 0:
-            gen_cap[bus_id] += _finite(row, 8, lineno, "gen") / base
+            pmax = _finite(row, 8, lineno, "gen")
+            if pmax < 0:
+                raise CaseFormatError(f"line {lineno}: gen Pmax must be >= 0, got {pmax}")
+            gen_cap[bus_id] += pmax / base
 
     buses = [
         Bus(bus_id, demand=max(demands[bus_id], 0.0), gen_cap=gen_cap[bus_id])
@@ -592,7 +593,7 @@ def parse_case(case_text: str | io.TextIOBase) -> Network:
         except ValueError as err:
             raise CaseFormatError(f"line {lineno}: branch {err}") from None
         next_id += 1
-    return Network.build(buses, lines)
+    return Network(buses, lines)
 
 
 def serialize_case(net: Network) -> str:
@@ -619,24 +620,24 @@ def serialize_case(net: Network) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_geo(csv_text: str | io.TextIOBase, net: Network) -> Network:
+def parse_geo(csv_text: str, net: Network) -> Network:
     """Attach bus geolocations from CSV rows ``bus_id,lat,lon``.
 
-    Buses absent from the CSV keep ``has_geo = False``. A CSV row naming a
-    bus the network does not contain is an error, as are duplicate rows and
-    out-of-range coordinates.
+    ``csv_text`` is the file's text. Buses absent from the CSV keep their
+    location, or stay without one. A CSV row naming a bus the network does
+    not contain is an error, as are duplicate rows; a coordinate
+    :class:`Bus` rejects (out of range) raises :class:`GeoFormatError`
+    naming its line.
     """
-    if hasattr(csv_text, "read"):
-        csv_text = csv_text.read()
-    rows = [r.strip() for r in csv_text.splitlines()]
-    rows = [r for r in rows if r]
+    rows = [(lineno, r.strip()) for lineno, r in enumerate(csv_text.splitlines(), start=1)
+            if r.strip()]
     if not rows:
         raise GeoFormatError("empty geolocation file")
-    header = [h.strip().lower() for h in rows[0].split(",")]
+    header = [h.strip().lower() for h in rows[0][1].split(",")]
     if header != ["bus_id", "lat", "lon"]:
-        raise GeoFormatError(f"expected header 'bus_id,lat,lon', got {rows[0]!r}")
-    coords: dict[int, tuple[float, float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+        raise GeoFormatError(f"expected header 'bus_id,lat,lon', got {rows[0][1]!r}")
+    located: dict[int, Bus] = {}
+    for lineno, row in rows[1:]:
         parts = [p.strip() for p in row.split(",")]
         if len(parts) != 3:
             raise GeoFormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
@@ -647,16 +648,10 @@ def parse_geo(csv_text: str | io.TextIOBase, net: Network) -> Network:
             raise GeoFormatError(f"line {lineno}: malformed row {row!r}") from None
         if bus_id not in net.bus_pos:
             raise GeoFormatError(f"line {lineno}: unknown bus id {bus_id}")
-        if bus_id in coords:
+        if bus_id in located:
             raise GeoFormatError(f"line {lineno}: duplicate bus id {bus_id}")
-        if not -90.0 <= lat <= 90.0:
-            raise GeoFormatError(f"line {lineno}: latitude out of range: {lat}")
-        if not -180.0 <= lon <= 180.0:
-            raise GeoFormatError(f"line {lineno}: longitude out of range: {lon}")
-        coords[bus_id] = (lat, lon)
-    buses = tuple(
-        replace(b, lat=coords[b.id][0], lon=coords[b.id][1], has_geo=True)
-        if b.id in coords else b
-        for b in net.buses
-    )
-    return net.with_buses(buses)
+        try:
+            located[bus_id] = replace(net.buses[net.bus_pos[bus_id]], lat=lat, lon=lon)
+        except ValueError as err:
+            raise GeoFormatError(f"line {lineno}: {err}") from None
+    return Network(tuple(located.get(b.id, b) for b in net.buses), net.lines)

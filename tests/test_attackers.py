@@ -37,11 +37,11 @@ def test_haversine_symmetry_and_nonnegativity(lat1, lon1, lat2, lon2):
 
 
 def _collinear_net():
-    buses = [Bus(1, 0.0, 1.0, lat=0.0, lon=0.0, has_geo=True),
-             Bus(2, 0.5, 0.0, lat=0.0, lon=0.5, has_geo=True),
-             Bus(3, 0.5, 0.0, lat=0.0, lon=1.0, has_geo=True)]
+    buses = [Bus(1, 0.0, 1.0, lat=0.0, lon=0.0),
+             Bus(2, 0.5, 0.0, lat=0.0, lon=0.5),
+             Bus(3, 0.5, 0.0, lat=0.0, lon=1.0)]
     lines = [Line(1, 1, 3, 0.1, 1.0)]
-    return Network.build(buses, lines)
+    return Network(buses, lines)
 
 
 def test_compute_phi_collinear_example():
@@ -52,9 +52,9 @@ def test_compute_phi_collinear_example():
 
 
 def test_compute_phi_colocated_and_empty():
-    buses = [Bus(1, 0.0, 1.0, lat=40.0, lon=-111.0, has_geo=True),
-             Bus(2, 1.0, 0.0, lat=40.0, lon=-111.0, has_geo=True)]
-    net = Network.build(buses, [Line(1, 1, 2, 0.1, 1.0)])
+    buses = [Bus(1, 0.0, 1.0, lat=40.0, lon=-111.0),
+             Bus(2, 1.0, 0.0, lat=40.0, lon=-111.0)]
+    net = Network(buses, [Line(1, 1, 2, 0.1, 1.0)])
     assert compute_phi(net, 1.0)[1] == frozenset({1, 2})
 
     spread = fx.mesh8()
@@ -64,9 +64,9 @@ def test_compute_phi_colocated_and_empty():
 
 def test_compute_phi_requires_geolocation(two_bus):
     from dataclasses import replace
-    buses = tuple(replace(b, has_geo=False) for b in two_bus.buses)
+    buses = tuple(replace(b, lat=None, lon=None) for b in two_bus.buses)
     with pytest.raises(ValueError, match="without geolocation"):
-        compute_phi(two_bus.with_buses(buses), 50.0)
+        compute_phi(replace(two_bus, buses=buses), 50.0)
 
 
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
@@ -200,11 +200,11 @@ def test_topological_k_exceeding_lines(two_bus):
 
 def _five_bus_tree():
     buses = [Bus(i, 0.2 if i > 1 else 0.0, 1.0 if i == 1 else 0.0,
-                 lat=40.0 + 0.1 * i, lon=-111.0, has_geo=True) for i in range(1, 6)]
+                 lat=40.0 + 0.1 * i, lon=-111.0) for i in range(1, 6)]
     lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 1, 3, 0.1, 1.0),
              Line(3, 3, 5, 0.1, 1.0), Line(4, 2, 4, 0.1, 1.0),
              Line(5, 4, 5, 0.1, 1.0)]
-    return Network.build(buses, lines)
+    return Network(buses, lines)
 
 
 def test_topological_flow_certificate_for_connected_triple():

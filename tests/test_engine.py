@@ -71,8 +71,8 @@ def test_milp_master_matches_oracle(milp_master, name, variant, k, bounds_mode):
 @pytest.mark.parametrize("bounds_mode", ["heuristic", "valid"])
 def test_milp_master_cuts_price_each_priced_flow(milp_master, mesh8, bounds_mode):
     # Ids fall as positions rise, so pricing by id instead of position shows.
-    net = Network.build(list(mesh8.buses), [replace(l, id=100 - l.id)
-                                            for l in reversed(mesh8.lines)])
+    net = Network(list(mesh8.buses), [replace(l, id=100 - l.id)
+                                      for l in reversed(mesh8.lines)])
     model = AttackerModel.traditional(2)
     _, eta, state = solve_interdiction(net, model, SolveConfig(bounds_mode=bounds_mode,
                                                                epsilon=1e-6))
@@ -396,7 +396,7 @@ def test_spatial_superset_reachable_after_subset_visit(master_paths, ring6):
 def test_no_feasible_attack_topological_disconnected_pair(master_paths):
     buses = [Bus(1, 0.0, 1.0), Bus(2, 0.5), Bus(3, 0.0, 1.0), Bus(4, 0.5)]
     lines = [Line(1, 1, 2, 0.1, 1.0), Line(2, 3, 4, 0.1, 1.0)]
-    net = Network.build(buses, lines)
+    net = Network(buses, lines)
     model = AttackerModel.topological(2)
     with pytest.raises(NoFeasibleAttackError) as brute:
         solve_exhaustive(net, model)

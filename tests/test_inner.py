@@ -196,8 +196,8 @@ def test_reversed_relabelled_lines_give_same_eta(name):
     # id-for-position mix-up in the LP builder changes an answer.
     net = fx.FIXTURES[name]()
     relabel = {l.id: 10 * l.id + 3 for l in net.lines}
-    other = Network.build(list(net.buses),
-                          [replace(l, id=relabel[l.id]) for l in reversed(net.lines)])
+    other = Network(list(net.buses),
+                    [replace(l, id=relabel[l.id]) for l in reversed(net.lines)])
     ids = [l.id for l in net.lines]
     k = min(2, len(ids))
     rng = random.Random(5)
@@ -213,7 +213,7 @@ def test_relabelled_ids_keep_positions_and_reports_map_back(mesh8):
     def relabel(i):
         return 10 * i + 3
 
-    other = Network.build(
+    other = Network(
         [replace(b, id=relabel(b.id)) for b in mesh8.buses],
         [replace(l, id=relabel(l.id), from_bus=relabel(l.from_bus), to_bus=relabel(l.to_bus))
          for l in mesh8.lines])

@@ -1,17 +1,19 @@
 """Case parsing, geolocation ingestion, and network invariants."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from nkshed import fixtures as fx
+from nkshed import netmodel
 from nkshed.netmodel import (AttackerModel, Bus, CaseFormatError, GeoFormatError, Line,
                              Network, _islands, parse_case, parse_geo,
                              serialize_case, total_load)
-from bench_lattice import _lattice
+from nkshed.oracle import attack_table
+from bench_lattice import _lattice, spurs
 from test_two_islands import two_meshes
 
 TWO_BUS_CASE = """function mpc = case2
@@ -111,10 +113,10 @@ def test_duplicate_line_id_rejected():
     # by id would price one line twice and the other never.
     buses = [Bus(1, 0.0, 2.0), Bus(2, 1.0), Bus(3, 0.5)]
     with pytest.raises(ValueError, match="duplicate line id"):
-        Network.build(buses, [Line(1, 1, 2, 0.1, 1.0), Line(1, 2, 3, 0.1, 1.0),
-                              Line(2, 1, 3, 0.1, 1.0)])
+        Network(buses, [Line(1, 1, 2, 0.1, 1.0), Line(1, 2, 3, 0.1, 1.0),
+                        Line(2, 1, 3, 0.1, 1.0)])
     with pytest.raises(ValueError, match="duplicate bus id"):
-        Network.build(buses + [Bus(3, 0.0)], [Line(1, 1, 2, 0.1, 1.0)])
+        Network(buses + [Bus(3, 0.0)], [Line(1, 1, 2, 0.1, 1.0)])
 
 
 UNLIMITED = ("0.1 0 100 100 100", "0.1 0 0 100 100")   # rateA 100 MW -> 0
@@ -162,6 +164,16 @@ def test_out_of_service_generator_adds_no_capacity():
         parse_case(case.replace(unit, unit + "\n9 0 0 10 -10 1.00 100 0 40 0;"))
 
 
+def test_a_negative_generator_capacity_names_its_line():
+    # Pmax -80 MW on an in-service unit is a file error at its line; on an
+    # out-of-service unit it is ignored, like the rest of that row.
+    unit = "1 0 0 10 -10 1.00 100 1 100 0;"
+    with pytest.raises(CaseFormatError, match=r"^line 9: gen Pmax must be >= 0, got -80.0$"):
+        parse_case(TWO_BUS_CASE.replace(unit, "1 0 0 10 -10 1.00 100 1 -80 0;"))
+    off = TWO_BUS_CASE.replace(unit, unit + "\n1 0 0 10 -10 1.00 100 0 -80 0;")
+    assert parse_case(off) == parse_case(TWO_BUS_CASE)
+
+
 def test_parallel_branches_kept_distinct():
     case = TWO_BUS_CASE.replace(
         "1 2 0.01 0.1 0 100 100 100 0 0 1 -360 360;",
@@ -182,7 +194,7 @@ def test_total_load_examples():
     assert total_load(parse_case(TWO_BUS_CASE)) == pytest.approx(1.0)
     zero = parse_case(TWO_BUS_CASE.replace("2 1 100 5", "2 1 0 5"))
     assert total_load(zero) == 0.0
-    three = Network.build(
+    three = Network(
         [Bus(1, 0.5), Bus(2, 0.25), Bus(3, 0.25)],
         [Line(1, 1, 2, 0.1, 1.0), Line(2, 2, 3, 0.1, 1.0)])
     assert total_load(three) == pytest.approx(1.0)
@@ -303,7 +315,7 @@ def test_islands_match_a_graph_search_on_every_cut_of_up_to_two_lines(name):
 
 
 def test_geo_parse_and_errors(two_bus):
-    bare = Network.build([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
+    bare = Network([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
     net = parse_geo("bus_id,lat,lon\n1,40.0,-111.0\n", bare)
     b1 = net.buses[net.bus_pos[1]]
     assert b1.has_geo and b1.lat == 40.0 and b1.lon == -111.0
@@ -321,15 +333,42 @@ def test_geo_parse_and_errors(two_bus):
         parse_geo("id,lat,lon\n1,40.0,-111.0\n", bare)
 
 
+def test_geo_errors_name_their_file_line():
+    # Blank lines count: the line named is the file's, not the row's.
+    bare = Network([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
+    head = "bus_id,lat,lon\n2,41.0,-111.0\n\n"
+    with pytest.raises(GeoFormatError, match=r"^line 4: bus 1: latitude out of range: 95.0$"):
+        parse_geo(head + "1,95.0,0.0\n", bare)
+    with pytest.raises(GeoFormatError, match=r"^line 4: bus 1: longitude out of range: 181.0$"):
+        parse_geo(head + "1,45.0,181.0\n", bare)
+    with pytest.raises(GeoFormatError, match=r"^line 4: unknown bus id 99$"):
+        parse_geo(head + "99,40.0,-111.0\n", bare)
+
+
+def test_a_bus_has_both_coordinates_or_neither():
+    bare = Bus(1)
+    assert (bare.lat, bare.lon, bare.has_geo) == (None, None, False)
+    assert Bus(1, lat=40.0, lon=-111.0).has_geo
+    assert "has_geo" not in [f.name for f in fields(Bus)]
+    # Any coordinate given is range-checked.
+    with pytest.raises(ValueError, match="latitude out of range"):
+        Bus(1, lat=95.0, lon=500.0)
+    with pytest.raises(ValueError, match="longitude out of range"):
+        Bus(1, lat=40.0, lon=500.0)
+    for half in ({"lat": 40.0}, {"lon": -111.0}):
+        with pytest.raises(ValueError, match="lat and lon must be given together"):
+            Bus(1, **half)
+
+
 def test_bus_and_line_invariants():
     with pytest.raises(ValueError):
         Bus(1, demand=-0.1)
     with pytest.raises(ValueError):
-        Bus(1, lat=91.0, has_geo=True)
+        Bus(1, lat=91.0, lon=0.0)
     with pytest.raises(ValueError):
         Line(1, 1, 1, 0.1, 1.0)
     with pytest.raises(ValueError, match="unknown bus"):
-        Network.build([Bus(1, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
+        Network([Bus(1, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             Bus(1, demand=bad)
@@ -345,7 +384,48 @@ def test_infinite_rating_is_rejected_not_priced_as_zero():
     # With an infinite rating an attack used to price the line's thermal row
     # at inf * 0 = NaN, which was dropped: the removed line kept its flow.
     with pytest.raises(ValueError, match="finite"):
-        Network.build([Bus(1, 0.0, 2.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, np.inf)])
+        Network([Bus(1, 0.0, 2.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, np.inf)])
+
+
+def test_a_network_is_made_one_way():
+    net = Network([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
+    assert type(net.buses) is tuple and type(net.lines) is tuple
+    assert not hasattr(Network, "build") and not hasattr(Network, "with_buses")
+    # dataclasses.replace makes a new network, checked like any other.
+    with pytest.raises(ValueError, match="references unknown bus"):
+        replace(net, buses=net.buses[:1])
+
+
+def test_factor_over_a_spur_table_stays_bounded():
+    # The 10x10 lattice with 50 spurs, k = 2: 10 229 of the 26 335 attacks
+    # split an island. Searching their islands in one step peaked at 206 MiB.
+    net = spurs(10, 10, 50)
+    (cuts,) = attack_table(net, AttackerModel.traditional(2))
+    pf = net.power_flow
+    tracemalloc.start()
+    try:
+        outages = pf.factor(cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(cuts), np.count_nonzero(outages.torn >= 0)) == (26335, 10229)
+    assert outages.islands.dtype == np.int32
+    assert peak < 48 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_factor_is_the_same_at_any_chunk_size(monkeypatch, k):
+    # One row per chunk. At k = 3 every 20th of the 59 640 attacks keeps
+    # the run short.
+    net = spurs(6, 6, 12)
+    (cuts,) = attack_table(net, AttackerModel.traditional(k))
+    cuts = cuts[::20] if k == 3 else cuts
+    whole = net.power_flow.factor(cuts)
+    assert (whole.torn >= 0).any()
+    monkeypatch.setattr(netmodel, "BATCH_ENTRIES", 64)
+    for got, want in zip(net.power_flow.factor(cuts), whole):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_network_takes_only_buses_and_lines():
@@ -355,7 +435,7 @@ def test_network_takes_only_buses_and_lines():
     with pytest.raises(TypeError):
         Network(net.buses, net.lines, 1.0)
     with pytest.raises(TypeError):
-        Network.build(net.buses, net.lines, big_M=1.0)
+        Network(net.buses, net.lines, big_M=1.0)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, "2", None])

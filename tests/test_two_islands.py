@@ -36,7 +36,7 @@ def two_meshes(seed: int) -> Network:
     buses = [replace(b, id=b.id + OFFSET) for b in second.buses]
     lines = [replace(l, id=l.id + OFFSET, from_bus=l.from_bus + OFFSET,
                      to_bus=l.to_bus + OFFSET) for l in second.lines]
-    return Network.build(first.buses + tuple(buses), first.lines + tuple(lines))
+    return Network(first.buses + tuple(buses), first.lines + tuple(lines))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -74,7 +74,7 @@ def interleaved(seed: int) -> Network:
     first = [l for l in net.lines if l.id < OFFSET]
     second = [l for l in net.lines if l.id > OFFSET]
     lines = [l for pair in itertools.zip_longest(first, second) for l in pair if l is not None]
-    return Network.build(net.buses + (Bus(3 * OFFSET, demand=0.5),), lines)
+    return Network(net.buses + (Bus(3 * OFFSET, demand=0.5),), lines)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -98,7 +98,7 @@ def weakly_tied(seed: int, strong: float = STRONG, weak: float = WEAK) -> Networ
     net = two_meshes(seed)
     ends = (net.buses[0].id, next(b.id for b in net.buses if b.id > OFFSET))
     ties = (Line(3 * OFFSET, *ends, strong, 10.0), Line(3 * OFFSET + 1, *ends, weak, 10.0))
-    return Network.build(net.buses, net.lines + ties)
+    return Network(net.buses, net.lines + ties)
 
 
 def _balanced_per_mesh(net: Network, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

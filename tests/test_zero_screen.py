@@ -116,7 +116,7 @@ def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypat
     # Demand above the total generation capacity: even the intact network
     # sheds load, so no dispatch serves all demand and no probe exists.
     scale = 1.01 * sum(b.gen_cap for b in mesh8.buses) / sum(b.demand for b in mesh8.buses)
-    net = mesh8.with_buses(tuple(replace(b, demand=b.demand * scale) for b in mesh8.buses))
+    net = replace(mesh8, buses=[replace(b, demand=b.demand * scale) for b in mesh8.buses])
     assert exact_eta(net, AttackPlan.of(())) > 0.0
     assert inner._probe_table(net).base.shape == (0, len(net.lines))
     model = AttackerModel.traditional(2)
