@@ -22,17 +22,18 @@ LPs run the dual simplex, with presolve on unless
 ``solve_lp(presolve=False)``. The first LP solve passes the LP to HiGHS;
 the HiGHS model then lives with the :class:`Model`, ``set_col_bounds``
 edits its column bounds in place (``changeColsBounds``), and every solve
-clears HiGHS's solver state first (``linprog``). ``solve_lp`` is then a
-cold solve of exactly the LP a fresh :class:`Model` would pass.
-``solve_objective``, and ``solve_lp`` when given one, start from a basis
-instead: one that ``basis`` took from an earlier solve of the same model,
-so the optimum depends on that basis and the bounds, never on the solves
-in between. Each MILP solve passes the model to a new HiGHS model, set as
-scipy's ``milp`` sets it, and runs it (``milp``). ``linprog`` and ``milp``
-are named after the scipy functions they replaced. The binding names the
-backend uses (``tests/test_backend.py`` lists them) are checked on scipy
-1.17.1, and by CI on the scipy floor. HiGHS is simplex-based, so LP
-optima are basic solutions, and runs are deterministic for fixed inputs.
+clears HiGHS's solver state first (``linprog``). ``solve_lp``, the one
+LP solve, is then a cold solve of exactly the LP a fresh :class:`Model`
+would pass. Given a basis, one that ``basis`` took from an earlier solve
+of the same model, it starts from that basis instead, so the optimum
+depends on that basis and the bounds, never on the solves in between; a
+start that stops short is solved again once, cold. Each MILP solve
+passes the model to a new HiGHS model, set as scipy's ``milp`` sets it,
+and runs it (``milp``). ``linprog`` and ``milp`` are named after the
+scipy functions they replaced. The binding names the backend uses
+(``tests/test_backend.py`` lists them) are checked on scipy 1.17.1, and
+by CI on the scipy floor. HiGHS is simplex-based, so LP optima are basic
+solutions, and runs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class Model:
         self.num_rows = 0
         # The live HiGHS LP, built by the first solve_lp; see _pass.
         self._lp = None
-        # solve_objective calls that fell back to a cold solve.
+        # Solves from a basis that stopped short and were solved again cold.
         self.cold_restarts = 0
 
     # -- variables ---------------------------------------------------------------
@@ -340,7 +341,13 @@ class Model:
         The first solve passes the LP to HiGHS; later solves re-solve it from
         scratch, after any ``set_col_bounds``, or from ``basis``, a
         ``basis()`` of this model, when one is given. ``presolve`` applies
-        to this solve only.
+        to this solve only; HiGHS does not presolve an LP it starts from a
+        basis. A solve from ``basis`` that stops short of what the caller
+        needs, a status other than optimal, infeasible or unbounded (the
+        dual simplex can stop with model status "Not Set"), or other than
+        optimal under ``require_optimal``, is solved again once, cold with
+        presolve on, so the answer still depends on the LP alone;
+        ``cold_restarts`` counts those solves.
         """
         lp = self._live_lp()
         lp.setOptionValue("presolve", "on" if presolve else "off")
@@ -348,37 +355,19 @@ class Model:
             linprog(lp, basis)
         except BackendError as err:
             raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
+        start = self._status(lp, False)
+        if basis is not None and (start == FAILED or require_optimal and start != OPTIMAL):
+            self.cold_restarts += 1
+            lp.setOptionValue("presolve", "on")
+            linprog(lp)
         status = self._status(lp, require_optimal)
         if status != OPTIMAL:
             return Solution(status, np.nan, np.zeros(self.num_vars))
         return Solution(OPTIMAL, lp.getObjectiveValue(), np.asarray(lp.getSolution().col_value))
 
-    def solve_objective(self, basis) -> float:
-        """The optimal objective of the continuous relaxation, and nothing else.
-
-        Like ``solve_lp`` from ``basis``, a ``basis()`` of this model, but it
-        reads back only the objective. HiGHS does not presolve an LP it
-        starts from a basis. When the solve from ``basis`` stops short of an
-        optimum, as the dual simplex can with model status "Not Set", the
-        same LP is solved again cold with presolve on, so the objective
-        still depends on the LP alone; ``cold_restarts`` counts those
-        solves. Anything but an optimum then raises :class:`BackendError`.
-        """
-        lp = self._live_lp()
-        try:
-            linprog(lp, basis)
-        except BackendError as err:
-            raise BackendError(f"LP {self.name or '(unnamed)'}: {err}") from err
-        if self._status(lp, False) != OPTIMAL:
-            self.cold_restarts += 1
-            lp.setOptionValue("presolve", "on")
-            linprog(lp)
-        self._status(lp, True)
-        return lp.getObjectiveValue()
-
     def basis(self):
         """The HiGHS basis of this model's last LP solve, to start a later
-        ``solve_objective`` from."""
+        ``solve_lp`` from."""
         if self._lp is None:
             raise BackendError(f"LP {self.name or '(unnamed)'}: no solve to take a basis from")
         return self._lp.getBasis()

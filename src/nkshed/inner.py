@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import BackendError, Model
+from .backend import BackendError, Model, Solution
 from .netmodel import BATCH_ENTRIES, AttackerModel, Network, Outages
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
@@ -190,30 +190,35 @@ def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
     return entry
 
 
+def _solve_out(net: Network, positions, warm: bool) -> Solution:
+    """The kept exact model's ``Solution`` with the lines at ``positions``
+    removed, solved cold with presolve on, or from the intact network's
+    optimal basis if ``warm``. A failed solve raises
+    :class:`BackendError` naming the attack's line ids."""
+    slack, basis, _ = _exact_model(net)
+    mdl = slack.mdl
+    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
+    try:
+        return mdl.solve_lp(basis=basis if warm else None)
+    except BackendError as err:
+        lines = sorted(net.lines[e].id for e in positions)
+        raise BackendError(f"{mdl.name} solve failed for attack {lines}: {err}") from err
+
+
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     """Minimum load shed with the attacked lines removed.
 
     Always feasible (the operator can shed everything), so the result is
     optimal or an exception is raised. The LP is ``exact_eta``'s, on the
-    same kept model, solved cold with presolve on, so the optimum depends
-    on the attack alone. The arrays are the LP's, in bus and line position
-    order (see :class:`InnerSolution`).
+    same kept model through the same ``_solve_out``, solved cold with
+    presolve on, so the optimum depends on the attack alone. The arrays
+    are the LP's, in bus and line position order (see
+    :class:`InnerSolution`).
     """
-    positions = _line_positions(net, attack)
-    slack = _exact_model(net)[0]
-    mdl, dc = slack.mdl, slack.dc
-    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
-    try:
-        sol = mdl.solve_lp()
-    except BackendError as err:
-        raise BackendError(
-            f"{mdl.name} solve failed for attack {sorted(attack.lines)}: {err}") from err
-    return InnerSolution(
-        eta=float(sol.objective),
-        shed=sol.x[dc.shed],
-        flow=sol.x[dc.flow],
-        gen=sol.x[dc.gen],
-    )
+    sol = _solve_out(net, _line_positions(net, attack), warm=False)
+    dc = _exact_model(net)[0].dc
+    return InnerSolution(eta=float(sol.objective), shed=sol.x[dc.shed], flow=sol.x[dc.flow],
+                         gen=sol.x[dc.gen])
 
 
 def exact_eta(net: Network, attack: AttackPlan) -> float:
@@ -224,24 +229,18 @@ def exact_eta(net: Network, attack: AttackPlan) -> float:
     basis of every attack's LP and one shared start: each solve clears
     HiGHS's solver state and runs the dual simplex from that basis, which
     repairs what the attack leaves primal or dual infeasible (a freed slack
-    whose coupling row had a nonzero dual). Eta thus depends on the attack
-    alone, not on the attacks priced, or the ``solve_inner`` calls made,
-    before it or on the thread. Any optimal vertex gives the same eta, so
-    only eta is returned.
+    whose coupling row had a nonzero dual). A start that stops short of an
+    optimum is solved again cold (``Model.solve_lp``). Eta thus depends on
+    the attack alone, not on the attacks priced, or the ``solve_inner``
+    calls made, before it or on the thread. Any optimal vertex gives the
+    same eta, so only eta is returned.
     """
     return _eta_at(net, _line_positions(net, attack))
 
 
 def _eta_at(net: Network, positions) -> float:
     """``exact_eta`` of the attack on the lines at ``positions``."""
-    slack, basis, _ = _exact_model(net)
-    mdl = slack.mdl
-    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
-    try:
-        return mdl.solve_objective(basis)
-    except BackendError as err:
-        lines = sorted(net.lines[e].id for e in positions)
-        raise BackendError(f"{mdl.name} solve failed for attack {lines}: {err}") from err
+    return _solve_out(net, positions, warm=True).objective
 
 
 def exact_etas(net: Network, cuts: np.ndarray) -> np.ndarray:
@@ -297,8 +296,9 @@ class _ProbeTable:
         demand with e out (lines by 2 by lines), e removed and e idle, and
         whether each LP is optimal (zero flows where not). Each is one solve
         with e's flow at 0 and its slack freed or at 0, from the intact
-        margin basis, so a row depends on the network and e alone. Solved on
-        the first call, under the table's lock.
+        margin basis (again cold if that start stops short), so a row
+        depends on the network and e alone. Solved on the first call, under
+        the table's lock.
         """
         with self._lock:
             if self._rows is None:

@@ -422,7 +422,7 @@ class AttackerModel:
     def __post_init__(self):
         if self.variant not in ("traditional", "spatial", "topological"):
             raise ValueError(f"unknown attacker variant: {self.variant!r}")
-        if not isinstance(self.k, numbers.Integral):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -493,6 +493,14 @@ def _finite(row: list[float], col: int, lineno: int, table: str) -> float:
     return row[col]
 
 
+def _bus_id(row: list[float], col: int, lineno: int, table: str) -> int:
+    value = _finite(row, col, lineno, table)
+    if value != int(value):
+        raise CaseFormatError(f"line {lineno}: {table} field {col + 1} must be an integer "
+                              f"bus id, got {value}")
+    return int(value)
+
+
 def _scan_blocks(case_text: str) -> tuple[dict[str, float], dict[str, list[tuple[int, list[float]]]]]:
     """Split the .m text into scalar assignments and matrix blocks with line numbers."""
     scalars: dict[str, float] = {}
@@ -538,7 +546,8 @@ def parse_case(case_text: str) -> Network:
     in-service generators at the same bus are aggregated by summing Pmax,
     which must be >= 0 on each.
     Line ids are assigned 1..m in kept-branch order, so parallel branches
-    stay independently interdictable. A branch :class:`Line` rejects (x = 0,
+    stay independently interdictable. Every field read must be finite, and
+    a bus id, in any table, an integer. A branch :class:`Line` rejects (x = 0,
     |x| >= 1e9 p.u., equal ends) raises :class:`CaseFormatError` naming its line.
     ``case_text`` is the file's text, as ``open(path).read()`` returns it.
     """
@@ -553,14 +562,14 @@ def parse_case(case_text: str) -> Network:
 
     demands: dict[int, float] = {}
     for lineno, row in tables["bus"]:
-        bus_id = int(round(row[0]))
+        bus_id = _bus_id(row, 0, lineno, "bus")
         if bus_id in demands:
             raise CaseFormatError(f"line {lineno}: duplicate bus id {bus_id}")
         demands[bus_id] = _finite(row, 2, lineno, "bus") / base
 
     gen_cap: dict[int, float] = {b: 0.0 for b in demands}
     for lineno, row in tables.get("gen", []):
-        bus_id = int(round(row[0]))
+        bus_id = _bus_id(row, 0, lineno, "gen")
         if bus_id not in demands:
             raise CaseFormatError(f"line {lineno}: generator references unknown bus {bus_id}")
         if _finite(row, 7, lineno, "gen") > 0:
@@ -578,10 +587,9 @@ def parse_case(case_text: str) -> Network:
     lines: list[Line] = []
     next_id = 1
     for lineno, row in tables["branch"]:
-        status = int(round(row[10]))
-        if status == 0:
+        if round(_finite(row, 10, lineno, "branch")) == 0:
             continue
-        f_bus, t_bus = int(round(row[0])), int(round(row[1]))
+        f_bus, t_bus = _bus_id(row, 0, lineno, "branch"), _bus_id(row, 1, lineno, "branch")
         for end in (f_bus, t_bus):
             if end not in demands:
                 raise CaseFormatError(f"line {lineno}: branch references unknown bus {end}")

@@ -133,15 +133,17 @@ def test_batched_col_bounds_over_many_updates_resolve_like_a_fresh_model():
     assert len(statuses) > 1
 
 
-def test_solve_objective_is_solve_lps_objective_from_any_basis():
+def test_solve_lp_reaches_the_optimum_from_any_basis():
     kept, _ = _small_lp(*BOUNDS[0])
     kept.solve_lp()
     start = kept.basis()
     for lb, ub in COL_BOUNDS[1:] + COL_BOUNDS:
         kept.set_col_bounds(range(3), lb, ub)
         fresh = _small_lp(*BOUNDS[0], lb, ub)[0].solve_lp()
-        assert kept.solve_objective(start) == pytest.approx(fresh.objective, abs=1e-12)
-        assert kept.solve_objective(kept.basis()) == pytest.approx(fresh.objective, abs=1e-12)
+        for basis in (start, kept.basis()):
+            assert kept.solve_lp(basis=basis).objective == pytest.approx(fresh.objective,
+                                                                         abs=1e-12)
+    assert kept.cold_restarts == 0
 
 
 def test_solve_lp_from_a_basis_is_solve_lp():
@@ -165,21 +167,21 @@ def test_solve_lp_from_a_basis_is_solve_lp():
         kept.solve_lp(basis=other.basis())
 
 
-def test_solve_objective_raises_on_a_foreign_basis_or_no_optimum():
+def test_a_start_short_of_what_the_caller_needs_is_solved_again_cold():
+    # An infeasible LP is an answer when no optimum is required: no second
+    # solve. When one is, the start falls back to one cold solve, which
+    # raises when that finds no optimum either.
     mdl, _ = _small_lp(*BOUNDS[0])
     with pytest.raises(BackendError, match="no solve"):
         mdl.basis()
-    other = Model("other")
-    other.add_vars(2, lb=0.0, ub=1.0, obj=[1.0, 1.0])
-    _add_dense(other, np.ones((1, 2)), 1.0, 1.0)
-    other.solve_lp()
-    with pytest.raises(BackendError, match="rejected the start basis"):
-        mdl.solve_objective(other.basis())
     mdl.solve_lp()
     start = mdl.basis()
     mdl.set_col_bounds(range(3), 0.0, 1.0)  # row 0 needs a sum of 4
+    assert mdl.solve_lp(require_optimal=False, basis=start).status == INFEASIBLE
+    assert mdl.cold_restarts == 0
     with pytest.raises(BackendError, match="infeasible"):
-        mdl.solve_objective(start)
+        mdl.solve_lp(basis=start)
+    assert mdl.cold_restarts == 1
 
 
 def _highs_names_used(source: str) -> tuple[set, set, set, set]:

@@ -17,7 +17,6 @@ def test_valid_bounds_solve_no_lp(monkeypatch, mesh8):
         raise AssertionError("valid_bounds solved an LP")
 
     monkeypatch.setattr(Model, "solve_lp", no_lp)
-    monkeypatch.setattr(Model, "solve_objective", no_lp)
     assert valid_bounds(mesh8) == total_load(mesh8)
 
 

@@ -455,6 +455,11 @@ def test_history_values_are_plain_floats(master_paths, mesh8):
         assert [type(v) for v in values] == [float] * len(values), path
 
 
+def test_an_empty_network_is_rejected():
+    with pytest.raises(ValueError, match="^empty network$"):
+        solve_interdiction(Network([], []), AttackerModel.traditional(1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(epsilon=0.0)

@@ -95,6 +95,46 @@ def test_non_finite_case_values_rejected(old, new):
         parse_case(TWO_BUS_CASE.replace(old, new))
 
 
+# An id field holding a fractional or non-finite value, and a non-finite
+# branch status: (old, new text, file line, table, field).
+BAD_IDS = [pytest.param(old, old.replace(f, v, 1), lineno, table, field, id=f"{table}{field}-{v}")
+           for old, f, lineno, table, field in (("2 1 100 5", "2", 6, "bus", 1),
+                                                ("1 0 0 10 -10", "1", 9, "gen", 1),
+                                                ("1 2 0.01 0.1", "1", 12, "branch", 1),
+                                                ("2 0.01 0.1", "2", 12, "branch", 2))
+           for v in ("2.4", "inf", "nan")]
+BAD_IDS += [pytest.param("0 0 1 -360", f"0 0 {v} -360", 12, "branch", 11, id=f"status-{v}")
+            for v in ("inf", "nan")]
+
+
+@pytest.mark.parametrize("old, new, lineno, table, field", BAD_IDS)
+def test_an_id_must_be_a_finite_integer(old, new, lineno, table, field):
+    # int(round(...)) raised OverflowError on inf, a bare ValueError on nan,
+    # and read bus 2.4 as bus 2.
+    assert TWO_BUS_CASE.count(old) == 1
+    with pytest.raises(CaseFormatError, match=rf"^line {lineno}: {table} field {field} must be "):
+        parse_case(TWO_BUS_CASE.replace(old, new))
+
+
+def test_a_case_without_a_bus_or_branch_table_is_rejected():
+    head, _, _ = TWO_BUS_CASE.partition("mpc.gen")
+    with pytest.raises(CaseFormatError, match="^case has no branch table$"):
+        parse_case(head)
+    rows = "1 3 0 0 0 0 1 1.00 0 110 1 1.05 0.95;\n2 1 100 5 0 0 1 1.00 0 110 1 1.05 0.95;\n"
+    assert rows in TWO_BUS_CASE
+    for text in (TWO_BUS_CASE.replace("mpc.bus", "mpc.buses"), TWO_BUS_CASE.replace(rows, "")):
+        with pytest.raises(CaseFormatError, match="^case has no bus table$"):
+            parse_case(text)
+
+
+def test_a_short_row_names_its_line_and_a_text_scalar_is_ignored():
+    with pytest.raises(CaseFormatError, match=r"^line 9: malformed gen row, expected at least "
+                                              r"9 fields, got 5$"):
+        parse_case(TWO_BUS_CASE.replace("1 0 0 10 -10 1.00 100 1 100 0", "1 0 0 10 -10"))
+    net = parse_case(TWO_BUS_CASE.replace("mpc.version = '2';", "mpc.version = 'two';"))
+    assert net == parse_case(TWO_BUS_CASE)
+
+
 def test_branch_unknown_bus_rejected():
     with pytest.raises(CaseFormatError, match="unknown bus"):
         parse_case(TWO_BUS_CASE.replace("1 2 0.01", "1 9 0.01"))
@@ -333,6 +373,18 @@ def test_geo_parse_and_errors(two_bus):
         parse_geo("id,lat,lon\n1,40.0,-111.0\n", bare)
 
 
+def test_a_geo_file_that_is_empty_or_has_a_bad_row_is_rejected():
+    bare = Network([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
+    for empty in ("", "\n  \n"):
+        with pytest.raises(GeoFormatError, match="^empty geolocation file$"):
+            parse_geo(empty, bare)
+    with pytest.raises(GeoFormatError, match="^line 2: expected 3 fields, got 2$"):
+        parse_geo("bus_id,lat,lon\n1,40.0\n", bare)
+    for row in ("one,40.0,-111.0", "1,north,-111.0", "1.5,40.0,-111.0"):
+        with pytest.raises(GeoFormatError, match=f"^line 2: malformed row '{row}'$"):
+            parse_geo(f"bus_id,lat,lon\n{row}\n", bare)
+
+
 def test_geo_errors_name_their_file_line():
     # Blank lines count: the line named is the file's, not the row's.
     bare = Network([Bus(1, 0.0, 1.0), Bus(2, 1.0)], [Line(1, 1, 2, 0.1, 1.0)])
@@ -378,6 +430,14 @@ def test_bus_and_line_invariants():
             Line(1, 1, 2, 0.1, bad)
         with pytest.raises(ValueError, match="finite"):
             Line(1, 1, 2, bad, 1.0)
+
+
+def test_a_negative_capacity_or_a_non_positive_rating_is_rejected():
+    with pytest.raises(ValueError, match=r"^bus 1: gen_cap must be >= 0, got -0.5$"):
+        Bus(1, gen_cap=-0.5)
+    for thermal in (0.0, -1.0):
+        with pytest.raises(ValueError, match=rf"^line 1: non-positive thermal limit {thermal}$"):
+            Line(1, 1, 2, 0.1, thermal)
 
 
 def test_infinite_rating_is_rejected_not_priced_as_zero():
@@ -438,9 +498,10 @@ def test_network_takes_only_buses_and_lines():
         Network(net.buses, net.lines, big_M=1.0)
 
 
-@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None, True, False])
 def test_attacker_model_rejects_a_non_integer_k(k):
-    # Counting and enumerating attacks takes an integer k.
+    # Counting and enumerating attacks takes an integer k. A bool is an
+    # Integral, but True solved as k = 1 and its report read "k": true.
     for variant in ("traditional", "spatial", "topological"):
         with pytest.raises(ValueError, match="k must be an integer"):
             AttackerModel(variant, k, 80.0 if variant == "spatial" else None)
@@ -456,5 +517,7 @@ def test_attacker_model_invariants():
         AttackerModel.spatial(2, float("nan"))
     with pytest.raises(ValueError):
         AttackerModel("traditional", 2, D_km=10.0)
+    with pytest.raises(ValueError, match="^unknown attacker variant: 'radial'$"):
+        AttackerModel("radial", 2)
     m = AttackerModel.spatial(2, 100.0, center_bus=4)
     assert m.center_bus == 4

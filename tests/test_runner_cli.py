@@ -8,7 +8,7 @@ from nkshed import fixtures as fx
 from nkshed.attackers import is_feasible_attack
 from nkshed.cli import main
 from nkshed.engine import SolveConfig
-from nkshed.netmodel import AttackerModel
+from nkshed.netmodel import AttackerModel, serialize_case
 from nkshed.runner import (build_geojson, certify, parse_range, report_json, solve_to_report,
                            sweep, write_sweep_csv)
 
@@ -244,6 +244,14 @@ def test_parse_range_rejects_a_fourth_field():
         parse_range("1:2:1:7")
 
 
+def test_parse_range_reads_a_comma_list_and_rejects_a_non_positive_step():
+    assert parse_range(" 2,4,6 ") == [2.0, 4.0, 6.0]
+    assert parse_range("2,,4,") == [2.0, 4.0]
+    for step in ("0", "-1"):
+        with pytest.raises(ValueError, match="step must be > 0"):
+            parse_range(f"1:3:{step}")
+
+
 def test_cli_has_no_distance_option(tmp_path):
     case, geo = _write_inputs(tmp_path, fx.triangle())
     with pytest.raises(SystemExit) as exit_:
@@ -257,6 +265,15 @@ def test_cli_run_parse_error_exit_code(tmp_path):
     bad.write_text("function mpc = broken\nmpc.bus = [\n1 3 zzz;\n];\n")
     code = main(["run", "--case", str(bad), "--model", "traditional", "--k", "1"])
     assert code == 3
+
+
+def test_cli_run_non_finite_id_exit_code(tmp_path, capsys):
+    # An inf bus id raised OverflowError, and the run ended with a traceback.
+    bad = tmp_path / "bad.m"
+    bad.write_text(serialize_case(fx.two_bus()).replace("\t1\t1\t", "\tinf\t1\t", 1))
+    code = main(["run", "--case", str(bad), "--model", "traditional", "--k", "1"])
+    assert code == 3
+    assert "bus field 1 must be finite, got inf" in capsys.readouterr().err
 
 
 def test_cli_run_spatially_infeasible_exit_code(tmp_path):

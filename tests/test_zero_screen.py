@@ -162,19 +162,20 @@ def test_spatial_empty_attack(name):
 
 
 def _pricing_lps(monkeypatch, net, model, winner):
-    """The oracle's pricing LPs on ``net``: the ``exact-load-shed`` solves.
-    Checks the winner, and that the ranking is bitwise the one every attack
-    priced by its own LP gives."""
+    """The oracle's pricing LPs on ``net``: the ``exact-load-shed`` solves
+    from a basis. Checks the winner, and that the ranking is bitwise the one
+    every attack priced by its own LP gives."""
     lock, solves = threading.Lock(), []
-    solve_objective = backend.Model.solve_objective
+    solve_lp = backend.Model.solve_lp
 
-    def counted(self, basis):
-        with lock:
-            solves.append(self.name)
-        return solve_objective(self, basis)
+    def counted(self, *args, basis=None, **kwargs):
+        if basis is not None:
+            with lock:
+                solves.append(self.name)
+        return solve_lp(self, *args, basis=basis, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(backend.Model, "solve_objective", counted)
+        patch.setattr(backend.Model, "solve_lp", counted)
         res = oracle.solve_exhaustive(net, model, keep_ranking=True)
     assert res.best_attack.sorted_lines() == winner
     assert res.best_eta == solve_inner(net, res.best_attack).eta
@@ -238,6 +239,17 @@ def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
     alone = inner._probe_table(lattice(4, 4))
     assert {r[1:] for r in reads} == {(*(a.tobytes() for a in probe_rows(alone)),
                                        alone.base.tobytes())}
+
+
+def test_a_probe_row_whose_start_stops_short_is_solved_again_cold():
+    # From the intact margin basis, the dual simplex stops short on one row
+    # of the 10x10 lattice, line position 146 held idle. Solved again cold,
+    # that row's LP is infeasible, so the row stays unusable, zero flows.
+    table = inner._probe_table(lattice(10, 10))
+    rows, ok = table.rows()
+    assert table._slack.mdl.cold_restarts == 1
+    assert ok[146].tolist() == [True, False]
+    assert not rows[146, 1].any()
 
 
 def test_a_segment_point_on_a_rating_settles_its_attack():
