@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .attackers import SpatiallyInfeasibleError
 from .engine import ITERATION_LIMIT, NoFeasibleAttackError, SolveConfig
-from .netmodel import AttackerModel, CaseFormatError, GeoFormatError, parse_case, parse_geo
+from .netmodel import AttackerModel, parse_case, parse_geo
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .runner import (build_geojson, certify, parse_range, report_json,
                      solve_to_report, sweep, write_sweep_csv)
@@ -129,10 +129,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CaseFormatError, GeoFormatError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -44,6 +44,7 @@ network's basis as the oracle prices, not cold as ``solve_inner`` priced it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -93,10 +94,11 @@ VALID = "valid"
 class SolveConfig:
     """Solver knobs. Defaults: 1% relative tolerance, the heuristic penalty rate.
 
-    ``epsilon`` is the relative gap at which the loop stops, finite and
-    > 0; the gap divides by the incumbent shed floored at the class
-    constant ``abs_floor``, so it is defined when no attack sheds load.
-    ``max_iters`` caps the attacks priced.
+    ``epsilon`` is the relative gap at which the loop stops, a finite
+    number > 0 and not a bool; the gap divides by the incumbent shed
+    floored at the class constant ``abs_floor``, so it is defined when no
+    attack sheds load. ``max_iters``, an integer >= 1 and not a bool, caps
+    the attacks priced.
     ``bounds_mode`` picks the one penalty rate of the MILP master's cuts,
     ``"heuristic"`` (1.0) or ``"valid"`` (the total load), the same for
     every line, so it acts only on the MILP master (the module docstring
@@ -110,10 +112,11 @@ class SolveConfig:
     bounds_mode: str = HEURISTIC
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.bounds_mode not in (HEURISTIC, VALID):
             raise ValueError(f"unknown bounds mode {self.bounds_mode!r}")
 

@@ -28,8 +28,8 @@ and the screen reroute flows by ``PowerFlow.flows`` on the outage factors
 of ``PowerFlow.factor``, kept once per attack table by the engine and
 built once per chunk by the screen. The bound balances and routes its
 dispatch once per call on the intact islands and corrects each attack by
-its k-by-k factor; only an attack that splits an island is balanced on its
-new islands. The screen leaves every attack the factors flag to the LP.
+its k-by-k factor. A torn attack, one with a near-zero determinant as every
+split has, is balanced on its own islands, and the screen leaves it to the LP.
 
 Both kept models, the exact load-shed model and the probe table's
 max-margin model, are built by ``_slack_model``: it adds the network's
@@ -326,8 +326,8 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     """Per outage, whether a zero-shed probe keeps every surviving line
     within its rating, which proves that the outage sheds nothing.
 
-    Each chunk of outages is factored once by ``PowerFlow.factor``, and an
-    outage it flags is never settled. Stage 1 tries each base probe of the
+    Each chunk of outages is factored once by ``PowerFlow.factor``, and a
+    torn outage is never settled. Stage 1 tries each base probe of the
     probe table, rerouted around each other outage by ``PowerFlow.flows``.
     Stage 2 (``_segment_fits``) takes the outages of at least 2 lines that
     stage 1 leaves: for each base probe b and each row r of a removed line
@@ -347,7 +347,7 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     step = max(1, BATCH_ENTRIES // ((k + len(probes) * (2 * k + 1)) * max(1, len(rating))))
     for lo in range(0, count, step):
         outages = pf.factor(cuts[lo:lo + step])
-        whole = np.flatnonzero(~outages.flagged)
+        whole = np.flatnonzero(outages.torn < 0)
         if not len(whole):
             continue
         outages = outages.take(whole)
@@ -429,12 +429,12 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, outages: Ou
     gave the dispatch it equals that attack's eta.
 
     The dispatch is balanced on the intact islands and routed by one PTDF
-    product per call. An attack that keeps the intact islands, nearly every
-    one, then takes only its k-by-k correction (``PowerFlow.flows``) and its
-    alpha per intact island (``PowerFlow.island_min``). An attack that
-    splits an island is balanced on its own islands and routed alone. A
-    row's shed reads only its own attack, so it does not depend on which
-    rows are picked.
+    product per call. An attack that is not torn (see ``Outages``), nearly
+    every one, then takes only its k-by-k correction (``PowerFlow.flows``)
+    and its alpha per intact island (``PowerFlow.island_min``). A torn
+    attack, every split among them, is balanced on its own islands and
+    routed alone. A row's shed reads only its own attack, so it does not
+    depend on which rows are picked.
     """
     demand, rating = net.demand_vector(), net.thermal_vector()
     gen = np.clip(gen, 0.0, net.gen_cap_vector())
@@ -460,9 +460,9 @@ def response_shed(net: Network, gen: np.ndarray, served: np.ndarray, outages: Ou
 
 def _split_served(net: Network, gen: np.ndarray, served: np.ndarray,
                   outages: Outages) -> np.ndarray:
-    """``response_shed``'s served load for attacks that split an island:
-    the dispatch balanced on each attack's own islands, routed one attack
-    at a time, and scaled per island."""
+    """``response_shed``'s served load for torn attacks: the dispatch
+    balanced on each attack's own islands, routed one attack at a time,
+    and scaled per island."""
     pf, rating, n = net.power_flow, net.thermal_vector(), len(gen)
     count = len(outages.cuts)
     comp = np.arange(count)[:, None] * n + outages.islands[outages.torn]

@@ -213,26 +213,24 @@ class Outages(NamedTuple):
     ``PowerFlow.factor`` and read by every ``PowerFlow.flows`` call on them.
 
     ``cuts`` holds one row of removed line positions per outage and ``op``
-    the operator of its k-by-k outage system (see ``PowerFlow``): the
-    inverse, or the least-squares operator when the outage splits an
-    island. ``flagged`` marks the outages whose system's determinant is at
-    most ``PowerFlow._SINGULAR``. ``torn`` is, per outage, its row of
-    ``islands`` (an int32 island number per bus, from 0) when it splits an
-    island of the intact network, and -1 when it keeps the intact islands;
-    only the flagged outages are searched, and the rows of ``islands``
-    follow the split outages in order.
+    the operator of its k-by-k outage system (see ``PowerFlow``). ``torn``
+    is, per outage, -1 when its system's determinant is above
+    ``PowerFlow._SINGULAR``, which keeps the intact islands, and ``op`` is
+    then the inverse. Every other outage, each one that splits an island
+    among them, has its row of ``islands`` (an int32 island number per bus,
+    from 0) at ``torn``, and ``op`` is the least-squares operator at the
+    rank its islands give; the rows of ``islands`` follow those outages in
+    order.
     """
 
     cuts: np.ndarray
     op: np.ndarray
-    flagged: np.ndarray
     torn: np.ndarray
     islands: np.ndarray
 
     def take(self, rows) -> "Outages":
         """The outages at ``rows``, with their factors."""
-        return Outages(self.cuts[rows], self.op[rows], self.flagged[rows], self.torn[rows],
-                       self.islands)
+        return Outages(self.cuts[rows], self.op[rows], self.torn[rows], self.islands)
 
 
 class PowerFlow:
@@ -258,8 +256,8 @@ class PowerFlow:
     new islands, and every solution gives the same flows, so such outages
     take its least-squares solution.
 
-    ``factor`` builds each outage's operator once, with the split test, the
-    determinant, and the islands of the outages it flags; ``flows``, the
+    ``factor`` builds each outage's operator once, with the determinant as
+    the split test and the islands of each outage it tears; ``flows``, the
     one outage-flow kernel, applies them to any number of injections. The
     engine's feasible-response bound factors its attack table once, and
     the oracle's zero-shed screen each chunk it prices.
@@ -301,38 +299,35 @@ class PowerFlow:
         positions each, in one pass over chunks of about ``BATCH_ENTRIES``
         entries per system and island search.
 
-        An outage is flagged when the determinant of its system is at most
+        An outage is torn when the determinant of its system is at most
         ``_SINGULAR``. A split makes the system exactly singular, and with
         entries at most 1 in magnitude its determinant rounds to about
-        1e-16, so no split is missed. Only the flagged outages go through
-        the island search; one that keeps every island, though nearly
-        singular, takes the inverse with the rest of its chunk.
+        1e-16, so no split is missed. Only the torn outages go through the
+        island search, which labels their islands; the rest take the
+        inverse with the rest of their chunk.
         """
         (count, k), n = cuts.shape, len(self.island)
-        op, flagged = np.empty((count, k, k)), np.zeros(count, dtype=bool)
+        op = np.empty((count, k, k))
         torn, islands = np.full(count, -1, dtype=np.int32), [np.empty((0, n), dtype=np.int32)]
         step = max(1, BATCH_ENTRIES // max(k * k, n + len(self.fr)))
         for lo in range(0, count, step):
             system = self._system(cuts[lo:lo + step])
-            flag = np.flatnonzero(np.linalg.det(system) <= self._SINGULAR)
-            found = _islands(self.fr, self.to, n, cuts[lo + flag])
+            singular = np.flatnonzero(np.linalg.det(system) <= self._SINGULAR)
+            found = _islands(self.fr, self.to, n, cuts[lo + singular])
             found -= found[:, :1]
-            split = found.max(axis=1, initial=0) >= self.num_islands
-            apart, found = flag[split], found[split]
-            flagged[lo + flag] = True
-            torn[lo + apart] = np.arange(len(apart)) + sum(map(len, islands))
+            torn[lo + singular] = np.arange(len(singular)) + sum(map(len, islands))
             islands.append(found.astype(np.int32))
-            whole = np.delete(np.arange(len(system)), apart)
+            whole = np.delete(np.arange(len(system)), singular)
             op[lo + whole] = np.linalg.inv(system[whole])
             # Each island an outage adds is one null direction of its system,
             # so its least-squares operator drops exactly that many of the
             # smallest singular values, however small the others are.
-            u, sv, vt = np.linalg.svd(system[apart])
+            u, sv, vt = np.linalg.svd(system[singular])
             rank = k + self.num_islands - 1 - found.max(axis=1)
             inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv),
                                where=np.arange(k) < rank[:, None])
-            op[lo + apart] = (vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ u.transpose(0, 2, 1)
-        return Outages(cuts, op, flagged, torn, np.concatenate(islands))
+            op[lo + singular] = (vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ u.transpose(0, 2, 1)
+        return Outages(cuts, op, torn, np.concatenate(islands))
 
     def _system(self, cuts: np.ndarray) -> np.ndarray:
         """Per outage, its k-by-k system: entry (i, j) is 1 where i = j plus the

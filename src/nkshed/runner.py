@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -92,10 +93,13 @@ def report_json(report: RunReport) -> str:
 
 
 def parse_range(spec: str) -> list[float]:
-    """Range syntax: 'a:b[:step]' inclusive, or a comma list 'a,b,c'."""
+    """Range syntax: 'a:b[:step]' inclusive, or a comma list 'a,b,c', of finite numbers."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = [float(p) for p in spec.split(":")]
+    colon = ":" in spec
+    parts = [float(p) for p in spec.split(":" if colon else ",") if colon or p.strip()]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"range {spec!r} has a field that is not a finite number")
+    if colon:
         if len(parts) > 3:
             raise ValueError(f"range {spec!r} has more than three ':' fields")
         lo, hi = parts[0], parts[1]
@@ -108,7 +112,7 @@ def parse_range(spec: str) -> list[float]:
             vals.append(round(v, 9))
             v += step
         return vals
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return parts
 
 
 def sweep(net: Network, variant: str, k_values, D_values=None,

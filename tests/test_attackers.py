@@ -69,6 +69,12 @@ def test_compute_phi_requires_geolocation(two_bus):
         compute_phi(replace(two_bus, buses=buses), 50.0)
 
 
+@pytest.mark.parametrize("d_km", [0.0, -1.0, math.nan])
+def test_compute_phi_rejects_a_diameter_not_above_zero(two_bus, d_km):
+    with pytest.raises(ValueError, match="D_km must be > 0"):
+        compute_phi(two_bus, d_km)
+
+
 @pytest.mark.parametrize("name", sorted(fx.FIXTURES))
 def test_footprint_monotone_in_d(name):
     net = fx.FIXTURES[name]()

@@ -4,6 +4,7 @@ model re-solving exactly like a fresh one."""
 
 import ast
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,19 @@ def test_a_row_naming_a_column_the_model_lacks_is_rejected_before_highs():
         mdl.add_le([0, col], [1.0, 1.0], 1.0)
         with pytest.raises(ValueError, match="lacks"):
             mdl.solve_lp(require_optimal=False)
+
+
+def test_a_row_with_more_columns_than_values_is_rejected():
+    mdl, _ = _small_lp(*BOUNDS[0])
+    for add in (mdl.add_eq, mdl.add_le):
+        with pytest.raises(ValueError, match="equal length"):
+            add([0, 1], [1.0], 1.0)
+
+
+def test_the_binding_is_loaded_once():
+    # Loading again finds the module in sys.modules, the one the backend uses.
+    assert backend._load_highs() is backend.highs
+    assert sys.modules["scipy.optimize._highspy._core"] is backend.highs
 
 
 def _scipy_colwise(mdl, eq_first):

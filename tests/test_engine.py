@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -470,6 +471,35 @@ def test_config_validation():
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolveConfig(bounds_mode="magic")
+    # A bool passed as a number, and a fractional cap that priced
+    # ceil(max_iters) attacks.
+    with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+        SolveConfig(epsilon=True)
+    for value in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolveConfig(max_iters=value)
+    assert SolveConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+def test_a_failed_inner_solve_names_the_iteration_and_the_attack(monkeypatch):
+    # Every cold solve after the seed's fails: the first attack priced.
+    solve_lp, cold = backend.Model.solve_lp, []
+
+    def failing(self, require_optimal=True, presolve=True, basis=None):
+        if presolve and basis is None:
+            cold.append(self.name)
+            if len(cold) > 1:
+                raise backend.BackendError("stopped short")
+        return solve_lp(self, require_optimal, presolve, basis)
+
+    monkeypatch.setattr(backend.Model, "solve_lp", failing)
+    with pytest.raises(RuntimeError, match=r"inner solve failed at iteration 1 for attack "
+                                           r"\[\d+, \d+\]") as raised:
+        solve_interdiction(fx.mesh8(), AttackerModel.traditional(2))
+    attack = re.search(r"\[\d+, \d+\]", str(raised.value)).group()
+    cause = raised.value.__cause__
+    assert isinstance(cause, backend.BackendError)
+    assert str(cause) == f"exact-load-shed solve failed for attack {attack}: stopped short"
 
 
 def _tiny_milp() -> backend.Solution:

@@ -125,6 +125,15 @@ def test_one_worker_per_cpu_of_this_process(monkeypatch):
         assert (seen == {threading.get_ident()}) == inline, k
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_one_worker_per_cpu_where_affinity_is_unknown(monkeypatch, cpus, workers):
+    # Where os has no sched_getaffinity, as on macOS and Windows, the CPU
+    # count serves, and one worker when that is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert oracle._workers() == workers
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_error_in_enumeration_order_is_raised(monkeypatch, workers):
     _force(monkeypatch, workers)

@@ -136,7 +136,7 @@ def test_outage_factor_flows_match_direct_solves(name):
                                            atol=1e-10)
         assert (flow[np.arange(len(cuts))[:, None], cuts] == 0.0).all()
         assert (wide[np.arange(len(cuts))[:, None], :, cuts] == 0.0).all()
-        assert (outages.flagged == split).all()
+        assert (split == _search_splits(pf, cuts)).all()
     assert splits > 0
 
 
@@ -166,21 +166,20 @@ def _split_test_cases():
 
 
 def test_splits_agree_with_the_island_search():
-    # Every outage of up to 3 lines: 24 757 rows, each flagged by the
+    # Every outage of up to 3 lines: 24 757 rows, each torn by the
     # determinant of its outage system exactly when the search finds it
     # splits an island.
-    rows = flagged = 0
+    rows = splits = 0
     for net in _split_test_cases():
         pf = net.power_flow
         for k in (1, 2, 3):
             cuts = np.array(list(itertools.combinations(range(len(net.lines)), k)),
                             dtype=np.intp).reshape(-1, k)
             outages = pf.factor(cuts)
-            split, torn = outages.flagged, _search_splits(pf, cuts)
-            assert (split == torn).all(), (net.line_ids(), k)
-            assert ((outages.torn >= 0) == torn).all(), (net.line_ids(), k)
-            rows, flagged = rows + len(cuts), flagged + int(split.sum())
-    assert rows == 24757 and flagged > 0
+            split = outages.torn >= 0
+            assert (split == _search_splits(pf, cuts)).all(), (net.line_ids(), k)
+            rows, splits = rows + len(cuts), splits + int(split.sum())
+    assert rows == 24757 and splits > 0
 
 
 def _union_find_roots(net, cut) -> list[int]:

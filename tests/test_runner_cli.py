@@ -1,6 +1,7 @@
 """Reports, sweeps, certification, GeoJSON overlays, and the CLI surface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from nkshed import fixtures as fx
 from nkshed.attackers import is_feasible_attack
 from nkshed.cli import main
 from nkshed.engine import SolveConfig
-from nkshed.netmodel import AttackerModel, serialize_case
+from nkshed.netmodel import AttackerModel, Network, serialize_case
 from nkshed.runner import (build_geojson, certify, parse_range, report_json, solve_to_report,
                            sweep, write_sweep_csv)
 
@@ -51,6 +52,19 @@ def test_geojson_overlay(mesh8):
     assert flagged == set(report.interdicted_lines)
     lons = [p["geometry"]["coordinates"][0] for p in points]
     assert all(-180 <= lon <= 180 for lon in lons)
+
+
+def test_geojson_overlay_skips_a_bus_without_a_location(mesh8):
+    # Bus 1 unplaced: no point for it and no line string for its lines.
+    report = solve_to_report(mesh8, AttackerModel.traditional(1))
+    buses = [replace(b, lat=None, lon=None) if b.id == 1 else b for b in mesh8.buses]
+    geo = build_geojson(Network(buses, mesh8.lines), report)
+    points = {f["properties"]["bus_id"] for f in geo["features"]
+              if f["geometry"]["type"] == "Point"}
+    strings = {f["properties"]["line_id"] for f in geo["features"]
+               if f["geometry"]["type"] == "LineString"}
+    assert points == {b.id for b in mesh8.buses} - {1}
+    assert strings == {l.id for l in mesh8.lines if 1 not in (l.from_bus, l.to_bus)}
 
 
 def test_sweep_grid_and_monotonicity(mesh8):
@@ -252,6 +266,13 @@ def test_parse_range_reads_a_comma_list_and_rejects_a_non_positive_step():
             parse_range(f"1:3:{step}")
 
 
+def test_parse_range_rejects_a_field_that_is_not_finite():
+    # A nan step gave [1.0], and an inf upper end never ended the range.
+    for spec in ("1:3:nan", "1:inf", "nan:3", "-inf:3", "2,nan", "inf"):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_range(spec)
+
+
 def test_cli_has_no_distance_option(tmp_path):
     case, geo = _write_inputs(tmp_path, fx.triangle())
     with pytest.raises(SystemExit) as exit_:
@@ -331,3 +352,20 @@ def test_cli_missing_case_exit(tmp_path):
     code = main(["run", "--case", str(tmp_path / "nope.m"), "--model", "traditional",
                  "--k", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("which", ["case", "geo", "out"])
+def test_cli_path_it_cannot_open_exit(tmp_path, capsys, which):
+    # A directory given as the case raised IsADirectoryError with a
+    # traceback; every path that cannot be read or written is an input error.
+    case, geo = _write_inputs(tmp_path, fx.two_bus())
+    paths = {"case": case, "geo": geo, "out": str(tmp_path / "out")}
+    if which == "out":
+        (tmp_path / "out").write_text("")
+    else:
+        paths[which] = str(tmp_path)
+    code = main(["run", "--case", paths["case"], "--geo", paths["geo"], "--model",
+                 "traditional", "--k", "1", "--out", paths["out"]])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

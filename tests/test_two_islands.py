@@ -18,7 +18,7 @@ from nkshed import oracle
 from nkshed.engine import CONVERGED, SolveConfig, solve_interdiction
 from nkshed.inner import (AttackPlan, _balanced, exact_eta, exact_etas, response_shed,
                           solve_inner)
-from nkshed.netmodel import AttackerModel, Bus, Line, Network
+from nkshed.netmodel import AttackerModel, Bus, Line, Network, _islands
 from reference_lp import incidence
 from test_response_bound import _dispatch, _check_against_reference
 
@@ -133,13 +133,14 @@ def test_bound_on_nearly_singular_outages_that_stay_whole(seed):
     pf, m, strong = net.power_flow, len(net.lines), net.line_pos[3 * OFFSET]
     assert pf.num_islands == 1
     # The strong tie alone, and with each line whose loss splits nothing
-    # more: each flagged by the determinant, yet whole, so each takes the
-    # inverse and keeps the intact island.
+    # more: each torn by the determinant, yet whole, so each is routed
+    # alone on its islands, all of them the intact island 0.
     pairs = np.array([[strong, e] for e in range(m) if e != strong])
-    whole = pairs[pf.factor(pairs).torn == -1]
+    found = _islands(pf.fr, pf.to, len(net.buses), pairs)
+    whole = pairs[(found == found[:, :1]).all(axis=1)]
     for cuts in (np.array([[strong]]), whole):
         outages = pf.factor(cuts)
-        assert outages.flagged.all() and (outages.torn == -1).all()
+        assert (outages.torn >= 0).all() and not outages.islands[outages.torn].any()
     assert len(whole) >= m // 2
     tables = [np.arange(m)[:, None], whole]
     _check_against_reference(net, (), seed, tables=tables,

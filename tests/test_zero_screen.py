@@ -135,7 +135,7 @@ def test_island_splitting_attacks_go_to_the_lp(name):
     for size in {len(s) for s in attacks}:
         same = [s for s in attacks if len(s) == size]
         cuts = np.array([sorted(net.line_pos[l] for l in s) for s in same])
-        splits = net.power_flow.factor(cuts).flagged
+        splits = net.power_flow.factor(cuts).torn >= 0
         split.update(zip(same, splits))
         # An outage that splits an island is never settled.
         assert not (_settled(net, same) & splits).any()
