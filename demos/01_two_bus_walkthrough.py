@@ -30,11 +30,11 @@ print(f"parsed {len(net.buses)} buses, {len(net.lines)} lines, "
 # With nothing attacked the single line carries the whole megawatt and no
 # load is shed. A solution's arrays are by position: flow[0] is line 1 and
 # shed[1] is bus 2 (net.line_pos and net.bus_pos map ids to positions).
-base = solve_inner(net, AttackPlan.of([]))
+base = solve_inner(net, AttackPlan([]))
 print(f"no attack:   shed {base.eta:.3f} p.u., line flow {base.flow[0]:+.3f} p.u.")
 
 # Remove the line and the load bus is stranded: everything sheds.
-hit = solve_inner(net, AttackPlan.of([1]))
+hit = solve_inner(net, AttackPlan([1]))
 print(f"line 1 out:  shed {hit.eta:.3f} p.u., bus 2 shed factor {hit.shed[1]:.2f}")
 
 # The solver searches over all k-line attacks; here there is exactly one.

@@ -379,25 +379,25 @@ class Model:
             self._lp = self._pass(False, _LP_OPTIONS)
         return self._lp
 
-    def _status(self, solver, require_optimal: bool, kind: str = "LP") -> str:
+    def _status(self, solver, require_optimal: bool) -> str:
         model_status = solver.getModelStatus()
         status = _STATUS.get(model_status, FAILED)
         if status != OPTIMAL and require_optimal:
-            raise BackendError(f"{kind} {self.name or '(unnamed)'}: {status} "
+            raise BackendError(f"LP {self.name or '(unnamed)'}: {status} "
                                f"({solver.modelStatusToString(model_status)})")
         return status
 
-    def solve_milp(self, require_optimal: bool = True, presolve: bool = True) -> Solution:
+    def solve_milp(self, presolve: bool = True) -> Solution:
         """Solve the model with its integer markers, as scipy's ``milp`` would.
 
         Each solve passes the model to a new HiGHS model, with ``presolve``
-        for this solve. ``dual_bound`` is HiGHS's proven bound, or the
-        objective when no column is integer.
+        for this solve, and returns its status, optimal or not. ``dual_bound``
+        is HiGHS's proven bound, or the objective when no column is integer.
         """
         solver = self._pass(True, {**_MILP_OPTIONS, "presolve": "on" if presolve else "off"})
         with _stdout_to_stderr():
             info = milp(solver)
-        status = self._status(solver, require_optimal, "MILP")
+        status = _STATUS.get(solver.getModelStatus(), FAILED)
         if status != OPTIMAL:
             return Solution(status, np.nan, np.zeros(self.num_vars))
         # HiGHS reports no MIP dual bound when no column is integer.

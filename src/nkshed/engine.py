@@ -297,9 +297,9 @@ def _milp_loop(net: Network, model: AttackerModel, config: SolveConfig,
 
     while state.iterations < config.max_iters:
         mdl, x_cols = _build_master(net, model, state, retired, load_cap)
-        master = mdl.solve_milp(require_optimal=False)
+        master = mdl.solve_milp()
         if master.status not in (OPTIMAL, INFEASIBLE):
-            master = mdl.solve_milp(require_optimal=False, presolve=False)
+            master = mdl.solve_milp(presolve=False)
         if master.status == INFEASIBLE:
             if state.iterations == 0:
                 raise NoFeasibleAttackError(

@@ -47,30 +47,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .backend import BackendError, Model, Solution
-from .netmodel import BATCH_ENTRIES, AttackerModel, Network, Outages
+from .netmodel import BATCH_ENTRIES, Network, Outages
 
 __all__ = ["AttackPlan", "InnerSolution", "solve_inner", "exact_eta", "exact_etas",
            "response_shed"]
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """A concrete set of interdicted line ids, optionally tied to an attacker model."""
+    """A set of interdicted line ids and, for a spatial attack, its centre bus.
+
+    ``lines`` is kept as a frozenset of ints. A plan takes any lines and
+    any centre; ``oracle.attack_plan`` makes the plan of a feasible attack
+    under an attacker budget.
+    """
 
     lines: frozenset[int]
     center_bus: int | None = None
-    model: AttackerModel | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", frozenset(self.lines))
-        m = self.model
-        if (self.center_bus is not None) != (m is not None and m.variant == "spatial"):
-            raise ValueError("a spatial plan needs a center_bus, and no other plan takes one")
-        if m is not None and len(self.lines) not in m.sizes:
-            raise ValueError(f"{m.variant} plan has {len(self.lines)} lines, not in {list(m.sizes)}")
-
-    @staticmethod
-    def of(lines, center_bus: int | None = None, model: AttackerModel | None = None) -> "AttackPlan":
-        return AttackPlan(frozenset(int(l) for l in lines), center_bus, model)
+        object.__setattr__(self, "lines", frozenset(map(int, self.lines)))
 
     def sorted_lines(self) -> tuple[int, ...]:
         return tuple(sorted(self.lines))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -63,17 +64,18 @@ class OracleResult:
 
 def subset_count(m: int, model: AttackerModel) -> int:
     """Candidate subsets of m lines the enumeration walks for ``model``."""
-    return sum(comb(m, j) for j in model.sizes)
+    return sum(comb(m, j) for j in model.sizes[:m + 1])
 
 
 def feasible_attacks(net: Network, model: AttackerModel):
     """Yield the sorted line-id tuple of every feasible attack.
 
     Smaller attacks come first (only the spatial budget mixes sizes), then
-    lexicographic order.
+    lexicographic order. Sizes above the line count are not walked.
     """
     line_ids = tuple(sorted(net.line_ids()))
-    for subset in chain.from_iterable(combinations(line_ids, j) for j in model.sizes):
+    sizes = model.sizes[:len(line_ids) + 1]
+    for subset in chain.from_iterable(combinations(line_ids, j) for j in sizes):
         if is_feasible_attack(net, model, subset):
             yield subset
 
@@ -87,7 +89,7 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
     attack has no array. Raises :class:`NoFeasibleAttackError` when no size
     has one.
     """
-    count = dict.fromkeys(model.sizes, 0)
+    count = Counter()   # rows by size, in the walk's ascending order
 
     def positions():
         for subset in feasible_attacks(net, model):
@@ -95,22 +97,26 @@ def attack_table(net: Network, model: AttackerModel) -> list[np.ndarray]:
             yield from map(net.line_pos.__getitem__, subset)
 
     flat = np.fromiter(positions(), np.int32)
-    if not any(count.values()):
+    if not count:
         raise NoFeasibleAttackError(
             f"no feasible attack for the {model.variant} budget (k = {model.k})")
     ends = np.cumsum([size * rows for size, rows in count.items()])
     return [flat[end - size * rows:end].reshape(rows, size)
-            for (size, rows), end in zip(count.items(), ends) if rows]
+            for (size, rows), end in zip(count.items(), ends)]
 
 
 def attack_plan(net: Network, model: AttackerModel, subset) -> AttackPlan:
     """The plan of a feasible attack: a spatial one is centred on the pinned
-    bus, or else on the smallest bus that can centre all its lines."""
+    bus, or else on the smallest bus that can centre all its lines. Raises
+    ``ValueError`` for a size ``model`` does not admit."""
+    lines = frozenset(map(int, subset))
+    if len(lines) not in model.sizes:
+        raise ValueError(f"{model.variant} plan has {len(lines)} lines, not in {model.sizes}")
     center = None
     if model.variant == "spatial":
         center = (model.center_bus if model.center_bus is not None
-                  else min(spatial_centers(net, model, subset)))
-    return AttackPlan(frozenset(subset), center, model)
+                  else min(spatial_centers(net, model, lines)))
+    return AttackPlan(lines, center)
 
 
 def solve_exhaustive(
@@ -209,17 +215,13 @@ def _price(net: Network, table: list[np.ndarray]) -> np.ndarray:
         return np.fromiter(chain.from_iterable(pool.map(price, chunks)), float)
 
 
-def write_ranking_csv(result: OracleResult, out) -> None:
-    """Dump a ranking as ``rank,lines,eta`` rows; lines are ';'-joined ids."""
+def write_ranking_csv(result: OracleResult, path) -> None:
+    """Write a ranking to the CSV file at ``path`` as ``rank,lines,eta``
+    rows; lines are ';'-joined ids."""
     if result.ranking is None:
         raise ValueError("oracle result has no ranking; pass keep_ranking=True")
-    own = isinstance(out, (str, bytes, os.PathLike))
-    fh = open(out, "w", newline="") if own else out
-    try:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "lines", "eta"])
         for rank, (lines, eta) in enumerate(result.ranking, start=1):
             writer.writerow([rank, ";".join(str(l) for l in lines), repr(eta)])
-    finally:
-        if own:
-            fh.close()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -120,10 +120,12 @@ def sweep(net: Network, variant: str, k_values, D_values=None,
     """One report row per (k, D) grid point; failures are recorded in-row.
 
     The spatial budget needs ``D_values`` and the other budgets take none
-    (a single implicit D of None); either mistake, or a k that is not an
-    integer, raises ``ValueError`` before any solve. The grid must be
-    nonempty.
+    (a single implicit D of None); either mistake, a k that is not an
+    integer, or ``jobs`` (the worker threads) that is not an integer >= 1,
+    raises ``ValueError`` before any solve. The grid must be nonempty.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     config = config or SolveConfig()
     d_list = [] if D_values is None else [float(d) for d in D_values]
     if variant == "spatial" and not d_list:
@@ -164,17 +166,13 @@ SWEEP_COLUMNS = ["schema", "model", "k", "D_km", "eta_star", "iterations",
                  "error"]
 
 
-def write_sweep_csv(rows: list[dict], out) -> None:
-    own = isinstance(out, (str, bytes, os.PathLike))
-    fh = open(out, "w", newline="") if own else out
-    try:
+def write_sweep_csv(rows: list[dict], path) -> None:
+    """Write the sweep rows to the CSV file at ``path``, one column per
+    ``SWEEP_COLUMNS`` entry."""
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if own:
-            fh.close()
+        writer.writerows(rows)
 
 
 def certify(net: Network, model: AttackerModel, config: SolveConfig | None = None,

@@ -97,7 +97,7 @@ def test_criterion_2_response_bound_equals_eta():
         name = rng.choice(FIXTURE_NAMES)
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
-        sol = solve_inner(net, AttackPlan.of(attack))
+        sol = solve_inner(net, AttackPlan(attack))
         bound = _response_bound(net, sol, attack)
         worst = max(worst, abs(sol.eta - bound))
         assert abs(sol.eta - bound) <= 1e-6, (name, attack, sol.eta, bound)
@@ -114,7 +114,7 @@ def test_criterion_3_response_is_a_dc_power_flow():
         name = rng.choice(FIXTURE_NAMES)
         net = fx.FIXTURES[name]()
         attack = _random_attacks(rng, net, 1)[0]
-        sol = solve_inner(net, AttackPlan.of(attack))
+        sol = solve_inner(net, AttackPlan(attack))
         gap = residuals(net, sol, attack)
         worst = max(worst, gap)
         assert gap <= 1e-9, (name, attack, gap)
@@ -135,7 +135,7 @@ def test_criterion_4_cut_validity():
 
         def solved(a, _net=net, _cache=cache):
             if a not in _cache:
-                _cache[a] = solve_inner(_net, AttackPlan.of(a))
+                _cache[a] = solve_inner(_net, AttackPlan(a))
             return _cache[a]
 
         for _ in range(100):

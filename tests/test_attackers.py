@@ -141,7 +141,7 @@ def _pinned_model(net: Network, model: AttackerModel, subset, lead: int = 0):
 
 
 def _feasible(mdl: Model) -> bool:
-    sol = mdl.solve_milp(require_optimal=False)
+    sol = mdl.solve_milp()
     if sol.status == INFEASIBLE:
         return False
     assert sol.optimal

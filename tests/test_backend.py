@@ -4,11 +4,13 @@ model re-solving exactly like a fresh one."""
 
 import ast
 import itertools
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs
 
@@ -251,7 +253,7 @@ def test_nan_or_infinite_input_is_rejected_before_highs(col, value, field):
     with pytest.raises(ValueError, match="finite"):
         mdl.solve_lp(require_optimal=False)
     with pytest.raises(ValueError, match="finite"):
-        mdl.solve_milp(require_optimal=False)
+        mdl.solve_milp()
 
 
 def test_a_row_naming_a_column_the_model_lacks_is_rejected_before_highs():
@@ -273,6 +275,16 @@ def test_the_binding_is_loaded_once():
     # Loading again finds the module in sys.modules, the one the backend uses.
     assert backend._load_highs() is backend.highs
     assert sys.modules["scipy.optimize._highspy._core"] is backend.highs
+
+
+def test_a_missing_binding_raises_import_error_naming_where_it_looked(monkeypatch, tmp_path):
+    # No binding loaded, and none beside an empty scipy directory.
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    where = str(tmp_path / "optimize" / "_highspy")
+    with pytest.raises(ImportError, match=re.escape(where)) as err:
+        backend._load_highs()
+    assert err.value.path == where
 
 
 def _scipy_colwise(mdl, eq_first):
@@ -326,7 +338,7 @@ def test_milp_over_every_row_kind_matches_enumeration(bounds, costs):
     points = np.array(list(itertools.product(*(range(a, b + 1) for a, b in box))), dtype=float)
     act = points @ ROWS.T
     feasible = points[np.all((act >= np.array(lo) - 1e-9) & (act <= np.array(hi) + 1e-9), axis=1)]
-    sol = mdl.solve_milp(require_optimal=False)
+    sol = mdl.solve_milp()
     if len(feasible) == 0:
         assert sol.status == INFEASIBLE
         return
@@ -363,7 +375,7 @@ def test_solve_milp_is_scipys_milp_bit_for_bit(case, presolve):
     mdl.add_vars(len(costs), lb=[b[0] for b in box], ub=[b[1] for b in box], obj=costs,
                  integer=integer)
     _add_dense(mdl, rows, lo, hi)
-    sol = mdl.solve_milp(require_optimal=False, presolve=presolve)
+    sol = mdl.solve_milp(presolve=presolve)
     res = _direct_milp(costs, box, rows, lo, hi, integer, presolve)
     if res.status == 2:
         assert sol.status == INFEASIBLE
@@ -381,6 +393,5 @@ def test_a_milp_highs_rejects_raises_instead_of_reading_infeasible():
     mdl = Model("rejected")
     mdl.add_vars(2, lb=np.inf, ub=np.inf, obj=-1.0, integer=True)
     mdl.add_le([0, 1], [1.0, 1.0], 1.0)
-    for require_optimal in (True, False):
-        with pytest.raises(BackendError, match="MILP rejected: HiGHS rejected the model"):
-            mdl.solve_milp(require_optimal=require_optimal)
+    with pytest.raises(BackendError, match="MILP rejected: HiGHS rejected the model"):
+        mdl.solve_milp()

@@ -81,7 +81,7 @@ def test_milp_master_cuts_price_each_priced_flow(milp_master, mesh8, bounds_mode
     assert len(state.cuts) >= 2
     rate = 1.0 if bounds_mode == "heuristic" else total_load(net)
     for (eta_hat, price), h in zip(state.cuts, state.history):
-        sol = solve_inner(net, AttackPlan.of(h["attack"]))
+        sol = solve_inner(net, AttackPlan(h["attack"]))
         assert eta_hat == h["eta_hat"] == sol.eta
         assert price.tobytes() == (rate * np.abs(sol.flow)).tobytes()
 
@@ -237,11 +237,11 @@ def _failing(times):
     """A ``Model.solve_milp`` whose first ``times`` calls fail; records presolve flags."""
     real, calls = backend.Model.solve_milp, []
 
-    def solve_milp(self, require_optimal=True, presolve=True):
+    def solve_milp(self, presolve=True):
         calls.append(presolve)
         if len(calls) <= times:
             return backend.Solution("failed", np.nan, np.zeros(self.num_vars))
-        return real(self, require_optimal=require_optimal, presolve=presolve)
+        return real(self, presolve=presolve)
 
     return solve_milp, calls
 

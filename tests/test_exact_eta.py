@@ -46,7 +46,7 @@ def _attacks(net, budgets) -> list:
 def test_exact_eta_agrees_with_solve_inner_on_every_attack(name):
     net, budgets = _budgets(name)
     for subset in _attacks(net, budgets):
-        plan = AttackPlan.of(subset)
+        plan = AttackPlan(subset)
         eta, ref = exact_eta(net, plan), solve_inner(net, plan).eta
         assert abs(eta - ref) <= 1e-9 * max(1.0, ref), (subset, eta, ref)
 
@@ -64,8 +64,8 @@ def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
         etas = np.empty(len(attacks))
         for i in order:
             if interleave:
-                solve_inner(net, AttackPlan.of(attacks[-1 - i]))
-            etas[i] = exact_eta(net, AttackPlan.of(attacks[i]))
+                solve_inner(net, AttackPlan(attacks[-1 - i]))
+            etas[i] = exact_eta(net, AttackPlan(attacks[i]))
         return etas.tobytes()
 
     forward = list(range(len(attacks)))
@@ -84,7 +84,7 @@ def test_etas_do_not_depend_on_the_pricing_history(name, monkeypatch):
         iterations.append(lp.getInfo().simplex_iteration_count)
 
     monkeypatch.setattr(backend, "linprog", counted)
-    exact_eta(net, AttackPlan.of(()))
+    exact_eta(net, AttackPlan(()))
     assert iterations == [0]
 
 
@@ -107,7 +107,7 @@ def test_near_equal_etas_tie_to_the_smallest_tuple():
 def test_a_start_that_stops_short_is_solved_again_cold():
     # From the intact basis, the dual simplex stops on attack (21,) of the
     # 14x14 lattice with model status "Not Set".
-    net, plan = lattice(14, 14), AttackPlan.of([21])
+    net, plan = lattice(14, 14), AttackPlan([21])
     eta = exact_eta(net, plan)
     assert _exact_model(net)[0].mdl.cold_restarts == 1
     ref = solve_inner(net, plan).eta

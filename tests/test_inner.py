@@ -6,7 +6,7 @@ import itertools
 import random
 import threading
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -18,6 +18,7 @@ from nkshed.backend import Model
 from nkshed.engine import valid_bounds
 from nkshed.inner import AttackPlan, solve_inner
 from nkshed.netmodel import AttackerModel, Network, total_load
+from nkshed.oracle import attack_plan
 from nkshed.runner import solve_to_report
 from reference_lp import default_band, incidence, reference_eta
 
@@ -59,12 +60,12 @@ def residuals(net, sol, attack):
 
 
 def test_two_bus_no_attack(two_bus):
-    sol = solve_inner(two_bus, AttackPlan.of([]))
+    sol = solve_inner(two_bus, AttackPlan([]))
     assert sol.eta == pytest.approx(0.0, abs=TOL)
 
 
 def test_two_bus_islanding(two_bus):
-    sol = solve_inner(two_bus, AttackPlan.of([1]))
+    sol = solve_inner(two_bus, AttackPlan([1]))
     assert sol.eta == pytest.approx(1.0, abs=TOL)
     assert sol.shed[two_bus.bus_pos[2]] == pytest.approx(1.0, abs=TOL)
 
@@ -86,7 +87,7 @@ def test_triangle_attack_line1_matches_handwritten_lp(triangle):
               (-1.0, 1.0), (-0.5, 0.5)]
     ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert ref.status == 0
-    sol = solve_inner(triangle, AttackPlan.of([1]))
+    sol = solve_inner(triangle, AttackPlan([1]))
     assert sol.eta == pytest.approx(ref.fun, abs=TOL)
     assert sol.eta == pytest.approx(1.0, abs=TOL)
 
@@ -97,7 +98,7 @@ def test_matches_reference_lp_on_all_single_and_double_attacks(name):
     ids = [l.id for l in net.lines]
     attacks = [[]] + [[i] for i in ids] + [list(p) for p in itertools.combinations(ids, 2)]
     for attack in attacks:
-        sol = solve_inner(net, AttackPlan.of(attack))
+        sol = solve_inner(net, AttackPlan(attack))
         assert sol.eta == pytest.approx(reference_eta(net, attack), abs=TOL), attack
         assert residuals(net, sol, attack) <= TOL
         assert 0.0 - TOL <= sol.eta <= total_load(net) + TOL
@@ -110,7 +111,7 @@ def test_one_lp_per_call_and_eta_is_band_free(name, monkeypatch):
     # Once the network's model exists, each call solves exactly one LP, and
     # its eta must equal the shed of an effectively band-free reference LP.
     net = fx.FIXTURES[name]()
-    solve_inner(net, AttackPlan.of([]))
+    solve_inner(net, AttackPlan([]))
     calls = []
     solve_lp = Model.solve_lp
     monkeypatch.setattr(Model, "solve_lp",
@@ -120,7 +121,7 @@ def test_one_lp_per_call_and_eta_is_band_free(name, monkeypatch):
     for attack in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(4)):
         calls.clear()
-        sol = solve_inner(net, AttackPlan.of(attack))
+        sol = solve_inner(net, AttackPlan(attack))
         assert len(calls) == 1, attack
         ref = reference_eta(net, list(attack), big_m=1e4 * default_band(net))
         assert sol.eta == pytest.approx(ref, abs=1e-9), attack
@@ -128,7 +129,7 @@ def test_one_lp_per_call_and_eta_is_band_free(name, monkeypatch):
 
 def _attacks(net, k_max):
     ids = [l.id for l in net.lines]
-    return [AttackPlan.of(a) for a in itertools.chain.from_iterable(
+    return [AttackPlan(a) for a in itertools.chain.from_iterable(
         itertools.combinations(ids, k) for k in range(k_max + 1))]
 
 
@@ -155,7 +156,7 @@ def test_kept_model_answers_do_not_depend_on_solve_order(name):
 
 def test_kept_model_does_not_keep_the_network_alive():
     net = fx.mesh8()
-    sol = solve_inner(net, AttackPlan.of([1]))
+    sol = solve_inner(net, AttackPlan([1]))
     ref, n, removed = weakref.ref(net), len(net.buses), net.line_pos[1]
     # One load-shed model per thread and network: the exact model.
     assert hasattr(net.thread_cache, "exact")
@@ -186,7 +187,7 @@ def test_flows_obey_kirchhoffs_voltage_law(make):
     ids = [l.id for l in net.lines]
     for attack in itertools.chain.from_iterable(
             itertools.combinations(ids, k) for k in range(3)):
-        sol = solve_inner(net, AttackPlan.of(attack))
+        sol = solve_inner(net, AttackPlan(attack))
         assert kvl_residual(net, sol, attack) <= 1e-9, attack
 
 
@@ -202,7 +203,7 @@ def test_reversed_relabelled_lines_give_same_eta(name):
     k = min(2, len(ids))
     rng = random.Random(5)
     for attack in [[]] + [rng.sample(ids, rng.randint(1, k)) for _ in range(6)]:
-        plan, moved = AttackPlan.of(attack), AttackPlan.of(relabel[lid] for lid in attack)
+        plan, moved = AttackPlan(attack), AttackPlan(relabel[lid] for lid in attack)
         eta = solve_inner(net, plan).eta
         assert solve_inner(other, moved).eta == pytest.approx(eta, abs=TOL), attack
 
@@ -218,7 +219,7 @@ def test_relabelled_ids_keep_positions_and_reports_map_back(mesh8):
         [replace(l, id=relabel(l.id), from_bus=relabel(l.from_bus), to_bus=relabel(l.to_bus))
          for l in mesh8.lines])
     for attack in _attacks(mesh8, 2):
-        moved = AttackPlan.of(relabel(lid) for lid in attack.lines)
+        moved = AttackPlan(relabel(lid) for lid in attack.lines)
         assert _bits(solve_inner(other, moved)) == _bits(solve_inner(mesh8, attack))
     model = AttackerModel.traditional(2)
     report, moved = solve_to_report(mesh8, model), solve_to_report(other, model)
@@ -235,11 +236,11 @@ def cut_bound(net, sol, rate, candidate):
 
 
 def test_cut_rhs_examples(triangle):
-    base = solve_inner(triangle, AttackPlan.of([]))
+    base = solve_inner(triangle, AttackPlan([]))
     # empty candidate: empty sum
     assert cut_bound(triangle, base, 1.0, []) == pytest.approx(base.eta)
     # candidate = the attack itself, interdicted flows zero
-    attacked = solve_inner(triangle, AttackPlan.of([1]))
+    attacked = solve_inner(triangle, AttackPlan([1]))
     assert cut_bound(triangle, attacked, 1.0, [1]) == pytest.approx(attacked.eta, abs=TOL)
     # intact flows price the candidate: eta(0) + |p_1(0)| = 0 + 1.0
     assert cut_bound(triangle, base, 1.0, [1]) == pytest.approx(1.0, abs=TOL)
@@ -254,7 +255,7 @@ def test_cut_validity_exhaustive_pairs_valid_bounds(name):
     k = 2 if len(ids) >= 2 else 1
     vb = valid_bounds(net)
     attacks = [frozenset(p) for p in itertools.combinations(ids, k)]
-    solved = {a: solve_inner(net, AttackPlan.of(a)) for a in attacks}
+    solved = {a: solve_inner(net, AttackPlan(a)) for a in attacks}
     for x_hat in attacks:
         for x in attacks:
             rhs = cut_bound(net, solved[x_hat], vb, x)
@@ -262,23 +263,23 @@ def test_cut_validity_exhaustive_pairs_valid_bounds(name):
 
 
 def test_attack_plan_invariants():
-    # A plan takes exactly the sizes its budget admits, with a centre
-    # exactly when the budget is spatial.
+    # attack_plan takes exactly the sizes its budget admits; a plan itself
+    # is its lines, kept as ints, and its centre.
+    net = fx.mesh8()
     for model in (AttackerModel.traditional(2), AttackerModel.topological(2),
-                  AttackerModel.spatial(2, 50.0)):
+                  AttackerModel.spatial(2, 160.0)):
         spatial = model.variant == "spatial"
         assert list(model.sizes) == ([0, 1, 2] if spatial else [2])
         for size in range(model.k + 2):
             lines = range(1, size + 1)
             if size in model.sizes:
-                plan = AttackPlan.of(lines, center_bus=4 if spatial else None, model=model)
+                plan = attack_plan(net, model, lines)
                 assert plan.sorted_lines() == tuple(lines)
             else:
                 with pytest.raises(ValueError, match=f"plan has {size} lines"):
-                    AttackPlan.of(lines, center_bus=4 if spatial else None, model=model)
-            with pytest.raises(ValueError, match="center_bus"):
-                AttackPlan.of(lines, center_bus=None if spatial else 4, model=model)
-    with pytest.raises(ValueError, match="center_bus"):
-        AttackPlan.of([1], center_bus=4)
+                    attack_plan(net, model, lines)
+    assert [f.name for f in fields(AttackPlan)] == ["lines", "center_bus"]
+    plan = AttackPlan([np.int64(2), 1, 2], center_bus=4)
+    assert plan.lines == frozenset({1, 2}) and {type(l) for l in plan.lines} == {int}
     with pytest.raises(ValueError, match="unknown line"):
-        solve_inner(fx.two_bus(), AttackPlan.of([99]))
+        solve_inner(fx.two_bus(), AttackPlan([99]))

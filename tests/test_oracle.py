@@ -1,6 +1,6 @@
 """Brute-force oracle: counts, budgets, tie-breaks, ranking output."""
 
-import io
+import itertools
 
 import numpy as np
 import pytest
@@ -85,6 +85,25 @@ def test_spatial_enumerates_all_sizes(mesh8):
     assert res.best_eta >= max(eta for _, eta in res.ranking) - 1e-12
 
 
+def test_the_walk_stops_at_the_line_count(monkeypatch, mesh8):
+    # A spatial budget above mesh8's 12 lines walks the sizes 0-12 alone,
+    # one combinations call each, and lists the attacks of k = 12.
+    calls = []
+
+    def counted(ids, size):
+        calls.append(size)
+        return itertools.combinations(ids, size)
+
+    monkeypatch.setattr(oracle, "combinations", counted)
+    attacks = list(oracle.feasible_attacks(mesh8, AttackerModel.spatial(50, 160.0)))
+    assert calls == list(range(13))
+    assert attacks == list(oracle.feasible_attacks(mesh8, AttackerModel.spatial(12, 160.0)))
+    assert oracle.subset_count(12, AttackerModel.spatial(10**12, 160.0)) == 2**12
+    table = oracle.attack_table(mesh8, AttackerModel.spatial(10**6, 160.0))
+    assert [rows.tolist() for rows in table] == [
+        rows.tolist() for rows in oracle.attack_table(mesh8, AttackerModel.spatial(12, 160.0))]
+
+
 def test_lexicographic_tie_break(star5):
     # Every leg of the star sheds the same load, so the smallest id must win.
     res = solve_exhaustive(star5, AttackerModel.traditional(1), keep_ranking=True)
@@ -98,11 +117,10 @@ def test_no_feasible_attack_when_k_exceeds_lines(two_bus):
         solve_exhaustive(two_bus, AttackerModel.traditional(3))
 
 
-def test_ranking_csv(star5):
+def test_ranking_csv(tmp_path, star5):
     res = solve_exhaustive(star5, AttackerModel.traditional(2), keep_ranking=True)
-    buf = io.StringIO()
-    write_ranking_csv(res, buf)
-    rows = buf.getvalue().strip().splitlines()
+    write_ranking_csv(res, tmp_path / "ranking.csv")
+    rows = (tmp_path / "ranking.csv").read_text().strip().splitlines()
     assert rows[0] == "rank,lines,eta"
     assert len(rows) == 1 + res.evaluated
     first = rows[1].split(",")
@@ -112,17 +130,16 @@ def test_ranking_csv(star5):
 
 def test_ranking_csv_takes_a_path(tmp_path, star5):
     res = solve_exhaustive(star5, AttackerModel.traditional(2), keep_ranking=True)
-    buf = io.StringIO(newline="")
-    write_ranking_csv(res, buf)
-    write_ranking_csv(res, tmp_path / "ranking.csv")
-    with open(tmp_path / "ranking.csv", newline="") as fh:
-        assert fh.read() == buf.getvalue()
+    write_ranking_csv(res, tmp_path / "path.csv")
+    write_ranking_csv(res, str(tmp_path / "str.csv"))
+    assert (tmp_path / "path.csv").read_bytes() == (tmp_path / "str.csv").read_bytes()
 
 
-def test_ranking_requires_flag(star5):
+def test_ranking_requires_flag(tmp_path, star5):
     res = solve_exhaustive(star5, AttackerModel.traditional(1))
     with pytest.raises(ValueError, match="keep_ranking"):
-        write_ranking_csv(res, io.StringIO())
+        write_ranking_csv(res, tmp_path / "ranking.csv")
+    assert not (tmp_path / "ranking.csv").exists()
 
 
 def test_spatial_nests_in_unconstrained_small_attacks(mesh8):

@@ -69,7 +69,7 @@ def _force(monkeypatch, workers, chunk=1):
 def _per_plan(price):
     """A batch pricer, in the place of ``exact_etas``, that prices the plan
     of each row of line positions in a chunk by ``price``."""
-    return lambda net, cuts: [price(net, AttackPlan.of(net.lines[e].id for e in row))
+    return lambda net, cuts: [price(net, AttackPlan(net.lines[e].id for e in row))
                               for row in cuts]
 
 

@@ -35,7 +35,7 @@ def _check_every_ordered_pair(net, attacks):
 
     Returns how many of the attacks split an island of the network.
     """
-    sols = {a: solve_inner(net, AttackPlan.of(a)) for a in attacks}
+    sols = {a: solve_inner(net, AttackPlan(a)) for a in attacks}
     groups = _cuts(net, attacks)
     for x_hat, sol in sols.items():
         gen, served = _dispatch(net, sol)
@@ -69,10 +69,10 @@ def test_bound_covers_islanding_attacks(star5):
     assert _check_every_ordered_pair(star5, _attacks_up_to_two(star5)) == 4 + 6
     # Stranding leaf 2 with the hub's dispatch: the leaf's load is shed,
     # the other three keep theirs, and that is the exact shed.
-    gen, served = _dispatch(star5, solve_inner(star5, AttackPlan.of([])))
+    gen, served = _dispatch(star5, solve_inner(star5, AttackPlan([])))
     cuts = np.array([[0]])
     bound = response_shed(star5, gen, served, star5.power_flow.factor(cuts))
-    assert bound[0] == pytest.approx(solve_inner(star5, AttackPlan.of([1])).eta, abs=1e-9)
+    assert bound[0] == pytest.approx(solve_inner(star5, AttackPlan([1])).eta, abs=1e-9)
 
 
 def test_bound_valid_on_spatial_sub_k_attacks(mesh8):
@@ -87,9 +87,9 @@ def test_bound_catches_the_reroute_a_flow_cut_misses():
     # On this mesh the unit-rate cut from {4, 6} bounds {1, 4} by 0.8178
     # although its shed is 0.9172: line 1 carries no flow at {4, 6}'s optimum.
     net = fx.random_mesh(78)
-    gen, served = _dispatch(net, solve_inner(net, AttackPlan.of([4, 6])))
+    gen, served = _dispatch(net, solve_inner(net, AttackPlan([4, 6])))
     cuts = np.array([[net.line_pos[1], net.line_pos[4]]])
-    eta = solve_inner(net, AttackPlan.of([1, 4])).eta
+    eta = solve_inner(net, AttackPlan([1, 4])).eta
     assert eta == pytest.approx(0.9172, abs=1e-4)
     assert response_shed(net, gen, served, net.power_flow.factor(cuts))[0] >= eta - 1e-9
 
@@ -233,7 +233,7 @@ def _dispatches(net, seed):
     """The intact optimum, the optimum with the first line out and a random
     dispatch, as generation and served load."""
     rng = np.random.default_rng(seed)
-    dispatches = [_dispatch(net, solve_inner(net, AttackPlan.of(lines)))
+    dispatches = [_dispatch(net, solve_inner(net, AttackPlan(lines)))
                   for lines in ((), net.line_ids()[:1])]
     dispatches.append((rng.uniform(0.0, net.gen_cap_vector()),
                        rng.uniform(0.0, net.demand_vector())))

@@ -252,6 +252,27 @@ def test_sweep_rejects_a_k_it_would_truncate(monkeypatch, triangle, k_values):
         sweep(triangle, "traditional", k_values)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+def test_sweep_rejects_a_job_count_that_is_not_an_integer_from_one(monkeypatch, mesh8, jobs):
+    import nkshed.runner as runner
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(runner, "solve_to_report", no_solve)
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        sweep(mesh8, "traditional", [1, 2], jobs=jobs)
+
+
+def test_cli_sweep_rejects_a_job_count_below_one(tmp_path, capsys):
+    case, geo = _write_inputs(tmp_path, fx.mesh8())
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--case", case, "--geo", geo, "--model", "traditional",
+                 "--k-range", "1:2", "--jobs", "-3", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    assert "jobs must be an integer >= 1, got -3" in capsys.readouterr().err
+
+
 def test_parse_range_rejects_a_fourth_field():
     assert parse_range("1:7:2") == [1.0, 3.0, 5.0, 7.0]
     with pytest.raises(ValueError, match="three"):

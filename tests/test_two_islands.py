@@ -43,7 +43,7 @@ def two_meshes(seed: int) -> Network:
 def test_two_islands_price_like_one_network(seed):
     net = two_meshes(seed)
     assert net.power_flow.num_islands == 2
-    gen, served = _dispatch(net, solve_inner(net, AttackPlan.of(())))
+    gen, served = _dispatch(net, solve_inner(net, AttackPlan(())))
     for model in MODELS:
         res = oracle.solve_exhaustive(net, model)
         plan, eta, state = solve_interdiction(net, model, SolveConfig(epsilon=EPS))
@@ -119,10 +119,10 @@ def test_a_tie_the_lp_would_drop_is_rejected():
     with pytest.raises(ValueError, match="too large"):
         weakly_tied(3, 0.1, 1e9)
     net = weakly_tied(3, 0.1, 1e8)
-    gen, served = _dispatch(net, solve_inner(net, AttackPlan.of(())))
+    gen, served = _dispatch(net, solve_inner(net, AttackPlan(())))
     cuts = np.array([sorted(net.line_pos[l] for l in (3 * OFFSET, 104))])
     bound = response_shed(net, gen, served, net.power_flow.factor(cuts))[0]
-    sol = solve_inner(net, AttackPlan.of([3 * OFFSET, 104]))
+    sol = solve_inner(net, AttackPlan([3 * OFFSET, 104]))
     assert sol.eta <= bound + 1e-9
     assert abs(sol.flow[net.line_pos[3 * OFFSET + 1]]) > 0.1
 

@@ -47,7 +47,7 @@ def _etas(net, plans) -> list[float]:
 def _lp_only(net, cuts) -> list[float]:
     """A batch pricer, in the place of ``exact_etas``, that prices every row
     of line positions by its own ``exact_eta`` LP."""
-    return [exact_eta(net, AttackPlan.of(net.lines[e].id for e in row)) for row in cuts]
+    return [exact_eta(net, AttackPlan(net.lines[e].id for e in row)) for row in cuts]
 
 
 def _verdicts(net, plans) -> list[float]:
@@ -75,7 +75,7 @@ def _settled(net, subsets) -> np.ndarray:
 @pytest.mark.parametrize("name", NETWORKS)
 def test_every_settled_attack_sheds_nothing(name):
     net, budgets = _budgets(name)
-    plans = [AttackPlan.of(subset) for subset in _attacks(net, budgets)]
+    plans = [AttackPlan(subset) for subset in _attacks(net, budgets)]
     verdicts = _verdicts(net, plans)
     assert set(map(repr, verdicts)) <= {"0.0", repr(UNSETTLED)}
     for plan, verdict in zip(plans, verdicts):
@@ -91,7 +91,7 @@ def test_a_verdict_depends_on_its_attack_alone(name):
     # bitwise per attack within each size.
     net, budgets = _budgets(name)
     attacks = _attacks(net, budgets)
-    plans = [AttackPlan.of(subset) for subset in attacks]
+    plans = [AttackPlan(subset) for subset in attacks]
     alone = [_verdicts(net, [plan])[0] for plan in plans]
     forward = list(range(len(plans)))
     orders = [forward, forward[::-1], random.Random(0).sample(forward, len(forward))]
@@ -117,7 +117,7 @@ def test_generation_short_network_screens_nothing_and_keeps_its_answer(monkeypat
     # sheds load, so no dispatch serves all demand and no probe exists.
     scale = 1.01 * sum(b.gen_cap for b in mesh8.buses) / sum(b.demand for b in mesh8.buses)
     net = replace(mesh8, buses=[replace(b, demand=b.demand * scale) for b in mesh8.buses])
-    assert exact_eta(net, AttackPlan.of(())) > 0.0
+    assert exact_eta(net, AttackPlan(())) > 0.0
     assert inner._probe_table(net).base.shape == (0, len(net.lines))
     model = AttackerModel.traditional(2)
     plans = [oracle.attack_plan(net, model, s) for s in oracle.feasible_attacks(net, model)]
@@ -141,7 +141,7 @@ def test_island_splitting_attacks_go_to_the_lp(name):
         assert not (_settled(net, same) & splits).any()
     torn = [s for s in attacks if split[s]]
     assert torn
-    plans = [AttackPlan.of(s) for s in torn]
+    plans = [AttackPlan(s) for s in torn]
     assert _verdicts(net, plans) == [UNSETTLED] * len(plans)
     assert list(map(repr, _etas(net, plans))) == [
         repr(exact_eta(net, plan)) for plan in plans]
@@ -255,7 +255,7 @@ def test_a_probe_row_whose_start_stops_short_is_solved_again_cold():
 def test_a_segment_point_on_a_rating_settles_its_attack():
     # The segment point of {1, 10, 11} on random_mesh(11) puts a line exactly
     # on its rating; recomputing that line's flow there read it 2.8e-17 over.
-    net, plan = fx.random_mesh(11), AttackPlan.of((1, 10, 11))
+    net, plan = fx.random_mesh(11), AttackPlan((1, 10, 11))
     assert _stage_one(net, [plan]) == [UNSETTLED]
     assert _verdicts(net, [plan]) == [0.0]
     assert repr(exact_eta(net, plan)) == "0.0"
@@ -270,7 +270,7 @@ def test_every_attack_a_segment_settles_sheds_nothing(seed, data):
     net = fx.random_mesh(seed)
     lines = net.line_ids()
     attack = st.sets(st.sampled_from(lines), min_size=2, max_size=min(3, len(lines)))
-    plans = [AttackPlan.of(s) for s in data.draw(st.lists(attack, min_size=1, max_size=24))]
+    plans = [AttackPlan(s) for s in data.draw(st.lists(attack, min_size=1, max_size=24))]
     chunk = _verdicts(net, plans)
     assert list(map(repr, chunk)) == [repr(_verdicts(net, [plan])[0]) for plan in plans]
     for plan, verdict, first in zip(plans, chunk, _stage_one(net, plans)):
