@@ -16,8 +16,8 @@ serves within every rating gets 0.0 with no LP (the yes/no verdict of
 ``_settled``), and the rest go to ``exact_eta``'s LP. The
 dispatches come from the network's ``_ProbeTable``, built once per network
 and shared by every thread: two intact probes, and per line two
-max-margin dispatches that serve all demand with that line out, solved
-when first needed under the table's lock. An attack of two or more lines
+max-margin dispatches that serve all demand with that line out, built
+once per network through ``Network.shared``. An attack of two or more lines
 that no intact probe settles is tried on the segments from each intact
 probe to its own lines' dispatches.
 
@@ -35,12 +35,11 @@ Both kept models, the exact load-shed model and the probe table's
 max-margin model, are built by ``_slack_model``: it adds the network's
 columns, flow-balance rows and coupling rows as triplet blocks built from
 the line endpoints. Each caller then adds only its own bounds and extra
-columns and rows.
+columns and rows, and takes lines out by ``SlackModel.take_out`` alone.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,23 +94,32 @@ def _line_positions(net: Network, attack: AttackPlan) -> np.ndarray:
         raise ValueError(f"attack references unknown line id {err.args[0]}") from None
 
 
-class DCColumns(NamedTuple):
-    """Model columns of one DC network that its callers read: shed fraction,
-    generation and flow, one block each."""
-
-    shed: np.ndarray
-    gen: np.ndarray
-    flow: np.ndarray
+# Lower and upper bound (rows) of a line's flow and slack (columns): removed,
+# flow at 0 and slack free; idle, flow and slack at 0.
+_REMOVED = np.array([[0.0, -np.inf], [0.0, np.inf]])
+_IDLE = np.zeros((2, 2))
 
 
 class SlackModel(NamedTuple):
-    """A ``_slack_model``: the model, its columns, its flow columns then
-    slack columns, and their intact bounds."""
+    """A ``_slack_model``: the model, its shed fraction, generation and flow
+    columns, its flow columns then slack columns, and their intact bounds."""
 
     mdl: Model
-    dc: DCColumns
+    shed: np.ndarray
+    gen: np.ndarray
+    flow: np.ndarray
     cols: np.ndarray
     intact: np.ndarray
+
+    def take_out(self, positions, state=_REMOVED) -> None:
+        """Set the flow and slack bounds to the intact ones with the lines at
+        ``positions`` removed: a removed line's flow is fixed at 0 and its
+        slack freed, which drops its angle coupling. With ``state`` ``_IDLE``
+        the lines stay in but carry no flow. The one place a kept model's
+        flow and slack bounds are set after it is built."""
+        bounds = self.intact.copy()
+        bounds[..., positions] = state[..., None]
+        self.mdl.set_col_bounds(self.cols, *bounds.reshape(2, -1))
 
 
 def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
@@ -123,7 +131,7 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     bus, then per line e the coupling row
     ``flow_e + b_e * (ang_fr - ang_to) - z_e = 0``. The intact bounds are
     lower and upper, each flow then slack per line: flow within ``rating``,
-    slack at 0. ``_bounds_out`` gives the bounds with lines out.
+    slack at 0. ``SlackModel.take_out`` takes lines out.
     """
     n, m = len(net.buses), len(net.lines)
     demand = net.demand_vector()
@@ -131,7 +139,7 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     shed = mdl.add_vars(n, lb=0.0, ub=1.0, obj=shed_cost)
     gen = mdl.add_vars(n, lb=0.0, ub=net.gen_cap_vector())
     ang = mdl.add_vars(n, lb=-np.inf, ub=np.inf)
-    flow = mdl.add_vars(m, lb=-np.inf, ub=np.inf)
+    flow = mdl.add_vars(m, lb=-rating, ub=rating)
     z = mdl.add_vars(m, lb=0.0, ub=0.0)
     bus, line = np.arange(n), np.arange(m)
     # The incidence's entries: -1 at each line's from bus, then +1 at its to bus.
@@ -145,25 +153,7 @@ def _slack_model(name: str, net: Network, shed_cost, rating) -> SlackModel:
     cols = np.concatenate([flow, z]).astype(np.int32)
     intact = np.zeros((2, 2, m))
     intact[0, 0], intact[1, 0] = -rating, rating
-    mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-    return SlackModel(mdl, DCColumns(shed, gen, flow), cols, intact)
-
-
-# Lower and upper bound (rows) of a line's flow and slack (columns): removed,
-# flow at 0 and slack free; idle, flow and slack at 0.
-_REMOVED = np.array([[0.0, -np.inf], [0.0, np.inf]])
-_IDLE = np.zeros((2, 2))
-
-
-def _bounds_out(intact: np.ndarray, positions,
-                state=_REMOVED) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of a ``_slack_model``'s flow and slack columns
-    with the lines at ``positions`` removed: a removed line's flow is fixed
-    at 0 and its slack freed, which drops its angle coupling. With ``state``
-    ``_IDLE`` the lines stay in but carry no flow."""
-    bounds = intact.copy()
-    bounds[..., positions] = state[..., None]
-    return tuple(bounds.reshape(2, -1))
+    return SlackModel(mdl, shed, gen, flow, cols, intact)
 
 
 def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
@@ -180,7 +170,7 @@ def _exact_model(net: Network) -> tuple[SlackModel, object, np.ndarray | None]:
     if entry is None:
         slack = _slack_model("exact-load-shed", net, net.demand_vector(), net.thermal_vector())
         sol = slack.mdl.solve_lp(presolve=False)
-        gen = sol.x[slack.dc.gen] if sol.objective <= 0.0 else None
+        gen = sol.x[slack.gen] if sol.objective <= 0.0 else None
         entry = net.thread_cache.exact = (slack, slack.mdl.basis(), gen)
     return entry
 
@@ -191,13 +181,12 @@ def _solve_out(net: Network, positions, warm: bool) -> Solution:
     optimal basis if ``warm``. A failed solve raises
     :class:`BackendError` naming the attack's line ids."""
     slack, basis, _ = _exact_model(net)
-    mdl = slack.mdl
-    mdl.set_col_bounds(slack.cols, *_bounds_out(slack.intact, positions))
+    slack.take_out(positions)
     try:
-        return mdl.solve_lp(basis=basis if warm else None)
+        return slack.mdl.solve_lp(basis=basis if warm else None)
     except BackendError as err:
         lines = sorted(net.lines[e].id for e in positions)
-        raise BackendError(f"{mdl.name} solve failed for attack {lines}: {err}") from err
+        raise BackendError(f"{slack.mdl.name} solve failed for attack {lines}: {err}") from err
 
 
 def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
@@ -211,9 +200,9 @@ def solve_inner(net: Network, attack: AttackPlan) -> InnerSolution:
     :class:`InnerSolution`).
     """
     sol = _solve_out(net, _line_positions(net, attack), warm=False)
-    dc = _exact_model(net)[0].dc
-    return InnerSolution(eta=float(sol.objective), shed=sol.x[dc.shed], flow=sol.x[dc.flow],
-                         gen=sol.x[dc.gen])
+    slack = _exact_model(net)[0]
+    return InnerSolution(eta=float(sol.objective), shed=sol.x[slack.shed],
+                         flow=sol.x[slack.flow], gen=sol.x[slack.gen])
 
 
 def exact_eta(net: Network, attack: AttackPlan) -> float:
@@ -271,20 +260,19 @@ class _ProbeTable:
     def __init__(self, net: Network):
         exact_gen = _exact_model(net)[2]
         self._slack = slack = _slack_model("max-margin", net, 0.0, np.inf)
-        mdl, dc = slack.mdl, slack.dc
-        mdl.set_col_bounds(dc.shed, 0.0, 0.0)
+        mdl = slack.mdl
+        mdl.set_col_bounds(slack.shed, 0.0, 0.0)
         t = mdl.add_var(obj=1.0)
         m, pair = len(net.lines), np.arange(2 * len(net.lines))
         mdl.add_triplets(2 * m, np.tile(pair, 2),
-                         np.concatenate([dc.flow, dc.flow, np.full(2 * m, t)]),
+                         np.concatenate([slack.flow, slack.flow, np.full(2 * m, t)]),
                          np.concatenate([np.ones(m), -np.ones(m), np.tile(net.thermal_vector(), 2)]),
                          0.0, np.inf)
         sol = mdl.solve_lp(require_optimal=False, presolve=False)
         self._basis = mdl.basis() if sol.optimal else None
         self.demand, self.ptdf_t = net.demand_vector(), net.power_flow.ptdf_t
-        gens = [g for g in (exact_gen, sol.x[dc.gen] if sol.optimal else None) if g is not None]
+        gens = [g for g in (exact_gen, sol.x[slack.gen] if sol.optimal else None) if g is not None]
         self.base = np.array([(g - self.demand) @ self.ptdf_t for g in gens]).reshape(-1, m)
-        self._rows, self._lock = None, threading.Lock()
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per line e, the flows of two margin dispatches that serve all
@@ -292,24 +280,20 @@ class _ProbeTable:
         whether each LP is optimal (zero flows where not). Each is one solve
         with e's flow at 0 and its slack freed or at 0, from the intact
         margin basis (again cold if that start stops short), so a row
-        depends on the network and e alone. Solved on the first call, under
-        the table's lock.
+        depends on the network and e alone. Every call solves them; the
+        screen reads them built once per network through ``Network.shared``.
         """
-        with self._lock:
-            if self._rows is None:
-                mdl, dc, cols, intact = self._slack
-                m = intact.shape[-1]
-                gens, ok = np.tile(self.demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
-                if self._basis is not None:
-                    for e in range(m):
-                        for i, state in enumerate((_REMOVED, _IDLE)):
-                            mdl.set_col_bounds(cols, *_bounds_out(intact, [e], state))
-                            sol = mdl.solve_lp(require_optimal=False, basis=self._basis)
-                            if sol.optimal:
-                                gens[e, i], ok[e, i] = sol.x[dc.gen], True
-                    mdl.set_col_bounds(cols, *intact.reshape(2, -1))
-                self._rows = (gens - self.demand) @ self.ptdf_t, ok
-            return self._rows
+        slack = self._slack
+        m = slack.intact.shape[-1]
+        gens, ok = np.tile(self.demand, (m, 2, 1)), np.zeros((m, 2), dtype=bool)
+        if self._basis is not None:
+            for e in range(m):
+                for i, state in enumerate((_REMOVED, _IDLE)):
+                    slack.take_out([e], state)
+                    sol = slack.mdl.solve_lp(require_optimal=False, basis=self._basis)
+                    if sol.optimal:
+                        gens[e, i], ok[e, i] = sol.x[slack.gen], True
+        return (gens - self.demand) @ self.ptdf_t, ok
 
 
 def _probe_table(net: Network) -> _ProbeTable:
@@ -334,8 +318,7 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
     row's arithmetic reads only that row and the table, so its verdict
     does not depend on the other rows.
     """
-    table = _probe_table(net)
-    probes, rating, (count, k) = table.base, net.thermal_vector(), cuts.shape
+    probes, rating, (count, k) = _probe_table(net).base, net.thermal_vector(), cuts.shape
     pf, settled = net.power_flow, np.zeros(count, dtype=bool)
     if not len(probes):
         return settled
@@ -350,13 +333,12 @@ def _settled(net: Network, cuts: np.ndarray) -> np.ndarray:
         fits = (np.abs(flow) <= rating).all(axis=-1).any(axis=1)
         left = np.flatnonzero(~fits)
         if k >= 2 and len(left):
-            fits[left] = _segment_fits(net, table, flow[left], outages.take(left))
+            fits[left] = _segment_fits(net, flow[left], outages.take(left))
         settled[lo + whole] = fits
     return settled
 
 
-def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
-                  outages: Outages) -> np.ndarray:
+def _segment_fits(net: Network, base: np.ndarray, outages: Outages) -> np.ndarray:
     """Stage 2 of ``_settled``: per outage, whether one of its segments
     holds a point that keeps every line within its rating; ``base`` holds
     its base probes' flows rerouted around it. On a segment, rerouted, each
@@ -368,7 +350,7 @@ def _segment_fits(net: Network, table: _ProbeTable, base: np.ndarray,
     lines' lambda-intervals is compared with their smallest upper end
     instead.
     """
-    rows, ok = table.rows()
+    rows, ok = net.shared("zero-shed probe rows", _probe_table(net).rows)
     part = outages.cuts
     rating, (count, k), m = net.thermal_vector(), part.shape, rows.shape[0]
     a = base[:, :, None, :]

@@ -120,8 +120,8 @@ class Network:
     in which solvers keep per-thread state built from the network, such as
     the kept load-shed model of :mod:`nkshed.inner`; ``shared`` keeps state
     that every thread reads, built once per network under a lock: the
-    oracle's zero-shed probe table and the spatial footprint of each disk
-    diameter.
+    oracle's zero-shed probe table, its probe rows and the spatial
+    footprint of each disk diameter.
     Every new Network, including one made by ``dataclasses.replace`` or
     ``parse_geo``, starts with both empty.
     ``power_flow`` is the network's :class:`PowerFlow`, built on first use.
@@ -193,7 +193,8 @@ class Network:
         The first caller builds it while holding the network's lock, so it
         is built once and every thread reads the same object. A build must
         not call ``shared``: the lock is not reentrant. Keys in use:
-        ``"zero-shed probes"``, the oracle's zero-shed probe table, and
+        ``"zero-shed probes"``, the oracle's zero-shed probe table,
+        ``"zero-shed probe rows"``, that table's per-line rows, and
         ``("footprint", D_km)``, the spatial footprint of one disk diameter
         (``attackers.compute_phi``).
         """
@@ -422,8 +423,12 @@ class AttackerModel:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.variant == "spatial":
-            if self.D_km is None or not self.D_km > 0:
-                raise ValueError("spatial model requires D_km > 0")
+            if isinstance(self.D_km, bool) or not (isinstance(self.D_km, numbers.Real)
+                                                   and 0 < self.D_km < np.inf):
+                raise ValueError(f"spatial model requires a finite D_km > 0, got {self.D_km!r}")
+            if self.center_bus is not None and (isinstance(self.center_bus, bool) or not
+                                                isinstance(self.center_bus, numbers.Integral)):
+                raise ValueError(f"center_bus must be an integer, got {self.center_bus!r}")
         else:
             if self.D_km is not None:
                 raise ValueError("D_km only applies to the spatial model")

@@ -3,9 +3,12 @@ enumeration and bit for bit against scipy's ``milp``, and a kept HiGHS
 model re-solving exactly like a fresh one."""
 
 import ast
+import importlib.util
 import itertools
 import re
 import sys
+import types
+from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +288,24 @@ def test_a_missing_binding_raises_import_error_naming_where_it_looked(monkeypatc
     with pytest.raises(ImportError, match=re.escape(where)) as err:
         backend._load_highs()
     assert err.value.path == where
+
+
+def test_a_binding_that_fails_to_load_leaves_no_module_behind(monkeypatch):
+    # The binding is found but running it fails: the error propagates and
+    # the half-made module is taken back out of sys.modules.
+    name = "scipy.optimize._highspy._core"
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(importlib.util, "module_from_spec",
+                        lambda spec: types.ModuleType(spec.name))
+
+    def fail(self, module):
+        assert sys.modules[name] is module
+        raise ImportError("binding failed to load")
+
+    monkeypatch.setattr(ExtensionFileLoader, "exec_module", fail)
+    with pytest.raises(ImportError, match="binding failed to load"):
+        backend._load_highs()
+    assert name not in sys.modules
 
 
 def _scipy_colwise(mdl, eq_first):

@@ -291,6 +291,20 @@ def test_milp_master_failure_names_the_budgets_and_the_enumerated_path(
     assert state.bound_certified
 
 
+def test_milp_master_re_proposing_a_retired_attack_raises(milp_master, monkeypatch, triangle):
+    # A master that proposes line position 0 again, its exclusion cut
+    # ignored, with a dual bound that keeps the loop going, is caught on
+    # the second proposal instead of being priced again.
+    def solve_milp(self, presolve=True):
+        x = np.zeros(self.num_vars)
+        x[1] = 1.0
+        return backend.Solution("optimal", -1.0, x, dual_bound=-100.0)
+
+    monkeypatch.setattr(backend.Model, "solve_milp", solve_milp)
+    with pytest.raises(RuntimeError, match="re-proposed attack"):
+        solve_interdiction(triangle, AttackerModel.traditional(1))
+
+
 def test_bound_monotonicity_along_history(master_paths, mesh8):
     for path in master_paths:
         _, _, state = solve_interdiction(mesh8, AttackerModel.traditional(2),

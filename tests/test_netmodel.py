@@ -508,6 +508,25 @@ def test_attacker_model_rejects_a_non_integer_k(k):
     assert AttackerModel.spatial(np.int64(2), 80.0).k == 2
 
 
+@pytest.mark.parametrize("center", [True, False, 2.0, 1.5, "2"])
+def test_attacker_model_rejects_a_center_bus_that_is_not_an_integer(center):
+    # True matched bus 1 on mesh8 and 2.0 matched bus 2, and the plan's
+    # center_bus, then the report's, read true or 2.0.
+    with pytest.raises(ValueError, match="center_bus must be an integer"):
+        AttackerModel.spatial(2, 160.0, center)
+    assert AttackerModel.spatial(2, 160.0, np.int64(2)).center_bus == 2
+
+
+@pytest.mark.parametrize("d", [True, float("inf"), float("-inf"), float("nan"), "80", None])
+def test_attacker_model_rejects_a_D_that_is_a_bool_or_not_finite(d):
+    # An infinite D solved and its report read "D_km": Infinity, which is
+    # not JSON; True solved as 1 km.
+    with pytest.raises(ValueError, match="requires a finite D_km > 0"):
+        AttackerModel.spatial(2, d)
+    assert AttackerModel.spatial(2, np.float64(80.0)).D_km == 80.0
+    assert AttackerModel.spatial(2, 80).D_km == 80
+
+
 def test_attacker_model_invariants():
     with pytest.raises(ValueError):
         AttackerModel.traditional(0)

@@ -199,6 +199,18 @@ def test_cli_run_spatial_requires_d(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("d", ["inf", "nan"])
+def test_cli_run_rejects_a_d_that_is_not_finite(tmp_path, capsys, d):
+    # --D inf solved and wrote "D_km": Infinity into report.json, which
+    # strict JSON parsers reject; sweep --D-range inf was already an input
+    # error.
+    case, geo = _write_inputs(tmp_path, fx.mesh8())
+    assert main(["run", "--case", case, "--geo", geo, "--model", "spatial", "--k", "1",
+                 "--D", d, "--out", str(tmp_path / "o")]) == 3
+    assert "finite D_km" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--model", "traditional", "--k", "2", "--D", "50"],
     ["run", "--model", "traditional", "--k", "2", "--center", "3"],

@@ -61,7 +61,7 @@ def _verdicts(net, plans) -> list[float]:
 def _stage_one(net, plans) -> list[float]:
     """``_verdicts`` with the screen's second stage, the probe segments, off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inner, "_segment_fits", lambda net, table, base, outages: np.zeros(
+        patch.setattr(inner, "_segment_fits", lambda net, base, outages: np.zeros(
             len(outages.cuts), dtype=bool))
         return _verdicts(net, plans)
 
@@ -225,7 +225,7 @@ def test_the_probe_table_is_solved_once_per_network(monkeypatch, workers):
     monkeypatch.setattr(backend.Model, "solve_lp", counted)
     monkeypatch.setattr(inner._ProbeTable, "rows", read)
     # Threads switch often, so two that both find the table or its rows
-    # missing would both solve them without the network's or the table's lock.
+    # missing would both solve them without the network's lock.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -288,7 +288,7 @@ def test_a_network_is_freed_by_reference_counting():
     gc.disable()
     try:
         oracle.solve_exhaustive(net, AttackerModel.traditional(3))
-        assert inner._probe_table(net)._rows is not None
+        net.shared("zero-shed probe rows", lambda: pytest.fail("no probe rows were built"))
         solve_interdiction(net, AttackerModel.traditional(2))
         ref = weakref.ref(net)
         del net
